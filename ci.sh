@@ -23,14 +23,31 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark package self-check"
+# benchmark/ is a standalone package outside the workspace (its own
+# lockfile, path-deps on crates/*): none of the steps above build it, yet
+# it is what the acceptance pipeline builds and runs. Its own check — fmt,
+# clippy -D warnings, unit tests, all six workloads at smoke size — keeps
+# a crate change from silently breaking it.
+benchmark/check.sh
+
 echo "==> profiler golden test"
 cargo test -q -p impacc-prof golden
 
 echo "==> perf smoke: bench_speed --quick"
 PERF_DIR=target/perf
 mkdir -p "$PERF_DIR"
+# The serial engine hands one baton from thread to thread. Spread over
+# several CPUs every handoff is a cross-CPU wake-up — ~10x the engine's
+# own cost on a small VM, and bimodal run to run — so both bench_speed
+# steps (and the baseline they are held to) run on the first allowed CPU.
+PIN=()
+if command -v taskset >/dev/null; then
+    cpu=$(awk '/^Cpus_allowed_list:/ { split($2, a, /[,-]/); print a[1] }' /proc/self/status)
+    PIN=(taskset -c "$cpu")
+fi
 IMPACC_BENCH_DIR="$PERF_DIR" \
-    cargo run --release -q -p impacc-bench --bin bench_speed -- --quick \
+    "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_speed -- --quick \
     | grep -E '^\[speed\]|actors:'
 
 echo "==> perf regression gate"
@@ -67,7 +84,7 @@ echo "==> cores-sweep + flight-overhead gate: bench_speed --smoke"
 # flight recorder against a bare engine on the phased compute loop and
 # fails if the overhead exceeds IMPACC_FLIGHT_OVERHEAD_PCT (default 10%).
 # The binary panics (nonzero exit) on any violation.
-cargo run --release -q -p impacc-bench --bin bench_speed -- --smoke
+"${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_speed -- --smoke
 
 echo "==> lockstep parallel regression gate"
 # Same floor as the main speed gate, applied to the 4-worker lockstep

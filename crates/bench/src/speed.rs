@@ -32,7 +32,7 @@ use std::time::Instant;
 use impacc_flight::FlightRecorder;
 use impacc_vtime::{Sim, SimConfig, SimDur, SpanSink};
 
-use crate::util::{full, quick, report_extra, Table};
+use crate::util::{ctx_switches, full, quick, report_extra, Table};
 
 /// Horizon for conservative lockstep points: strides are 1 ns, so a
 /// 256 ns lookahead lets every partition batch ~256 advances per window
@@ -65,12 +65,26 @@ pub struct SpeedPoint {
     /// Partitions left waiting at a closing horizon with work still
     /// queued (0 on the serial engine).
     pub horizon_stalls: u64,
+    /// OS context switches (voluntary + involuntary, whole process) while
+    /// `Sim::run` ran.
+    pub ctx_switches: u64,
 }
 
 impl SpeedPoint {
     /// Events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_ms / 1e3)
+    }
+
+    /// Wall-clock nanoseconds per event. On a uniform row every event is a
+    /// tie, so this is the price of one baton handoff.
+    pub fn ns_per_event(&self) -> f64 {
+        self.wall_ms * 1e6 / self.events as f64
+    }
+
+    /// OS context switches per event; a handoff costs at least one.
+    pub fn ctx_switches_per_event(&self) -> f64 {
+        self.ctx_switches as f64 / self.events as f64
     }
 }
 
@@ -118,9 +132,11 @@ pub fn measure_sink(
             }
         });
     }
+    let switches0 = ctx_switches();
     let t0 = Instant::now();
     let report = sim.run().expect("speed workload must not fail");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let switches = ctx_switches() - switches0;
     SpeedPoint {
         actors,
         pattern: if phased { "phased" } else { "uniform" },
@@ -131,6 +147,7 @@ pub fn measure_sink(
         elided: report.handoffs_elided,
         parallel_advances: report.parallel_advances,
         horizon_stalls: report.horizon_stalls,
+        ctx_switches: switches,
     }
 }
 
@@ -173,6 +190,8 @@ pub fn run() -> String {
         "wall ms",
         "events/sec",
         "elided %",
+        "tie ns/event",
+        "ctx switches/event",
     ]);
     let mut headline: Vec<(usize, f64)> = Vec::new();
     for &actors in &actor_counts() {
@@ -182,6 +201,21 @@ pub fn run() -> String {
             for elide in [true, false] {
                 let p = measure(actors, iters, phased, elide, 0);
                 pair[if elide { 0 } else { 1 }] = p.wall_ms;
+                // The handoff ledger: only uniform rows tie on every event.
+                let (tie_ns, switches) = if phased {
+                    ("-".to_string(), "-".to_string())
+                } else {
+                    (
+                        format!("{:.0}", p.ns_per_event()),
+                        format!("{:.2}", p.ctx_switches_per_event()),
+                    )
+                };
+                if !phased && elide {
+                    // Overwritten row by row: the largest fleet's values
+                    // are the ones published.
+                    report_extra("tie_ns_per_event", p.ns_per_event());
+                    report_extra("ctx_switches_per_event", p.ctx_switches_per_event());
+                }
                 t.row(vec![
                     p.actors.to_string(),
                     p.pattern.to_string(),
@@ -189,6 +223,8 @@ pub fn run() -> String {
                     format!("{:.2}", p.wall_ms),
                     format!("{:.0}", p.events_per_sec()),
                     format!("{:.1}", 100.0 * p.elided as f64 / p.events as f64),
+                    tie_ns,
+                    switches,
                 ]);
             }
             if phased {
@@ -206,7 +242,10 @@ pub fn run() -> String {
          elision skips the park/unpark round-trip on nearly every advance\n\
          (the compute-loop shape of a real rank); uniform strides tie on\n\
          every advance, forcing the slow path — elision never fires there,\n\
-         preserving FIFO determinism.\n",
+         preserving FIFO determinism. Their last two columns price that\n\
+         slow path: wall-clock per tie, and OS context switches per tie\n\
+         (getrusage, voluntary + involuntary; one unpark/park pair should\n\
+         cost about one).\n",
     );
     out.push_str(&cores_sweep(budget));
     out

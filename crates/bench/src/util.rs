@@ -35,6 +35,29 @@ pub fn gbps(bytes: u64, secs: f64) -> f64 {
     bytes as f64 / secs / 1e9
 }
 
+/// `struct rusage` on 64-bit Linux: two timevals (two longs each), then
+/// fourteen longs ending in `ru_nvcsw`, `ru_nivcsw`.
+#[repr(C)]
+struct RawRusage([i64; 18]);
+
+extern "C" {
+    fn getrusage(who: i32, usage: *mut RawRusage) -> i32;
+}
+
+/// Voluntary plus involuntary context switches of the whole process so
+/// far, live and already-joined threads alike (`getrusage(RUSAGE_SELF)`) —
+/// the definition behind the repo benchmark's
+/// `vtime.ctx_switches_per_event`. Diff around a measured section.
+pub fn ctx_switches() -> u64 {
+    let mut raw = RawRusage([0; 18]);
+    // SAFETY: `raw` is a live, writable buffer laid out as `struct rusage`;
+    // 0 is RUSAGE_SELF.
+    if unsafe { getrusage(0, &mut raw) } != 0 {
+        return 0;
+    }
+    (raw.0[16] + raw.0[17]) as u64
+}
+
 /// Human-readable byte count for table headers.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {

@@ -20,6 +20,16 @@
 //! calls [`Ctx::wake`] with the stored token; stale tokens (the waiter has
 //! since resumed) are ignored via a per-actor generation counter.
 //!
+//! # Handoff protocol
+//!
+//! Passing the baton (or a conservative-mode grant) is one `unpark` and one
+//! `park`. Whoever picks the next actor does so under the scheduler lock but
+//! only *records* the wake there; the lock guard (`SchedGuard`) issues it
+//! after unlocking, so the resumed thread never collides with a lock its
+//! waker still holds. Each actor sleeps on one atomic word (`Park`) plus
+//! its thread's park token, and on resuming consults the lock-free
+//! `poisoned` flag instead of re-taking the scheduler lock.
+//!
 //! # Conservative parallel mode
 //!
 //! With [`SimConfig::parallelism`] > 0 the single baton is replaced by a
@@ -47,12 +57,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::time::{SimDur, SimTime};
 
@@ -108,31 +119,62 @@ enum ActorState {
     Finished,
 }
 
+/// Where an actor thread sleeps between grants: one word saying why it may
+/// resume, and the thread to unpark. `wake` is only ever called with the
+/// scheduler lock released (see [`SchedGuard`]).
 struct Park {
-    go: Mutex<Option<WakeReason>>,
-    cv: Condvar,
+    /// `PARK_EMPTY`, `PARK_SIGNALED` or `PARK_SHUTDOWN`. `wake` stores with
+    /// `Release` and `wait` takes with `Acquire`, so everything the waker
+    /// wrote under the scheduler lock (clocks, the poison flag) is visible
+    /// to the resumed actor without it taking that lock.
+    word: AtomicU32,
+    /// The actor's OS thread, taken from its `JoinHandle` in `spawn_inner`
+    /// before the actor's slot is visible to any waker.
+    thread: OnceLock<Thread>,
 }
+
+const PARK_EMPTY: u32 = 0;
+const PARK_SIGNALED: u32 = 1;
+const PARK_SHUTDOWN: u32 = 2;
 
 impl Park {
     fn new() -> Arc<Park> {
         Arc::new(Park {
-            go: Mutex::new(None),
-            cv: Condvar::new(),
+            word: AtomicU32::new(PARK_EMPTY),
+            thread: OnceLock::new(),
         })
     }
 
     fn wake(&self, reason: WakeReason) {
-        let mut go = self.go.lock();
-        *go = Some(reason);
-        self.cv.notify_one();
+        match reason {
+            // A pending `Shutdown` is sticky: wakes are issued after the
+            // scheduler lock is released, so a poisoning can overtake a
+            // grant recorded before it and must not be downgraded.
+            WakeReason::Signaled => {
+                let _ = self.word.compare_exchange(
+                    PARK_EMPTY,
+                    PARK_SIGNALED,
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                );
+            }
+            WakeReason::Shutdown => self.word.store(PARK_SHUTDOWN, Ordering::Release),
+        }
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
     }
 
+    /// Sleep until woken. Must be called on the actor's own thread.
     fn wait(&self) -> WakeReason {
-        let mut go = self.go.lock();
-        while go.is_none() {
-            self.cv.wait(&mut go);
+        loop {
+            match self.word.swap(PARK_EMPTY, Ordering::Acquire) {
+                PARK_SIGNALED => return WakeReason::Signaled,
+                PARK_SHUTDOWN => return WakeReason::Shutdown,
+                // Not yet woken, or a stale unpark token: sleep (again).
+                _ => std::thread::park(),
+            }
         }
-        go.take().expect("checked by loop")
     }
 }
 
@@ -334,6 +376,12 @@ struct Sched {
     events_dispatched: u64,
     handoffs_elided: u64,
     max_events: u64,
+    /// Wakes recorded under the lock by `dispatch`, `grant_one` and
+    /// `poison`; [`SchedGuard`] issues them after unlocking. The
+    /// legacy engine records at most one per critical section, so the
+    /// common case never touches the overflow `Vec`.
+    wake_first: Option<(Arc<Park>, WakeReason)>,
+    wake_rest: Vec<(Arc<Park>, WakeReason)>,
     // --- conservative mode (empty/idle in legacy mode) ---
     /// Partition table, fixed once the run starts (mid-run spawns inherit
     /// their parent's partition).
@@ -361,6 +409,42 @@ struct Sched {
     horizon_stalls: u64,
 }
 
+/// The scheduler lock. Releasing it is the one place actor threads are
+/// woken: the guard first unlocks, then issues the wakes recorded while it
+/// was held — so a woken actor never runs into a lock its waker still
+/// holds, and a panic that unwinds through the guard still delivers them.
+struct SchedGuard<'a>(Option<MutexGuard<'a, Sched>>);
+
+impl Deref for SchedGuard<'_> {
+    type Target = Sched;
+    fn deref(&self) -> &Sched {
+        self.0.as_ref().expect("held until drop")
+    }
+}
+
+impl DerefMut for SchedGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Sched {
+        self.0.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for SchedGuard<'_> {
+    fn drop(&mut self) {
+        // The mutex guard lives and dies inside the closure.
+        let wakes = self.0.take().map(|mut sched| {
+            (
+                sched.wake_first.take(),
+                std::mem::take(&mut sched.wake_rest),
+            )
+        });
+        if let Some((first, rest)) = wakes {
+            for (park, reason) in first.into_iter().chain(rest) {
+                park.wake(reason);
+            }
+        }
+    }
+}
+
 struct RunGate {
     done: Mutex<bool>,
     cv: Condvar,
@@ -371,6 +455,7 @@ struct RunGate {
 type TraceRing = Arc<Mutex<VecDeque<(u64, TraceEvent)>>>;
 
 pub(crate) struct EngineShared {
+    /// Only ever locked through [`EngineShared::lock_sched`].
     sched: Mutex<Sched>,
     gate: RunGate,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -396,8 +481,9 @@ pub(crate) struct EngineShared {
     /// Mirror of `Sched::window_h`, stable while any partition holds a
     /// grant, read by the lock-free fast path.
     window_h_ps: AtomicU64,
-    /// Mirror of `Sched::poison.is_some()`, so the fast path notices
-    /// poisoning without the scheduler lock.
+    /// Mirror of `Sched::poison.is_some()` (both are set by
+    /// `Engine::poison`, nowhere else), so the fast path and every resumed
+    /// actor notice poisoning without the scheduler lock.
     poisoned: AtomicBool,
     /// Fast-path advances, for the (approximate) conservative-mode event
     /// limit check.
@@ -405,6 +491,12 @@ pub(crate) struct EngineShared {
     /// Copy of [`SimConfig::max_events`] readable without the scheduler
     /// lock (the conservative fast path checks it).
     max_events: u64,
+}
+
+impl EngineShared {
+    fn lock_sched(&self) -> SchedGuard<'_> {
+        SchedGuard(Some(self.sched.lock()))
+    }
 }
 
 /// Receiver for structured spans emitted by the engine and by the runtime
@@ -632,6 +724,15 @@ pub enum SimError {
         /// The configured limit that was exceeded.
         limit: u64,
     },
+    /// The OS refused to start an actor's thread (thread limit reached, or
+    /// a [`SimConfig::stack_size`] that cannot be mapped). Every thread
+    /// spawned before it has been woken and joined.
+    Spawn {
+        /// Name of the actor whose thread could not be started.
+        actor: String,
+        /// The OS error.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -643,6 +744,9 @@ impl fmt::Display for SimError {
             }
             SimError::EventLimit { limit } => {
                 write!(f, "simulation exceeded the event limit of {limit}")
+            }
+            SimError::Spawn { actor, message } => {
+                write!(f, "could not start a thread for actor '{actor}': {message}")
             }
         }
     }
@@ -745,6 +849,8 @@ pub struct Ctx {
     acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>>,
     /// This partition's queue-front mirror (conservative mode).
     part_front: Arc<AtomicU64>,
+    /// Where this actor's thread sleeps between grants.
+    park: Arc<Park>,
 }
 
 impl fmt::Debug for Ctx {
@@ -819,7 +925,7 @@ impl Ctx {
     /// True once all non-daemon actors have finished. Daemons should exit
     /// their service loops promptly when they observe this.
     pub fn is_shutdown(&self) -> bool {
-        self.engine.sched.lock().shutdown
+        self.engine.lock_sched().shutdown
     }
 
     /// True when a span sink is attached and currently recording. Callers
@@ -893,10 +999,8 @@ impl Ctx {
             self.advance_conservative(target, tag);
             return;
         }
-        let target = {
-            let sched = self.engine.sched.lock();
-            sched.now + dur
-        };
+        // The baton holder reads the clock mirror: nobody else can move it.
+        let target = SimTime(self.engine.now_ps.load(Ordering::Relaxed)) + dur;
         self.advance_until(target, tag);
     }
 
@@ -906,8 +1010,8 @@ impl Ctx {
     /// Fast path (when [`SimConfig::elide_handoff`] is on): if no heap entry
     /// is due at or before the target instant, this actor would be handed
     /// the baton right back after parking — the scheduler instead moves the
-    /// clock and returns without the two condvar signals and two OS context
-    /// switches of a full handoff. The comparison is strict (`entry.t > t`)
+    /// clock and returns without the unpark/park pair and the OS context
+    /// switch of a full handoff. The comparison is strict (`entry.t > t`)
     /// because this actor's queue entry would carry the largest sequence
     /// number: any equal-time entry wins the FIFO tie-break and must run
     /// first, so ties take the slow path. Dispatch-order, event-count and
@@ -917,8 +1021,8 @@ impl Ctx {
             self.advance_conservative(target, tag);
             return;
         }
-        let park = {
-            let mut sched = self.engine.sched.lock();
+        {
+            let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             let now = sched.now;
             let t = target.max(now);
@@ -930,9 +1034,8 @@ impl Ctx {
             if self.engine.elide_handoff && sched.heap.peek().is_none_or(|e| e.t > t) {
                 sched.events_dispatched += 1;
                 if sched.events_dispatched > sched.max_events {
-                    sched.poison = Some(format!("event-limit:{}", sched.max_events));
-                    Engine::poison_wake_all(&self.engine, &mut sched);
-                    Engine::open_gate(&self.engine, &mut sched);
+                    let msg = format!("event-limit:{}", sched.max_events);
+                    Engine::poison(&self.engine, &mut sched, msg);
                 } else {
                     sched.now = t;
                     self.engine.now_ps.store(t.0, Ordering::Relaxed);
@@ -941,9 +1044,7 @@ impl Ctx {
                 self.check_poison(&sched);
                 return;
             }
-            let slot = &mut sched.actors[self.me.0 as usize];
-            slot.state = ActorState::Queued;
-            let park = slot.park.clone();
+            sched.actors[self.me.0 as usize].state = ActorState::Queued;
             let seq = sched.bump_seq();
             sched.heap.push(HeapEntry {
                 t,
@@ -953,10 +1054,8 @@ impl Ctx {
                 timer_gen: None,
             });
             Engine::dispatch(&self.engine, &mut sched);
-            park
-        };
-        let _ = park.wait();
-        self.check_poison(&self.engine.sched.lock());
+        }
+        self.park_until_granted();
     }
 
     /// Conservative-mode advance. Fast path: while the target stays below
@@ -968,9 +1067,7 @@ impl Ctx {
     /// cross-partition pushes into this partition carry `t ≥ horizon`, so
     /// a racing front read can never hide an entry at or before `t`.
     fn advance_conservative(&self, target: SimTime, tag: &'static str) {
-        if self.engine.poisoned.load(Ordering::Relaxed) {
-            self.check_poison(&self.engine.sched.lock());
-        }
+        self.check_poison_flag();
         let now = SimTime(self.clock.local_now.load(Ordering::Relaxed));
         let t = target.max(now);
         *self.acct.lock().entry(tag).or_insert(SimDur::ZERO) += t.since(now);
@@ -984,19 +1081,15 @@ impl Ctx {
             if n > self.engine.max_events {
                 // Approximate in conservative mode (scheduler grants are
                 // counted separately), but still a firm runaway guard.
-                let mut sched = self.engine.sched.lock();
-                if sched.poison.is_none() {
-                    sched.poison = Some(format!("event-limit:{}", self.engine.max_events));
-                    self.engine.poisoned.store(true, Ordering::Release);
-                    Engine::poison_wake_all(&self.engine, &mut sched);
-                    Engine::open_gate(&self.engine, &mut sched);
-                }
+                let mut sched = self.engine.lock_sched();
+                let msg = format!("event-limit:{}", self.engine.max_events);
+                Engine::poison(&self.engine, &mut sched, msg);
                 self.check_poison(&sched);
             }
             return;
         }
-        let park = {
-            let mut sched = self.engine.sched.lock();
+        {
+            let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             let entry = {
                 let slot = &mut sched.actors[self.me.0 as usize];
@@ -1014,13 +1107,10 @@ impl Ctx {
                     timer_gen: None,
                 }
             };
-            let park = sched.actors[self.me.0 as usize].park.clone();
             Engine::push_entry(&mut sched, self.part, entry);
             Engine::release_grant(&self.engine, &mut sched, self.part);
-            park
-        };
-        let _ = park.wait();
-        self.check_poison(&self.engine.sched.lock());
+        }
+        self.park_until_granted();
     }
 
     /// Yield the baton without advancing time (FIFO among equal-time actors).
@@ -1032,7 +1122,7 @@ impl Ctx {
     /// use to resume this actor. Must be followed by [`Ctx::wait`] on this
     /// actor before it performs any other engine call.
     pub fn prepare_wait(&self) -> WaitToken {
-        let mut sched = self.engine.sched.lock();
+        let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
         let slot = &mut sched.actors[self.me.0 as usize];
         debug_assert_eq!(slot.state, ActorState::Running);
@@ -1074,8 +1164,8 @@ impl Ctx {
         if self.engine.parallelism > 0 {
             return self.wait_conservative(token, tag, cause, None);
         }
-        let park = {
-            let mut sched = self.engine.sched.lock();
+        {
+            let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             if sched.shutdown {
                 // Don't suspend daemons that race with shutdown.
@@ -1092,13 +1182,9 @@ impl Ctx {
             slot.blocked_since = now;
             slot.blocked_tag = tag;
             slot.blocked_cause = cause;
-            let park = slot.park.clone();
             Engine::dispatch(&self.engine, &mut sched);
-            park
-        };
-        let reason = park.wait();
-        self.check_poison(&self.engine.sched.lock());
-        reason
+        }
+        self.park_until_granted()
     }
 
     /// Like [`Ctx::wait`], but also resumes (with `WakeReason::Signaled`)
@@ -1138,8 +1224,8 @@ impl Ctx {
         if self.engine.parallelism > 0 {
             return self.wait_conservative(token, tag, cause, Some(deadline));
         }
-        let park = {
-            let mut sched = self.engine.sched.lock();
+        {
+            let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             if sched.shutdown {
                 return WakeReason::Shutdown;
@@ -1155,7 +1241,6 @@ impl Ctx {
             slot.blocked_since = now;
             slot.blocked_tag = tag;
             slot.blocked_cause = cause;
-            let park = slot.park.clone();
             let seq = sched.bump_seq();
             sched.heap.push(HeapEntry {
                 t: deadline.max(now),
@@ -1165,11 +1250,8 @@ impl Ctx {
                 timer_gen: Some(token.gen),
             });
             Engine::dispatch(&self.engine, &mut sched);
-            park
-        };
-        let reason = park.wait();
-        self.check_poison(&self.engine.sched.lock());
-        reason
+        }
+        self.park_until_granted()
     }
 
     /// Conservative-mode suspension (both `wait` and `wait_deadline`). The
@@ -1184,8 +1266,8 @@ impl Ctx {
         cause: Option<String>,
         deadline: Option<SimTime>,
     ) -> WakeReason {
-        let park = {
-            let mut sched = self.engine.sched.lock();
+        {
+            let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             if sched.shutdown {
                 let slot = &mut sched.actors[self.me.0 as usize];
@@ -1194,7 +1276,6 @@ impl Ctx {
                 return WakeReason::Shutdown;
             }
             let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
-            let park;
             let pending;
             {
                 let slot = &mut sched.actors[self.me.0 as usize];
@@ -1205,7 +1286,6 @@ impl Ctx {
                 );
                 slot.wait_armed = false;
                 pending = slot.pending_wake.take();
-                park = slot.park.clone();
             }
             if let Some(p) = pending {
                 // A waker beat us here. Resume at the deterministic
@@ -1280,11 +1360,8 @@ impl Ctx {
                 }
             }
             Engine::release_grant(&self.engine, &mut sched, self.part);
-            park
-        };
-        let reason = park.wait();
-        self.check_poison(&self.engine.sched.lock());
-        reason
+        }
+        self.park_until_granted()
     }
 
     /// Resume the actor identified by `token` at the current virtual time.
@@ -1300,7 +1377,7 @@ impl Ctx {
             let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
             return self.wake_conservative(token, lnow, true);
         }
-        let mut sched = self.engine.sched.lock();
+        let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
         let now = sched.now;
         let slot = &mut sched.actors[token.actor.0 as usize];
@@ -1382,7 +1459,7 @@ impl Ctx {
         if self.engine.parallelism > 0 {
             return self.wake_conservative(token, at, traced);
         }
-        let mut sched = self.engine.sched.lock();
+        let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
         let now = sched.now;
         let at = at.max(now);
@@ -1442,7 +1519,7 @@ impl Ctx {
     /// the wake edge to grant time, when the winning (minimum) sender is
     /// final — so traces are identical no matter which arm each sender hit.
     fn wake_conservative(&self, token: WaitToken, at: SimTime, traced: bool) -> bool {
-        let mut sched = self.engine.sched.lock();
+        let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
         let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
         let tidx = token.actor.0 as usize;
@@ -1597,6 +1674,7 @@ impl Ctx {
         let name = name.into();
         self.emit_spawn_edge(&name);
         Engine::spawn_inner(&self.engine, name, false, self.spawn_origin(), f)
+            .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
 
     /// Spawn a daemon actor: the simulation may finish while it is blocked;
@@ -1609,6 +1687,7 @@ impl Ctx {
         let name = name.into();
         self.emit_spawn_edge(&name);
         Engine::spawn_inner(&self.engine, name, true, self.spawn_origin(), f)
+            .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
 
     /// Conservative-mode placement for a mid-run spawn: the child inherits
@@ -1663,6 +1742,24 @@ impl Ctx {
             panic!("simulation poisoned: {msg}");
         }
     }
+
+    /// [`Ctx::check_poison`] for paths that do not hold the scheduler lock:
+    /// consult the lock-free mirror and take the lock only to read the
+    /// message of a poisoning that did happen.
+    fn check_poison_flag(&self) {
+        if self.engine.poisoned.load(Ordering::Acquire) {
+            self.check_poison(&self.engine.lock_sched());
+        }
+    }
+
+    /// Second half of every handoff: sleep until the scheduler grants this
+    /// actor again (the caller has just released the scheduler lock, which
+    /// issued the wake it recorded), then resume without touching the lock.
+    fn park_until_granted(&self) -> WakeReason {
+        let reason = self.park.wait();
+        self.check_poison_flag();
+        reason
+    }
 }
 
 impl Sched {
@@ -1670,6 +1767,16 @@ impl Sched {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Record a wake of actor `idx` for the unlocking thread to issue.
+    fn wake_later(&mut self, idx: usize, reason: WakeReason) {
+        let wake = (self.actors[idx].park.clone(), reason);
+        if self.wake_first.is_none() {
+            self.wake_first = Some(wake);
+        } else {
+            self.wake_rest.push(wake);
+        }
     }
 }
 
@@ -1853,6 +1960,8 @@ impl Engine {
                 events_dispatched: 0,
                 handoffs_elided: 0,
                 max_events: sim.config.max_events,
+                wake_first: None,
+                wake_rest: Vec::new(),
                 parts: (0..n_parts).map(|_| Part::new()).collect(),
                 ready: Vec::new(),
                 running: 0,
@@ -1894,12 +2003,15 @@ impl Engine {
                 parent: None,
                 seq: i as u64,
             });
-            Engine::spawn_inner(&shared, name, daemon, origin, f);
+            if Engine::spawn_inner(&shared, name, daemon, origin, f).is_err() {
+                // Poisoned, and what was spawned is already being woken.
+                break;
+            }
         }
 
         if had_initial {
             {
-                let mut sched = shared.sched.lock();
+                let mut sched = shared.lock_sched();
                 if parallel {
                     Engine::pump(&shared, &mut sched);
                 } else {
@@ -1943,7 +2055,7 @@ impl Engine {
                 .map(|(_, e)| e)
                 .collect()
         };
-        let sched = shared.sched.lock();
+        let sched = shared.lock_sched();
         let fast: u64 = if parallel {
             sched
                 .actors
@@ -1959,7 +2071,7 @@ impl Engine {
         let events = sched.events_dispatched + fast;
         GLOBAL_EVENTS.fetch_add(events, Ordering::Relaxed);
         if let Some(msg) = &sched.poison {
-            return Err(Self::classify_poison(msg, &sched));
+            return Err(Self::classify_poison(msg));
         }
         let end_time = if parallel {
             sched
@@ -2001,7 +2113,7 @@ impl Engine {
         })
     }
 
-    fn classify_poison(msg: &str, _sched: &Sched) -> SimError {
+    fn classify_poison(msg: &str) -> SimError {
         if let Some(rest) = msg.strip_prefix("deadlock:") {
             SimError::Deadlock {
                 detail: rest.to_string(),
@@ -2009,6 +2121,12 @@ impl Engine {
         } else if let Some(rest) = msg.strip_prefix("event-limit:") {
             SimError::EventLimit {
                 limit: rest.parse().unwrap_or(0),
+            }
+        } else if let Some(rest) = msg.strip_prefix("spawn:") {
+            let (actor, message) = rest.split_once(':').unwrap_or(("?", rest));
+            SimError::Spawn {
+                actor: actor.to_string(),
+                message: message.to_string(),
             }
         } else if let Some(rest) = msg.strip_prefix("panic:") {
             let (actor, message) = rest.split_once(':').unwrap_or(("?", rest));
@@ -2024,122 +2142,141 @@ impl Engine {
         }
     }
 
+    /// Register an actor and start its thread, parked until its first
+    /// grant. The thread is spawned under the scheduler lock, before the
+    /// slot exists: whoever can see the slot can already unpark the thread,
+    /// and a spawn the OS refuses leaves nothing half-registered. On that
+    /// failure the run is poisoned (`spawn:<actor>:<os error>`, returned as
+    /// `Err`) and every actor spawned so far is woken to unwind.
     fn spawn_inner<F>(
         shared: &Arc<EngineShared>,
         name: String,
         daemon: bool,
         origin: Option<SpawnOrigin>,
         f: F,
-    ) -> ActorId
+    ) -> Result<ActorId, String>
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let park = Park::new();
-        let (id, clock, part, acct, part_front) = {
-            let mut sched = shared.sched.lock();
-            if let Some(msg) = &sched.poison {
-                // Spawning after poison would park a thread forever.
-                panic!("simulation poisoned: {msg}");
-            }
-            let id = ActorId(sched.actors.len() as u32);
-            let (part, at) = origin.as_ref().map_or((0, sched.now), |o| (o.part, o.t));
-            let clock = Arc::new(ActorClock {
-                local_now: AtomicU64::new(at.0),
-                fast_advances: AtomicU64::new(0),
-            });
-            let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
-                Arc::new(Mutex::new(BTreeMap::new()));
-            sched.actors.push(ActorSlot {
-                name: name.clone(),
-                daemon,
-                state: ActorState::Queued,
-                park: park.clone(),
-                wait_gen: 0,
-                blocked_since: SimTime::ZERO,
-                blocked_tag: "",
-                blocked_cause: None,
-                acct: acct.clone(),
-                part,
-                push_seq: 0,
-                clock: clock.clone(),
-                pending_wake: None,
-                wait_armed: false,
-                blocked_deadline: None,
-                blocked_timer: None,
-                queued_by_wake: None,
-            });
-            sched.live_total += 1;
-            if !daemon {
-                sched.live_nondaemon += 1;
-            }
-            match origin {
-                Some(o) => {
-                    let src_seq = match o.parent {
-                        Some(pid) => {
-                            let ps = &mut sched.actors[pid.0 as usize];
-                            let s = ps.push_seq;
-                            ps.push_seq += 1;
-                            s
-                        }
-                        None => o.seq,
-                    };
-                    let entry = PEntry {
-                        t: o.t,
-                        src_vt: o.t,
-                        src: o.src,
-                        src_seq,
-                        id,
-                        reason: WakeReason::Signaled,
-                        timer_gen: None,
-                    };
-                    Engine::push_entry(&mut sched, part, entry);
-                }
-                None => {
-                    let now = sched.now;
-                    let seq = sched.bump_seq();
-                    sched.heap.push(HeapEntry {
-                        t: now,
-                        seq,
-                        id,
-                        reason: WakeReason::Signaled,
-                        timer_gen: None,
-                    });
-                }
-            }
-            let part_front = if shared.parallelism > 0 {
-                sched.parts[part as usize].front.clone()
-            } else {
-                Arc::new(AtomicU64::new(u64::MAX))
-            };
-            (id, clock, part, acct, part_front)
-        };
-
-        let shared2 = shared.clone();
         let trace_ring: TraceRing = Arc::new(Mutex::new(VecDeque::new()));
         shared.trace_rings.lock().push(trace_ring.clone());
+        let metrics = shared.metrics.new_shard();
+        let park = Park::new();
+        let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
+            Arc::new(Mutex::new(BTreeMap::new()));
+
+        let mut sched = shared.lock_sched();
+        if let Some(msg) = &sched.poison {
+            // Spawning after poison would park a thread forever.
+            panic!("simulation poisoned: {msg}");
+        }
+        let id = ActorId(sched.actors.len() as u32);
+        let (part, at) = origin.as_ref().map_or((0, sched.now), |o| (o.part, o.t));
+        let clock = Arc::new(ActorClock {
+            local_now: AtomicU64::new(at.0),
+            fast_advances: AtomicU64::new(0),
+        });
+        let part_front = if shared.parallelism > 0 {
+            sched.parts[part as usize].front.clone()
+        } else {
+            Arc::new(AtomicU64::new(u64::MAX))
+        };
         let ctx = Ctx {
             engine: shared.clone(),
             me: id,
             name: name.as_str().into(),
-            metrics: shared.metrics.new_shard(),
+            metrics,
             trace_ring,
-            clock,
+            clock: clock.clone(),
             part,
-            acct,
+            acct: acct.clone(),
             part_front,
+            park: park.clone(),
         };
-        let handle = std::thread::Builder::new()
+        let shared2 = shared.clone();
+        let spawned = std::thread::Builder::new()
             .name(name.clone())
             .stack_size(shared.stack_size)
             .spawn(move || {
-                // Wait for the first baton grant.
-                let _ = park.wait();
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+                // Wait for the first baton grant. `Shutdown` instead means
+                // the run was poisoned before this actor ever ran: its body
+                // must not start (it would run alongside the baton holder).
+                let result = match ctx.park.wait() {
+                    WakeReason::Signaled => panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))),
+                    WakeReason::Shutdown => Ok(()),
+                };
                 Engine::finish(&shared2, id, result.err());
-            })
-            .expect("failed to spawn actor thread");
+            });
+        let handle = match spawned {
+            Ok(handle) => handle,
+            Err(e) => {
+                let msg = format!("spawn:{name}:{e}");
+                Engine::poison(shared, &mut sched, msg.clone());
+                return Err(msg);
+            }
+        };
+        park.thread
+            .set(handle.thread().clone())
+            .expect("a fresh park has no thread yet");
         shared.handles.lock().push(handle);
-        id
+        sched.actors.push(ActorSlot {
+            name,
+            daemon,
+            state: ActorState::Queued,
+            park,
+            wait_gen: 0,
+            blocked_since: SimTime::ZERO,
+            blocked_tag: "",
+            blocked_cause: None,
+            acct,
+            part,
+            push_seq: 0,
+            clock,
+            pending_wake: None,
+            wait_armed: false,
+            blocked_deadline: None,
+            blocked_timer: None,
+            queued_by_wake: None,
+        });
+        sched.live_total += 1;
+        if !daemon {
+            sched.live_nondaemon += 1;
+        }
+        match origin {
+            Some(o) => {
+                let src_seq = match o.parent {
+                    Some(pid) => {
+                        let ps = &mut sched.actors[pid.0 as usize];
+                        let s = ps.push_seq;
+                        ps.push_seq += 1;
+                        s
+                    }
+                    None => o.seq,
+                };
+                let entry = PEntry {
+                    t: o.t,
+                    src_vt: o.t,
+                    src: o.src,
+                    src_seq,
+                    id,
+                    reason: WakeReason::Signaled,
+                    timer_gen: None,
+                };
+                Engine::push_entry(&mut sched, part, entry);
+            }
+            None => {
+                let now = sched.now;
+                let seq = sched.bump_seq();
+                sched.heap.push(HeapEntry {
+                    t: now,
+                    seq,
+                    id,
+                    reason: WakeReason::Signaled,
+                    timer_gen: None,
+                });
+            }
+        }
+        Ok(id)
     }
 
     /// Actor termination: release the baton and account for liveness.
@@ -2148,28 +2285,27 @@ impl Engine {
         id: ActorId,
         panic_payload: Option<Box<dyn std::any::Any + Send>>,
     ) {
-        let mut sched = shared.sched.lock();
-        let name = sched.actors[id.0 as usize].name.clone();
+        let mut sched = shared.lock_sched();
         sched.actors[id.0 as usize].state = ActorState::Finished;
         sched.live_total -= 1;
         if !sched.actors[id.0 as usize].daemon {
             sched.live_nondaemon -= 1;
         }
         if let Some(payload) = panic_payload {
-            if sched.poison.is_none() {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                // Secondary panics caused by poisoning shouldn't overwrite
-                // the original cause.
-                if !msg.starts_with("simulation poisoned") {
-                    sched.poison = Some(format!("panic:{name}:{msg}"));
-                }
-            }
-            Engine::poison_wake_all(shared, &mut sched);
-            Engine::open_gate(shared, &mut sched);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic>".to_string());
+            // A secondary panic raised by `check_poison` finds the original
+            // cause already recorded: `poison` keeps the first.
+            let name = &sched.actors[id.0 as usize].name;
+            let msg = format!("panic:{name}:{msg}");
+            Engine::poison(shared, &mut sched, msg);
+        }
+        if sched.poison.is_some() {
+            // Poisoned by this actor, while it ran, or before it ever
+            // started: it has no baton or grant worth handing on.
             return;
         }
         if shared.parallelism > 0 {
@@ -2180,14 +2316,24 @@ impl Engine {
         }
     }
 
-    fn poison_wake_all(shared: &EngineShared, sched: &mut Sched) {
+    /// The one place a run is poisoned. The first cause wins and does all
+    /// the work: record it, raise the lock-free flag resumed actors test,
+    /// wake every parked actor so it unwinds, and let `Engine::run` proceed
+    /// to the joins. Once is enough — every path that parks an actor (or
+    /// registers a new one) checks `Sched::poison` under the lock first, so
+    /// nobody parks after this.
+    fn poison(shared: &EngineShared, sched: &mut Sched, msg: String) {
+        if sched.poison.is_some() {
+            return;
+        }
+        sched.poison = Some(msg);
         shared.poisoned.store(true, Ordering::Release);
-        for slot in sched.actors.iter_mut() {
-            match slot.state {
-                ActorState::Queued | ActorState::Blocked => {
-                    slot.park.wake(WakeReason::Shutdown);
-                }
-                _ => {}
+        for idx in 0..sched.actors.len() {
+            if matches!(
+                sched.actors[idx].state,
+                ActorState::Queued | ActorState::Blocked
+            ) {
+                sched.wake_later(idx, WakeReason::Shutdown);
             }
         }
         sched.heap.clear();
@@ -2195,6 +2341,7 @@ impl Engine {
         // poisoning (they panic at their next engine call), and the pump is
         // never re-entered — parking the queues is enough.
         sched.ready.clear();
+        Engine::open_gate(shared);
     }
 
     /// Insert a conservative-mode entry and refresh the partition's front
@@ -2279,7 +2426,7 @@ impl Engine {
                     since,
                     entry.t,
                 );
-                sched.actors[idx].park.wake(entry.reason);
+                sched.wake_later(idx, entry.reason);
                 return true;
             }
             debug_assert_eq!(
@@ -2329,7 +2476,7 @@ impl Engine {
                     }
                 }
             }
-            sched.actors[idx].park.wake(entry.reason);
+            sched.wake_later(idx, entry.reason);
             return true;
         }
     }
@@ -2340,8 +2487,6 @@ impl Engine {
     /// pending time — or terminate. Called with the scheduler locked.
     fn pump(shared: &Arc<EngineShared>, sched: &mut Sched) {
         if sched.poison.is_some() {
-            Engine::poison_wake_all(shared, sched);
-            Engine::open_gate(shared, sched);
             return;
         }
         let serial = shared.lookahead == SimDur::ZERO;
@@ -2389,9 +2534,8 @@ impl Engine {
                     sched.running += 1;
                     sched.events_dispatched += 1;
                     if sched.events_dispatched > sched.max_events {
-                        sched.poison = Some(format!("event-limit:{}", sched.max_events));
-                        Engine::poison_wake_all(shared, sched);
-                        Engine::open_gate(shared, sched);
+                        let msg = format!("event-limit:{}", sched.max_events);
+                        Engine::poison(shared, sched, msg);
                         return;
                     }
                     sched.window_grants += 1;
@@ -2461,7 +2605,7 @@ impl Engine {
     /// `false` so the pump grants them.
     fn conservative_quiesce(shared: &Arc<EngineShared>, sched: &mut Sched) -> bool {
         if sched.live_total == 0 {
-            Engine::open_gate(shared, sched);
+            Engine::open_gate(shared);
             return true;
         }
         if sched.live_nondaemon == 0 {
@@ -2519,7 +2663,7 @@ impl Engine {
                 return false;
             }
             if sched.live_total == 0 {
-                Engine::open_gate(shared, sched);
+                Engine::open_gate(shared);
             }
             // Daemons are mid-finish on their own threads; the last one
             // re-enters the pump and hits live_total == 0.
@@ -2535,13 +2679,11 @@ impl Engine {
                 ));
             }
         }
-        sched.poison = Some(format!("deadlock:{detail}"));
-        Engine::poison_wake_all(shared, sched);
-        Engine::open_gate(shared, sched);
+        Engine::poison(shared, sched, format!("deadlock:{detail}"));
         true
     }
 
-    fn open_gate(shared: &Arc<EngineShared>, _sched: &mut Sched) {
+    fn open_gate(shared: &EngineShared) {
         let mut done = shared.gate.done.lock();
         *done = true;
         shared.gate.cv.notify_all();
@@ -2552,15 +2694,12 @@ impl Engine {
     /// (or has never held) the baton.
     fn dispatch(shared: &Arc<EngineShared>, sched: &mut Sched) {
         if sched.poison.is_some() {
-            Engine::poison_wake_all(shared, sched);
-            Engine::open_gate(shared, sched);
             return;
         }
         sched.events_dispatched += 1;
         if sched.events_dispatched > sched.max_events {
-            sched.poison = Some(format!("event-limit:{}", sched.max_events));
-            Engine::poison_wake_all(shared, sched);
-            Engine::open_gate(shared, sched);
+            let msg = format!("event-limit:{}", sched.max_events);
+            Engine::poison(shared, sched, msg);
             return;
         }
 
@@ -2580,7 +2719,7 @@ impl Engine {
                 let cause = slot.blocked_cause.take();
                 *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += elapsed;
                 slot.state = ActorState::Running;
-                slot.park.wake(entry.reason);
+                sched.wake_later(entry.id.0 as usize, entry.reason);
                 Engine::emit_stall(
                     shared,
                     sched,
@@ -2601,12 +2740,12 @@ impl Engine {
             sched.now = sched.now.max(entry.t);
             shared.now_ps.store(sched.now.0, Ordering::Relaxed);
             sched.actors[entry.id.0 as usize].state = ActorState::Running;
-            sched.actors[entry.id.0 as usize].park.wake(entry.reason);
+            sched.wake_later(entry.id.0 as usize, entry.reason);
             return;
         }
 
         if sched.live_total == 0 {
-            Engine::open_gate(shared, sched);
+            Engine::open_gate(shared);
             return;
         }
 
@@ -2617,8 +2756,7 @@ impl Engine {
             }
             let now = sched.now;
             let mut woke = false;
-            let ids: Vec<u32> = (0..sched.actors.len() as u32).collect();
-            for i in ids {
+            for i in 0..sched.actors.len() as u32 {
                 if sched.actors[i as usize].state == ActorState::Blocked {
                     let slot = &mut sched.actors[i as usize];
                     slot.state = ActorState::Queued;
@@ -2654,7 +2792,7 @@ impl Engine {
             // Daemons are all finished or running — nothing to do; the last
             // finishing daemon re-enters dispatch and hits live_total == 0.
             if sched.live_total == 0 {
-                Engine::open_gate(shared, sched);
+                Engine::open_gate(shared);
             }
             return;
         }
@@ -2669,15 +2807,49 @@ impl Engine {
                 ));
             }
         }
-        sched.poison = Some(format!("deadlock:{detail}"));
-        Engine::poison_wake_all(shared, sched);
-        Engine::open_gate(shared, sched);
+        Engine::poison(shared, sched, format!("deadlock:{detail}"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn park_shutdown_wins_over_a_deferred_signaled() {
+        let park = Park::new();
+        park.thread.set(std::thread::current()).unwrap();
+        // `Engine::poison` overtakes a grant recorded before it (wakes
+        // are issued after the scheduler lock is released).
+        park.wake(WakeReason::Shutdown);
+        park.wake(WakeReason::Signaled);
+        assert_eq!(park.wait(), WakeReason::Shutdown);
+        // Taken, not latched: the next grant is delivered as itself.
+        park.wake(WakeReason::Signaled);
+        assert_eq!(park.wait(), WakeReason::Signaled);
+        // The other arrival order ends in `Shutdown` too.
+        park.wake(WakeReason::Signaled);
+        park.wake(WakeReason::Shutdown);
+        assert_eq!(park.wait(), WakeReason::Shutdown);
+    }
+
+    #[test]
+    fn park_wake_before_wait_is_not_lost() {
+        // The first-grant race: the waker runs before the new thread has
+        // parked (or even started). The word and the unpark token both
+        // persist, so the late `wait` returns at once.
+        let park = Park::new();
+        let p2 = park.clone();
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let actor = std::thread::spawn(move || {
+            gone.recv().unwrap();
+            p2.wait()
+        });
+        park.thread.set(actor.thread().clone()).unwrap();
+        park.wake(WakeReason::Signaled);
+        go.send(()).unwrap();
+        assert_eq!(actor.join().unwrap(), WakeReason::Signaled);
+    }
 
     #[test]
     fn empty_sim_completes() {
