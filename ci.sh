@@ -39,8 +39,11 @@ PERF_DIR=target/perf
 mkdir -p "$PERF_DIR"
 # The serial engine hands one baton from thread to thread. Spread over
 # several CPUs every handoff is a cross-CPU wake-up — ~10x the engine's
-# own cost on a small VM, and bimodal run to run — so both bench_speed
-# steps (and the baseline they are held to) run on the first allowed CPU.
+# own cost on a small VM, and bimodal run to run — so every step that is
+# one baton-engine simulation at a time (bench_speed, bench_coll,
+# bench_array, bench_dsl, and the baselines they are held to) runs on the
+# first allowed CPU. bench_serve stays unpinned: its workers are meant to
+# spread.
 PIN=()
 if command -v taskset >/dev/null; then
     cpu=$(awk '/^Cpus_allowed_list:/ { split($2, a, /[,-]/); print a[1] }' /proc/self/status)
@@ -134,13 +137,13 @@ echo "==> coll smoke: hierarchical vs flat collectives"
 # The two-level hierarchical allreduce must beat the flat binomial
 # schedule at a small and a large payload on a multi-rank-per-node
 # cluster; the binary panics (nonzero exit) on a regression.
-cargo run --release -q -p impacc-bench --bin bench_coll -- --smoke
+"${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_coll -- --smoke
 
 echo "==> coll sweep + regression gate"
 # Same shape as the speed gate: fresh events/sec from the collective
 # sweep vs the committed baselines/coll.json, floor at -$PCT%.
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
-    cargo run --release -q -p impacc-bench --bin bench_coll \
+    "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_coll \
     | grep -E '^\[coll\]'
 fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_coll.json" | cut -d: -f2)
 if [[ "${1:-}" == "--rebaseline" ]]; then
@@ -169,13 +172,13 @@ echo "==> array smoke: hand-written parity + halo scaling"
 # exactly linearly with exchange depth, and the IMPACC-vs-baseline win
 # must survive the array lowering. The binary panics (nonzero exit) on
 # any violation.
-cargo run --release -q -p impacc-bench --bin bench_array -- --smoke
+"${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_array -- --smoke
 
 echo "==> array sweep + regression gate"
 # Same shape as the speed/coll gates: fresh events/sec from the
 # halo-depth sweep vs the committed baselines/array.json, floor at -$PCT%.
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
-    cargo run --release -q -p impacc-bench --bin bench_array \
+    "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_array \
     | grep -E '^\[array\]'
 fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_array.json" | cut -d: -f2)
 if [[ "${1:-}" == "--rebaseline" ]]; then
@@ -288,13 +291,13 @@ echo "==> dsl smoke: compiled-program parity + device split"
 # split must beat one device by >= 3x in virtual time, and translation
 # must stay under 10ms and byte-stable. The binary panics (nonzero
 # exit) on any violation.
-cargo run --release -q -p impacc-bench --bin bench_dsl -- --smoke
+"${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_dsl -- --smoke
 
 echo "==> dsl sweep + regression gate"
 # Same shape as the speed/coll/array gates: fresh events/sec from the
 # compiled-DSL sweep vs the committed baselines/dsl.json, floor at -$PCT%.
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
-    cargo run --release -q -p impacc-bench --bin bench_dsl \
+    "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_dsl \
     | grep -E '^\[dsl\]'
 fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_dsl.json" | cut -d: -f2)
 if [[ "${1:-}" == "--rebaseline" ]]; then

@@ -12,7 +12,7 @@
 //! Figure 4(b) thing: explicit staging plus `acc wait` / `MPI_Waitall`
 //! between the MPI and OpenACC streamlines.
 
-use impacc_core::{MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{BufView, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_vtime::SimError;
 
@@ -55,15 +55,15 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
         let a = tc.malloc_f64(n * n);
         let av = tc.host_view(&a);
         if math_ok(&av) {
-            for i in 0..n {
-                let row: Vec<f64> = (0..n).map(|j| a_at(i, j)).collect();
-                av.write_f64s(i * n, &row);
-            }
-            let bv = tc.host_view(&b);
-            for i in 0..n {
-                let row: Vec<f64> = (0..n).map(|j| b_at(i, j)).collect();
-                bv.write_f64s(i * n, &row);
-            }
+            let fill = |view: BufView, at: fn(usize, usize) -> f64| {
+                view.with_f64s_mut(0, n * n, |m| {
+                    for (k, x) in m.iter_mut().enumerate() {
+                        *x = at(k / n, k % n);
+                    }
+                })
+            };
+            fill(av, a_at);
+            fill(tc.host_view(&b), b_at);
         }
         Some(a)
     } else {
@@ -134,24 +134,25 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
                 if !math_ok(&av) || !math_ok(&bv) {
                     return;
                 }
-                let a = av.read_f64s(0, av.elems());
-                let bm = bv.read_f64s(0, n * n);
-                let mut c = vec![0.0f64; rows * n];
-                for i in 0..rows {
-                    let ai = (a_row0 + i) * n;
-                    for k in 0..n {
-                        let aik = a[ai + k];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let bk = &bm[k * n..(k + 1) * n];
-                        let ci = &mut c[i * n..(i + 1) * n];
-                        for j in 0..n {
-                            ci[j] += aik * bk[j];
+                BufView::with_views_mut(&[&av, &bv], &cv, |ab, c| {
+                    let (a, bm) = (ab[0], ab[1]);
+                    let c = &mut c[..rows * n];
+                    c.fill(0.0);
+                    for i in 0..rows {
+                        let ai = (a_row0 + i) * n;
+                        for k in 0..n {
+                            let aik = a[ai + k];
+                            if aik == 0.0 {
+                                continue;
+                            }
+                            let bk = &bm[k * n..(k + 1) * n];
+                            let ci = &mut c[i * n..(i + 1) * n];
+                            for j in 0..n {
+                                ci[j] += aik * bk[j];
+                            }
                         }
                     }
-                }
-                cv.write_f64s(0, &c);
+                });
             }
         };
 
@@ -210,8 +211,10 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
             let cb = tc.host_view(&c_block);
             let cv = tc.host_view(&c);
             if math_ok(&cb) {
-                let vals = cb.read_f64s(0, my_rows * n);
-                cv.write_f64s(part.offsets[0] * n, &vals);
+                BufView::with_views_mut(&[&cb], &cv, |block, c| {
+                    c[part.offsets[0] * n..][..my_rows * n]
+                        .copy_from_slice(&block[0][..my_rows * n]);
+                });
             }
         }
         for r in 1..size {
@@ -236,17 +239,18 @@ fn verify_product(tc: &TaskCtx, c: &impacc_core::HBuf, n: usize) {
     if !math_ok(&cv) {
         return;
     }
-    let got = cv.read_f64s(0, n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let expect: f64 = (0..n).map(|k| a_at(i, k) * b_at(k, j)).sum();
-            assert!(
-                (got[i * n + j] - expect).abs() < 1e-9,
-                "C[{i}][{j}] = {} expected {expect}",
-                got[i * n + j]
-            );
+    cv.with_f64s(0, n * n, |got| {
+        for i in 0..n {
+            for j in 0..n {
+                let expect: f64 = (0..n).map(|k| a_at(i, k) * b_at(k, j)).sum();
+                assert!(
+                    (got[i * n + j] - expect).abs() < 1e-9,
+                    "C[{i}][{j}] = {} expected {expect}",
+                    got[i * n + j]
+                );
+            }
         }
-    }
+    });
 }
 
 /// Run DGEMM on `spec` and return the report.

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use impacc_array::{CartGrid, ResProbe};
-use impacc_core::{HBuf, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{BufView, HBuf, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_vtime::{SimError, SpanSink};
 
@@ -35,37 +35,75 @@ const TAG_GATHER: i32 = 202;
 
 /// Boundary condition: the global top row is held at 1, everything else
 /// starts (and stays, on the other borders) at 0.
-fn initial_row(global_row: isize, n: usize) -> Vec<f64> {
+fn initial_value(global_row: isize) -> f64 {
     if global_row < 0 {
-        vec![1.0; n]
+        1.0
     } else {
-        vec![0.0; n]
+        0.0
     }
 }
 
-/// One serial reference sweep over the full mesh (ghost frame of the same
-/// boundary conditions), for verification.
+/// `max |a[k] − b[k]|`. `f64::max` chains do not vectorize (one dependent
+/// max per element); eight independent lanes do, and a maximum does not
+/// depend on the order it is taken in, so the bits match a plain fold.
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let (mut ac, mut bc) = (a.chunks_exact(8), b.chunks_exact(8));
+    for (x, y) in (&mut ac).zip(&mut bc) {
+        for k in 0..8 {
+            lanes[k] = lanes[k].max((x[k] - y[k]).abs());
+        }
+    }
+    let tail = ac.remainder().iter().zip(bc.remainder());
+    lanes
+        .into_iter()
+        .chain(tail.map(|(x, y)| (x - y).abs()))
+        .fold(0.0, f64::max)
+}
+
+/// One five-point sweep over rows `1..=rows` of an `n`-wide field (row 0
+/// and row `rows + 1` are ghosts, the first and last columns are held):
+/// `dst` gets the new interior; with `residual`, returns `max |new − old|`.
+/// Shared by the device kernel and the serial oracle so both evaluate the
+/// same expression in the same association order — bit-identical results.
+/// Whole-row slices hoist the bounds checks so the column loop vectorizes.
+fn sweep_rows(src: &[f64], dst: &mut [f64], rows: usize, n: usize, residual: bool) -> f64 {
+    let mut res = 0.0f64;
+    if n < 3 {
+        return res; // no interior column
+    }
+    for i in 1..=rows {
+        let up = &src[(i - 1) * n..i * n];
+        let mid = &src[i * n..(i + 1) * n];
+        let down = &src[(i + 1) * n..(i + 2) * n];
+        let out = &mut dst[i * n..(i + 1) * n];
+        for j in 1..n - 1 {
+            out[j] = 0.25 * (up[j] + down[j] + mid[j - 1] + mid[j + 1]);
+        }
+        if residual {
+            res = res.max(max_abs_diff(&out[1..n - 1], &mid[1..n - 1]));
+        }
+    }
+    res
+}
+
+/// The serial reference: `iters` sweeps over the full mesh (ghost frame of
+/// the same boundary conditions). Returns the `n × n` interior, row-major.
 pub fn serial_jacobi(n: usize, iters: usize) -> Vec<f64> {
     // (n+2) x n with ghost top/bottom; left/right borders are the first
     // and last columns, held fixed.
-    let rows = n + 2;
-    let mut u = vec![0.0f64; rows * n];
-    let mut v = u.clone();
-    u[..n].copy_from_slice(&vec![1.0; n]); // ghost top = 1
-    v[..n].copy_from_slice(&vec![1.0; n]);
+    let mut u = vec![0.0f64; (n + 2) * n];
+    let mut v = vec![0.0f64; (n + 2) * n];
+    u[..n].fill(1.0); // ghost top = 1
+    v[..n].fill(1.0);
     for _ in 0..iters {
-        for i in 1..=n {
-            for j in 1..n - 1 {
-                v[i * n + j] = 0.25
-                    * (u[(i - 1) * n + j]
-                        + u[(i + 1) * n + j]
-                        + u[i * n + j - 1]
-                        + u[i * n + j + 1]);
-            }
-        }
+        sweep_rows(&u, &mut v, n, n, false);
         std::mem::swap(&mut u, &mut v);
     }
-    u[n..(n + 1) * n].to_vec() // interior rows 1..=n flattened? caller slices
+    // Drop the ghost rows where the field is, not into a third mesh.
+    u.truncate((n + 1) * n);
+    u.drain(..n);
+    u
 }
 
 /// The per-task Jacobi program. Returns the final local interior rows
@@ -97,13 +135,13 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
     let mut unew = tc.malloc_f64((rows + 2) * n);
     {
         let uv = tc.host_view(&u);
-        let vv = tc.host_view(&unew);
         if math_ok(&uv) {
-            for li in 0..rows + 2 {
-                let g = part.offsets[rank] as isize + li as isize - 1;
-                let row = initial_row(g, n);
-                uv.write_f64s(li * n, &row);
-                vv.write_f64s(li * n, &row);
+            for view in [uv, tc.host_view(&unew)] {
+                view.with_f64s_mut(0, (rows + 2) * n, |field| {
+                    for (li, row) in field.chunks_exact_mut(n).enumerate() {
+                        row.fill(initial_value(part.offsets[rank] as isize + li as isize - 1));
+                    }
+                });
             }
         }
     }
@@ -262,22 +300,9 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                     *res_out.lock() = 1.0 / (it + 1) as f64;
                     return;
                 }
-                let src = uv.read_f64s(0, (rows + 2) * n);
-                let mut dst = vv.read_f64s(0, (rows + 2) * n);
-                let mut res = 0.0f64;
-                for i in 1..=rows {
-                    for j in 1..n - 1 {
-                        let next = 0.25
-                            * (src[(i - 1) * n + j]
-                                + src[(i + 1) * n + j]
-                                + src[i * n + j - 1]
-                                + src[i * n + j + 1]);
-                        res = res.max((next - src[i * n + j]).abs());
-                        dst[i * n + j] = next;
-                    }
-                }
-                vv.write_f64s(0, &dst);
-                *res_out.lock() = res;
+                *res_out.lock() = BufView::with_views_mut(&[&uv], &vv, |src, dst| {
+                    sweep_rows(src[0], dst, rows, n, true)
+                });
             };
             if impacc && tc.options().unified_queue {
                 tc.acc_kernel(Some(1), stencil_cost, sweep);
@@ -329,8 +354,9 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
             if rows > 0 {
                 let uv = tc.host_view(&u);
                 if math_ok(&uv) {
-                    let mine = uv.read_f64s(n, rows * n);
-                    fv.write_f64s(0, &mine);
+                    BufView::with_views_mut(&[&uv], &fv, |mine, full| {
+                        full[..rows * n].copy_from_slice(&mine[0][n..(rows + 1) * n]);
+                    });
                 }
             }
             for r in 1..size {
@@ -347,15 +373,16 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                 );
             }
             if math_ok(&fv) {
-                let got = fv.read_f64s(0, n * n);
                 let reference = serial_jacobi(n, p.iters);
-                for (k, (g, e)) in got.iter().zip(reference.iter()).enumerate() {
-                    assert!(
-                        (g - e).abs() < 1e-12,
-                        "mesh[{k}] = {g}, reference {e} (n={n}, {} tasks)",
-                        size
-                    );
-                }
+                fv.with_f64s(0, n * n, |got| {
+                    for (k, (g, e)) in got.iter().zip(reference.iter()).enumerate() {
+                        assert!(
+                            (g - e).abs() < 1e-12,
+                            "mesh[{k}] = {g}, reference {e} (n={n}, {} tasks)",
+                            size
+                        );
+                    }
+                });
             }
         } else if rows > 0 {
             tc.mpi_send(

@@ -167,7 +167,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
                 let v = tc.host_view(sb);
                 if math_ok(&v) {
                     let val = payload(me.rank(), di, iter);
-                    v.write_f64s(0, &vec![val; sb.elems()]);
+                    v.with_f64s_mut(0, sb.elems(), |out| out.fill(val));
                 }
             }
             let tag = di as i32;

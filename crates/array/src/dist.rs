@@ -403,25 +403,25 @@ impl DistArray {
             return;
         }
         let nd = self.padded.len();
-        let mut vals = vec![0.0f64; total];
         let mut idx = vec![0usize; nd];
         let mut g = vec![0isize; nd];
-        for v in vals.iter_mut() {
-            for d in 0..nd {
-                g[d] = self.gmap[d][idx[d]];
-            }
-            *v = f(&g);
-            let mut d = nd;
-            while d > 0 {
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < self.padded[d] {
-                    break;
+        hv.with_f64s_mut(0, total, |vals| {
+            for v in vals.iter_mut() {
+                for d in 0..nd {
+                    g[d] = self.gmap[d][idx[d]];
                 }
-                idx[d] = 0;
+                *v = f(&g);
+                let mut d = nd;
+                while d > 0 {
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < self.padded[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                }
             }
-        }
-        hv.write_f64s(0, &vals);
+        });
     }
 
     /// `#pragma acc enter data copyin` for the tile.
@@ -608,10 +608,14 @@ impl DistArray {
                 *res_out.0.lock() = fallback;
                 return;
             }
-            let src = uv.read_f64s(0, total);
-            let mut dst = vv.read_f64s(0, total);
-            let mut r = 0.0f64;
-            if (0..nd).all(|d| phi[d] > plo[d]) {
+            if (0..nd).any(|d| phi[d] <= plo[d]) {
+                return; // nothing to update: the residual stays 0
+            }
+            // A colored sweep passes `out == self`: the view primitive then
+            // hands the kernel a pre-sweep copy as `src`.
+            *res_out.0.lock() = BufView::with_views_mut(&[&uv], &vv, |src, dst| {
+                let src = src[0];
+                let mut r = 0.0f64;
                 let mut idx = plo.clone();
                 let mut g = vec![0isize; nd];
                 'cells: loop {
@@ -627,7 +631,7 @@ impl DistArray {
                     };
                     if on_color {
                         let cell = Cell {
-                            src: &src,
+                            src,
                             idx: lin,
                             strides: &strides,
                             g: &g,
@@ -639,7 +643,7 @@ impl DistArray {
                     let mut d = nd;
                     loop {
                         if d == 0 {
-                            break 'cells;
+                            break 'cells r;
                         }
                         d -= 1;
                         idx[d] += 1;
@@ -649,9 +653,7 @@ impl DistArray {
                         idx[d] = plo[d];
                     }
                 }
-            }
-            vv.write_f64s(0, &dst);
-            *res_out.0.lock() = r;
+            });
         };
         // Cost convention from the hand-written apps: flops over the whole
         // owned tile, bytes over the padded tile (read + write).
@@ -696,31 +698,31 @@ impl DistArray {
             if !math_ok(&uv) {
                 return;
             }
-            let mut vals = uv.read_f64s(0, total);
-            let mut idx = plo.clone();
-            let mut g = vec![0isize; nd];
-            'cells: loop {
-                let mut lin = 0isize;
-                for d in 0..nd {
-                    lin += idx[d] as isize * strides[d];
-                    g[d] = gmap[d][idx[d]];
-                }
-                let lin = lin as usize;
-                vals[lin] = f(&g, vals[lin]);
-                let mut d = nd;
-                loop {
-                    if d == 0 {
-                        break 'cells;
+            uv.with_f64s_mut(0, total, |vals| {
+                let mut idx = plo.clone();
+                let mut g = vec![0isize; nd];
+                'cells: loop {
+                    let mut lin = 0isize;
+                    for d in 0..nd {
+                        lin += idx[d] as isize * strides[d];
+                        g[d] = gmap[d][idx[d]];
                     }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < phi[d] {
-                        break;
+                    let lin = lin as usize;
+                    vals[lin] = f(&g, vals[lin]);
+                    let mut d = nd;
+                    loop {
+                        if d == 0 {
+                            break 'cells;
+                        }
+                        d -= 1;
+                        idx[d] += 1;
+                        if idx[d] < phi[d] {
+                            break;
+                        }
+                        idx[d] = plo[d];
                     }
-                    idx[d] = plo[d];
                 }
-            }
-            uv.write_f64s(0, &vals);
+            });
         };
         let cost = KernelCost::new(
             flops_per_cell * self.owned_cells().max(1) as f64,
@@ -762,38 +764,38 @@ impl DistArray {
                     *slot.lock() = Some(0.0);
                     return;
                 }
-                let vals = uv.read_f64s(0, total);
-                let mut acc: Option<f64> = None;
-                let mut idx = plo.clone();
-                let mut g = vec![0isize; nd];
-                'cells: loop {
-                    let mut lin = 0isize;
-                    for d in 0..nd {
-                        lin += idx[d] as isize * strides[d];
-                        g[d] = gmap[d][idx[d]];
-                    }
-                    let v = f(&g, vals[lin as usize]);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), ReduceOp::Sum) => a + v,
-                        (Some(a), ReduceOp::Max) => a.max(v),
-                        (Some(a), ReduceOp::Min) => a.min(v),
-                        (Some(a), ReduceOp::Prod) => a * v,
-                    });
-                    let mut d = nd;
-                    loop {
-                        if d == 0 {
-                            break 'cells;
+                *slot.lock() = uv.with_f64s(0, total, |vals| {
+                    let mut acc: Option<f64> = None;
+                    let mut idx = plo.clone();
+                    let mut g = vec![0isize; nd];
+                    'cells: loop {
+                        let mut lin = 0isize;
+                        for d in 0..nd {
+                            lin += idx[d] as isize * strides[d];
+                            g[d] = gmap[d][idx[d]];
                         }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < phi[d] {
-                            break;
+                        let v = f(&g, vals[lin as usize]);
+                        acc = Some(match (acc, op) {
+                            (None, _) => v,
+                            (Some(a), ReduceOp::Sum) => a + v,
+                            (Some(a), ReduceOp::Max) => a.max(v),
+                            (Some(a), ReduceOp::Min) => a.min(v),
+                            (Some(a), ReduceOp::Prod) => a * v,
+                        });
+                        let mut d = nd;
+                        loop {
+                            if d == 0 {
+                                break 'cells acc;
+                            }
+                            d -= 1;
+                            idx[d] += 1;
+                            if idx[d] < phi[d] {
+                                break;
+                            }
+                            idx[d] = plo[d];
                         }
-                        idx[d] = plo[d];
                     }
-                }
-                *slot.lock() = acc;
+                });
             };
             let cost = KernelCost::new(
                 flops_per_cell * self.owned_cells().max(1) as f64,
@@ -941,29 +943,30 @@ impl DistArray {
         let strides = self.strides();
         let region = self.owned_region();
         let (plo, phi) = (region.lo, region.hi);
-        let vals = hv.read_f64s(0, self.total_padded());
-        let mut idx = plo.clone();
-        'cells: loop {
-            let mut lin = 0isize;
-            let mut gidx = 0usize;
-            for d in 0..nd {
-                lin += idx[d] as isize * strides[d];
-                gidx = gidx * self.spec.shape[d] + self.gmap[d][idx[d]] as usize;
-            }
-            fv.write_f64s(gidx, &vals[lin as usize..lin as usize + 1]);
-            let mut d = nd;
-            loop {
-                if d == 0 {
-                    break 'cells;
+        BufView::with_views_mut(&[hv], fv, |tile, full| {
+            let mut idx = plo.clone();
+            'cells: loop {
+                let mut lin = 0isize;
+                let mut gidx = 0usize;
+                for d in 0..nd {
+                    lin += idx[d] as isize * strides[d];
+                    gidx = gidx * self.spec.shape[d] + self.gmap[d][idx[d]] as usize;
                 }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < phi[d] {
-                    break;
+                full[gidx] = tile[0][lin as usize];
+                let mut d = nd;
+                loop {
+                    if d == 0 {
+                        break 'cells;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < phi[d] {
+                        break;
+                    }
+                    idx[d] = plo[d];
                 }
-                idx[d] = plo[d];
             }
-        }
+        });
     }
 
     /// Swap the tiles of two congruent arrays (double buffering).
@@ -1002,34 +1005,35 @@ fn contiguous_global_offset(
 fn scatter_packed(spec: &ArraySpec, r: usize, sv: &BufView, fv: &BufView) {
     let (counts, offsets) = tile_extents(spec, r);
     let cells: usize = counts.iter().product();
-    let vals = sv.read_f64s(0, cells);
     let nd = counts.len();
     let coords = spec.grid.coords(r);
     let mut idx = vec![0usize; nd];
-    for v in vals.iter().take(cells) {
-        let mut gidx = 0usize;
-        for d in 0..nd {
-            let g = match spec.layout {
-                Layout::Block => (offsets[d] + idx[d]) as isize,
-                Layout::BlockCyclic { block } => {
-                    if d < spec.grid.ndims() {
-                        cyclic_global(spec.grid.dims[d], block, coords[d], idx[d])
-                    } else {
-                        idx[d] as isize
+    BufView::with_views_mut(&[sv], fv, |packed, full| {
+        for v in &packed[0][..cells] {
+            let mut gidx = 0usize;
+            for d in 0..nd {
+                let g = match spec.layout {
+                    Layout::Block => (offsets[d] + idx[d]) as isize,
+                    Layout::BlockCyclic { block } => {
+                        if d < spec.grid.ndims() {
+                            cyclic_global(spec.grid.dims[d], block, coords[d], idx[d])
+                        } else {
+                            idx[d] as isize
+                        }
                     }
-                }
-            };
-            gidx = gidx * spec.shape[d] + g as usize;
-        }
-        fv.write_f64s(gidx, &[*v]);
-        let mut d = nd;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < counts[d] {
-                break;
+                };
+                gidx = gidx * spec.shape[d] + g as usize;
             }
-            idx[d] = 0;
+            full[gidx] = *v;
+            let mut d = nd;
+            while d > 0 {
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < counts[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
         }
-    }
+    });
 }

@@ -52,7 +52,7 @@ fn exchange(tc: &TaskCtx, rounds: u32) {
             let v = me + round as f64;
             move || {
                 if math_ok(&d) {
-                    d.write_f64s(0, &vec![v; N]);
+                    d.with_f64s_mut(0, N, |out| out.fill(v));
                 }
             }
         };
@@ -61,11 +61,12 @@ fn exchange(tc: &TaskCtx, rounds: u32) {
             let expect = peer as f64 + round as f64;
             move || {
                 if math_ok(&d) {
-                    let got = d.read_f64s(0, N);
-                    assert!(
-                        got.iter().all(|&x| x == expect),
-                        "round {round}: corrupted payload after recovery"
-                    );
+                    d.with_f64s(0, N, |got| {
+                        assert!(
+                            got.iter().all(|&x| x == expect),
+                            "round {round}: corrupted payload after recovery"
+                        )
+                    });
                 }
             }
         };

@@ -44,7 +44,7 @@ fn exchange(tc: &TaskCtx, style: Style) {
         let d = tc.dev_view(&buf0);
         move || {
             if math_ok(&d) {
-                d.write_f64s(0, &vec![me; N]);
+                d.with_f64s_mut(0, N, |out| out.fill(me));
             }
         }
     };

@@ -45,7 +45,17 @@ fn chunk_cnt(e: usize, n: u32, i: u32) -> usize {
 }
 
 fn chunk_start(e: usize, n: u32, i: u32) -> usize {
-    (0..i).map(|j| chunk_cnt(e, n, j)).sum()
+    i as usize * (e / n as usize) + (i as usize).min(e % n as usize)
+}
+
+/// The running fold of an allreduce: uncapped host scratch holding a copy
+/// of `sendbuf`. Steps fold into it in place and send slices of it
+/// directly (host scratch on the wire, as ever — whatever kind of buffer
+/// the caller passed).
+fn accumulator(sendbuf: &MsgBuf) -> MsgBuf {
+    let acc = scratch(sendbuf.len);
+    copy_local(sendbuf, &acc);
+    acc
 }
 
 /// Ring allreduce: chunked reduce-scatter ring (n−1 steps) followed by an
@@ -65,48 +75,46 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let mut acc = sendbuf.read_f64s();
-    let e = acc.len();
+    let acc = accumulator(sendbuf);
+    let e = (acc.len / 8) as usize;
+    let chunk = |i: u32| {
+        acc.slice(
+            chunk_start(e, n, i) as u64 * 8,
+            chunk_cnt(e, n, i) as u64 * 8,
+        )
+    };
     let next = (r + 1) % n;
     let prev = (r + n - 1) % n;
     // Reduce-scatter: after step s, rank r holds the running sum of
     // chunks (r−s)..r; after n−1 steps it owns chunk (r+1) mod n fully.
+    // One receive buffer, sized for the largest chunk (the first).
+    let rb = scratch(chunk_cnt(e, n, 0) as u64 * 8);
     for s in 0..n - 1 {
-        let si = (r + n - s) % n;
-        let ri = (r + n - s - 1) % n;
-        let (slo, scnt) = (chunk_start(e, n, si), chunk_cnt(e, n, si));
-        let (rlo, rcnt) = (chunk_start(e, n, ri), chunk_cnt(e, n, ri));
-        let sb = scratch(scnt as u64 * 8);
-        sb.write_f64s(&acc[slo..slo + scnt]);
-        let rb = scratch(rcnt as u64 * 8);
-        t.pt_sendrecv(ctx, &sb, next, &rb, prev, tag, comm);
-        op.combine(&mut acc[rlo..rlo + rcnt], &rb.read_f64s());
+        let (out, inn) = (chunk((r + n - s) % n), chunk((r + n - s - 1) % n));
+        let rb = rb.slice(0, inn.len);
+        t.pt_sendrecv(ctx, &out, next, &rb, prev, tag, comm);
+        op.fold(&inn, &rb);
     }
-    // Allgather ring: circulate the completed chunks.
+    // Allgather ring: circulate the completed chunks, received in place.
     for s in 0..n - 1 {
-        let si = (r + 1 + n - s) % n;
-        let ri = (r + n - s) % n;
-        let (slo, scnt) = (chunk_start(e, n, si), chunk_cnt(e, n, si));
-        let (rlo, rcnt) = (chunk_start(e, n, ri), chunk_cnt(e, n, ri));
-        let sb = scratch(scnt as u64 * 8);
-        sb.write_f64s(&acc[slo..slo + scnt]);
-        let rb = scratch(rcnt as u64 * 8);
-        t.pt_sendrecv(ctx, &sb, next, &rb, prev, tag, comm);
-        acc[rlo..rlo + rcnt].copy_from_slice(&rb.read_f64s());
+        let (out, inn) = (chunk((r + 1 + n - s) % n), chunk((r + n - s) % n));
+        t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm);
     }
-    recvbuf.write_f64s(&acc);
+    copy_local(&acc, recvbuf);
 }
 
 /// The non-power-of-two remainder fold shared by recursive doubling and
 /// Rabenseifner (MPICH's scheme): the first `2·rem` ranks pair up, evens
 /// fold into their odd neighbour and sit out; the survivors renumber into
-/// a power-of-two group. Returns `(pof2, rem, newrank)`; `newrank < 0`
-/// means this rank sat out and must receive the final result.
+/// a power-of-two group. `rb` is the call's receive scratch (at least
+/// `acc.len` bytes). Returns `(pof2, rem, newrank)`; `newrank < 0` means
+/// this rank sat out and must receive the final result.
 #[allow(clippy::too_many_arguments)]
 fn fold_remainder<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
-    acc: &mut [f64],
+    acc: &MsgBuf,
+    rb: &MsgBuf,
     op: ReduceOp,
     r: u32,
     n: u32,
@@ -118,17 +126,13 @@ fn fold_remainder<T: PointToPoint>(
         pof2 *= 2;
     }
     let rem = n - pof2;
-    let bytes = acc.len() as u64 * 8;
     let newrank = if r < 2 * rem {
         if r.is_multiple_of(2) {
-            let sb = scratch(bytes);
-            sb.write_f64s(acc);
-            t.pt_send(ctx, &sb, r + 1, tag, comm);
+            t.pt_send(ctx, acc, r + 1, tag, comm);
             -1
         } else {
-            let rb = scratch(bytes);
-            t.pt_recv(ctx, &rb, Some(r - 1), Some(tag), comm);
-            op.combine(acc, &rb.read_f64s());
+            t.pt_recv(ctx, rb, Some(r - 1), Some(tag), comm);
+            op.fold(acc, rb);
             (r / 2) as i64
         }
     } else {
@@ -142,7 +146,7 @@ fn fold_remainder<T: PointToPoint>(
 fn unfold_remainder<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
-    acc: &mut Vec<f64>,
+    acc: &MsgBuf,
     r: u32,
     rem: u32,
     tag: i32,
@@ -151,15 +155,10 @@ fn unfold_remainder<T: PointToPoint>(
     if r >= 2 * rem {
         return;
     }
-    let bytes = acc.len() as u64 * 8;
     if r.is_multiple_of(2) {
-        let rb = scratch(bytes);
-        t.pt_recv(ctx, &rb, Some(r + 1), Some(tag), comm);
-        *acc = rb.read_f64s();
+        t.pt_recv(ctx, acc, Some(r + 1), Some(tag), comm);
     } else {
-        let sb = scratch(bytes);
-        sb.write_f64s(acc);
-        t.pt_send(ctx, &sb, r - 1, tag, comm);
+        t.pt_send(ctx, acc, r - 1, tag, comm);
     }
 }
 
@@ -189,24 +188,21 @@ pub(crate) fn rd_allreduce<T: PointToPoint>(
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let mut acc = sendbuf.read_f64s();
-    let bytes = sendbuf.len;
-    let (pof2, rem, newrank) = fold_remainder(t, ctx, &mut acc, op, r, n, tag, comm);
+    let acc = accumulator(sendbuf);
+    let rb = scratch(acc.len);
+    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
     if newrank >= 0 {
         let nr = newrank as u32;
         let mut mask = 1u32;
         while mask < pof2 {
             let partner = real_rank(nr ^ mask, rem);
-            let sb = scratch(bytes);
-            sb.write_f64s(&acc);
-            let rb = scratch(bytes);
-            t.pt_sendrecv(ctx, &sb, partner, &rb, partner, tag, comm);
-            op.combine(&mut acc, &rb.read_f64s());
+            t.pt_sendrecv(ctx, &acc, partner, &rb, partner, tag, comm);
+            op.fold(&acc, &rb);
             mask <<= 1;
         }
     }
-    unfold_remainder(t, ctx, &mut acc, r, rem, tag, comm);
-    recvbuf.write_f64s(&acc);
+    unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
+    copy_local(&acc, recvbuf);
 }
 
 /// Rabenseifner allreduce: recursive-halving reduce-scatter then a
@@ -227,11 +223,13 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let mut acc = sendbuf.read_f64s();
-    let (pof2, rem, newrank) = fold_remainder(t, ctx, &mut acc, op, r, n, tag, comm);
+    let acc = accumulator(sendbuf);
+    let rb = scratch(acc.len);
+    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
     if newrank >= 0 {
         let nr = newrank as u32;
-        let e = acc.len();
+        let e = (acc.len / 8) as usize;
+        let elems = |lo: usize, hi: usize| acc.slice(lo as u64 * 8, (hi - lo) as u64 * 8);
         let (mut lo, mut hi) = (0usize, e);
         // (mask, lo, mid, hi, kept_lower) per halving level.
         let mut hist: Vec<(u32, usize, usize, usize, bool)> = Vec::new();
@@ -240,16 +238,14 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
             let partner = real_rank(nr ^ mask, rem);
             let mid = lo + (hi - lo) / 2;
             let keep_lower = nr & mask == 0;
-            let (slo, shi, klo, khi) = if keep_lower {
-                (mid, hi, lo, mid)
+            let (out, keep) = if keep_lower {
+                (elems(mid, hi), elems(lo, mid))
             } else {
-                (lo, mid, mid, hi)
+                (elems(lo, mid), elems(mid, hi))
             };
-            let sb = scratch((shi - slo) as u64 * 8);
-            sb.write_f64s(&acc[slo..shi]);
-            let rb = scratch((khi - klo) as u64 * 8);
-            t.pt_sendrecv(ctx, &sb, partner, &rb, partner, tag, comm);
-            op.combine(&mut acc[klo..khi], &rb.read_f64s());
+            let rb = rb.slice(0, keep.len);
+            t.pt_sendrecv(ctx, &out, partner, &rb, partner, tag, comm);
+            op.fold(&keep, &rb);
             hist.push((mask, lo, mid, hi, keep_lower));
             if keep_lower {
                 hi = mid;
@@ -260,23 +256,19 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
         }
         // Allgather: unwind the levels deepest-first; at each level the
         // kept half is complete, so partners swap halves of that level's
-        // range.
+        // range, each received in place.
         for &(mask, flo, fmid, fhi, keep_lower) in hist.iter().rev() {
             let partner = real_rank(nr ^ mask, rem);
-            let (slo, shi, klo, khi) = if keep_lower {
-                (flo, fmid, fmid, fhi)
+            let (out, inn) = if keep_lower {
+                (elems(flo, fmid), elems(fmid, fhi))
             } else {
-                (fmid, fhi, flo, fmid)
+                (elems(fmid, fhi), elems(flo, fmid))
             };
-            let sb = scratch((shi - slo) as u64 * 8);
-            sb.write_f64s(&acc[slo..shi]);
-            let rb = scratch((khi - klo) as u64 * 8);
-            t.pt_sendrecv(ctx, &sb, partner, &rb, partner, tag, comm);
-            acc[klo..khi].copy_from_slice(&rb.read_f64s());
+            t.pt_sendrecv(ctx, &out, partner, &inn, partner, tag, comm);
         }
     }
-    unfold_remainder(t, ctx, &mut acc, r, rem, tag, comm);
-    recvbuf.write_f64s(&acc);
+    unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
+    copy_local(&acc, recvbuf);
 }
 
 /// Ring allgather: circulate blocks around the ring directly in

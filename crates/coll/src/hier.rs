@@ -31,6 +31,7 @@ use impacc_mpi::{Comm, MsgBuf, PointToPoint, ReduceOp};
 use impacc_vtime::{Ctx, Notify};
 use parking_lot::Mutex;
 
+use crate::algos::copy_local;
 use crate::{scratch, CollEngine};
 
 /// One in-flight collective's per-node state.
@@ -209,7 +210,7 @@ impl CollEngine {
     ) {
         let n = comm.size();
         if n <= 1 {
-            return crate::algos::copy_local(sendbuf, recvbuf);
+            return copy_local(sendbuf, recvbuf);
         }
         let r = t.comm_rank(comm);
         let tag = t.coll_seq().next_tag(comm);
@@ -230,27 +231,16 @@ impl CollEngine {
         // (canonical order — identical to the flat reference for exact
         // payloads regardless of where ranks live).
         let contribs = nc.await_contribs(ctx, key, g.members.len() - 1);
-        let mut acc = sendbuf.read_f64s();
         let mut fold: Vec<(u32, &MsgBuf)> = contribs.iter().map(|(rr, b)| (*rr, b)).collect();
         fold.push((r, sendbuf));
         fold.sort_by_key(|(rr, _)| *rr);
-        let mut acc_set = false;
-        for (rr, b) in fold {
-            if rr == r {
-                if !acc_set {
-                    acc = sendbuf.read_f64s();
-                    acc_set = true;
-                } else {
-                    op.combine(&mut acc, &sendbuf.read_f64s());
-                }
-                continue;
-            }
-            if !acc_set {
-                acc = b.read_f64s();
-                acc_set = true;
-            } else {
-                op.combine(&mut acc, &b.read_f64s());
-            }
+        // The running fold: uncapped host scratch seeded with the lowest
+        // rank's contribution; the rest fold in straight from the buffers
+        // the members posted.
+        let acc = scratch(bytes);
+        copy_local(fold[0].1, &acc);
+        for (_, b) in &fold[1..] {
+            op.fold(&acc, b);
         }
         self.intra_phase(
             ctx,
@@ -258,7 +248,7 @@ impl CollEngine {
             "fold",
             bytes * (g.members.len() as u64 - 1),
         );
-        recvbuf.write_f64s(&acc);
+        copy_local(&acc, recvbuf);
         // Internode: binomial reduce to the first leader, binomial bcast
         // back over the leader overlay.
         let leaders: Vec<u32> = groups.iter().map(|g| g.leader).collect();
@@ -272,18 +262,17 @@ impl CollEngine {
                     let child = li | mask;
                     if child < ln {
                         t.pt_recv(ctx, &tmp, Some(leaders[child as usize]), Some(tag), comm);
-                        op.combine(&mut acc, &tmp.read_f64s());
+                        op.fold(&acc, &tmp);
                     }
                 } else {
                     let parent = li & !mask;
-                    tmp.write_f64s(&acc);
-                    t.pt_send(ctx, &tmp, leaders[parent as usize], tag, comm);
+                    t.pt_send(ctx, &acc, leaders[parent as usize], tag, comm);
                     ctx.metrics().add("coll_inter_bytes", bytes);
                     break;
                 }
                 mask <<= 1;
             }
-            recvbuf.write_f64s(&acc);
+            copy_local(&acc, recvbuf);
             overlay_bcast(t, ctx, recvbuf, &leaders, li, 0, tag, comm);
         }
         // Publish for the members.
@@ -352,7 +341,7 @@ impl CollEngine {
         assert!(recvbuf.len >= b * n as u64, "allgather buffer too small");
         let r = t.comm_rank(comm);
         if n <= 1 {
-            return crate::algos::copy_local(sendbuf, &recvbuf.slice(r as u64 * b, b));
+            return copy_local(sendbuf, &recvbuf.slice(r as u64 * b, b));
         }
         let tag = t.coll_seq().next_tag(comm);
         let key = (comm.id(), tag);

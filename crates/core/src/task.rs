@@ -19,7 +19,7 @@ use std::sync::Arc;
 use impacc_acc::{ActivityQueue, Device};
 use impacc_coll::{CollAlgo, CollEngine, CollOpts, NodeColl};
 use impacc_machine::{ClusterResources, DeviceKind, HdDir, KernelCost};
-use impacc_mem::{AddressSpace, Backing, HeapPtr, NodeHeap, PresentTable, VirtAddr};
+use impacc_mem::{AddressSpace, Backing, F64Span, HeapPtr, NodeHeap, PresentTable, VirtAddr};
 use impacc_mem::{DevPtr, PresentEntry};
 use impacc_mpi::{
     BufLoc, CollSeq, Comm, MpiTask, MsgBuf, PointToPoint, ReduceOp, Request, SrcSel, Status, TagSel,
@@ -90,6 +90,50 @@ impl BufView {
             "write out of range"
         );
         self.backing.write_f64s(self.off + start as u64 * 8, vals);
+    }
+
+    /// Run `f` on `n` elements starting at element `start`, borrowed in
+    /// place (see [`Backing::with_f64s`]). `f` must not touch this
+    /// allocation again; kernels over several views use
+    /// [`BufView::with_views`].
+    pub fn with_f64s<R>(&self, start: usize, n: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        assert!((start + n) as u64 * 8 <= self.len, "read out of range");
+        self.backing.with_f64s(self.off + start as u64 * 8, n, f)
+    }
+
+    /// Let `f` edit `n` elements starting at element `start` in place
+    /// (see [`Backing::with_f64s_mut`]).
+    pub fn with_f64s_mut<R>(&self, start: usize, n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        assert!((start + n) as u64 * 8 <= self.len, "write out of range");
+        self.backing
+            .with_f64s_mut(self.off + start as u64 * 8, n, f)
+    }
+
+    /// Run `f` on every element of several views at once, `f`'s slices in
+    /// `reads` order (see [`Backing::with_f64_views`]).
+    pub fn with_views<R>(reads: &[&BufView], f: impl FnOnce(&[&[f64]]) -> R) -> R {
+        let spans: Vec<F64Span<'_>> = reads.iter().map(|v| v.span()).collect();
+        Backing::with_f64_views(&spans, f)
+    }
+
+    /// Run a kernel that reads every element of `reads` and updates
+    /// `write` in place. A source sharing `write`'s allocation reaches `f`
+    /// as a pre-edit copy (see [`Backing::with_f64_views_mut`]).
+    pub fn with_views_mut<R>(
+        reads: &[&BufView],
+        write: &BufView,
+        f: impl FnOnce(&[&[f64]], &mut [f64]) -> R,
+    ) -> R {
+        let spans: Vec<F64Span<'_>> = reads.iter().map(|v| v.span()).collect();
+        Backing::with_f64_views_mut(&spans, write.span(), f)
+    }
+
+    fn span(&self) -> F64Span<'_> {
+        F64Span {
+            backing: &self.backing,
+            off: self.off,
+            n: self.elems(),
+        }
     }
 
     /// Number of f64 elements in the view.
@@ -1152,41 +1196,41 @@ impl TaskCtx {
     pub fn mpi_comm_split(&self, color: i64, key: i64) -> Comm {
         let world = self.world_ref().clone();
         let n = world.size() as usize;
-        let mine = MsgBuf::host(Backing::new(16, None), 0, 16);
-        mine.write_f64s(&[color as f64, key as f64]);
+        let mine = host_scratch_of(&[color as f64, key as f64]);
         let all = MsgBuf::host(Backing::new(16 * n as u64, None), 0, 16 * n as u64);
         self.allgather(&self.ctx, &mine, &all, &world);
-        let vals = all.read_f64s();
-        let colors: Vec<i64> = (0..n).map(|i| vals[2 * i] as i64).collect();
-        let keys: Vec<i64> = (0..n).map(|i| vals[2 * i + 1] as i64).collect();
+        let (colors, keys): (Vec<i64>, Vec<i64>) = all.with_f64s(|vals| {
+            vals.chunks_exact(2)
+                .map(|pair| (pair[0] as i64, pair[1] as i64))
+                .unzip()
+        });
         world.split(&colors, &keys, self.comm_rank(&world))
     }
 
-    /// `MPI_Allreduce` convenience over f64 values (scratch-buffer based).
+    /// `MPI_Allreduce` convenience over f64 values: one host scratch
+    /// buffer is both send and receive buffer (`MPI_IN_PLACE`).
     pub fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let world = self.world_ref().clone();
-        let len = vals.len() as u64 * 8;
-        let sb = MsgBuf::host(Backing::new(len, None), 0, len);
-        sb.write_f64s(vals);
-        let rb = MsgBuf::host(Backing::new(len, None), 0, len);
-        self.allreduce(&self.ctx, &sb, &rb, op, &world);
-        rb.read_f64s()
+        let buf = host_scratch_of(vals);
+        self.allreduce(&self.ctx, &buf, &buf, op, &world);
+        buf.read_f64s()
     }
 
     /// `MPI_Reduce` convenience over f64 values; result on `root`.
     pub fn mpi_reduce_f64(&self, vals: &[f64], op: ReduceOp, root: u32) -> Option<Vec<f64>> {
         let world = self.world_ref().clone();
-        let len = vals.len() as u64 * 8;
-        let sb = MsgBuf::host(Backing::new(len, None), 0, len);
-        sb.write_f64s(vals);
-        let rb = MsgBuf::host(Backing::new(len, None), 0, len);
-        self.reduce(&self.ctx, &sb, Some(&rb), op, root, &world);
-        if self.comm.rank == world.global_of(root) {
-            Some(rb.read_f64s())
-        } else {
-            None
-        }
+        let buf = host_scratch_of(vals);
+        self.reduce(&self.ctx, &buf, Some(&buf), op, root, &world);
+        (self.comm.rank == world.global_of(root)).then(|| buf.read_f64s())
     }
+}
+
+/// Uncapped host scratch holding `vals`.
+fn host_scratch_of(vals: &[f64]) -> MsgBuf {
+    let len = vals.len() as u64 * 8;
+    let buf = MsgBuf::host(Backing::new(len, None), 0, len);
+    buf.write_f64s(vals);
+    buf
 }
 
 impl PointToPoint for TaskCtx {

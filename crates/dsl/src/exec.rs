@@ -299,39 +299,40 @@ impl Exec<'_> {
                     *slot.lock() = Some(0.0);
                     return;
                 }
-                let data: Vec<Vec<f64>> = views.iter().map(|v| v.read_f64s(0, total)).collect();
-                let mut acc: Option<f64> = None;
-                let mut idx = plo.clone();
-                let mut g = vec![0isize; nd];
-                'cells: loop {
-                    let mut lin = 0isize;
-                    for d in 0..nd {
-                        lin += idx[d] as isize * strides[d];
-                        g[d] = offsets[d] as isize + idx[d] as isize - pad[d];
-                    }
-                    let lin = lin as usize;
-                    let v = eval(&e, &|d| g[d] as f64, &|s, _| data[s][lin], &no_scalar);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), ReduceOp::Sum) => a + v,
-                        (Some(a), ReduceOp::Max) => a.max(v),
-                        (Some(a), ReduceOp::Min) => a.min(v),
-                        (Some(a), ReduceOp::Prod) => a * v,
-                    });
-                    let mut d = nd;
-                    loop {
-                        if d == 0 {
-                            break 'cells;
+                let views: Vec<&BufView> = views.iter().collect();
+                *slot.lock() = BufView::with_views(&views, |data| {
+                    let mut acc: Option<f64> = None;
+                    let mut idx = plo.clone();
+                    let mut g = vec![0isize; nd];
+                    'cells: loop {
+                        let mut lin = 0isize;
+                        for d in 0..nd {
+                            lin += idx[d] as isize * strides[d];
+                            g[d] = offsets[d] as isize + idx[d] as isize - pad[d];
                         }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < phi[d] {
-                            break;
+                        let lin = lin as usize;
+                        let v = eval(&e, &|d| g[d] as f64, &|s, _| data[s][lin], &no_scalar);
+                        acc = Some(match (acc, op) {
+                            (None, _) => v,
+                            (Some(a), ReduceOp::Sum) => a + v,
+                            (Some(a), ReduceOp::Max) => a.max(v),
+                            (Some(a), ReduceOp::Min) => a.min(v),
+                            (Some(a), ReduceOp::Prod) => a * v,
+                        });
+                        let mut d = nd;
+                        loop {
+                            if d == 0 {
+                                break 'cells acc;
+                            }
+                            d -= 1;
+                            idx[d] += 1;
+                            if idx[d] < phi[d] {
+                                break;
+                            }
+                            idx[d] = plo[d];
                         }
-                        idx[d] = plo[d];
                     }
-                }
-                *slot.lock() = acc;
+                });
             };
             let cost = KernelCost::new(
                 flops * anchor.owned_cells().max(1) as f64,

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Reference-counted storage for one allocation. All byte accesses clip to
 /// the physical prefix; logical sizes drive the cost model.
@@ -44,6 +44,153 @@ impl std::fmt::Debug for Backing {
     }
 }
 
+/// `n` f64 elements at byte offset `off` of `backing`: one operand of
+/// [`Backing::with_f64_views`].
+#[derive(Copy, Clone)]
+pub struct F64Span<'a> {
+    /// The allocation.
+    pub backing: &'a Backing,
+    /// Byte offset of the first element.
+    pub off: u64,
+    /// Element count.
+    pub n: usize,
+}
+
+/// One backing of a multi-lock request and, once
+/// [`lock_phys_in_address_order`] has run, its guard. A slot that repeats
+/// an earlier slot's backing stays `None`: the earlier slot holds the lock.
+struct PhysSlot<'a> {
+    backing: &'a Backing,
+    guard: Option<MutexGuard<'a, Vec<u8>>>,
+}
+
+impl<'a> PhysSlot<'a> {
+    fn new(backing: &'a Backing) -> PhysSlot<'a> {
+        PhysSlot {
+            backing,
+            guard: None,
+        }
+    }
+}
+
+/// Lock the `phys` of every distinct backing in `slots`, lowest address
+/// first. This is the only function that ever holds two `phys` locks, so
+/// one global order (the address) rules every multi-backing operation —
+/// message copies and multi-view kernels running on different partition
+/// threads cannot deadlock against each other. No allocation: `copy` calls
+/// this on the message hot path.
+fn lock_phys_in_address_order(slots: &mut [PhysSlot<'_>]) {
+    let addr = |s: &PhysSlot<'_>| s.backing as *const Backing as usize;
+    let mut floor = 0usize;
+    while let Some(next) = slots.iter().map(addr).filter(|&a| a >= floor).min() {
+        let first = slots
+            .iter_mut()
+            .find(|s| addr(s) == next)
+            .expect("minimum comes from a slot");
+        first.guard = Some(first.backing.phys.lock());
+        floor = next + 1;
+    }
+}
+
+/// How many of the `n` f64s at `off` are stored whole, and how many bytes
+/// of the next one (a value straddling the physical boundary).
+fn stored_f64s(plen: usize, off: u64, n: usize) -> (usize, usize) {
+    let avail = plen.saturating_sub(off as usize);
+    let whole = (avail / 8).min(n);
+    let part = if whole < n { avail - 8 * whole } else { 0 };
+    (whole, part)
+}
+
+/// Decode `n` f64s at `off` in one pass; bytes past the stored prefix read
+/// as zero (so a value straddling the boundary keeps its stored low bytes).
+fn decode_f64s(phys: &[u8], off: u64, n: usize) -> Vec<f64> {
+    let (whole, part) = stored_f64s(phys.len(), off, n);
+    let mut out = Vec::with_capacity(n);
+    if whole > 0 || part > 0 {
+        let at = off as usize;
+        let src = &phys[at..at + 8 * whole + part];
+        let words = src.chunks_exact(8);
+        let tail = words.remainder();
+        out.extend(words.map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))));
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            out.push(f64::from_le_bytes(last));
+        }
+    }
+    out.resize(n, 0.0);
+    out
+}
+
+/// Encode `vals` at `off` in one pass, clipping to the stored prefix (a
+/// value straddling the boundary lands partially).
+fn encode_f64s(phys: &mut [u8], off: u64, vals: &[f64]) {
+    let (whole, part) = stored_f64s(phys.len(), off, vals.len());
+    if whole == 0 && part == 0 {
+        return;
+    }
+    let at = off as usize;
+    let (words, tail) = phys[at..at + 8 * whole + part].split_at_mut(8 * whole);
+    for (c, v) in words.chunks_exact_mut(8).zip(vals) {
+        c.copy_from_slice(&v.to_le_bytes());
+    }
+    if part > 0 {
+        tail.copy_from_slice(&vals[whole].to_le_bytes()[..part]);
+    }
+}
+
+/// The range `[off, off + 8n)` of `phys`, when an f64 slice can alias it:
+/// every byte stored, first byte 8-aligned, little-endian target (the byte
+/// path is little-endian by definition). `None` sends the caller down the
+/// copying path.
+fn f64_range(phys: &[u8], off: u64, n: usize) -> Option<std::ops::Range<usize>> {
+    let at = usize::try_from(off).ok()?;
+    let end = at.checked_add(n.checked_mul(8)?)?;
+    let aligned = (phys.as_ptr() as usize).wrapping_add(at) % std::mem::align_of::<f64>() == 0;
+    (cfg!(target_endian = "little") && end <= phys.len() && aligned).then_some(at..end)
+}
+
+/// Borrow the stored bytes of `n` f64s at `off` as `&[f64]`
+/// (see [`f64_range`] for when that is possible).
+fn borrow_f64s(phys: &[u8], off: u64, n: usize) -> Option<&[f64]> {
+    let bytes = &phys[f64_range(phys, off, n)?];
+    // SAFETY: `align_to` needs the reinterpretation itself to be valid.
+    // Every bit pattern is a valid f64 and f64 has no padding, so viewing
+    // initialized `u8`s as f64s is sound; the returned slice borrows
+    // `phys`, so the bytes outlive it and nothing writes them meanwhile.
+    // `f64_range` made the range 8-aligned and a multiple of 8 long, which
+    // the check below re-asserts rather than trusts.
+    let (head, vals, tail) = unsafe { bytes.align_to::<f64>() };
+    assert!(head.is_empty() && tail.is_empty() && vals.len() == n);
+    Some(vals)
+}
+
+/// Mutable form of [`borrow_f64s`].
+fn borrow_f64s_mut(phys: &mut [u8], off: u64, n: usize) -> Option<&mut [f64]> {
+    let range = f64_range(phys, off, n)?;
+    let bytes = &mut phys[range];
+    // SAFETY: as in `borrow_f64s`, in both directions — any f64 the caller
+    // stores is eight initialized bytes, so the `Vec<u8>` stays valid. The
+    // slice mutably borrows `phys`: no other view of these bytes exists
+    // while it lives.
+    let (head, vals, tail) = unsafe { bytes.align_to_mut::<f64>() };
+    assert!(head.is_empty() && tail.is_empty() && vals.len() == n);
+    Some(vals)
+}
+
+/// Let `f` edit the `n` f64s at `off` of the locked bytes: in place when an
+/// f64 slice can alias them, else decode, edit, encode (clipped to the
+/// stored prefix like any write). The caller has run the snapshot barrier.
+fn edit_f64s<R>(phys: &mut [u8], off: u64, n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    if let Some(vals) = borrow_f64s_mut(phys, off, n) {
+        return f(vals);
+    }
+    let mut vals = decode_f64s(phys, off, n);
+    let r = f(&mut vals);
+    encode_f64s(phys, off, &vals);
+    r
+}
+
 impl Backing {
     /// Allocate `logical_len` bytes, storing at most `phys_cap` of them
     /// physically (`None` = store everything).
@@ -73,7 +220,7 @@ impl Backing {
     /// Write `data` at `off`, clipping to the physical prefix.
     pub fn write(&self, off: u64, data: &[u8]) {
         debug_assert!(off + data.len() as u64 <= self.logical_len);
-        self.materialize_watchers(off, data.len() as u64);
+        self.materialize_watchers(off, data.len() as u64, true);
         let mut phys = self.phys.lock();
         let plen = phys.len() as u64;
         if off >= plen {
@@ -103,7 +250,10 @@ impl Backing {
     /// Before mutating `[off, off+len)`: give every live snapshot that
     /// overlaps the range its private copy of the bytes it watches, and
     /// prune dead entries. Must be called before taking the `phys` lock.
-    fn materialize_watchers(&self, off: u64, len: u64) {
+    /// `overwrite` says the caller replaces every byte of the range
+    /// without reading it, which is what licenses the steal below; an
+    /// in-place view reads before it writes and passes `false`.
+    fn materialize_watchers(&self, off: u64, len: u64, overwrite: bool) {
         if self.watcher_count.load(Ordering::Acquire) == 0 || len == 0 {
             return;
         }
@@ -127,7 +277,13 @@ impl Backing {
         // prefix — needs the old ones. Hand it the Vec outright and let
         // the writer rebuild from fresh zeroes: same bytes everywhere, and
         // the double-buffer swap of a ping-pong send loop never memcpys.
-        if hit.len() == 1 && off == 0 && len >= plen && hit[0].off == 0 && hit[0].len >= plen {
+        if overwrite
+            && hit.len() == 1
+            && off == 0
+            && len >= plen
+            && hit[0].off == 0
+            && hit[0].len >= plen
+        {
             let snap = hit.pop().expect("length checked");
             let mut owned = snap.owned.lock();
             if owned.is_none() {
@@ -141,11 +297,12 @@ impl Backing {
             // window. Bytes past the prefix read as zero both now and after
             // the write, so storing only the prefix preserves semantics
             // without ballooning phys-capped (Titan-scale) runs.
-            let avail = plen.saturating_sub(snap.off);
-            let n = avail.min(snap.len) as usize;
+            // (A window wholly past the prefix stores nothing.)
+            let start = snap.off.min(plen) as usize;
+            let n = (plen - start as u64).min(snap.len) as usize;
             let mut owned = snap.owned.lock();
             if owned.is_none() {
-                *owned = Some(phys[snap.off as usize..snap.off as usize + n].to_vec());
+                *owned = Some(phys[start..start + n].to_vec());
             }
             // materialized: no longer needs watching
         }
@@ -184,9 +341,15 @@ impl Backing {
             dst.write(dst_off, &tmp);
             return;
         }
-        dst.materialize_watchers(dst_off, len);
-        let sphys = src.phys.lock();
-        let mut dphys = dst.phys.lock();
+        dst.materialize_watchers(dst_off, len, true);
+        // Two ranks that exchange halos out of and into one allocation
+        // each run `copy(a → b)` and `copy(b → a)` on different partition
+        // threads: source-then-destination order would be ABBA.
+        let mut slots = [PhysSlot::new(src), PhysSlot::new(dst)];
+        lock_phys_in_address_order(&mut slots);
+        let [s, d] = slots;
+        let sphys = s.guard.expect("distinct backings: both locked");
+        let mut dphys = d.guard.expect("distinct backings: both locked");
         let s_avail = (sphys.len() as u64).saturating_sub(src_off);
         let d_avail = (dphys.len() as u64).saturating_sub(dst_off);
         let n = len.min(s_avail).min(d_avail) as usize;
@@ -204,41 +367,136 @@ impl Backing {
     }
 
     /// Write a slice of `f64`s starting at byte offset `off`, serializing
-    /// each value straight into the locked physical buffer (no intermediate
-    /// byte vector — this sits on the kernel hot path).
+    /// straight into the locked physical buffer in one pass.
     pub fn write_f64s(&self, off: u64, vals: &[f64]) {
         debug_assert!(off + 8 * vals.len() as u64 <= self.logical_len);
-        self.materialize_watchers(off, 8 * vals.len() as u64);
-        let mut phys = self.phys.lock();
-        let plen = phys.len() as u64;
-        if off >= plen {
-            return;
-        }
-        let avail = ((plen - off) / 8) as usize;
-        let whole = avail.min(vals.len());
-        for (i, v) in vals[..whole].iter().enumerate() {
-            let at = off as usize + 8 * i;
-            phys[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        // A value straddling the physical boundary lands partially.
-        if whole < vals.len() {
-            let at = off + 8 * whole as u64;
-            if at < plen {
-                let part = (plen - at) as usize;
-                let bytes = vals[whole].to_le_bytes();
-                phys[at as usize..plen as usize].copy_from_slice(&bytes[..part]);
-            }
-        }
+        self.materialize_watchers(off, 8 * vals.len() as u64, true);
+        encode_f64s(&mut self.phys.lock(), off, vals);
     }
 
-    /// Read `n` `f64`s starting at byte offset `off`.
+    /// Read `n` `f64`s starting at byte offset `off` (one pass, one
+    /// allocation).
     pub fn read_f64s(&self, off: u64, n: usize) -> Vec<f64> {
-        let mut bytes = vec![0u8; n * 8];
-        self.read(off, &mut bytes);
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect()
+        debug_assert!(off + 8 * n as u64 <= self.logical_len);
+        decode_f64s(&self.phys.lock(), off, n)
+    }
+
+    /// Run `f` on the `n` f64s at byte offset `off`, borrowed in place
+    /// under the `phys` lock when the range is fully stored and 8-aligned,
+    /// else decoded into a temporary (phys-capped backings, odd offsets).
+    /// `f` must not touch this backing again: the lock is not reentrant.
+    pub fn with_f64s<R>(&self, off: u64, n: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        debug_assert!(off + 8 * n as u64 <= self.logical_len);
+        let phys = self.phys.lock();
+        if let Some(vals) = borrow_f64s(&phys, off, n) {
+            return f(vals);
+        }
+        let vals = decode_f64s(&phys, off, n);
+        drop(phys);
+        f(&vals)
+    }
+
+    /// Mutable form of [`Backing::with_f64s`]: `f` edits the stored values
+    /// in place. The snapshot barrier runs first, exactly as for `write`
+    /// (minus the full-overwrite steal — `f` may read what it replaces),
+    /// so `CowSnapshot`s keep their snapshot-time bytes.
+    pub fn with_f64s_mut<R>(&self, off: u64, n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        debug_assert!(off + 8 * n as u64 <= self.logical_len);
+        self.materialize_watchers(off, 8 * n as u64, false);
+        edit_f64s(&mut self.phys.lock(), off, n, f)
+    }
+
+    /// Run `f` on several read views at once (`f`'s slices are in `reads`
+    /// order). Distinct backings are locked in address order; see
+    /// [`Backing::with_f64s`] for when a view is a borrow.
+    pub fn with_f64_views<R>(reads: &[F64Span<'_>], f: impl FnOnce(&[&[f64]]) -> R) -> R {
+        Backing::views(reads, None, |srcs, _| f(srcs))
+    }
+
+    /// Run `f` on read views plus one write view — a kernel reading some
+    /// arrays and updating another in place. A read view that shares the
+    /// write view's allocation (a red-black half-sweep, §3.8-aliased
+    /// buffers) is handed to `f` as a private copy taken before any edit,
+    /// so `f` sees what a copy-out/copy-back kernel would have seen.
+    pub fn with_f64_views_mut<R>(
+        reads: &[F64Span<'_>],
+        write: F64Span<'_>,
+        f: impl FnOnce(&[&[f64]], &mut [f64]) -> R,
+    ) -> R {
+        Backing::views(reads, Some(write), f)
+    }
+
+    fn views<R>(
+        reads: &[F64Span<'_>],
+        write: Option<F64Span<'_>>,
+        f: impl FnOnce(&[&[f64]], &mut [f64]) -> R,
+    ) -> R {
+        for s in reads.iter().chain(&write) {
+            debug_assert!(s.off + 8 * s.n as u64 <= s.backing.logical_len);
+        }
+        // Barrier before the borrow: it takes `phys` itself, and once `f`
+        // holds a `&mut [f64]` there is no later point to run it at.
+        if let Some(w) = &write {
+            w.backing.materialize_watchers(w.off, 8 * w.n as u64, false);
+        }
+        let mut slots: Vec<PhysSlot<'_>> = reads
+            .iter()
+            .chain(&write)
+            .map(|s| PhysSlot::new(s.backing))
+            .collect();
+        lock_phys_in_address_order(&mut slots);
+        let holder = |slots: &[PhysSlot<'_>], b: &Backing| {
+            slots
+                .iter()
+                .position(|s| std::ptr::eq(s.backing, b))
+                .expect("every span has a slot")
+        };
+        // Private copies: sources sharing the destination's allocation,
+        // and sources no f64 slice can alias.
+        let shares_write = |s: &F64Span<'_>| {
+            write
+                .as_ref()
+                .is_some_and(|w| std::ptr::eq(w.backing, s.backing))
+        };
+        let owned: Vec<Option<Vec<f64>>> = reads
+            .iter()
+            .map(|s| {
+                let phys = slots[holder(&slots, s.backing)]
+                    .guard
+                    .as_ref()
+                    .expect("first slot of a backing holds its lock");
+                (shares_write(s) || f64_range(phys, s.off, s.n).is_none())
+                    .then(|| decode_f64s(phys, s.off, s.n))
+            })
+            .collect();
+        // Detach the destination's guard: from here on no source borrows
+        // from it (those were just copied), so it can be borrowed mutably
+        // while the rest are borrowed shared.
+        let mut wguard = write.as_ref().map(|w| {
+            let at = holder(&slots, w.backing);
+            slots[at]
+                .guard
+                .take()
+                .expect("first slot of a backing holds its lock")
+        });
+        let srcs: Vec<&[f64]> = reads
+            .iter()
+            .zip(&owned)
+            .map(|(s, own)| match own {
+                Some(vals) => vals.as_slice(),
+                None => {
+                    let phys = slots[holder(&slots, s.backing)]
+                        .guard
+                        .as_ref()
+                        .expect("not the destination's backing: still held");
+                    borrow_f64s(phys, s.off, s.n).expect("range checked above")
+                }
+            })
+            .collect();
+        let (Some(w), Some(phys)) = (write, wguard.as_mut()) else {
+            return f(&srcs, &mut []);
+        };
+        edit_f64s(phys, w.off, w.n, |vals| f(&srcs, vals))
     }
 
     /// Number of f64 elements that are physically stored from offset 0.
@@ -325,7 +583,7 @@ impl CowSnapshot {
                 // The destination may itself be watched. Safe to barrier
                 // while holding `owned`: we are materialized, so the
                 // barrier can no longer reach back into this snapshot.
-                dst.materialize_watchers(dst_off, len);
+                dst.materialize_watchers(dst_off, len, true);
                 let mut dphys = dst.phys.lock();
                 let d_avail = (dphys.len() as u64).saturating_sub(dst_off);
                 let stored = len.min(d_avail);

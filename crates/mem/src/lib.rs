@@ -20,7 +20,7 @@ pub mod pool;
 pub mod present;
 pub mod space;
 
-pub use backing::{Backing, CowSnapshot};
+pub use backing::{Backing, CowSnapshot, F64Span};
 pub use faulty::{commit_copy, reserve_hd_with_faults};
 pub use heap::{HeapEntry, HeapError, HeapPtr, NodeHeap};
 pub use pool::ReducePool;

@@ -171,36 +171,43 @@ pub trait PointToPoint {
         let n = comm.size();
         let r = self.comm_rank(comm);
         let tag = self.coll_seq().next_tag(comm);
-        let mut acc = sendbuf.read_f64s();
-        if n > 1 {
-            coll_span(ctx, "reduce", sendbuf.len, || {
-                let vr = (r + n - root) % n;
-                let tmp = scratch(sendbuf.len);
-                let mut mask = 1u32;
-                while mask < n {
-                    if vr & mask == 0 {
-                        let child = vr | mask;
-                        if child < n {
-                            let src = (child + root) % n;
-                            self.pt_recv(ctx, &tmp, Some(src), Some(tag), comm);
-                            op.combine(&mut acc, &tmp.read_f64s());
-                        }
-                    } else {
-                        let parent = vr & !mask;
-                        let dst = (parent + root) % n;
-                        tmp.write_f64s(&acc);
-                        self.pt_send(ctx, &tmp, dst, tag, comm);
-                        break;
+        let copy_out = |from: &MsgBuf| {
+            if r == root {
+                let to = recvbuf.expect("root must supply a receive buffer");
+                Backing::copy(&from.backing, from.off, &to.backing, to.off, from.len);
+            }
+        };
+        if n <= 1 {
+            return copy_out(sendbuf);
+        }
+        // The running fold lives in host scratch and is sent from there, so
+        // the wire sees the same buffer kind whatever the caller passed.
+        let acc = scratch(sendbuf.len);
+        Backing::copy(&sendbuf.backing, sendbuf.off, &acc.backing, 0, sendbuf.len);
+        coll_span(ctx, "reduce", sendbuf.len, || {
+            let vr = (r + n - root) % n;
+            // One receive buffer for every child; leaves never need it.
+            let mut tmp = None;
+            let mut mask = 1u32;
+            while mask < n {
+                if vr & mask == 0 {
+                    let child = vr | mask;
+                    if child < n {
+                        let src = (child + root) % n;
+                        let tmp = tmp.get_or_insert_with(|| scratch(sendbuf.len));
+                        self.pt_recv(ctx, tmp, Some(src), Some(tag), comm);
+                        op.fold(&acc, tmp);
                     }
-                    mask <<= 1;
+                } else {
+                    let parent = vr & !mask;
+                    let dst = (parent + root) % n;
+                    self.pt_send(ctx, &acc, dst, tag, comm);
+                    break;
                 }
-            });
-        }
-        if r == root {
-            recvbuf
-                .expect("root must supply a receive buffer")
-                .write_f64s(&acc);
-        }
+                mask <<= 1;
+            }
+        });
+        copy_out(&acc);
     }
 
     /// `MPI_Allreduce`. Every rank supplies `recvbuf`. Dispatches to the

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use impacc_mem::Backing;
+use impacc_mem::{Backing, F64Span};
 
 /// Wildcard-capable source selector (`MPI_ANY_SOURCE` is `None`).
 pub type SrcSel = Option<u32>;
@@ -77,15 +77,40 @@ impl MsgBuf {
         }
     }
 
-    /// Read the buffer as f64 elements (for reductions and tests).
+    /// Read the buffer as f64 elements (results and tests; reductions fold
+    /// in place through [`ReduceOp::fold`]).
     pub fn read_f64s(&self) -> Vec<f64> {
-        self.backing.read_f64s(self.off, (self.len / 8) as usize)
+        self.backing.read_f64s(self.off, self.elems())
     }
 
     /// Overwrite the buffer with f64 elements.
     pub fn write_f64s(&self, vals: &[f64]) {
         assert!(vals.len() as u64 * 8 <= self.len);
         self.backing.write_f64s(self.off, vals);
+    }
+
+    /// Run `f` on the buffer's f64 elements, borrowed in place
+    /// (see [`Backing::with_f64s`]).
+    pub fn with_f64s<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.backing.with_f64s(self.off, self.elems(), f)
+    }
+
+    /// Let `f` edit the buffer's f64 elements in place
+    /// (see [`Backing::with_f64s_mut`]).
+    pub fn with_f64s_mut<R>(&self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        self.backing.with_f64s_mut(self.off, self.elems(), f)
+    }
+
+    fn elems(&self) -> usize {
+        (self.len / 8) as usize
+    }
+
+    fn span(&self) -> F64Span<'_> {
+        F64Span {
+            backing: &self.backing,
+            off: self.off,
+            n: self.elems(),
+        }
     }
 }
 
@@ -120,6 +145,15 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
+    /// Fold `other`'s elements into `acc`'s where they are stored: the
+    /// reduction step of every collective, straight out of the receive
+    /// buffer (`MPI_IN_PLACE` on both operands).
+    pub fn fold(self, acc: &MsgBuf, other: &MsgBuf) {
+        Backing::with_f64_views_mut(&[other.span()], acc.span(), |src, acc| {
+            self.combine(acc, src[0])
+        });
+    }
+
     /// Combine `other` into `acc` elementwise.
     pub fn combine(self, acc: &mut [f64], other: &[f64]) {
         assert_eq!(acc.len(), other.len(), "reduce length mismatch");
@@ -144,6 +178,24 @@ mod tests {
         let s = buf.slice(8, 16);
         assert_eq!(s.read_f64s(), vec![2.0, 3.0]);
         assert_eq!(s.off, 8);
+        // The closures see and edit the same elements, in place.
+        s.with_f64s_mut(|v| v[1] = 30.0);
+        assert_eq!(s.with_f64s(|v| v.to_vec()), vec![2.0, 30.0]);
+        assert_eq!(buf.read_f64s()[..4], [1.0, 2.0, 30.0, 4.0]);
+    }
+
+    #[test]
+    fn fold_combines_in_place_even_within_one_allocation() {
+        let buf = MsgBuf::host(Backing::new(48, None), 0, 48);
+        buf.write_f64s(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let other = MsgBuf::host(Backing::new(16, None), 0, 16);
+        other.write_f64s(&[10.0, 20.0]);
+        ReduceOp::Sum.fold(&buf.slice(0, 16), &other);
+        assert_eq!(buf.read_f64s(), vec![11.0, 22.0, 3.0, 4.0, 5.0, 6.0]);
+        // Overlapping operands of one backing: the source is read as it
+        // was before the fold started.
+        ReduceOp::Sum.fold(&buf.slice(8, 16), &buf.slice(0, 16));
+        assert_eq!(buf.read_f64s(), vec![11.0, 33.0, 25.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

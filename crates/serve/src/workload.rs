@@ -82,7 +82,7 @@ fn exchange(tc: &TaskCtx, rounds: u32, seed: u64) {
             let v = me + round as f64;
             move || {
                 if math_ok(&d) {
-                    d.write_f64s(0, &vec![v; N]);
+                    d.with_f64s_mut(0, N, |out| out.fill(v));
                 }
             }
         };
@@ -91,11 +91,12 @@ fn exchange(tc: &TaskCtx, rounds: u32, seed: u64) {
             let expect = peer as f64 + shift + round as f64;
             move || {
                 if math_ok(&d) {
-                    let got = d.read_f64s(0, N);
-                    assert!(
-                        got.iter().all(|&x| x == expect),
-                        "round {round}: corrupted payload after recovery"
-                    );
+                    d.with_f64s(0, N, |got| {
+                        assert!(
+                            got.iter().all(|&x| x == expect),
+                            "round {round}: corrupted payload after recovery"
+                        )
+                    });
                 }
             }
         };
