@@ -322,9 +322,12 @@ fi
 echo "==> serve campaign: compiled-DSL programs end-to-end"
 # The .acc programs through the same spool daemon, keyed by the normal
 # form of their source: every sweep point must execute once, and a
-# resubmit must again be answered entirely from the cache.
+# resubmit must again be answered entirely from the cache. Each daemon
+# process compiles a program once however many jobs name it: the
+# campaign's 12 jobs hold 6 distinct programs, so 6 front misses.
 "$serve_bin" campaign --spool "$SPOOL" campaigns/dsl.campaign
-"$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain
+first=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
+echo "$first"
 "$serve_bin" campaign --spool "$SPOOL" campaigns/dsl.campaign
 second=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
 echo "$second"
@@ -332,6 +335,12 @@ if ! grep -q "executed 0," <<<"$second"; then
     echo "dsl campaign gate: FAIL — resubmitted campaign re-executed jobs"
     exit 1
 fi
+for pass in "$first" "$second"; do
+    if ! grep -q "front_misses 6," <<<"$pass"; then
+        echo "dsl campaign gate: FAIL — a pass must compile the campaign's 6 distinct programs once each"
+        exit 1
+    fi
+done
 echo "dsl campaign gate: ok"
 
 echo "ci: all green"

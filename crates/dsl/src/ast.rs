@@ -256,11 +256,22 @@ pub struct Program {
 impl Program {
     /// Canonical source form; parsing it back yields an identical AST.
     pub fn pretty(&self) -> String {
+        self.pretty_resolved(&[])
+    }
+
+    /// [`Program::pretty`] with the default of every `param` named in
+    /// `resolved` printed as that value instead of its declared
+    /// expression.
+    pub(crate) fn pretty_resolved(&self, resolved: &[(String, f64)]) -> String {
         let mut out = String::new();
         for item in &self.items {
             match item {
                 Item::Param { name, value } => {
-                    let _ = writeln!(out, "param {name} = {};", value.pretty());
+                    let value = match resolved.iter().find(|(n, _)| n == name) {
+                        Some((_, v)) => Expr::Num(*v).pretty(),
+                        None => value.pretty(),
+                    };
+                    let _ = writeln!(out, "param {name} = {value};");
                 }
                 Item::Array {
                     name,

@@ -219,6 +219,18 @@ pub struct Compiled {
     pub has_device_ops: bool,
 }
 
+impl Compiled {
+    /// The program's *normal form*: its canonical pretty-printed source
+    /// with every `param` default replaced by the value it resolved to.
+    /// A shipped example, the same source inlined, and a default spelled
+    /// out as an override all share one normal form; any source edit or
+    /// effective-parameter change moves it. Content addresses of
+    /// compiled programs are taken over this text.
+    pub fn normal_form(&self) -> String {
+        self.program.pretty_resolved(&self.params)
+    }
+}
+
 fn err(message: impl Into<String>) -> DslError {
     DslError::new(0, message)
 }

@@ -30,11 +30,14 @@
 //! once a second until interrupted or the daemon's `stop` file appears.
 //!
 //! `daemon --drain` processes everything queued, prints one summary line
-//! (`serve: executed N, cache_hits M, rejected R, failed F`), and exits —
+//! (`serve: executed N, cache_hits M, rejected R, failed F, front_hits H,
+//! front_misses C, front_entries E` — the last three count DSL programs
+//! found compiled, compiled, and held), and exits —
 //! the mode CI uses to assert that a resubmitted campaign re-executes
 //! nothing. Without `--drain` the daemon polls `incoming/` until `stop`
 //! appears.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -283,7 +286,7 @@ fn daemon(args: &[String]) {
 
     let serve = Serve::start(cfg);
     let done_dir = spool.join("done");
-    let mut pending: Vec<(PathBuf, Ticket)> = Vec::new();
+    let mut pending: VecDeque<Ticket> = VecDeque::new();
     let mut rejected = 0u64;
 
     loop {
@@ -292,7 +295,7 @@ fn daemon(args: &[String]) {
         }
         // Settle finished tickets so `done/` and the failure count track
         // reality between scans.
-        pending.retain_mut(|(_, t)| t.try_wait().is_none());
+        pending.retain_mut(|t| t.try_wait().is_none());
         write_status(&spool, &serve);
         let stop = spool.join("stop").exists();
         if drain_mode || stop {
@@ -303,15 +306,21 @@ fn daemon(args: &[String]) {
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
     }
-    for (_, t) in pending.drain(..) {
+    for t in pending {
         t.wait();
     }
     serve.drain();
     write_status(&spool, &serve);
     let st = serve.status();
     println!(
-        "serve: executed {}, cache_hits {}, rejected {}, failed {}",
-        st.jobs_done, st.cache_hits, rejected, st.jobs_failed
+        "serve: executed {}, cache_hits {}, rejected {}, failed {}, front_hits {}, front_misses {}, front_entries {}",
+        st.jobs_done,
+        st.cache_hits,
+        rejected,
+        st.jobs_failed,
+        st.front.hits,
+        st.front.misses,
+        st.front.entries
     );
     if st.jobs_failed > 0 {
         exit(1);
@@ -326,7 +335,7 @@ fn process_one(
     serve: &Serve,
     path: &Path,
     done_dir: &Path,
-    pending: &mut Vec<(PathBuf, Ticket)>,
+    pending: &mut VecDeque<Ticket>,
     rejected: &mut u64,
 ) {
     let text = match std::fs::read_to_string(path) {
@@ -350,17 +359,15 @@ fn process_one(
     };
     match serve.submit(job) {
         Ok(ticket) => {
-            pending.push((path.to_path_buf(), ticket));
+            pending.push_back(ticket);
             let _ = std::fs::rename(path, done_dir.join(name));
         }
         Err(Reject::QueueFull { .. }) => {
             // Backpressure: drain one in-flight job, retry this file on
             // the next scan.
-            if !pending.is_empty() {
-                let (_, t) = pending.remove(0);
-                t.wait();
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(10));
+            match pending.pop_front() {
+                Some(oldest) => drop(oldest.wait()),
+                None => std::thread::sleep(std::time::Duration::from_millis(10)),
             }
         }
         Err(e @ (Reject::Invalid(_) | Reject::ShuttingDown)) => reject(e.to_string(), rejected),

@@ -49,9 +49,8 @@ impl Campaign {
                     .iter()
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .chain(combo.iter().map(|(k, v)| (*k, v.as_str())));
-                let job = JobSpec::from_pairs(pairs)?;
-                job.validate()?;
-                jobs.push(job);
+                // `from_pairs` validates what it builds.
+                jobs.push(JobSpec::from_pairs(pairs)?);
             }
             fixed.clear();
             axes.clear();

@@ -4,15 +4,19 @@
 //! Life of a request:
 //!
 //! ```text
-//! submit(job) ── validate ──► cache probe ──hit──► ready Ticket (no queue slot)
-//!                               │ miss
-//!                               ├─ in-flight? ──► coalesce onto the running job
-//!                               │
-//!                               └─ lanes full? ──► Reject::QueueFull (backpressure)
-//!                                  else enqueue by priority, wake a worker
-//! worker: pop highest lane → run_job (panic-fenced) → cache.put →
+//! submit(job) ── validate ── key ──► cache probe ──hit──► ready Ticket (no queue slot,
+//!                                      │ miss                no channel)
+//!                                      ├─ in-flight? ──► coalesce onto the running job
+//!                                      │
+//!                                      └─ lanes full? ──► Reject::QueueFull (backpressure)
+//!                                         else enqueue (job, key) by priority, wake a worker
+//! worker: pop highest lane → run_job_keyed (panic-fenced) → cache.put →
 //!         JOB_<key>.json / PROF_<key>.json → fulfill every waiter
 //! ```
+//!
+//! The key is computed once, in `submit`, and travels with the job: the
+//! worker, the flight label, the profile name and the result body all
+//! use that one string.
 //!
 //! Every decision increments an [`impacc_obs::Recorder`] counter
 //! (`serve_admitted`, `serve_rejected`, `serve_cache_hit`,
@@ -32,6 +36,7 @@ use impacc_obs::{json, Recorder};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cache::{write_atomic, ResultCache};
+use crate::front::{front_stats, FrontStats};
 use crate::job::JobSpec;
 use crate::workload;
 
@@ -120,20 +125,35 @@ impl JobDone {
 pub struct Ticket {
     /// The job's content address.
     pub key: String,
-    rx: mpsc::Receiver<JobDone>,
+    state: TicketState,
+}
+
+#[derive(Debug)]
+enum TicketState {
+    /// Resolved at submission (a cache hit); `None` once the result has
+    /// been taken by [`Ticket::try_wait`].
+    Ready(Option<JobDone>),
+    /// Queued, running or coalesced: a worker sends the result.
+    Pending(mpsc::Receiver<JobDone>),
 }
 
 impl Ticket {
     /// Block until the job completes (or its cached result is ready).
     pub fn wait(self) -> JobDone {
-        self.rx
-            .recv()
-            .expect("engine drains every admitted job before exit")
+        match self.state {
+            TicketState::Ready(done) => done.expect("try_wait already took this ticket's result"),
+            TicketState::Pending(rx) => rx
+                .recv()
+                .expect("engine drains every admitted job before exit"),
+        }
     }
 
-    /// Non-blocking poll.
+    /// Non-blocking poll; yields the result once.
     pub fn try_wait(&mut self) -> Option<JobDone> {
-        self.rx.try_recv().ok()
+        match &mut self.state {
+            TicketState::Ready(done) => done.take(),
+            TicketState::Pending(rx) => rx.try_recv().ok(),
+        }
     }
 }
 
@@ -181,6 +201,9 @@ pub struct Status {
     pub cache_misses: u64,
     /// Submissions that piggybacked on an in-flight identical job.
     pub coalesced: u64,
+    /// The DSL front table (compiles saved / run / entries held). It is
+    /// process-wide: every engine of a process reports the same numbers.
+    pub front: FrontStats,
     /// Executions completed successfully.
     pub jobs_done: u64,
     /// Executions that errored or panicked.
@@ -243,6 +266,14 @@ impl Status {
             self.rejected_shutdown,
         ));
         out.push_str(&format!(
+            "front  {} hits / {} lookups ({:.1}% hit rate)   compiles {}   programs held {}\n",
+            self.front.hits,
+            self.front.hits + self.front.misses,
+            100.0 * self.front.hit_rate(),
+            self.front.misses,
+            self.front.entries,
+        ));
+        out.push_str(&format!(
             "jobs   done {}  failed {}  degraded {}  coalesced {}   retries {}  chaos_faults {}\n",
             self.jobs_done,
             self.jobs_failed,
@@ -284,7 +315,7 @@ impl Status {
     /// field is what `serve top` prints.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"schema_version\":{},\"queue_depth\":{},\"lanes\":[{},{},{}],\"workers\":{},\"workers_busy\":{},\"utilization\":{},\"admitted\":{},\"rejected\":{},\"rejected_queue_full\":{},\"rejected_invalid\":{},\"rejected_shutdown\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{},\"coalesced\":{},\"jobs_done\":{},\"jobs_failed\":{},\"jobs_degraded\":{},\"retries\":{},\"chaos_faults\":{},\"inflight\":[",
+            "{{\"schema_version\":{},\"queue_depth\":{},\"lanes\":[{},{},{}],\"workers\":{},\"workers_busy\":{},\"utilization\":{},\"admitted\":{},\"rejected\":{},\"rejected_queue_full\":{},\"rejected_invalid\":{},\"rejected_shutdown\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{},\"front_hits\":{},\"front_misses\":{},\"front_entries\":{},\"front_hit_rate\":{},\"coalesced\":{},\"jobs_done\":{},\"jobs_failed\":{},\"jobs_degraded\":{},\"retries\":{},\"chaos_faults\":{},\"inflight\":[",
             impacc_obs::SCHEMA_VERSION,
             self.queue_depth,
             self.lanes[0],
@@ -301,6 +332,10 @@ impl Status {
             self.cache_hits,
             self.cache_misses,
             json::number(self.cache_hit_rate()),
+            self.front.hits,
+            self.front.misses,
+            self.front.entries,
+            json::number(self.front.hit_rate()),
             self.coalesced,
             self.jobs_done,
             self.jobs_failed,
@@ -344,8 +379,9 @@ struct RunningJob {
 }
 
 struct State {
-    /// One FIFO per priority: index 0 = High, 1 = Normal, 2 = Low.
-    lanes: [VecDeque<JobSpec>; 3],
+    /// One FIFO per priority: index 0 = High, 1 = Normal, 2 = Low. A
+    /// job travels with the key `submit` computed for it.
+    lanes: [VecDeque<(JobSpec, String)>; 3],
     /// Waiters per in-flight key (queued or running). Presence here is
     /// what makes a later identical submission coalesce instead of
     /// enqueueing a duplicate execution.
@@ -361,7 +397,7 @@ impl State {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
-    fn pop(&mut self) -> Option<JobSpec> {
+    fn pop(&mut self) -> Option<(JobSpec, String)> {
         self.lanes.iter_mut().find_map(VecDeque::pop_front)
     }
 }
@@ -515,27 +551,29 @@ impl Serve {
             return Err(Reject::Invalid(why));
         }
         let key = job.key();
-        let (tx, rx) = mpsc::channel();
-        let ticket = Ticket {
-            key: key.clone(),
-            rx,
-        };
 
         // Cache probe before taking a queue slot: a hit consumes no
-        // capacity and resolves the ticket immediately.
+        // capacity and is a ticket that already holds its result.
         if let Some(result) = self.shared.cache.get(&key) {
             self.shared.rec.counter_inc("serve_admitted");
             self.shared.rec.counter_inc("serve_cache_hit");
             self.shared.write_artifacts(&key, &result, None);
-            let _ = tx.send(JobDone {
-                key,
-                cache_hit: true,
-                result: Some(result),
-                error: None,
+            return Ok(Ticket {
+                key: key.clone(),
+                state: TicketState::Ready(Some(JobDone {
+                    key,
+                    cache_hit: true,
+                    result: Some(result),
+                    error: None,
+                })),
             });
-            return Ok(ticket);
         }
 
+        let (tx, rx) = mpsc::channel();
+        let ticket = Ticket {
+            key: key.clone(),
+            state: TicketState::Pending(rx),
+        };
         let mut st = self.shared.state.lock();
         if st.stopping {
             self.shared.rec.counter_inc("serve_rejected");
@@ -558,8 +596,8 @@ impl Serve {
                 cap: self.shared.cfg.queue_cap,
             });
         }
-        st.waiters.insert(key, vec![tx]);
-        st.lanes[job.priority.lane()].push_back(job);
+        st.waiters.insert(key.clone(), vec![tx]);
+        st.lanes[job.priority.lane()].push_back((job, key));
         self.shared.rec.counter_inc("serve_admitted");
         self.shared.rec.counter_inc("serve_cache_miss");
         self.shared.gauges(&st);
@@ -626,6 +664,7 @@ impl Serve {
             cache_hits: c("serve_cache_hit"),
             cache_misses: c("serve_cache_miss"),
             coalesced: c("serve_coalesced"),
+            front: front_stats(),
             jobs_done: c("serve_jobs_done"),
             jobs_failed: c("serve_jobs_failed"),
             jobs_degraded: c("serve_jobs_degraded"),
@@ -657,13 +696,13 @@ impl Drop for Serve {
 
 fn worker_loop(sh: &Shared) {
     loop {
-        let job = {
+        let (job, key) = {
             let mut st = sh.state.lock();
             loop {
-                if let Some(job) = st.pop() {
+                if let Some(admitted) = st.pop() {
                     st.busy += 1;
                     sh.gauges(&st);
-                    break job;
+                    break admitted;
                 }
                 if st.stopping {
                     return;
@@ -671,7 +710,6 @@ fn worker_loop(sh: &Shared) {
                 sh.wake.wait(&mut st);
             }
         };
-        let key = job.key();
         let campaign = job.campaign.clone();
         // The per-job flight ring lives outside the panic fence, so a
         // panicking simulation still leaves its last spans behind for
@@ -693,7 +731,7 @@ fn worker_loop(sh: &Shared) {
             );
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            workload::run_job_flight(&job, Some(&flight))
+            workload::run_job_keyed(&job, &key, Some(&flight))
         }));
         let done = match outcome {
             Ok(Ok(out)) => {
@@ -951,6 +989,8 @@ mod tests {
         for needle in [
             "\"lanes\":[0,0,0]",
             "\"cache_hit_rate\":0.5",
+            "\"front_hits\":",
+            "\"front_entries\":",
             "\"rejected_queue_full\":0",
             "\"inflight\":[]",
             "\"render\":\"serve  workers",
@@ -958,6 +998,55 @@ mod tests {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
         assert!(st.render().contains("hit rate"));
+        assert!(st.render().contains("\nfront  "));
+    }
+
+    #[test]
+    fn a_hit_is_a_ticket_that_yields_its_result_once() {
+        let serve = Serve::start(ServeConfig::default());
+        let job = quick_job(21);
+        let key = job.key();
+        let mut miss = serve.submit(job.clone()).unwrap();
+        assert_eq!(miss.key, key);
+        let executed = loop {
+            match miss.try_wait() {
+                Some(done) => break done,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert!(miss.try_wait().is_none(), "a miss yields its result once");
+        assert_eq!(executed.key, key);
+        assert!(!executed.cache_hit && executed.error.is_none());
+
+        let mut hit = serve.submit(job.clone()).unwrap();
+        assert_eq!(hit.key, key);
+        let polled = hit.try_wait().expect("a hit is resolved at submission");
+        assert!(hit.try_wait().is_none(), "a hit yields its result once");
+        let waited = serve.submit(job).unwrap().wait();
+        for done in [&polled, &waited] {
+            assert_eq!(done.key, key);
+            assert!(done.cache_hit && done.is_ok());
+            assert_eq!(
+                done.result, executed.result,
+                "a hit returns the executed bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stopped_engine_still_answers_from_its_cache() {
+        // The cache probe comes before the stopping check: an answer the
+        // engine already holds needs no worker.
+        let mut serve = Serve::start(ServeConfig::default());
+        let executed = serve.submit(quick_job(22)).unwrap().wait();
+        serve.shutdown();
+        let hit = serve.submit(quick_job(22)).unwrap().wait();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.result, executed.result);
+        assert!(matches!(
+            serve.submit(quick_job(23)),
+            Err(Reject::ShuttingDown)
+        ));
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! deterministic, equal keys are *guaranteed* to produce bit-identical
 //! results, which is what makes content-addressed caching sound here.
 
-use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use impacc_core::CollAlgo;
+
+use crate::front::{self, DslFront};
 
 /// Scheduling lane of a job. Priority orders dequeueing only — it is
 /// *not* part of the cache key (it cannot change the result).
@@ -245,24 +248,53 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
         .map_err(|_| format!("field {key}: cannot parse {v:?}"))
 }
 
-impl JobSpec {
-    /// Parse a job from `key = value` text: one pair per line (or several
-    /// pairs on one line separated by whitespace when values carry no
-    /// spaces), `#` starts a comment. Unknown keys are errors — a typo'd
-    /// knob silently ignored would poison the cache key space.
-    pub fn parse(text: &str) -> Result<JobSpec, String> {
-        let mut pairs = Vec::new();
-        for raw in text.lines() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
-            pairs.push((k.trim().to_string(), v.trim().to_string()));
+fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
+    match v {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(format!("field {key}: want 0|1|true|false, got {v:?}")),
+    }
+}
+
+/// The `key = value` pairs of a job text, one per line, `#` comments
+/// and blank lines skipped; a line without `=` is an error.
+fn text_pairs(text: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    text.lines().filter_map(|raw| {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            return None;
         }
-        JobSpec::from_pairs(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        Some(match line.split_once('=') {
+            Some((k, v)) => Ok((k.trim(), v.trim())),
+            None => Err(format!("expected key=value, got {line:?}")),
+        })
+    })
+}
+
+/// FNV-1a as a [`fmt::Write`] sink, so [`JobSpec::key`] hashes the
+/// canonical form as it is written instead of building it first.
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+impl JobSpec {
+    /// Parse a job from `key = value` text: exactly one pair per line —
+    /// the line is split at its first `=`, so the value is everything
+    /// after it — and `#` starts a comment. [`JobSpec::to_file`] is the
+    /// rendering this re-parses; the space-joined
+    /// [`JobSpec::canonical`] form is not. Unknown keys are errors — a
+    /// typo'd knob silently ignored would poison the cache key space.
+    /// The first offending line is the one reported.
+    pub fn parse(text: &str) -> Result<JobSpec, String> {
+        JobSpec::build(text_pairs(text))
     }
 
     /// Build a job from `(key, value)` pairs. Later pairs override
@@ -270,8 +302,15 @@ impl JobSpec {
     pub fn from_pairs<'a>(
         pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<JobSpec, String> {
+        JobSpec::build(pairs.into_iter().map(Ok))
+    }
+
+    fn build<'a>(
+        pairs: impl Iterator<Item = Result<(&'a str, &'a str), String>>,
+    ) -> Result<JobSpec, String> {
         let mut job = JobSpec::default();
-        for (k, v) in pairs {
+        for pair in pairs {
+            let (k, v) = pair?;
             match k {
                 "workload" => job.workload = Workload::parse(v)?,
                 "spec" => {
@@ -335,9 +374,9 @@ impl JobSpec {
                     devs.dedup();
                     job.fail_device = devs;
                 }
-                "prof" => job.prof = v == "1" || v == "true",
+                "prof" => job.prof = parse_bool(k, v)?,
                 "priority" => job.priority = Priority::parse(v)?,
-                "elide" => job.elide = Some(v == "1" || v == "true"),
+                "elide" => job.elide = Some(parse_bool(k, v)?),
                 "campaign" => job.campaign = v.to_string(),
                 other => return Err(format!("unknown job field {other:?}")),
             }
@@ -404,8 +443,8 @@ impl JobSpec {
             if self.program.is_empty() {
                 return Err("dsl workload needs program=<example|inline source>".into());
             }
-            let c = self.dsl_compile()?;
-            impacc_dsl::validate_launch(&c, self.task_count())
+            let front = self.dsl_front()?;
+            impacc_dsl::validate_launch(&front.compiled, self.task_count())
                 .map_err(|e| format!("dsl program cannot launch: {e}"))?;
         }
         for &(n, d) in &self.fail_device {
@@ -416,40 +455,14 @@ impl JobSpec {
         Ok(())
     }
 
-    /// The DSL source this job names: a shipped example, or the
-    /// unescaped inline text.
-    pub fn dsl_source(&self) -> String {
-        match impacc_dsl::example(&self.program) {
-            Some(src) => src.to_string(),
-            None => unescape_src(&self.program),
-        }
-    }
-
-    /// Compile the job's DSL program with its `params` overrides.
-    pub fn dsl_compile(&self) -> Result<impacc_dsl::Compiled, String> {
-        impacc_dsl::compile_with_overrides(&self.dsl_source(), &self.params)
-            .map_err(|e| format!("dsl compile failed: {e}"))
-    }
-
-    /// Normal form of the DSL program: the canonical pretty-printed
-    /// source with every `param` default replaced by its *resolved*
-    /// value, plus that text's content hash. This is what makes
-    /// `program=jacobi`, the same source inlined, and a default spelled
-    /// out via `params=` all land on one cache key — while any source
-    /// mutation or effective-parameter change moves it.
-    fn dsl_canonical(&self) -> Result<(String, String), String> {
-        let c = self.dsl_compile()?;
-        let mut prog = c.program.clone();
-        for item in &mut prog.items {
-            if let impacc_dsl::ast::Item::Param { name, value } = item {
-                if let Some((_, v)) = c.params.iter().find(|(n, _)| n == name) {
-                    *value = impacc_dsl::ast::Expr::Num(*v);
-                }
-            }
-        }
-        let canon = prog.pretty();
-        let hash = impacc_dsl::source_hash(&canon);
-        Ok((canon, hash))
+    /// The job's DSL program, compiled: the plan, its normal form and
+    /// source hash. Shared with every other job naming the same
+    /// `(program, params)` — see [`crate::front`]. The normal form is
+    /// what makes `program=jacobi`, the same source inlined, and a
+    /// default spelled out via `params=` all land on one cache key —
+    /// while any source mutation or effective-parameter change moves it.
+    pub fn dsl_front(&self) -> Result<Arc<DslFront>, String> {
+        front::dsl_front(&self.program, &self.params)
     }
 
     /// Tasks the §3.2 mapper will create on this job's machine.
@@ -461,61 +474,70 @@ impl JobSpec {
         }
     }
 
+    /// Write the result-affecting fields as `key=value` pairs in sorted
+    /// key order, `sep` between pairs. `src_hash` is derived from
+    /// `program`; the wire format leaves it out.
+    fn write_pairs(&self, out: &mut impl fmt::Write, sep: char, src_hash: bool) -> fmt::Result {
+        use Workload::*;
+        let w = self.workload;
+        if w == Allreduce {
+            write!(out, "algo={}{sep}", self.algo.map_or("auto", |a| a.label()))?;
+        }
+        write!(
+            out,
+            "chaos_rate={}{sep}chaos_seed={}{sep}",
+            self.chaos_rate, self.chaos_seed
+        )?;
+        if w == Allreduce {
+            write!(out, "elems={}{sep}", self.elems)?;
+        }
+        out.write_str("fail_device=")?;
+        for (i, (n, d)) in self.fail_device.iter().enumerate() {
+            write!(out, "{}{n}:{d}", if i > 0 { "," } else { "" })?;
+        }
+        write!(out, "{sep}gpus={}{sep}", self.gpus)?;
+        if w == Stencil2d {
+            write!(out, "halo={}{sep}", self.halo)?;
+        }
+        if matches!(w, Jacobi | Stencil3d | Redblack | Stencil2d) {
+            write!(out, "iters={}{sep}n={}{sep}", self.iters, self.n)?;
+        }
+        write!(out, "nodes={}{sep}", self.nodes)?;
+        // The program is keyed by its *normal form* (canonical source
+        // with params resolved), so spelling variants cannot split the
+        // cache. `src_hash` rides along for observability and
+        // greppability.
+        let front = (w == Dsl).then(|| self.dsl_front());
+        let invalid;
+        let dsl: Option<(&str, &str)> = match &front {
+            Some(Ok(f)) => Some((&f.normal_form, &f.src_hash)),
+            Some(Err(e)) => {
+                invalid = escape_src(&format!("<invalid: {e}>"));
+                Some((&invalid, "0000000000000000"))
+            }
+            None => None,
+        };
+        if let Some((program, _)) = dsl {
+            write!(out, "program={program}{sep}")?;
+        }
+        if matches!(w, Allreduce | Exchange) {
+            write!(out, "rounds={}{sep}", self.rounds)?;
+        }
+        write!(out, "seed={}{sep}spec={}{sep}", self.seed, self.spec)?;
+        if let (Some((_, hash)), true) = (dsl, src_hash) {
+            write!(out, "src_hash={hash}{sep}")?;
+        }
+        write!(out, "workload={}", w.label())
+    }
+
     /// The result-affecting fields in normal form: key-sorted, defaults
     /// materialized, numbers re-rendered from their parsed values. Fields
     /// that cannot change the result bytes (`prof`, `priority`) are
     /// excluded, as are parameters the selected workload ignores.
     pub fn canonical(&self) -> String {
-        let mut m: BTreeMap<&'static str, String> = BTreeMap::new();
-        m.insert("workload", self.workload.label().to_string());
-        m.insert("spec", self.spec.clone());
-        m.insert("nodes", self.nodes.to_string());
-        m.insert("gpus", self.gpus.to_string());
-        m.insert("seed", self.seed.to_string());
-        match self.workload {
-            Workload::Allreduce => {
-                m.insert("elems", self.elems.to_string());
-                m.insert("rounds", self.rounds.to_string());
-                m.insert("algo", self.algo.map_or("auto", |a| a.label()).to_string());
-            }
-            Workload::Exchange => {
-                m.insert("rounds", self.rounds.to_string());
-            }
-            Workload::Jacobi | Workload::Stencil3d | Workload::Redblack => {
-                m.insert("n", self.n.to_string());
-                m.insert("iters", self.iters.to_string());
-            }
-            Workload::Stencil2d => {
-                m.insert("n", self.n.to_string());
-                m.insert("iters", self.iters.to_string());
-                m.insert("halo", self.halo.to_string());
-            }
-            Workload::Dsl => {
-                // The program is keyed by its *normal form* (canonical
-                // source with params resolved), so spelling variants
-                // cannot split the cache. `src_hash` is derived — it
-                // rides along for observability and greppability.
-                let (canon, hash) = self
-                    .dsl_canonical()
-                    .unwrap_or_else(|e| (format!("<invalid: {e}>"), "0".repeat(16)));
-                m.insert("program", escape_src(&canon));
-                m.insert("src_hash", hash);
-            }
-        }
-        m.insert("chaos_rate", format!("{}", self.chaos_rate));
-        m.insert("chaos_seed", self.chaos_seed.to_string());
-        m.insert(
-            "fail_device",
-            self.fail_device
-                .iter()
-                .map(|(n, d)| format!("{n}:{d}"))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        m.iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
+        let mut out = String::with_capacity(160);
+        let _ = self.write_pairs(&mut out, ' ', true);
+        out
     }
 
     /// Content address: FNV-1a over the code version and the canonical
@@ -523,18 +545,12 @@ impl JobSpec {
     /// results (engine determinism); any result-affecting change —
     /// including a code/schema bump — moves the key.
     pub fn key(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |s: &str| {
-            for b in s.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&crate::code_version());
-        eat("\n");
-        eat(&self.canonical());
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        let _ = fnv.write_str(crate::code_version());
+        let _ = fnv.write_str("\n");
+        let _ = self.write_pairs(&mut fnv, ' ', true);
         // Finalize (splitmix64) so near-identical canonicals avalanche.
-        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut h = fnv.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
@@ -546,26 +562,22 @@ impl JobSpec {
     /// [`JobSpec::canonical`] this keeps the non-result fields (`prof`,
     /// `priority`, `elide`) a request carries through the daemon.
     pub fn to_file(&self) -> String {
-        // `src_hash` is derived from `program` (parse would reject it
-        // as an unknown knob); `params` are already folded into the
-        // canonical program text.
-        let mut out = self
-            .canonical()
-            .split(' ')
-            .filter(|line| !line.starts_with("src_hash="))
-            .collect::<Vec<_>>()
-            .join("\n");
+        // `src_hash` is left out (parse would reject it as an unknown
+        // knob); `params` are already folded into the canonical program
+        // text.
+        let mut out = String::with_capacity(192);
+        let _ = self.write_pairs(&mut out, '\n', false);
         if self.prof {
             out.push_str("\nprof=1");
         }
         if self.priority != Priority::Normal {
-            out.push_str(&format!("\npriority={}", self.priority.label()));
+            let _ = write!(out, "\npriority={}", self.priority.label());
         }
         if let Some(e) = self.elide {
-            out.push_str(&format!("\nelide={}", if e { 1 } else { 0 }));
+            let _ = write!(out, "\nelide={}", u8::from(e));
         }
         if !self.campaign.is_empty() {
-            out.push_str(&format!("\ncampaign={}", self.campaign));
+            let _ = write!(out, "\ncampaign={}", self.campaign);
         }
         out.push('\n');
         out
@@ -588,6 +600,52 @@ mod tests {
         assert!(back.prof);
         assert_eq!(back.priority, Priority::Low);
         assert_eq!(back.elide, Some(false));
+    }
+
+    #[test]
+    fn boolean_knobs_reject_anything_but_0_1_true_false() {
+        let err = JobSpec::parse("workload=allreduce\nprof=yes").unwrap_err();
+        assert!(
+            err.contains("prof") && err.contains("\"yes\""),
+            "got: {err}"
+        );
+        let err = JobSpec::parse("workload=allreduce\nelide=banana").unwrap_err();
+        assert!(
+            err.contains("elide") && err.contains("banana"),
+            "got: {err}"
+        );
+        // The word spellings parse, and the wire format writes 1/0.
+        let job = JobSpec::parse("workload=allreduce\nprof=true\nelide=false").unwrap();
+        assert!(job.prof);
+        assert_eq!(job.elide, Some(false));
+        let body = job.to_file();
+        assert!(
+            body.contains("\nprof=1\n") && body.contains("\nelide=0\n"),
+            "{body}"
+        );
+        let back = JobSpec::parse(&body).unwrap();
+        assert_eq!((back.prof, back.elide), (true, Some(false)));
+        let off = JobSpec::parse("workload=allreduce\nprof=0\nelide=1").unwrap();
+        assert_eq!((off.prof, off.elide), (false, Some(true)));
+    }
+
+    #[test]
+    fn a_line_holds_one_pair() {
+        // The line splits at its first `=`; the rest is the value.
+        let err = JobSpec::parse("workload=allreduce elems=32").unwrap_err();
+        assert!(
+            err.starts_with("unknown workload \"allreduce elems=32\""),
+            "got: {err}"
+        );
+        // So the space-joined canonical form is not a job file; to_file is.
+        let job = JobSpec::parse("workload=allreduce\nelems=32").unwrap();
+        assert!(JobSpec::parse(&job.canonical()).is_err());
+        assert_eq!(JobSpec::parse(&job.to_file()).unwrap(), job);
+        // The first offending line is the one reported.
+        let err = JobSpec::parse("workload=allreduce\nno pair here\nelems=x").unwrap_err();
+        assert!(err.contains("expected key=value"), "got: {err}");
+        let err = JobSpec::parse("workload=allreduce\nelems=x\nno pair here").unwrap_err();
+        assert!(err.contains("field elems"), "got: {err}");
     }
 
     #[test]

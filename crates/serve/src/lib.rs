@@ -10,6 +10,8 @@
 //!
 //! - [`job`] — the request schema: `key=value` job specs, canonical
 //!   form, and the content address ([`JobSpec::key`]).
+//! - [`front`] — the DSL front table: one compile per distinct
+//!   `(program, params)`, shared by validation, keying and execution.
 //! - [`workload`] — job execution against the simulator and the
 //!   deterministic result body.
 //! - [`cache`] — memory + disk result cache with schema-version
@@ -21,25 +23,32 @@
 //! The `serve` binary wraps [`engine::Serve`] in a dependency-free
 //! spool-directory daemon (see its `--help`).
 
+use std::sync::LazyLock;
+
 pub mod cache;
 pub mod campaign;
 pub mod engine;
+pub mod front;
 pub mod job;
 pub mod workload;
 
 pub use cache::ResultCache;
 pub use campaign::Campaign;
 pub use engine::{JobDone, Reject, Serve, ServeConfig, Status, Ticket};
+pub use front::{front_stats, DslFront, FrontStats};
 pub use job::{JobSpec, Priority, Workload};
 pub use workload::{run_job, JobOutcome};
 
 /// The code-version component of every content address. Bumping the
 /// crate version or the artifact schema moves every key, so results
 /// produced by older builds are never served as current.
-pub fn code_version() -> String {
-    format!(
-        "impacc/{}+schema{}",
-        env!("CARGO_PKG_VERSION"),
-        impacc_obs::SCHEMA_VERSION
-    )
+pub fn code_version() -> &'static str {
+    static VERSION: LazyLock<String> = LazyLock::new(|| {
+        format!(
+            "impacc/{}+schema{}",
+            env!("CARGO_PKG_VERSION"),
+            impacc_obs::SCHEMA_VERSION
+        )
+    });
+    &VERSION
 }

@@ -138,9 +138,19 @@ pub fn run_job_flight(
     job: &JobSpec,
     flight: Option<&FlightRecorder>,
 ) -> Result<JobOutcome, String> {
+    run_job_keyed(job, &job.key(), flight)
+}
+
+/// [`run_job_flight`] for a caller that already holds the job's content
+/// address (`key` must be `job.key()`): the worker pool keys a job once,
+/// at admission.
+pub(crate) fn run_job_keyed(
+    job: &JobSpec,
+    key: &str,
+    flight: Option<&FlightRecorder>,
+) -> Result<JobOutcome, String> {
     let spec = machine_of(job)?;
     let rec = job.prof.then(Recorder::new);
-    let (key, campaign) = (job.key(), job.campaign.clone());
     let summary = match job.workload {
         Workload::Jacobi => {
             let params = JacobiParams {
@@ -158,12 +168,11 @@ pub fn run_job_flight(
                 .map_err(|e| format!("jacobi failed: {e:?}"))?
         }
         wl => {
-            // DSL programs compile once on the submitting thread (the
-            // compiler is deterministic, but diagnostics belong here,
-            // not inside a simulated rank) and every rank walks the
-            // shared plan.
+            // A DSL program is compiled once per distinct source, off
+            // the simulated ranks (diagnostics belong here, not inside
+            // one), and every rank walks the shared plan.
             let dsl = match wl {
-                Workload::Dsl => Some(std::sync::Arc::new(job.dsl_compile()?)),
+                Workload::Dsl => Some(job.dsl_front()?.compiled.clone()),
                 _ => None,
             };
             let mut l = Launch::new(spec, RuntimeOptions::impacc());
@@ -184,7 +193,7 @@ pub fn run_job_flight(
             }
             let (elems, rounds, seed) = (job.elems, job.rounds, job.seed);
             let (n, iters, halo) = (job.n, job.iters, job.halo);
-            let marker = (key.clone(), campaign.clone());
+            let marker = (key.to_string(), job.campaign.clone());
             let app = move |tc: &TaskCtx| {
                 if tc.rank() == 0 {
                     // Zero-width correlation marker: ties every span
@@ -241,9 +250,8 @@ pub fn run_job_flight(
             l.run(app).map_err(|e| format!("run failed: {e:?}"))?
         }
     };
-    let prof = rec.map(|rec| {
-        impacc_prof::analyze(&rec.spans(), &rec.edges()).to_json(&format!("job_{}", job.key()))
-    });
+    let prof = rec
+        .map(|rec| impacc_prof::analyze(&rec.spans(), &rec.edges()).to_json(&format!("job_{key}")));
     let metrics = summary
         .report
         .metrics
@@ -251,7 +259,7 @@ pub fn run_job_flight(
         .map(|(k, v)| (k.to_string(), *v))
         .collect();
     Ok(JobOutcome {
-        result: result_json(job, &summary),
+        result: result_json(key, &job.canonical(), &summary),
         prof,
         metrics,
     })
@@ -260,13 +268,13 @@ pub fn run_job_flight(
 /// Serialize the result body: schema version, key, canonical job echo,
 /// virtual end time (integer picoseconds), event count, task count, and
 /// every engine metric — all integers, so the bytes are reproducible.
-fn result_json(job: &JobSpec, s: &RunSummary) -> String {
+fn result_json(key: &str, canonical: &str, s: &RunSummary) -> String {
     let mut out = format!(
         "{{\"schema_version\":{},\"key\":{},\"code_version\":{},\"job\":{},\"end_ps\":{},\"events\":{},\"tasks\":{},\"metrics\":{{",
         impacc_obs::SCHEMA_VERSION,
-        json::string(&job.key()),
-        json::string(&crate::code_version()),
-        json::string(&job.canonical()),
+        json::string(key),
+        json::string(crate::code_version()),
+        json::string(canonical),
         s.report.end_time.0,
         s.report.events,
         s.tasks.len(),
