@@ -17,6 +17,23 @@ echo "==> cargo test -q --workspace (IMPACC_PARALLEL=4)"
 # suite must stay green with the knob forced on.
 IMPACC_PARALLEL=4 cargo test -q --workspace
 
+echo "==> impacc-serve lib tests x50 (IMPACC_PARALLEL=4) + snapshot_race (release)"
+# Several simulations side by side on partition threads is where a data
+# race between a sender's edit and the delivery daemon's copy-out shows
+# ("allreduce corrupted", once about 1 run in 20 — DESIGN.md §5m). Fifty
+# back-to-back runs make that a gate that holds or names its cause; the
+# two-thread stress of the same window runs optimized, where it is widest.
+serve_lib=$(cargo test -p impacc-serve --lib --no-run 2>&1 \
+    | sed -n 's/.*(\(.*impacc_serve-[0-9a-f]*\)).*/\1/p')
+for i in $(seq 50); do
+    IMPACC_PARALLEL=4 "$serve_lib" -q >target/serve_lib_loop.log 2>&1 || {
+        cat target/serve_lib_loop.log
+        echo "serve lib loop: FAIL — run $i of 50"
+        exit 1
+    }
+done
+cargo test -q --release -p impacc-mem --test snapshot_race
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

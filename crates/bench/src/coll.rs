@@ -23,18 +23,21 @@ pub fn coll_spec() -> MachineSpec {
 
 /// `rounds` exact Sum-allreduces of `elems` f64s; every rank asserts the
 /// reduced vector (integer-valued contributions make all fold orders
-/// bit-identical).
+/// bit-identical). One buffer per rank for all rounds.
 fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32) {
     let size = tc.size();
+    let buf = tc.mpi_scratch_f64(elems);
     for round in 0..rounds {
-        let vals = vec![(tc.rank() + round) as f64; elems];
-        let out = tc.mpi_allreduce_f64(&vals, ReduceOp::Sum);
+        buf.with_f64s_mut(|vals| vals.fill((tc.rank() + round) as f64));
+        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum);
         let expect = (0..size).map(|r| (r + round) as f64).sum::<f64>();
-        assert!(
-            out.len() == elems && out.iter().all(|&x| x == expect),
-            "allreduce corrupted: got {:?}.., want {expect}",
-            &out[..1.min(out.len())]
-        );
+        buf.with_f64s(|out| {
+            assert!(
+                out.len() == elems && out.iter().all(|&x| x == expect),
+                "allreduce corrupted: got {:?}.., want {expect}",
+                &out[..1.min(out.len())]
+            )
+        });
     }
 }
 

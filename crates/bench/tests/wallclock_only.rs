@@ -204,75 +204,138 @@ fn compiled_examples_are_pinned() {
     }
 }
 
+/// One allreduce of `elems` f64s under `algo`, through the `&[f64]`
+/// convenience: staged into scratch, folded in place there.
+fn allreduce_pin(algo: CollAlgo, elems: usize, degree: usize) -> String {
+    let result = Arc::new(Mutex::new(Vec::new()));
+    let out = result.clone();
+    // 2 nodes x 4 ranks: every algorithm crosses the wire and the
+    // hierarchical one has a real intra-node phase.
+    let s = Launch::new(presets::test_cluster(2, 4), RuntimeOptions::impacc())
+        .parallelism(degree)
+        .coll_algo(algo)
+        .run(move |tc| {
+            let mine: Vec<f64> = (0..elems)
+                .map(|i| ((tc.rank() as usize * 13 + i * 7) % 97) as f64 - 40.0)
+                .collect();
+            let sum = tc.mpi_allreduce_f64(&mine, ReduceOp::Sum);
+            if tc.rank() == 5 {
+                *out.lock() = sum;
+            }
+        })
+        .expect("allreduce run");
+    let vals = result.lock().clone();
+    assert_eq!(vals.len(), elems);
+    pin(&s, &vals)
+}
+
 #[test]
 fn every_allreduce_algorithm_is_pinned() {
-    const ELEMS: usize = 4096;
-    let want = [
+    const ALGOS: [CollAlgo; 6] = [
+        CollAlgo::Flat,
+        CollAlgo::Binomial,
+        CollAlgo::Ring,
+        CollAlgo::RecursiveDoubling,
+        CollAlgo::Rabenseifner,
+        CollAlgo::Hier,
+    ];
+    // Per payload size, `ALGOS` order. 4096 elems predate the in-place
+    // fold; 131072 (1 MiB: every buffer is `mmap`-sized) and 4099 (odd:
+    // uneven ring chunks and halving splits) were captured on its parent.
+    let want: [(usize, [[&str; 2]; 6]); 3] = [
         (
-            CollAlgo::Flat,
+            4096,
             [
-                "t=34.598us/132/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
-                "t=33.998us/136/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
+                [
+                    "t=34.598us/132/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
+                    "t=33.998us/136/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
+                ],
+                [
+                    "t=34.598us/132/bb220e187c8c3273/2e40ee556545b3cc",
+                    "t=33.998us/136/bb220e187c8c3273/2e40ee556545b3cc",
+                ],
+                [
+                    "t=52.397us/824/392fe1395b76c5c5/2e40ee556545b3cc",
+                    "t=52.397us/856/392fe1395b76c5c5/2e40ee556545b3cc",
+                ],
+                [
+                    "t=47.105us/164/3c0252defedf3b75/2e40ee556545b3cc",
+                    "t=47.105us/182/3c0252defedf3b75/2e40ee556545b3cc",
+                ],
+                [
+                    "t=48.166us/326/1abf32159a9ce918/2e40ee556545b3cc",
+                    "t=48.166us/366/1abf32159a9ce918/2e40ee556545b3cc",
+                ],
+                [
+                    "t=26.360us/46/44140b23f64db89c/2e40ee556545b3cc",
+                    "t=26.360us/50/44140b23f64db89c/2e40ee556545b3cc",
+                ],
             ],
         ),
         (
-            CollAlgo::Binomial,
+            131072,
             [
-                "t=34.598us/132/bb220e187c8c3273/2e40ee556545b3cc",
-                "t=33.998us/136/bb220e187c8c3273/2e40ee556545b3cc",
+                [
+                    "t=766.151us/132/bc1d635b7cab6cb1/4f0af99840349093",
+                    "t=765.551us/136/bc1d635b7cab6cb1/4f0af99840349093",
+                ],
+                [
+                    "t=766.151us/132/1813a3fca5f25fbf/4f0af99840349093",
+                    "t=765.551us/136/1813a3fca5f25fbf/4f0af99840349093",
+                ],
+                [
+                    "t=395.206us/844/7c7c3931123d62ae/4f0af99840349093",
+                    "t=395.206us/928/7c7c3931123d62ae/4f0af99840349093",
+                ],
+                [
+                    "t=1.256ms/164/5173610eb9418402/4f0af99840349093",
+                    "t=1.256ms/182/5173610eb9418402/4f0af99840349093",
+                ],
+                [
+                    "t=1.009ms/322/7d9a63098fad0f9a/4f0af99840349093",
+                    "t=1.009ms/364/7d9a63098fad0f9a/4f0af99840349093",
+                ],
+                [
+                    "t=707.122us/46/d1c03c155429830a/4f0af99840349093",
+                    "t=707.122us/50/d1c03c155429830a/4f0af99840349093",
+                ],
             ],
         ),
         (
-            CollAlgo::Ring,
+            4099,
             [
-                "t=52.397us/824/392fe1395b76c5c5/2e40ee556545b3cc",
-                "t=52.397us/856/392fe1395b76c5c5/2e40ee556545b3cc",
-            ],
-        ),
-        (
-            CollAlgo::RecursiveDoubling,
-            [
-                "t=47.105us/164/3c0252defedf3b75/2e40ee556545b3cc",
-                "t=47.105us/182/3c0252defedf3b75/2e40ee556545b3cc",
-            ],
-        ),
-        (
-            CollAlgo::Rabenseifner,
-            [
-                "t=48.166us/326/1abf32159a9ce918/2e40ee556545b3cc",
-                "t=48.166us/366/1abf32159a9ce918/2e40ee556545b3cc",
-            ],
-        ),
-        (
-            CollAlgo::Hier,
-            [
-                "t=26.360us/46/44140b23f64db89c/2e40ee556545b3cc",
-                "t=26.360us/50/44140b23f64db89c/2e40ee556545b3cc",
+                [
+                    "t=34.616us/132/a87bf3cf8a126245/9c56a2f6e1c81597",
+                    "t=34.016us/136/a87bf3cf8a126245/9c56a2f6e1c81597",
+                ],
+                [
+                    "t=34.616us/132/f5d874cef46ed77f/9c56a2f6e1c81597",
+                    "t=34.016us/136/f5d874cef46ed77f/9c56a2f6e1c81597",
+                ],
+                [
+                    "t=52.403us/821/1ea001b4f6c9ed23/9c56a2f6e1c81597",
+                    "t=52.403us/853/1ea001b4f6c9ed23/9c56a2f6e1c81597",
+                ],
+                [
+                    "t=47.134us/164/a25463788a0d7ecc/9c56a2f6e1c81597",
+                    "t=47.134us/182/a25463788a0d7ecc/9c56a2f6e1c81597",
+                ],
+                [
+                    "t=48.193us/326/0d4f1e1a70430146/9c56a2f6e1c81597",
+                    "t=48.193us/366/0d4f1e1a70430146/9c56a2f6e1c81597",
+                ],
+                [
+                    "t=26.376us/46/bd50dd8d681e8419/9c56a2f6e1c81597",
+                    "t=26.376us/50/bd50dd8d681e8419/9c56a2f6e1c81597",
+                ],
             ],
         ),
     ];
-    for (algo, want) in want {
-        check(&format!("allreduce/{algo:?}"), want, |degree| {
-            let result = Arc::new(Mutex::new(Vec::new()));
-            let out = result.clone();
-            // 2 nodes x 4 ranks: every algorithm crosses the wire and the
-            // hierarchical one has a real intra-node phase.
-            let s = Launch::new(presets::test_cluster(2, 4), RuntimeOptions::impacc())
-                .parallelism(degree)
-                .coll_algo(algo)
-                .run(move |tc| {
-                    let mine: Vec<f64> = (0..ELEMS)
-                        .map(|i| ((tc.rank() as usize * 13 + i * 7) % 97) as f64 - 40.0)
-                        .collect();
-                    let sum = tc.mpi_allreduce_f64(&mine, ReduceOp::Sum);
-                    if tc.rank() == 5 {
-                        *out.lock() = sum;
-                    }
-                })
-                .expect("allreduce run");
-            let vals = result.lock().clone();
-            assert_eq!(vals.len(), ELEMS);
-            pin(&s, &vals)
-        });
+    for (elems, want) in want {
+        for (algo, want) in ALGOS.into_iter().zip(want) {
+            check(&format!("allreduce/{algo:?}/{elems}"), want, |degree| {
+                allreduce_pin(algo, elems, degree)
+            });
+        }
     }
 }

@@ -13,10 +13,8 @@
 //! two products. The equivalence suite pins that contract.
 
 use impacc_mem::Backing;
-use impacc_mpi::{Comm, MsgBuf, PointToPoint, ReduceOp};
+use impacc_mpi::{deliver_fold, fold_buffer, Comm, MsgBuf, PointToPoint, ReduceOp};
 use impacc_vtime::Ctx;
-
-use crate::scratch;
 
 /// Copy `src`'s bytes into `dst` (same length) without charging time:
 /// the local half of a degenerate (single-rank) collective.
@@ -48,16 +46,6 @@ fn chunk_start(e: usize, n: u32, i: u32) -> usize {
     i as usize * (e / n as usize) + (i as usize).min(e % n as usize)
 }
 
-/// The running fold of an allreduce: uncapped host scratch holding a copy
-/// of `sendbuf`. Steps fold into it in place and send slices of it
-/// directly (host scratch on the wire, as ever — whatever kind of buffer
-/// the caller passed).
-fn accumulator(sendbuf: &MsgBuf) -> MsgBuf {
-    let acc = scratch(sendbuf.len);
-    copy_local(sendbuf, &acc);
-    acc
-}
-
 /// Ring allreduce: chunked reduce-scatter ring (n−1 steps) followed by an
 /// allgather ring (n−1 steps). Bandwidth-optimal: each rank moves
 /// 2·(n−1)/n of the payload regardless of n.
@@ -71,11 +59,11 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
 ) {
     let n = comm.size();
     if n <= 1 {
-        return copy_local(sendbuf, recvbuf);
+        return deliver_fold(sendbuf, recvbuf);
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let acc = accumulator(sendbuf);
+    let acc = fold_buffer(t, sendbuf, Some(recvbuf));
     let e = (acc.len / 8) as usize;
     let chunk = |i: u32| {
         acc.slice(
@@ -88,7 +76,7 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
     // Reduce-scatter: after step s, rank r holds the running sum of
     // chunks (r−s)..r; after n−1 steps it owns chunk (r+1) mod n fully.
     // One receive buffer, sized for the largest chunk (the first).
-    let rb = scratch(chunk_cnt(e, n, 0) as u64 * 8);
+    let rb = t.scratch(chunk_cnt(e, n, 0) as u64 * 8);
     for s in 0..n - 1 {
         let (out, inn) = (chunk((r + n - s) % n), chunk((r + n - s - 1) % n));
         let rb = rb.slice(0, inn.len);
@@ -100,7 +88,7 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
         let (out, inn) = (chunk((r + 1 + n - s) % n), chunk((r + n - s) % n));
         t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm);
     }
-    copy_local(&acc, recvbuf);
+    deliver_fold(&acc, recvbuf);
 }
 
 /// The non-power-of-two remainder fold shared by recursive doubling and
@@ -184,12 +172,12 @@ pub(crate) fn rd_allreduce<T: PointToPoint>(
 ) {
     let n = comm.size();
     if n <= 1 {
-        return copy_local(sendbuf, recvbuf);
+        return deliver_fold(sendbuf, recvbuf);
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let acc = accumulator(sendbuf);
-    let rb = scratch(acc.len);
+    let acc = fold_buffer(t, sendbuf, Some(recvbuf));
+    let rb = t.scratch(acc.len);
     let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
     if newrank >= 0 {
         let nr = newrank as u32;
@@ -202,7 +190,7 @@ pub(crate) fn rd_allreduce<T: PointToPoint>(
         }
     }
     unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
-    copy_local(&acc, recvbuf);
+    deliver_fold(&acc, recvbuf);
 }
 
 /// Rabenseifner allreduce: recursive-halving reduce-scatter then a
@@ -219,12 +207,12 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
 ) {
     let n = comm.size();
     if n <= 1 {
-        return copy_local(sendbuf, recvbuf);
+        return deliver_fold(sendbuf, recvbuf);
     }
     let r = t.comm_rank(comm);
     let tag = t.coll_seq().next_tag(comm);
-    let acc = accumulator(sendbuf);
-    let rb = scratch(acc.len);
+    let acc = fold_buffer(t, sendbuf, Some(recvbuf));
+    let rb = t.scratch(acc.len);
     let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
     if newrank >= 0 {
         let nr = newrank as u32;
@@ -268,7 +256,7 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
         }
     }
     unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
-    copy_local(&acc, recvbuf);
+    deliver_fold(&acc, recvbuf);
 }
 
 /// Ring allgather: circulate blocks around the ring directly in
@@ -324,7 +312,7 @@ pub(crate) fn bruck_allgather<T: PointToPoint>(
     }
     let tag = t.coll_seq().next_tag(comm);
     // work block i holds rank (r+i) mod n's contribution.
-    let work = scratch(n as u64 * b);
+    let work = t.scratch(n as u64 * b);
     Backing::copy(&sendbuf.backing, sendbuf.off, &work.backing, 0, b);
     let mut pof2 = 1u32;
     while pof2 < n {

@@ -12,8 +12,8 @@
 //!    plain pointer, §3.4) and folds in ascending rank order;
 //! 2. **internode**: only leaders exchange, over the ordinary p2p engine
 //!    (so link-fault sites and NIC contention apply unchanged);
-//! 3. **intra-node down**: the leader publishes the result into a pooled
-//!    shared backing ([`ReducePool`]) and members copy out.
+//! 3. **intra-node down**: the leader publishes the result into a shared
+//!    backing reissued by the node's [`ReducePool`] and members copy out.
 //!
 //! Intra-node folds/copies charge host-memcpy time and roll the
 //! `copy_fault` chaos site; they emit `coll_intra` spans so the profiler
@@ -27,12 +27,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use impacc_mem::{Backing, ReducePool};
-use impacc_mpi::{Comm, MsgBuf, PointToPoint, ReduceOp};
+use impacc_mpi::{deliver_fold, fold_buffer, Comm, MsgBuf, PointToPoint, ReduceOp};
 use impacc_vtime::{Ctx, Notify};
 use parking_lot::Mutex;
 
 use crate::algos::copy_local;
-use crate::{scratch, CollEngine};
+use crate::CollEngine;
 
 /// One in-flight collective's per-node state.
 #[derive(Default)]
@@ -117,18 +117,15 @@ impl NodeColl {
         }
     }
 
-    /// Member side: mark the result consumed; the last of `members`
-    /// non-leader takers retires the slot and recycles the backing.
+    /// Member side: mark the result consumed; the last of `takers`
+    /// non-leader takers retires the slot. (The pool reissues the result
+    /// backing once the slot and every taker have let go of it.)
     fn retire(&self, key: (u64, i32), takers: usize) {
         let mut slots = self.slots.lock();
-        let done = {
-            let s = slots.get_mut(&key).expect("retiring a live slot");
-            s.taken += 1;
-            s.taken == takers
-        };
-        if done {
-            let s = slots.remove(&key).unwrap();
-            self.pool.put(s.result.expect("retired slot has a result"));
+        let s = slots.get_mut(&key).expect("retiring a live slot");
+        s.taken += 1;
+        if s.taken == takers {
+            slots.remove(&key);
         }
     }
 }
@@ -198,7 +195,10 @@ impl CollEngine {
     }
 
     /// Hierarchical allreduce: intra-node fold → binomial reduce+bcast
-    /// over leaders → publish/copy-out.
+    /// over leaders → publish/copy-out. `lead` names a rank that leads its
+    /// node in place of the node's lowest (the dispatcher passes `None`;
+    /// the fold-order test does not).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hier_allreduce<T: PointToPoint>(
         &self,
         t: &T,
@@ -207,15 +207,16 @@ impl CollEngine {
         recvbuf: &MsgBuf,
         op: ReduceOp,
         comm: &Comm,
+        lead: Option<u32>,
     ) {
         let n = comm.size();
         if n <= 1 {
-            return copy_local(sendbuf, recvbuf);
+            return deliver_fold(sendbuf, recvbuf);
         }
         let r = t.comm_rank(comm);
         let tag = t.coll_seq().next_tag(comm);
         let key = (comm.id(), tag);
-        let groups = self.groups(comm, None);
+        let groups = self.groups(comm, lead);
         let g = self.my_group(&groups, r);
         let nc = self.rendezvous().clone();
         let bytes = sendbuf.len;
@@ -234,11 +235,10 @@ impl CollEngine {
         let mut fold: Vec<(u32, &MsgBuf)> = contribs.iter().map(|(rr, b)| (*rr, b)).collect();
         fold.push((r, sendbuf));
         fold.sort_by_key(|(rr, _)| *rr);
-        // The running fold: uncapped host scratch seeded with the lowest
-        // rank's contribution; the rest fold in straight from the buffers
-        // the members posted.
-        let acc = scratch(bytes);
-        copy_local(fold[0].1, &acc);
+        // The running fold starts from the lowest rank's contribution — in
+        // place when that is the leader's own `recvbuf` — and the rest fold
+        // in straight from the buffers the members posted.
+        let acc = fold_buffer(t, fold[0].1, Some(recvbuf));
         for (_, b) in &fold[1..] {
             op.fold(&acc, b);
         }
@@ -248,14 +248,13 @@ impl CollEngine {
             "fold",
             bytes * (g.members.len() as u64 - 1),
         );
-        copy_local(&acc, recvbuf);
         // Internode: binomial reduce to the first leader, binomial bcast
         // back over the leader overlay.
         let leaders: Vec<u32> = groups.iter().map(|g| g.leader).collect();
         let ln = leaders.len() as u32;
+        let li = leaders.iter().position(|&l| l == r).unwrap() as u32;
         if ln > 1 {
-            let li = leaders.iter().position(|&l| l == r).unwrap() as u32;
-            let tmp = scratch(bytes);
+            let tmp = t.scratch(bytes);
             let mut mask = 1u32;
             while mask < ln {
                 if li & mask == 0 {
@@ -272,7 +271,9 @@ impl CollEngine {
                 }
                 mask <<= 1;
             }
-            copy_local(&acc, recvbuf);
+        }
+        deliver_fold(&acc, recvbuf);
+        if ln > 1 {
             overlay_bcast(t, ctx, recvbuf, &leaders, li, 0, tag, comm);
         }
         // Publish for the members.
@@ -387,7 +388,7 @@ impl CollEngine {
             let next = groups[(li + 1) % ln].leader;
             let prev = groups[(li + ln - 1) % ln].leader;
             let pack = |j: usize| -> MsgBuf {
-                let blk = scratch(groups[j].members.len() as u64 * b);
+                let blk = t.scratch(groups[j].members.len() as u64 * b);
                 for (k, &mr) in groups[j].members.iter().enumerate() {
                     Backing::copy(
                         &recvbuf.backing,
@@ -404,7 +405,7 @@ impl CollEngine {
             for s in 0..ln - 1 {
                 let sj = (li + ln - s) % ln;
                 let rj = (li + ln - s - 1) % ln;
-                let rblk = scratch(groups[rj].members.len() as u64 * b);
+                let rblk = t.scratch(groups[rj].members.len() as u64 * b);
                 t.pt_sendrecv(
                     ctx,
                     blocks[sj].as_ref().expect("block circulated in order"),
@@ -448,7 +449,7 @@ impl CollEngine {
         let g = self.my_group(&groups, r);
         let nc = self.rendezvous().clone();
         if r != g.leader {
-            nc.post(ctx, key, r, scratch(0));
+            nc.post(ctx, key, r, t.scratch(0));
             let _ = nc.await_result(ctx, key);
             nc.retire(key, g.members.len() - 1);
             return;
@@ -458,8 +459,8 @@ impl CollEngine {
         let ln = leaders.len() as u32;
         if ln > 1 {
             let li = leaders.iter().position(|&l| l == r).unwrap() as u32;
-            let token = scratch(0);
-            let token_in = scratch(0);
+            let token = t.scratch(0);
+            let token_in = t.scratch(0);
             let mut k = 1u32;
             while k < ln {
                 let dst = leaders[((li + k) % ln) as usize];
@@ -469,7 +470,7 @@ impl CollEngine {
             }
         }
         if g.members.len() > 1 {
-            nc.publish(ctx, key, (&scratch(0).backing, 0), 0);
+            nc.publish(ctx, key, (&t.scratch(0).backing, 0), 0);
         }
     }
 }
@@ -506,5 +507,27 @@ fn overlay_bcast<T: PointToPoint>(
             ctx.metrics().add("coll_inter_bytes", buf.len);
         }
         mask >>= 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use impacc_mpi::{PointToPoint, ReduceOp};
+
+    use crate::testutil::{buf_of, run_world_engine};
+
+    #[test]
+    fn a_leader_that_is_not_the_lowest_rank_still_folds_in_ascending_order() {
+        // Inexact on purpose: (v0 + v1) + v2 = 0, (v2 + v0) + v1 = 1.
+        const VALS: [f64; 5] = [1e16, 1.0, -1e16, 3.0, 4.0];
+        run_world_engine(&[3, 2], None, |ctx, ep, engine, world| {
+            let r = ep.comm_rank(&world);
+            let buf = buf_of(&[VALS[r as usize]]);
+            assert!(buf.folds_in_place(&buf));
+            // Rank 2 leads ranks 0, 1, 2: its own buffer is not where the
+            // fold starts, so it cannot be where the fold runs.
+            engine.hier_allreduce(&ep, ctx, &buf, &buf, ReduceOp::Sum, &world, Some(2));
+            assert_eq!(buf.read_f64s(), vec![7.0], "((v0 + v1) + v2) + (v3 + v4)");
+        });
     }
 }

@@ -32,7 +32,6 @@ pub mod hier;
 use std::sync::Arc;
 
 use impacc_machine::{Chaos, FaultSite, JobTopo};
-use impacc_mem::Backing;
 use impacc_mpi::{BufLoc, Comm, MsgBuf, PointToPoint, ReduceOp};
 use impacc_vtime::{Ctx, SimDur};
 
@@ -148,12 +147,6 @@ pub struct CollOpts {
     /// Force a registry entry for this call (still clamped to the entries
     /// that support the operation).
     pub algo: Option<CollAlgo>,
-}
-
-/// Scratch host buffer backed by uncapped storage (collective internals
-/// must hold real bytes even in phys-capped runs).
-pub(crate) fn scratch(len: u64) -> MsgBuf {
-    MsgBuf::host(Backing::new(len, None), 0, len)
 }
 
 /// The per-task collectives engine: registry dispatch + selection policy.
@@ -394,7 +387,7 @@ impl CollEngine {
             CollAlgo::Rabenseifner => {
                 algos::rabenseifner_allreduce(t, ctx, sendbuf, recvbuf, op, comm)
             }
-            CollAlgo::Hier => self.hier_allreduce(t, ctx, sendbuf, recvbuf, op, comm),
+            CollAlgo::Hier => self.hier_allreduce(t, ctx, sendbuf, recvbuf, op, comm, None),
             CollAlgo::Flat | CollAlgo::Bruck => unreachable!("clamped"),
         })
     }
@@ -478,20 +471,66 @@ pub mod testutil {
     use std::sync::Arc;
 
     use impacc_machine::{presets, ClusterResources};
-    use impacc_mem::Backing;
-    use impacc_mpi::{Comm, MpiTask, MsgBuf, SysEndpoint, SysMpi};
-    use impacc_vtime::{Ctx, Sim};
+    use impacc_mem::{Backing, ReducePool};
+    use impacc_mpi::{
+        CollSeq, Comm, MpiTask, MsgBuf, PointToPoint, SrcSel, Status, SysEndpoint, SysMpi, TagSel,
+    };
+    use impacc_vtime::{Ctx, Sim, SimReport};
 
     use crate::{CollEngine, NodeColl};
 
+    /// The system MPI endpoint with a launched task's scratch source: a
+    /// [`ReducePool`] of its own, so collectives under test run on
+    /// reissued — in debug builds poisoned — scratch.
+    pub struct PooledEndpoint {
+        ep: SysEndpoint,
+        pool: ReducePool,
+    }
+
+    impl PointToPoint for PooledEndpoint {
+        fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
+            self.ep.pt_send(ctx, buf, dst, tag, comm)
+        }
+
+        fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, c: &Comm) -> Status {
+            self.ep.pt_recv(ctx, buf, src, tag, c)
+        }
+
+        fn pt_sendrecv(
+            &self,
+            ctx: &Ctx,
+            sendbuf: &MsgBuf,
+            dst: u32,
+            recvbuf: &MsgBuf,
+            src: u32,
+            tag: i32,
+            comm: &Comm,
+        ) -> Status {
+            self.ep
+                .pt_sendrecv(ctx, sendbuf, dst, recvbuf, src, tag, comm)
+        }
+
+        fn comm_rank(&self, comm: &Comm) -> u32 {
+            self.ep.comm_rank(comm)
+        }
+
+        fn coll_seq(&self) -> &CollSeq {
+            self.ep.coll_seq()
+        }
+
+        fn scratch(&self, len: u64) -> MsgBuf {
+            MsgBuf::host(self.pool.take(len), 0, len)
+        }
+    }
+
     /// Spawn one actor per rank with a per-node rendezvous and an engine,
     /// mirroring `impacc-mpi`'s `run_world` but engine-backed. `shape[i]`
-    /// = ranks hosted on node `i`.
+    /// = ranks hosted on node `i`. Returns the run's report.
     pub fn run_world_engine(
         shape: &[usize],
         forced: Option<crate::CollAlgo>,
-        f: impl Fn(&Ctx, SysEndpoint, CollEngine, Comm) + Send + Sync + 'static,
-    ) {
+        f: impl Fn(&Ctx, PooledEndpoint, CollEngine, Comm) + Send + Sync + 'static,
+    ) -> SimReport {
         let n: usize = shape.iter().sum();
         assert!(n > 0, "empty world");
         let max_per_node = shape.iter().copied().max().unwrap();
@@ -524,11 +563,14 @@ pub mod testutil {
                 forced,
             );
             sim.spawn(format!("rank{r}"), move |ctx| {
-                let ep = SysEndpoint::new(MpiTask::new(sys, r as u32));
+                let ep = PooledEndpoint {
+                    ep: SysEndpoint::new(MpiTask::new(sys, r as u32)),
+                    pool: ReducePool::new(),
+                };
                 f(ctx, ep, engine, world);
             });
         }
-        sim.run().unwrap();
+        sim.run().unwrap()
     }
 
     /// Host buffer holding `vals`.

@@ -20,7 +20,7 @@ use impacc_acc::{ActivityQueue, Device};
 use impacc_coll::{CollAlgo, CollEngine, CollOpts, NodeColl};
 use impacc_machine::{ClusterResources, DeviceKind, HdDir, KernelCost};
 use impacc_mem::{AddressSpace, Backing, F64Span, HeapPtr, NodeHeap, PresentTable, VirtAddr};
-use impacc_mem::{DevPtr, PresentEntry};
+use impacc_mem::{DevPtr, PresentEntry, ReducePool};
 use impacc_mpi::{
     BufLoc, CollSeq, Comm, MpiTask, MsgBuf, PointToPoint, ReduceOp, Request, SrcSel, Status, TagSel,
 };
@@ -444,6 +444,9 @@ pub struct TaskCtx {
     comm: CommCore,
     coll: CollSeq,
     engine: CollEngine,
+    /// This task's collective scratch ([`PointToPoint::scratch`]); gone
+    /// with the task, so nothing outlives the launch.
+    pool: ReducePool,
 }
 
 /// Bundle the launcher hands to each task actor to build its context.
@@ -484,6 +487,7 @@ impl TaskCtx {
             comm: seed.comm,
             coll: CollSeq::new(),
             engine,
+            pool: ReducePool::new(),
         }
     }
 
@@ -1196,8 +1200,8 @@ impl TaskCtx {
     pub fn mpi_comm_split(&self, color: i64, key: i64) -> Comm {
         let world = self.world_ref().clone();
         let n = world.size() as usize;
-        let mine = host_scratch_of(&[color as f64, key as f64]);
-        let all = MsgBuf::host(Backing::new(16 * n as u64, None), 0, 16 * n as u64);
+        let mine = self.staged(&[color as f64, key as f64]);
+        let all = self.scratch(16 * n as u64);
         self.allgather(&self.ctx, &mine, &all, &world);
         let (colors, keys): (Vec<i64>, Vec<i64>) = all.with_f64s(|vals| {
             vals.chunks_exact(2)
@@ -1207,30 +1211,48 @@ impl TaskCtx {
         world.split(&colors, &keys, self.comm_rank(&world))
     }
 
-    /// `MPI_Allreduce` convenience over f64 values: one host scratch
-    /// buffer is both send and receive buffer (`MPI_IN_PLACE`).
-    pub fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
+    /// A host buffer of `n` f64s for [`TaskCtx::mpi_allreduce_in_place`]:
+    /// runtime scratch outside the simulated heap (no virtual time, real
+    /// bytes even in phys-capped runs), contents unspecified — fill it
+    /// through [`MsgBuf::with_f64s_mut`], read it through
+    /// [`MsgBuf::with_f64s`], keep it for as many rounds as there are.
+    pub fn mpi_scratch_f64(&self, n: usize) -> MsgBuf {
+        self.scratch(n as u64 * 8)
+    }
+
+    /// `MPI_Allreduce(MPI_IN_PLACE, buf, ..)` over f64 elements on the
+    /// world communicator: `buf` is contribution and result, and — when it
+    /// is a buffer from [`TaskCtx::mpi_scratch_f64`] — the running fold as
+    /// well, so the call moves the payload through no other buffer of its
+    /// size than the receive side of each exchange.
+    pub fn mpi_allreduce_in_place(&self, buf: &MsgBuf, op: ReduceOp) {
         let world = self.world_ref().clone();
-        let buf = host_scratch_of(vals);
-        self.allreduce(&self.ctx, &buf, &buf, op, &world);
+        self.allreduce(&self.ctx, buf, buf, op, &world);
+    }
+
+    /// `MPI_Allreduce` convenience over f64 values, staged through the
+    /// task's scratch ([`TaskCtx::mpi_allreduce_in_place`] skips the
+    /// staging copies; this form suits a residual, a dot product, a dt).
+    pub fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
+        let buf = self.staged(vals);
+        self.mpi_allreduce_in_place(&buf, op);
         buf.read_f64s()
     }
 
     /// `MPI_Reduce` convenience over f64 values; result on `root`.
     pub fn mpi_reduce_f64(&self, vals: &[f64], op: ReduceOp, root: u32) -> Option<Vec<f64>> {
         let world = self.world_ref().clone();
-        let buf = host_scratch_of(vals);
+        let buf = self.staged(vals);
         self.reduce(&self.ctx, &buf, Some(&buf), op, root, &world);
         (self.comm.rank == world.global_of(root)).then(|| buf.read_f64s())
     }
-}
 
-/// Uncapped host scratch holding `vals`.
-fn host_scratch_of(vals: &[f64]) -> MsgBuf {
-    let len = vals.len() as u64 * 8;
-    let buf = MsgBuf::host(Backing::new(len, None), 0, len);
-    buf.write_f64s(vals);
-    buf
+    /// Scratch holding `vals`.
+    fn staged(&self, vals: &[f64]) -> MsgBuf {
+        let buf = self.mpi_scratch_f64(vals.len());
+        buf.write_f64s(vals);
+        buf
+    }
 }
 
 impl PointToPoint for TaskCtx {
@@ -1292,6 +1314,10 @@ impl PointToPoint for TaskCtx {
 
     fn coll_seq(&self) -> &CollSeq {
         &self.coll
+    }
+
+    fn scratch(&self, len: u64) -> MsgBuf {
+        MsgBuf::host(self.pool.take(len), 0, len)
     }
 
     // The four dispatched collectives route through the engine, which

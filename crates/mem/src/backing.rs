@@ -92,6 +92,44 @@ fn lock_phys_in_address_order(slots: &mut [PhysSlot<'_>]) {
     }
 }
 
+/// The stored part of the `len` logical bytes at `off` of `phys`.
+fn stored(phys: &[u8], off: u64, len: u64) -> &[u8] {
+    let plen = phys.len() as u64;
+    &phys[off.min(plen) as usize..off.saturating_add(len).min(plen) as usize]
+}
+
+/// Land `len` logical bytes at `dst_off` of the locked destination: `src`
+/// (the stored part of the source range) first, then zeroes over whatever
+/// else the destination stores of the range — bytes past the source's
+/// physical prefix are "unknown", and zeroing them keeps truncated runs
+/// deterministic. The caller has run the destination's snapshot barrier.
+fn land(dphys: &mut [u8], dst_off: u64, len: u64, src: &[u8]) {
+    let room = len.min((dphys.len() as u64).saturating_sub(dst_off)) as usize;
+    if room == 0 {
+        return;
+    }
+    let dst = &mut dphys[dst_off as usize..dst_off as usize + room];
+    let n = room.min(src.len());
+    dst[..n].copy_from_slice(&src[..n]);
+    dst[n..].fill(0);
+}
+
+/// [`land`] when source and destination are ranges of one allocation
+/// (they may overlap).
+fn land_within(phys: &mut [u8], src_off: u64, dst_off: u64, len: u64) {
+    let plen = phys.len() as u64;
+    let room = len.min(plen.saturating_sub(dst_off)) as usize;
+    if room == 0 {
+        return;
+    }
+    let n = room.min(plen.saturating_sub(src_off) as usize);
+    let d = dst_off as usize;
+    if n > 0 {
+        phys.copy_within(src_off as usize..src_off as usize + n, d);
+    }
+    phys[d + n..d + room].fill(0);
+}
+
 /// How many of the `n` f64s at `off` are stored whole, and how many bytes
 /// of the next one (a value straddling the physical boundary).
 fn stored_f64s(plen: usize, off: u64, n: usize) -> (usize, usize) {
@@ -207,6 +245,13 @@ impl Backing {
         })
     }
 
+    /// Fill every stored byte with 0xFF (an f64 NaN): what debug builds do
+    /// to scratch whose contents are unspecified, so a consumer that reads
+    /// before it writes fails a test.
+    pub(crate) fn poison(&mut self) {
+        self.phys.get_mut().fill(0xFF);
+    }
+
     /// The size the simulated program sees.
     pub fn logical_len(&self) -> u64 {
         self.logical_len
@@ -221,13 +266,7 @@ impl Backing {
     pub fn write(&self, off: u64, data: &[u8]) {
         debug_assert!(off + data.len() as u64 <= self.logical_len);
         self.materialize_watchers(off, data.len() as u64, true);
-        let mut phys = self.phys.lock();
-        let plen = phys.len() as u64;
-        if off >= plen {
-            return;
-        }
-        let n = ((plen - off) as usize).min(data.len());
-        phys[off as usize..off as usize + n].copy_from_slice(&data[..n]);
+        land(&mut self.phys.lock(), off, data.len() as u64, data);
     }
 
     /// Take a copy-on-write snapshot of `len` bytes at `off`: the snapshot
@@ -314,14 +353,8 @@ impl Backing {
     /// (unstored bytes read as 0).
     pub fn read(&self, off: u64, out: &mut [u8]) {
         debug_assert!(off + out.len() as u64 <= self.logical_len);
-        let phys = self.phys.lock();
-        let plen = phys.len() as u64;
-        out.fill(0);
-        if off >= plen {
-            return;
-        }
-        let n = ((plen - off) as usize).min(out.len());
-        out[..n].copy_from_slice(&phys[off as usize..off as usize + n]);
+        let len = out.len() as u64;
+        land(out, 0, len, stored(&self.phys.lock(), off, len));
     }
 
     /// Copy `len` logical bytes from `src@src_off` to `dst@dst_off`,
@@ -333,13 +366,11 @@ impl Backing {
             return;
         }
         if std::ptr::eq(src, dst) {
-            // Self-copy (e.g. aliased regions resolve to one backing):
-            // must avoid double-locking; use an intermediate. (`write`
-            // runs the snapshot barrier.)
-            let mut tmp = vec![0u8; len as usize];
-            src.read(src_off, &mut tmp);
-            dst.write(dst_off, &tmp);
-            return;
+            // Self-copy (e.g. aliased regions resolve to one backing): one
+            // lock. The barrier must not steal — the bytes about to be
+            // replaced may be the very bytes being copied.
+            dst.materialize_watchers(dst_off, len, false);
+            return land_within(&mut dst.phys.lock(), src_off, dst_off, len);
         }
         dst.materialize_watchers(dst_off, len, true);
         // Two ranks that exchange halos out of and into one allocation
@@ -350,20 +381,7 @@ impl Backing {
         let [s, d] = slots;
         let sphys = s.guard.expect("distinct backings: both locked");
         let mut dphys = d.guard.expect("distinct backings: both locked");
-        let s_avail = (sphys.len() as u64).saturating_sub(src_off);
-        let d_avail = (dphys.len() as u64).saturating_sub(dst_off);
-        let n = len.min(s_avail).min(d_avail) as usize;
-        if n > 0 {
-            dphys[dst_off as usize..dst_off as usize + n]
-                .copy_from_slice(&sphys[src_off as usize..src_off as usize + n]);
-        }
-        // Bytes beyond the source's physical prefix are "unknown": zero the
-        // remainder of the destination's stored range so truncated runs
-        // stay deterministic.
-        let extra = (len.min(d_avail) as usize).saturating_sub(n);
-        if extra > 0 {
-            dphys[dst_off as usize + n..dst_off as usize + n + extra].fill(0);
-        }
+        land(&mut dphys, dst_off, len, stored(&sphys, src_off, len));
     }
 
     /// Write a slice of `f64`s starting at byte offset `off`, serializing
@@ -550,60 +568,52 @@ impl CowSnapshot {
 
     /// Read the snapshot into `out` (clipped like [`Backing::read`]:
     /// bytes beyond the stored prefix are zero).
+    ///
+    /// Lock order `phys → owned`, as in the writer's barrier, and `owned`
+    /// is tested only under `phys`: while a reader holds it, an
+    /// unmaterialized snapshot's bytes are still the live ones, because a
+    /// writer's barrier and its edit both need that lock. Between a test
+    /// and a later lock, a writer on another partition thread fits both.
     pub fn read(&self, off: u64, out: &mut [u8]) {
         debug_assert!(off + out.len() as u64 <= self.len);
-        {
-            // Scope the lock: the fall-through path re-locks the backing,
-            // whose watcher barrier takes snapshot locks itself.
-            let owned = self.owned.lock();
-            if let Some(data) = &*owned {
-                out.fill(0);
-                if (off as usize) < data.len() {
-                    let n = (data.len() - off as usize).min(out.len());
-                    out[..n].copy_from_slice(&data[off as usize..off as usize + n]);
-                }
-                return;
-            }
-        }
-        self.backing.read(self.off + off, out);
+        let phys = self.backing.phys.lock();
+        let owned = self.owned.lock();
+        let src = match &*owned {
+            Some(data) => stored(data, off, out.len() as u64),
+            None => stored(&phys, self.off + off, out.len() as u64),
+        };
+        land(out, 0, out.len() as u64, src);
     }
 
     /// Copy `len` bytes of the snapshot into `dst@dst_off`, with
     /// [`Backing::copy`] truncation semantics (the destination's stored
-    /// range past the snapshot's prefix is zeroed).
+    /// range past the snapshot's prefix is zeroed). Untouched since the
+    /// snapshot, this is a straight backing-to-backing copy; the source's
+    /// `phys` is taken before `owned` is tested (see [`CowSnapshot::read`])
+    /// and the bytes move under that same lock.
     pub fn copy_to(&self, dst: &Backing, dst_off: u64, len: u64) {
         debug_assert!(len <= self.len);
         debug_assert!(dst_off + len <= dst.logical_len);
         if len == 0 {
             return;
         }
-        {
-            let owned = self.owned.lock();
-            if let Some(data) = &*owned {
-                // The destination may itself be watched. Safe to barrier
-                // while holding `owned`: we are materialized, so the
-                // barrier can no longer reach back into this snapshot.
-                dst.materialize_watchers(dst_off, len, true);
-                let mut dphys = dst.phys.lock();
-                let d_avail = (dphys.len() as u64).saturating_sub(dst_off);
-                let stored = len.min(d_avail);
-                let n = stored.min(data.len() as u64) as usize;
-                if n > 0 {
-                    dphys[dst_off as usize..dst_off as usize + n].copy_from_slice(&data[..n]);
-                }
-                let extra = stored as usize - n;
-                if extra > 0 {
-                    dphys[dst_off as usize + n..dst_off as usize + n + extra].fill(0);
-                }
-                return;
+        // The destination may itself be watched — by this very snapshot
+        // when it is the source's backing, which the barrier then
+        // materializes against the pre-write bytes.
+        dst.materialize_watchers(dst_off, len, true);
+        let mut slots = [PhysSlot::new(&self.backing), PhysSlot::new(dst)];
+        lock_phys_in_address_order(&mut slots);
+        let [s, d] = slots;
+        let mut sphys = s.guard.expect("the first slot of a backing locks it");
+        let owned = self.owned.lock();
+        match (&*owned, d.guard) {
+            (Some(data), Some(mut dphys)) => land(&mut dphys, dst_off, len, data),
+            (Some(data), None) => land(&mut sphys, dst_off, len, data),
+            (None, Some(mut dphys)) => {
+                land(&mut dphys, dst_off, len, stored(&sphys, self.off, len))
             }
+            (None, None) => land_within(&mut sphys, self.off, dst_off, len),
         }
-        // Untouched since the snapshot: the live backing still holds the
-        // snapshot bytes, so this is a straight (zero-allocation)
-        // backing-to-backing copy. `Backing::copy` handles the self-copy
-        // case (and its write barrier may materialize this very snapshot
-        // against the pre-write bytes — still the snapshot-time state).
-        Backing::copy(&self.backing, self.off, dst, dst_off, len);
     }
 }
 
@@ -670,6 +680,47 @@ mod tests {
         let mut out = [0u8; 8];
         a.read(16, &mut out);
         assert_eq!(out, [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn self_copy_overlapping_either_way() {
+        let a = Backing::new(16, None);
+        a.write(0, &(0u8..16).collect::<Vec<_>>());
+        Backing::copy(&a, 0, &a, 4, 8); // forward overlap
+        let mut out = [0u8; 16];
+        a.read(0, &mut out);
+        assert_eq!(out, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15]);
+        Backing::copy(&a, 8, &a, 6, 8); // backward overlap
+        a.read(0, &mut out);
+        assert_eq!(out, [0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 12, 13, 14, 15, 14, 15]);
+    }
+
+    #[test]
+    fn self_copy_zeroes_tail_past_the_stored_prefix() {
+        let a = Backing::new(64, Some(16));
+        a.write(0, &[7; 16]);
+        // Source range runs off the stored prefix after 4 bytes.
+        Backing::copy(&a, 12, &a, 0, 12);
+        let mut out = [0u8; 16];
+        a.read(0, &mut out);
+        assert_eq!(&out[..4], &[7; 4]);
+        assert_eq!(&out[4..12], &[0; 8], "unknown source bytes land as zero");
+        assert_eq!(&out[12..], &[7; 4]);
+    }
+
+    #[test]
+    fn whole_range_self_copy_under_a_snapshot_keeps_the_bytes() {
+        // Every condition of the full-overwrite steal holds except that
+        // the "overwrite" reads what it replaces.
+        let a = Backing::new(16, None);
+        a.write(0, &[5; 16]);
+        let snap = a.snapshot(0, 16);
+        Backing::copy(&a, 0, &a, 0, 16);
+        let mut out = [0u8; 16];
+        a.read(0, &mut out);
+        assert_eq!(out, [5; 16]);
+        snap.read(0, &mut out);
+        assert_eq!(out, [5; 16]);
     }
 
     #[test]

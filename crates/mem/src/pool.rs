@@ -1,17 +1,24 @@
-//! Shared-memory reduce-buffer pool (§3.4 adjacent): recycled
-//! [`Backing`]s a node's collective leaders publish reduction results
-//! through.
+//! Collective scratch, reissued instead of reallocated.
 //!
-//! A hierarchical collective allocates one node-shared result buffer per
-//! operation; without a pool every allreduce would malloc a fresh backing
-//! and drop it when the last member copies out. The pool keeps returned
-//! backings binned by size class so steady-state collectives reuse the
-//! same few allocations — the simulated analogue of the pinned
-//! scratch-buffer pools real MPI runtimes keep per node.
+//! Every host buffer a collective needs beyond the caller's own — the
+//! receive side of an exchange, the running fold when the caller's buffer
+//! cannot hold it, a node's published result, the staging of a `&[f64]`
+//! convenience call — comes from a [`ReducePool`]. A collective repeats
+//! its sizes round after round, so after the first round the pool hands
+//! the same few backings out again and no call reaches the allocator (for
+//! payload-sized buffers that was an `mmap`, a page fault per 4 KiB and an
+//! `munmap`, every call).
 //!
-//! Buffers are always created uncapped (`phys_cap = None`): reduction
-//! scratch must hold real bytes even in phys-capped Titan-scale runs,
-//! exactly like the message-engine staging buffers.
+//! There is no `put`. The pool keeps a reference to what it issued and
+//! reissues a backing only once that reference is the last one: a taker's
+//! clone, a peer still copying out of a published result and a
+//! [`CowSnapshot`](crate::CowSnapshot) still on the wire each hold the
+//! `Arc`, so "free" is something the pool observes, never something a
+//! caller has to remember to say — or can say too early.
+//!
+//! Buffers are always uncapped (`phys_cap = None`): collective scratch
+//! must hold real bytes even in phys-capped Titan-scale runs, exactly like
+//! the message-engine staging buffers.
 
 use std::sync::Arc;
 
@@ -19,18 +26,16 @@ use parking_lot::Mutex;
 
 use crate::backing::Backing;
 
-/// Size classes are power-of-two bytes; a request is served from the
-/// smallest class that fits.
-fn class_of(len: u64) -> u64 {
-    len.max(1).next_power_of_two()
-}
+/// Backings one pool keeps a reference to. A rank's collectives need two
+/// or three sizes at a time; past the bound the oldest reference is let
+/// go, and the storage goes with its last user.
+const KEEP: usize = 8;
 
-/// A node-shared pool of recycled reduce/publish buffers.
+/// One owner's collective scratch: a task's, or a node's publish buffers.
+/// Owned by launch state, so everything it retains dies with the job.
 #[derive(Default)]
 pub struct ReducePool {
-    free: Mutex<Vec<(u64, Arc<Backing>)>>,
-    taken: Mutex<u64>,
-    reused: Mutex<u64>,
+    issued: Mutex<Vec<Arc<Backing>>>,
 }
 
 impl ReducePool {
@@ -39,33 +44,33 @@ impl ReducePool {
         ReducePool::default()
     }
 
-    /// Take a backing with at least `len` logical bytes. Reuses a pooled
-    /// backing of the same size class when one is free.
+    /// A backing of exactly `len` bytes, all stored, contents unspecified:
+    /// the taker writes before it reads (debug builds fill it with 0xFF —
+    /// NaN to an f64 reader — so a test catches one that does not).
+    ///
+    /// Sizes match exactly: size classes would hold up to twice the bytes
+    /// a collective asked for, and a collective asks for the same sizes
+    /// again.
     pub fn take(&self, len: u64) -> Arc<Backing> {
-        let class = class_of(len);
-        *self.taken.lock() += 1;
-        let mut free = self.free.lock();
-        if let Some(pos) = free.iter().position(|(c, _)| *c == class) {
-            let (_, b) = free.swap_remove(pos);
-            *self.reused.lock() += 1;
-            return b;
+        let mut issued = self.issued.lock();
+        // `get_mut` is the synchronized "no other reference" test; nobody
+        // can gain one meanwhile, since new references come from here.
+        let free = issued
+            .iter_mut()
+            .position(|b| b.logical_len() == len && Arc::get_mut(b).is_some());
+        let at = free.unwrap_or_else(|| {
+            if issued.len() == KEEP {
+                issued.remove(0);
+            }
+            issued.push(Backing::new(len, None));
+            issued.len() - 1
+        });
+        if cfg!(debug_assertions) {
+            Arc::get_mut(&mut issued[at])
+                .expect("sole reference: checked or just created")
+                .poison();
         }
-        drop(free);
-        Backing::new(class, None)
-    }
-
-    /// Return a backing for reuse. Callers hand back the `Arc` they took;
-    /// clones held elsewhere keep the bytes alive but the pool will hand
-    /// the backing out again, so only return it once every reader is done.
-    pub fn put(&self, b: Arc<Backing>) {
-        let class = b.logical_len();
-        self.free.lock().push((class, b));
-    }
-
-    /// (take calls, takes served from the free list) — for tests and
-    /// metrics.
-    pub fn stats(&self) -> (u64, u64) {
-        (*self.taken.lock(), *self.reused.lock())
+        issued[at].clone()
     }
 }
 
@@ -74,29 +79,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn take_put_take_reuses_the_backing() {
+    fn a_dropped_backing_is_reissued() {
         let pool = ReducePool::new();
         let a = pool.take(100);
-        assert_eq!(a.logical_len(), 128, "rounded to the size class");
+        assert_eq!(a.logical_len(), 100, "exact length, no size class");
         let a_ptr = Arc::as_ptr(&a);
-        pool.put(a);
-        let b = pool.take(120); // same class
-        assert_eq!(Arc::as_ptr(&b), a_ptr, "served from the free list");
-        assert_eq!(pool.stats(), (2, 1));
+        drop(a);
+        assert_eq!(Arc::as_ptr(&pool.take(100)), a_ptr);
     }
 
     #[test]
-    fn different_classes_do_not_alias() {
+    fn a_held_backing_is_never_reissued() {
         let pool = ReducePool::new();
-        let small = pool.take(8);
-        pool.put(small);
-        let big = pool.take(4096);
-        assert_eq!(big.logical_len(), 4096);
-        assert_eq!(pool.stats().1, 0, "no cross-class reuse");
+        let a = pool.take(64);
+        let b = pool.take(64);
+        assert!(!Arc::ptr_eq(&a, &b), "the taker still holds the first");
+        // A snapshot on the wire is a holder too.
+        let a_ptr = Arc::as_ptr(&a);
+        let on_the_wire = a.snapshot(0, 64);
+        drop(a);
+        assert_ne!(Arc::as_ptr(&pool.take(64)), a_ptr);
+        drop(on_the_wire);
+        assert_eq!(Arc::as_ptr(&pool.take(64)), a_ptr, "delivered: free again");
     }
 
     #[test]
-    fn pooled_backings_hold_real_bytes() {
+    fn lengths_match_exactly() {
+        let pool = ReducePool::new();
+        let small = Arc::as_ptr(&pool.take(120));
+        assert_ne!(Arc::as_ptr(&pool.take(128)), small);
+        assert_eq!(Arc::as_ptr(&pool.take(120)), small);
+    }
+
+    #[test]
+    fn retention_is_bounded() {
+        let pool = ReducePool::new();
+        let first = Arc::downgrade(&pool.take(8));
+        for len in 0..KEEP as u64 {
+            pool.take(16 + len);
+        }
+        assert_eq!(pool.issued.lock().len(), KEEP);
+        assert!(first.upgrade().is_none(), "oldest reference let go");
+    }
+
+    #[test]
+    fn issued_backings_hold_real_bytes() {
         let pool = ReducePool::new();
         let b = pool.take(64);
         b.write_f64s(0, &[1.5, 2.5]);
@@ -104,10 +131,11 @@ mod tests {
         assert_eq!(b.phys_len(), b.logical_len(), "never phys-capped");
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn zero_len_requests_are_served() {
+    fn contents_are_poisoned_in_debug_builds() {
         let pool = ReducePool::new();
-        let b = pool.take(0);
-        assert!(b.logical_len() >= 1);
+        assert!(pool.take(16).read_f64s(0, 2).iter().all(|v| v.is_nan()));
+        assert!(pool.take(16).read_f64s(0, 2).iter().all(|v| v.is_nan()));
     }
 }

@@ -21,5 +21,5 @@ pub mod types;
 
 pub use comm::Comm;
 pub use engine::{tags, MpiTask, Request, SysMpi};
-pub use p2p::{CollSeq, PointToPoint, SysEndpoint};
+pub use p2p::{deliver_fold, fold_buffer, CollSeq, PointToPoint, SysEndpoint};
 pub use types::{BufLoc, MsgBuf, ReduceOp, SrcSel, Status, TagSel};

@@ -47,10 +47,6 @@ impl CollSeq {
     }
 }
 
-fn scratch(len: u64) -> MsgBuf {
-    MsgBuf::host(Backing::new(len, None), 0, len)
-}
-
 /// Wrap a collective's body in an `mpi_coll` span (zero-cost when no span
 /// sink is attached).
 fn coll_span<R>(ctx: &Ctx, op: &'static str, bytes: u64, f: impl FnOnce() -> R) -> R {
@@ -60,6 +56,39 @@ fn coll_span<R>(ctx: &Ctx, op: &'static str, bytes: u64, f: impl FnOnce() -> R) 
         vec![("op", op.to_string()), ("bytes", bytes.to_string())]
     });
     r
+}
+
+/// The running fold of a reduction over `sendbuf`: the caller's own
+/// buffer when it is `recvbuf` as well and [`MsgBuf::folds_in_place`]
+/// (no copy in, none out), else scratch holding a copy of `sendbuf`.
+/// Either way steps fold into it and send slices of it directly, and the
+/// wire sees host scratch — or what the cost model cannot tell from it —
+/// whatever kind of buffer the caller passed.
+pub fn fold_buffer<T: PointToPoint + ?Sized>(
+    t: &T,
+    sendbuf: &MsgBuf,
+    recvbuf: Option<&MsgBuf>,
+) -> MsgBuf {
+    if let Some(rb) = recvbuf.filter(|rb| sendbuf.folds_in_place(rb)) {
+        return rb.clone();
+    }
+    let acc = t.scratch(sendbuf.len);
+    Backing::copy(&sendbuf.backing, sendbuf.off, &acc.backing, 0, sendbuf.len);
+    acc
+}
+
+/// Hand a finished fold to `recvbuf`, without charging time: a copy,
+/// unless the fold ran there.
+pub fn deliver_fold(acc: &MsgBuf, recvbuf: &MsgBuf) {
+    if !acc.same_range(recvbuf) {
+        Backing::copy(
+            &acc.backing,
+            acc.off,
+            &recvbuf.backing,
+            recvbuf.off,
+            acc.len,
+        );
+    }
 }
 
 /// Point-to-point transport with derived collectives.
@@ -72,6 +101,13 @@ pub trait PointToPoint {
     fn comm_rank(&self, comm: &Comm) -> u32;
     /// The endpoint's collective sequence counters.
     fn coll_seq(&self) -> &CollSeq;
+
+    /// `len` bytes of host scratch for a collective's internals: uncapped
+    /// (real bytes even in phys-capped runs), contents unspecified. A
+    /// fresh allocation here; a launched runtime reissues its own.
+    fn scratch(&self, len: u64) -> MsgBuf {
+        MsgBuf::host(Backing::new(len, None), 0, len)
+    }
 
     /// `MPI_Sendrecv`: a combined exchange that cannot deadlock even when
     /// both peers initiate simultaneously and the transport completes
@@ -107,8 +143,8 @@ pub trait PointToPoint {
         let r = self.comm_rank(comm);
         let tag = self.coll_seq().next_tag(comm);
         coll_span(ctx, "barrier", 0, || {
-            let token = scratch(0);
-            let token_in = scratch(0);
+            let token = self.scratch(0);
+            let token_in = self.scratch(0);
             let mut k = 1u32;
             while k < n {
                 let dst = (r + k) % n;
@@ -158,7 +194,10 @@ pub trait PointToPoint {
     }
 
     /// `MPI_Reduce` over f64 elements: binomial tree; the reduced vector
-    /// lands in `recvbuf` on `root` (other ranks may pass `None`).
+    /// lands in `recvbuf` on `root` (other ranks may pass `None`). A rank
+    /// that passes its send buffer as `recvbuf` too (`MPI_IN_PLACE`) lends
+    /// it as the running fold when [`MsgBuf::folds_in_place`] allows — a
+    /// non-root is then left holding its subtree's partial result.
     fn reduce(
         &self,
         ctx: &Ctx,
@@ -173,17 +212,13 @@ pub trait PointToPoint {
         let tag = self.coll_seq().next_tag(comm);
         let copy_out = |from: &MsgBuf| {
             if r == root {
-                let to = recvbuf.expect("root must supply a receive buffer");
-                Backing::copy(&from.backing, from.off, &to.backing, to.off, from.len);
+                deliver_fold(from, recvbuf.expect("root must supply a receive buffer"));
             }
         };
         if n <= 1 {
             return copy_out(sendbuf);
         }
-        // The running fold lives in host scratch and is sent from there, so
-        // the wire sees the same buffer kind whatever the caller passed.
-        let acc = scratch(sendbuf.len);
-        Backing::copy(&sendbuf.backing, sendbuf.off, &acc.backing, 0, sendbuf.len);
+        let acc = fold_buffer(self, sendbuf, recvbuf);
         coll_span(ctx, "reduce", sendbuf.len, || {
             let vr = (r + n - root) % n;
             // One receive buffer for every child; leaves never need it.
@@ -194,7 +229,7 @@ pub trait PointToPoint {
                     let child = vr | mask;
                     if child < n {
                         let src = (child + root) % n;
-                        let tmp = tmp.get_or_insert_with(|| scratch(sendbuf.len));
+                        let tmp = tmp.get_or_insert_with(|| self.scratch(sendbuf.len));
                         self.pt_recv(ctx, tmp, Some(src), Some(tag), comm);
                         op.fold(&acc, tmp);
                     }

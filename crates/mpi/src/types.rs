@@ -77,6 +77,28 @@ impl MsgBuf {
         }
     }
 
+    /// May a reduction whose send and receive buffer are `self` and
+    /// `recvbuf` keep its running fold in that buffer? Yes when the two are
+    /// one range and that range is, to the cost model and the data path,
+    /// the scratch the fold would otherwise be copied into: host memory,
+    /// not registered with the library, the whole of a fully stored
+    /// allocation. Decided per call from the buffers alone; anything else
+    /// (device, pinned, phys-capped, a sub-range) folds in scratch.
+    pub fn folds_in_place(&self, recvbuf: &MsgBuf) -> bool {
+        self.same_range(recvbuf)
+            && (self.loc, recvbuf.loc) == (BufLoc::Host, BufLoc::Host)
+            && !self.pinned
+            && !recvbuf.pinned
+            && self.off == 0
+            && self.len == self.backing.logical_len()
+            && self.len == self.backing.phys_len()
+    }
+
+    /// Do both views cover the same bytes of the same allocation?
+    pub fn same_range(&self, other: &MsgBuf) -> bool {
+        Arc::ptr_eq(&self.backing, &other.backing) && (self.off, self.len) == (other.off, other.len)
+    }
+
     /// Read the buffer as f64 elements (results and tests; reductions fold
     /// in place through [`ReduceOp::fold`]).
     pub fn read_f64s(&self) -> Vec<f64> {
@@ -196,6 +218,35 @@ mod tests {
         // was before the fold started.
         ReduceOp::Sum.fold(&buf.slice(8, 16), &buf.slice(0, 16));
         assert_eq!(buf.read_f64s(), vec![11.0, 33.0, 25.0, 4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn only_a_whole_plain_host_allocation_folds_in_place() {
+        let whole = |b: Arc<Backing>| {
+            let len = b.logical_len();
+            MsgBuf::host(b, 0, len)
+        };
+        let buf = whole(Backing::new(64, None));
+        assert!(buf.folds_in_place(&buf.clone()));
+        assert!(
+            !buf.folds_in_place(&whole(Backing::new(64, None))),
+            "distinct"
+        );
+        assert!(
+            !buf.slice(8, 56).folds_in_place(&buf.slice(8, 56)),
+            "offset"
+        );
+        assert!(
+            !buf.slice(0, 32).folds_in_place(&buf.slice(0, 32)),
+            "prefix"
+        );
+        assert!(!buf.folds_in_place(&buf.slice(0, 32)), "lengths differ");
+        let pinned = buf.clone().registered();
+        assert!(!pinned.folds_in_place(&pinned) && !buf.folds_in_place(&pinned));
+        let dev = MsgBuf::device(Backing::new(64, None), 0, 64, 0);
+        assert!(!dev.folds_in_place(&dev), "device memory");
+        let capped = whole(Backing::new(64, Some(16)));
+        assert!(!capped.folds_in_place(&capped), "not fully stored");
     }
 
     #[test]

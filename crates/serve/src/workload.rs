@@ -48,16 +48,18 @@ pub fn machine_of(job: &JobSpec) -> Result<MachineSpec, String> {
 
 /// `rounds` verified Sum-allreduces of `elems` f64s; the job seed shifts
 /// every contribution so distinct seeds produce distinct payloads while
-/// staying integer-valued (all fold orders bit-identical).
+/// staying integer-valued (all fold orders bit-identical). One buffer per
+/// rank for all rounds: filled, reduced and checked where it is.
 fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32, seed: u64) {
     let size = tc.size();
     let shift = (seed % 1024) as f64;
+    let buf = tc.mpi_scratch_f64(elems);
     for round in 0..rounds {
-        let vals = vec![(tc.rank() + round) as f64 + shift; elems];
-        let out = tc.mpi_allreduce_f64(&vals, ReduceOp::Sum);
+        buf.with_f64s_mut(|vals| vals.fill((tc.rank() + round) as f64 + shift));
+        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum);
         let expect = (0..size).map(|r| (r + round) as f64 + shift).sum::<f64>();
         assert!(
-            out.len() == elems && out.iter().all(|&x| x == expect),
+            buf.with_f64s(|out| out.len() == elems && out.iter().all(|&x| x == expect)),
             "allreduce corrupted: want {expect}"
         );
     }
