@@ -4,6 +4,71 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+PERF_DIR=target/perf
+PCT="${IMPACC_PERF_BASELINE_PCT:-30}"
+MODE="${1:-}"
+
+# perf_gate <label> <json-field> <name> [<what>]: hold <json-field> of the
+# fresh $PERF_DIR/BENCH_<name>.json to the committed baselines/<name>.json
+# (regenerated via ./ci.sh --rebaseline on the reference machine). A drop
+# of more than IMPACC_PERF_BASELINE_PCT percent (default 30) fails CI;
+# skips with a notice when no baseline is committed.
+perf_gate() {
+    local label=$1 field=$2 name=$3 what=${4:-throughput} fresh base
+    fresh=$(grep -o "\"$field\":[0-9.]*" "$PERF_DIR/BENCH_$name.json" | cut -d: -f2)
+    if [[ "$MODE" == "--rebaseline" ]]; then
+        mkdir -p baselines
+        cp "$PERF_DIR/BENCH_$name.json" "baselines/$name.json"
+        echo "$label: baseline reset to $fresh events/sec (commit baselines/$name.json)"
+        return
+    fi
+    base=$(git show "HEAD:baselines/$name.json" 2>/dev/null) || {
+        echo "$label: skipped (no committed baselines/$name.json; run ./ci.sh --rebaseline)"
+        return
+    }
+    base=$(grep -o "\"$field\":[0-9.]*" <<<"$base" | cut -d: -f2) || {
+        echo "$label: skipped (no $field in committed baseline; run ./ci.sh --rebaseline)"
+        return
+    }
+    awk -v l="$label" -v w="$what" -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
+        floor = base * (1 - pct / 100);
+        printf "%s: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
+            l, fresh, base, floor, pct;
+        if (fresh < floor) {
+            printf "%s: FAIL — %s regressed more than %s%%\n", l, w, pct;
+            exit 1;
+        }
+        print l ": ok";
+    }'
+}
+
+# campaign_gate <label> <campaign> [<front-misses>]: drive a shipped
+# campaign through the spool daemon twice. Every sweep point must execute,
+# and the second drain must be answered entirely by the content-addressed
+# cache: 'executed 0' or the serving layer broke its core contract. With
+# <front-misses>, each pass must also report that many DSL compiles.
+SPOOL=target/ci-spool
+serve_bin=target/release/serve
+campaign_gate() {
+    local label=$1 file=$2 misses=${3:-} first second
+    "$serve_bin" campaign --spool "$SPOOL" "$file"
+    first=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
+    echo "$first"
+    "$serve_bin" campaign --spool "$SPOOL" "$file"
+    second=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
+    echo "$second"
+    if ! grep -q "executed 0," <<<"$second"; then
+        echo "$label: FAIL — resubmitted campaign re-executed jobs"
+        exit 1
+    fi
+    if [[ -n "$misses" ]] && ! { grep -q "front_misses $misses," <<<"$first" \
+            && grep -q "front_misses $misses," <<<"$second"; }; then
+        echo "$label: FAIL — a pass must compile the campaign's $misses distinct programs once each"
+        exit 1
+    fi
+    echo "$label: ok"
+}
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -52,7 +117,6 @@ echo "==> profiler golden test"
 cargo test -q -p impacc-prof golden
 
 echo "==> perf smoke: bench_speed --quick"
-PERF_DIR=target/perf
 mkdir -p "$PERF_DIR"
 # The serial engine hands one baton from thread to thread. Spread over
 # several CPUs every handoff is a cross-CPU wake-up — ~10x the engine's
@@ -71,31 +135,7 @@ IMPACC_BENCH_DIR="$PERF_DIR" \
     | grep -E '^\[speed\]|actors:'
 
 echo "==> perf regression gate"
-# Compare the fresh run's events/sec against the committed baseline
-# (baselines/speed.json, regenerated via ./ci.sh --rebaseline on the
-# reference machine). A drop of more than IMPACC_PERF_BASELINE_PCT percent
-# (default 30) fails CI. Skips with a notice when no baseline is committed.
-PCT="${IMPACC_PERF_BASELINE_PCT:-30}"
-fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_speed.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    mkdir -p baselines
-    cp "$PERF_DIR/BENCH_speed.json" baselines/speed.json
-    echo "perf gate: baseline reset to $fresh events/sec (commit baselines/speed.json)"
-elif baseline_json=$(git show HEAD:baselines/speed.json 2>/dev/null); then
-    base=$(printf '%s' "$baseline_json" | grep -o '"events_per_sec":[0-9]*' | cut -d: -f2)
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "perf gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "perf gate: FAIL — throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "perf gate: ok";
-    }'
-else
-    echo "perf gate: skipped (no committed baselines/speed.json; run ./ci.sh --rebaseline)"
-fi
+perf_gate "perf gate" events_per_sec speed
 
 echo "==> cores-sweep + flight-overhead gate: bench_speed --smoke"
 # 8192-actor lockstep, serial engine vs 4 conservative workers: the
@@ -111,25 +151,7 @@ echo "==> lockstep parallel regression gate"
 # throughput published by the cores sweep (lockstep_par4_events_per_sec
 # in BENCH_speed.json): the conservative engine must not quietly lose
 # its win over the serial engine release over release.
-fresh=$(grep -o '"lockstep_par4_events_per_sec":[0-9.]*' "$PERF_DIR/BENCH_speed.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    echo "lockstep gate: baseline reset to $fresh events/sec (covered by baselines/speed.json)"
-elif base=$(git show HEAD:baselines/speed.json 2>/dev/null \
-        | grep -o '"lockstep_par4_events_per_sec":[0-9.]*' | cut -d: -f2) \
-        && [[ -n "$base" ]]; then
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "lockstep gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "lockstep gate: FAIL — parallel throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "lockstep gate: ok";
-    }'
-else
-    echo "lockstep gate: skipped (no lockstep_par4_events_per_sec in committed baseline; run ./ci.sh --rebaseline)"
-fi
+perf_gate "lockstep gate" lockstep_par4_events_per_sec speed "parallel throughput"
 
 echo "==> chaos smoke: fixed-seed fault injection + flight dump schema"
 # A seeded faulted exchange must complete bit-correct with retries > 0,
@@ -162,25 +184,7 @@ echo "==> coll sweep + regression gate"
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
     "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_coll \
     | grep -E '^\[coll\]'
-fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_coll.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    cp "$PERF_DIR/BENCH_coll.json" baselines/coll.json
-    echo "coll gate: baseline reset to $fresh events/sec (commit baselines/coll.json)"
-elif baseline_json=$(git show HEAD:baselines/coll.json 2>/dev/null); then
-    base=$(printf '%s' "$baseline_json" | grep -o '"events_per_sec":[0-9]*' | cut -d: -f2)
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "coll gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "coll gate: FAIL — throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "coll gate: ok";
-    }'
-else
-    echo "coll gate: skipped (no committed baselines/coll.json; run ./ci.sh --rebaseline)"
-fi
+perf_gate "coll gate" events_per_sec coll
 
 echo "==> array smoke: hand-written parity + halo scaling"
 # The distributed-array layer's acceptance checks: the array jacobi must
@@ -197,25 +201,7 @@ echo "==> array sweep + regression gate"
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
     "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_array \
     | grep -E '^\[array\]'
-fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_array.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    cp "$PERF_DIR/BENCH_array.json" baselines/array.json
-    echo "array gate: baseline reset to $fresh events/sec (commit baselines/array.json)"
-elif baseline_json=$(git show HEAD:baselines/array.json 2>/dev/null); then
-    base=$(printf '%s' "$baseline_json" | grep -o '"events_per_sec":[0-9]*' | cut -d: -f2)
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "array gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "array gate: FAIL — throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "array gate: ok";
-    }'
-else
-    echo "array gate: skipped (no committed baselines/array.json; run ./ci.sh --rebaseline)"
-fi
+perf_gate "array gate" events_per_sec array
 
 echo "==> serve smoke: admission control + cache determinism"
 # Backpressure must reject with a reason, and a resubmitted job set must
@@ -230,58 +216,17 @@ echo "==> serve load test + regression gate"
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
     cargo run --release -q -p impacc-bench --bin bench_serve \
     | grep -E '^\[serve\]'
-fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_serve.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    cp "$PERF_DIR/BENCH_serve.json" baselines/serve.json
-    echo "serve gate: baseline reset to $fresh events/sec (commit baselines/serve.json)"
-elif baseline_json=$(git show HEAD:baselines/serve.json 2>/dev/null); then
-    base=$(printf '%s' "$baseline_json" | grep -o '"events_per_sec":[0-9]*' | cut -d: -f2)
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "serve gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "serve gate: FAIL — throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "serve gate: ok";
-    }'
-else
-    echo "serve gate: skipped (no committed baselines/serve.json; run ./ci.sh --rebaseline)"
-fi
+perf_gate "serve gate" events_per_sec serve
 
 echo "==> serve campaign: cached resubmit executes nothing"
-# Drive the shipped collective campaign through the spool daemon twice.
-# The second drain must be answered entirely by the content-addressed
-# cache: 'executed 0' or the serving layer broke its core contract.
-SPOOL=target/ci-spool
+# The shipped collective campaign.
 rm -rf "$SPOOL"
-serve_bin=target/release/serve
-"$serve_bin" campaign --spool "$SPOOL" campaigns/coll_sweep.campaign
-"$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain
-"$serve_bin" campaign --spool "$SPOOL" campaigns/coll_sweep.campaign
-second=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
-echo "$second"
-if ! grep -q "executed 0," <<<"$second"; then
-    echo "serve campaign gate: FAIL — resubmitted campaign re-executed jobs"
-    exit 1
-fi
-echo "serve campaign gate: ok"
+campaign_gate "serve campaign gate" campaigns/coll_sweep.campaign
 
 echo "==> serve campaign: array scenarios end-to-end"
 # The three distributed-array workloads (stencil3d, stencil2d, redblack)
-# through the same spool daemon: every sweep point must execute, and a
-# resubmit must again be answered entirely from the cache.
-"$serve_bin" campaign --spool "$SPOOL" campaigns/array.campaign
-"$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain
-"$serve_bin" campaign --spool "$SPOOL" campaigns/array.campaign
-second=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
-echo "$second"
-if ! grep -q "executed 0," <<<"$second"; then
-    echo "array campaign gate: FAIL — resubmitted campaign re-executed jobs"
-    exit 1
-fi
-echo "array campaign gate: ok"
+# through the same spool daemon.
+campaign_gate "array campaign gate" campaigns/array.campaign
 
 echo "==> dsl golden-translation gate"
 # The source-to-source compiler's output is part of the contract: for
@@ -316,48 +261,13 @@ echo "==> dsl sweep + regression gate"
 IMPACC_BENCH_DIR="$PERF_DIR" IMPACC_BENCH_QUICK=1 \
     "${PIN[@]}" cargo run --release -q -p impacc-bench --bin bench_dsl \
     | grep -E '^\[dsl\]'
-fresh=$(grep -o '"events_per_sec":[0-9]*' "$PERF_DIR/BENCH_dsl.json" | cut -d: -f2)
-if [[ "${1:-}" == "--rebaseline" ]]; then
-    cp "$PERF_DIR/BENCH_dsl.json" baselines/dsl.json
-    echo "dsl gate: baseline reset to $fresh events/sec (commit baselines/dsl.json)"
-elif baseline_json=$(git show HEAD:baselines/dsl.json 2>/dev/null); then
-    base=$(printf '%s' "$baseline_json" | grep -o '"events_per_sec":[0-9]*' | cut -d: -f2)
-    awk -v fresh="$fresh" -v base="$base" -v pct="$PCT" 'BEGIN {
-        floor = base * (1 - pct / 100);
-        printf "dsl gate: fresh %.0f vs baseline %.0f events/sec (floor %.0f, -%s%%)\n",
-            fresh, base, floor, pct;
-        if (fresh < floor) {
-            printf "dsl gate: FAIL — throughput regressed more than %s%%\n", pct;
-            exit 1;
-        }
-        print "dsl gate: ok";
-    }'
-else
-    echo "dsl gate: skipped (no committed baselines/dsl.json; run ./ci.sh --rebaseline)"
-fi
+perf_gate "dsl gate" events_per_sec dsl
 
 echo "==> serve campaign: compiled-DSL programs end-to-end"
 # The .acc programs through the same spool daemon, keyed by the normal
-# form of their source: every sweep point must execute once, and a
-# resubmit must again be answered entirely from the cache. Each daemon
-# process compiles a program once however many jobs name it: the
-# campaign's 12 jobs hold 6 distinct programs, so 6 front misses.
-"$serve_bin" campaign --spool "$SPOOL" campaigns/dsl.campaign
-first=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
-echo "$first"
-"$serve_bin" campaign --spool "$SPOOL" campaigns/dsl.campaign
-second=$("$serve_bin" daemon --spool "$SPOOL" --workers 4 --drain)
-echo "$second"
-if ! grep -q "executed 0," <<<"$second"; then
-    echo "dsl campaign gate: FAIL — resubmitted campaign re-executed jobs"
-    exit 1
-fi
-for pass in "$first" "$second"; do
-    if ! grep -q "front_misses 6," <<<"$pass"; then
-        echo "dsl campaign gate: FAIL — a pass must compile the campaign's 6 distinct programs once each"
-        exit 1
-    fi
-done
-echo "dsl campaign gate: ok"
+# form of their source. Each daemon process compiles a program once
+# however many jobs name it: the campaign's 12 jobs hold 6 distinct
+# programs, so 6 front misses.
+campaign_gate "dsl campaign gate" campaigns/dsl.campaign 6
 
 echo "ci: all green"

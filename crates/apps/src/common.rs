@@ -1,10 +1,8 @@
 //! Shared helpers for the benchmark applications.
 
-use std::sync::Arc;
-
 use impacc_core::{Launch, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::MachineSpec;
-use impacc_vtime::{SimError, SpanSink};
+use impacc_vtime::SimError;
 
 // The partition/neighbour arithmetic and the truncation gate moved to
 // `impacc-array`, the single home for decomposition math; re-exported
@@ -12,6 +10,8 @@ use impacc_vtime::{SimError, SpanSink};
 pub use impacc_array::{math_ok, BlockPartition};
 
 /// Run a per-task program over `spec` with the given runtime options.
+/// Anything beyond a physical-backing cap — a recorder, a flight
+/// recorder, a pinned engine — is configured on [`Launch`] directly.
 pub fn launch_app<F>(
     spec: MachineSpec,
     options: RuntimeOptions,
@@ -21,44 +21,9 @@ pub fn launch_app<F>(
 where
     F: Fn(&TaskCtx) + Send + Sync + 'static,
 {
-    launch_app_sink(spec, options, phys_cap, None, app)
-}
-
-/// [`launch_app`] with an optional span sink (e.g. an
-/// `impacc_obs::Recorder`) attached for timeline capture.
-pub fn launch_app_sink<F>(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    app: F,
-) -> Result<RunSummary, SimError>
-where
-    F: Fn(&TaskCtx) + Send + Sync + 'static,
-{
-    launch_app_tuned(spec, options, phys_cap, sink, true, app)
-}
-
-/// [`launch_app_sink`] with explicit control over the engine's
-/// baton-handoff elision, for determinism checks that pin the fast path
-/// on or off. Virtual-time results must be identical either way.
-pub fn launch_app_tuned<F>(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
-    app: F,
-) -> Result<RunSummary, SimError>
-where
-    F: Fn(&TaskCtx) + Send + Sync + 'static,
-{
-    let mut l = Launch::new(spec, options).elide_handoff(elide_handoff);
+    let mut l = Launch::new(spec, options);
     if let Some(cap) = phys_cap {
         l = l.phys_cap(cap);
-    }
-    if let Some(sink) = sink {
-        l = l.span_sink(sink);
     }
     l.run(app)
 }

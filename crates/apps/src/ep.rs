@@ -16,7 +16,7 @@ use impacc_machine::{KernelCost, MachineSpec};
 use impacc_mpi::ReduceOp;
 use impacc_vtime::SimError;
 
-use crate::common::launch_app_sink;
+use crate::common::launch_app;
 
 /// NPB problem classes (number of random pairs = 2^exponent).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -187,6 +187,10 @@ pub fn ep_task(tc: &TaskCtx, p: &EpParams) -> EpStats {
         q: [0.0; 10],
     };
     out.q.copy_from_slice(&total[2..12]);
+    // Every rank sees identical totals, and every counted pair is
+    // accounted for in exactly one annulus.
+    assert!(out.accepted() > 0.0);
+    assert!(out.accepted() <= p.sample_pairs as f64);
     out
 }
 
@@ -196,23 +200,8 @@ pub fn run_ep(
     options: RuntimeOptions,
     params: EpParams,
 ) -> Result<RunSummary, SimError> {
-    run_ep_sink(spec, options, None, params)
-}
-
-/// [`run_ep`] with an optional span sink attached, so harnesses can
-/// trace and profile the EP timeline (fig 12's profiled variant).
-pub fn run_ep_sink(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    sink: Option<std::sync::Arc<dyn impacc_vtime::SpanSink>>,
-    params: EpParams,
-) -> Result<RunSummary, SimError> {
-    launch_app_sink(spec, options, None, sink, move |tc| {
-        let stats = ep_task(tc, &params);
-        // Every rank sees identical totals, and every counted pair is
-        // accounted for in exactly one annulus.
-        assert!(stats.accepted() > 0.0);
-        assert!(stats.accepted() <= params.sample_pairs as f64);
+    launch_app(spec, options, None, move |tc| {
+        ep_task(tc, &params);
     })
 }
 

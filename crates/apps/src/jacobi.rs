@@ -14,9 +14,9 @@ use std::sync::Arc;
 use impacc_array::{CartGrid, ResProbe};
 use impacc_core::{BufView, HBuf, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::{KernelCost, MachineSpec};
-use impacc_vtime::{SimError, SpanSink};
+use impacc_vtime::SimError;
 
-use crate::common::{launch_app_tuned, math_ok, BlockPartition};
+use crate::common::{launch_app, math_ok, BlockPartition};
 
 /// Jacobi workload parameters.
 #[derive(Clone, Debug)]
@@ -405,51 +405,7 @@ pub fn run_jacobi(
     phys_cap: Option<u64>,
     params: JacobiParams,
 ) -> Result<RunSummary, SimError> {
-    run_jacobi_sink(spec, options, phys_cap, None, params)
-}
-
-/// [`run_jacobi`] with an optional span sink attached, so harnesses can
-/// capture the per-copy timeline (Figure 14's breakdown).
-pub fn run_jacobi_sink(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    params: JacobiParams,
-) -> Result<RunSummary, SimError> {
-    run_jacobi_tuned(spec, options, phys_cap, sink, true, params)
-}
-
-/// [`run_jacobi_sink`] with explicit control over baton-handoff elision,
-/// for the determinism tests that pin the engine fast path on or off.
-pub fn run_jacobi_tuned(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
-    params: JacobiParams,
-) -> Result<RunSummary, SimError> {
-    launch_app_tuned(spec, options, phys_cap, sink, elide_handoff, move |tc| {
-        jacobi_task(tc, &params)
-    })
-}
-
-/// [`run_jacobi_tuned`] with a residual probe attached: rank 0 pushes
-/// every reduced residual into `probe`, giving the caller the exact
-/// convergence history the run computed.
-pub fn run_jacobi_probed(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
-    params: JacobiParams,
-    probe: ResProbe,
-) -> Result<RunSummary, SimError> {
-    launch_app_tuned(spec, options, phys_cap, sink, elide_handoff, move |tc| {
-        jacobi_task_probed(tc, &params, Some(&probe))
-    })
+    launch_app(spec, options, phys_cap, move |tc| jacobi_task(tc, &params))
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //!   (exercises device-resident halos and direct DtoD fusion).
 //! * [`lulesh`] — a LULESH-2.0-style 3-D proxy with 26-neighbour halo
 //!   exchange and host-resident communication buffers.
+//! * [`micro`] — the verified allreduce loop and the two-rank exchange the
+//!   collective/chaos sweeps and `impacc-serve` run.
 //!
 //! All apps do *real arithmetic* verified against serial references when
 //! buffers carry full physical backing; under physical truncation (huge
@@ -25,12 +27,11 @@ pub mod dgemm;
 pub mod ep;
 pub mod jacobi;
 pub mod lulesh;
+pub mod micro;
 
-pub use common::{launch_app, launch_app_sink, launch_app_tuned, math_ok, BlockPartition};
+pub use common::{launch_app, math_ok, BlockPartition};
 pub use dgemm::{dgemm_task, run_dgemm, DgemmParams};
-pub use ep::{ep_kernel, ep_task, run_ep, run_ep_sink, EpClass, EpParams, EpStats, NpbRng};
-pub use jacobi::{
-    jacobi_task, jacobi_task_probed, run_jacobi, run_jacobi_probed, run_jacobi_sink,
-    run_jacobi_tuned, serial_jacobi, JacobiParams,
-};
+pub use ep::{ep_kernel, ep_task, run_ep, EpClass, EpParams, EpStats, NpbRng};
+pub use jacobi::{jacobi_task, jacobi_task_probed, run_jacobi, serial_jacobi, JacobiParams};
 pub use lulesh::{lulesh_task, run_lulesh, Coord, LuleshParams};
+pub use micro::{allreduce_rounds, exchange};

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use impacc_apps::{launch_app, launch_app_tuned, run_jacobi_probed, JacobiParams};
+use impacc_apps::{jacobi_task_probed, launch_app, run_jacobi, JacobiParams};
 use impacc_array::scenarios::{
     jacobi_array_task, redblack_task, stencil2d_task, stencil3d_task, ArrayJacobiParams,
     RedBlackParams, Stencil2dParams, Stencil3dParams,
@@ -67,41 +67,30 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn array_jacobi_matches_handwritten_in_all_modes() {
     for (name, opts) in modes() {
         let hand_probe = ResProbe::new();
-        let hand = run_jacobi_probed(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            JacobiParams {
-                n: 24,
-                iters: 6,
-                verify: true,
-            },
-            hand_probe.clone(),
-        )
+        let probe_in = hand_probe.clone();
+        let params = JacobiParams {
+            n: 24,
+            iters: 6,
+            verify: true,
+        };
+        let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_task_probed(tc, &params, Some(&probe_in))
+        })
         .expect("hand-written jacobi");
 
         let arr_probe = ResProbe::new();
         let probe_in = arr_probe.clone();
-        let arr = launch_app_tuned(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            move |tc| {
-                jacobi_array_task(
-                    tc,
-                    &ArrayJacobiParams {
-                        n: 24,
-                        iters: 6,
-                        verify: true,
-                    },
-                    Some(&probe_in),
-                )
-            },
-        )
+        let arr = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_array_task(
+                tc,
+                &ArrayJacobiParams {
+                    n: 24,
+                    iters: 6,
+                    verify: true,
+                },
+                Some(&probe_in),
+            )
+        })
         .expect("array jacobi");
 
         let h = hand_probe.take();
@@ -124,26 +113,21 @@ fn array_jacobi_matches_handwritten_in_all_modes() {
 /// traffic are charged identically.
 #[test]
 fn array_jacobi_matches_handwritten_under_phys_cap() {
-    let hand = run_jacobi_probed(
+    let hand = run_jacobi(
         presets::test_cluster(2, 2),
         RuntimeOptions::impacc(),
         Some(4096),
-        None,
-        true,
         JacobiParams {
             n: 256,
             iters: 4,
             verify: false,
         },
-        ResProbe::new(),
     )
     .expect("hand-written jacobi (capped)");
-    let arr = launch_app_tuned(
+    let arr = launch_app(
         presets::test_cluster(2, 2),
         RuntimeOptions::impacc(),
         Some(4096),
-        None,
-        true,
         move |tc| {
             jacobi_array_task(
                 tc,

@@ -121,7 +121,7 @@ pub fn run() -> String {
 ///
 /// Panics (nonzero exit) on any violation.
 pub fn smoke() -> String {
-    use impacc_apps::{run_jacobi_probed, JacobiParams};
+    use impacc_apps::{jacobi_task_probed, JacobiParams};
     use impacc_array::ResProbe;
 
     let mut out = String::from("array smoke: parity, halo scaling, mode win\n");
@@ -135,19 +135,15 @@ pub fn smoke() -> String {
         ("baseline", RuntimeOptions::baseline()),
     ] {
         let hand_probe = ResProbe::new();
-        let hand = run_jacobi_probed(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            JacobiParams {
-                n: 32,
-                iters: 5,
-                verify: true,
-            },
-            hand_probe.clone(),
-        )
+        let probe_in = hand_probe.clone();
+        let params = JacobiParams {
+            n: 32,
+            iters: 5,
+            verify: true,
+        };
+        let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_task_probed(tc, &params, Some(&probe_in))
+        })
         .expect("hand-written jacobi");
         let arr_probe = ResProbe::new();
         let probe_in = arr_probe.clone();

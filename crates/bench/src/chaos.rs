@@ -15,11 +15,10 @@
 //! a faulted run that finishes *is* a correctness result: the recovery
 //! paths delivered the right bytes, just later.
 
-use impacc_apps::math_ok;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_apps::exchange;
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_flight::{watchdog, FlightDump, FlightRecorder, Trigger, Watchdog};
-use impacc_machine::{presets, FaultPlan, KernelCost, MachineSpec};
-use impacc_obs::Recorder;
+use impacc_machine::{presets, FaultPlan, MachineSpec};
 
 use crate::util::{gbps, quick, Table};
 
@@ -38,83 +37,21 @@ pub fn single_node_spec() -> MachineSpec {
     s
 }
 
-fn exchange(tc: &TaskCtx, rounds: u32) {
-    let peer = 1 - tc.rank();
-    let me = tc.rank() as f64;
-    let buf0 = tc.malloc_f64(N);
-    let buf1 = tc.malloc_f64(N);
-    tc.acc_create(&buf0);
-    tc.acc_create(&buf1);
-    let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
-    for round in 0..rounds {
-        let produce = {
-            let d = tc.dev_view(&buf0);
-            let v = me + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.with_f64s_mut(0, N, |out| out.fill(v));
-                }
-            }
-        };
-        let consume = {
-            let d = tc.dev_view(&buf1);
-            let expect = peer as f64 + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.with_f64s(0, N, |got| {
-                        assert!(
-                            got.iter().all(|&x| x == expect),
-                            "round {round}: corrupted payload after recovery"
-                        )
-                    });
-                }
-            }
-        };
-        tc.acc_kernel(None, cost, produce);
-        tc.acc_update_host(&buf0, 0, buf0.len, None);
-        let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host());
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host());
-        sreq.wait(tc.ctx());
-        tc.acc_update_device(&buf1, 0, buf1.len, None);
-        tc.acc_kernel(None, cost, consume);
+/// A launch of the chaos exchange on `spec` under an optional fault
+/// plan. Callers add what they observe the run with (a recorder, a flight
+/// recorder, the forced-off handoff path) before [`run_exchange`].
+pub fn exchange_launch(spec: MachineSpec, plan: Option<FaultPlan>) -> Launch {
+    let l = Launch::new(spec, RuntimeOptions::impacc());
+    match plan {
+        Some(p) => l.chaos(p),
+        None => l,
     }
 }
 
-/// Run the chaos exchange on `spec` under an optional fault plan.
-/// `elide`/`rec` expose the scheduler fast path and the span recorder so
-/// the determinism tests can compare observables across configurations.
-pub fn run_exchange(
-    spec: MachineSpec,
-    plan: Option<FaultPlan>,
-    rounds: u32,
-    elide: bool,
-    rec: Option<&Recorder>,
-) -> RunSummary {
-    run_exchange_flight(spec, plan, rounds, elide, rec, None)
-}
-
-/// [`run_exchange`] with a caller-owned flight recorder riding along, so
-/// the smoke scenarios can drain the ring into a post-mortem dump and
-/// assert its contents.
-pub fn run_exchange_flight(
-    spec: MachineSpec,
-    plan: Option<FaultPlan>,
-    rounds: u32,
-    elide: bool,
-    rec: Option<&Recorder>,
-    flight: Option<&FlightRecorder>,
-) -> RunSummary {
-    let mut l = Launch::new(spec, RuntimeOptions::impacc()).elide_handoff(elide);
-    if let Some(p) = plan {
-        l = l.chaos(p);
-    }
-    if let Some(rec) = rec {
-        l = l.recorder(rec);
-    }
-    if let Some(fr) = flight {
-        l = l.flight(fr);
-    }
-    l.run(move |tc| exchange(tc, rounds)).expect("chaos run")
+/// Run `rounds` of the chaos exchange on a configured launch.
+pub fn run_exchange(l: Launch, rounds: u32) -> RunSummary {
+    l.run(move |tc| exchange(tc, N, rounds, 0))
+        .expect("chaos run")
 }
 
 fn metric(s: &RunSummary, key: &str) -> u64 {
@@ -140,7 +77,7 @@ pub fn run() -> String {
     let mut t = Table::new(&["fault rate", "elapsed", "retries", "link drops", "goodput"]);
     for &rate in rates {
         let plan = (rate > 0.0).then(|| FaultPlan::new(SWEEP_SEED).with_uniform_rate(rate));
-        let s = run_exchange(internode_spec(), plan, rounds, true, None);
+        let s = run_exchange(exchange_launch(internode_spec(), plan), rounds);
         let secs = s.elapsed_secs();
         let bytes = metric(&s, "mpi_bytes_sent");
         t.row(vec![
@@ -166,7 +103,7 @@ pub fn run() -> String {
             Some(FaultPlan::new(7).fail_device(0, 0)),
         ),
     ] {
-        let s = run_exchange(single_node_spec(), plan, rounds, true, None);
+        let s = run_exchange(exchange_launch(single_node_spec(), plan), rounds);
         t2.row(vec![
             name.to_string(),
             format!("{:.1}us", s.elapsed_secs() * 1e6),
@@ -192,7 +129,7 @@ fn flight_dump_of(
     rounds: u32,
 ) -> (RunSummary, FlightDump) {
     let fr = FlightRecorder::new();
-    let s = run_exchange_flight(spec, Some(plan), rounds, true, None, Some(&fr));
+    let s = run_exchange(exchange_launch(spec, Some(plan)).flight(&fr), rounds);
     let pairs: Vec<(&str, u64)> = s.report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
     let mut anomalies = Watchdog::new().check_counters(&pairs);
     let trigger = if fr.fault_fires() >= watchdog::FAULT_BURST_THRESHOLD {
@@ -286,9 +223,9 @@ mod tests {
 
     #[test]
     fn faulted_run_is_slower_but_completes_correctly() {
-        let clean = run_exchange(internode_spec(), None, 2, true, None);
+        let clean = run_exchange(exchange_launch(internode_spec(), None), 2);
         let plan = FaultPlan::new(SWEEP_SEED).with_uniform_rate(0.1);
-        let faulted = run_exchange(internode_spec(), Some(plan), 2, true, None);
+        let faulted = run_exchange(exchange_launch(internode_spec(), Some(plan)), 2);
         assert_eq!(metric(&clean, "retries"), 0);
         assert!(
             metric(&faulted, "retries") > 0,

@@ -8,10 +8,9 @@
 //! run; the reported elapsed time is virtual, so the sweep is
 //! deterministic and byte-reproducible.
 
-use impacc_core::{CollAlgo, Launch, RunSummary, RuntimeOptions, TaskCtx};
-use impacc_machine::{presets, FaultPlan, MachineSpec};
-use impacc_mpi::ReduceOp;
-use impacc_obs::Recorder;
+use impacc_apps::allreduce_rounds;
+use impacc_core::{CollAlgo, Launch, RunSummary, RuntimeOptions};
+use impacc_machine::{presets, MachineSpec};
 
 use crate::util::{fmt_bytes, quick, Table};
 
@@ -21,26 +20,6 @@ pub fn coll_spec() -> MachineSpec {
     presets::test_cluster(2, 4)
 }
 
-/// `rounds` exact Sum-allreduces of `elems` f64s; every rank asserts the
-/// reduced vector (integer-valued contributions make all fold orders
-/// bit-identical). One buffer per rank for all rounds.
-fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32) {
-    let size = tc.size();
-    let buf = tc.mpi_scratch_f64(elems);
-    for round in 0..rounds {
-        buf.with_f64s_mut(|vals| vals.fill((tc.rank() + round) as f64));
-        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum);
-        let expect = (0..size).map(|r| (r + round) as f64).sum::<f64>();
-        buf.with_f64s(|out| {
-            assert!(
-                out.len() == elems && out.iter().all(|&x| x == expect),
-                "allreduce corrupted: got {:?}.., want {expect}",
-                &out[..1.min(out.len())]
-            )
-        });
-    }
-}
-
 /// Run the allreduce workload with one pinned registry algorithm
 /// (`None` lets the engine's selection policy decide).
 pub fn run_coll(algo: Option<CollAlgo>, elems: usize, rounds: u32) -> RunSummary {
@@ -48,29 +27,24 @@ pub fn run_coll(algo: Option<CollAlgo>, elems: usize, rounds: u32) -> RunSummary
     if let Some(a) = algo {
         l = l.coll_algo(a);
     }
-    l.run(move |tc| allreduce_rounds(tc, elems, rounds))
+    l.run(move |tc| allreduce_rounds(tc, elems, rounds, 0))
         .expect("coll run")
 }
 
 /// The mixed collective workload the chaos-determinism suite replays:
 /// small and large allreduces, a communicator split (allgather inside),
 /// and barriers, under the engine's own per-call selection — so faults
-/// land on both internode collective edges and intra-node folds.
-pub fn run_coll_chaos(plan: Option<FaultPlan>, elide: bool, rec: Option<&Recorder>) -> RunSummary {
-    let mut l = Launch::new(coll_spec(), RuntimeOptions::impacc()).elide_handoff(elide);
-    if let Some(p) = plan {
-        l = l.chaos(p);
-    }
-    if let Some(rec) = rec {
-        l = l.recorder(rec);
-    }
+/// land on both internode collective edges and intra-node folds. `l` is
+/// a launch on [`coll_spec`] carrying the caller's fault plan and
+/// whatever it observes the run with.
+pub fn run_coll_chaos(l: Launch) -> RunSummary {
     l.run(|tc| {
-        allreduce_rounds(tc, 16, 2);
-        allreduce_rounds(tc, 1 << 14, 1);
+        allreduce_rounds(tc, 16, 2, 0);
+        allreduce_rounds(tc, 1 << 14, 1, 0);
         let sub = tc.mpi_comm_split((tc.rank() % 2) as i64, tc.rank() as i64);
         assert_eq!(sub.size(), tc.size() / 2);
         tc.mpi_barrier();
-        allreduce_rounds(tc, 256, 1);
+        allreduce_rounds(tc, 256, 1, 0);
         tc.mpi_barrier();
     })
     .expect("coll chaos run")

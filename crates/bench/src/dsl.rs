@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use impacc_apps::{launch_app, run_jacobi_probed, JacobiParams};
+use impacc_apps::{jacobi_task_probed, launch_app, JacobiParams};
 use impacc_array::ResProbe;
 use impacc_core::{RunSummary, RuntimeOptions, TaskCtx};
 use impacc_dsl::{
@@ -177,19 +177,15 @@ pub fn smoke() -> String {
         ("baseline", RuntimeOptions::baseline()),
     ] {
         let hand_probe = ResProbe::new();
-        let hand = run_jacobi_probed(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            JacobiParams {
-                n: 32,
-                iters: 5,
-                verify: false,
-            },
-            hand_probe.clone(),
-        )
+        let probe_in = hand_probe.clone();
+        let params = JacobiParams {
+            n: 32,
+            iters: 5,
+            verify: false,
+        };
+        let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_task_probed(tc, &params, Some(&probe_in))
+        })
         .expect("hand-written jacobi");
         let dsl_probe = ResProbe::new();
         let dsl = run_dsl(&jac, 2, 2, opts, Some(dsl_probe.clone()));

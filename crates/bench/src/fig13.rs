@@ -7,8 +7,8 @@
 //! Figure 14: total device-to-device communication time on PSG — IMPACC's
 //! single direct DtoD transfer vs the baseline's DtoH + HtoH + HtoD chain.
 
-use impacc_apps::{run_jacobi, run_jacobi_sink, JacobiParams};
-use impacc_core::{RunSummary, RuntimeOptions};
+use impacc_apps::{jacobi_task, run_jacobi, JacobiParams};
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_obs::{breakdown, chrome, Recorder};
 
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
@@ -201,18 +201,16 @@ fn trace_fig14(path: &str) -> String {
     let tasks = 4;
     let traced = |opts: RuntimeOptions| {
         let rec = Recorder::new();
-        run_jacobi_sink(
-            psg_tasks(tasks),
-            opts,
-            Some(4096),
-            Some(rec.sink()),
-            JacobiParams {
-                n,
-                iters: ITERS,
-                verify: false,
-            },
-        )
-        .expect("jacobi run");
+        let p = JacobiParams {
+            n,
+            iters: ITERS,
+            verify: false,
+        };
+        Launch::new(psg_tasks(tasks), opts)
+            .phys_cap(4096)
+            .recorder(&rec)
+            .run(move |tc| jacobi_task(tc, &p))
+            .expect("jacobi run");
         rec.spans()
     };
     let i_spans = traced(RuntimeOptions::impacc());
@@ -271,18 +269,16 @@ mod tests {
 
     fn traced_spans(opts: RuntimeOptions, n: usize) -> Vec<impacc_obs::Span> {
         let rec = Recorder::new();
-        run_jacobi_sink(
-            psg_tasks(4),
-            opts,
-            Some(4096),
-            Some(rec.sink()),
-            JacobiParams {
-                n,
-                iters: 10,
-                verify: false,
-            },
-        )
-        .unwrap();
+        let p = JacobiParams {
+            n,
+            iters: 10,
+            verify: false,
+        };
+        Launch::new(psg_tasks(4), opts)
+            .phys_cap(4096)
+            .recorder(&rec)
+            .run(move |tc| jacobi_task(tc, &p))
+            .unwrap();
         rec.spans()
     }
 
@@ -320,9 +316,14 @@ mod tests {
         for opts in [RuntimeOptions::impacc(), RuntimeOptions::baseline()] {
             let plain = run_jacobi(psg_tasks(2), opts, Some(4096), p.clone()).unwrap();
             let rec = Recorder::new();
-            let traced =
-                run_jacobi_sink(psg_tasks(2), opts, Some(4096), Some(rec.sink()), p.clone())
-                    .unwrap();
+            let traced = {
+                let p = p.clone();
+                Launch::new(psg_tasks(2), opts)
+                    .phys_cap(4096)
+                    .recorder(&rec)
+                    .run(move |tc| jacobi_task(tc, &p))
+                    .unwrap()
+            };
             assert!(rec.span_count() > 0);
             assert_eq!(
                 plain.elapsed_secs().to_bits(),

@@ -31,7 +31,9 @@ pub enum Style {
 
 const N: usize = 1 << 18; // 2 Mi bytes per buffer
 
-fn exchange(tc: &TaskCtx, style: Style) {
+/// One kernel → send/recv → kernel exchange between two ranks, synchronized
+/// the way `style` says.
+pub fn exchange(tc: &TaskCtx, style: Style) {
     let peer = 1 - tc.rank();
     let me = tc.rank() as f64;
     let buf0 = tc.malloc_f64(N);
@@ -103,27 +105,22 @@ fn spec() -> MachineSpec {
     s
 }
 
-/// Run one style; returns the summary.
-pub fn run_style(style: Style) -> RunSummary {
-    run_style_rec(style, None)
-}
-
-/// [`run_style`] with a span/edge recorder attached, for the
-/// critical-path profiler.
-pub fn run_style_recorded(style: Style, rec: &Recorder) -> RunSummary {
-    run_style_rec(style, Some(rec))
-}
-
-fn run_style_rec(style: Style, rec: Option<&Recorder>) -> RunSummary {
+/// The figure's launch for one style: the baseline runtime for (a) and
+/// (b), IMPACC for (c). Run [`exchange`] on it, after attaching a
+/// recorder if the timeline is wanted.
+pub fn launch(style: Style) -> Launch {
     let opts = match style {
         Style::UnifiedQueue => RuntimeOptions::impacc(),
         _ => RuntimeOptions::baseline(),
     };
-    let mut l = Launch::new(spec(), opts).phys_cap(4096);
-    if let Some(rec) = rec {
-        l = l.recorder(rec);
-    }
-    l.run(move |tc| exchange(tc, style)).expect("figure 5 run")
+    Launch::new(spec(), opts).phys_cap(4096)
+}
+
+/// Run one style; returns the summary.
+pub fn run_style(style: Style) -> RunSummary {
+    launch(style)
+        .run(move |tc| exchange(tc, style))
+        .expect("figure 5 run")
 }
 
 /// Host time stalled on synchronization or blocking transfers (MPI waits,
@@ -165,7 +162,11 @@ pub fn run_traced(trace: Option<&str>) -> String {
         ("(c) unified queue", Style::UnifiedQueue),
     ] {
         let rec = trace.map(|_| Recorder::new());
-        let s = run_style_rec(style, rec.as_ref());
+        let mut l = launch(style);
+        if let Some(rec) = &rec {
+            l = l.recorder(rec);
+        }
+        let s = l.run(move |tc| exchange(tc, style)).expect("figure 5 run");
         let total = s.elapsed_secs();
         let blocked = host_blocked_secs(&s);
         t.row(vec![

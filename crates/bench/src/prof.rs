@@ -9,11 +9,12 @@
 
 use std::path::PathBuf;
 
-use impacc_apps::{run_ep_sink, run_jacobi_sink, EpClass, EpParams, JacobiParams};
-use impacc_core::RuntimeOptions;
+use impacc_apps::{ep_task, jacobi_task, EpClass, EpParams, JacobiParams};
+use impacc_core::{Launch, RuntimeOptions};
 use impacc_obs::{chrome, Recorder};
 use impacc_prof::Report;
 
+use crate::fig5;
 use crate::specs::psg_tasks;
 use crate::util::quick;
 
@@ -74,7 +75,11 @@ pub fn report_and_persist(name: &str, rec: &Recorder, trace: Option<&str>) -> (S
 /// Record one unified-queue fig 5 exchange and return its recorder.
 pub fn record_fig5() -> Recorder {
     let rec = Recorder::new();
-    crate::fig5::run_style_recorded(crate::fig5::Style::UnifiedQueue, &rec);
+    let style = fig5::Style::UnifiedQueue;
+    fig5::launch(style)
+        .recorder(&rec)
+        .run(move |tc| fig5::exchange(tc, style))
+        .expect("figure 5 run");
     rec
 }
 
@@ -82,16 +87,16 @@ pub fn record_fig5() -> Recorder {
 /// single allreduce) and return its recorder.
 pub fn record_fig12() -> Recorder {
     let rec = Recorder::new();
-    run_ep_sink(
-        psg_tasks(4),
-        RuntimeOptions::impacc(),
-        Some(rec.sink()),
-        EpParams {
-            total_pairs: EpClass::A.pairs(),
-            sample_pairs: 1 << 10,
-        },
-    )
-    .expect("ep run");
+    let p = EpParams {
+        total_pairs: EpClass::A.pairs(),
+        sample_pairs: 1 << 10,
+    };
+    Launch::new(psg_tasks(4), RuntimeOptions::impacc())
+        .recorder(&rec)
+        .run(move |tc| {
+            ep_task(tc, &p);
+        })
+        .expect("ep run");
     rec
 }
 
@@ -101,18 +106,16 @@ pub fn record_fig12() -> Recorder {
 pub fn record_fig14() -> Recorder {
     let rec = Recorder::new();
     let n = if quick() { 512 } else { 2048 };
-    run_jacobi_sink(
-        psg_tasks(4),
-        RuntimeOptions::impacc(),
-        Some(4096),
-        Some(rec.sink()),
-        JacobiParams {
-            n,
-            iters: 10,
-            verify: false,
-        },
-    )
-    .expect("jacobi run");
+    let p = JacobiParams {
+        n,
+        iters: 10,
+        verify: false,
+    };
+    Launch::new(psg_tasks(4), RuntimeOptions::impacc())
+        .phys_cap(4096)
+        .recorder(&rec)
+        .run(move |tc| jacobi_task(tc, &p))
+        .expect("jacobi run");
     rec
 }
 

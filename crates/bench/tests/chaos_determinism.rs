@@ -4,16 +4,19 @@
 //! function of per-site counters, never of wall-clock, recording state, or
 //! scheduling strategy — this is the tier-1 guard on that claim.
 
-use impacc_bench::chaos::{internode_spec, run_exchange, SWEEP_SEED};
-use impacc_bench::coll::run_coll_chaos;
-use impacc_core::RunSummary;
+use impacc_bench::chaos::{exchange_launch, internode_spec, run_exchange, SWEEP_SEED};
+use impacc_bench::coll::{coll_spec, run_coll_chaos};
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_machine::FaultPlan;
 use impacc_obs::{Recorder, Span};
 
 fn faulted_run(elide: bool) -> (RunSummary, Vec<Span>, Vec<impacc_obs::Edge>) {
     let rec = Recorder::new();
     let plan = FaultPlan::new(SWEEP_SEED).with_uniform_rate(0.1);
-    let s = run_exchange(internode_spec(), Some(plan), 3, elide, Some(&rec));
+    let l = exchange_launch(internode_spec(), Some(plan))
+        .elide_handoff(elide)
+        .recorder(&rec);
+    let s = run_exchange(l, 3);
     (s, rec.spans(), rec.edges())
 }
 
@@ -56,7 +59,11 @@ fn faulted_run_is_bit_identical_across_reruns_and_elision() {
 fn faulted_coll_run(elide: bool) -> (RunSummary, Vec<Span>, Vec<impacc_obs::Edge>) {
     let rec = Recorder::new();
     let plan = FaultPlan::new(23).with_uniform_rate(0.08);
-    let s = run_coll_chaos(Some(plan), elide, Some(&rec));
+    let l = Launch::new(coll_spec(), RuntimeOptions::impacc())
+        .chaos(plan)
+        .elide_handoff(elide)
+        .recorder(&rec);
+    let s = run_coll_chaos(l);
     (s, rec.spans(), rec.edges())
 }
 

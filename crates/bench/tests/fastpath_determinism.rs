@@ -5,7 +5,7 @@
 //! counts, engine metrics, per-actor tag breakdowns, and the recorded
 //! span stream.
 
-use impacc_apps::{run_jacobi_tuned, JacobiParams};
+use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_bench::specs::psg_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
 use impacc_machine::KernelCost;
@@ -31,19 +31,17 @@ fn assert_bit_identical(on: &RunSummary, off: &RunSummary) {
 fn jacobi_is_bit_identical_with_and_without_elision() {
     let run = |elide: bool| -> (RunSummary, Vec<impacc_obs::Span>) {
         let rec = Recorder::new();
-        let s = run_jacobi_tuned(
-            psg_tasks(4),
-            RuntimeOptions::impacc(),
-            Some(4096),
-            Some(rec.sink()),
-            elide,
-            JacobiParams {
-                n: 512,
-                iters: 10,
-                verify: false,
-            },
-        )
-        .expect("jacobi run");
+        let p = JacobiParams {
+            n: 512,
+            iters: 10,
+            verify: false,
+        };
+        let s = Launch::new(psg_tasks(4), RuntimeOptions::impacc())
+            .phys_cap(4096)
+            .elide_handoff(elide)
+            .recorder(&rec)
+            .run(move |tc| jacobi_task(tc, &p))
+            .expect("jacobi run");
         (s, rec.spans())
     };
     let (on, spans_on) = run(true);

@@ -9,7 +9,7 @@
 //! traffic (the mailbox + lookahead-clamp machinery) is actually
 //! exercised; single-node specs would never leave one partition.
 
-use impacc_apps::{run_jacobi_tuned, JacobiParams};
+use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_bench::specs::titan_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
 use impacc_machine::KernelCost;
@@ -26,10 +26,6 @@ struct Observed {
 }
 
 fn observe(summary: RunSummary, rec: &Recorder, name: &str) -> Observed {
-    // Launch only canonicalizes recorders it was handed via `.recorder()`;
-    // sink-attached recorders (the app-runner path) are normalized here.
-    // Canonicalization is idempotent, so doing it for every run is safe.
-    rec.canonicalize();
     let spans = rec.spans();
     let prof_json = impacc_prof::analyze(&spans, &rec.edges()).to_json(name);
     Observed {
@@ -73,19 +69,16 @@ fn jacobi_is_bit_identical_across_impacc_parallel() {
     let run = |degree: usize| -> Observed {
         std::env::set_var("IMPACC_PARALLEL", degree.to_string());
         let rec = Recorder::new();
-        let s = run_jacobi_tuned(
-            titan_tasks(4),
-            RuntimeOptions::impacc(),
-            Some(4096),
-            Some(rec.sink()),
-            true,
-            JacobiParams {
-                n: 256,
-                iters: 8,
-                verify: false,
-            },
-        )
-        .expect("jacobi run");
+        let p = JacobiParams {
+            n: 256,
+            iters: 8,
+            verify: false,
+        };
+        let s = Launch::new(titan_tasks(4), RuntimeOptions::impacc())
+            .phys_cap(4096)
+            .recorder(&rec)
+            .run(move |tc| jacobi_task(tc, &p))
+            .expect("jacobi run");
         observe(s, &rec, "jacobi")
     };
     let base = run(DEGREES[0]);

@@ -4,25 +4,23 @@
 //! the tier-1 guard that the fast path never leaks into recorded spans,
 //! edges, or the critical path derived from them.
 
-use impacc_apps::{run_jacobi_tuned, JacobiParams};
-use impacc_core::RuntimeOptions;
+use impacc_apps::{jacobi_task, JacobiParams};
+use impacc_core::{Launch, RuntimeOptions};
 use impacc_obs::Recorder;
 
 fn profile_jacobi(elide_handoff: bool) -> (impacc_prof::Report, f64) {
     let rec = Recorder::new();
-    let summary = run_jacobi_tuned(
-        impacc_bench::specs::psg_tasks(4),
-        RuntimeOptions::impacc(),
-        Some(4096),
-        Some(rec.sink()),
-        elide_handoff,
-        JacobiParams {
-            n: 512,
-            iters: 6,
-            verify: false,
-        },
-    )
-    .expect("jacobi run");
+    let p = JacobiParams {
+        n: 512,
+        iters: 6,
+        verify: false,
+    };
+    let summary = Launch::new(impacc_bench::specs::psg_tasks(4), RuntimeOptions::impacc())
+        .phys_cap(4096)
+        .elide_handoff(elide_handoff)
+        .recorder(&rec)
+        .run(move |tc| jacobi_task(tc, &p))
+        .expect("jacobi run");
     let report = impacc_prof::analyze(&rec.spans(), &rec.edges());
     let secs = summary.elapsed_secs();
     (report, secs)

@@ -89,8 +89,8 @@ fn handwritten_jacobi_is_pinned_in_all_modes() {
     ];
     for ((mode, opts), want) in modes().into_iter().zip(want) {
         check(&format!("jacobi/{mode}"), want, |degree| {
-            // What `run_jacobi_probed` launches, with the degree pinned
-            // through the typed builder (immune to ambient IMPACC_PARALLEL).
+            // The degree is pinned through the typed builder (immune to
+            // ambient IMPACC_PARALLEL).
             let probe = ResProbe::new();
             let inner = probe.clone();
             let p = JacobiParams {

@@ -234,12 +234,6 @@ impl NodeHandler {
             send.tag
         );
         ctx.metrics().inc("fused_msgs");
-        ctx.trace("fuse", || {
-            format!(
-                "{} -> {} tag {} ({} B, {:?} -> {:?})",
-                send.src, send.dst, send.tag, send.buf.len, send.buf.loc, recv.buf.loc
-            )
-        });
         let path = match (send.buf.loc, recv.buf.loc) {
             (BufLoc::Host, BufLoc::Host) => "HtoH",
             (BufLoc::Host, BufLoc::Device(_)) => "HtoD",
@@ -262,12 +256,6 @@ impl NodeHandler {
             (BufLoc::Host, BufLoc::Host) => {
                 if self.try_alias(ctx, &send, &recv) {
                     ctx.metrics().inc("aliased_msgs");
-                    ctx.trace("alias", || {
-                        format!(
-                            "{} -> {} tag {} shared zero-copy",
-                            send.src, send.dst, send.tag
-                        )
-                    });
                     ctx.event("alias", || {
                         vec![("outcome", "hit".to_string()), ("bytes", len.to_string())]
                     });

@@ -123,9 +123,7 @@ pub struct Launch {
     phys_cap: Option<u64>,
     stack_size: usize,
     max_events: u64,
-    trace_capacity: usize,
     elide_handoff: bool,
-    sink: Option<Arc<dyn SpanSink>>,
     chaos: Chaos,
     coll_algo: Option<CollAlgo>,
     parallelism: Option<usize>,
@@ -145,9 +143,7 @@ impl Launch {
             phys_cap: None,
             stack_size: 384 * 1024,
             max_events: u64::MAX,
-            trace_capacity: 0,
             elide_handoff: true,
-            sink: None,
             chaos: Chaos::disabled(),
             coll_algo: None,
             parallelism: None,
@@ -238,27 +234,13 @@ impl Launch {
         self
     }
 
-    /// Retain the last `n` runtime trace events (fusions, aliases) in the
-    /// report for debugging. Superseded by [`Launch::recorder`], which
-    /// captures typed spans instead of strings.
-    pub fn trace(mut self, n: usize) -> Launch {
-        self.trace_capacity = n;
-        self
-    }
-
-    /// Attach a raw span sink to the engine.
-    pub fn span_sink(mut self, sink: Arc<dyn SpanSink>) -> Launch {
-        self.sink = Some(sink);
-        self
-    }
-
     /// Record typed spans from every layer into `rec`
     /// (see `impacc_obs::Recorder`). Under the parallel engine the
     /// recorder is canonicalized when the run completes, so its spans and
     /// edges read back identically for every `IMPACC_PARALLEL` value.
     pub fn recorder(mut self, rec: &Recorder) -> Launch {
         self.recorder = Some(rec.clone());
-        self.span_sink(rec.sink())
+        self
     }
 
     /// Compute the automatic task-device mapping (Figure 2) without
@@ -387,8 +369,8 @@ impl Launch {
 
         // `IMPACC_TRACE=<path>` traces any run without code changes: an
         // auto-created recorder captures spans and the Chrome trace is
-        // written on completion (an explicitly attached sink wins).
-        let mut sink = self.sink.clone();
+        // written on completion (an explicitly attached recorder wins).
+        let mut sink: Option<Arc<dyn SpanSink>> = self.recorder.as_ref().map(|r| r.sink());
         let mut auto_trace: Option<(Recorder, std::path::PathBuf)> = None;
         if sink.is_none() {
             if let Some(path) = crate::config::trace_path() {
@@ -433,7 +415,6 @@ impl Launch {
         let mut sim = Sim::with_config(SimConfig {
             stack_size: self.stack_size,
             max_events: self.max_events,
-            trace_capacity: self.trace_capacity,
             elide_handoff: self.elide_handoff,
             sink,
             parallelism,

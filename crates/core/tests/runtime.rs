@@ -5,6 +5,7 @@
 use impacc_core::{Launch, MpiOpts, RuntimeOptions, TaskCtx};
 use impacc_machine::{presets, KernelCost};
 use impacc_mpi::ReduceOp;
+use impacc_obs::{EventKind, Recorder};
 
 fn run_impacc(
     spec: impacc_machine::MachineSpec,
@@ -628,8 +629,9 @@ fn comm_split_groups_by_node_and_reduces_within() {
 
 #[test]
 fn runtime_trace_records_fusions_and_aliases() {
-    let s = Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
-        .trace(16)
+    let rec = Recorder::new();
+    Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
+        .recorder(&rec)
         .run(|tc| {
             let a = tc.malloc_f64(8);
             if tc.rank() == 0 {
@@ -642,12 +644,11 @@ fn runtime_trace_records_fusions_and_aliases() {
             }
         })
         .unwrap();
-    let labels: Vec<&str> = s.report.trace.iter().map(|e| e.label).collect();
-    assert!(labels.contains(&"fuse"));
-    assert!(labels.contains(&"alias"));
-    let fuse = s.report.trace.iter().find(|e| e.label == "fuse").unwrap();
+    let spans = rec.spans();
+    assert!(spans.iter().any(|s| s.kind == EventKind::Alias));
+    let fuse = spans.iter().find(|s| s.kind == EventKind::Fuse).unwrap();
     assert!(fuse.actor.starts_with("handler"));
-    assert!(fuse.detail.contains("0 -> 1"));
+    assert_eq!((fuse.attr("src"), fuse.attr("dst")), (Some("0"), Some("1")));
 }
 
 #[test]

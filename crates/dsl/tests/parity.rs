@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use impacc_apps::{run_jacobi_probed, JacobiParams};
+use impacc_apps::{jacobi_task_probed, launch_app, JacobiParams};
 use impacc_array::scenarios::{jacobi_array_task, ArrayJacobiParams};
 use impacc_array::ResProbe;
 use impacc_core::{Launch, RunSummary, RuntimeOptions, TaskCtx};
@@ -76,19 +76,15 @@ fn dsl_jacobi_matches_handwritten_in_all_modes() {
     let c = jacobi_compiled(24, 6);
     for (name, opts) in modes() {
         let hand_probe = ResProbe::new();
-        let hand = run_jacobi_probed(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            JacobiParams {
-                n: 24,
-                iters: 6,
-                verify: false,
-            },
-            hand_probe.clone(),
-        )
+        let probe_in = hand_probe.clone();
+        let params = JacobiParams {
+            n: 24,
+            iters: 6,
+            verify: false,
+        };
+        let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_task_probed(tc, &params, Some(&probe_in))
+        })
         .expect("hand-written jacobi");
 
         let dsl_probe = ResProbe::new();

@@ -5,8 +5,7 @@
 //! (HtoH/HtoD/DtoH/DtoD), kernel execution, message fusion, heap aliasing.
 //! This crate is the substrate for those attributions:
 //!
-//! * [`Span`] / [`EventKind`] — typed time spans replacing the engine's
-//!   legacy stringly `TraceEvent` ring;
+//! * [`Span`] / [`EventKind`] — typed time spans;
 //! * [`Recorder`] — a bounded, thread-safe span buffer plus a
 //!   counter/gauge/histogram registry with deterministic (sorted)
 //!   snapshots; implements `impacc_vtime::SpanSink` so it plugs straight

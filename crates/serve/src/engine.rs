@@ -977,6 +977,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A small job of every workload on a two-GPU PSG node: two tasks
+    /// (what `exchange` needs) and a survivor for a failed device.
+    fn small_psg_job(label: &str) -> &'static str {
+        match label {
+            "allreduce" => "workload=allreduce\nelems=64\nrounds=2",
+            "exchange" => "workload=exchange\nrounds=2",
+            "jacobi" => "workload=jacobi\nn=16\niters=3",
+            "stencil3d" => "workload=stencil3d\nn=8\niters=2",
+            "stencil2d" => "workload=stencil2d\nn=16\niters=2\nhalo=2",
+            "redblack" => "workload=redblack\nn=16\niters=2",
+            "dsl" => "workload=dsl\nprogram=jacobi\nparams=n:16,iters:2",
+            other => panic!("no fault-plan job for workload {other}: add one"),
+        }
+    }
+
+    /// The observables of a result body: everything after the key and the
+    /// canonical job echo, which differ between any two jobs.
+    fn observables(done: &JobDone) -> &str {
+        let body = done.result.as_ref().expect("job ran");
+        &body[body.find("\"end_ps\":").expect("result body")..]
+    }
+
+    fn counter(observables: &str, name: &str) -> u64 {
+        let Some((_, rest)) = observables.split_once(&format!("\"{name}\":")) else {
+            return 0;
+        };
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).unwrap_or(0)
+    }
+
+    /// The key covers the fault plan, so the run must too: a faulted job
+    /// of any workload is not the healthy job under another name.
+    #[test]
+    fn every_workload_honours_its_fault_plan() {
+        let dir = tmpdir("faults");
+        let serve = Serve::start(ServeConfig {
+            out_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let run = |text: String| {
+            let job = JobSpec::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let key = job.key();
+            let done = serve.submit(job).unwrap().wait();
+            assert!(done.is_ok(), "{text}: {:?}", done.error);
+            (key, done)
+        };
+        for row in &crate::job::WORKLOADS {
+            let label = row.label;
+            let base = format!("{}\nspec=psg\nnodes=1\ngpus=2", small_psg_job(label));
+            let (_, healthy) = run(base.clone());
+
+            let (_, faulted) = run(format!("{base}\nchaos_rate=0.3\nchaos_seed=7"));
+            let seen = observables(&faulted);
+            assert_ne!(seen, observables(&healthy), "{label}: fault rolls fired");
+            assert!(
+                counter(seen, "retries") > 0 || seen.contains("\"chaos_"),
+                "{label}: no fault counter in {seen}"
+            );
+
+            let (key, degraded) = run(format!("{base}\nfail_device=0:1"));
+            let seen = observables(&degraded);
+            assert_ne!(seen, observables(&healthy), "{label}: device loss");
+            assert!(counter(seen, "device_remaps") >= 1, "{label}: {seen}");
+            let st = serve.status();
+            assert!(
+                st.anomalies
+                    .iter()
+                    .any(|a| a.contains(&key) && a.contains("device_loss")),
+                "{label}: anomaly ring must name job and rule: {:?}",
+                st.anomalies
+            );
+            let dump = std::fs::read_to_string(dir.join(format!("FLIGHT_job_{key}.json")))
+                .unwrap_or_else(|e| panic!("{label}: degraded job leaves a flight dump: {e}"));
+            assert!(dump.contains("device_loss"), "{label}: {dump}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn status_json_embeds_lanes_rates_and_render() {
         let serve = Serve::start(ServeConfig::default());

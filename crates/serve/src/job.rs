@@ -14,7 +14,10 @@
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-use impacc_core::CollAlgo;
+use impacc_apps::{allreduce_rounds, exchange, jacobi_task, JacobiParams};
+use impacc_array::{max_halo, scenarios, CartGrid};
+use impacc_core::{CollAlgo, TaskCtx};
+use impacc_machine::{presets, MachineSpec};
 
 use crate::front::{self, DslFront};
 
@@ -87,35 +90,232 @@ pub enum Workload {
     Dsl,
 }
 
+/// The program one rank of a job runs.
+pub(crate) type RankBody = Box<dyn Fn(&TaskCtx) + Send + Sync>;
+
+/// Everything that differs between workloads. [`WORKLOADS`] holds one
+/// row per [`Workload`]; parsing, validation, the canonical form and the
+/// run path all read the row instead of deciding by workload themselves.
+pub(crate) struct WorkloadRow {
+    workload: Workload,
+    /// The `workload=` spelling.
+    pub(crate) label: &'static str,
+    /// The result-affecting job fields this workload reads beyond the
+    /// common ones (machine, seed, fault plan): the keys its canonical
+    /// form adds, and the only ones that reach its run.
+    pub(crate) reads: &'static [&'static str],
+    /// The workload's own admission rule.
+    validate: fn(&JobSpec) -> Result<(), String>,
+    /// Build the rank body, before launch and off the simulated ranks:
+    /// a DSL compile error is the job's error, not a panic inside one.
+    pub(crate) body: fn(&JobSpec) -> Result<RankBody, String>,
+}
+
+pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
+    WorkloadRow {
+        workload: Workload::Allreduce,
+        label: "allreduce",
+        reads: &["algo", "elems", "rounds"],
+        validate: |_| Ok(()),
+        body: |j| {
+            let (elems, rounds, seed) = (j.elems, j.rounds, j.seed);
+            Ok(Box::new(move |tc| {
+                allreduce_rounds(tc, elems, rounds, seed)
+            }))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Exchange,
+        label: "exchange",
+        reads: &["rounds"],
+        validate: |j| match j.task_count() {
+            2 => Ok(()),
+            n => Err(format!("exchange needs exactly 2 tasks, spec hosts {n}")),
+        },
+        body: |j| {
+            let (rounds, seed) = (j.rounds, j.seed);
+            // 32 KiB per buffer.
+            Ok(Box::new(move |tc| exchange(tc, 1 << 12, rounds, seed)))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Jacobi,
+        label: "jacobi",
+        reads: &["iters", "n"],
+        validate: |j| {
+            if j.n < 8 || !j.n.is_multiple_of(2) {
+                return Err("jacobi mesh n must be even and >= 8".into());
+            }
+            Ok(())
+        },
+        body: |j| {
+            let p = JacobiParams {
+                n: j.n,
+                iters: j.iters,
+                verify: false,
+            };
+            Ok(Box::new(move |tc| jacobi_task(tc, &p)))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Stencil3d,
+        label: "stencil3d",
+        reads: &["iters", "n"],
+        validate: |j| {
+            if j.n < 4 {
+                return Err("stencil3d cube n must be >= 4".into());
+            }
+            let tasks = j.task_count();
+            if max_halo(&[j.n, j.n, j.n], &CartGrid::new(tasks, 2)) < 1 {
+                return Err(format!(
+                    "stencil3d n={} too small for a {tasks} rank grid",
+                    j.n
+                ));
+            }
+            Ok(())
+        },
+        body: |j| {
+            let p = scenarios::Stencil3dParams {
+                n: j.n,
+                iters: j.iters,
+                verify: false,
+            };
+            Ok(Box::new(move |tc| scenarios::stencil3d_task(tc, &p, None)))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Stencil2d,
+        label: "stencil2d",
+        reads: &["halo", "iters", "n"],
+        validate: |j| {
+            if j.halo == 0 {
+                return Err("stencil2d halo must be >= 1".into());
+            }
+            line_mesh_fits(j, j.halo)
+        },
+        body: |j| {
+            let p = scenarios::Stencil2dParams {
+                n: j.n,
+                iters: j.iters,
+                halo: j.halo,
+                verify: false,
+            };
+            Ok(Box::new(move |tc| scenarios::stencil2d_task(tc, &p, None)))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Redblack,
+        label: "redblack",
+        reads: &["iters", "n"],
+        validate: |j| line_mesh_fits(j, 1),
+        body: |j| {
+            let p = scenarios::RedBlackParams {
+                n: j.n,
+                iters: j.iters,
+                verify: false,
+            };
+            Ok(Box::new(move |tc| scenarios::redblack_task(tc, &p, None)))
+        },
+    },
+    WorkloadRow {
+        workload: Workload::Dsl,
+        label: "dsl",
+        reads: &["program"],
+        validate: |j| {
+            if j.program.is_empty() {
+                return Err("dsl workload needs program=<example|inline source>".into());
+            }
+            impacc_dsl::validate_launch(&j.dsl_front()?.compiled, j.task_count())
+                .map_err(|e| format!("dsl program cannot launch: {e}"))
+        },
+        body: |j| {
+            let c = j.dsl_front()?.compiled.clone();
+            Ok(Box::new(move |tc| {
+                impacc_dsl::run_program(tc, &c, None, false);
+            }))
+        },
+    },
+];
+
+/// The `n×n` mesh split into row blocks, one per task, leaves every
+/// block at least `halo` rows to exchange.
+fn line_mesh_fits(j: &JobSpec, halo: usize) -> Result<(), String> {
+    if j.n <= 2 * halo {
+        return Err(format!("mesh n={} must exceed 2*halo={}", j.n, 2 * halo));
+    }
+    let tasks = j.task_count();
+    if max_halo(&[j.n, j.n], &CartGrid::line(tasks)) < halo {
+        return Err(format!(
+            "halo {halo} exceeds the smallest block of n={} over {tasks} ranks",
+            j.n
+        ));
+    }
+    Ok(())
+}
+
+/// `a|b|c`, for the "unknown name" errors.
+fn names(all: impl Iterator<Item = &'static str>) -> String {
+    all.collect::<Vec<_>>().join("|")
+}
+
 impl Workload {
+    pub(crate) fn row(self) -> &'static WorkloadRow {
+        WORKLOADS
+            .iter()
+            .find(|r| r.workload == self)
+            .expect("every workload has a row")
+    }
+
     /// The `workload=` spelling.
     pub fn label(self) -> &'static str {
-        match self {
-            Workload::Allreduce => "allreduce",
-            Workload::Exchange => "exchange",
-            Workload::Jacobi => "jacobi",
-            Workload::Stencil3d => "stencil3d",
-            Workload::Stencil2d => "stencil2d",
-            Workload::Redblack => "redblack",
-            Workload::Dsl => "dsl",
-        }
+        self.row().label
     }
 
     fn parse(s: &str) -> Result<Workload, String> {
-        match s {
-            "allreduce" => Ok(Workload::Allreduce),
-            "exchange" => Ok(Workload::Exchange),
-            "jacobi" => Ok(Workload::Jacobi),
-            "stencil3d" => Ok(Workload::Stencil3d),
-            "stencil2d" => Ok(Workload::Stencil2d),
-            "redblack" => Ok(Workload::Redblack),
-            "dsl" => Ok(Workload::Dsl),
-            other => Err(format!(
-                "unknown workload {other:?} (allreduce|exchange|jacobi|stencil3d|stencil2d|redblack|dsl)"
+        match WORKLOADS.iter().find(|r| r.label == s) {
+            Some(r) => Ok(r.workload),
+            None => Err(format!(
+                "unknown workload {s:?} ({})",
+                names(WORKLOADS.iter().map(|r| r.label))
             )),
         }
     }
 }
+
+/// One machine preset (`spec=`), sized by the job's `nodes`/`gpus`.
+pub(crate) struct Preset {
+    name: &'static str,
+    /// Tasks the §3.2 mapper will create on it.
+    tasks: fn(&JobSpec) -> usize,
+    /// Why the job's `nodes`/`gpus` do not fit it, if they do not.
+    misfit: fn(&JobSpec) -> Option<&'static str>,
+    pub(crate) build: fn(&JobSpec) -> MachineSpec,
+}
+
+static PRESETS: [Preset; 3] = [
+    Preset {
+        name: "test_cluster",
+        tasks: |j| j.nodes * j.gpus,
+        misfit: |_| None,
+        build: |j| presets::test_cluster(j.nodes, j.gpus),
+    },
+    Preset {
+        name: "psg",
+        tasks: |j| j.gpus,
+        misfit: |j| (j.gpus > 8 || j.nodes != 1).then_some("psg is one node with up to 8 GPUs"),
+        build: |j| {
+            let mut s = presets::psg();
+            s.nodes[0].devices.truncate(j.gpus);
+            s
+        },
+    },
+    Preset {
+        name: "titan",
+        tasks: |j| j.nodes,
+        misfit: |_| None,
+        build: |j| presets::titan(j.nodes),
+    },
+];
 
 /// Escape DSL source so it survives the daemon's line- and
 /// space-oriented plumbing: canonical forms join pairs with spaces,
@@ -204,10 +404,6 @@ pub struct JobSpec {
     pub prof: bool,
     /// Scheduling lane; not part of the key.
     pub priority: Priority,
-    /// Force engine baton-handoff elision on/off (`None` = engine
-    /// default). Elision is bit-identical by contract (the fastpath
-    /// determinism suite), so this is not part of the key either.
-    pub elide: Option<bool>,
     /// Correlation id of the owning campaign (`""` = standalone job).
     /// Pure observability — it tags the job's spans, heartbeat rows and
     /// `FLIGHT_*.json` dumps but can never change the result, so it is
@@ -237,7 +433,6 @@ impl Default for JobSpec {
             fail_device: Vec::new(),
             prof: false,
             priority: Priority::Normal,
-            elide: None,
             campaign: String::new(),
         }
     }
@@ -314,9 +509,10 @@ impl JobSpec {
             match k {
                 "workload" => job.workload = Workload::parse(v)?,
                 "spec" => {
-                    if !matches!(v, "test_cluster" | "psg" | "titan") {
+                    if !PRESETS.iter().any(|p| p.name == v) {
                         return Err(format!(
-                            "unknown machine preset {v:?} (test_cluster|psg|titan)"
+                            "unknown machine preset {v:?} ({})",
+                            names(PRESETS.iter().map(|p| p.name))
                         ));
                     }
                     job.spec = v.to_string();
@@ -376,7 +572,6 @@ impl JobSpec {
                 }
                 "prof" => job.prof = parse_bool(k, v)?,
                 "priority" => job.priority = Priority::parse(v)?,
-                "elide" => job.elide = Some(parse_bool(k, v)?),
                 "campaign" => job.campaign = v.to_string(),
                 other => return Err(format!("unknown job field {other:?}")),
             }
@@ -390,63 +585,10 @@ impl JobSpec {
         if self.nodes == 0 || self.gpus == 0 {
             return Err("nodes and gpus must be >= 1".into());
         }
-        if self.spec == "psg" && (self.gpus > 8 || self.nodes != 1) {
-            return Err("psg is one node with up to 8 GPUs".into());
+        if let Some(why) = self.preset().and_then(|p| (p.misfit)(self)) {
+            return Err(why.into());
         }
-        if self.workload == Workload::Exchange && self.task_count() != 2 {
-            return Err(format!(
-                "exchange needs exactly 2 tasks, spec hosts {}",
-                self.task_count()
-            ));
-        }
-        if self.workload == Workload::Jacobi && (self.n < 8 || !self.n.is_multiple_of(2)) {
-            return Err("jacobi mesh n must be even and >= 8".into());
-        }
-        match self.workload {
-            Workload::Stencil3d => {
-                let grid = impacc_array::CartGrid::new(self.task_count(), 2);
-                if self.n < 4 {
-                    return Err("stencil3d cube n must be >= 4".into());
-                }
-                if impacc_array::max_halo(&[self.n, self.n, self.n], &grid) < 1 {
-                    return Err(format!(
-                        "stencil3d n={} too small for a {} rank grid",
-                        self.n,
-                        self.task_count()
-                    ));
-                }
-            }
-            Workload::Stencil2d | Workload::Redblack => {
-                let halo = if self.workload == Workload::Stencil2d {
-                    if self.halo == 0 {
-                        return Err("stencil2d halo must be >= 1".into());
-                    }
-                    self.halo
-                } else {
-                    1
-                };
-                if self.n <= 2 * halo {
-                    return Err(format!("mesh n={} must exceed 2*halo={}", self.n, 2 * halo));
-                }
-                let grid = impacc_array::CartGrid::line(self.task_count());
-                if impacc_array::max_halo(&[self.n, self.n], &grid) < halo {
-                    return Err(format!(
-                        "halo {halo} exceeds the smallest block of n={} over {} ranks",
-                        self.n,
-                        self.task_count()
-                    ));
-                }
-            }
-            _ => {}
-        }
-        if self.workload == Workload::Dsl {
-            if self.program.is_empty() {
-                return Err("dsl workload needs program=<example|inline source>".into());
-            }
-            let front = self.dsl_front()?;
-            impacc_dsl::validate_launch(&front.compiled, self.task_count())
-                .map_err(|e| format!("dsl program cannot launch: {e}"))?;
-        }
+        (self.workload.row().validate)(self)?;
         for &(n, d) in &self.fail_device {
             if n >= self.nodes || d >= self.gpus {
                 return Err(format!("fail_device {n}:{d} outside the machine"));
@@ -465,22 +607,26 @@ impl JobSpec {
         front::dsl_front(&self.program, &self.params)
     }
 
-    /// Tasks the §3.2 mapper will create on this job's machine.
-    pub fn task_count(&self) -> usize {
-        match self.spec.as_str() {
-            "psg" => self.gpus,
-            "titan" => self.nodes,
-            _ => self.nodes * self.gpus,
-        }
+    /// The job's machine preset; `None` for a `spec` no [`JobSpec::parse`]
+    /// would have let through (a struct-literal job).
+    pub(crate) fn preset(&self) -> Option<&'static Preset> {
+        PRESETS.iter().find(|p| p.name == self.spec)
     }
 
-    /// Write the result-affecting fields as `key=value` pairs in sorted
-    /// key order, `sep` between pairs. `src_hash` is derived from
-    /// `program`; the wire format leaves it out.
+    /// Tasks the §3.2 mapper will create on this job's machine.
+    pub fn task_count(&self) -> usize {
+        self.preset()
+            .map_or(self.nodes * self.gpus, |p| (p.tasks)(self))
+    }
+
+    /// Write the result-affecting fields as `key=value` pairs, `sep`
+    /// between pairs: one walk over every key in sorted order, a key
+    /// written iff every workload carries it or the job's row reads it.
+    /// `src_hash` is derived from `program`; the wire format leaves it out.
     fn write_pairs(&self, out: &mut impl fmt::Write, sep: char, src_hash: bool) -> fmt::Result {
-        use Workload::*;
-        let w = self.workload;
-        if w == Allreduce {
+        let row = self.workload.row();
+        let reads = |field: &str| row.reads.contains(&field);
+        if reads("algo") {
             write!(out, "algo={}{sep}", self.algo.map_or("auto", |a| a.label()))?;
         }
         write!(
@@ -488,7 +634,7 @@ impl JobSpec {
             "chaos_rate={}{sep}chaos_seed={}{sep}",
             self.chaos_rate, self.chaos_seed
         )?;
-        if w == Allreduce {
+        if reads("elems") {
             write!(out, "elems={}{sep}", self.elems)?;
         }
         out.write_str("fail_device=")?;
@@ -496,18 +642,21 @@ impl JobSpec {
             write!(out, "{}{n}:{d}", if i > 0 { "," } else { "" })?;
         }
         write!(out, "{sep}gpus={}{sep}", self.gpus)?;
-        if w == Stencil2d {
+        if reads("halo") {
             write!(out, "halo={}{sep}", self.halo)?;
         }
-        if matches!(w, Jacobi | Stencil3d | Redblack | Stencil2d) {
-            write!(out, "iters={}{sep}n={}{sep}", self.iters, self.n)?;
+        if reads("iters") {
+            write!(out, "iters={}{sep}", self.iters)?;
+        }
+        if reads("n") {
+            write!(out, "n={}{sep}", self.n)?;
         }
         write!(out, "nodes={}{sep}", self.nodes)?;
         // The program is keyed by its *normal form* (canonical source
         // with params resolved), so spelling variants cannot split the
         // cache. `src_hash` rides along for observability and
         // greppability.
-        let front = (w == Dsl).then(|| self.dsl_front());
+        let front = reads("program").then(|| self.dsl_front());
         let invalid;
         let dsl: Option<(&str, &str)> = match &front {
             Some(Ok(f)) => Some((&f.normal_form, &f.src_hash)),
@@ -520,14 +669,14 @@ impl JobSpec {
         if let Some((program, _)) = dsl {
             write!(out, "program={program}{sep}")?;
         }
-        if matches!(w, Allreduce | Exchange) {
+        if reads("rounds") {
             write!(out, "rounds={}{sep}", self.rounds)?;
         }
         write!(out, "seed={}{sep}spec={}{sep}", self.seed, self.spec)?;
         if let (Some((_, hash)), true) = (dsl, src_hash) {
             write!(out, "src_hash={hash}{sep}")?;
         }
-        write!(out, "workload={}", w.label())
+        write!(out, "workload={}", row.label)
     }
 
     /// The result-affecting fields in normal form: key-sorted, defaults
@@ -560,7 +709,7 @@ impl JobSpec {
     /// Render the job as a `key=value` file body that [`JobSpec::parse`]
     /// round-trips exactly — the spool wire format. Unlike
     /// [`JobSpec::canonical`] this keeps the non-result fields (`prof`,
-    /// `priority`, `elide`) a request carries through the daemon.
+    /// `priority`, `campaign`) a request carries through the daemon.
     pub fn to_file(&self) -> String {
         // `src_hash` is left out (parse would reject it as an unknown
         // knob); `params` are already folded into the canonical program
@@ -572,9 +721,6 @@ impl JobSpec {
         }
         if self.priority != Priority::Normal {
             let _ = write!(out, "\npriority={}", self.priority.label());
-        }
-        if let Some(e) = self.elide {
-            let _ = write!(out, "\nelide={}", u8::from(e));
         }
         if !self.campaign.is_empty() {
             let _ = write!(out, "\ncampaign={}", self.campaign);
@@ -591,7 +737,7 @@ mod tests {
     #[test]
     fn to_file_round_trips_through_parse() {
         let job = JobSpec::parse(
-            "workload=exchange\nnodes=2\ngpus=1\nrounds=3\nchaos_rate=0.05\nchaos_seed=9\nprof=1\npriority=low\nelide=0",
+            "workload=exchange\nnodes=2\ngpus=1\nrounds=3\nchaos_rate=0.05\nchaos_seed=9\nprof=1\npriority=low",
         )
         .unwrap();
         let back = JobSpec::parse(&job.to_file()).unwrap();
@@ -599,7 +745,6 @@ mod tests {
         assert_eq!(job.canonical(), back.canonical());
         assert!(back.prof);
         assert_eq!(back.priority, Priority::Low);
-        assert_eq!(back.elide, Some(false));
     }
 
     #[test]
@@ -609,24 +754,16 @@ mod tests {
             err.contains("prof") && err.contains("\"yes\""),
             "got: {err}"
         );
-        let err = JobSpec::parse("workload=allreduce\nelide=banana").unwrap_err();
-        assert!(
-            err.contains("elide") && err.contains("banana"),
-            "got: {err}"
-        );
         // The word spellings parse, and the wire format writes 1/0.
-        let job = JobSpec::parse("workload=allreduce\nprof=true\nelide=false").unwrap();
+        let job = JobSpec::parse("workload=allreduce\nprof=true").unwrap();
         assert!(job.prof);
-        assert_eq!(job.elide, Some(false));
         let body = job.to_file();
-        assert!(
-            body.contains("\nprof=1\n") && body.contains("\nelide=0\n"),
-            "{body}"
-        );
-        let back = JobSpec::parse(&body).unwrap();
-        assert_eq!((back.prof, back.elide), (true, Some(false)));
-        let off = JobSpec::parse("workload=allreduce\nprof=0\nelide=1").unwrap();
-        assert_eq!((off.prof, off.elide), (false, Some(true)));
+        assert!(body.contains("\nprof=1\n"), "{body}");
+        assert!(JobSpec::parse(&body).unwrap().prof);
+        assert!(!JobSpec::parse("workload=allreduce\nprof=0").unwrap().prof);
+        // The retired engine knob is an unknown field like any other.
+        let err = JobSpec::parse("workload=allreduce\nelide=0").unwrap_err();
+        assert!(err.contains("unknown job field \"elide\""), "got: {err}");
     }
 
     #[test]
@@ -798,5 +935,78 @@ mod tests {
         let b =
             JobSpec::parse("workload=allreduce\nnodes=2\ngpus=3\nfail_device=1:2,0:1,0:1").unwrap();
         assert_eq!(a.key(), b.key());
+    }
+
+    /// The table is the only place a workload is described, so hold every
+    /// row to what the rest of the crate reads off it.
+    #[test]
+    fn every_row_is_consistent_with_parse_key_and_wire_format() {
+        const COMMON: [&str; 8] = [
+            "chaos_rate",
+            "chaos_seed",
+            "fail_device",
+            "gpus",
+            "nodes",
+            "seed",
+            "spec",
+            "workload",
+        ];
+        // Every field some row may read, with a non-default value.
+        const OPTIONAL: [(&str, &str); 7] = [
+            ("algo", "ring"),
+            ("elems", "7"),
+            ("halo", "3"),
+            ("iters", "9"),
+            ("n", "40"),
+            ("program", "dot"),
+            ("rounds", "5"),
+        ];
+        for row in &WORKLOADS {
+            let label = row.label;
+            assert_eq!(Workload::parse(label), Ok(row.workload));
+            assert_eq!(row.workload.label(), label);
+            for field in row.reads {
+                assert!(
+                    OPTIONAL.iter().any(|(f, _)| f == field),
+                    "{label}: reads unknown field {field}"
+                );
+            }
+
+            let text = if row.reads.contains(&"program") {
+                format!("workload={label}\nprogram=jacobi")
+            } else {
+                format!("workload={label}")
+            };
+            let job = JobSpec::parse(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+
+            // canonical() names the common keys plus the row's set
+            // (`src_hash` rides along with `program`), sorted.
+            let canonical = job.canonical();
+            let named: Vec<&str> = canonical
+                .split(' ')
+                .map(|pair| pair.split_once('=').expect("key=value").0)
+                .collect();
+            let mut want: Vec<&str> = COMMON.iter().chain(row.reads).copied().collect();
+            if row.reads.contains(&"program") {
+                want.push("src_hash");
+            }
+            want.sort_unstable();
+            assert_eq!(named, want, "{label}: canonical keys");
+
+            // A field moves the key iff the row reads it.
+            for (field, value) in OPTIONAL {
+                let varied = JobSpec::parse(&format!("{text}\n{field}={value}"))
+                    .unwrap_or_else(|e| panic!("{label} {field}={value}: {e}"));
+                assert_eq!(
+                    varied.key() != job.key(),
+                    row.reads.contains(&field),
+                    "{label}: {field}={value}"
+                );
+            }
+
+            let back = JobSpec::parse(&job.to_file()).unwrap();
+            assert_eq!(back.key(), job.key(), "{label}: wire round trip");
+            assert_eq!(back.canonical(), canonical, "{label}: wire round trip");
+        }
     }
 }

@@ -9,15 +9,12 @@
 
 use std::collections::BTreeMap;
 
-use impacc_apps::{math_ok, run_jacobi_sink, JacobiParams};
-use impacc_array::scenarios;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_flight::FlightRecorder;
-use impacc_machine::{presets, FaultPlan, KernelCost, MachineSpec};
-use impacc_mpi::ReduceOp;
+use impacc_machine::{FaultPlan, MachineSpec};
 use impacc_obs::{json, Recorder};
 
-use crate::job::{JobSpec, Workload};
+use crate::job::JobSpec;
 
 /// A completed execution: the deterministic result body plus the
 /// optional per-job critical-path profile.
@@ -34,81 +31,9 @@ pub struct JobOutcome {
 
 /// Build the job's machine from its preset fields.
 pub fn machine_of(job: &JobSpec) -> Result<MachineSpec, String> {
-    Ok(match job.spec.as_str() {
-        "test_cluster" => presets::test_cluster(job.nodes, job.gpus),
-        "psg" => {
-            let mut s = presets::psg();
-            s.nodes[0].devices.truncate(job.gpus);
-            s
-        }
-        "titan" => presets::titan(job.nodes),
-        other => return Err(format!("unknown machine preset {other:?}")),
-    })
-}
-
-/// `rounds` verified Sum-allreduces of `elems` f64s; the job seed shifts
-/// every contribution so distinct seeds produce distinct payloads while
-/// staying integer-valued (all fold orders bit-identical). One buffer per
-/// rank for all rounds: filled, reduced and checked where it is.
-fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32, seed: u64) {
-    let size = tc.size();
-    let shift = (seed % 1024) as f64;
-    let buf = tc.mpi_scratch_f64(elems);
-    for round in 0..rounds {
-        buf.with_f64s_mut(|vals| vals.fill((tc.rank() + round) as f64 + shift));
-        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum);
-        let expect = (0..size).map(|r| (r + round) as f64 + shift).sum::<f64>();
-        assert!(
-            buf.with_f64s(|out| out.len() == elems && out.iter().all(|&x| x == expect)),
-            "allreduce corrupted: want {expect}"
-        );
-    }
-}
-
-/// The fig-5-class two-rank exchange: kernel → copyout → send/recv →
-/// copyin → kernel, `rounds` times, every consume kernel asserting its
-/// input — so completion is itself a correctness result.
-fn exchange(tc: &TaskCtx, rounds: u32, seed: u64) {
-    const N: usize = 1 << 12; // 32 KiB per buffer
-    let peer = 1 - tc.rank();
-    let shift = (seed % 1024) as f64;
-    let me = tc.rank() as f64 + shift;
-    let buf0 = tc.malloc_f64(N);
-    let buf1 = tc.malloc_f64(N);
-    tc.acc_create(&buf0);
-    tc.acc_create(&buf1);
-    let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
-    for round in 0..rounds {
-        let produce = {
-            let d = tc.dev_view(&buf0);
-            let v = me + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.with_f64s_mut(0, N, |out| out.fill(v));
-                }
-            }
-        };
-        let consume = {
-            let d = tc.dev_view(&buf1);
-            let expect = peer as f64 + shift + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.with_f64s(0, N, |got| {
-                        assert!(
-                            got.iter().all(|&x| x == expect),
-                            "round {round}: corrupted payload after recovery"
-                        )
-                    });
-                }
-            }
-        };
-        tc.acc_kernel(None, cost, produce);
-        tc.acc_update_host(&buf0, 0, buf0.len, None);
-        let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host());
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host());
-        sreq.wait(tc.ctx());
-        tc.acc_update_device(&buf1, 0, buf1.len, None);
-        tc.acc_kernel(None, cost, consume);
+    match job.preset() {
+        Some(p) => Ok((p.build)(job)),
+        None => Err(format!("unknown machine preset {:?}", job.spec)),
     }
 }
 
@@ -152,106 +77,44 @@ pub(crate) fn run_job_keyed(
     flight: Option<&FlightRecorder>,
 ) -> Result<JobOutcome, String> {
     let spec = machine_of(job)?;
+    let row = job.workload.row();
+    let body = (row.body)(job)?;
     let rec = job.prof.then(Recorder::new);
-    let summary = match job.workload {
-        Workload::Jacobi => {
-            let params = JacobiParams {
-                n: job.n,
-                iters: job.iters,
-                verify: false,
-            };
-            let sink = match (&rec, flight) {
-                (Some(r), Some(f)) => Some(impacc_flight::tee(f.sink(), r.sink())),
-                (Some(r), None) => Some(r.sink()),
-                (None, Some(f)) => Some(f.sink()),
-                (None, None) => None,
-            };
-            run_jacobi_sink(spec, RuntimeOptions::impacc(), None, sink, params)
-                .map_err(|e| format!("jacobi failed: {e:?}"))?
-        }
-        wl => {
-            // A DSL program is compiled once per distinct source, off
-            // the simulated ranks (diagnostics belong here, not inside
-            // one), and every rank walks the shared plan.
-            let dsl = match wl {
-                Workload::Dsl => Some(job.dsl_front()?.compiled.clone()),
-                _ => None,
-            };
-            let mut l = Launch::new(spec, RuntimeOptions::impacc());
-            if let Some(plan) = fault_plan(job) {
-                l = l.chaos(plan);
-            }
-            if let Some(algo) = job.algo {
-                l = l.coll_algo(algo);
-            }
-            if let Some(elide) = job.elide {
-                l = l.elide_handoff(elide);
-            }
-            if let Some(rec) = &rec {
-                l = l.recorder(rec);
-            }
-            if let Some(fr) = flight {
-                l = l.flight(fr).flight_label(format!("job_{key}"));
-            }
-            let (elems, rounds, seed) = (job.elems, job.rounds, job.seed);
-            let (n, iters, halo) = (job.n, job.iters, job.halo);
-            let marker = (key.to_string(), job.campaign.clone());
-            let app = move |tc: &TaskCtx| {
-                if tc.rank() == 0 {
-                    // Zero-width correlation marker: ties every span
-                    // stream back to the job (and campaign) it belongs
-                    // to. `Ctx::event` dispatches no scheduler event,
-                    // so result bytes are untouched.
-                    let (key, campaign) = marker.clone();
-                    tc.ctx().event("marker", move || {
-                        let mut attrs = vec![("phase", "job".to_string()), ("job", key)];
-                        if !campaign.is_empty() {
-                            attrs.push(("campaign", campaign));
-                        }
-                        attrs
-                    });
-                }
-                match wl {
-                    Workload::Allreduce => allreduce_rounds(tc, elems, rounds, seed),
-                    Workload::Exchange => exchange(tc, rounds, seed),
-                    Workload::Stencil3d => scenarios::stencil3d_task(
-                        tc,
-                        &scenarios::Stencil3dParams {
-                            n,
-                            iters,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Stencil2d => scenarios::stencil2d_task(
-                        tc,
-                        &scenarios::Stencil2dParams {
-                            n,
-                            iters,
-                            halo,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Redblack => scenarios::redblack_task(
-                        tc,
-                        &scenarios::RedBlackParams {
-                            n,
-                            iters,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Dsl => {
-                        let c = dsl.as_ref().expect("compiled before launch");
-                        impacc_dsl::run_program(tc, c, None, false);
+    let mut l = Launch::new(spec, RuntimeOptions::impacc());
+    if let Some(plan) = fault_plan(job) {
+        l = l.chaos(plan);
+    }
+    // A field the row does not read is not in the key, so it must not
+    // reach the run either.
+    if let Some(algo) = job.algo.filter(|_| row.reads.contains(&"algo")) {
+        l = l.coll_algo(algo);
+    }
+    if let Some(rec) = &rec {
+        l = l.recorder(rec);
+    }
+    if let Some(fr) = flight {
+        l = l.flight(fr).flight_label(format!("job_{key}"));
+    }
+    let marker = (key.to_string(), job.campaign.clone());
+    let summary = l
+        .run(move |tc| {
+            if tc.rank() == 0 {
+                // Zero-width correlation marker: ties every span stream
+                // back to the job (and campaign) it belongs to.
+                // `Ctx::event` dispatches no scheduler event, so result
+                // bytes are untouched.
+                let (key, campaign) = marker.clone();
+                tc.ctx().event("marker", move || {
+                    let mut attrs = vec![("phase", "job".to_string()), ("job", key)];
+                    if !campaign.is_empty() {
+                        attrs.push(("campaign", campaign));
                     }
-                    Workload::Jacobi => unreachable!("handled above"),
-                }
-            };
-            l.run(app).map_err(|e| format!("run failed: {e:?}"))?
-        }
-    };
+                    attrs
+                });
+            }
+            body(tc)
+        })
+        .map_err(|e| format!("run failed: {e:?}"))?;
     let prof = rec
         .map(|rec| impacc_prof::analyze(&rec.spans(), &rec.edges()).to_json(&format!("job_{key}")));
     let metrics = summary
@@ -331,23 +194,18 @@ mod tests {
     }
 
     #[test]
-    fn elide_toggle_never_moves_the_key_or_the_bytes() {
-        // Handoff elision is bit-identical by the fastpath determinism
-        // contract, so it is an execution hint like `prof`: same content
-        // address, same result bytes, either way.
-        let plain = JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2").unwrap();
-        let on = JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2\nelide=1").unwrap();
-        let off =
-            JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2\nelide=0").unwrap();
-        assert_eq!(on.elide, Some(true));
-        assert_eq!(off.elide, Some(false));
-        assert_eq!(plain.key(), on.key(), "elide is result-invariant");
-        assert_eq!(plain.key(), off.key());
-        let a = run_job(&plain).unwrap();
-        let b = run_job(&on).unwrap();
-        let c = run_job(&off).unwrap();
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.result, c.result);
+    fn a_field_the_row_does_not_read_never_reaches_the_run() {
+        // `algo` is keyed for allreduce alone, so it may steer allreduce
+        // alone: two requests with one key must have one answer.
+        let text = "workload=jacobi\nspec=psg\nnodes=1\ngpus=4\nn=16\niters=2";
+        let plain = JobSpec::parse(text).unwrap();
+        let forced = JobSpec::parse(&format!("{text}\nalgo=flat")).unwrap();
+        assert!(forced.algo.is_some());
+        assert_eq!(plain.key(), forced.key());
+        assert_eq!(
+            run_job(&plain).unwrap().result,
+            run_job(&forced).unwrap().result
+        );
     }
 
     #[test]

@@ -262,12 +262,12 @@ proptest! {
         shape in (0usize..7, 0usize..3, 1usize..4, 1usize..4, any::<u64>()),
         sizes in (1usize..5000, 1u32..5, 2usize..40, 1usize..6, 1usize..4),
         faults in (0usize..6, any::<u64>(), prop::collection::vec((0usize..3, 0usize..3), 0..3)),
-        knobs in (0usize..8, 0usize..6, 0usize..3, 0usize..3, any::<bool>()),
+        knobs in (0usize..8, 0usize..6, 0usize..3, any::<bool>()),
     ) {
         let (workload, spec, nodes, gpus, seed) = shape;
         let (elems, rounds, n, iters, halo) = sizes;
         let (rate, chaos_seed, fail_device) = faults;
-        let (algo, program, priority, elide, prof) = knobs;
+        let (algo, program, priority, prof) = knobs;
         // Steer most cases to jobs that validate (the wire round trip
         // needs one): psg is one node, failed devices exist, and the
         // hand-written Jacobi wants an even mesh.
@@ -297,7 +297,6 @@ proptest! {
             fail_device,
             prof,
             priority: [Priority::High, Priority::Normal, Priority::Low][priority],
-            elide: [None, Some(false), Some(true)][elide],
             campaign: if prof { "sweep".to_string() } else { String::new() },
         };
         prop_assert_eq!(job.canonical(), reference_canonical(&job));
@@ -307,8 +306,8 @@ proptest! {
             prop_assert_eq!(back.key(), job.key());
             prop_assert_eq!(back.canonical(), job.canonical());
             prop_assert_eq!(
-                (back.prof, back.priority, back.elide, &back.campaign),
-                (job.prof, job.priority, job.elide, &job.campaign)
+                (back.prof, back.priority, &back.campaign),
+                (job.prof, job.priority, &job.campaign)
             );
         }
     }

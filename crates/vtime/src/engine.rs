@@ -55,7 +55,7 @@
 //! mutable state races with its concurrent execution. Intra-partition
 //! code needs no changes: the check-then-wait idiom stays race-free.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
@@ -450,10 +450,6 @@ struct RunGate {
     cv: Condvar,
 }
 
-/// A per-actor bounded trace buffer: `(global seq, event)` pairs, merged
-/// into one chronological stream at report time.
-type TraceRing = Arc<Mutex<VecDeque<(u64, TraceEvent)>>>;
-
 pub(crate) struct EngineShared {
     /// Only ever locked through [`EngineShared::lock_sched`].
     sched: Mutex<Sched>,
@@ -462,12 +458,6 @@ pub(crate) struct EngineShared {
     metrics: Metrics,
     stack_size: usize,
     elide_handoff: bool,
-    trace_capacity: usize,
-    /// Global ordering for merged trace events. Execution is serialized
-    /// (one baton), so the order of assignment is deterministic.
-    trace_seq: AtomicU64,
-    /// Every actor's trace ring, for the report-time merge.
-    trace_rings: Mutex<Vec<TraceRing>>,
     /// Mirror of `Sched::now`, updated under the scheduler lock, so the
     /// actor holding the baton can read the clock without contending on it.
     now_ps: AtomicU64,
@@ -624,11 +614,6 @@ pub struct SimConfig {
     /// Abort the run (with an error) after this many scheduler dispatches.
     /// Guards against runaway actor loops in tests.
     pub max_events: u64,
-    /// Keep the most recent `trace_capacity` [`TraceEvent`]s emitted via
-    /// [`Ctx::trace`] (0 disables tracing; detail closures are then never
-    /// evaluated). Superseded by [`SimConfig::sink`] for structured
-    /// observability; retained for lightweight ad-hoc debugging.
-    pub trace_capacity: usize,
     /// Structured span sink (normally an `impacc_obs::Recorder`). `None`
     /// disables span recording entirely — [`Ctx::span`] then returns before
     /// evaluating attribute closures, so a sink-less run pays nothing.
@@ -662,7 +647,6 @@ impl fmt::Debug for SimConfig {
         f.debug_struct("SimConfig")
             .field("stack_size", &self.stack_size)
             .field("max_events", &self.max_events)
-            .field("trace_capacity", &self.trace_capacity)
             .field("sink", &self.sink.as_ref().map(|_| "SpanSink"))
             .field("elide_handoff", &self.elide_handoff)
             .field("parallelism", &self.parallelism)
@@ -676,31 +660,12 @@ impl Default for SimConfig {
         SimConfig {
             stack_size: 512 * 1024,
             max_events: u64::MAX,
-            trace_capacity: 0,
             sink: None,
             elide_handoff: true,
             parallelism: 0,
             lookahead: SimDur::ZERO,
         }
     }
-}
-
-/// One traced event (see [`Ctx::trace`]).
-///
-/// Legacy lightweight tracing: a bounded ring of stringly events. New
-/// instrumentation should emit typed spans through [`Ctx::span`] into an
-/// `impacc_obs::Recorder` instead; this ring remains for quick ad-hoc
-/// debugging and for tests that predate the observability subsystem.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub t: SimTime,
-    /// Which actor emitted it.
-    pub actor: String,
-    /// Short static label ("fuse", "alias", "HtoD", ...).
-    pub label: &'static str,
-    /// Free-form detail.
-    pub detail: String,
 }
 
 /// Errors terminating a simulation abnormally.
@@ -809,8 +774,6 @@ pub struct SimReport {
     /// High values relative to `events` mean the lookahead is too small for
     /// the workload's event spacing. Zero in legacy mode.
     pub horizon_stalls: u64,
-    /// The retained trace (empty unless `trace_capacity` was set).
-    pub trace: Vec<TraceEvent>,
 }
 
 impl SimReport {
@@ -833,13 +796,11 @@ impl SimReport {
 pub struct Ctx {
     engine: Arc<EngineShared>,
     me: ActorId,
-    /// Cached at spawn so name lookups (spans, traces) skip the scheduler
-    /// lock entirely.
+    /// Cached at spawn so name lookups (spans) skip the scheduler lock
+    /// entirely.
     name: Arc<str>,
     /// This actor's counter shard.
     metrics: Metrics,
-    /// This actor's trace ring.
-    trace_ring: TraceRing,
     /// This actor's clock/fast-path counters (conservative mode).
     clock: Arc<ActorClock>,
     /// This actor's partition (conservative mode).
@@ -894,32 +855,6 @@ impl Ctx {
     /// shard; reads merge all shards).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Emit a trace event (kept only when the run was configured with a
-    /// nonzero `trace_capacity`; `detail` is evaluated lazily). Events land
-    /// in a per-actor ring — same capacity as the merged stream, so the
-    /// report-time merge always has the globally most recent events — and
-    /// are ordered by a global sequence number.
-    pub fn trace(&self, label: &'static str, detail: impl FnOnce() -> String) {
-        if self.engine.trace_capacity == 0 {
-            return;
-        }
-        let t = self.now();
-        let seq = self.engine.trace_seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.trace_ring.lock();
-        if ring.len() == self.engine.trace_capacity {
-            ring.pop_front();
-        }
-        ring.push_back((
-            seq,
-            TraceEvent {
-                t,
-                actor: self.name.to_string(),
-                label,
-                detail: detail(),
-            },
-        ));
     }
 
     /// True once all non-daemon actors have finished. Daemons should exit
@@ -1981,9 +1916,6 @@ impl Engine {
             metrics: sim.metrics.clone(),
             stack_size: sim.config.stack_size,
             elide_handoff: sim.config.elide_handoff,
-            trace_capacity: sim.config.trace_capacity,
-            trace_seq: AtomicU64::new(0),
-            trace_rings: Mutex::new(Vec::new()),
             now_ps: AtomicU64::new(0),
             sink: sim.config.sink.clone(),
             parallelism: sim.config.parallelism,
@@ -2031,30 +1963,6 @@ impl Engine {
             let _ = h.join();
         }
 
-        // Merge the per-actor trace rings into one stream, keeping only the
-        // most recent `trace_capacity` events (matching the old single-ring
-        // semantics). Legacy mode orders by the global emission sequence;
-        // conservative mode orders by content — sequence assignment races
-        // across partitions, content does not.
-        let trace: Vec<TraceEvent> = {
-            let rings = shared.trace_rings.lock();
-            let mut merged: Vec<(u64, TraceEvent)> = rings
-                .iter()
-                .flat_map(|r| r.lock().iter().cloned().collect::<Vec<_>>())
-                .collect();
-            if parallel {
-                merged.sort_by(|(_, a), (_, b)| {
-                    (a.t, &a.actor, a.label, &a.detail).cmp(&(b.t, &b.actor, b.label, &b.detail))
-                });
-            } else {
-                merged.sort_by_key(|(seq, _)| *seq);
-            }
-            let keep = shared.trace_capacity.min(merged.len());
-            merged
-                .drain(merged.len() - keep..)
-                .map(|(_, e)| e)
-                .collect()
-        };
         let sched = shared.lock_sched();
         let fast: u64 = if parallel {
             sched
@@ -2109,7 +2017,6 @@ impl Engine {
             },
             parallel_advances: sched.parallel_advances,
             horizon_stalls: sched.horizon_stalls,
-            trace,
         })
     }
 
@@ -2158,8 +2065,6 @@ impl Engine {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let trace_ring: TraceRing = Arc::new(Mutex::new(VecDeque::new()));
-        shared.trace_rings.lock().push(trace_ring.clone());
         let metrics = shared.metrics.new_shard();
         let park = Park::new();
         let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
@@ -2186,7 +2091,6 @@ impl Engine {
             me: id,
             name: name.as_str().into(),
             metrics,
-            trace_ring,
             clock: clock.clone(),
             part,
             acct: acct.clone(),
@@ -3103,36 +3007,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_keeps_the_most_recent_events() {
-        let mut sim = Sim::with_config(SimConfig {
-            trace_capacity: 3,
-            ..SimConfig::default()
-        });
-        sim.spawn("t", |ctx| {
-            for i in 0..5 {
-                ctx.advance(SimDur::from_us(1), "w");
-                ctx.trace("step", || format!("i={i}"));
-            }
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(report.trace.len(), 3);
-        assert_eq!(report.trace[0].detail, "i=2");
-        assert_eq!(report.trace[2].detail, "i=4");
-        assert_eq!(report.trace[2].actor, "t");
-        assert_eq!(report.trace[2].t, SimTime(5 * crate::time::PS_PER_US));
-    }
-
-    #[test]
-    fn tracing_disabled_skips_detail_evaluation() {
-        let mut sim = Sim::new();
-        sim.spawn("t", |ctx| {
-            ctx.trace("never", || panic!("detail must not be evaluated"));
-        });
-        let report = sim.run().unwrap();
-        assert!(report.trace.is_empty());
-    }
-
-    #[test]
     fn many_actors_scale() {
         let mut sim = Sim::with_config(SimConfig {
             stack_size: 128 * 1024,
@@ -3150,23 +3024,60 @@ mod tests {
         assert_eq!(report.end_time, SimTime(10 * 500 * crate::time::PS_PER_NS));
     }
 
+    /// One span as a sink saw it: start, actor, label, attributes.
+    type Seen = (SimTime, String, &'static str, Vec<(&'static str, String)>);
+
+    /// A sink that keeps every span, for the tests that hold two
+    /// schedules to the same observable stream.
+    #[derive(Default)]
+    struct Collect(std::sync::Mutex<Vec<Seen>>);
+
+    impl SpanSink for Collect {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn span(
+            &self,
+            actor: &str,
+            label: &'static str,
+            t0: SimTime,
+            _t1: SimTime,
+            attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
+        ) {
+            let seen = (t0, actor.to_string(), label, attrs());
+            self.0.lock().unwrap().push(seen);
+        }
+    }
+
+    impl Collect {
+        /// The stream ordered by content: partitions emit in racy
+        /// real-time order, content does not race.
+        fn sorted(&self) -> Vec<Seen> {
+            let mut seen = self.0.lock().unwrap().clone();
+            seen.sort();
+            seen
+        }
+    }
+
     /// The workload used by the elision tests: two actors with skewed
     /// strides (so one is frequently sole-earliest and can elide) plus a
     /// wait/wake pair (exercising the slow path and deadline timers).
-    fn elision_workload(elide: bool) -> SimReport {
+    fn elision_workload(elide: bool) -> (SimReport, Vec<Seen>) {
         use std::sync::Mutex as StdMutex;
         let slot: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
         let s2 = slot.clone();
+        let seen = Arc::new(Collect::default());
         let mut sim = Sim::with_config(SimConfig {
             elide_handoff: elide,
-            trace_capacity: 64,
+            sink: Some(seen.clone()),
             ..SimConfig::default()
         });
         sim.spawn("fast", move |ctx| {
             for i in 0..200u64 {
                 ctx.advance(SimDur::from_ns(1), "spin");
                 if i % 50 == 0 {
-                    ctx.trace("tick", || format!("i={i}"));
+                    ctx.event("tick", || vec![("i", i.to_string())]);
                 }
             }
             let tok = ctx.prepare_wait();
@@ -3182,19 +3093,20 @@ mod tests {
             assert!(ctx.wake(tok));
             ctx.metrics().add("slow_done", 1);
         });
-        sim.run().unwrap()
+        (sim.run().unwrap(), seen.sorted())
     }
 
     #[test]
     fn handoff_elision_preserves_report() {
-        let on = elision_workload(true);
-        let off = elision_workload(false);
+        let (on, seen_on) = elision_workload(true);
+        let (off, seen_off) = elision_workload(false);
         assert!(on.handoffs_elided > 0, "fast path never taken");
         assert_eq!(off.handoffs_elided, 0, "elision taken while disabled");
         assert_eq!(on.end_time, off.end_time);
         assert_eq!(on.events, off.events);
         assert_eq!(on.metrics, off.metrics);
-        assert_eq!(on.trace, off.trace);
+        assert!(seen_on.iter().any(|s| s.2 == "tick"));
+        assert_eq!(seen_on, seen_off);
         for (a, b) in on.actors.iter().zip(off.actors.iter()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.tags, b.tags);
@@ -3237,7 +3149,6 @@ mod tests {
         SimConfig {
             parallelism,
             lookahead,
-            trace_capacity: 4096,
             ..SimConfig::default()
         }
     }
@@ -3248,7 +3159,7 @@ mod tests {
             sim.spawn(format!("rank{a:03}"), move |ctx| {
                 for i in 0..steps {
                     ctx.advance(SimDur::from_us(1), "compute");
-                    ctx.trace("step", || format!("i={i}"));
+                    ctx.event("step", || vec![("i", i.to_string())]);
                 }
             });
         }
@@ -3276,20 +3187,25 @@ mod tests {
     #[test]
     fn conservative_identical_across_parallelism() {
         let run = |parallelism: usize| {
-            let mut sim = Sim::with_config(conservative(parallelism, SimDur::from_us(5)));
+            let seen = Arc::new(Collect::default());
+            let mut sim = Sim::with_config(SimConfig {
+                sink: Some(seen.clone()),
+                ..conservative(parallelism, SimDur::from_us(5))
+            });
             lockstep_fleet(&mut sim, 8, 50);
-            sim.run().unwrap()
+            (sim.run().unwrap(), seen.sorted())
         };
-        let p1 = run(1);
+        let (p1, seen1) = run(1);
+        assert_eq!(seen1.iter().filter(|s| s.2 == "step").count(), 8 * 50);
         for p in [2, 8] {
-            let r = run(p);
+            let (r, seen) = run(p);
             assert_eq!(r.end_time, p1.end_time, "parallelism {p}");
             assert_eq!(r.actors, p1.actors, "parallelism {p}");
             assert_eq!(r.events, p1.events, "parallelism {p}");
             assert_eq!(r.handoffs_elided, p1.handoffs_elided, "parallelism {p}");
             assert_eq!(r.parallel_advances, p1.parallel_advances, "parallelism {p}");
             assert_eq!(r.horizon_stalls, p1.horizon_stalls, "parallelism {p}");
-            assert_eq!(r.trace, p1.trace, "parallelism {p}");
+            assert_eq!(seen, seen1, "parallelism {p}");
         }
         // Lockstep fleets genuinely release multiple partitions per window.
         assert!(p1.parallel_advances > 0, "no window released ≥2 partitions");

@@ -48,7 +48,7 @@ mod time;
 
 pub use engine::{
     global_events, ActorAccount, ActorId, Ctx, Metrics, Sim, SimConfig, SimError, SimReport,
-    SpanSink, TraceEvent, WaitToken, WakeReason,
+    SpanSink, WaitToken, WakeReason,
 };
 pub use resource::SerialResource;
 pub use sync::{Latch, Notify};

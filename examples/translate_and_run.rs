@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example translate_and_run`
 
 use impacc::directives::{translate, RuntimeCall};
+use impacc::obs::{EventKind, Recorder};
 use impacc::prelude::*;
 
 /// The paper's Figure 4(c), verbatim modulo variable spelling.
@@ -34,8 +35,9 @@ fn main() {
     spec.nodes[0].devices.truncate(2);
     let plan: Vec<RuntimeCall> = lowering.calls.iter().map(|(_, c)| c.clone()).collect();
 
+    let rec = Recorder::new();
     let summary = Launch::new(spec, RuntimeOptions::impacc())
-        .trace(64)
+        .recorder(&rec)
         .run(move |tc| {
             let n = 4096usize;
             let peer = 1 - tc.rank();
@@ -93,7 +95,17 @@ fn main() {
 
     println!("\nexecution profile:\n{}", summary.profile());
     println!("runtime trace (fusions observed by the message handlers):");
-    for e in summary.report.trace.iter().filter(|e| e.label == "fuse") {
-        println!("  {} {} {}", e.t, e.actor, e.detail);
+    for s in rec.spans().iter().filter(|s| s.kind == EventKind::Fuse) {
+        let attr = |key| s.attr(key).unwrap_or("?");
+        println!(
+            "  {} {} {} -> {} tag {} ({} B, {})",
+            s.t0,
+            s.actor,
+            attr("src"),
+            attr("dst"),
+            attr("tag"),
+            attr("bytes"),
+            attr("path")
+        );
     }
 }

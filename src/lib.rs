@@ -17,6 +17,7 @@
 //! * [`core`] — the IMPACC runtime itself (and the MPI+OpenACC baseline).
 //! * [`directives`] — the `#pragma acc mpi` parser.
 //! * [`apps`] — DGEMM, NPB EP, Jacobi and a LULESH proxy.
+//! * [`obs`] — typed span recording ([`obs::Recorder`]) and its exporters.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for
 //! the system inventory.
@@ -30,6 +31,7 @@ pub use impacc_directives as directives;
 pub use impacc_machine as machine;
 pub use impacc_mem as mem;
 pub use impacc_mpi as mpi;
+pub use impacc_obs as obs;
 pub use impacc_vtime as vtime;
 
 /// The things almost every IMPACC program needs.
