@@ -1,4 +1,4 @@
 //! See `impacc_bench::ablations`.
 fn main() {
-    impacc_bench::util::bench_main("ablations", impacc_bench::ablations::run);
+    impacc_bench::figure_bin("ablations", &[], |_| impacc_bench::ablations::run());
 }

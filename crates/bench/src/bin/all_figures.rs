@@ -2,7 +2,7 @@
 //! writing each section's `BENCH_<name>.json` alongside.
 fn main() {
     use impacc_bench::util::bench_main;
-    let t0 = std::time::Instant::now();
+    impacc_bench::args_or_exit("all_figures", &[]);
     println!("==== Table 1 ====");
     bench_main("table1", impacc_machine::presets::table1);
     println!("==== Figures 4/5 ====");
@@ -25,8 +25,4 @@ fn main() {
     bench_main("fig15", impacc_bench::fig15::run);
     println!("==== Ablations ====");
     bench_main("ablations", impacc_bench::ablations::run);
-    eprintln!(
-        "regenerated all figures in {:.1}s",
-        t0.elapsed().as_secs_f64()
-    );
 }

@@ -13,6 +13,6 @@ fn main() {
     impacc_bench::bench_bin(
         "array",
         impacc_bench::array::run,
-        Some(impacc_bench::array::smoke),
+        impacc_bench::array::smoke,
     );
 }

@@ -10,6 +10,6 @@ fn main() {
     impacc_bench::bench_bin(
         "chaos",
         impacc_bench::chaos::run,
-        Some(impacc_bench::chaos::smoke),
+        impacc_bench::chaos::smoke,
     );
 }

@@ -7,9 +7,5 @@
 //! hierarchical allreduce must beat the flat binomial schedule at both a
 //! small and a large payload. Any regression panics (nonzero exit).
 fn main() {
-    impacc_bench::bench_bin(
-        "coll",
-        impacc_bench::coll::run,
-        Some(impacc_bench::coll::smoke),
-    );
+    impacc_bench::bench_bin("coll", impacc_bench::coll::run, impacc_bench::coll::smoke);
 }

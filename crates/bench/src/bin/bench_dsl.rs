@@ -1,11 +1,7 @@
-//! DSL compiler bench: translation cost, compiled-program parity with
-//! the hand-written apps, and JACC-style single-loop device splitting.
-//! `--smoke` runs the CI acceptance checks (panics on violation).
+//! DSL compiler bench: what the translator inferred, compiled-program
+//! parity with the hand-written apps, and JACC-style single-loop device
+//! splitting. `--smoke` runs the acceptance checks (panics on violation).
 
 fn main() {
-    impacc_bench::bench_bin(
-        "dsl",
-        impacc_bench::dsl::run,
-        Some(impacc_bench::dsl::smoke),
-    );
+    impacc_bench::bench_bin("dsl", impacc_bench::dsl::run, impacc_bench::dsl::smoke);
 }

@@ -1,4 +1,4 @@
 //! See `impacc_bench::fig10`.
 fn main() {
-    impacc_bench::util::bench_main("fig10", impacc_bench::fig10::run);
+    impacc_bench::figure_bin("fig10", &[], |_| impacc_bench::fig10::run());
 }

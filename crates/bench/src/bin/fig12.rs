@@ -2,15 +2,7 @@
 //! `IMPACC_PROF=1`) to append a critical-path profile of one EP run and
 //! write `PROF_fig12.json`.
 fn main() {
-    let prof = impacc_bench::prof::requested();
-    impacc_bench::util::bench_main("fig12", || {
-        let mut out = impacc_bench::fig12::run();
-        if prof {
-            out.push('\n');
-            out.push_str(
-                &impacc_bench::prof::profile_figure("fig12", None, false).expect("known workload"),
-            );
-        }
-        out
+    impacc_bench::figure_bin("fig12", &["--critical-path"], |_| {
+        impacc_bench::fig12::run()
     });
 }

@@ -1,4 +1,4 @@
 //! See `impacc_bench::fig13`.
 fn main() {
-    impacc_bench::util::bench_main("fig13", impacc_bench::fig13::run);
+    impacc_bench::figure_bin("fig13", &[], |_| impacc_bench::fig13::run());
 }

@@ -3,16 +3,7 @@
 //! breakdown. Pass `--critical-path` (or set `IMPACC_PROF=1`) to append a
 //! critical-path profile of one IMPACC run and write `PROF_fig14.json`.
 fn main() {
-    let trace = impacc_bench::util::trace_arg();
-    let prof = impacc_bench::prof::requested();
-    impacc_bench::util::bench_main("fig14", || {
-        let mut out = impacc_bench::fig13::run_fig14_traced(trace.as_deref());
-        if prof {
-            out.push('\n');
-            out.push_str(
-                &impacc_bench::prof::profile_figure("fig14", None, false).expect("known workload"),
-            );
-        }
-        out
+    impacc_bench::figure_bin("fig14", &["--trace", "--critical-path"], |args| {
+        impacc_bench::fig13::run_fig14_traced(args.trace.as_deref())
     });
 }

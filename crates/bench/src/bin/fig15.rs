@@ -1,4 +1,4 @@
 //! See `impacc_bench::fig15`.
 fn main() {
-    impacc_bench::util::bench_main("fig15", impacc_bench::fig15::run);
+    impacc_bench::figure_bin("fig15", &[], |_| impacc_bench::fig15::run());
 }

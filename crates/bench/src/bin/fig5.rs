@@ -3,16 +3,7 @@
 //! `--critical-path` (or set `IMPACC_PROF=1`) to append a critical-path
 //! profile of the unified-queue exchange and write `PROF_fig5.json`.
 fn main() {
-    let trace = impacc_bench::util::trace_arg();
-    let prof = impacc_bench::prof::requested();
-    impacc_bench::util::bench_main("fig5", || {
-        let mut out = impacc_bench::fig5::run_traced(trace.as_deref());
-        if prof {
-            out.push('\n');
-            out.push_str(
-                &impacc_bench::prof::profile_figure("fig5", None, false).expect("known workload"),
-            );
-        }
-        out
+    impacc_bench::figure_bin("fig5", &["--trace", "--critical-path"], |args| {
+        impacc_bench::fig5::run_traced(args.trace.as_deref())
     });
 }

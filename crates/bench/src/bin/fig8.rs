@@ -1,4 +1,4 @@
 //! See `impacc_bench::fig8`.
 fn main() {
-    impacc_bench::util::bench_main("fig8", impacc_bench::fig8::run);
+    impacc_bench::figure_bin("fig8", &[], |_| impacc_bench::fig8::run());
 }

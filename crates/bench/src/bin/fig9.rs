@@ -1,4 +1,4 @@
 //! See `impacc_bench::fig9`.
 fn main() {
-    impacc_bench::util::bench_main("fig9", impacc_bench::fig9::run);
+    impacc_bench::figure_bin("fig9", &[], |_| impacc_bench::fig9::run());
 }

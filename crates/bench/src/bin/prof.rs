@@ -12,17 +12,13 @@
 //! blame report: the top segments by how much they could grow before
 //! joining the critical path (second-order optimization targets).
 //!
-//! An unknown workload name is a readable error and a nonzero exit, so
-//! scripts piping this binary fail loudly instead of shipping an empty
-//! profile.
+//! An unknown workload name is a readable error and exit code 1, an
+//! unknown flag a usage line and exit code 2, so scripts piping this
+//! binary fail loudly instead of shipping an empty profile.
 fn main() {
-    let name = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "fig14".to_string());
-    let trace = impacc_bench::util::trace_arg();
-    let slack = std::env::args().skip(1).any(|a| a == "--slack");
-    match impacc_bench::prof::profile_figure(&name, trace.as_deref(), slack) {
+    let args = impacc_bench::args_or_exit("prof", &["WORKLOAD", "--trace", "--slack"]);
+    let name = args.workload.as_deref().unwrap_or("fig14");
+    match impacc_bench::prof::profile_figure(name, args.trace.as_deref(), args.slack) {
         Ok(out) => print!("{out}"),
         Err(msg) => {
             eprintln!("error: {msg}");

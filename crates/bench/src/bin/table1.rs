@@ -1,6 +1,6 @@
 //! Table 1: the target heterogeneous accelerator systems.
 fn main() {
-    impacc_bench::util::bench_main("table1", || {
+    impacc_bench::figure_bin("table1", &[], |_| {
         format!(
             "Table 1: target systems (as modelled)\n\n{}",
             impacc_machine::presets::table1()

@@ -187,6 +187,10 @@ pub fn smoke_to(dir: &std::path::Path) -> String {
         "flight dumps are schema-versioned"
     );
     assert!(
+        loss_json.contains("\"trigger\":\"anomaly\""),
+        "a device loss is dumped on the watchdog's anomaly, not on request: {loss_json}"
+    );
+    assert!(
         loss_json.contains("device_loss"),
         "the watchdog must attribute the device loss: {loss_json}"
     );

@@ -1,17 +1,16 @@
-//! DSL compiler sweep — source-to-source translation cost and the
-//! fidelity of the compiled programs.
+//! DSL compiler sweep — what the source-to-source translator inferred
+//! and the fidelity of the compiled programs.
 //!
-//! Three tables. The first prices the compiler itself: wall-clock
-//! translation time per shipped example next to what it inferred (plan
-//! ops, stencil sites, halo depth). The second reruns the *compiled*
-//! jacobi under all three runtime modes — the DSL lowers through the
-//! array layer, so the IMPACC-vs-baseline ordering must survive two
-//! layers of lowering. The third is the JACC-style claim: one annotated
-//! loop, re-launched with one rank per device, splits across a node's
-//! GPUs and the virtual time drops accordingly.
+//! Three tables. The first lists, per shipped example, what the compiler
+//! inferred (plan ops, stencil sites, halo depth); how long a compile
+//! takes is the repo benchmark's `dsl.compile_us`. The second reruns the
+//! *compiled* jacobi under all three runtime modes — the DSL lowers
+//! through the array layer, so the IMPACC-vs-baseline ordering must
+//! survive two layers of lowering. The third is the JACC-style claim: one
+//! annotated loop, re-launched with one rank per device, splits across a
+//! node's GPUs and the virtual time drops accordingly.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use impacc_apps::{jacobi_task_probed, launch_app, JacobiParams};
 use impacc_array::ResProbe;
@@ -22,7 +21,7 @@ use impacc_dsl::{
 };
 use impacc_machine::presets;
 
-use crate::util::{fmt_bytes, quick, report_extra, Table};
+use crate::util::{fmt_bytes, quick, Table};
 
 fn metric(s: &RunSummary, key: &str) -> u64 {
     s.report.metrics.get(key).copied().unwrap_or(0)
@@ -48,41 +47,23 @@ pub fn run_dsl(
     .expect("dsl run")
 }
 
-/// Compile `src` `reps` times; returns (compiled, mean µs per compile).
-fn time_compile(src: &str, reps: u32) -> (Compiled, f64) {
-    let t0 = Instant::now();
-    let mut last = None;
-    for _ in 0..reps {
-        last = Some(compile(src).expect("example compiles"));
-    }
-    let us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    (last.expect("reps >= 1"), us)
-}
-
-/// Run the translation-cost and fidelity sweep; returns the report.
+/// Run the translation and fidelity sweep; returns the report.
 pub fn run() -> String {
     let mut out = String::from(
-        "impacc-dsl: source-to-source translation cost and compiled-program fidelity\n\
+        "impacc-dsl: source-to-source translation and compiled-program fidelity\n\
          (test cluster; one rank per GPU; elapsed is virtual time)\n\n",
     );
-    let reps = if quick() { 20 } else { 200 };
-    let mut t = Table::new(&[
-        "program", "compile", "plan ops", "stencils", "halo", "src hash",
-    ]);
-    let mut total_us = 0.0;
+    let mut t = Table::new(&["program", "plan ops", "stencils", "halo", "src hash"]);
     for (name, src) in EXAMPLES {
-        let (c, us) = time_compile(src, reps);
-        total_us += us;
+        let c = compile(src).expect("example compiles");
         t.row(vec![
             name.to_string(),
-            format!("{us:.0}us"),
             c.plan.len().to_string(),
             c.stencil_sites.to_string(),
             c.arrays[0].halo.to_string(),
             source_hash(src),
         ]);
     }
-    report_extra("compile_us_total", total_us);
     out.push_str(&t.render());
 
     out.push_str("\nCompiled jacobi under the three runtime modes (2 nodes x 2 GPUs):\n\n");
@@ -138,9 +119,8 @@ pub fn run() -> String {
     }
     out.push_str(&t.render());
     out.push_str(
-        "\ntranslation stays microseconds-cheap while the lowered programs keep\n\
-         the array layer's schedules: mode ordering and device-split scaling\n\
-         both survive the extra lowering step.\n",
+        "\nthe lowered programs keep the array layer's schedules: mode ordering\n\
+         and device-split scaling both survive the extra lowering step.\n",
     );
     out
 }
@@ -155,11 +135,12 @@ pub fn run() -> String {
 ///    to end on single- and multi-node launches with the exact sum;
 /// 3. splitting the annotated loop across a node's 4 devices must beat
 ///    the single-device launch by at least 3x in virtual time;
-/// 4. translation must stay under 10ms per example and byte-stable.
+/// 4. translation must be byte-stable.
 ///
 /// Panics (nonzero exit) on any violation.
 pub fn smoke() -> String {
-    let mut out = String::from("dsl smoke: parity, testmpi pattern, device split, compile cost\n");
+    let mut out =
+        String::from("dsl smoke: parity, testmpi pattern, device split, plan stability\n");
 
     // 1. Bit-and-tick parity with the hand-written jacobi, all modes.
     let jac = Arc::new(
@@ -255,23 +236,26 @@ pub fn smoke() -> String {
         four * 1e6
     ));
 
-    // 4. Translation cost and stability.
+    // 4. Translation stability.
     for (name, src) in EXAMPLES {
-        let (c, us) = time_compile(src, 20);
-        assert!(
-            us < 10_000.0,
-            "{name}: compile took {us:.0}us (>10ms) — the compiler is not microseconds-cheap"
-        );
-        let again = compile(src).unwrap();
         assert_eq!(
-            dump_plan(&c),
-            dump_plan(&again),
+            dump_plan(&compile(src).unwrap()),
+            dump_plan(&compile(src).unwrap()),
             "{name}: translation is not byte-stable"
         );
-        out.push_str(&format!(
-            "  compile [{name}]: {us:.0}us, plan byte-stable\n"
-        ));
+        out.push_str(&format!("  compile [{name}]: plan byte-stable\n"));
     }
     out.push_str("dsl smoke: ok\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_passes() {
+        let out = smoke();
+        assert!(out.contains("dsl smoke: ok"));
+    }
 }

@@ -5,6 +5,11 @@
 //! `cargo run -p impacc-bench --release --bin all_figures` regenerates
 //! everything (EXPERIMENTS.md records the output).
 //!
+//! Everything here is virtual time: no module reads a clock, so two runs
+//! of a binary print the same bytes and write the same `BENCH_<name>.json`.
+//! How fast the simulator itself runs is measured by the standalone
+//! `benchmark/` package and nowhere else.
+//!
 //! Environment switches: `IMPACC_BENCH_QUICK=1` trims sweeps;
 //! `IMPACC_BENCH_FULL=1` unlocks the 4096/8192-task Titan points.
 
@@ -23,37 +28,153 @@ pub mod fig5;
 pub mod fig8;
 pub mod fig9;
 pub mod prof;
-pub mod serve;
 pub mod specs;
-pub mod speed;
 pub mod util;
 
-/// Shared entry point for the sweep binaries (`bench_speed`, `bench_chaos`,
-/// `bench_coll`, `bench_serve`): one place owning the argument parse and
-/// the print-plus-`BENCH_<name>.json` emit boilerplate the bins used to
-/// duplicate.
-///
-/// * `--quick` is an alias for `IMPACC_BENCH_QUICK=1` (trim sweeps);
-/// * `--smoke` dispatches the binary's fixed CI check instead of the
-///   sweep, when the binary has one (the check panics — nonzero exit — on
-///   any violation and writes no artifact);
-/// * anything else is a readable error and a nonzero exit.
-pub fn bench_bin(name: &str, run: fn() -> String, smoke: Option<fn() -> String>) {
-    let mut want_smoke = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--quick" => std::env::set_var("IMPACC_BENCH_QUICK", "1"),
-            "--smoke" if smoke.is_some() => want_smoke = true,
-            other => {
-                let extra = if smoke.is_some() { " [--smoke]" } else { "" };
-                eprintln!("bench_{name}: unknown argument {other:?}; usage: bench_{name} [--quick]{extra}");
-                std::process::exit(2);
+/// What a harness binary's command line asked for.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick`: alias for `IMPACC_BENCH_QUICK=1` (trim sweeps).
+    pub quick: bool,
+    /// `--smoke`: run the binary's fixed check instead of its sweep.
+    pub smoke: bool,
+    /// `--critical-path`: append a critical-path profile to the figure.
+    pub critical_path: bool,
+    /// `--slack`: `prof`'s ranked off-path slack view.
+    pub slack: bool,
+    /// `--trace <path>` / `--trace=<path>`: also write a Chrome trace.
+    pub trace: Option<String>,
+    /// The one positional word (`prof`'s workload name).
+    pub workload: Option<String>,
+}
+
+/// Parse a command line against the words one binary `accepts`: any of
+/// the flags above, plus `WORKLOAD` for one positional word. Everything
+/// else — an unknown or misspelt flag, a second positional, `--trace`
+/// without a path — is an error naming the offender.
+pub fn parse_args(
+    accepts: &[&str],
+    argv: impl IntoIterator<Item = String>,
+) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut argv = argv.into_iter();
+    while let Some(a) = argv.next() {
+        let (word, inline) = match a.split_once('=') {
+            Some(("--trace", path)) => ("--trace", Some(path.to_string())),
+            _ => (a.as_str(), None),
+        };
+        let known = if word.starts_with("--") {
+            accepts.contains(&word)
+        } else {
+            out.workload.is_none() && accepts.contains(&"WORKLOAD")
+        };
+        match word {
+            _ if !known => return Err(format!("unknown argument {a:?}")),
+            "--quick" => out.quick = true,
+            "--smoke" => out.smoke = true,
+            "--critical-path" => out.critical_path = true,
+            "--slack" => out.slack = true,
+            "--trace" => {
+                let path = inline.or_else(|| argv.next().filter(|p| !p.starts_with("--")));
+                out.trace = Some(path.ok_or("--trace needs a path")?);
             }
+            _ => out.workload = Some(a),
         }
     }
-    if want_smoke {
-        print!("{}", smoke.expect("guarded above")());
-        return;
+    Ok(out)
+}
+
+/// [`parse_args`] over this process's command line. A bad line is the
+/// error plus a usage line on stderr and exit code 2 — a misspelt flag
+/// must not run the plain figure as if nothing had been asked.
+pub fn args_or_exit(bin: &str, accepts: &[&str]) -> Args {
+    parse_args(accepts, std::env::args().skip(1)).unwrap_or_else(|e| {
+        let usage: String = accepts
+            .iter()
+            .map(|w| match *w {
+                "--trace" => " [--trace PATH]".to_string(),
+                w => format!(" [{w}]"),
+            })
+            .collect();
+        eprintln!("{bin}: {e}\nusage: {bin}{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// Shared entry point for the sweep binaries (`bench_coll`, `bench_array`,
+/// `bench_dsl`, `bench_chaos`): `--smoke` runs the binary's fixed check
+/// (it panics — nonzero exit — on any violation and writes no
+/// `BENCH_<name>.json`) instead of the sweep.
+pub fn bench_bin(name: &str, run: fn() -> String, smoke: fn() -> String) {
+    let args = args_or_exit(&format!("bench_{name}"), &["--quick", "--smoke"]);
+    if args.quick {
+        std::env::set_var("IMPACC_BENCH_QUICK", "1");
     }
-    util::bench_main(name, run);
+    if args.smoke {
+        print!("{}", smoke());
+    } else {
+        util::bench_main(name, run);
+    }
+}
+
+/// Shared entry point for the figure binaries: print the figure and write
+/// `BENCH_<name>.json`. A figure that accepts `--critical-path` appends a
+/// critical-path profile of one representative run (and writes
+/// `PROF_<name>.json`) when the flag or `IMPACC_PROF=1` asks for it.
+pub fn figure_bin(name: &str, accepts: &[&str], run: impl FnOnce(&Args) -> String) {
+    let args = args_or_exit(name, accepts);
+    let profile = accepts.contains(&"--critical-path")
+        && (args.critical_path || impacc_core::config::prof_requested());
+    util::bench_main(name, || {
+        let mut out = run(&args);
+        if profile {
+            out.push('\n');
+            out.push_str(&prof::profile_figure(name, None, false).expect("known workload"));
+        }
+        out
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(accepts: &[&str], line: &str) -> Result<Args, String> {
+        parse_args(accepts, line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parse_args_takes_known_words_and_names_the_rest() {
+        let fig = ["--trace", "--critical-path"];
+        assert_eq!(parse(&fig, ""), Ok(Args::default()));
+        let both = Args {
+            critical_path: true,
+            trace: Some("out.json".into()),
+            ..Args::default()
+        };
+        assert_eq!(parse(&fig, "--critical-path --trace out.json"), Ok(both));
+        assert_eq!(
+            parse(&fig, "--trace=t.json").unwrap().trace.as_deref(),
+            Some("t.json")
+        );
+        // A flag after the path is a flag; the first bare word, wherever
+        // it stands, is the workload.
+        let prof = ["WORKLOAD", "--trace", "--slack"];
+        let got = parse(&prof, "--trace out.json fig5 --slack").unwrap();
+        assert_eq!(got.workload.as_deref(), Some("fig5"));
+        assert_eq!(got.trace.as_deref(), Some("out.json"));
+        assert!(got.slack);
+
+        for (accepts, line, offender) in [
+            (&fig[..], "--critcal-path", "--critcal-path"),
+            (&fig[..], "--quick", "--quick"),
+            (&fig[..], "fig5", "fig5"),
+            (&prof[..], "fig5 fig12", "fig12"),
+            (&fig[..], "--trace", "--trace needs a path"),
+            (&fig[..], "--trace --critical-path", "--trace needs a path"),
+        ] {
+            let err = parse(accepts, line).unwrap_err();
+            assert!(err.contains(offender), "{line:?}: {err}");
+        }
+    }
 }

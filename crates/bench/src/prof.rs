@@ -18,13 +18,6 @@ use crate::fig5;
 use crate::specs::psg_tasks;
 use crate::util::quick;
 
-/// Was a critical-path profile requested? True when the binary got a
-/// `--critical-path` flag or `IMPACC_PROF=1` is set.
-pub fn requested() -> bool {
-    std::env::args().skip(1).any(|a| a == "--critical-path")
-        || impacc_core::config::prof_requested()
-}
-
 /// Where `PROF_<name>.json` is written: `$IMPACC_BENCH_DIR` when set, else
 /// the current directory (mirrors `BenchReport::path`).
 pub fn prof_path(name: &str) -> PathBuf {

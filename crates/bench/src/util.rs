@@ -35,29 +35,6 @@ pub fn gbps(bytes: u64, secs: f64) -> f64 {
     bytes as f64 / secs / 1e9
 }
 
-/// `struct rusage` on 64-bit Linux: two timevals (two longs each), then
-/// fourteen longs ending in `ru_nvcsw`, `ru_nivcsw`.
-#[repr(C)]
-struct RawRusage([i64; 18]);
-
-extern "C" {
-    fn getrusage(who: i32, usage: *mut RawRusage) -> i32;
-}
-
-/// Voluntary plus involuntary context switches of the whole process so
-/// far, live and already-joined threads alike (`getrusage(RUSAGE_SELF)`) —
-/// the definition behind the repo benchmark's
-/// `vtime.ctx_switches_per_event`. Diff around a measured section.
-pub fn ctx_switches() -> u64 {
-    let mut raw = RawRusage([0; 18]);
-    // SAFETY: `raw` is a live, writable buffer laid out as `struct rusage`;
-    // 0 is RUSAGE_SELF.
-    if unsafe { getrusage(0, &mut raw) } != 0 {
-        return 0;
-    }
-    (raw.0[16] + raw.0[17]) as u64
-}
-
 /// Human-readable byte count for table headers.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -148,24 +125,6 @@ impl Table {
 thread_local! {
     /// Active table collector for [`BenchReport::capture`].
     static CAPTURE: RefCell<Option<Vec<TableSnapshot>>> = const { RefCell::new(None) };
-    /// Active extra-field collector for [`BenchReport::capture`].
-    static EXTRAS: RefCell<Option<Vec<(String, f64)>>> = const { RefCell::new(None) };
-}
-
-/// Publish an extra top-level numeric field into the active
-/// [`BenchReport::capture`] (e.g. `bench_serve`'s throughput, p50/p99
-/// latency and cache-hit rate). Outside a capture this is a no-op. A key
-/// reported twice keeps the last value.
-pub fn report_extra(key: &str, value: f64) {
-    EXTRAS.with(|e| {
-        if let Some(extras) = e.borrow_mut().as_mut() {
-            if let Some(slot) = extras.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = value;
-            } else {
-                extras.push((key.to_string(), value));
-            }
-        }
-    });
 }
 
 /// A rendered table captured for the machine-readable report.
@@ -179,53 +138,27 @@ pub struct TableSnapshot {
 
 /// A machine-readable record of one bench binary's output: the full text
 /// report plus every table it rendered, as structured rows. Written to
-/// `BENCH_<name>.json` so the perf trajectory can shape-check results
-/// without parsing aligned text.
+/// `BENCH_<name>.json` so results can be shape-checked without parsing
+/// aligned text. Everything in it is virtual time: two runs of the same
+/// binary write the same bytes.
 pub struct BenchReport {
     name: String,
     text: String,
     tables: Vec<TableSnapshot>,
-    /// Wall-clock of the captured section, in milliseconds.
-    wall_ms: f64,
-    /// Engine events dispatched per wall-clock second during the capture
-    /// (all simulations run by `f`, summed) — the perf trajectory number.
-    events_per_sec: f64,
-    /// Extra top-level numeric fields published via [`report_extra`]
-    /// during the capture, in publish order.
-    extras: Vec<(String, f64)>,
 }
 
 impl BenchReport {
     /// Run `f` with table capture active and collect its output. Tables are
     /// snapshotted as they render (on this thread); `f`'s return value
-    /// becomes the report text. The capture also measures wall-clock time
-    /// and engine throughput (events/sec) over the section.
+    /// becomes the report text.
     pub fn capture(name: &str, f: impl FnOnce() -> String) -> BenchReport {
         CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        EXTRAS.with(|e| *e.borrow_mut() = Some(Vec::new()));
-        let events0 = impacc_vtime::global_events();
-        let t0 = std::time::Instant::now();
         let text = f();
-        let wall = t0.elapsed();
-        let events = impacc_vtime::global_events() - events0;
         let tables = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
-        let extras = EXTRAS.with(|e| e.borrow_mut().take()).unwrap_or_default();
-        let secs = wall.as_secs_f64();
-        // Test hook for the CI perf gate: `IMPACC_PERF_INJECT_SLOWDOWN=2`
-        // divides reported throughput by 2, simulating a regression so the
-        // gate's failure path can be exercised without slowing anything.
-        let inject = impacc_core::config::perf_inject_slowdown();
         BenchReport {
             name: name.to_string(),
             text,
             tables,
-            wall_ms: secs * 1e3,
-            events_per_sec: if secs > 0.0 {
-                events as f64 / secs / inject
-            } else {
-                0.0
-            },
-            extras,
         }
     }
 
@@ -239,25 +172,8 @@ impl BenchReport {
         &self.tables
     }
 
-    /// Wall-clock of the captured section, in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ms
-    }
-
-    /// Engine events per wall-clock second over the captured section.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_per_sec
-    }
-
-    /// Extra top-level fields published via [`report_extra`] during the
-    /// capture.
-    pub fn extras(&self) -> &[(String, f64)] {
-        &self.extras
-    }
-
     /// Serialize as JSON: `{"schema_version", "name", "text",
-    /// "tables": [{"header", "rows"}], "wall_ms", "events_per_sec"}` plus
-    /// one top-level key per [`report_extra`] field.
+    /// "tables": [{"header", "rows"}]}`.
     pub fn to_json(&self) -> String {
         use impacc_obs::json;
         let mut out = format!(
@@ -295,17 +211,7 @@ impl BenchReport {
             }
             out.push_str("]}");
         }
-        out.push_str("],\"wall_ms\":");
-        out.push_str(&format!("{:.3}", self.wall_ms));
-        out.push_str(",\"events_per_sec\":");
-        out.push_str(&format!("{:.0}", self.events_per_sec));
-        for (k, v) in &self.extras {
-            out.push(',');
-            out.push_str(&json::string(k));
-            out.push(':');
-            out.push_str(&json::number(*v));
-        }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 
@@ -330,34 +236,7 @@ impl BenchReport {
 pub fn bench_main(name: &str, f: impl FnOnce() -> String) {
     let report = BenchReport::capture(name, f);
     println!("{}", report.text());
-    println!(
-        "[{}] wall: {:.1} ms, engine throughput: {:.0} events/sec",
-        name,
-        report.wall_ms(),
-        report.events_per_sec()
-    );
     report.write_or_warn();
-}
-
-/// Parse a `--trace <path>` (or `--trace=<path>`) flag from the binary's
-/// command line, for the figures that can dump Chrome traces.
-pub fn trace_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            match args.next() {
-                Some(p) => return Some(p),
-                None => {
-                    eprintln!("warning: --trace needs a path argument; ignoring");
-                    return None;
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(p.to_string());
-        }
-    }
-    None
 }
 
 /// A shared slot apps write per-run measurements into.
@@ -444,56 +323,16 @@ mod tests {
 
     #[test]
     fn report_without_tables_is_valid_json() {
-        let r = BenchReport::capture("empty", || "just text\n".to_string());
-        let j = r.to_json();
-        // Wall time varies run to run; check structure, not exact bytes.
-        let prefix = format!(
-            "{{\"schema_version\":{},\"name\":\"empty\",\"text\":\"just text\\n\",\"tables\":[]",
-            impacc_obs::SCHEMA_VERSION
-        );
-        assert!(j.starts_with(&prefix), "got: {j}");
-        assert!(j.contains(",\"wall_ms\":"));
-        assert!(j.contains(",\"events_per_sec\":"));
-        assert!(j.ends_with('}'));
-    }
-
-    #[test]
-    fn extras_become_top_level_fields() {
-        let r = BenchReport::capture("x", || {
-            report_extra("p50_ms", 1.5);
-            report_extra("cache_hit_rate", 0.25);
-            report_extra("p50_ms", 2.5); // republish keeps the last value
-            "t\n".to_string()
-        });
+        let f = || "just text\n".to_string();
+        let j = BenchReport::capture("empty", f).to_json();
         assert_eq!(
-            r.extras(),
-            &[
-                ("p50_ms".to_string(), 2.5),
-                ("cache_hit_rate".to_string(), 0.25)
-            ]
+            j,
+            format!(
+                "{{\"schema_version\":{},\"name\":\"empty\",\"text\":\"just text\\n\",\"tables\":[]}}",
+                impacc_obs::SCHEMA_VERSION
+            )
         );
-        let j = r.to_json();
-        assert!(j.contains(",\"p50_ms\":2.5"), "got: {j}");
-        assert!(j.contains(",\"cache_hit_rate\":0.25"));
-        // Outside a capture, publishing is a no-op.
-        report_extra("orphan", 1.0);
-        assert!(!r.to_json().contains("orphan"));
-    }
-
-    #[test]
-    fn capture_measures_engine_throughput() {
-        let r = BenchReport::capture("speedy", || {
-            let mut sim = impacc_vtime::Sim::new();
-            sim.spawn("a", |ctx| {
-                for _ in 0..100 {
-                    ctx.advance(impacc_vtime::SimDur::from_ns(1), "w");
-                }
-            });
-            sim.run().unwrap();
-            "ran\n".to_string()
-        });
-        assert!(r.events_per_sec() > 0.0, "a run inside capture must count");
-        assert!(r.wall_ms() >= 0.0);
+        assert_eq!(j, BenchReport::capture("empty", f).to_json());
     }
 
     #[test]

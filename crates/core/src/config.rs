@@ -13,15 +13,13 @@
 //! | `IMPACC_BENCH_DIR` | [`bench_dir`] | where `BENCH_*`/`PROF_*` artifacts go |
 //! | `IMPACC_BENCH_QUICK` | [`bench_quick`] | `1` ⇒ trim sweeps for CI |
 //! | `IMPACC_BENCH_FULL` | [`bench_full`] | `1` ⇒ unlock the largest points |
-//! | `IMPACC_PERF_INJECT_SLOWDOWN` | [`perf_inject_slowdown`] | CI-gate failure-path test hook |
 //! | `IMPACC_SERVE_WORKERS` | [`serve_workers`] | worker-pool size override for `impacc-serve` |
 //! | `IMPACC_PARALLEL` | [`parallelism`] | conservative-DES worker count (`0`/unset ⇒ legacy serial engine) |
 //! | `IMPACC_FLIGHT` | [`flight_enabled`] / [`flight_dump_dir`] | `0` ⇒ flight recorder off; `1` ⇒ dumps to `bench_dir()`; `<dir>` ⇒ dumps there; unset ⇒ record, no launch-side dumps |
 //! | `IMPACC_FLIGHT_CAP` | [`flight_capacity`] | per-actor flight ring capacity (spans) |
 //! | `IMPACC_FLIGHT_BURST` | [`flight_burst`] | chaos fault-burst dump/anomaly threshold |
 //!
-//! (`IMPACC_PERF_BASELINE_PCT` is consumed by `ci.sh` itself and never
-//! read from Rust; `IMPACC_ACC_DEVICE_TYPE` is modelled as a typed
+//! (`IMPACC_ACC_DEVICE_TYPE` is modelled as a typed
 //! [`Launch`](crate::Launch) parameter, not an env read.)
 
 use std::path::PathBuf;
@@ -70,17 +68,6 @@ pub fn bench_quick() -> bool {
 /// `IMPACC_BENCH_FULL=1`: unlock the largest (Titan-scale) sweep points.
 pub fn bench_full() -> bool {
     flag("IMPACC_BENCH_FULL")
-}
-
-/// `IMPACC_PERF_INJECT_SLOWDOWN=<d>`: divide reported bench throughput by
-/// `d` (a test hook so the CI perf gate's failure path can be exercised
-/// without slowing anything). Unset, unparsable or non-positive ⇒ `1.0`.
-pub fn perf_inject_slowdown() -> f64 {
-    std::env::var("IMPACC_PERF_INJECT_SLOWDOWN")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|d| *d > 0.0)
-        .unwrap_or(1.0)
 }
 
 /// `IMPACC_SERVE_WORKERS=<n>`: override the `impacc-serve` worker-pool
@@ -163,14 +150,6 @@ mod tests {
         std::env::set_var("IMPACC_TRACE", "/tmp/t.json");
         assert_eq!(trace_path(), Some(PathBuf::from("/tmp/t.json")));
         std::env::remove_var("IMPACC_TRACE");
-
-        std::env::remove_var("IMPACC_PERF_INJECT_SLOWDOWN");
-        assert_eq!(perf_inject_slowdown(), 1.0);
-        std::env::set_var("IMPACC_PERF_INJECT_SLOWDOWN", "2.5");
-        assert_eq!(perf_inject_slowdown(), 2.5);
-        std::env::set_var("IMPACC_PERF_INJECT_SLOWDOWN", "-3");
-        assert_eq!(perf_inject_slowdown(), 1.0, "non-positive is ignored");
-        std::env::remove_var("IMPACC_PERF_INJECT_SLOWDOWN");
 
         std::env::remove_var("IMPACC_SERVE_WORKERS");
         assert_eq!(serve_workers(), None);

@@ -3,8 +3,7 @@
 //! `crates/dsl/golden/`. Any change to the pretty-printer, the flop
 //! model, halo inference or the plan dump shows up here as a readable
 //! diff — regenerate with `cargo run --bin impaccc -- translate <name>`
-//! after deciding the change is intentional (ci.sh runs the binary and
-//! diffs the same files).
+//! after deciding the change is intentional.
 
 use impacc_dsl::{compile, dump_plan, example};
 
