@@ -48,12 +48,13 @@ echo "==> cargo test -q --workspace (IMPACC_PARALLEL=4)"
 # suite must stay green with the knob forced on.
 IMPACC_PARALLEL=4 cargo test -q --workspace
 
-echo "==> impacc-serve lib tests x50 (IMPACC_PARALLEL=4) + snapshot_race (release)"
+echo "==> impacc-serve lib tests x50 (IMPACC_PARALLEL=4) + snapshot_race, store_race (release)"
 # Several simulations side by side on partition threads is where a data
 # race between a sender's edit and the delivery daemon's copy-out shows
 # ("allreduce corrupted", once about 1 run in 20 — DESIGN.md §5m). Fifty
 # back-to-back runs make that a gate that holds or names its cause; the
-# two-thread stress of the same window runs optimized, where it is widest.
+# two-thread stress of the same window runs optimized, where it is widest —
+# as does the span store's: owners, a stall-pusher and a reader on one store.
 serve_lib=$(cargo test -p impacc-serve --lib --no-run 2>&1 \
     | sed -n 's/.*(\(.*impacc_serve-[0-9a-f]*\)).*/\1/p')
 for i in $(seq 50); do
@@ -64,6 +65,7 @@ for i in $(seq 50); do
     }
 done
 cargo test -q --release -p impacc-mem --test snapshot_race
+cargo test -q --release -p impacc-obs --test store_race
 
 echo "==> cargo fmt --check"
 cargo fmt --check

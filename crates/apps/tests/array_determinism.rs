@@ -152,7 +152,6 @@ struct Observed {
 }
 
 fn observe(summary: RunSummary, rec: &Recorder, name: &str) -> Observed {
-    rec.canonicalize();
     let spans = rec.spans();
     let prof_json = impacc_prof::analyze(&spans, &rec.edges()).to_json(name);
     Observed {

@@ -1,12 +1,15 @@
 //! Flight-recorder determinism and non-interference.
 //!
-//! Two contracts from the observability tentpole:
+//! Three contracts from the observability tentpole:
 //!
 //! * **Dump determinism** — a flight dump is a pure function of the
 //!   workload and trigger: the same run under `parallelism(1)` and
 //!   `parallelism(4)` must serialize byte-identical `FLIGHT_*.json`
 //!   bodies, because per-actor rings preserve each actor's program-order
 //!   emission and the snapshot is actor-sorted.
+//! * **The window is a view** — the dump read out of a full trace store
+//!   is byte-identical to the one a window store holds after the same
+//!   run, so a traced run records each span once.
 //! * **Golden traces untouched** — attaching the always-on recorder must
 //!   not move a single byte of the existing observability artifacts:
 //!   chrome trace, `PROF_*.json` payload, end time, event count, or
@@ -51,8 +54,11 @@ fn run_exchange(degree: usize, fr: Option<&FlightRecorder>, rec: Option<&Recorde
 }
 
 fn dump_bytes(degree: usize) -> String {
-    let fr = FlightRecorder::new();
-    let s = run_exchange(degree, Some(&fr), None);
+    dump_bytes_on(degree, &FlightRecorder::new())
+}
+
+fn dump_bytes_on(degree: usize, fr: &FlightRecorder) -> String {
+    let s = run_exchange(degree, Some(fr), None);
     fr.dump(
         "flight_det",
         Trigger::Request,
@@ -83,20 +89,38 @@ fn flight_dump_is_bit_identical_across_parallelism() {
 }
 
 #[test]
-fn always_on_recorder_leaves_golden_observables_untouched() {
-    let observe = |fr: Option<&FlightRecorder>| {
+fn the_window_of_a_trace_store_dumps_what_a_window_store_dumps() {
+    for degree in [1, 4] {
         let rec = Recorder::new();
-        let s = run_exchange(1, fr, Some(&rec));
+        let view = dump_bytes_on(degree, &FlightRecorder::view_of(&rec));
+        assert_eq!(
+            dump_bytes(degree),
+            view,
+            "flight dump bytes must not depend on the store's retention @ p={degree}"
+        );
+        assert!(
+            !rec.edges().is_empty() && rec.spans().iter().any(|s| s.attr("bytes").is_some()),
+            "the store itself kept the whole trace"
+        );
+    }
+}
+
+#[test]
+fn always_on_recorder_leaves_golden_observables_untouched() {
+    let observe = |flight: bool| {
+        let rec = Recorder::new();
+        // Two handles onto one store: a launch records each span once.
+        let fr = flight.then(|| FlightRecorder::view_of(&rec));
+        let s = run_exchange(1, fr.as_ref(), Some(&rec));
         let spans = rec.spans();
         let chrome = impacc_obs::chrome::trace(&spans);
         let prof = impacc_prof::analyze(&spans, &rec.edges()).to_json("flight_det");
-        (s, chrome, prof)
+        (s, chrome, prof, fr)
     };
-    let (base_s, base_chrome, base_prof) = observe(None);
-    let fr = FlightRecorder::new();
-    let (s, chrome, prof) = observe(Some(&fr));
+    let (base_s, base_chrome, base_prof, _) = observe(false);
+    let (s, chrome, prof, fr) = observe(true);
     assert!(
-        fr.actor_count() > 0,
+        fr.is_some_and(|fr| fr.actor_count() > 0),
         "the flight recorder must actually have been recording"
     );
     assert_eq!(

@@ -16,8 +16,6 @@
 //! | `IMPACC_SERVE_WORKERS` | [`serve_workers`] | worker-pool size override for `impacc-serve` |
 //! | `IMPACC_PARALLEL` | [`parallelism`] | conservative-DES worker count (`0`/unset ⇒ legacy serial engine) |
 //! | `IMPACC_FLIGHT` | [`flight_enabled`] / [`flight_dump_dir`] | `0` ⇒ flight recorder off; `1` ⇒ dumps to `bench_dir()`; `<dir>` ⇒ dumps there; unset ⇒ record, no launch-side dumps |
-//! | `IMPACC_FLIGHT_CAP` | [`flight_capacity`] | per-actor flight ring capacity (spans) |
-//! | `IMPACC_FLIGHT_BURST` | [`flight_burst`] | chaos fault-burst dump/anomaly threshold |
 //!
 //! (`IMPACC_ACC_DEVICE_TYPE` is modelled as a typed
 //! [`Launch`](crate::Launch) parameter, not an env read.)
@@ -113,25 +111,15 @@ pub fn flight_dump_dir() -> Option<PathBuf> {
     }
 }
 
-/// `IMPACC_FLIGHT_CAP=<n>`: per-actor flight ring capacity in spans.
-/// Unset or unparsable ⇒ `impacc_flight::DEFAULT_RING_CAPACITY`; `0` is a
-/// valid spelling for "recorder allocated but inert".
+/// Per-actor flight window in spans.
 pub fn flight_capacity() -> usize {
-    std::env::var("IMPACC_FLIGHT_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(impacc_flight::DEFAULT_RING_CAPACITY)
+    impacc_flight::DEFAULT_RING_CAPACITY
 }
 
-/// `IMPACC_FLIGHT_BURST=<n>`: chaos fault count that constitutes a burst
-/// (triggers a flight dump and the `fault_burst` anomaly). Unset,
-/// unparsable or zero ⇒ `impacc_flight::watchdog::FAULT_BURST_THRESHOLD`.
+/// Chaos fault count that constitutes a burst (triggers a flight dump and
+/// the `fault_burst` anomaly).
 pub fn flight_burst() -> u64 {
-    std::env::var("IMPACC_FLIGHT_BURST")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(impacc_flight::watchdog::FAULT_BURST_THRESHOLD)
+    impacc_flight::watchdog::FAULT_BURST_THRESHOLD
 }
 
 #[cfg(test)]
@@ -185,27 +173,5 @@ mod tests {
         std::env::set_var("IMPACC_FLIGHT", "/tmp/fl");
         assert_eq!(flight_dump_dir(), Some(PathBuf::from("/tmp/fl")));
         std::env::remove_var("IMPACC_FLIGHT");
-
-        std::env::remove_var("IMPACC_FLIGHT_CAP");
-        assert_eq!(flight_capacity(), impacc_flight::DEFAULT_RING_CAPACITY);
-        std::env::set_var("IMPACC_FLIGHT_CAP", "64");
-        assert_eq!(flight_capacity(), 64);
-        std::env::set_var("IMPACC_FLIGHT_CAP", "0");
-        assert_eq!(flight_capacity(), 0, "0 spells an inert recorder");
-        std::env::remove_var("IMPACC_FLIGHT_CAP");
-
-        std::env::remove_var("IMPACC_FLIGHT_BURST");
-        assert_eq!(
-            flight_burst(),
-            impacc_flight::watchdog::FAULT_BURST_THRESHOLD
-        );
-        std::env::set_var("IMPACC_FLIGHT_BURST", "3");
-        assert_eq!(flight_burst(), 3);
-        std::env::set_var("IMPACC_FLIGHT_BURST", "0");
-        assert_eq!(
-            flight_burst(),
-            impacc_flight::watchdog::FAULT_BURST_THRESHOLD
-        );
-        std::env::remove_var("IMPACC_FLIGHT_BURST");
     }
 }

@@ -105,16 +105,6 @@ impl RunSummary {
     }
 }
 
-/// How a launch resolves its flight recorder (see [`Launch::flight`]).
-enum FlightOpt {
-    /// Default: attach a fresh recorder unless `IMPACC_FLIGHT=0`.
-    Auto,
-    /// Explicitly detached (determinism baselines, overhead A/B tests).
-    Off,
-    /// Caller-supplied recorder (serve per-job rings, bench harnesses).
-    Explicit(FlightRecorder),
-}
-
 /// Job launcher. Configure, then [`Launch::run`].
 pub struct Launch {
     spec: MachineSpec,
@@ -127,8 +117,10 @@ pub struct Launch {
     chaos: Chaos,
     coll_algo: Option<CollAlgo>,
     parallelism: Option<usize>,
-    recorder: Option<Recorder>,
-    flight: FlightOpt,
+    /// The launch's one span store, when the caller named it.
+    store: Option<FlightRecorder>,
+    /// Watchdog pass, anomaly spans and dumps: `None` asks `IMPACC_FLIGHT`.
+    flight: Option<bool>,
     flight_label: String,
 }
 
@@ -147,25 +139,37 @@ impl Launch {
             chaos: Chaos::disabled(),
             coll_algo: None,
             parallelism: None,
-            recorder: None,
-            flight: FlightOpt::Auto,
+            store: None,
+            flight: None,
             flight_label: "run".to_string(),
         }
     }
 
-    /// Attach an existing flight recorder instead of the auto-created one
-    /// — `impacc-serve` hands each job its own rings so a wedged job's
-    /// final moments are inspectable while other jobs keep flying.
+    /// Record into `fr`'s store instead of an auto-created one —
+    /// `impacc-serve` hands each job its own so a wedged job's final
+    /// moments are inspectable while other jobs keep flying. Together with
+    /// [`Launch::recorder`] both must be handles onto one store
+    /// (`FlightRecorder::view_of`): a launch records each span once.
     pub fn flight(mut self, fr: &FlightRecorder) -> Launch {
-        self.flight = FlightOpt::Explicit(fr.clone());
+        self.assert_one_store(fr);
+        self.store = Some(fr.clone());
+        self.flight = Some(true);
         self
     }
 
-    /// Detach the always-on flight recorder for this run. Virtual-time
-    /// results never depend on recording; this exists for overhead A/B
-    /// measurements and the golden-invariance tests that prove it.
+    fn assert_one_store(&self, named: &Recorder) {
+        assert!(
+            self.store.as_ref().is_none_or(|s| s.same_store(named)),
+            "a launch has one span store: make the flight recorder a view of the trace recorder"
+        );
+    }
+
+    /// No flight recording for this run: no auto-created window store, no
+    /// watchdog pass, no dumps. Virtual-time results never depend on
+    /// recording; this exists for overhead A/B measurements and the
+    /// golden-invariance tests that prove it.
     pub fn flight_off(mut self) -> Launch {
-        self.flight = FlightOpt::Off;
+        self.flight = Some(false);
         self
     }
 
@@ -234,12 +238,14 @@ impl Launch {
         self
     }
 
-    /// Record typed spans from every layer into `rec`
-    /// (see `impacc_obs::Recorder`). Under the parallel engine the
-    /// recorder is canonicalized when the run completes, so its spans and
-    /// edges read back identically for every `IMPACC_PARALLEL` value.
+    /// Record typed spans and causal edges from every layer into `rec`
+    /// (see `impacc_obs::Recorder`); they read back identically for every
+    /// `IMPACC_PARALLEL` value. `rec` is the launch's one store — the
+    /// flight window is a view of it.
     pub fn recorder(mut self, rec: &Recorder) -> Launch {
-        self.recorder = Some(rec.clone());
+        self.assert_one_store(rec);
+        self.store
+            .get_or_insert_with(|| FlightRecorder::view_of(rec));
         self
     }
 
@@ -367,35 +373,26 @@ impl Launch {
         let sysmpi = SysMpi::new(res.clone(), node_of.as_ref().clone());
         let world = Comm::world(tasks.len() as u32);
 
-        // `IMPACC_TRACE=<path>` traces any run without code changes: an
-        // auto-created recorder captures spans and the Chrome trace is
-        // written on completion (an explicitly attached recorder wins).
-        let mut sink: Option<Arc<dyn SpanSink>> = self.recorder.as_ref().map(|r| r.sink());
-        let mut auto_trace: Option<(Recorder, std::path::PathBuf)> = None;
-        if sink.is_none() {
-            if let Some(path) = crate::config::trace_path() {
-                let rec = Recorder::new();
-                sink = Some(rec.sink());
-                auto_trace = Some((rec, path));
+        // One span store per launch (§5j): the caller's, else — unless
+        // flight recording is off — a window store that keeps every
+        // actor's last moments.
+        let flight_on = self.flight.unwrap_or_else(crate::config::flight_enabled);
+        let mut store = self.store.clone().or_else(|| {
+            flight_on.then(|| FlightRecorder::with_capacity(crate::config::flight_capacity()))
+        });
+        // `IMPACC_TRACE=<path>` traces any run without code changes: the
+        // store keeps everything and the Chrome trace is written on
+        // completion (a caller's own trace recorder wins).
+        let trace_path =
+            crate::config::trace_path().filter(|_| !store.as_ref().is_some_and(|s| s.is_full()));
+        if trace_path.is_some() {
+            match &store {
+                Some(s) if s.enabled() => s.retain_all(),
+                _ => store = Some(FlightRecorder::view_of(&Recorder::new())),
             }
         }
-
-        // The always-on flight recorder (§5j): unless explicitly detached
-        // (or `IMPACC_FLIGHT=0`), every launch keeps bounded per-actor
-        // rings of its last moments, teed in front of whatever sink is
-        // already attached so full tracing is never displaced.
-        let flight: Option<FlightRecorder> = match &self.flight {
-            FlightOpt::Off => None,
-            FlightOpt::Explicit(fr) => Some(fr.clone()),
-            FlightOpt::Auto => crate::config::flight_enabled()
-                .then(|| FlightRecorder::with_capacity(crate::config::flight_capacity())),
-        };
-        if let Some(fr) = &flight {
-            sink = Some(match sink.take() {
-                Some(other) => impacc_flight::tee(fr.sink(), other),
-                None => fr.sink(),
-            });
-        }
+        let sink: Option<Arc<dyn SpanSink>> = store.as_ref().map(|s| s.sink());
+        let flight = store.as_ref().filter(|_| flight_on);
 
         // Engine selection: the conservative parallel scheduler partitions
         // actors by simulated node, with lookahead = the machine's minimum
@@ -549,7 +546,7 @@ impl Launch {
         let report = match sim.run() {
             Ok(report) => report,
             Err(e) => {
-                if let (Some(fr), Some(dir)) = (&flight, crate::config::flight_dump_dir()) {
+                if let (Some(fr), Some(dir)) = (flight, crate::config::flight_dump_dir()) {
                     let dump = fr.dump(
                         &self.flight_label,
                         Trigger::Panic(format!("{e:?}")),
@@ -564,40 +561,28 @@ impl Launch {
                 return Err(e);
             }
         };
-        if parallelism > 0 {
-            // Concurrent partitions emit spans in racy real-time order;
-            // canonicalizing restores a schedule-independent order so
+        if let Some(s) = store.as_ref().filter(|_| parallelism > 0) {
+            // Concurrent partitions emit edges in racy real-time order;
+            // sorting them restores a schedule-independent order so
             // recorded artifacts are byte-identical for every worker count.
-            if let Some(rec) = &self.recorder {
-                rec.canonicalize();
-            }
-            if let Some((rec, _)) = &auto_trace {
-                rec.canonicalize();
-            }
+            s.canonicalize();
         }
         // Watchdog pass over the run's final counters. Findings become
-        // structured `anomaly` spans (recorded into the flight rings and
-        // any attached recorders at the run's end instant), and — when a
-        // dump directory is configured — trigger a `FLIGHT_*.json` dump.
+        // structured `anomaly` spans (recorded into the store at the
+        // run's end instant), and — when a dump directory is configured —
+        // trigger a `FLIGHT_*.json` dump.
         // Burst beats rule findings in trigger precedence: a fault burst
         // explains its own anomalies.
-        if let Some(fr) = &flight {
+        if let Some(fr) = flight {
             let burst = crate::config::flight_burst();
-            let wd = Watchdog::new().with_burst_threshold(burst);
+            let wd = Watchdog::new();
             let pairs: Vec<(&str, u64)> = report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
             let mut anomalies = wd.check_counters(&pairs);
             if let Some(a) = wd.check_engine(report.horizon_stalls, report.parallel_advances) {
                 anomalies.push(a);
             }
             for a in &anomalies {
-                let span = a.to_span(report.end_time);
-                fr.record_span(span.clone());
-                if let Some(rec) = &self.recorder {
-                    rec.record(span.clone());
-                }
-                if let Some((rec, _)) = &auto_trace {
-                    rec.record(span);
-                }
+                fr.record_span(a.to_span(report.end_time));
             }
             if let Some(dir) = crate::config::flight_dump_dir() {
                 let trigger = if fr.fault_fires() >= burst {
@@ -624,8 +609,8 @@ impl Launch {
                 }
             }
         }
-        if let Some((rec, path)) = auto_trace {
-            let spans = rec.spans();
+        if let (Some(s), Some(path)) = (&store, trace_path) {
+            let spans = s.spans();
             let label = if impacc { "impacc" } else { "baseline" };
             if let Err(e) =
                 impacc_obs::chrome::write_trace_groups(&path, &[(label, spans.as_slice())])

@@ -2,36 +2,29 @@
 //!
 //! Post-hoc observability (`impacc-obs` traces, `impacc-prof` reports)
 //! only exists when tracing was switched on *before* the interesting run.
-//! This crate closes that gap the way an aircraft flight recorder does:
+//! This crate closes that gap the way an aircraft flight recorder does —
+//! and owns no storage to do it:
 //!
-//! * [`FlightRecorder`] — per-actor bounded ring buffers retaining the
-//!   last N spans of every actor even when full tracing is off. The hot
-//!   path is contention-free in practice: each engine actor is an OS
-//!   thread that emits spans for exactly one actor name, so a per-thread
-//!   single-slot cache resolves the actor's ring without touching the
-//!   shared registry, and the per-ring lock is only ever taken by its
-//!   owning thread plus the (rare) dump path. Attribute closures are
-//!   evaluated only for attribution-relevant kinds (faults, retries,
-//!   markers, anomalies) — bulk copy/kernel/stall spans are retained
-//!   attribute-free, which is what bounds the overhead.
+//! * [`FlightRecorder`] — a handle onto an `impacc_obs::Recorder` span
+//!   store plus a window size. [`FlightRecorder::with_capacity`] makes a
+//!   *window* store (the last N spans of every actor; attribute closures
+//!   run only for faults, retries, markers and anomalies, which is what
+//!   bounds the overhead); [`FlightRecorder::view_of`] reads the same
+//!   window out of a full trace store, so a traced run still records each
+//!   span once.
 //! * [`Trigger`]-driven dumps — on panic, job failure, chaos fault burst,
-//!   watchdog anomaly or explicit request, [`FlightRecorder::dump`]
-//!   drains the rings into a [`FlightDump`] whose JSON rendering is
+//!   watchdog anomaly or explicit request, [`FlightRecorder::dump`] reads
+//!   the window into a [`FlightDump`] whose JSON rendering is
 //!   schema-versioned, Chrome-trace loadable (`traceEvents` body) and
 //!   byte-identical for the same seed + trigger at every
-//!   `IMPACC_PARALLEL` worker count (rings are drained in sorted actor
-//!   order, per-actor emission order — the same canonical order
-//!   `Recorder::canonicalize` uses).
+//!   `IMPACC_PARALLEL` worker count and on either kind of store (actors
+//!   sorted, per-actor emission order — how the store keeps them).
 //! * [`watchdog`] — rule-based anomaly detection over the engine's
 //!   counter vocabulary (retry storms, fault bursts, device loss,
 //!   goodput collapse, queue backlog growth, horizon-stall ratio).
-//! * [`tee`] — compose the flight sink with a full-trace recorder so
-//!   always-on recording never displaces explicit tracing; attribute
-//!   closures still run at most once.
 //!
 //! Recording never advances virtual time and a disabled recorder
-//! (capacity 0 or [`FlightRecorder::set_enabled`]`(false)`) is zero-cost:
-//! `enabled()` gates every path before any allocation.
+//! (capacity 0) is zero-cost: its actors get no lane.
 
 #![warn(missing_docs)]
 
@@ -39,33 +32,16 @@ pub mod watchdog;
 
 pub use watchdog::{Anomaly, Watchdog};
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use impacc_obs::{chrome, json, EventKind, Span};
-use impacc_vtime::{SimTime, SpanSink};
-use parking_lot::Mutex;
+use impacc_obs::{chrome, json, Recorder, Span};
 
-/// Default per-actor ring capacity: the "last moments" window. 256 spans
-/// per actor is enough to attribute a fault cascade while keeping a
-/// 1024-actor run under ~10 MB of retained telemetry.
+/// Default per-actor window: the "last moments". 256 spans per actor is
+/// enough to attribute a fault cascade while keeping a 1024-actor run
+/// under ~10 MB of retained telemetry.
 pub const DEFAULT_RING_CAPACITY: usize = 256;
-
-/// Should this span kind's attribute closure be evaluated on the flight
-/// hot path? Bulk kinds (copies, kernels, stalls, queue waits) are
-/// retained without attributes — evaluating their closures would put
-/// string formatting on every event and blow the overhead budget. The
-/// rare, attribution-critical kinds keep full detail.
-fn keep_attrs(kind: EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::Fault | EventKind::Retry | EventKind::Marker | EventKind::Anomaly
-    )
-}
 
 /// Why a flight dump was taken.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,98 +89,14 @@ impl Trigger {
     }
 }
 
-/// One retained ring entry. The actor name lives in the registry key, not
-/// in every entry.
-struct FlightEvent {
-    kind: EventKind,
-    t0: SimTime,
-    t1: SimTime,
-    attrs: Vec<(&'static str, String)>,
-}
-
-/// Fixed-capacity overwrite-oldest buffer.
-struct RingBuf {
-    cap: usize,
-    buf: Vec<FlightEvent>,
-    /// Oldest entry (= next overwrite position) once the buffer is full.
-    head: usize,
-}
-
-impl RingBuf {
-    fn new(cap: usize) -> RingBuf {
-        RingBuf {
-            cap,
-            buf: Vec::new(),
-            head: 0,
-        }
-    }
-
-    /// Push, returning `true` when an old entry was overwritten.
-    fn push(&mut self, ev: FlightEvent) -> bool {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-            false
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            true
-        }
-    }
-
-    fn iter_oldest_first(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
-    }
-}
-
-struct ActorRing {
-    ring: Mutex<RingBuf>,
-    dropped: AtomicU64,
-}
-
-struct Inner {
-    /// Process-unique recorder identity, so the thread-local ring cache
-    /// can never serve a ring from a freed recorder that happened to be
-    /// reallocated at the same address.
-    id: u64,
-    cap: usize,
-    enabled: AtomicBool,
-    rings: Mutex<BTreeMap<String, Arc<ActorRing>>>,
-    /// Highest span end seen — "current vtime" for live introspection.
-    last_vtime_ps: AtomicU64,
-    /// Fault-kind spans observed (the chaos burst trigger input).
-    fault_fires: AtomicU64,
-}
-
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Single-slot (recorder, actor) → ring cache. Engine actors are OS
-    /// threads bound to one actor name, so this hits ~always after the
-    /// first span.
-    static RING_CACHE: RefCell<Option<(u64, String, Arc<ActorRing>)>> =
-        const { RefCell::new(None) };
-}
-
-/// A shared handle to the per-actor flight rings. Cloning is cheap (one
-/// `Arc`); all clones observe the same state. Attach to a run with
-/// [`FlightRecorder::sink`] (optionally composed with a full-trace
-/// recorder via [`tee`]) — `impacc_core::Launch` does this automatically
+/// The flight window of a span store: the last `window` spans of each
+/// actor. Cloning is cheap; all clones observe the same store. Attach to a
+/// run with `impacc_core::Launch::flight` — `Launch` makes one itself
 /// unless `IMPACC_FLIGHT=0`.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.inner.cap)
-            .field("enabled", &self.enabled())
-            .field("actors", &self.inner.rings.lock().len())
-            .finish()
-    }
+    store: Recorder,
+    window: usize,
 }
 
 impl Default for FlightRecorder {
@@ -213,20 +105,25 @@ impl Default for FlightRecorder {
     }
 }
 
+/// The store this is a window of: `enabled`, `sink`, `last_vtime`,
+/// `fault_fires`, `actor_count` and the rest of its reads. A caller that
+/// wants the whole run (a profile) calls `retain_all()` before the launch
+/// and reads `spans()`/`edges()` afterwards.
+impl std::ops::Deref for FlightRecorder {
+    type Target = Recorder;
+    fn deref(&self) -> &Recorder {
+        &self.store
+    }
+}
+
 impl FlightRecorder {
-    /// A recorder retaining at most `capacity` spans per actor (oldest
-    /// overwritten first). Capacity 0 builds a permanently disabled,
-    /// zero-cost recorder.
+    /// A recorder on its own window store: at most `capacity` spans per
+    /// actor (oldest overwritten first). Capacity 0 builds a permanently
+    /// disabled, zero-cost recorder.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            inner: Arc::new(Inner {
-                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-                cap: capacity,
-                enabled: AtomicBool::new(capacity > 0),
-                rings: Mutex::new(BTreeMap::new()),
-                last_vtime_ps: AtomicU64::new(0),
-                fault_fires: AtomicU64::new(0),
-            }),
+            store: Recorder::windowed(capacity),
+            window: capacity,
         }
     }
 
@@ -240,144 +137,40 @@ impl FlightRecorder {
         FlightRecorder::with_capacity(0)
     }
 
-    /// Is recording currently on?
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Pause/resume recording. Ignored on a capacity-0 recorder.
-    pub fn set_enabled(&self, on: bool) {
-        if self.inner.cap > 0 {
-            self.inner.enabled.store(on, Ordering::Relaxed);
+    /// The [`DEFAULT_RING_CAPACITY`] window of `store` — a second handle
+    /// onto a trace recorder's store, not a second copy of its spans.
+    pub fn view_of(store: &Recorder) -> FlightRecorder {
+        FlightRecorder {
+            store: store.clone(),
+            window: DEFAULT_RING_CAPACITY,
         }
     }
 
-    /// This recorder as an engine span sink.
-    pub fn sink(&self) -> Arc<dyn SpanSink> {
-        Arc::new(self.clone())
-    }
-
-    /// Highest span-end virtual time observed so far (0 before any span).
-    pub fn last_vtime(&self) -> SimTime {
-        SimTime(self.inner.last_vtime_ps.load(Ordering::Relaxed))
-    }
-
-    /// Fault-kind spans observed — the chaos burst-trigger input.
-    pub fn fault_fires(&self) -> u64 {
-        self.inner.fault_fires.load(Ordering::Relaxed)
-    }
-
-    /// Spans overwritten across all rings (expected in steady state — the
-    /// rings are *supposed* to forget old history).
+    /// Spans older than the window, over all actors (expected in steady
+    /// state — the window is *supposed* to forget old history).
     pub fn dropped_total(&self) -> u64 {
-        self.inner
-            .rings
-            .lock()
-            .values()
-            .map(|r| r.dropped.load(Ordering::Relaxed))
+        self.store
+            .window(self.window)
+            .dropped
+            .iter()
+            .map(|d| d.1)
             .sum()
     }
 
-    /// Number of actors with a ring.
-    pub fn actor_count(&self) -> usize {
-        self.inner.rings.lock().len()
-    }
-
-    fn ring_for(&self, actor: &str) -> Arc<ActorRing> {
-        RING_CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            if let Some((id, name, ring)) = c.as_ref() {
-                if *id == self.inner.id && name == actor {
-                    return ring.clone();
-                }
-            }
-            let ring = self
-                .inner
-                .rings
-                .lock()
-                .entry(actor.to_string())
-                .or_insert_with(|| {
-                    Arc::new(ActorRing {
-                        ring: Mutex::new(RingBuf::new(self.inner.cap)),
-                        dropped: AtomicU64::new(0),
-                    })
-                })
-                .clone();
-            *c = Some((self.inner.id, actor.to_string(), ring.clone()));
-            ring
-        })
-    }
-
-    fn push(
-        &self,
-        actor: &str,
-        kind: EventKind,
-        t0: SimTime,
-        t1: SimTime,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        if kind == EventKind::Fault {
-            self.inner.fault_fires.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.last_vtime_ps.fetch_max(t1.0, Ordering::Relaxed);
-        let ring = self.ring_for(actor);
-        let overwrote = ring.ring.lock().push(FlightEvent {
-            kind,
-            t0,
-            t1,
-            attrs,
-        });
-        if overwrote {
-            ring.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a span directly (bypassing the label-parsing sink path).
-    /// Used by the watchdog to append structured anomaly events.
+    /// Record a span by actor name. Used for the watchdog's structured
+    /// anomaly events at the end of a run.
     pub fn record_span(&self, span: Span) {
-        if !self.enabled() {
-            return;
-        }
-        self.push(&span.actor, span.kind, span.t0, span.t1, span.attrs);
+        self.store.record(span);
     }
 
-    /// Canonical drain: every retained span, actors in sorted order,
-    /// per-actor emission order preserved — schedule-independent, so the
-    /// same run yields the same snapshot at every `IMPACC_PARALLEL` count.
+    /// The window: actors in sorted order, per-actor emission order —
+    /// schedule-independent, so the same run yields the same snapshot at
+    /// every `IMPACC_PARALLEL` count.
     pub fn snapshot(&self) -> Vec<Span> {
-        let rings = self.inner.rings.lock();
-        let mut out = Vec::new();
-        for (actor, ring) in rings.iter() {
-            let rb = ring.ring.lock();
-            for ev in rb.iter_oldest_first() {
-                out.push(Span {
-                    actor: actor.clone(),
-                    kind: ev.kind,
-                    t0: ev.t0,
-                    t1: ev.t1,
-                    attrs: ev.attrs.clone(),
-                });
-            }
-        }
-        out
+        self.store.window(self.window).spans
     }
 
-    /// Drop all retained spans and tallies (the enable state is kept).
-    pub fn clear(&self) {
-        self.inner.rings.lock().clear();
-        self.inner.last_vtime_ps.store(0, Ordering::Relaxed);
-        self.inner.fault_fires.store(0, Ordering::Relaxed);
-    }
-
-    /// Run the critical-path profiler over the retained window. Flight
-    /// rings keep no causal edges, so blame falls back to per-actor
-    /// continuity — coarse, but enough to rank where the final moments
-    /// went.
-    pub fn analyze(&self) -> impacc_prof::Report {
-        impacc_prof::analyze(&self.snapshot(), &[])
-    }
-
-    /// Drain the rings into a dump describing why (`trigger`) and what
+    /// Read the window into a dump describing why (`trigger`) and what
     /// (`counters`, `anomalies`) — pure data; call [`FlightDump::write`]
     /// to persist it.
     pub fn dump<K: Into<String>>(
@@ -387,143 +180,23 @@ impl FlightRecorder {
         counters: impl IntoIterator<Item = (K, u64)>,
         anomalies: &[Anomaly],
     ) -> FlightDump {
-        let rings = self.inner.rings.lock();
-        let mut spans = Vec::new();
-        let mut dropped = Vec::new();
-        for (actor, ring) in rings.iter() {
-            let d = ring.dropped.load(Ordering::Relaxed);
-            if d > 0 {
-                dropped.push((actor.clone(), d));
-            }
-            let rb = ring.ring.lock();
-            for ev in rb.iter_oldest_first() {
-                spans.push(Span {
-                    actor: actor.clone(),
-                    kind: ev.kind,
-                    t0: ev.t0,
-                    t1: ev.t1,
-                    attrs: ev.attrs.clone(),
-                });
-            }
-        }
-        drop(rings);
+        let window = self.store.window(self.window);
         FlightDump {
             job: job.to_string(),
             campaign: String::new(),
             trigger,
-            end_ps: self.inner.last_vtime_ps.load(Ordering::Relaxed),
-            spans,
-            dropped,
+            end_ps: self.store.last_vtime().0,
+            spans: window.spans,
+            dropped: window.dropped,
             counters: counters.into_iter().map(|(k, v)| (k.into(), v)).collect(),
             anomalies: anomalies.to_vec(),
         }
     }
 }
 
-impl SpanSink for FlightRecorder {
-    fn enabled(&self) -> bool {
-        FlightRecorder::enabled(self)
-    }
-
-    fn span(
-        &self,
-        actor: &str,
-        label: &'static str,
-        t0: SimTime,
-        t1: SimTime,
-        attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        // Same label vocabulary as the full recorder: unknown labels
-        // degrade to markers carrying the original label. Bulk kinds skip
-        // their attribute closures entirely (see `keep_attrs`).
-        let (kind, attrs) = match EventKind::parse(label) {
-            Some(k) if keep_attrs(k) => (k, attrs()),
-            Some(k) => (k, Vec::new()),
-            None => {
-                let mut a = attrs();
-                a.push(("label", label.to_string()));
-                (EventKind::Marker, a)
-            }
-        };
-        self.push(actor, kind, t0, t1, attrs);
-    }
-
-    // Causal edges are deliberately not retained: the flight window is a
-    // bounded "last moments" record, and edge retention would double its
-    // cost for attribution the dump path doesn't need. The default no-op
-    // edge() applies.
-}
-
-/// Compose two sinks into one: spans and edges go to both, attribute
-/// closures still run at most once (the first enabled side materializes
-/// them; the other receives a clone). `Launch` uses this to keep the
-/// always-on flight recorder from displacing an explicit trace recorder.
-pub fn tee(a: Arc<dyn SpanSink>, b: Arc<dyn SpanSink>) -> Arc<dyn SpanSink> {
-    Arc::new(Tee { a, b })
-}
-
-struct Tee {
-    a: Arc<dyn SpanSink>,
-    b: Arc<dyn SpanSink>,
-}
-
-impl SpanSink for Tee {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn span(
-        &self,
-        actor: &str,
-        label: &'static str,
-        t0: SimTime,
-        t1: SimTime,
-        attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
-    ) {
-        let mut cache: Option<Vec<(&'static str, String)>> = None;
-        if self.a.enabled() {
-            self.a.span(actor, label, t0, t1, &mut || {
-                cache.get_or_insert_with(&mut *attrs).clone()
-            });
-        }
-        if self.b.enabled() {
-            self.b.span(actor, label, t0, t1, &mut || {
-                cache.get_or_insert_with(&mut *attrs).clone()
-            });
-        }
-    }
-
-    fn edge(
-        &self,
-        kind: &'static str,
-        src_actor: &str,
-        src_t: SimTime,
-        dst_actor: &str,
-        dst_t: SimTime,
-        attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
-    ) {
-        let mut cache: Option<Vec<(&'static str, String)>> = None;
-        if self.a.enabled() {
-            self.a
-                .edge(kind, src_actor, src_t, dst_actor, dst_t, &mut || {
-                    cache.get_or_insert_with(&mut *attrs).clone()
-                });
-        }
-        if self.b.enabled() {
-            self.b
-                .edge(kind, src_actor, src_t, dst_actor, dst_t, &mut || {
-                    cache.get_or_insert_with(&mut *attrs).clone()
-                });
-        }
-    }
-}
-
 /// A drained flight window plus the context that triggered it. Render
 /// with [`FlightDump::to_json`] (deterministic: same retained window +
-/// same trigger ⇒ identical bytes) or feed [`FlightDump::analyze`].
+/// same trigger ⇒ identical bytes).
 #[derive(Clone, Debug)]
 pub struct FlightDump {
     /// Job/run label; becomes the `FLIGHT_<job>.json` file name.
@@ -571,11 +244,6 @@ impl FlightDump {
             })
             .collect();
         format!("FLIGHT_{safe}.json")
-    }
-
-    /// Run the critical-path profiler over the dumped window.
-    pub fn analyze(&self) -> impacc_prof::Report {
-        impacc_prof::analyze(&self.spans, &[])
     }
 
     /// Deterministic JSON rendering. The document doubles as a Chrome
@@ -646,108 +314,46 @@ impl FlightDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(actor: &str, kind: EventKind, t0: u64, t1: u64) -> Span {
-        Span {
-            actor: actor.into(),
-            kind,
-            t0: SimTime(t0),
-            t1: SimTime(t1),
-            attrs: Vec::new(),
-        }
-    }
+    use impacc_obs::EventKind;
+    use impacc_vtime::SimTime;
 
     fn sink_span(fr: &FlightRecorder, actor: &str, label: &'static str, t0: u64, t1: u64) {
-        SpanSink::span(fr, actor, label, SimTime(t0), SimTime(t1), &mut Vec::new);
-    }
-
-    #[test]
-    fn ring_keeps_the_last_n_and_counts_overwrites() {
-        let fr = FlightRecorder::with_capacity(3);
-        for i in 0..10u64 {
-            fr.record_span(span("a", EventKind::Kernel, i, i + 1));
-        }
-        let spans = fr.snapshot();
-        assert_eq!(spans.len(), 3);
-        // Oldest-first drain of the final window [7,8,9].
-        assert_eq!(spans[0].t0, SimTime(7));
-        assert_eq!(spans[2].t0, SimTime(9));
-        assert_eq!(fr.dropped_total(), 7);
-        assert_eq!(fr.last_vtime(), SimTime(10));
-    }
-
-    #[test]
-    fn snapshot_is_actor_sorted_with_per_actor_order() {
-        let fr = FlightRecorder::with_capacity(8);
-        fr.record_span(span("zeta", EventKind::Kernel, 0, 1));
-        fr.record_span(span("alpha", EventKind::Kernel, 5, 6));
-        fr.record_span(span("alpha", EventKind::Kernel, 7, 8));
-        let spans = fr.snapshot();
-        let order: Vec<(&str, u64)> = spans.iter().map(|s| (s.actor.as_str(), s.t0.0)).collect();
-        assert_eq!(order, vec![("alpha", 5), ("alpha", 7), ("zeta", 0)]);
-    }
-
-    #[test]
-    fn hot_kinds_skip_attr_closures_rare_kinds_keep_them() {
-        let fr = FlightRecorder::with_capacity(8);
-        let mut calls = 0;
-        SpanSink::span(&fr, "a", "kernel", SimTime(0), SimTime(1), &mut || {
-            calls += 1;
-            vec![("bytes", "64".into())]
-        });
-        assert_eq!(calls, 0, "bulk kinds must not evaluate attrs");
-        SpanSink::span(&fr, "a", "fault", SimTime(1), SimTime(1), &mut || {
-            calls += 1;
-            vec![("site", "link_drop".into())]
-        });
-        assert_eq!(calls, 1);
-        let spans = fr.snapshot();
-        assert!(spans[0].attrs.is_empty());
-        assert_eq!(spans[1].attr("site"), Some("link_drop"));
-        assert_eq!(fr.fault_fires(), 1);
-        // Unknown labels degrade to markers carrying the label.
-        sink_span(&fr, "a", "exotic", 2, 2);
-        let s = fr.snapshot().pop().unwrap();
-        assert_eq!(s.kind, EventKind::Marker);
-        assert_eq!(s.attr("label"), Some("exotic"));
+        fr.sink()
+            .lane(actor)
+            .span(label, SimTime(t0), SimTime(t1), &mut Vec::new);
     }
 
     #[test]
     fn disabled_recorder_is_inert() {
         let fr = FlightRecorder::disabled();
         assert!(!fr.enabled());
-        fr.set_enabled(true); // capacity 0: cannot be enabled
-        assert!(!fr.enabled());
-        SpanSink::span(&fr, "a", "fault", SimTime(0), SimTime(1), &mut || {
-            panic!("attrs evaluated on a disabled recorder")
-        });
+        fr.sink()
+            .lane("a")
+            .span("fault", SimTime(0), SimTime(1), &mut || {
+                panic!("attrs evaluated on a disabled recorder")
+            });
         assert_eq!(fr.snapshot().len(), 0);
-        assert_eq!(fr.actor_count(), 0);
+        assert_eq!(fr.fault_fires(), 0);
     }
 
     #[test]
-    fn tee_delivers_to_both_and_evaluates_attrs_once() {
-        let fr = FlightRecorder::with_capacity(8);
-        let rec = impacc_obs::Recorder::new();
-        let t = tee(fr.sink(), rec.sink());
-        assert!(t.enabled());
-        let mut calls = 0;
-        t.span("a", "fault", SimTime(0), SimTime(1), &mut || {
-            calls += 1;
-            vec![("site", "x".into())]
-        });
-        assert_eq!(calls, 1, "tee must materialize attrs exactly once");
-        assert_eq!(fr.snapshot()[0].attr("site"), Some("x"));
-        assert_eq!(rec.spans()[0].attr("site"), Some("x"));
-        // One side disabled: still exactly one evaluation, one delivery.
-        let t2 = tee(FlightRecorder::disabled().sink(), rec.sink());
-        let mut calls2 = 0;
-        t2.span("a", "fault", SimTime(2), SimTime(3), &mut || {
-            calls2 += 1;
-            Vec::new()
-        });
-        assert_eq!(calls2, 1);
-        assert_eq!(rec.spans().len(), 2);
+    fn view_of_a_trace_store_dumps_what_a_window_store_dumps() {
+        let feed = |fr: &FlightRecorder| {
+            for i in 0..300u64 {
+                sink_span(fr, "rank0", "kernel", i, i + 1);
+            }
+            sink_span(fr, "rank1", "fault", 7, 7);
+            fr.dump("unit", Trigger::Request, [("retries", 3u64)], &[])
+        };
+        let rec = Recorder::new();
+        let (window, view) = (FlightRecorder::new(), FlightRecorder::view_of(&rec));
+        let (a, b) = (feed(&window), feed(&view));
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.events_dropped(), 300 - DEFAULT_RING_CAPACITY as u64);
+        assert_eq!(window.dropped_total(), view.dropped_total());
+        assert_eq!(window.snapshot(), view.snapshot());
+        assert_eq!(rec.span_count(), 301, "the store itself keeps the run");
+        assert!(view.same_store(&rec));
     }
 
     #[test]
@@ -790,10 +396,6 @@ mod tests {
             .map(|s| s.kind)
             .collect();
         assert_eq!(rank0, vec![EventKind::Fault, EventKind::Retry]);
-        // And the profiler consumes the dump directly.
-        let rep = d1.analyze();
-        assert_eq!(rep.spans, 3);
-        assert_eq!(rep.end_ps, 20);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use impacc_vtime::SimTime;
 /// Default `retries` threshold for the retry-storm rule.
 pub const RETRY_STORM_THRESHOLD: u64 = 32;
 /// Default fired-fault threshold for the fault-burst rule (also the
-/// flight-dump trigger threshold, `IMPACC_FLIGHT_BURST`).
+/// flight-dump trigger threshold).
 pub const FAULT_BURST_THRESHOLD: u64 = 8;
 /// Consecutive strictly-increasing queue-depth observations before the
 /// backlog rule fires.
@@ -116,12 +116,6 @@ impl Watchdog {
             backlog_run: BACKLOG_RUN,
             depths: Vec::new(),
         }
-    }
-
-    /// Override the fault-burst threshold (`IMPACC_FLIGHT_BURST`).
-    pub fn with_burst_threshold(mut self, threshold: u64) -> Watchdog {
-        self.fault_burst = threshold.max(1);
-        self
     }
 
     /// Deterministic rules over a run's final counter snapshot. Accepts

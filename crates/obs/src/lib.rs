@@ -6,32 +6,38 @@
 //! This crate is the substrate for those attributions:
 //!
 //! * [`Span`] / [`EventKind`] — typed time spans;
-//! * [`Recorder`] — a bounded, thread-safe span buffer plus a
-//!   counter/gauge/histogram registry with deterministic (sorted)
-//!   snapshots; implements `impacc_vtime::SpanSink` so it plugs straight
-//!   into a simulation via `SimConfig::sink`;
+//! * [`Recorder`] — the stack's one span store plus a counter/gauge
+//!   registry with deterministic (sorted) snapshots. The store is one
+//!   bounded ring per actor: the engine registers each actor once
+//!   (`impacc_vtime::SpanSink::lane`) and every span goes straight into
+//!   that actor's ring, so reads come back actors sorted, per-actor
+//!   emission order under any schedule. Retention is fixed before the run:
+//!   *full* ([`Recorder::new`]: every span with attributes, plus causal
+//!   [`Edge`]s) for traces and profiles, or a *window*
+//!   ([`Recorder::windowed`]: the last `n` spans per actor, attributes for
+//!   the rare kinds only, no edges) for the always-on flight recorder —
+//!   and [`Recorder::window`] reads the second out of the first, so a
+//!   traced run records each span once;
 //! * exporters — [`chrome::trace`] (Chrome `about://tracing` JSON with one
-//!   lane per task/queue/handler actor), [`export::metrics_csv`] /
-//!   [`export::metrics_json`] flat dumps, and [`breakdown`] text tables
+//!   lane per task/queue/handler actor) and [`breakdown`] text tables
 //!   reproducing the Fig 11/14 normalized stacks directly from spans.
 //!
 //! Recording is zero-cost when disabled: a [`Recorder`] built with
-//! capacity 0 reports `enabled() == false`, so `Ctx::span` callers never
-//! evaluate their attribute closures and counters are no-ops. Virtual
-//! times are bit-identical with recording on or off — the recorder only
-//! observes, it never advances the clock.
+//! capacity 0 reports `enabled() == false`, so its actors get no lane,
+//! `Ctx::span` callers never evaluate their attribute closures and
+//! counters are no-ops. Virtual times are bit-identical with recording on
+//! or off — the recorder only observes, it never advances the clock.
 
 #![warn(missing_docs)]
 
 pub mod breakdown;
 pub mod chrome;
-pub mod export;
 pub mod json;
 mod recorder;
 
-pub use recorder::{HistogramSnapshot, MetricsSnapshot, Recorder, ScopedCounters};
+pub use recorder::{MetricsSnapshot, Recorder, Window};
 
-pub use impacc_vtime::SpanSink;
+pub use impacc_vtime::{SpanLane, SpanSink};
 
 use impacc_vtime::{SimDur, SimTime};
 
@@ -148,7 +154,27 @@ impl EventKind {
 
     /// Parse a wire label back into a kind.
     pub fn parse(label: &str) -> Option<EventKind> {
-        EventKind::ALL.iter().copied().find(|k| k.label() == label)
+        Some(match label {
+            "kernel" => EventKind::Kernel,
+            "HtoH" => EventKind::CopyHtoH,
+            "HtoD" => EventKind::CopyHtoD,
+            "DtoH" => EventKind::CopyDtoH,
+            "DtoD" => EventKind::CopyDtoD,
+            "mpi_send" => EventKind::MpiSend,
+            "mpi_recv" => EventKind::MpiRecv,
+            "mpi_coll" => EventKind::MpiColl,
+            "coll_intra" => EventKind::CollIntra,
+            "fuse" => EventKind::Fuse,
+            "alias" => EventKind::Alias,
+            "queue_wait" => EventKind::QueueWait,
+            "handler_cmd" => EventKind::HandlerCmd,
+            "stall" => EventKind::Stall,
+            "fault" => EventKind::Fault,
+            "retry" => EventKind::Retry,
+            "marker" => EventKind::Marker,
+            "anomaly" => EventKind::Anomaly,
+            _ => return None,
+        })
     }
 
     /// Is this one of the four data-copy kinds?
@@ -202,7 +228,10 @@ impl Span {
 /// (`"enq"`), handler dequeue (`"deq"`), park/wake causality (`"wake"`),
 /// actor creation (`"spawn"`). The critical-path profiler (`impacc-prof`)
 /// walks these backwards from the end of the run.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Ordered by content, fields in declaration order: the schedule-independent
+/// order `Recorder::canonicalize` sorts a partitioned run's edges into.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Edge {
     /// Dependence kind ("wake", "msg", "fuse", "enq", "deq", "spawn").
     pub kind: &'static str,

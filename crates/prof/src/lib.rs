@@ -456,11 +456,6 @@ pub fn analyze(spans: &[Span], edges: &[Edge]) -> Report {
     report
 }
 
-/// Analyze everything a [`Recorder`](impacc_obs::Recorder) captured.
-pub fn analyze_recorder(rec: &impacc_obs::Recorder) -> Report {
-    analyze(&rec.spans(), &rec.edges())
-}
-
 impl Report {
     /// Total on-path blame — equals [`Report::end_ps`] by construction.
     pub fn blame_total(&self) -> u64 {

@@ -55,12 +55,13 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, String> {
     run_job_flight(job, None)
 }
 
-/// [`run_job`] with an optional caller-owned flight recorder attached.
-/// The recorder rides alongside the result path — it never changes the
-/// result bytes (flight is observability only) — but keeps the last
-/// spans of the run available for a post-mortem dump if the job fails,
-/// and carries the job/campaign correlation marker every span stream
-/// starts with.
+/// [`run_job`] on a caller-owned flight recorder: the job records into its
+/// store. That never changes the result bytes (flight is observability
+/// only) — but keeps the last spans of the run available for a
+/// post-mortem dump if the job fails, and carries the job/campaign
+/// correlation marker every span stream starts with. A `prof=1` job
+/// switches the store to full retention before it starts; the dump is
+/// then the window view of the trace.
 pub fn run_job_flight(
     job: &JobSpec,
     flight: Option<&FlightRecorder>,
@@ -79,7 +80,17 @@ pub(crate) fn run_job_keyed(
     let spec = machine_of(job)?;
     let row = job.workload.row();
     let body = (row.body)(job)?;
-    let rec = job.prof.then(Recorder::new);
+    // One store per job. A profile needs every span and edge, so a
+    // `prof=1` job widens the caller's store, or brings its own when the
+    // caller has none that records.
+    let flight = flight.filter(|fr| fr.enabled() || !job.prof);
+    let rec = job.prof.then(|| match flight {
+        Some(fr) => {
+            fr.retain_all();
+            Recorder::clone(fr)
+        }
+        None => Recorder::new(),
+    });
     let mut l = Launch::new(spec, RuntimeOptions::impacc());
     if let Some(plan) = fault_plan(job) {
         l = l.chaos(plan);

@@ -169,8 +169,13 @@ impl Park {
 }
 
 /// Lock-free per-actor state shared between the actor thread (fast path)
-/// and the scheduler (grants). Only meaningful in conservative mode.
+/// and the scheduler (grants). The clock fields are only meaningful in
+/// conservative mode.
 struct ActorClock {
+    /// Where this actor's spans go (`None`: no sink is recording). The
+    /// actor pushes its own; the scheduler emits stall spans through it on
+    /// the *woken* actor's behalf.
+    lane: Option<Arc<dyn SpanLane>>,
     /// The actor's own virtual clock. In conservative mode [`Ctx::now`]
     /// reads this instead of the global mirror.
     local_now: AtomicU64,
@@ -179,7 +184,7 @@ struct ActorClock {
 }
 
 struct ActorSlot {
-    name: String,
+    name: Arc<str>,
     daemon: bool,
     state: ActorState,
     park: Arc<Park>,
@@ -489,27 +494,21 @@ impl EngineShared {
 /// Implementations must be cheap and must never call back into the engine:
 /// spans are delivered from scheduler paths that may hold internal locks.
 pub trait SpanSink: Send + Sync {
-    /// Fast-path gate: when `false`, callers skip attribute construction
-    /// and do not deliver spans, making recording zero-cost when disabled.
+    /// Is the sink recording? Read once per actor at spawn (an actor of a
+    /// disabled sink gets no lane, so its span sites return before any
+    /// attribute construction) and before each edge.
     fn enabled(&self) -> bool;
 
-    /// Record a completed span `[t0, t1]` attributed to `actor`. `label`
-    /// identifies the span kind ("HtoD", "kernel", "stall", ...); `attrs`
-    /// is invoked at most once, and only if the sink keeps the span.
-    fn span(
-        &self,
-        actor: &str,
-        label: &'static str,
-        t0: SimTime,
-        t1: SimTime,
-        attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
-    );
+    /// Register `actor` and return the lane its spans go to. The engine
+    /// calls this once per actor at spawn and keeps the handle, so a span
+    /// is delivered without looking the actor up by name — also when the
+    /// scheduler emits a stall for an actor other than the running one.
+    fn lane(&self, actor: &str) -> Arc<dyn SpanLane>;
 
     /// Record a causal edge: work at `(src_actor, src_t)` enabled work at
     /// `(dst_actor, dst_t)`. `kind` names the dependence ("wake", "msg",
     /// "fuse", "enq", "spawn", ...). Sinks that don't build dependence
-    /// graphs can ignore this; the default does nothing, so edge emission
-    /// is invisible to pre-existing sinks.
+    /// graphs can ignore this; the default does nothing.
     fn edge(
         &self,
         kind: &'static str,
@@ -521,6 +520,20 @@ pub trait SpanSink: Send + Sync {
     ) {
         let _ = (kind, src_actor, src_t, dst_actor, dst_t, attrs);
     }
+}
+
+/// One actor's span stream inside a [`SpanSink`] (see [`SpanSink::lane`]).
+pub trait SpanLane: Send + Sync {
+    /// Record a completed span `[t0, t1]` of this lane's actor. `label`
+    /// identifies the span kind ("HtoD", "kernel", "stall", ...); `attrs`
+    /// is invoked at most once, and only if the sink keeps them.
+    fn span(
+        &self,
+        label: &'static str,
+        t0: SimTime,
+        t1: SimTime,
+        attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
+    );
 }
 
 /// One shard of the engine-wide counter set.
@@ -605,8 +618,9 @@ pub struct SimConfig {
     /// Guards against runaway actor loops in tests.
     pub max_events: u64,
     /// Structured span sink (normally an `impacc_obs::Recorder`). `None`
-    /// disables span recording entirely — [`Ctx::span`] then returns before
-    /// evaluating attribute closures, so a sink-less run pays nothing.
+    /// (or a disabled sink) gives no actor a lane — [`Ctx::span`] then
+    /// returns before evaluating attribute closures, so such a run pays
+    /// nothing.
     pub sink: Option<Arc<dyn SpanSink>>,
     /// Baton-handoff elision (on by default): when an actor calling
     /// [`Ctx::advance`] would be re-dispatched immediately (no earlier or
@@ -870,15 +884,11 @@ impl Ctx {
         t1: SimTime,
         attrs: impl FnOnce() -> Vec<(&'static str, String)>,
     ) {
-        let Some(sink) = &self.engine.sink else {
+        let Some(lane) = &self.clock.lane else {
             return;
         };
-        if !sink.enabled() {
-            return;
-        }
-        let actor = self.name();
         let mut attrs = Some(attrs);
-        sink.span(&actor, label, t0, t1, &mut || {
+        lane.span(label, t0, t1, &mut || {
             attrs.take().map(|f| f()).unwrap_or_default()
         });
     }
@@ -1323,21 +1333,13 @@ impl Ctx {
             reason: WakeReason::Signaled,
             timer_gen: None,
         });
-        Engine::emit_stall(
-            &self.engine,
-            &sched,
-            token.actor,
-            tag,
-            cause.as_deref(),
-            since,
-            now,
-        );
+        Engine::emit_stall(&sched, token.actor, tag, cause.as_deref(), since, now);
         // The causal backbone: every cross-actor resume (latch opens,
         // notifies) funnels through here, so one edge covers them all.
         if let Some(sink) = &self.engine.sink {
             if sink.enabled() {
-                let dst = sched.actors[token.actor.0 as usize].name.clone();
-                sink.edge("wake", &self.name, now, &dst, now, &mut || {
+                let dst = &sched.actors[token.actor.0 as usize].name;
+                sink.edge("wake", &self.name, now, dst, now, &mut || {
                     let mut a = vec![("tag", tag.to_string())];
                     if let Some(c) = &cause {
                         a.push(("cause", c.clone()));
@@ -1405,20 +1407,12 @@ impl Ctx {
             reason: WakeReason::Signaled,
             timer_gen: None,
         });
-        Engine::emit_stall(
-            &self.engine,
-            &sched,
-            token.actor,
-            tag,
-            cause.as_deref(),
-            since,
-            at,
-        );
+        Engine::emit_stall(&sched, token.actor, tag, cause.as_deref(), since, at);
         if traced {
             if let Some(sink) = &self.engine.sink {
                 if sink.enabled() {
-                    let dst = sched.actors[token.actor.0 as usize].name.clone();
-                    sink.edge("wake", &self.name, now, &dst, at, &mut || {
+                    let dst = &sched.actors[token.actor.0 as usize].name;
+                    sink.edge("wake", &self.name, now, dst, at, &mut || {
                         let mut a = vec![("tag", tag.to_string())];
                         if let Some(c) = &cause {
                             a.push(("cause", c.clone()));
@@ -1494,7 +1488,7 @@ impl Ctx {
                 let entry = PEntry {
                     t: at,
                     src_vt: slot.blocked_since,
-                    src: Arc::from(slot.name.as_str()),
+                    src: slot.name.clone(),
                     src_seq: token.gen,
                     id: token.actor,
                     reason: WakeReason::Signaled,
@@ -1822,7 +1816,6 @@ impl Engine {
     /// labelled with the tag it was blocked under. Zero-width stalls (an
     /// immediate wake at the same instant) are elided as noise.
     fn emit_stall(
-        shared: &EngineShared,
         sched: &Sched,
         id: ActorId,
         tag: &'static str,
@@ -1833,14 +1826,10 @@ impl Engine {
         if t1 <= t0 {
             return;
         }
-        let Some(sink) = &shared.sink else {
+        let Some(lane) = &sched.actors[id.0 as usize].clock.lane else {
             return;
         };
-        if !sink.enabled() {
-            return;
-        }
-        let name = &sched.actors[id.0 as usize].name;
-        sink.span(name, "stall", t0, t1, &mut || {
+        lane.span("stall", t0, t1, &mut || {
             let mut a = vec![("tag", tag.to_string())];
             if let Some(c) = cause {
                 a.push(("cause", c.to_string()));
@@ -1985,7 +1974,7 @@ impl Engine {
             .actors
             .iter()
             .map(|s| ActorAccount {
-                name: s.name.clone(),
+                name: String::from(&*s.name),
                 tags: s.acct.lock().clone(),
             })
             .collect();
@@ -2058,6 +2047,11 @@ impl Engine {
         let park = Park::new();
         let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
+        let lane = shared
+            .sink
+            .as_ref()
+            .filter(|s| s.enabled())
+            .map(|s| s.lane(&name));
 
         let mut sched = shared.lock_sched();
         if let Some(msg) = &sched.poison {
@@ -2067,6 +2061,7 @@ impl Engine {
         let id = ActorId(sched.actors.len() as u32);
         let (part, at) = origin.as_ref().map_or((0, sched.now), |o| (o.part, o.t));
         let clock = Arc::new(ActorClock {
+            lane,
             local_now: AtomicU64::new(at.0),
             fast_advances: AtomicU64::new(0),
         });
@@ -2075,10 +2070,11 @@ impl Engine {
         } else {
             Arc::new(AtomicU64::new(u64::MAX))
         };
+        let actor_name: Arc<str> = name.as_str().into();
         let ctx = Ctx {
             engine: shared.clone(),
             me: id,
-            name: name.as_str().into(),
+            name: actor_name.clone(),
             metrics,
             clock: clock.clone(),
             part,
@@ -2088,7 +2084,7 @@ impl Engine {
         };
         let shared2 = shared.clone();
         let spawned = std::thread::Builder::new()
-            .name(name.clone())
+            .name(name)
             .stack_size(shared.stack_size)
             .spawn(move || {
                 // Wait for the first baton grant. `Shutdown` instead means
@@ -2103,7 +2099,7 @@ impl Engine {
         let handle = match spawned {
             Ok(handle) => handle,
             Err(e) => {
-                let msg = format!("spawn:{name}:{e}");
+                let msg = format!("spawn:{actor_name}:{e}");
                 Engine::poison(shared, &mut sched, msg.clone());
                 return Err(msg);
             }
@@ -2113,7 +2109,7 @@ impl Engine {
             .expect("a fresh park has no thread yet");
         shared.handles.lock().push(handle);
         sched.actors.push(ActorSlot {
-            name,
+            name: actor_name,
             daemon,
             state: ActorState::Queued,
             park,
@@ -2310,15 +2306,7 @@ impl Engine {
                     slot.clock.local_now.store(entry.t.0, Ordering::Release);
                     (since, tag, cause)
                 };
-                Engine::emit_stall(
-                    shared,
-                    sched,
-                    entry.id,
-                    tag,
-                    cause.as_deref(),
-                    since,
-                    entry.t,
-                );
+                Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, entry.t);
                 sched.wake_later(idx, entry.reason);
                 return true;
             }
@@ -2345,20 +2333,12 @@ impl Engine {
                 })
             };
             if let Some((since, tag, cause, src)) = wake_info {
-                Engine::emit_stall(
-                    shared,
-                    sched,
-                    entry.id,
-                    tag,
-                    cause.as_deref(),
-                    since,
-                    entry.t,
-                );
+                Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, entry.t);
                 if let Some((src_name, src_vt)) = src {
                     if let Some(sink) = &shared.sink {
                         if sink.enabled() {
-                            let dst = sched.actors[idx].name.clone();
-                            sink.edge("wake", &src_name, src_vt, &dst, entry.t, &mut || {
+                            let dst = &sched.actors[idx].name;
+                            sink.edge("wake", &src_name, src_vt, dst, entry.t, &mut || {
                                 let mut a = vec![("tag", tag.to_string())];
                                 if let Some(c) = &cause {
                                     a.push(("cause", c.clone()));
@@ -2533,7 +2513,7 @@ impl Engine {
                     let entry = PEntry {
                         t: t_end,
                         src_vt: since,
-                        src: Arc::from(slot.name.as_str()),
+                        src: slot.name.clone(),
                         src_seq: slot.wait_gen,
                         id: ActorId(i as u32),
                         reason: WakeReason::Shutdown,
@@ -2542,7 +2522,6 @@ impl Engine {
                     (entry, slot.part, since, tag, cause)
                 };
                 Engine::emit_stall(
-                    shared,
                     sched,
                     ActorId(i as u32),
                     tag,
@@ -2613,15 +2592,7 @@ impl Engine {
                 *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += elapsed;
                 slot.state = ActorState::Running;
                 sched.wake_later(entry.id.0 as usize, entry.reason);
-                Engine::emit_stall(
-                    shared,
-                    sched,
-                    entry.id,
-                    tag,
-                    cause.as_deref(),
-                    since,
-                    sched.now,
-                );
+                Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, sched.now);
                 return;
             }
             debug_assert_eq!(
@@ -2666,15 +2637,7 @@ impl Engine {
                         reason: WakeReason::Shutdown,
                         timer_gen: None,
                     });
-                    Engine::emit_stall(
-                        shared,
-                        sched,
-                        ActorId(i),
-                        tag,
-                        cause.as_deref(),
-                        since,
-                        now,
-                    );
+                    Engine::emit_stall(sched, ActorId(i), tag, cause.as_deref(), since, now);
                     woke = true;
                 }
             }
@@ -3018,24 +2981,29 @@ mod tests {
 
     /// A sink that keeps every span, for the tests that hold two
     /// schedules to the same observable stream.
-    #[derive(Default)]
-    struct Collect(std::sync::Mutex<Vec<Seen>>);
+    #[derive(Default, Clone)]
+    struct Collect(Arc<std::sync::Mutex<Vec<Seen>>>);
 
     impl SpanSink for Collect {
         fn enabled(&self) -> bool {
             true
         }
 
+        fn lane(&self, actor: &str) -> Arc<dyn SpanLane> {
+            Arc::new((self.clone(), actor.to_string()))
+        }
+    }
+
+    impl SpanLane for (Collect, String) {
         fn span(
             &self,
-            actor: &str,
             label: &'static str,
             t0: SimTime,
             _t1: SimTime,
             attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
         ) {
-            let seen = (t0, actor.to_string(), label, attrs());
-            self.0.lock().unwrap().push(seen);
+            let seen = (t0, self.1.clone(), label, attrs());
+            self.0 .0.lock().unwrap().push(seen);
         }
     }
 
