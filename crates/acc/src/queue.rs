@@ -24,7 +24,7 @@ struct QueuedOp {
     enq_at: SimTime,
     /// Enqueuing actor, captured only while a span sink is recording: the
     /// source end of the "enq" causal edge emitted when the op starts.
-    enq_by: Option<String>,
+    enq_by: Option<Arc<str>>,
     exec: Box<dyn FnOnce(&Ctx) + Send>,
     done: Latch,
 }
@@ -147,7 +147,7 @@ impl ActivityQueue {
             ops.push_back(QueuedOp {
                 label,
                 enq_at: ctx.now(),
-                enq_by: ctx.sink_enabled().then(|| ctx.name()),
+                enq_by: ctx.sink_enabled().then(|| ctx.name().clone()),
                 exec: Box::new(exec),
                 done: done.clone(),
             });

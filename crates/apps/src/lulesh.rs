@@ -16,9 +16,9 @@
 //! proxy field, with device kernels between them, and a periodic
 //! allreduce standing in for the `dtcourant`/`dthydro` reduction.
 
-use impacc_core::{MpiOpts, RunSummary, RuntimeOptions, TaskCtx, UReq};
+use impacc_core::{MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::{KernelCost, MachineSpec};
-use impacc_mpi::ReduceOp;
+use impacc_mpi::{ReduceOp, Request};
 use impacc_vtime::SimError;
 
 use crate::common::{launch_app, math_ok};
@@ -159,7 +159,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
     for iter in 0..p.iters {
         // ---- phase 1: node-centred exchange over all 26 neighbours -----
         tc.acc_update_host(&field, 0, boundary_bytes, None);
-        let mut reqs: Vec<UReq> = Vec::new();
+        let mut reqs: Vec<Request> = Vec::new();
         for (di, d) in dirs.iter().enumerate() {
             let Some(nb) = me.neighbor(*d) else { continue };
             let sb = &send_bufs[di];
@@ -208,7 +208,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
         tc.acc_kernel(None, phase_cost[0], || {});
 
         // ---- phase 2: element-centred exchange over the 6 faces --------
-        let mut reqs: Vec<UReq> = Vec::new();
+        let mut reqs: Vec<Request> = Vec::new();
         for (di, d) in dirs.iter().enumerate() {
             if d.0.abs() + d.1.abs() + d.2.abs() != 1 {
                 continue;

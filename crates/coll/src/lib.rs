@@ -13,8 +13,8 @@
 //!
 //! A [`CollEngine`] picks the algorithm per call from message size,
 //! communicator shape and job topology ([`impacc_machine::JobTopo`]);
-//! the choice is overridable globally (`IMPACC_COLL_ALGO`), per launch
-//! (`Launch::coll_algo`) and per call ([`CollOpts`]). Every collective
+//! the choice is overridable per launch (`Launch::coll_algo`, serve's
+//! `algo=` field) and per call ([`CollOpts`]). Every collective
 //! emits an `mpi_coll` span tagged with the chosen algorithm plus
 //! `coll_intra` spans for the shared-memory phases, so `impacc-prof`
 //! attributes collective stalls to the intra-node vs internode phase
@@ -84,7 +84,7 @@ impl CollAlgo {
         }
     }
 
-    /// Parse a registry/env spelling.
+    /// Parse a registry spelling.
     pub fn parse(s: &str) -> Option<CollAlgo> {
         CollAlgo::ALL.iter().copied().find(|a| a.label() == s)
     }
@@ -99,19 +99,6 @@ impl CollAlgo {
             CollAlgo::Rabenseifner => "coll_algo_rabenseifner",
             CollAlgo::Bruck => "coll_algo_bruck",
             CollAlgo::Hier => "coll_algo_hier",
-        }
-    }
-
-    /// The forced algorithm from `IMPACC_COLL_ALGO`, if set. Panics on an
-    /// unknown spelling (a silently ignored override is worse).
-    pub fn from_env() -> Option<CollAlgo> {
-        let v = std::env::var("IMPACC_COLL_ALGO").ok()?;
-        match CollAlgo::parse(&v) {
-            Some(a) => Some(a),
-            None => panic!(
-                "IMPACC_COLL_ALGO={v:?} is not a registry entry \
-                 (flat|binomial|ring|rd|rabenseifner|bruck|hier)"
-            ),
         }
     }
 }
@@ -172,13 +159,14 @@ pub struct CollEngine {
     /// This node's collective rendezvous, when the runtime provides one
     /// (IMPACC mode). `None` disables the hierarchical path.
     node_coll: Option<Arc<NodeColl>>,
-    /// Launch- or env-forced algorithm.
+    /// Launch-forced algorithm.
     forced: Option<CollAlgo>,
 }
 
 impl CollEngine {
-    /// Build an engine. `forced` (e.g. from `Launch::coll_algo`) wins over
-    /// `IMPACC_COLL_ALGO`; with neither, the size/topology policy picks.
+    /// Build an engine. `forced` (from `Launch::coll_algo`) names one
+    /// registry entry for every call; without it the size/topology policy
+    /// picks.
     pub fn new(
         node_of: Arc<Vec<usize>>,
         node: usize,
@@ -189,7 +177,6 @@ impl CollEngine {
         forced: Option<CollAlgo>,
     ) -> CollEngine {
         let topo = JobTopo::from_node_of(&node_of);
-        let forced = forced.or_else(CollAlgo::from_env);
         CollEngine {
             node_of,
             node,

@@ -1,92 +1,13 @@
 //! Message commands exchanged between task threads and the node's message
-//! handler thread (§3.7).
+//! handler thread (§3.7). A command's completion handle is the same
+//! [`impacc_mpi::Request`] the system library hands out: the handler
+//! completes it, naming itself, at the fused copy's finish instant.
 
 use std::sync::Arc;
 
 use impacc_mem::{Backing, HeapPtr, VirtAddr};
-use impacc_mpi::{BufLoc, Request, Status};
-use impacc_vtime::{Ctx, Latch, SimTime};
-
-use parking_lot::Mutex;
-
-/// A completion handle that carries the operation's virtual completion
-/// *instant*: the message handler issues fused copies asynchronously
-/// (`cuMemcpyAsync` + callback in the real runtime) and never blocks on
-/// them, so the waiter — not the handler — advances to the completion
-/// time.
-#[derive(Clone, Default)]
-pub struct TimedDone {
-    latch: Latch,
-    at: Arc<Mutex<Option<SimTime>>>,
-    /// What this handle completes ("fused send dst=1 tag=7"), recorded on
-    /// stall spans so the profiler can classify the wait. Only populated
-    /// while a span sink is recording.
-    cause: Arc<Mutex<Option<String>>>,
-    /// Actor that completed the handle (the message handler), recorded
-    /// while a sink is on: the source of the wake edge a waiter emits
-    /// when it rides virtual time out to the completion instant, so the
-    /// critical path lands on the handler's async copy span instead of
-    /// dead-ending in the waiter's advance.
-    completed_by: Arc<Mutex<Option<String>>>,
-}
-
-impl TimedDone {
-    /// A fresh, incomplete handle.
-    pub fn new() -> TimedDone {
-        TimedDone::default()
-    }
-
-    /// Describe what a waiter of this handle is waiting for (profiler
-    /// stall-cause attribution).
-    pub fn set_cause(&self, cause: String) {
-        *self.cause.lock() = Some(cause);
-    }
-
-    /// Mark complete at instant `t` (may be in the virtual future).
-    pub fn complete(&self, ctx: &Ctx, t: SimTime) {
-        *self.at.lock() = Some(t);
-        if ctx.sink_enabled() {
-            *self.completed_by.lock() = Some(ctx.name());
-        }
-        self.latch.open(ctx);
-    }
-
-    /// Block the calling actor until the completion instant.
-    pub fn wait(&self, ctx: &Ctx) {
-        self.latch
-            .wait_with_cause(ctx, impacc_mpi::tags::MPI_WAIT, || {
-                self.cause
-                    .lock()
-                    .clone()
-                    .unwrap_or_else(|| "handler cmd".to_string())
-            });
-        let t = self.at.lock().expect("latch open implies time set");
-        let woke = ctx.now();
-        ctx.advance_until(t, impacc_mpi::tags::MPI_WAIT);
-        if ctx.sink_enabled() && t > woke {
-            // The handler issued the copy asynchronously; the waiter rode
-            // virtual time to the completion instant. Record the ride as
-            // a stall and hand the critical path back to the completer,
-            // whose copy span ends exactly at `t`.
-            let cause = self.cause.lock().clone();
-            ctx.span("stall", woke, t, || {
-                let mut a = vec![("tag", impacc_mpi::tags::MPI_WAIT.to_string())];
-                if let Some(c) = &cause {
-                    a.push(("cause", c.clone()));
-                }
-                a
-            });
-            if let Some(by) = self.completed_by.lock().clone() {
-                ctx.edge_to_self("wake", &by, t, t, Vec::new);
-            }
-        }
-    }
-
-    /// Completed and past its completion instant?
-    pub fn test(&self, ctx: &Ctx) -> bool {
-        self.latch.is_open() && self.at.lock().map(|t| ctx.now() >= t).unwrap_or(false)
-    }
-}
+use impacc_mpi::{MsgBuf, Request};
+use impacc_vtime::SimTime;
 
 /// Heap provenance of a host buffer, carried so the handler can check the
 /// node-heap-aliasing requirements (§3.8).
@@ -102,35 +23,18 @@ pub struct HeapRef {
     pub region_len: u64,
 }
 
-/// A send or receive buffer resolved to storage + path information.
-#[derive(Clone)]
+/// A send or receive buffer resolved to storage + path information: the
+/// library's [`MsgBuf`] plus what only the node handler needs.
+#[derive(Clone, Debug)]
 pub struct ResolvedBuf {
-    /// The bytes.
-    pub backing: Arc<Backing>,
-    /// Byte offset of the view within the backing.
-    pub off: u64,
-    /// View length in bytes.
-    pub len: u64,
-    /// Host or device residency (device index is node-local).
-    pub loc: BufLoc,
+    /// Storage, range, residency (device index is node-local) and whether
+    /// the runtime registered the buffer with the library.
+    pub msg: MsgBuf,
     /// Whether the owning task is pinned on the far socket from the
     /// device (selects the NUMA-unfriendly PCIe path for fused copies).
     pub far: bool,
     /// Host-heap provenance, when the buffer is heap memory.
     pub heap: Option<HeapRef>,
-}
-
-impl std::fmt::Debug for ResolvedBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ResolvedBuf({} B @ {} {:?}{})",
-            self.len,
-            self.off,
-            self.loc,
-            if self.heap.is_some() { ", heap" } else { "" }
-        )
-    }
 }
 
 /// Direction of a message command.
@@ -160,14 +64,13 @@ pub struct MsgCmd {
     pub buf: ResolvedBuf,
     /// `readonly` attribute from the IMPACC directive (§3.8 requirement 3).
     pub readonly: bool,
-    /// Completes when the task's side of the operation is complete.
-    pub done: TimedDone,
-    /// Receive status slot (filled by the handler for `Recv` commands).
-    pub status: Arc<Mutex<Option<Status>>>,
+    /// Completes when the task's side of the operation is complete; a
+    /// `Recv` command's completion carries the receive status.
+    pub done: Request,
     /// Submitting actor and submission instant, filled by
     /// `NodeHandler::submit` while a span sink is recording: the source end
     /// of the "deq"/"fuse" causal edges the handler emits.
-    pub submitted_by: Option<(String, SimTime)>,
+    pub submitted_by: Option<(Arc<str>, SimTime)>,
 }
 
 /// Matching key for intra-node commands: FIFO per (comm, src, dst, tag).
@@ -190,8 +93,6 @@ pub struct PendingRecv {
     pub staging: Arc<Backing>,
     /// Final device destination.
     pub dev_buf: ResolvedBuf,
-    /// Completes when the data is in device memory.
-    pub done: TimedDone,
-    /// Receive status slot.
-    pub status: Arc<Mutex<Option<Status>>>,
+    /// Completes, with `req`'s status, when the data is in device memory.
+    pub done: Request,
 }

@@ -9,7 +9,6 @@
 //! |---|---|---|
 //! | `IMPACC_TRACE` | [`trace_path`] | auto-record a Chrome trace to this path |
 //! | `IMPACC_PROF` | [`prof_requested`] | `1` ⇒ append a critical-path profile |
-//! | `IMPACC_COLL_ALGO` | [`coll_algo`] | force one collective registry entry |
 //! | `IMPACC_BENCH_DIR` | [`bench_dir`] | where `BENCH_*`/`PROF_*` artifacts go |
 //! | `IMPACC_BENCH_QUICK` | [`bench_quick`] | `1` ⇒ trim sweeps for CI |
 //! | `IMPACC_BENCH_FULL` | [`bench_full`] | `1` ⇒ unlock the largest points |
@@ -21,8 +20,6 @@
 //! [`Launch`](crate::Launch) parameter, not an env read.)
 
 use std::path::PathBuf;
-
-use impacc_coll::CollAlgo;
 
 /// `true` iff `var` is set to exactly `"1"` (the repo-wide flag idiom).
 fn flag(var: &str) -> bool {
@@ -42,14 +39,6 @@ pub fn trace_path() -> Option<PathBuf> {
 /// persist `PROF_<name>.json`.
 pub fn prof_requested() -> bool {
     flag("IMPACC_PROF")
-}
-
-/// `IMPACC_COLL_ALGO=<entry>`: force one collective algorithm globally.
-/// Panics on an unknown spelling (the parse itself lives next to the
-/// registry in `impacc-coll`, the one crate below this module that owns
-/// the algorithm names).
-pub fn coll_algo() -> Option<CollAlgo> {
-    CollAlgo::from_env()
 }
 
 /// `IMPACC_BENCH_DIR=<dir>`: where bench/prof/serve artifacts are

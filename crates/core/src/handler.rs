@@ -74,7 +74,7 @@ impl NodeHandler {
     pub fn submit(&self, ctx: &Ctx, mut cmd: MsgCmd) {
         ctx.advance(self.res.handler_cmd_overhead(), impacc_mpi::tags::MPI_CALL);
         self.enqueue_jitter(ctx);
-        cmd.submitted_by = ctx.sink_enabled().then(|| (ctx.name(), ctx.now()));
+        cmd.submitted_by = ctx.sink_enabled().then(|| (ctx.name().clone(), ctx.now()));
         self.intra.push(cmd);
         self.work.notify_one(ctx);
     }
@@ -226,15 +226,16 @@ impl NodeHandler {
     /// burst of messages streams onto the PCIe links back-to-back while
     /// the handler keeps draining its queue.
     fn fuse(&self, ctx: &Ctx, send: MsgCmd, recv: MsgCmd) {
+        let (sbuf, rbuf) = (&send.buf.msg, &recv.buf.msg);
         assert!(
-            send.buf.len <= recv.buf.len,
+            sbuf.len <= rbuf.len,
             "message truncation: {} byte message into {} byte buffer (tag {})",
-            send.buf.len,
-            recv.buf.len,
+            sbuf.len,
+            rbuf.len,
             send.tag
         );
         ctx.metrics().inc("fused_msgs");
-        let path = match (send.buf.loc, recv.buf.loc) {
+        let path = match (sbuf.loc, rbuf.loc) {
             (BufLoc::Host, BufLoc::Host) => "HtoH",
             (BufLoc::Host, BufLoc::Device(_)) => "HtoD",
             (BufLoc::Device(_), BufLoc::Host) => "DtoH",
@@ -245,14 +246,15 @@ impl NodeHandler {
                 ("src", send.src.to_string()),
                 ("dst", send.dst.to_string()),
                 ("tag", send.tag.to_string()),
-                ("bytes", send.buf.len.to_string()),
+                ("bytes", sbuf.len.to_string()),
                 ("path", path.to_string()),
             ]
         });
-        let len = send.buf.len;
+        let len = sbuf.len;
         let now = ctx.now();
+        let copy_bytes = || Backing::copy(&sbuf.backing, sbuf.off, &rbuf.backing, rbuf.off, len);
 
-        let complete: SimTime = match (send.buf.loc, recv.buf.loc) {
+        let complete: SimTime = match (sbuf.loc, rbuf.loc) {
             (BufLoc::Host, BufLoc::Host) => {
                 if self.try_alias(ctx, &send, &recv) {
                     ctx.metrics().inc("aliased_msgs");
@@ -262,13 +264,7 @@ impl NodeHandler {
                     ctx.now()
                 } else {
                     let end = self.res.reserve_host_copy(self.node, len, now);
-                    Backing::copy(
-                        &send.buf.backing,
-                        send.buf.off,
-                        &recv.buf.backing,
-                        recv.buf.off,
-                        len,
-                    );
+                    copy_bytes();
                     ctx.metrics().add(tags::HTOH, len);
                     ctx.metrics().add("t_HtoH", end.since(now).0);
                     ctx.span(tags::HTOH, now, end, || {
@@ -282,8 +278,8 @@ impl NodeHandler {
                 d,
                 HdDir::HtoD,
                 recv.buf.far,
-                (&send.buf.backing, send.buf.off),
-                (&recv.buf.backing, recv.buf.off),
+                (&sbuf.backing, sbuf.off),
+                (&rbuf.backing, rbuf.off),
                 len,
             ),
             (BufLoc::Device(d), BufLoc::Host) => self.issue_hd(
@@ -291,8 +287,8 @@ impl NodeHandler {
                 d,
                 HdDir::DtoH,
                 send.buf.far,
-                (&send.buf.backing, send.buf.off),
-                (&recv.buf.backing, recv.buf.off),
+                (&sbuf.backing, sbuf.off),
+                (&rbuf.backing, rbuf.off),
                 len,
             ),
             (BufLoc::Device(sd), BufLoc::Device(rd)) => {
@@ -302,13 +298,7 @@ impl NodeHandler {
                     let end = now
                         + self.res.acc_copy_overhead(spec.kind)
                         + SimDur::for_transfer(len, spec.mem_bw);
-                    Backing::copy(
-                        &send.buf.backing,
-                        send.buf.off,
-                        &recv.buf.backing,
-                        recv.buf.off,
-                        len,
-                    );
+                    copy_bytes();
                     ctx.metrics().add(tags::DTOD, len);
                     ctx.metrics().add("t_DtoD", end.since(now).0);
                     ctx.span(tags::DTOD, now, end, || {
@@ -328,13 +318,7 @@ impl NodeHandler {
                         len,
                         now + self.res.acc_copy_overhead(kind),
                     );
-                    Backing::copy(
-                        &send.buf.backing,
-                        send.buf.off,
-                        &recv.buf.backing,
-                        recv.buf.off,
-                        len,
-                    );
+                    copy_bytes();
                     ctx.metrics().add(tags::DTOD, len);
                     ctx.metrics().add("t_DtoD", end.since(now).0);
                     ctx.span(tags::DTOD, now, end, || {
@@ -350,7 +334,7 @@ impl NodeHandler {
                         sd,
                         HdDir::DtoH,
                         send.buf.far,
-                        (&send.buf.backing, send.buf.off),
+                        (&sbuf.backing, sbuf.off),
                         (&scratch, 0),
                         len,
                     );
@@ -364,7 +348,7 @@ impl NodeHandler {
                         len,
                         mid + self.res.acc_copy_overhead(kind),
                     );
-                    Backing::copy(&scratch, 0, &recv.buf.backing, recv.buf.off, len);
+                    Backing::copy(&scratch, 0, &rbuf.backing, rbuf.off, len);
                     ctx.metrics().add(tags::HTOD, len);
                     ctx.span(tags::HTOD, mid, end, || {
                         vec![("bytes", len.to_string()), ("staged", "true".to_string())]
@@ -374,11 +358,11 @@ impl NodeHandler {
             }
         };
 
-        *recv.status.lock() = Some(Status {
+        let status = Status {
             src: send.src_rel,
             tag: send.tag,
             len,
-        });
+        };
         // Fusion-pairing edges: the fused copy's completion instant depends
         // on *both* sides having submitted their command.
         for (side, cmd) in [("send", &send), ("recv", &recv)] {
@@ -393,8 +377,8 @@ impl NodeHandler {
                 });
             }
         }
-        send.done.complete(ctx, complete);
-        recv.done.complete(ctx, complete);
+        send.done.complete_named(ctx, complete, None);
+        recv.done.complete_named(ctx, complete, Some(status));
     }
 
     /// Roll the direct-DtoD fault site for a peer copy; on a fault the
@@ -491,8 +475,8 @@ impl NodeHandler {
             return miss("other_pointers"); // requirement 4
         }
         if rh.addr != rh.region_start
-            || send.buf.len != rh.region_len
-            || send.buf.len != recv.buf.len
+            || send.buf.msg.len != rh.region_len
+            || send.buf.msg.len != recv.buf.msg.len
         {
             return miss("partial_overwrite"); // requirement 5
         }
@@ -505,7 +489,7 @@ impl NodeHandler {
 
     fn finish_pending(&self, ctx: &Ctx, p: PendingRecv) {
         let st = p.req.wait(ctx).expect("pending receives carry a status");
-        let BufLoc::Device(d) = p.dev_buf.loc else {
+        let BufLoc::Device(d) = p.dev_buf.msg.loc else {
             unreachable!("pending internode commands target device memory");
         };
         let end = self.issue_hd(
@@ -514,10 +498,9 @@ impl NodeHandler {
             HdDir::HtoD,
             p.dev_buf.far,
             (&p.staging, 0),
-            (&p.dev_buf.backing, p.dev_buf.off),
+            (&p.dev_buf.msg.backing, p.dev_buf.msg.off),
             st.len,
         );
-        *p.status.lock() = Some(st);
-        p.done.complete(ctx, end);
+        p.done.complete_named(ctx, end, Some(st));
     }
 }

@@ -196,8 +196,7 @@ impl Launch {
     }
 
     /// Force one collective algorithm for every dispatched collective in
-    /// this run (equivalent to `IMPACC_COLL_ALGO`, but scoped to the
-    /// launch). Requesting an algorithm that cannot serve an operation
+    /// this run. Requesting an algorithm that cannot serve an operation
     /// clamps deterministically; see `impacc_coll`.
     pub fn coll_algo(mut self, algo: CollAlgo) -> Launch {
         self.coll_algo = Some(algo);

@@ -29,4 +29,4 @@ pub use impacc_coll::{CollAlgo, CollEngine, CollOp, CollOpts, NodeColl};
 pub use launch::{Launch, RunSummary, TaskInfo};
 pub use mode::{Mode, RuntimeOptions};
 pub use mpsc::MpscQueue;
-pub use task::{BufView, DataClause, HBuf, MpiOpts, TaskCtx, UReq};
+pub use task::{BufView, DataClause, HBuf, MpiOpts, TaskCtx};

@@ -22,12 +22,13 @@ use impacc_machine::{ClusterResources, DeviceKind, HdDir, KernelCost};
 use impacc_mem::{AddressSpace, Backing, F64Span, HeapPtr, NodeHeap, PresentTable, VirtAddr};
 use impacc_mem::{DevPtr, PresentEntry, ReducePool};
 use impacc_mpi::{
-    BufLoc, CollSeq, Comm, MpiTask, MsgBuf, PointToPoint, ReduceOp, Request, SrcSel, Status, TagSel,
+    BufLoc, CollSeq, Comm, MpiTask, MsgBuf, PointToPoint, ReduceOp, Request, SrcSel, Status,
+    TagSel, WaitCause,
 };
 use impacc_vtime::{Ctx, Latch, SimDur};
 use parking_lot::Mutex;
 
-use crate::cmd::{CmdKind, HeapRef, MsgCmd, PendingRecv, ResolvedBuf, TimedDone};
+use crate::cmd::{CmdKind, HeapRef, MsgCmd, PendingRecv, ResolvedBuf};
 use crate::handler::NodeHandler;
 use crate::mode::RuntimeOptions;
 
@@ -182,53 +183,6 @@ impl MpiOpts {
     }
 }
 
-/// A unified request: completion handle of a non-blocking unified MPI call
-/// (handler-fused, queue-enqueued, or system-MPI backed).
-pub struct UReq {
-    inner: UReqInner,
-}
-
-enum UReqInner {
-    Sys(Request),
-    Timed {
-        done: TimedDone,
-        status: Arc<Mutex<Option<Status>>>,
-    },
-}
-
-impl UReq {
-    fn from_timed(done: TimedDone, status: Arc<Mutex<Option<Status>>>) -> UReq {
-        UReq {
-            inner: UReqInner::Timed { done, status },
-        }
-    }
-
-    fn from_sys(req: Request) -> UReq {
-        UReq {
-            inner: UReqInner::Sys(req),
-        }
-    }
-
-    /// Block until complete; receives return their status.
-    pub fn wait(&self, ctx: &Ctx) -> Option<Status> {
-        match &self.inner {
-            UReqInner::Sys(req) => req.wait(ctx),
-            UReqInner::Timed { done, status } => {
-                done.wait(ctx);
-                *status.lock()
-            }
-        }
-    }
-
-    /// `MPI_Test`: complete by the current virtual time?
-    pub fn test(&self, ctx: &Ctx) -> bool {
-        match &self.inner {
-            UReqInner::Sys(req) => req.test(ctx),
-            UReqInner::Timed { done, .. } => done.test(ctx),
-        }
-    }
-}
-
 /// Everything a communication operation needs, clonable into activity-queue
 /// closures (the op may execute on a queue daemon, not the task thread).
 #[derive(Clone)]
@@ -247,19 +201,6 @@ pub(crate) struct CommCore {
 impl CommCore {
     fn gpudirect(&self) -> bool {
         self.res.spec.network.gpudirect_rdma
-    }
-
-    fn msgbuf(&self, buf: &ResolvedBuf) -> MsgBuf {
-        MsgBuf {
-            backing: buf.backing.clone(),
-            off: buf.off,
-            len: buf.len,
-            loc: buf.loc,
-            // The IMPACC runtime registers communication buffers with the
-            // library up front; the legacy model sends unregistered
-            // application buffers.
-            pinned: self.opts.is_impacc(),
-        }
     }
 
     /// Route one send. Blocking: returns when the send buffer is reusable.
@@ -284,17 +225,16 @@ impl CommCore {
         tag: i32,
         comm: &Comm,
         readonly: bool,
-    ) -> UReq {
+    ) -> Request {
         let dst_global = comm.global_of(dst_rel);
         let dst_node = self.node_of[dst_global as usize];
         let fused = self.opts.is_impacc() && self.opts.fusion && dst_node == self.node;
         if fused {
             let handler = self.handler.as_ref().expect("IMPACC mode has a handler");
-            let done = TimedDone::new();
-            if ctx.sink_enabled() {
-                done.set_cause(format!("fused send dst={dst_global} tag={tag}"));
-            }
-            let status = Arc::new(Mutex::new(None));
+            let done = Request::pending(WaitCause::FusedSend {
+                dst: dst_global,
+                tag,
+            });
             handler.submit(
                 ctx,
                 MsgCmd {
@@ -307,33 +247,29 @@ impl CommCore {
                     buf,
                     readonly,
                     done: done.clone(),
-                    status: status.clone(),
                     submitted_by: None,
                 },
             );
-            return UReq::from_timed(done, status);
+            return done;
         }
         // System-MPI path; stage device buffers unless GPUDirect covers
         // this internode transfer.
-        match buf.loc {
+        match buf.msg.loc {
             BufLoc::Device(d) if dst_node == self.node || !self.gpudirect() => {
-                let staging = Backing::new(buf.len, self.phys_cap);
+                let staging = Backing::new(buf.msg.len, self.phys_cap);
                 self.devices[d].perform_copy(
                     ctx,
                     HdDir::DtoH,
                     buf.far,
                     true, // runtime staging is pre-pinned
                     (&staging, 0),
-                    (&buf.backing, buf.off),
-                    buf.len,
+                    (&buf.msg.backing, buf.msg.off),
+                    buf.msg.len,
                 );
-                let m = MsgBuf::host(staging, 0, buf.len).registered();
-                UReq::from_sys(self.sysmpi.isend(ctx, &m, dst_rel, tag, comm))
+                let m = MsgBuf::host(staging, 0, buf.msg.len).registered();
+                self.sysmpi.isend(ctx, &m, dst_rel, tag, comm)
             }
-            _ => UReq::from_sys(
-                self.sysmpi
-                    .isend(ctx, &self.msgbuf(&buf), dst_rel, tag, comm),
-            ),
+            _ => self.sysmpi.isend(ctx, &buf.msg, dst_rel, tag, comm),
         }
     }
 
@@ -352,6 +288,25 @@ impl CommCore {
             .expect("receives carry a status")
     }
 
+    /// `MPI_Sendrecv`: deadlock-free even against synchronous fused sends.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sendrecv(
+        &self,
+        ctx: &Ctx,
+        sbuf: ResolvedBuf,
+        dst: u32,
+        rbuf: ResolvedBuf,
+        src: u32,
+        tag: i32,
+        comm: &Comm,
+        readonly: bool,
+    ) -> Status {
+        let sreq = self.isend_inner(ctx, sbuf, dst, tag, comm, readonly);
+        let st = self.do_recv(ctx, rbuf, Some(src), Some(tag), comm, readonly);
+        sreq.wait(ctx);
+        st
+    }
+
     pub fn irecv_inner(
         &self,
         ctx: &Ctx,
@@ -360,7 +315,7 @@ impl CommCore {
         tag: TagSel,
         comm: &Comm,
         readonly: bool,
-    ) -> UReq {
+    ) -> Request {
         let routed_intra = if self.opts.is_impacc() && self.opts.fusion {
             match src {
                 Some(s) => self.node_of[comm.global_of(s) as usize] == self.node,
@@ -373,11 +328,7 @@ impl CommCore {
             let src_rel = src.expect("checked above");
             let tag = tag.expect("the unified intra-node path needs an exact tag");
             let handler = self.handler.as_ref().expect("IMPACC mode has a handler");
-            let done = TimedDone::new();
-            if ctx.sink_enabled() {
-                done.set_cause(format!("fused recv src={src_rel} tag={tag}"));
-            }
-            let status = Arc::new(Mutex::new(None));
+            let done = Request::pending(WaitCause::FusedRecv { src: src_rel, tag });
             handler.submit(
                 ctx,
                 MsgCmd {
@@ -390,13 +341,12 @@ impl CommCore {
                     buf,
                     readonly,
                     done: done.clone(),
-                    status: status.clone(),
                     submitted_by: None,
                 },
             );
-            return UReq::from_timed(done, status);
+            return done;
         }
-        match buf.loc {
+        match buf.msg.loc {
             BufLoc::Device(_) if !self.gpudirect() => {
                 // Pre-pinned staging + pending internode message queue: the
                 // handler issues the HtoD when the network half completes.
@@ -404,14 +354,10 @@ impl CommCore {
                     .handler
                     .as_ref()
                     .expect("device receives without GPUDirect need the IMPACC runtime");
-                let staging = Backing::new(buf.len, self.phys_cap);
-                let m = MsgBuf::host(staging.clone(), 0, buf.len).registered();
+                let staging = Backing::new(buf.msg.len, self.phys_cap);
+                let m = MsgBuf::host(staging.clone(), 0, buf.msg.len).registered();
                 let req = self.sysmpi.irecv(ctx, &m, src, tag, comm);
-                let done = TimedDone::new();
-                if ctx.sink_enabled() {
-                    done.set_cause("pending internode recv".to_string());
-                }
-                let status = Arc::new(Mutex::new(None));
+                let done = Request::pending(WaitCause::PendingInternodeRecv);
                 handler.submit_pending(
                     ctx,
                     PendingRecv {
@@ -419,12 +365,11 @@ impl CommCore {
                         staging,
                         dev_buf: buf,
                         done: done.clone(),
-                        status: status.clone(),
                     },
                 );
-                UReq::from_timed(done, status)
+                done
             }
-            _ => UReq::from_sys(self.sysmpi.irecv(ctx, &self.msgbuf(&buf), src, tag, comm)),
+            _ => self.sysmpi.irecv(ctx, &buf.msg, src, tag, comm),
         }
     }
 }
@@ -903,6 +848,20 @@ impl TaskCtx {
     // Unified MPI communication routines
     // ---------------------------------------------------------------
 
+    /// The one place a communication buffer's descriptor is built. The
+    /// IMPACC runtime registers communication buffers with the library up
+    /// front; the legacy model sends unregistered application buffers.
+    fn resolved(&self, msg: MsgBuf, heap: Option<HeapRef>) -> ResolvedBuf {
+        ResolvedBuf {
+            msg: MsgBuf {
+                pinned: self.comm.opts.is_impacc(),
+                ..msg
+            },
+            far: self.dev_far,
+            heap,
+        }
+    }
+
     fn resolve(&self, b: &HBuf, off: u64, len: u64, device: bool) -> ResolvedBuf {
         assert!(off + len <= b.len, "buffer view out of range");
         let addr = self.heap.deref(b.ptr).expect("live buffer").offset(off);
@@ -916,14 +875,8 @@ impl TaskCtx {
                 impacc_mem::MemSpace::Device(i) => i,
                 _ => unreachable!("present entries map device regions"),
             };
-            ResolvedBuf {
-                backing: entry.dev_region.backing.clone(),
-                off: eoff,
-                len,
-                loc: BufLoc::Device(dev_idx),
-                far: self.dev_far,
-                heap: None,
-            }
+            let msg = MsgBuf::device(entry.dev_region.backing.clone(), eoff, len, dev_idx);
+            self.resolved(msg, None)
         } else {
             let (region, roff) = self.space.resolve(addr).expect("mapped buffer");
             let heap = self.heap.entry_containing(addr).map(|e| HeapRef {
@@ -932,14 +885,7 @@ impl TaskCtx {
                 region_start: e.region.addr,
                 region_len: e.region.len,
             });
-            ResolvedBuf {
-                backing: region.backing,
-                off: roff,
-                len,
-                loc: BufLoc::Host,
-                far: self.dev_far,
-                heap,
-            }
+            self.resolved(MsgBuf::host(region.backing, roff, len), heap)
         }
     }
 
@@ -1024,7 +970,7 @@ impl TaskCtx {
         dst: u32,
         tag: i32,
         opts: MpiOpts,
-    ) -> UReq {
+    ) -> Request {
         self.check_opts(&opts);
         assert!(
             opts.queue.is_none(),
@@ -1044,7 +990,7 @@ impl TaskCtx {
         src: u32,
         tag: i32,
         opts: MpiOpts,
-    ) -> UReq {
+    ) -> Request {
         self.check_opts(&opts);
         assert!(
             opts.queue.is_none(),
@@ -1077,22 +1023,16 @@ impl TaskCtx {
         assert!(opts.queue.is_none(), "enqueue the send and recv separately");
         let sbuf = self.resolve(send, 0, send.len, opts.device);
         let rbuf = self.resolve(recv, 0, recv.len, opts.device);
-        let world = self.world_ref().clone();
-        let sreq = self
-            .comm
-            .isend_inner(&self.ctx, sbuf, dst, tag, &world, opts.readonly);
-        let st = self
-            .comm
-            .do_recv(&self.ctx, rbuf, Some(src), Some(tag), &world, opts.readonly);
-        sreq.wait(&self.ctx);
-        st
+        let world = self.world_ref();
+        self.comm
+            .sendrecv(&self.ctx, sbuf, dst, rbuf, src, tag, world, opts.readonly)
     }
 
     /// `MPI_Irecv` with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`. Wildcard receives
     /// go through the system-MPI path, so under the IMPACC runtime the
     /// matching sender must be on another node (node-local senders use
     /// the handler's exact-match queues).
-    pub fn mpi_irecv_any(&self, b: &HBuf, off: u64, len: u64, opts: MpiOpts) -> UReq {
+    pub fn mpi_irecv_any(&self, b: &HBuf, off: u64, len: u64, opts: MpiOpts) -> Request {
         self.check_opts(&opts);
         assert!(opts.queue.is_none(), "wildcard receives cannot be enqueued");
         let buf = self.resolve(b, off, len, opts.device);
@@ -1101,7 +1041,7 @@ impl TaskCtx {
     }
 
     /// `MPI_Waitall`.
-    pub fn mpi_waitall(&self, reqs: &[UReq]) {
+    pub fn mpi_waitall(&self, reqs: &[Request]) {
         self.ctx.advance(self.comm.res.sync_overhead(), "mpi_wait");
         for r in reqs {
             r.wait(&self.ctx);
@@ -1124,8 +1064,7 @@ impl TaskCtx {
         let world = self.world_ref().clone();
         let use_alias = self.comm.opts.is_impacc() && self.comm.opts.aliasing && opts.readonly;
         if !use_alias {
-            let buf = self.resolve(b, 0, b.len, opts.device);
-            let m = self.comm.msgbuf(&buf);
+            let m = self.resolve(b, 0, b.len, opts.device).msg;
             self.bcast(&self.ctx, &m, root, &world);
             return;
         }
@@ -1257,27 +1196,13 @@ impl TaskCtx {
 
 impl PointToPoint for TaskCtx {
     fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
-        let rbuf = ResolvedBuf {
-            backing: buf.backing.clone(),
-            off: buf.off,
-            len: buf.len,
-            loc: buf.loc,
-            far: self.dev_far,
-            heap: None,
-        };
-        self.comm.do_send(ctx, rbuf, dst, tag, comm, false);
+        let buf = self.resolved(buf.clone(), None);
+        self.comm.do_send(ctx, buf, dst, tag, comm, false);
     }
 
     fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Status {
-        let rbuf = ResolvedBuf {
-            backing: buf.backing.clone(),
-            off: buf.off,
-            len: buf.len,
-            loc: buf.loc,
-            far: self.dev_far,
-            heap: None,
-        };
-        self.comm.do_recv(ctx, rbuf, src, tag, comm, false)
+        let buf = self.resolved(buf.clone(), None);
+        self.comm.do_recv(ctx, buf, src, tag, comm, false)
     }
 
     fn pt_sendrecv(
@@ -1290,22 +1215,10 @@ impl PointToPoint for TaskCtx {
         tag: i32,
         comm: &Comm,
     ) -> Status {
-        let to_r = |buf: &MsgBuf| ResolvedBuf {
-            backing: buf.backing.clone(),
-            off: buf.off,
-            len: buf.len,
-            loc: buf.loc,
-            far: self.dev_far,
-            heap: None,
-        };
-        let sreq = self
-            .comm
-            .isend_inner(ctx, to_r(sendbuf), dst, tag, comm, false);
-        let st = self
-            .comm
-            .do_recv(ctx, to_r(recvbuf), Some(src), Some(tag), comm, false);
-        sreq.wait(ctx);
-        st
+        let sbuf = self.resolved(sendbuf.clone(), None);
+        let rbuf = self.resolved(recvbuf.clone(), None);
+        self.comm
+            .sendrecv(ctx, sbuf, dst, rbuf, src, tag, comm, false)
     }
 
     fn comm_rank(&self, comm: &Comm) -> u32 {

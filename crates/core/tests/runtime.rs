@@ -232,6 +232,69 @@ fn internode_device_recv_goes_through_pending_queue() {
     );
 }
 
+/// One non-blocking exchange, written once for every route a message can
+/// take: `dst` posts the receive and polls `MPI_Test` until it turns true,
+/// then `MPI_Wait` returns the status without moving the clock.
+fn poll_then_wait(tc: &TaskCtx, src: u32, dst: u32, opts: MpiOpts) {
+    let payload: Vec<f64> = (0..16).map(|i| 0.5 + i as f64).collect();
+    let buf = tc.malloc_f64(16);
+    if opts.device {
+        tc.acc_create(&buf);
+    }
+    let view = if opts.device {
+        tc.dev_view(&buf)
+    } else {
+        tc.host_view(&buf)
+    };
+    let poll = |req: &impacc_mpi::Request| {
+        let mut polls = 0;
+        while !req.test(tc.ctx()) {
+            tc.host_compute(1e-6);
+            polls += 1;
+        }
+        polls
+    };
+    if tc.rank() == src {
+        tc.host_compute(50e-6);
+        view.write_f64s(0, &payload);
+        let req = tc.mpi_isend(&buf, 0, buf.len, dst, 11, opts);
+        poll(&req);
+        assert_eq!(req.wait(tc.ctx()), None, "sends carry no status");
+    } else if tc.rank() == dst {
+        let req = tc.mpi_irecv(&buf, 0, buf.len, src, 11, opts);
+        assert!(!req.test(tc.ctx()), "nothing has been sent yet");
+        assert!(poll(&req) >= 50, "the sender starts 50 us in");
+        let tested_at = tc.ctx().now();
+        let st = req.wait(tc.ctx()).expect("receives carry a status");
+        assert_eq!(tc.ctx().now(), tested_at, "a tested request is complete");
+        assert_eq!((st.src, st.tag, st.len), (src, 11, 128));
+        assert_eq!(view.read_f64s(0, 16), payload);
+    }
+}
+
+#[test]
+fn one_request_handle_on_the_fused_system_and_pending_routes() {
+    let fused = run_impacc(presets::test_cluster(1, 2), |tc| {
+        poll_then_wait(tc, 0, 1, MpiOpts::host())
+    });
+    assert_eq!(fused.report.metrics["fused_msgs"], 1);
+    assert_eq!(fused.report.metrics.get("mpi_bytes_sent"), None);
+
+    let system = run_impacc(presets::test_cluster(2, 1), |tc| {
+        poll_then_wait(tc, 0, 1, MpiOpts::host())
+    });
+    assert_eq!(system.report.metrics.get("fused_msgs"), None);
+    assert_eq!(system.report.metrics["mpi_bytes_sent"], 128);
+
+    // Beacon has no GPUDirect RDMA; rank 4 is the first task of node 1.
+    let pending = run_impacc(presets::beacon(2), |tc| {
+        poll_then_wait(tc, 0, 4, MpiOpts::device())
+    });
+    assert_eq!(pending.report.metrics.get("fused_msgs"), None);
+    assert_eq!(pending.report.metrics["mpi_bytes_sent"], 128);
+    assert_eq!(pending.report.metrics["HtoD"], 128, "the handler's half");
+}
+
 #[test]
 fn internode_device_transfer_uses_gpudirect_on_titan() {
     let s = run_impacc(presets::titan(2), |tc| {

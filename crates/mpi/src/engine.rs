@@ -23,8 +23,18 @@
 //!   and the NIC (bandwidth pinned to the slower of the two, PCIe links
 //!   occupied). Without it, callers must stage explicitly — passing a
 //!   device buffer is a runtime panic, as a real library would segfault.
+//!
+//! ## One completion handle
+//!
+//! [`Request`] is what every non-blocking operation of the message path
+//! completes through — this library's own sends and receives, and, one
+//! layer up, the IMPACC handler's fused copies and pending internode
+//! receives (`impacc-core` builds them with [`Request::pending`] and
+//! completes them with [`Request::complete_named`]). What the waiter waits
+//! for is a [`WaitCause`] value, formatted only if it suspends.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +54,68 @@ pub mod tags {
     pub const MPI_WAIT: &str = "mpi_wait";
 }
 
-/// A non-blocking operation handle (`MPI_Request`).
+/// What a [`Request`]'s waiter is waiting for. A value, not a string: the
+/// text lands on stall spans (where `impacc-prof` classifies the wait by
+/// it) and is formatted only by a waiter that actually suspends or rides.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum WaitCause {
+    /// A system-library request with nothing more specific to say (sends).
+    MpiReq,
+    /// A system-library receive; `None` is the wildcard.
+    Recv {
+        /// Communicator-relative source selector.
+        src: SrcSel,
+        /// Tag selector.
+        tag: TagSel,
+    },
+    /// The send side of a handler-fused intra-node message.
+    FusedSend {
+        /// Global rank of the receiver.
+        dst: u32,
+        /// Message tag.
+        tag: i32,
+    },
+    /// The receive side of a handler-fused intra-node message.
+    FusedRecv {
+        /// Communicator-relative rank of the sender.
+        src: u32,
+        /// Message tag.
+        tag: i32,
+    },
+    /// A device receive staged through the pending internode queue.
+    PendingInternodeRecv,
+}
+
+/// A source/tag selector as stall causes spell it: the value, or `any`.
+struct Sel<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Sel<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("any"),
+        }
+    }
+}
+
+impl fmt::Display for WaitCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WaitCause::MpiReq => f.write_str("mpi_req"),
+            WaitCause::Recv { src, tag } => write!(f, "recv src={} tag={}", Sel(src), Sel(tag)),
+            WaitCause::FusedSend { dst, tag } => write!(f, "fused send dst={dst} tag={tag}"),
+            WaitCause::FusedRecv { src, tag } => write!(f, "fused recv src={src} tag={tag}"),
+            WaitCause::PendingInternodeRecv => f.write_str("pending internode recv"),
+        }
+    }
+}
+
+/// A non-blocking operation handle (`MPI_Request`): the one completion
+/// handle of the message path. It opens once, at a virtual instant that
+/// may lie in the future — the system library knows a matched receive's
+/// arrival time, the node handler issues fused copies asynchronously
+/// (`cuMemcpyAsync` + callback in the real runtime) and never blocks on
+/// them — so the waiter, not the completer, advances to that instant.
 #[derive(Clone)]
 pub struct Request {
     inner: Arc<ReqInner>,
@@ -52,67 +123,91 @@ pub struct Request {
 
 struct ReqInner {
     latch: Latch,
-    done: Mutex<Option<(SimTime, Option<Status>)>>,
-    /// What this request is waiting for ("recv src=0 tag=7"), recorded on
-    /// stall spans so the profiler can classify the wait. Only populated
-    /// while a span sink is recording.
-    cause: Mutex<Option<String>>,
+    cause: WaitCause,
+    done: Mutex<Option<Done>>,
+}
+
+struct Done {
+    at: SimTime,
+    status: Option<Status>,
+    /// The completing actor, when it handed over its name: the source of
+    /// the wake edge a waiter emits when it rides virtual time out to
+    /// `at`, so the critical path lands on the completer's async copy
+    /// span instead of dead-ending in the waiter's advance.
+    by: Option<Arc<str>>,
 }
 
 impl Request {
-    fn new() -> Request {
+    /// A fresh, incomplete request whose waiter waits for `cause`.
+    pub fn pending(cause: WaitCause) -> Request {
         Request {
             inner: Arc::new(ReqInner {
                 latch: Latch::new(),
+                cause,
                 done: Mutex::new(None),
-                cause: Mutex::new(None),
             }),
         }
     }
 
-    fn set_cause(&self, cause: String) {
-        *self.inner.cause.lock() = Some(cause);
+    /// Complete at instant `at` (may be in the virtual future) with the
+    /// receive status, if any. A waiter's ride to `at` is not recorded.
+    pub fn complete(&self, ctx: &Ctx, at: SimTime, status: Option<Status>) {
+        self.finish(ctx, at, status, None);
     }
 
-    fn completed(ctx: &Ctx, at: SimTime, status: Option<Status>) -> Request {
-        let r = Request::new();
-        r.complete(ctx, at, status);
-        r
+    /// [`Request::complete`], naming the calling actor as the completer:
+    /// a waiter that has to ride to `at` records the ride as a `stall`
+    /// span plus a `wake` edge from this actor.
+    pub fn complete_named(&self, ctx: &Ctx, at: SimTime, status: Option<Status>) {
+        self.finish(ctx, at, status, Some(ctx.name().clone()));
     }
 
-    fn complete(&self, ctx: &Ctx, at: SimTime, status: Option<Status>) {
-        *self.inner.done.lock() = Some((at, status));
+    fn finish(&self, ctx: &Ctx, at: SimTime, status: Option<Status>, by: Option<Arc<str>>) {
+        *self.inner.done.lock() = Some(Done { at, status, by });
         self.inner.latch.open(ctx);
     }
 
     /// `MPI_Wait`: block until the operation completes; returns the status
     /// for receives.
     pub fn wait(&self, ctx: &Ctx) -> Option<Status> {
-        self.inner.latch.wait_with_cause(ctx, tags::MPI_WAIT, || {
-            self.inner
-                .cause
-                .lock()
-                .clone()
-                .unwrap_or_else(|| "mpi_req".to_string())
-        });
-        let (at, status) = self.inner.done.lock().expect("latch open implies done");
+        let cause = self.inner.cause;
+        self.inner
+            .latch
+            .wait_with_cause(ctx, tags::MPI_WAIT, || cause.to_string());
+        let woke = ctx.now();
+        let (at, status, ride_from) = {
+            let done = self.inner.done.lock();
+            let done = done.as_ref().expect("latch open implies done");
+            let by = done.by.as_ref();
+            let by = by.filter(|_| done.at > woke && ctx.sink_enabled());
+            (done.at, done.status, by.cloned())
+        };
         ctx.advance_until(at, tags::MPI_WAIT);
+        if let Some(by) = ride_from {
+            // The completer issued the copy asynchronously; the waiter rode
+            // virtual time to the completion instant. Record the ride as a
+            // stall and hand the critical path back to the completer, whose
+            // copy span ends exactly at `at`.
+            ctx.span("stall", woke, at, || {
+                vec![
+                    ("tag", tags::MPI_WAIT.to_string()),
+                    ("cause", cause.to_string()),
+                ]
+            });
+            ctx.edge_to_self("wake", &by, at, at, Vec::new);
+        }
         status
     }
 
     /// `MPI_Test`: has the operation completed by now?
     pub fn test(&self, ctx: &Ctx) -> bool {
-        if !self.inner.latch.is_open() {
-            return false;
-        }
-        let (at, _) = self.inner.done.lock().expect("latch open implies done");
-        ctx.now() >= at
+        self.completion_time().is_some_and(|at| ctx.now() >= at)
     }
 
     /// The completion instant, if known yet (matched receives and all
     /// sends know it; unmatched receives don't).
     pub fn completion_time(&self) -> Option<SimTime> {
-        self.inner.done.lock().map(|(at, _)| at)
+        self.inner.done.lock().as_ref().map(|d| d.at)
     }
 
     /// Ping `n` when the request's completion instant becomes known (the
@@ -148,7 +243,7 @@ struct SendRec {
     /// Sending actor and send-initiation instant, captured only while a
     /// span sink is recording: the source end of the "msg" causal edge
     /// emitted when this send matches a receive.
-    sent_by: Option<(String, SimTime)>,
+    sent_by: Option<(Arc<str>, SimTime)>,
 }
 
 struct RecvRec {
@@ -311,8 +406,8 @@ impl SysMpi {
         // run over run: the sender's transmit enabled this daemon's work
         // at the head-arrival instant (the engine-level wake edge is
         // suppressed — see `initiate_send`).
-        if let Some((src_name, sent)) = rec.sent_by.clone() {
-            ctx.edge("wake", &src_name, sent, &ctx.name(), d.head, || {
+        if let Some((src_name, sent)) = &rec.sent_by {
+            ctx.edge("wake", src_name, *sent, ctx.name(), d.head, || {
                 vec![("tag", "mpi_dlv_idle".to_string())]
             });
         }
@@ -543,7 +638,7 @@ impl SysMpi {
             arrival,
             intra,
             comm: comm.clone(),
-            sent_by: ctx.sink_enabled().then(|| (ctx.name(), now)),
+            sent_by: ctx.sink_enabled().then(|| (ctx.name().clone(), now)),
         };
 
         if let Some((head, dur)) = handoff {
@@ -618,12 +713,7 @@ impl SysMpi {
                 "receive into device memory requires GPUDirect RDMA; stage explicitly"
             );
         }
-        let req = Request::new();
-        if ctx.sink_enabled() {
-            let src = src.map_or("any".to_string(), |s| s.to_string());
-            let tag = tag.map_or("any".to_string(), |t| t.to_string());
-            req.set_cause(format!("recv src={src} tag={tag}"));
-        }
+        let req = Request::pending(WaitCause::Recv { src, tag });
         let rec = RecvRec {
             src,
             tag,
@@ -793,7 +883,9 @@ impl MpiTask {
         let done = self
             .sys
             .initiate_send(ctx, self.global, buf, dst_global, tag, comm);
-        Request::completed(ctx, done, None)
+        let req = Request::pending(WaitCause::MpiReq);
+        req.complete(ctx, done, None);
+        req
     }
 
     /// `MPI_Recv`: blocks until a matching message is in `buf`.
@@ -902,6 +994,208 @@ mod tests {
 
     fn empty_buf(n: usize) -> MsgBuf {
         MsgBuf::host(Backing::new(n as u64 * 8, None), 0, n as u64 * 8)
+    }
+
+    const ST: Status = Status {
+        src: 3,
+        tag: 7,
+        len: 64,
+    };
+
+    fn at_us(us: u64) -> SimTime {
+        SimTime::ZERO + SimDur::from_us(us)
+    }
+
+    #[test]
+    fn request_returns_its_status_to_early_and_late_waiters() {
+        let req = Request::pending(WaitCause::MpiReq);
+        let mut sim = Sim::new();
+        for (name, start, end) in [("early", 0, 2), ("late", 5, 5)] {
+            let req = req.clone();
+            sim.spawn(name, move |ctx| {
+                ctx.advance(SimDur::from_us(start), "sleep");
+                assert_eq!(req.wait(ctx), Some(ST));
+                assert_eq!(ctx.now(), at_us(end));
+            });
+        }
+        sim.spawn("completer", move |ctx| {
+            ctx.advance(SimDur::from_us(2), "work");
+            req.complete(ctx, ctx.now(), Some(ST));
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn future_completion_gates_test_and_wait() {
+        let req = Request::pending(WaitCause::MpiReq);
+        let mut sim = Sim::new();
+        {
+            let req = req.clone();
+            sim.spawn("completer", move |ctx| req.complete(ctx, at_us(10), None));
+        }
+        sim.spawn("waiter", move |ctx| {
+            ctx.advance(SimDur::from_us(1), "sleep");
+            assert_eq!(req.completion_time(), Some(at_us(10)));
+            assert!(!req.test(ctx), "matched, but complete only at 10 us");
+            ctx.advance(SimDur::from_us(8), "sleep");
+            assert!(!req.test(ctx));
+            assert_eq!(req.wait(ctx), None);
+            assert_eq!(ctx.now(), at_us(10), "wait returns exactly at the instant");
+            assert!(req.test(ctx));
+        });
+        sim.run().unwrap();
+    }
+
+    /// A sink that keeps every span and edge as one line of text.
+    #[derive(Default, Clone)]
+    struct Collect(Arc<std::sync::Mutex<Vec<String>>>);
+
+    impl impacc_vtime::SpanSink for Collect {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn lane(&self, actor: &str) -> Arc<dyn impacc_vtime::SpanLane> {
+            Arc::new(CollectLane(self.clone(), actor.to_string()))
+        }
+
+        fn edge(
+            &self,
+            kind: &'static str,
+            src_actor: &str,
+            src_t: SimTime,
+            dst_actor: &str,
+            dst_t: SimTime,
+            _attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
+        ) {
+            let line = format!(
+                "edge {kind} {src_actor}@{}->{dst_actor}@{}",
+                src_t.0, dst_t.0
+            );
+            self.0.lock().unwrap().push(line);
+        }
+    }
+
+    struct CollectLane(Collect, String);
+
+    impl impacc_vtime::SpanLane for CollectLane {
+        fn span(
+            &self,
+            label: &'static str,
+            t0: SimTime,
+            t1: SimTime,
+            attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
+        ) {
+            let line = format!("span {label} {} {}..{} {:?}", self.1, t0.0, t1.0, attrs());
+            (self.0).0.lock().unwrap().push(line);
+        }
+    }
+
+    /// What a sink sees when a waiter arrives at 1 us at a request that
+    /// `complete` completed for 5 us: no suspension, only the ride.
+    fn ride_record(complete: fn(&Request, &Ctx)) -> Vec<String> {
+        let seen = Collect::default();
+        let mut sim = Sim::with_config(impacc_vtime::SimConfig {
+            sink: Some(Arc::new(seen.clone())),
+            ..Default::default()
+        });
+        let req = Request::pending(WaitCause::FusedRecv { src: 0, tag: 3 });
+        {
+            let req = req.clone();
+            sim.spawn("handler", move |ctx| complete(&req, ctx));
+        }
+        sim.spawn("waiter", move |ctx| {
+            ctx.advance(SimDur::from_us(1), "sleep");
+            assert_eq!(req.wait(ctx), Some(ST));
+            assert_eq!(ctx.now(), at_us(5));
+        });
+        sim.run().unwrap();
+        let seen = seen.0.lock().unwrap();
+        seen.iter()
+            .filter(|l| l.starts_with("span stall") || l.starts_with("edge wake"))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn ride_to_a_future_completion_is_recorded_iff_the_completer_is_named() {
+        let (t1, t5) = (at_us(1).0, at_us(5).0);
+        assert_eq!(
+            ride_record(|req, ctx| req.complete_named(ctx, at_us(5), Some(ST))),
+            vec![
+                format!(
+                    "span stall waiter {t1}..{t5} \
+                     [(\"tag\", \"mpi_wait\"), (\"cause\", \"fused recv src=0 tag=3\")]"
+                ),
+                format!("edge wake handler@{t5}->waiter@{t5}"),
+            ]
+        );
+        assert_eq!(
+            ride_record(|req, ctx| req.complete(ctx, at_us(5), Some(ST))),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn subscribe_pings_once_and_only_if_registered_before_the_match() {
+        let work = impacc_vtime::Notify::new();
+        let (early, late) = (
+            Request::pending(WaitCause::MpiReq),
+            Request::pending(WaitCause::MpiReq),
+        );
+        let mut sim = Sim::new();
+        {
+            let (early, late) = (early.clone(), late.clone());
+            sim.spawn("completer", move |ctx| {
+                late.complete(ctx, ctx.now(), None);
+                ctx.advance(SimDur::from_us(3), "work");
+                early.complete(ctx, ctx.now(), None);
+            });
+        }
+        sim.spawn("service", move |ctx| {
+            ctx.advance(SimDur::from_us(1), "sleep");
+            early.subscribe(&work);
+            late.subscribe(&work); // already matched: poll, no ping
+            assert!(late.test(ctx) && !early.test(ctx));
+            work.wait_deadline(ctx, at_us(50), "idle");
+            assert_eq!(ctx.now(), at_us(3), "pinged by the match");
+            assert!(early.test(ctx));
+            work.wait_deadline(ctx, at_us(50), "idle");
+            assert_eq!(ctx.now(), at_us(50), "no second ping");
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn wait_causes_render_the_strings_the_profiler_classifies() {
+        let text = |c: WaitCause| c.to_string();
+        assert_eq!(text(WaitCause::MpiReq), "mpi_req");
+        assert_eq!(
+            text(WaitCause::Recv {
+                src: Some(0),
+                tag: Some(7)
+            }),
+            "recv src=0 tag=7"
+        );
+        assert_eq!(
+            text(WaitCause::Recv {
+                src: None,
+                tag: None
+            }),
+            "recv src=any tag=any"
+        );
+        assert_eq!(
+            text(WaitCause::FusedSend { dst: 1, tag: 7 }),
+            "fused send dst=1 tag=7"
+        );
+        assert_eq!(
+            text(WaitCause::FusedRecv { src: 0, tag: 3 }),
+            "fused recv src=0 tag=3"
+        );
+        assert_eq!(
+            text(WaitCause::PendingInternodeRecv),
+            "pending internode recv"
+        );
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod p2p;
 pub mod types;
 
 pub use comm::Comm;
-pub use engine::{tags, MpiTask, Request, SysMpi};
+pub use engine::{tags, MpiTask, Request, SysMpi, WaitCause};
 pub use p2p::{deliver_fold, fold_buffer, CollSeq, PointToPoint, SysEndpoint};
 pub use types::{BufLoc, MsgBuf, ReduceOp, SrcSel, Status, TagSel};

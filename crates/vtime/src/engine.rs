@@ -830,9 +830,10 @@ impl Ctx {
         self.me
     }
 
-    /// This actor's name.
-    pub fn name(&self) -> String {
-        self.name.to_string()
+    /// This actor's name: the handle cached at spawn, so storing it as
+    /// provenance (`submitted_by`, `sent_by`, …) is a refcount bump.
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
     }
 
     /// Current virtual time. Lock-free: in legacy mode this reads the
@@ -1077,7 +1078,7 @@ impl Ctx {
     /// Suspend until another actor calls [`Ctx::wake`] with `token`, or the
     /// engine shuts down. Blocked time is charged under `tag`.
     pub fn wait(&self, token: WaitToken, tag: &'static str) -> WakeReason {
-        self.wait_inner(token, tag, None)
+        self.wait_inner(token, tag, None, None)
     }
 
     /// Like [`Ctx::wait`], but records *what* is being awaited (an MPI tag,
@@ -1091,13 +1092,48 @@ impl Ctx {
         cause: impl FnOnce() -> String,
     ) -> WakeReason {
         let cause = self.sink_enabled().then(cause);
-        self.wait_inner(token, tag, cause)
+        self.wait_inner(token, tag, cause, None)
     }
 
-    fn wait_inner(&self, token: WaitToken, tag: &'static str, cause: Option<String>) -> WakeReason {
+    /// Like [`Ctx::wait`], but also resumes (with `WakeReason::Signaled`)
+    /// when the virtual clock reaches `deadline`, whichever comes first.
+    /// Used by service actors that must stay responsive to new work while
+    /// a known future completion is outstanding.
+    pub fn wait_deadline(
+        &self,
+        token: WaitToken,
+        deadline: SimTime,
+        tag: &'static str,
+    ) -> WakeReason {
+        self.wait_inner(token, tag, None, Some(deadline))
+    }
+
+    /// [`Ctx::wait_deadline`] with a recorded wait cause (see
+    /// [`Ctx::wait_with_cause`]).
+    pub fn wait_deadline_with_cause(
+        &self,
+        token: WaitToken,
+        deadline: SimTime,
+        tag: &'static str,
+        cause: impl FnOnce() -> String,
+    ) -> WakeReason {
+        let cause = self.sink_enabled().then(cause);
+        self.wait_inner(token, tag, cause, Some(deadline))
+    }
+
+    /// The one suspension body behind `wait*`: a deadline is one timer
+    /// entry on the heap, keyed by the wait generation so a wake that
+    /// lands first retires it.
+    fn wait_inner(
+        &self,
+        token: WaitToken,
+        tag: &'static str,
+        cause: Option<String>,
+        deadline: Option<SimTime>,
+    ) -> WakeReason {
         assert_eq!(token.actor, self.me, "wait() with a foreign token");
         if self.engine.parallelism > 0 {
-            return self.wait_conservative(token, tag, cause, None);
+            return self.wait_conservative(token, tag, cause, deadline);
         }
         {
             let mut sched = self.engine.lock_sched();
@@ -1117,73 +1153,16 @@ impl Ctx {
             slot.blocked_since = now;
             slot.blocked_tag = tag;
             slot.blocked_cause = cause;
-            Engine::dispatch(&self.engine, &mut sched);
-        }
-        self.park_until_granted()
-    }
-
-    /// Like [`Ctx::wait`], but also resumes (with `WakeReason::Signaled`)
-    /// when the virtual clock reaches `deadline`, whichever comes first.
-    /// Used by service actors that must stay responsive to new work while
-    /// a known future completion is outstanding.
-    pub fn wait_deadline(
-        &self,
-        token: WaitToken,
-        deadline: SimTime,
-        tag: &'static str,
-    ) -> WakeReason {
-        self.wait_deadline_inner(token, deadline, tag, None)
-    }
-
-    /// [`Ctx::wait_deadline`] with a recorded wait cause (see
-    /// [`Ctx::wait_with_cause`]).
-    pub fn wait_deadline_with_cause(
-        &self,
-        token: WaitToken,
-        deadline: SimTime,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        let cause = self.sink_enabled().then(cause);
-        self.wait_deadline_inner(token, deadline, tag, cause)
-    }
-
-    fn wait_deadline_inner(
-        &self,
-        token: WaitToken,
-        deadline: SimTime,
-        tag: &'static str,
-        cause: Option<String>,
-    ) -> WakeReason {
-        assert_eq!(token.actor, self.me, "wait_deadline() with a foreign token");
-        if self.engine.parallelism > 0 {
-            return self.wait_conservative(token, tag, cause, Some(deadline));
-        }
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            if sched.shutdown {
-                return WakeReason::Shutdown;
+            if let Some(deadline) = deadline {
+                let seq = sched.bump_seq();
+                sched.heap.push(HeapEntry {
+                    t: deadline.max(now),
+                    seq,
+                    id: self.me,
+                    reason: WakeReason::Signaled,
+                    timer_gen: Some(token.gen),
+                });
             }
-            let now = sched.now;
-            let slot = &mut sched.actors[self.me.0 as usize];
-            debug_assert_eq!(slot.state, ActorState::Running);
-            assert_eq!(
-                token.gen, slot.wait_gen,
-                "wait_deadline() must immediately follow prepare_wait()"
-            );
-            slot.state = ActorState::Blocked;
-            slot.blocked_since = now;
-            slot.blocked_tag = tag;
-            slot.blocked_cause = cause;
-            let seq = sched.bump_seq();
-            sched.heap.push(HeapEntry {
-                t: deadline.max(now),
-                seq,
-                id: self.me,
-                reason: WakeReason::Signaled,
-                timer_gen: Some(token.gen),
-            });
             Engine::dispatch(&self.engine, &mut sched);
         }
         self.park_until_granted()

@@ -28,12 +28,18 @@ impl Notify {
         Notify::default()
     }
 
+    /// Register the calling actor as a waiter; the caller must suspend on
+    /// the token next (see [`Ctx::prepare_wait`]).
+    fn register(&self, ctx: &Ctx) -> WaitToken {
+        let tok = ctx.prepare_wait();
+        self.waiters.lock().push_back(tok);
+        tok
+    }
+
     /// Suspend the calling actor until notified. Blocked time is charged
     /// under `tag`.
     pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
-        let tok = ctx.prepare_wait();
-        self.waiters.lock().push_back(tok);
-        ctx.wait(tok, tag)
+        ctx.wait(self.register(ctx), tag)
     }
 
     /// [`Notify::wait`] with a recorded wait cause (what is being awaited;
@@ -45,9 +51,7 @@ impl Notify {
         tag: &'static str,
         cause: impl FnOnce() -> String,
     ) -> WakeReason {
-        let tok = ctx.prepare_wait();
-        self.waiters.lock().push_back(tok);
-        ctx.wait_with_cause(tok, tag, cause)
+        ctx.wait_with_cause(self.register(ctx), tag, cause)
     }
 
     /// Like [`Notify::wait`], but also returns when the clock reaches
@@ -59,9 +63,7 @@ impl Notify {
         deadline: crate::time::SimTime,
         tag: &'static str,
     ) -> WakeReason {
-        let tok = ctx.prepare_wait();
-        self.waiters.lock().push_back(tok);
-        ctx.wait_deadline(tok, deadline, tag)
+        ctx.wait_deadline(self.register(ctx), deadline, tag)
     }
 
     /// [`Notify::wait_deadline`] with a recorded wait cause (see
@@ -73,9 +75,7 @@ impl Notify {
         tag: &'static str,
         cause: impl FnOnce() -> String,
     ) -> WakeReason {
-        let tok = ctx.prepare_wait();
-        self.waiters.lock().push_back(tok);
-        ctx.wait_deadline_with_cause(tok, deadline, tag, cause)
+        ctx.wait_deadline_with_cause(self.register(ctx), deadline, tag, cause)
     }
 
     /// Wake the longest-waiting actor. Returns `true` if one was woken.
@@ -132,18 +132,23 @@ impl Latch {
         self.state.lock().open
     }
 
+    /// Register the calling actor as a waiter, unless the latch is open.
+    fn register(&self, ctx: &Ctx) -> Option<WaitToken> {
+        let mut st = self.state.lock();
+        if st.open {
+            return None;
+        }
+        let tok = ctx.prepare_wait();
+        st.waiters.push(tok);
+        Some(tok)
+    }
+
     /// Suspend until the latch opens (immediate if already open).
     pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
-        let tok = {
-            let mut st = self.state.lock();
-            if st.open {
-                return WakeReason::Signaled;
-            }
-            let tok = ctx.prepare_wait();
-            st.waiters.push(tok);
-            tok
-        };
-        ctx.wait(tok, tag)
+        match self.register(ctx) {
+            Some(tok) => ctx.wait(tok, tag),
+            None => WakeReason::Signaled,
+        }
     }
 
     /// [`Latch::wait`] with a recorded wait cause (see
@@ -155,16 +160,10 @@ impl Latch {
         tag: &'static str,
         cause: impl FnOnce() -> String,
     ) -> WakeReason {
-        let tok = {
-            let mut st = self.state.lock();
-            if st.open {
-                return WakeReason::Signaled;
-            }
-            let tok = ctx.prepare_wait();
-            st.waiters.push(tok);
-            tok
-        };
-        ctx.wait_with_cause(tok, tag, cause)
+        match self.register(ctx) {
+            Some(tok) => ctx.wait_with_cause(tok, tag, cause),
+            None => WakeReason::Signaled,
+        }
     }
 
     /// Open the latch and wake all waiters. Idempotent.

@@ -38,8 +38,8 @@ pub use impacc_vtime as vtime;
 pub mod prelude {
     pub use impacc_core::{
         BufView, CollAlgo, CollOp, CollOpts, HBuf, Launch, Mode, MpiOpts, RunSummary,
-        RuntimeOptions, TaskCtx, UReq,
+        RuntimeOptions, TaskCtx,
     };
     pub use impacc_machine::{DeviceKind, DeviceTypeMask, KernelCost, MachineSpec};
-    pub use impacc_mpi::{Comm, PointToPoint, ReduceOp, Status};
+    pub use impacc_mpi::{Comm, PointToPoint, ReduceOp, Request, Status};
 }
