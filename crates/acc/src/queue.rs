@@ -91,7 +91,7 @@ impl ActivityQueue {
                     // Injected queue abort (impacc-chaos): the op's launch
                     // is flushed and replayed after a penalty. The replay
                     // runs to completion, so data effects are unchanged.
-                    if inner.chaos.roll(FaultSite::QueueAbort, started) {
+                    if inner.chaos.roll(qctx, FaultSite::QueueAbort) {
                         let p = inner
                             .chaos
                             .plan()

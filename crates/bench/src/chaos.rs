@@ -165,7 +165,7 @@ pub fn smoke() -> String {
 /// [`smoke`] with an explicit dump directory (tests point this at a
 /// temp dir; the binary uses `IMPACC_BENCH_DIR`).
 pub fn smoke_to(dir: &std::path::Path) -> String {
-    let plan = FaultPlan::new(SWEEP_SEED).with_uniform_rate(0.05);
+    let plan = FaultPlan::new(SWEEP_SEED).with_uniform_rate(0.1);
     let (s, dump) = flight_dump_of("chaos_smoke", internode_spec(), plan, 4);
     let retries = metric(&s, "retries");
     assert!(retries > 0, "faulted smoke run must retry at least once");

@@ -1,93 +1,9 @@
-//! Engine fast-path determinism: baton-handoff elision, sharded metric
-//! accounting, and zero-copy send buffers are wall-clock optimizations
-//! only. Running the same workload with elision on and forced off must
-//! produce bit-identical virtual-time observables — end time, event
-//! counts, engine metrics, per-actor tag breakdowns, and the recorded
-//! span stream.
-
-use impacc_apps::{jacobi_task, JacobiParams};
-use impacc_bench::specs::psg_tasks;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
-use impacc_machine::KernelCost;
-use impacc_obs::Recorder;
-
-fn assert_bit_identical(on: &RunSummary, off: &RunSummary) {
-    assert_eq!(
-        off.report.handoffs_elided, 0,
-        "forced-off run must not elide"
-    );
-    assert_eq!(on.report.end_time, off.report.end_time, "virtual end time");
-    assert_eq!(on.report.events, off.report.events, "dispatch count");
-    assert_eq!(on.report.metrics, off.report.metrics, "engine metrics");
-    assert_eq!(
-        on.report.actors, off.report.actors,
-        "per-actor tag breakdown"
-    );
-}
-
-/// Figure-13-sized Jacobi (timing-only, phys-capped like the figure runs):
-/// the full stack — ranks, queue daemons, node handlers, MPI matching.
-#[test]
-fn jacobi_is_bit_identical_with_and_without_elision() {
-    let run = |elide: bool| -> (RunSummary, Vec<impacc_obs::Span>) {
-        let rec = Recorder::new();
-        let p = JacobiParams {
-            n: 512,
-            iters: 10,
-            verify: false,
-        };
-        let s = Launch::new(psg_tasks(4), RuntimeOptions::impacc())
-            .phys_cap(4096)
-            .elide_handoff(elide)
-            .recorder(&rec)
-            .run(move |tc| jacobi_task(tc, &p))
-            .expect("jacobi run");
-        (s, rec.spans())
-    };
-    let (on, spans_on) = run(true);
-    let (off, spans_off) = run(false);
-    assert!(
-        on.report.handoffs_elided > 0,
-        "a jacobi run should hit the fast path at least once"
-    );
-    assert_bit_identical(&on, &off);
-    assert_eq!(spans_on, spans_off, "span streams must match exactly");
-}
-
-/// Figure-5-sized exchange: kernel → device send → device recv on the
-/// unified activity queue, repeated; exercises the COW send-buffer path
-/// under both elision settings.
-#[test]
-fn unified_queue_exchange_is_bit_identical_with_and_without_elision() {
-    const N: usize = 1 << 12;
-    let run = |elide: bool| -> (RunSummary, Vec<impacc_obs::Span>) {
-        let rec = Recorder::new();
-        let s = Launch::new(psg_tasks(2), RuntimeOptions::impacc())
-            .phys_cap(4096)
-            .elide_handoff(elide)
-            .recorder(&rec)
-            .run(move |tc| {
-                let peer = 1 - tc.rank();
-                let buf0 = tc.malloc_f64(N);
-                let buf1 = tc.malloc_f64(N);
-                tc.acc_create(&buf0);
-                tc.acc_create(&buf1);
-                let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
-                for i in 0..8 {
-                    tc.acc_kernel(Some(1), cost, || {});
-                    tc.mpi_send(&buf0, 0, buf0.len, peer, i, MpiOpts::device().on_queue(1));
-                    tc.mpi_recv(&buf1, 0, buf1.len, peer, i, MpiOpts::device().on_queue(1));
-                    tc.acc_wait(1);
-                }
-            })
-            .expect("exchange run");
-        (s, rec.spans())
-    };
-    let (on, spans_on) = run(true);
-    let (off, spans_off) = run(false);
-    assert_bit_identical(&on, &off);
-    assert_eq!(spans_on, spans_off, "span streams must match exactly");
-}
+//! The engine's grant protocol is wall-clock machinery only: a
+//! handoff-heavy mix run straight on `impacc_vtime` keeps every
+//! virtual-time observable — end time, event and fast-path counts, engine
+//! metrics, per-actor tag breakdowns — at a pinned constant, for 1, 2 and 8
+//! workers. (The full-stack programs are held byte-identical across worker
+//! counts, spans and PROF json included, by `parallel_determinism.rs`.)
 
 /// A handoff-heavy engine mix, run straight on `impacc_vtime`: ties on
 /// every advance, `wait`/`wake` pairs, `wait_deadline` timers that fire
@@ -103,11 +19,7 @@ fn handoff_mix(parallelism: usize) -> impacc_vtime::SimReport {
     let ns = SimDur::from_ns;
     let mut sim = Sim::with_config(SimConfig {
         parallelism,
-        lookahead: if parallelism > 0 {
-            ns(20)
-        } else {
-            SimDur::ZERO
-        },
+        lookahead: ns(20),
         ..SimConfig::default()
     });
     let cross: Vec<Cell> = (0..PARTS).map(|_| Cell::default()).collect();
@@ -196,7 +108,7 @@ fn handoff_mix(parallelism: usize) -> impacc_vtime::SimReport {
             }
         });
         // Cross-partition wake_at: published at 0 ns, read at 500 ns — far
-        // more than a lookahead apart, so the read is ordered in both engines.
+        // more than a lookahead apart, so the read is ordered.
         let mine = cross[p as usize].clone();
         sim.spawn_on(p, format!("xwait{p}"), move |ctx| {
             let tok = ctx.prepare_wait();
@@ -245,24 +157,17 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// The handoff protocol is wall-clock machinery only: the mix's digest is
-/// pinned to the values the condvar-based engine produced (captured on the
-/// commit before the futex-word handoff), for the legacy baton engine and
-/// for the conservative engine at 1, 2 and 8 workers.
+/// The mix's digest is pinned to the value the condvar-based engine
+/// produced (captured on the commit before the futex-word handoff), at 1,
+/// 2 and 8 workers.
 #[test]
 fn handoff_mix_digest_is_pinned() {
-    const LEGACY: u64 = 0x5af6_1c9f_7569_9e97;
     const CONSERVATIVE: u64 = 0x10e3_0c8e_16ec_1839;
-    for (parallelism, want) in [
-        (0, LEGACY),
-        (1, CONSERVATIVE),
-        (2, CONSERVATIVE),
-        (8, CONSERVATIVE),
-    ] {
+    for parallelism in [1, 2, 8] {
         let digest = report_digest(&handoff_mix(parallelism));
         assert_eq!(
             fnv1a(&digest),
-            want,
+            CONSERVATIVE,
             "parallelism {parallelism}: virtual-time observables moved ({:#018x}): {digest}",
             fnv1a(&digest)
         );

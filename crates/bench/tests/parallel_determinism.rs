@@ -12,7 +12,7 @@
 use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_bench::specs::titan_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
-use impacc_machine::KernelCost;
+use impacc_machine::{FaultPlan, KernelCost};
 use impacc_obs::Recorder;
 
 /// The parallelism degrees the satellite pins: single-worker conservative,
@@ -131,6 +131,39 @@ fn unified_queue_exchange_is_bit_identical_across_parallelism() {
     assert!(
         base.summary.report.parallel_advances > 0,
         "a 2-node exchange should overlap partitions in at least one window"
+    );
+    for &d in &DEGREES[1..] {
+        assert_bit_identical(&base, &run(d), d);
+    }
+}
+
+/// The same Jacobi under a fault plan: every site rolls (links, handler,
+/// queues, copies), each actor with its own dice, so the faulted schedule
+/// is as worker-count-independent as the clean one.
+#[test]
+fn faulted_jacobi_is_bit_identical_across_parallelism() {
+    let run = |degree: usize| -> Observed {
+        let rec = Recorder::new();
+        let p = JacobiParams {
+            n: 256,
+            iters: 8,
+            verify: false,
+        };
+        let s = Launch::new(titan_tasks(4), RuntimeOptions::impacc())
+            .phys_cap(4096)
+            .chaos(FaultPlan::new(17).with_uniform_rate(0.1))
+            .parallelism(degree)
+            .recorder(&rec)
+            .run(move |tc| jacobi_task(tc, &p))
+            .expect("faulted jacobi run");
+        observe(s, &rec, "jacobi_faulted")
+    };
+    let base = run(DEGREES[0]);
+    let m = &base.summary.report.metrics;
+    assert!(m.get("retries").copied().unwrap_or(0) > 0, "faults fired");
+    assert!(
+        m.get("chaos_link_drop").copied().unwrap_or(0) > 0,
+        "and reached the wire"
     );
     for &d in &DEGREES[1..] {
         assert_bit_identical(&base, &run(d), d);

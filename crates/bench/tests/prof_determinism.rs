@@ -1,14 +1,13 @@
 //! The profiler's output is a function of the virtual-time trace alone:
-//! running the same workload with the baton-handoff elision fast path on
-//! and off must produce byte-identical `PROF_*.json` documents. This is
-//! the tier-1 guard that the fast path never leaks into recorded spans,
-//! edges, or the critical path derived from them.
+//! the same workload on one scheduler worker and on four must produce
+//! byte-identical `PROF_*.json` documents, and the profile must agree with
+//! the run it describes.
 
 use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_core::{Launch, RuntimeOptions};
 use impacc_obs::Recorder;
 
-fn profile_jacobi(elide_handoff: bool) -> (impacc_prof::Report, f64) {
+fn profile_jacobi(workers: usize) -> (impacc_prof::Report, f64) {
     let rec = Recorder::new();
     let p = JacobiParams {
         n: 512,
@@ -17,7 +16,7 @@ fn profile_jacobi(elide_handoff: bool) -> (impacc_prof::Report, f64) {
     };
     let summary = Launch::new(impacc_bench::specs::psg_tasks(4), RuntimeOptions::impacc())
         .phys_cap(4096)
-        .elide_handoff(elide_handoff)
+        .parallelism(workers)
         .recorder(&rec)
         .run(move |tc| jacobi_task(tc, &p))
         .expect("jacobi run");
@@ -27,28 +26,28 @@ fn profile_jacobi(elide_handoff: bool) -> (impacc_prof::Report, f64) {
 }
 
 #[test]
-fn critical_path_is_identical_with_and_without_handoff_elision() {
-    let (fast, secs_fast) = profile_jacobi(true);
-    let (slow, secs_slow) = profile_jacobi(false);
+fn critical_path_is_identical_across_worker_counts() {
+    let (one, secs_one) = profile_jacobi(1);
+    let (four, secs_four) = profile_jacobi(4);
 
     // Both executions agree on the virtual end time...
-    assert_eq!(secs_fast, secs_slow, "virtual elapsed time must match");
-    assert_eq!(fast.end_ps, slow.end_ps, "trace end must match");
+    assert_eq!(secs_one, secs_four, "virtual elapsed time must match");
+    assert_eq!(one.end_ps, four.end_ps, "trace end must match");
 
     // ...and the full serialized profile is byte-identical.
     assert_eq!(
-        fast.to_json("fig14"),
-        slow.to_json("fig14"),
-        "PROF json must not depend on the handoff-elision fast path"
+        one.to_json("fig14"),
+        four.to_json("fig14"),
+        "PROF json must not depend on the worker count"
     );
 
     // Internal consistency: blame tiles the run, and the trace end agrees
     // with the run summary's wall-clock-in-virtual-seconds.
-    assert_eq!(fast.blame_total(), fast.end_ps);
-    let end_secs = fast.end_ps as f64 / 1e12;
-    let rel = (end_secs - secs_fast).abs() / secs_fast.max(1e-12);
+    assert_eq!(one.blame_total(), one.end_ps);
+    let end_secs = one.end_ps as f64 / 1e12;
+    let rel = (end_secs - secs_one).abs() / secs_one.max(1e-12);
     assert!(
         rel < 0.02,
-        "trace end {end_secs}s should match summary {secs_fast}s"
+        "trace end {end_secs}s should match summary {secs_one}s"
     );
 }

@@ -8,10 +8,8 @@
 //!
 //! Each pin is `end_time / dispatch count / hash(stripped metrics) /
 //! hash(value bits)`: the residual history for the solvers, the reduced
-//! vector for the collectives. The serial engine (`parallelism(0)`) and the
-//! conservative engine (1 and 4 workers) are different deterministic
-//! schedules (DESIGN §5i), so a pin may differ between them — never between
-//! 1 and 4 workers.
+//! vector for the collectives. A pin holds for every worker count; 1 and 4
+//! are run.
 
 use std::sync::Arc;
 
@@ -24,7 +22,7 @@ use impacc_machine::presets;
 use impacc_mpi::ReduceOp;
 use parking_lot::Mutex;
 
-const DEGREES: [usize; 3] = [0, 1, 4];
+const DEGREES: [usize; 2] = [1, 4];
 
 fn modes() -> [(&'static str, RuntimeOptions); 3] {
     let mut split = RuntimeOptions::impacc();
@@ -61,31 +59,21 @@ fn pin(s: &RunSummary, vals: &[f64]) -> String {
     )
 }
 
-/// Run `case` at every parallelism degree and hold it to its pins:
-/// `want[0]` for the serial engine, `want[1]` for both conservative runs.
-fn check(name: &str, want: [&str; 2], case: impl Fn(usize) -> String) {
+/// Run `case` at every parallelism degree and hold it to its pin.
+fn check(name: &str, want: &str, case: impl Fn(usize) -> String) {
     for degree in DEGREES {
         let got = case(degree);
         println!("PIN {name} p={degree} {got}");
-        assert_eq!(got, want[degree.min(1)], "{name} @ parallelism {degree}");
+        assert_eq!(got, want, "{name} @ parallelism {degree}");
     }
 }
 
 #[test]
 fn handwritten_jacobi_is_pinned_in_all_modes() {
     let want = [
-        [
-            "t=455.186us/1535/db835eaf10a53f35/ae853b00d19d8c63",
-            "t=459.244us/1539/9231ede82c667fd9/ae853b00d19d8c63",
-        ],
-        [
-            "t=402.844us/1383/4ecee51883d4adef/ae853b00d19d8c63",
-            "t=402.844us/1411/186db4923b29a540/ae853b00d19d8c63",
-        ],
-        [
-            "t=754.381us/2125/f6aeafad8f42e8bb/ae853b00d19d8c63",
-            "t=754.381us/2126/f6aeafad8f42e8bb/ae853b00d19d8c63",
-        ],
+        "t=459.244us/1539/9231ede82c667fd9/ae853b00d19d8c63",
+        "t=402.844us/1411/186db4923b29a540/ae853b00d19d8c63",
+        "t=754.381us/2126/f6aeafad8f42e8bb/ae853b00d19d8c63",
     ];
     for ((mode, opts), want) in modes().into_iter().zip(want) {
         check(&format!("jacobi/{mode}"), want, |degree| {
@@ -111,10 +99,7 @@ fn handwritten_jacobi_is_pinned_in_all_modes() {
 fn array_scenarios_are_pinned() {
     check(
         "redblack",
-        [
-            "t=626.616us/793/7707e2a962b3e90f/c7a58ee372e7544e",
-            "t=626.616us/842/7707e2a962b3e90f/c7a58ee372e7544e",
-        ],
+        "t=626.616us/842/7707e2a962b3e90f/c7a58ee372e7544e",
         |degree| {
             let probe = ResProbe::new();
             let inner = probe.clone();
@@ -137,10 +122,7 @@ fn array_scenarios_are_pinned() {
     );
     check(
         "stencil3d",
-        [
-            "t=658.016us/1135/37f8d6af35cb2c09/e19a2af5b7195675",
-            "t=658.016us/1213/37f8d6af35cb2c09/e19a2af5b7195675",
-        ],
+        "t=658.016us/1213/37f8d6af35cb2c09/e19a2af5b7195675",
         |degree| {
             let probe = ResProbe::new();
             let inner = probe.clone();
@@ -168,18 +150,9 @@ fn compiled_examples_are_pinned() {
     for (prog, want) in [
         (
             "jacobi",
-            [
-                "t=279.847us/402/4e51c4c4ae9b1888/6b799a57e85d1fa4",
-                "t=279.847us/424/4e51c4c4ae9b1888/6b799a57e85d1fa4",
-            ],
+            "t=279.847us/424/4e51c4c4ae9b1888/6b799a57e85d1fa4",
         ),
-        (
-            "dot",
-            [
-                "t=45.917us/108/14f8eb7eaa41d208/153fa7378fe034b2",
-                "t=45.917us/116/14f8eb7eaa41d208/153fa7378fe034b2",
-            ],
-        ),
+        ("dot", "t=45.917us/116/14f8eb7eaa41d208/153fa7378fe034b2"),
     ] {
         let c = Arc::new(compile(example(prog).expect("shipped example")).expect("compiles"));
         check(&format!("dsl/{prog}"), want, |degree| {
@@ -242,92 +215,38 @@ fn every_allreduce_algorithm_is_pinned() {
     // Per payload size, `ALGOS` order. 4096 elems predate the in-place
     // fold; 131072 (1 MiB: every buffer is `mmap`-sized) and 4099 (odd:
     // uneven ring chunks and halving splits) were captured on its parent.
-    let want: [(usize, [[&str; 2]; 6]); 3] = [
+    let want: [(usize, [&str; 6]); 3] = [
         (
             4096,
             [
-                [
-                    "t=34.598us/132/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
-                    "t=33.998us/136/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
-                ],
-                [
-                    "t=34.598us/132/bb220e187c8c3273/2e40ee556545b3cc",
-                    "t=33.998us/136/bb220e187c8c3273/2e40ee556545b3cc",
-                ],
-                [
-                    "t=52.397us/824/392fe1395b76c5c5/2e40ee556545b3cc",
-                    "t=52.397us/856/392fe1395b76c5c5/2e40ee556545b3cc",
-                ],
-                [
-                    "t=47.105us/164/3c0252defedf3b75/2e40ee556545b3cc",
-                    "t=47.105us/182/3c0252defedf3b75/2e40ee556545b3cc",
-                ],
-                [
-                    "t=48.166us/326/1abf32159a9ce918/2e40ee556545b3cc",
-                    "t=48.166us/366/1abf32159a9ce918/2e40ee556545b3cc",
-                ],
-                [
-                    "t=26.360us/46/44140b23f64db89c/2e40ee556545b3cc",
-                    "t=26.360us/50/44140b23f64db89c/2e40ee556545b3cc",
-                ],
+                "t=33.998us/136/5bf6ab1ed4b1e4cd/2e40ee556545b3cc",
+                "t=33.998us/136/bb220e187c8c3273/2e40ee556545b3cc",
+                "t=52.397us/856/392fe1395b76c5c5/2e40ee556545b3cc",
+                "t=47.105us/182/3c0252defedf3b75/2e40ee556545b3cc",
+                "t=48.166us/366/1abf32159a9ce918/2e40ee556545b3cc",
+                "t=26.360us/50/44140b23f64db89c/2e40ee556545b3cc",
             ],
         ),
         (
             131072,
             [
-                [
-                    "t=766.151us/132/bc1d635b7cab6cb1/4f0af99840349093",
-                    "t=765.551us/136/bc1d635b7cab6cb1/4f0af99840349093",
-                ],
-                [
-                    "t=766.151us/132/1813a3fca5f25fbf/4f0af99840349093",
-                    "t=765.551us/136/1813a3fca5f25fbf/4f0af99840349093",
-                ],
-                [
-                    "t=395.206us/844/7c7c3931123d62ae/4f0af99840349093",
-                    "t=395.206us/928/7c7c3931123d62ae/4f0af99840349093",
-                ],
-                [
-                    "t=1.256ms/164/5173610eb9418402/4f0af99840349093",
-                    "t=1.256ms/182/5173610eb9418402/4f0af99840349093",
-                ],
-                [
-                    "t=1.009ms/322/7d9a63098fad0f9a/4f0af99840349093",
-                    "t=1.009ms/364/7d9a63098fad0f9a/4f0af99840349093",
-                ],
-                [
-                    "t=707.122us/46/d1c03c155429830a/4f0af99840349093",
-                    "t=707.122us/50/d1c03c155429830a/4f0af99840349093",
-                ],
+                "t=765.551us/136/bc1d635b7cab6cb1/4f0af99840349093",
+                "t=765.551us/136/1813a3fca5f25fbf/4f0af99840349093",
+                "t=395.206us/928/7c7c3931123d62ae/4f0af99840349093",
+                "t=1.256ms/182/5173610eb9418402/4f0af99840349093",
+                "t=1.009ms/364/7d9a63098fad0f9a/4f0af99840349093",
+                "t=707.122us/50/d1c03c155429830a/4f0af99840349093",
             ],
         ),
         (
             4099,
             [
-                [
-                    "t=34.616us/132/a87bf3cf8a126245/9c56a2f6e1c81597",
-                    "t=34.016us/136/a87bf3cf8a126245/9c56a2f6e1c81597",
-                ],
-                [
-                    "t=34.616us/132/f5d874cef46ed77f/9c56a2f6e1c81597",
-                    "t=34.016us/136/f5d874cef46ed77f/9c56a2f6e1c81597",
-                ],
-                [
-                    "t=52.403us/821/1ea001b4f6c9ed23/9c56a2f6e1c81597",
-                    "t=52.403us/853/1ea001b4f6c9ed23/9c56a2f6e1c81597",
-                ],
-                [
-                    "t=47.134us/164/a25463788a0d7ecc/9c56a2f6e1c81597",
-                    "t=47.134us/182/a25463788a0d7ecc/9c56a2f6e1c81597",
-                ],
-                [
-                    "t=48.193us/326/0d4f1e1a70430146/9c56a2f6e1c81597",
-                    "t=48.193us/366/0d4f1e1a70430146/9c56a2f6e1c81597",
-                ],
-                [
-                    "t=26.376us/46/bd50dd8d681e8419/9c56a2f6e1c81597",
-                    "t=26.376us/50/bd50dd8d681e8419/9c56a2f6e1c81597",
-                ],
+                "t=34.016us/136/a87bf3cf8a126245/9c56a2f6e1c81597",
+                "t=34.016us/136/f5d874cef46ed77f/9c56a2f6e1c81597",
+                "t=52.403us/853/1ea001b4f6c9ed23/9c56a2f6e1c81597",
+                "t=47.134us/182/a25463788a0d7ecc/9c56a2f6e1c81597",
+                "t=48.193us/366/0d4f1e1a70430146/9c56a2f6e1c81597",
+                "t=26.376us/50/bd50dd8d681e8419/9c56a2f6e1c81597",
             ],
         ),
     ];

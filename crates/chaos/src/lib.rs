@@ -1,24 +1,24 @@
 //! Deterministic fault injection (`impacc-chaos`).
 //!
-//! A [`FaultPlan`] is a declarative fault schedule: a seed, per-site
-//! probabilities, and optional explicit `(vtime, site)` triggers. The
-//! runtime layers consult a shared [`Chaos`] handle at fixed *injection
-//! sites* — the internode network path in the MPI engine, the per-node
-//! message handler, the unified activity queues, and host↔device copies —
-//! and the handle answers "does a fault fire here?" purely as a function
-//! of the seed and a per-site roll counter.
+//! A [`FaultPlan`] is a declarative fault schedule: a seed and per-site
+//! probabilities. The runtime layers consult a shared [`Chaos`] handle at
+//! fixed *injection sites* — the internode network path in the MPI engine,
+//! the per-node message handler, the unified activity queues, and
+//! host↔device copies — and the handle answers "does a fault fire here?"
+//! purely as a function of the seed, the site, **who is rolling** and how
+//! often that actor has rolled there before.
 //!
 //! # Determinism
 //!
-//! The simulation engine runs exactly one actor at a time and hands the
-//! baton over in a schedule that is a pure function of the workload, so
-//! the k-th roll at any site is the same roll in every run of the same
-//! program — independent of wall clock, recording on/off, and of the
-//! `elide_handoff` fast path (which changes *how* the baton moves, never
-//! *who runs when*). Each roll hashes `(seed, site, k)` with SplitMix64
-//! and compares against the site's rate, so a fault schedule is exactly
-//! reproducible from `(seed, workload)` and two runs with the same plan
-//! produce byte-identical traces.
+//! What an actor does, in what order, is a pure function of the workload,
+//! so the k-th roll an actor makes at a site is the same roll in every run
+//! of the same program — independent of wall clock, of recording on/off,
+//! and of how many scheduler workers interleave the actors' partitions in
+//! real time: no two actors share a counter. Each roll hashes
+//! `(seed, site, actor name, k)` with SplitMix64 and compares against the
+//! site's rate, so a fault schedule is exactly reproducible from
+//! `(seed, workload)` and two runs with the same plan produce
+//! byte-identical traces.
 //!
 //! Faults are *transient* by design: a retried attempt may fail again,
 //! but a bounded retry budget ([`FaultPlan::max_retries`]) caps the
@@ -30,10 +30,10 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-use impacc_vtime::{SimDur, SimTime};
+use impacc_vtime::{Ctx, SimDur};
 
 /// An injection site: where in the runtime a fault class fires.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -65,7 +65,7 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    /// All sites, in roll-counter order.
+    /// All sites, in rate-table order.
     pub const ALL: [FaultSite; 9] = [
         FaultSite::LinkDrop,
         FaultSite::LinkDelay,
@@ -108,8 +108,8 @@ impl FaultSite {
     }
 }
 
-/// A declarative fault schedule: seed + per-site rates + explicit
-/// triggers + recovery-tuning knobs. Build with [`FaultPlan::new`] and
+/// A declarative fault schedule: seed + per-site rates +
+/// recovery-tuning knobs. Build with [`FaultPlan::new`] and
 /// the `with_*` setters.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
@@ -118,9 +118,6 @@ pub struct FaultPlan {
     /// Per-site fault probability, indexed by [`FaultSite::idx`]-order
     /// (use [`FaultPlan::with_rate`]).
     pub rates: [f64; 9],
-    /// Explicit one-shot triggers: the first roll of `site` at
-    /// `vtime >= at` fires regardless of its rate.
-    pub triggers: Vec<(SimTime, FaultSite)>,
     /// Devices `(node, dev_idx)` that are down from launch; the mapper
     /// remaps their tasks onto surviving devices.
     pub failed_devices: Vec<(usize, usize)>,
@@ -149,7 +146,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: [0.0; 9],
-            triggers: Vec::new(),
             failed_devices: Vec::new(),
             max_retries: 4,
             timeout: SimDur::from_us(50),
@@ -175,13 +171,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add an explicit one-shot trigger: the first roll of `site` at or
-    /// after `at` fires.
-    pub fn with_trigger(mut self, at: SimTime, site: FaultSite) -> FaultPlan {
-        self.triggers.push((at, site));
-        self
-    }
-
     /// Mark device `dev_idx` on `node` as failed from launch.
     pub fn fail_device(mut self, node: usize, dev_idx: usize) -> FaultPlan {
         self.failed_devices.push((node, dev_idx));
@@ -197,11 +186,10 @@ impl FaultPlan {
 
 struct ChaosInner {
     plan: FaultPlan,
-    /// Per-site roll counters; the k-th roll at a site is `hash(seed,
-    /// site, k)` so the schedule is independent of rolls at other sites.
-    counters: [AtomicU64; 9],
-    /// One-shot latches for `plan.triggers`.
-    fired: Vec<AtomicBool>,
+    /// Per-actor, per-site roll counters: the k-th roll an actor makes at
+    /// a site is `hash(seed, site, actor, k)`, so its schedule is
+    /// independent of rolls at other sites and of every other actor.
+    counters: Mutex<HashMap<Arc<str>, [u64; 9]>>,
 }
 
 /// Shared handle consulted at every injection site. Cheap to clone;
@@ -210,6 +198,13 @@ struct ChaosInner {
 #[derive(Clone, Default)]
 pub struct Chaos {
     inner: Option<Arc<ChaosInner>>,
+}
+
+/// FNV-1a: a fixed hash of an actor name (never the process-seeded one).
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// SplitMix64 finalizer: avalanche a 64-bit value.
@@ -228,16 +223,10 @@ impl Chaos {
 
     /// A handle driving the given plan.
     pub fn new(plan: FaultPlan) -> Chaos {
-        let fired = plan
-            .triggers
-            .iter()
-            .map(|_| AtomicBool::new(false))
-            .collect();
         Chaos {
             inner: Some(Arc::new(ChaosInner {
                 plan,
-                counters: Default::default(),
-                fired,
+                counters: Mutex::default(),
             })),
         }
     }
@@ -252,23 +241,28 @@ impl Chaos {
         self.inner.as_ref().map(|i| &i.plan)
     }
 
-    /// Roll the dice at `site` at virtual time `now`. Returns `true` when
-    /// a fault fires. Deterministic: the outcome depends only on the
-    /// seed, the site, and how many times this site has rolled before
-    /// (plus any pending `(vtime, site)` trigger). Call this
-    /// unconditionally on the injection path — never gate it on
-    /// trace-recording state — so the roll sequence is identical across
-    /// instrumented and bare runs.
-    pub fn roll(&self, site: FaultSite, now: SimTime) -> bool {
+    /// Roll the dice at `site` for the calling actor. Returns `true` when
+    /// a fault fires. Deterministic: the outcome depends only on the seed,
+    /// the site, the actor's name and how many times *that actor* has
+    /// rolled at this site before. Call this unconditionally on the
+    /// injection path — never gate it on trace-recording state — so the
+    /// roll sequence is identical across instrumented and bare runs.
+    pub fn roll(&self, ctx: &Ctx, site: FaultSite) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };
-        let k = inner.counters[site.idx()].fetch_add(1, Ordering::Relaxed);
-        for (ti, (at, tsite)) in inner.plan.triggers.iter().enumerate() {
-            if *tsite == site && now >= *at && !inner.fired[ti].swap(true, Ordering::Relaxed) {
-                return true;
-            }
-        }
+        let k = {
+            let mut counters = inner
+                .counters
+                .lock()
+                .expect("no panic while counting a roll");
+            let slot = match counters.get_mut(&**ctx.name()) {
+                Some(mine) => &mut mine[site.idx()],
+                None => &mut counters.entry(ctx.name().clone()).or_insert([0; 9])[site.idx()],
+            };
+            *slot += 1;
+            *slot - 1
+        };
         let rate = inner.plan.rates[site.idx()];
         if rate <= 0.0 {
             return false;
@@ -281,6 +275,7 @@ impl Chaos {
                 .plan
                 .seed
                 .wrapping_add((site.idx() as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f))
+                .wrapping_add(fnv1a(ctx.name()).wrapping_mul(0x8ebc_6af0_9c88_c6e3))
                 .wrapping_add(k.wrapping_mul(0xe703_7ed1_a0b4_28db)),
         );
         // Map the hash onto [0,1) with 53 bits of precision.
@@ -291,10 +286,10 @@ impl Chaos {
     /// How many extra attempts a transient-faultable operation needs at
     /// `site`: rolls until a roll comes up clean or the retry budget is
     /// exhausted. `0` means the first attempt succeeds.
-    pub fn extra_attempts(&self, site: FaultSite, now: SimTime) -> u32 {
+    pub fn extra_attempts(&self, ctx: &Ctx, site: FaultSite) -> u32 {
         let Some(plan) = self.plan() else { return 0 };
         let mut extra = 0;
-        while extra < plan.max_retries && self.roll(site, now) {
+        while extra < plan.max_retries && self.roll(ctx, site) {
             extra += 1;
         }
         extra
@@ -321,74 +316,126 @@ impl Chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impacc_vtime::{Sim, SimConfig};
+
+    /// Run `f` as the only actor, named `name`, and return what it returns.
+    fn as_actor<R: Send + 'static>(name: &str, f: impl FnOnce(&Ctx) -> R + Send + 'static) -> R {
+        let out = Arc::new(Mutex::new(None));
+        let o2 = out.clone();
+        let mut sim = Sim::new();
+        sim.spawn(name, move |ctx| *o2.lock().unwrap() = Some(f(ctx)));
+        sim.run().unwrap();
+        let r = out.lock().unwrap().take();
+        r.expect("the actor ran")
+    }
 
     #[test]
     fn disabled_never_fires() {
         let c = Chaos::disabled();
-        for _ in 0..100 {
-            assert!(!c.roll(FaultSite::LinkDrop, SimTime(0)));
-        }
         assert!(!c.enabled());
-        assert_eq!(c.extra_attempts(FaultSite::CopyFault, SimTime(0)), 0);
+        as_actor("a", move |ctx| {
+            for _ in 0..100 {
+                assert!(!c.roll(ctx, FaultSite::LinkDrop));
+            }
+            assert_eq!(c.extra_attempts(ctx, FaultSite::CopyFault), 0);
+        });
     }
 
     #[test]
     fn rate_zero_and_one() {
         let c = Chaos::new(FaultPlan::new(7).with_rate(FaultSite::LinkDrop, 1.0));
-        assert!(c.roll(FaultSite::LinkDrop, SimTime(0)));
-        assert!(!c.roll(FaultSite::LinkDelay, SimTime(0)));
+        as_actor("a", move |ctx| {
+            assert!(c.roll(ctx, FaultSite::LinkDrop));
+            assert!(!c.roll(ctx, FaultSite::LinkDelay));
+        });
+    }
+
+    /// `n` rolls at every site in turn by an actor named `name`.
+    fn sequence(c: &Chaos, name: &str, n: usize) -> Vec<bool> {
+        let c = c.clone();
+        as_actor(name, move |ctx| {
+            (0..n)
+                .map(|i| c.roll(ctx, FaultSite::ALL[i % FaultSite::ALL.len()]))
+                .collect()
+        })
     }
 
     #[test]
-    fn roll_sequence_is_deterministic() {
+    fn roll_sequence_is_deterministic_per_actor() {
         let mk = || Chaos::new(FaultPlan::new(42).with_uniform_rate(0.3));
-        let a = mk();
-        let b = mk();
-        for i in 0..1000 {
-            let site = FaultSite::ALL[i % FaultSite::ALL.len()];
-            assert_eq!(
-                a.roll(site, SimTime(i as u64)),
-                b.roll(site, SimTime(i as u64))
-            );
-        }
+        let a = sequence(&mk(), "rank0", 1000);
+        assert_eq!(a, sequence(&mk(), "rank0", 1000));
+        assert_ne!(
+            a,
+            sequence(&mk(), "rank1", 1000),
+            "actors roll their own dice"
+        );
     }
 
     #[test]
     fn sites_roll_independently() {
         // Interleaving rolls at another site must not perturb a site's
-        // own sequence (per-site counters, not one global stream).
-        let a = Chaos::new(FaultPlan::new(9).with_uniform_rate(0.5));
-        let b = Chaos::new(FaultPlan::new(9).with_uniform_rate(0.5));
-        let mut seq_a = Vec::new();
-        for i in 0..200 {
-            seq_a.push(a.roll(FaultSite::CopyFault, SimTime(i)));
-        }
-        let mut seq_b = Vec::new();
-        for i in 0..200 {
-            // Extra rolls at a different site in between.
-            b.roll(FaultSite::LinkDrop, SimTime(i));
-            seq_b.push(b.roll(FaultSite::CopyFault, SimTime(i)));
-        }
+        // own sequence (per-site counters, not one stream per actor).
+        let mk = || Chaos::new(FaultPlan::new(9).with_uniform_rate(0.5));
+        let (a, b) = (mk(), mk());
+        let seq_a: Vec<bool> = as_actor("a", move |ctx| {
+            (0..200)
+                .map(|_| a.roll(ctx, FaultSite::CopyFault))
+                .collect()
+        });
+        let seq_b: Vec<bool> = as_actor("a", move |ctx| {
+            (0..200)
+                .map(|_| {
+                    b.roll(ctx, FaultSite::LinkDrop);
+                    b.roll(ctx, FaultSite::CopyFault)
+                })
+                .collect()
+        });
         assert_eq!(seq_a, seq_b);
+    }
+
+    /// Two actors roll `LinkDrop` 300 times each on one handle. `delay`
+    /// staggers them in virtual time; with none they sit in two partitions
+    /// of a two-worker run and roll at the same time.
+    fn two_rollers(delay: [u64; 2]) -> [Vec<bool>; 2] {
+        let c = Chaos::new(FaultPlan::new(5).with_rate(FaultSite::LinkDrop, 0.4));
+        let out = [(); 2].map(|_| Arc::new(Mutex::new(Vec::new())));
+        let mut sim = Sim::with_config(SimConfig {
+            parallelism: 2,
+            lookahead: SimDur::from_us(1),
+            ..SimConfig::default()
+        });
+        for (i, name) in ["left", "right"].into_iter().enumerate() {
+            let (c, out, delay) = (c.clone(), out[i].clone(), delay[i]);
+            sim.spawn(name, move |ctx| {
+                ctx.advance(SimDur::from_us(delay), "wait");
+                for _ in 0..300 {
+                    out.lock().unwrap().push(c.roll(ctx, FaultSite::LinkDrop));
+                    ctx.advance(SimDur::from_ns(10), "work");
+                }
+            });
+        }
+        sim.run().unwrap();
+        out.map(|o| o.lock().unwrap().clone())
+    }
+
+    #[test]
+    fn concurrent_rollers_see_what_serial_rollers_see() {
+        let together = two_rollers([0, 0]);
+        assert_eq!(together, two_rollers([0, 100]), "left, then right");
+        assert_eq!(together, two_rollers([100, 0]), "right, then left");
+        assert_ne!(together[0], together[1]);
     }
 
     #[test]
     fn rate_is_roughly_honored() {
         let c = Chaos::new(FaultPlan::new(1234).with_rate(FaultSite::LinkDrop, 0.2));
-        let fired = (0..10_000)
-            .filter(|i| c.roll(FaultSite::LinkDrop, SimTime(*i)))
-            .count();
+        let fired = as_actor("a", move |ctx| {
+            (0..10_000)
+                .filter(|_| c.roll(ctx, FaultSite::LinkDrop))
+                .count()
+        });
         assert!((1600..2400).contains(&fired), "got {fired} of 10000");
-    }
-
-    #[test]
-    fn trigger_fires_once_at_vtime() {
-        let c = Chaos::new(FaultPlan::new(0).with_trigger(SimTime(100), FaultSite::QueueAbort));
-        assert!(!c.roll(FaultSite::QueueAbort, SimTime(50)));
-        assert!(c.roll(FaultSite::QueueAbort, SimTime(150)));
-        assert!(!c.roll(FaultSite::QueueAbort, SimTime(200)), "one-shot");
-        // Other sites unaffected.
-        assert!(!c.roll(FaultSite::LinkDrop, SimTime(300)));
     }
 
     #[test]
@@ -398,7 +445,10 @@ mod tests {
                 .with_rate(FaultSite::CopyFault, 1.0)
                 .with_max_retries(3),
         );
-        assert_eq!(c.extra_attempts(FaultSite::CopyFault, SimTime(0)), 3);
+        assert_eq!(
+            as_actor("a", move |ctx| c.extra_attempts(ctx, FaultSite::CopyFault)),
+            3
+        );
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl CollEngine {
     /// retry.
     pub(crate) fn charge_intra(&self, ctx: &Ctx, bytes: u64) {
         let d = SimDur::from_secs_f64(self.memcpy_lat + bytes as f64 / self.memcpy_bw);
-        let extra = self.chaos.extra_attempts(FaultSite::CopyFault, ctx.now());
+        let extra = self.chaos.extra_attempts(ctx, FaultSite::CopyFault);
         for attempt in 1..=extra {
             ctx.metrics().inc("retries");
             ctx.metrics().inc("chaos_copy_fault");
@@ -531,10 +531,10 @@ pub mod testutil {
         }
         let node_of = Arc::new(node_of);
         let colls: Vec<Arc<NodeColl>> = (0..shape.len()).map(|_| NodeColl::new()).collect();
-        let sys = SysMpi::new(res, node_of.as_ref().clone());
+        let mut sim = Sim::new();
+        let sys = SysMpi::new(&mut sim, res, node_of.as_ref().clone());
         let world = Comm::world(n as u32);
         let f = Arc::new(f);
-        let mut sim = Sim::new();
         for r in 0..n {
             let sys = sys.clone();
             let world = world.clone();
@@ -549,7 +549,7 @@ pub mod testutil {
                 Some(colls[node].clone()),
                 forced,
             );
-            sim.spawn(format!("rank{r}"), move |ctx| {
+            sim.spawn_on(node as u32, format!("rank{r}"), move |ctx| {
                 let ep = PooledEndpoint {
                     ep: SysEndpoint::new(MpiTask::new(sys, r as u32)),
                     pool: ReducePool::new(),

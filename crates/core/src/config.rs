@@ -13,7 +13,7 @@
 //! | `IMPACC_BENCH_QUICK` | [`bench_quick`] | `1` ⇒ trim sweeps for CI |
 //! | `IMPACC_BENCH_FULL` | [`bench_full`] | `1` ⇒ unlock the largest points |
 //! | `IMPACC_SERVE_WORKERS` | [`serve_workers`] | worker-pool size override for `impacc-serve` |
-//! | `IMPACC_PARALLEL` | [`parallelism`] | conservative-DES worker count (`0`/unset ⇒ legacy serial engine) |
+//! | `IMPACC_PARALLEL` | [`parallelism`] | scheduler worker count: simulated nodes that may execute at once (unset/`0` ⇒ 1) |
 //! | `IMPACC_FLIGHT` | [`flight_enabled`] / [`flight_dump_dir`] | `0` ⇒ flight recorder off; `1` ⇒ dumps to `bench_dir()`; `<dir>` ⇒ dumps there; unset ⇒ record, no launch-side dumps |
 //!
 //! (`IMPACC_ACC_DEVICE_TYPE` is modelled as a typed
@@ -66,16 +66,16 @@ pub fn serve_workers() -> Option<usize> {
         .filter(|n| *n > 0)
 }
 
-/// `IMPACC_PARALLEL=<n>`: run simulations on the conservative parallel
-/// DES engine with `n` scheduler workers (actors partitioned by simulated
-/// node, lookahead derived from the machine spec's internode wire
-/// latency). Unset, unparsable or `0` ⇒ the legacy serial engine. Results
-/// are bit-identical for every value; only wall-clock changes.
+/// `IMPACC_PARALLEL=<n>`: run simulations with `n` scheduler workers —
+/// up to `n` simulated nodes (one partition each, lookahead derived from
+/// the machine spec's internode wire latency) execute at once. Unset,
+/// unparsable or `0` ⇒ one worker. Results are bit-identical for every
+/// value; only wall-clock changes.
 pub fn parallelism() -> usize {
     std::env::var("IMPACC_PARALLEL")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
+        .map_or(1, |n| n.max(1))
 }
 
 /// `IMPACC_FLIGHT`: is the always-on flight recorder recording? Only the
@@ -143,11 +143,13 @@ mod tests {
         std::env::remove_var("IMPACC_PROF");
 
         std::env::remove_var("IMPACC_PARALLEL");
-        assert_eq!(parallelism(), 0);
+        assert_eq!(parallelism(), 1);
         std::env::set_var("IMPACC_PARALLEL", "4");
         assert_eq!(parallelism(), 4);
+        std::env::set_var("IMPACC_PARALLEL", "0");
+        assert_eq!(parallelism(), 1, "a worker count is at least one");
         std::env::set_var("IMPACC_PARALLEL", "junk");
-        assert_eq!(parallelism(), 0, "unparsable falls back to serial");
+        assert_eq!(parallelism(), 1, "unparsable falls back to one worker");
         std::env::remove_var("IMPACC_PARALLEL");
 
         std::env::remove_var("IMPACC_FLIGHT");

@@ -91,7 +91,7 @@ impl NodeHandler {
     /// Injected MPSC enqueue jitter: a scheduling hiccup between building a
     /// command and it landing on the handler queue, charged to the caller.
     fn enqueue_jitter(&self, ctx: &Ctx) {
-        if self.res.chaos.roll(FaultSite::EnqueueJitter, ctx.now()) {
+        if self.res.chaos.roll(ctx, FaultSite::EnqueueJitter) {
             let p = self
                 .res
                 .chaos
@@ -128,7 +128,7 @@ impl NodeHandler {
                 }
                 // Dequeue + scheduling cost of one message command.
                 ctx.advance(self.res.handler_cmd_overhead(), "handler");
-                if self.res.chaos.roll(FaultSite::HandlerStall, ctx.now()) {
+                if self.res.chaos.roll(ctx, FaultSite::HandlerStall) {
                     // The handler thread loses its core for a scheduling
                     // quantum; every queued command behind this one waits.
                     let p = self
@@ -386,7 +386,7 @@ impl NodeHandler {
     /// depend on the faulted peer link.
     fn dtod_faulted(&self, ctx: &Ctx, sd: usize, rd: usize, len: u64) -> bool {
         let now = ctx.now();
-        if !self.res.chaos.roll(FaultSite::DtodFault, now) {
+        if !self.res.chaos.roll(ctx, FaultSite::DtodFault) {
             return false;
         }
         ctx.metrics().inc("chaos_dtod_fault");

@@ -23,7 +23,7 @@ use impacc_machine::{
 use impacc_mem::{AddressSpace, NodeHeap};
 use impacc_mpi::{Comm, MpiTask, SysMpi};
 use impacc_obs::Recorder;
-use impacc_vtime::{Sim, SimConfig, SimDur, SimError, SimReport, SpanSink};
+use impacc_vtime::{Sim, SimConfig, SimError, SimReport, SpanSink};
 
 use crate::handler::NodeHandler;
 use crate::mode::RuntimeOptions;
@@ -113,7 +113,6 @@ pub struct Launch {
     phys_cap: Option<u64>,
     stack_size: usize,
     max_events: u64,
-    elide_handoff: bool,
     chaos: Chaos,
     coll_algo: Option<CollAlgo>,
     parallelism: Option<usize>,
@@ -135,7 +134,6 @@ impl Launch {
             phys_cap: None,
             stack_size: 384 * 1024,
             max_events: u64::MAX,
-            elide_handoff: true,
             chaos: Chaos::disabled(),
             coll_algo: None,
             parallelism: None,
@@ -182,14 +180,10 @@ impl Launch {
     }
 
     /// Pin the scheduler worker count for this run, overriding the
-    /// `IMPACC_PARALLEL` environment default. `0` selects the legacy
-    /// serial engine; any positive value runs the conservative parallel
-    /// engine with actors partitioned by simulated node and lookahead
-    /// derived from the machine's internode wire latency. Virtual-time
-    /// results are bit-identical for every positive value. Ignored
-    /// (forced serial) when a fault plan is installed: chaos rolls
-    /// consume a shared seeded sequence whose order must stay
-    /// schedule-independent.
+    /// `IMPACC_PARALLEL` environment default: how many simulated nodes
+    /// (one partition each, lookahead derived from the machine's internode
+    /// wire latency) may execute at once. Virtual-time results are
+    /// bit-identical for every value, with or without a fault plan.
     pub fn parallelism(mut self, n: usize) -> Launch {
         self.parallelism = Some(n);
         self
@@ -226,14 +220,6 @@ impl Launch {
     /// Limit scheduler dispatches (test hygiene).
     pub fn max_events(mut self, n: u64) -> Launch {
         self.max_events = n;
-        self
-    }
-
-    /// Enable or disable the scheduler's baton-handoff elision fast path.
-    /// On by default; determinism tests force it off to prove virtual-time
-    /// results are unchanged by the optimisation.
-    pub fn elide_handoff(mut self, on: bool) -> Launch {
-        self.elide_handoff = on;
         self
     }
 
@@ -369,7 +355,6 @@ impl Launch {
         }
 
         let node_of: Arc<Vec<usize>> = Arc::new(tasks.iter().map(|t| t.node).collect());
-        let sysmpi = SysMpi::new(res.clone(), node_of.as_ref().clone());
         let world = Comm::world(tasks.len() as u32);
 
         // One span store per launch (§5j): the caller's, else — unless
@@ -393,34 +378,18 @@ impl Launch {
         let sink: Option<Arc<dyn SpanSink>> = store.as_ref().map(|s| s.sink());
         let flight = store.as_ref().filter(|_| flight_on);
 
-        // Engine selection: the conservative parallel scheduler partitions
-        // actors by simulated node, with lookahead = the machine's minimum
-        // cross-node event distance (internode wire latency). Chaos forces
-        // the serial engine — fault rolls consume a shared seeded sequence
-        // whose order must stay schedule-independent.
-        let mut parallelism = self.parallelism.unwrap_or_else(crate::config::parallelism);
-        if self.chaos.enabled() {
-            parallelism = 0;
-        }
-        let lookahead = if parallelism > 0 {
-            res.min_cross_node_latency()
-        } else {
-            SimDur::ZERO
-        };
-
+        // Actors are partitioned by simulated node, with lookahead = the
+        // machine's minimum cross-node event distance (internode wire
+        // latency).
         let mut sim = Sim::with_config(SimConfig {
             stack_size: self.stack_size,
             max_events: self.max_events,
-            elide_handoff: self.elide_handoff,
             sink,
-            parallelism,
-            lookahead,
+            parallelism: self.parallelism.unwrap_or_else(crate::config::parallelism),
+            lookahead: res.min_cross_node_latency(),
         });
-        if parallelism > 0 {
-            // Cross-node messages must cross partitions through the
-            // per-node delivery daemons, never from the sender's side.
-            sysmpi.spawn_delivery_daemons(&mut sim);
-        }
+        // Registers each node's delivery handler on that node's partition.
+        let sysmpi = SysMpi::new(&mut sim, res.clone(), node_of.as_ref().clone());
 
         // Per-node shared structures (IMPACC). The baseline gets fresh
         // per-task ones below.
@@ -560,7 +529,7 @@ impl Launch {
                 return Err(e);
             }
         };
-        if let Some(s) = store.as_ref().filter(|_| parallelism > 0) {
+        if let Some(s) = &store {
             // Concurrent partitions emit edges in racy real-time order;
             // sorting them restores a schedule-independent order so
             // recorded artifacts are byte-identical for every worker count.

@@ -6,8 +6,8 @@
 //! and whose provenance is the `Arc<str>` the engine already holds.
 //!
 //! The counting allocator is process-wide, so this test is alone in its
-//! binary, and the engine is pinned serial (`parallelism(0)`) so both CI
-//! passes count alike.
+//! binary, and the launch is pinned to one worker so it counts alike
+//! under any ambient `IMPACC_PARALLEL`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,8 +22,8 @@ struct CountAll;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn allocs() -> u64 {
-    // Relaxed: a statistic, read on the one thread that is running (the
-    // serial engine runs one actor at a time) or after the run is joined.
+    // Relaxed: a statistic, read on the one thread that is running (one
+    // worker runs one actor at a time) or after the run is joined.
     ALLOCS.load(Ordering::Relaxed)
 }
 
@@ -64,7 +64,7 @@ static ALLOC: CountAll = CountAll;
 fn sendrecv_allocs(rounds: usize) -> u64 {
     let before = allocs();
     let s = Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
-        .parallelism(0)
+        .parallelism(1)
         .run(move |tc| {
             let peer = 1 - tc.rank();
             let (out, inn) = (tc.malloc(64), tc.malloc(64));

@@ -38,8 +38,8 @@ pub fn reserve_hd_with_faults(
 ) -> SimTime {
     let issue = earliest;
     // Decide the whole attempt schedule up front: rolls are a pure
-    // function of the per-site counter, never of recording state.
-    let extra = res.chaos.extra_attempts(FaultSite::CopyFault, issue);
+    // function of the caller's per-site counter, never of recording state.
+    let extra = res.chaos.extra_attempts(ctx, FaultSite::CopyFault);
     let mut end = res.reserve_hd_copy(node, dev, dir, far, pinned, bytes, issue);
     for attempt in 1..=extra {
         ctx.metrics().inc("retries");

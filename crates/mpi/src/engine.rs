@@ -18,6 +18,20 @@
 //!   reservations made at initiation. Readers that poll a receive buffer
 //!   before `MPI_Wait` returns would see data "early" — well-formed MPI
 //!   programs cannot do that.
+//! * **One wire path**: an internode send stops at the sender's NIC and
+//!   parks the message in the destination node's mailbox; that node's
+//!   delivery handler (an `impacc_vtime` handler pinned to the node's
+//!   partition, installed by [`SysMpi::new`]) occupies the rx NIC when the
+//!   head arrives and runs the matching engine there. A sender never
+//!   touches destination-node state, whatever the worker count.
+//! * **Injected link faults** (`impacc-chaos`) live on that path: the
+//!   sender rolls them with its own dice. A dropped attempt occupies the tx
+//!   NIC only — it never reaches the receiver — and is resent after the ack
+//!   timeout plus exponential backoff; a duplicate is a second transmit
+//!   whose ghost occupies the rx NIC and is then deduplicated; delay and
+//!   brown-out penalties ride with the message and are charged after the
+//!   rx NIC. The final allowed attempt always delivers (transient-fault
+//!   model), so a faulted run is late, never wrong.
 //! * **GPUDirect RDMA**: on machines with the capability, internode
 //!   sends/recvs of device buffers stream straight between device memory
 //!   and the NIC (bandwidth pinned to the slower of the two, PCIe links
@@ -35,12 +49,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use impacc_machine::{ClusterResources, FaultSite, MpiThreading};
+use impacc_machine::{ClusterResources, FaultSite, MpiThreading, NetTx};
 use impacc_mem::CowSnapshot;
-use impacc_vtime::{Ctx, Latch, SerialResource, Sim, SimDur, SimTime, WaitToken, WakeReason};
+use impacc_vtime::{Ctx, Latch, SerialResource, Sim, SimDur, SimTime, Sleep, WaitToken};
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
@@ -262,8 +275,35 @@ struct MatchState {
     posted: HashMap<(u64, u32), VecDeque<RecvRec>>,
 }
 
+/// What the sender's half of an internode transfer decided (see
+/// [`SysMpi::transmit`]).
+struct Wire {
+    /// Head arrival and rx byte time of the attempt that delivers.
+    head: SimTime,
+    dur: SimDur,
+    /// When that attempt has left the sender's buffer.
+    tx_end: SimTime,
+    /// Receive-side penalties rolled for it.
+    late: Vec<(&'static str, SimDur)>,
+    /// Head arrival and byte time of a duplicate's ghost, if one was rolled.
+    ghost: Option<(SimTime, SimDur)>,
+}
+
+impl Wire {
+    /// A transmit nothing went wrong with.
+    fn clean(tx: NetTx) -> Wire {
+        Wire {
+            head: tx.head_arrival,
+            dur: tx.dur,
+            tx_end: tx.tx_end,
+            late: Vec::new(),
+            ghost: None,
+        }
+    }
+}
+
 /// One in-flight internode message parked at the destination node's
-/// delivery daemon (conservative parallel mode only).
+/// delivery handler.
 struct Delivery {
     /// Instant the head of the message reaches the destination NIC. Never
     /// less than the sender's clock plus the wire latency, which is
@@ -277,13 +317,18 @@ struct Delivery {
     src_global: u32,
     seq: u64,
     dst_global: u32,
-    rec: SendRec,
+    /// Receive-side penalties the sender rolled for this message (link
+    /// delay, NIC brown-out), by fault-site label, charged after the rx NIC.
+    late: Vec<(&'static str, SimDur)>,
+    /// `None` is the ghost of a duplicated message: it occupies the rx NIC
+    /// and receiver-side dedup drops it — the matching engine never sees it.
+    rec: Option<SendRec>,
 }
 
 #[derive(Default)]
 struct MailboxState {
     pending: Vec<Delivery>,
-    /// The delivery daemon's wait token and the deadline it armed
+    /// The delivery handler's wait token and the deadline it armed
     /// ([`SimTime::MAX`] when waiting unbounded). Senders wake it only
     /// for strictly earlier arrivals, so a wake never races a deadline
     /// it would lose to.
@@ -300,15 +345,20 @@ pub struct SysMpi {
     /// Present when the library lacks `MPI_THREAD_MULTIPLE`: all calls
     /// from one node serialize on this (§3.7).
     node_serial: Option<Vec<SerialResource>>,
-    /// Per-node internode delivery mailboxes, active only once
-    /// [`SysMpi::spawn_delivery_daemons`] installs the conservative path.
+    /// Per-node internode delivery mailboxes.
     mailboxes: Vec<Mutex<MailboxState>>,
-    conservative: AtomicBool,
 }
 
 impl SysMpi {
-    /// Build the library for a job with `node_of[rank] = node index`.
-    pub fn new(res: Arc<ClusterResources>, node_of: Vec<usize>) -> Arc<SysMpi> {
+    /// Build the library on `sim` for a job with `node_of[rank] = node
+    /// index`. Installs one delivery handler per node, pinned to partition
+    /// `node` — where the node's ranks must be placed too
+    /// ([`Sim::spawn_on`]): it drains arriving internode messages in
+    /// deterministic `(arrival, sender, sequence)` order, finishes their
+    /// rx-NIC reservations and runs the matching engine on the destination
+    /// side, so internode sends never mutate destination-node state from
+    /// the sender's partition in racy real-time order.
+    pub fn new(sim: &mut Sim, res: Arc<ClusterResources>, node_of: Vec<usize>) -> Arc<SysMpi> {
         let node_serial = match res.spec.mpi_threading {
             MpiThreading::Multiple => None,
             MpiThreading::Serialized => Some(
@@ -320,92 +370,77 @@ impl SysMpi {
         let mailboxes = (0..res.spec.node_count())
             .map(|_| Mutex::new(MailboxState::default()))
             .collect();
-        Arc::new(SysMpi {
+        let sys = Arc::new(SysMpi {
             res,
             node_of,
             state: Mutex::new(MatchState::default()),
             node_serial,
             mailboxes,
-            conservative: AtomicBool::new(false),
-        })
-    }
-
-    /// Install the conservative cross-partition delivery path: one daemon
-    /// per node (pinned to that node's partition) that drains arriving
-    /// internode messages in deterministic `(arrival, sender, sequence)`
-    /// order, finishes their rx-NIC reservations, and runs the matching
-    /// engine on the destination side. Required whenever the simulation
-    /// runs on the parallel engine with actors partitioned by node —
-    /// without it, internode sends would mutate destination-node state
-    /// from the sender's partition in racy real-time order. Call before
-    /// [`Sim::run`]. Incompatible with fault injection (the launcher
-    /// forces the serial engine under chaos).
-    pub fn spawn_delivery_daemons(self: &Arc<SysMpi>, sim: &mut Sim) {
-        assert!(
-            !self.res.chaos.enabled(),
-            "conservative delivery models the fault-free transport; \
-             chaos runs use the serial engine"
-        );
-        self.conservative.store(true, Ordering::Release);
-        for node in 0..self.res.spec.node_count() {
-            let sys = self.clone();
-            sim.spawn_daemon_on(node as u32, format!("mpi.dlv.n{node}"), move |ctx| {
-                sys.delivery_loop(ctx, node)
+        });
+        for node in 0..sys.res.spec.node_count() {
+            let sys = sys.clone();
+            sim.spawn_handler_on(node as u32, format!("mpi.dlv.n{node}"), move |ctx| {
+                sys.deliver_arrived(ctx, node)
             });
         }
+        sys
     }
 
-    fn delivery_loop(&self, ctx: &Ctx, node: usize) {
-        loop {
-            // Drain everything that has arrived by the daemon's clock.
-            let now = ctx.now();
-            let mut batch = {
-                let mut m = self.mailboxes[node].lock();
-                let mut batch = Vec::new();
-                let mut i = 0;
-                while i < m.pending.len() {
-                    if m.pending[i].head <= now {
-                        batch.push(m.pending.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
+    /// One activation of node `node`'s delivery handler: deliver everything
+    /// that has arrived by now, then sleep until the earliest message still
+    /// in flight — or until a sender posts an earlier one.
+    fn deliver_arrived(&self, ctx: &Ctx, node: usize) -> Sleep {
+        let now = ctx.now();
+        let mut batch = {
+            let mut m = self.mailboxes[node].lock();
+            m.armed = None;
+            let mut batch = Vec::new();
+            let mut i = 0;
+            while i < m.pending.len() {
+                if m.pending[i].head <= now {
+                    batch.push(m.pending.swap_remove(i));
+                } else {
+                    i += 1;
                 }
-                batch
-            };
-            batch.sort_by_key(|a| (a.head, a.src_global, a.seq));
-            for d in batch {
-                self.deliver(ctx, node, d);
             }
-            // Arm for the earliest not-yet-arrived message (new pushes are
-            // visible here: senders hold the same lock).
-            let tok = ctx.prepare_wait();
-            let next = {
-                let mut m = self.mailboxes[node].lock();
-                let next = m.pending.iter().map(|d| d.head).min();
-                m.armed = Some((tok, next.unwrap_or(SimTime::MAX)));
-                next
-            };
-            let reason = match next {
-                Some(at) => ctx.wait_deadline(tok, at, "mpi_dlv_idle"),
-                None => ctx.wait(tok, "mpi_dlv_idle"),
-            };
-            self.mailboxes[node].lock().armed = None;
-            if reason == WakeReason::Shutdown {
-                return;
-            }
+            batch
+        };
+        batch.sort_by_key(|a| (a.head, a.src_global, a.seq));
+        for d in batch {
+            self.deliver(ctx, node, d);
+        }
+        // Arm for the earliest not-yet-arrived message (new pushes are
+        // visible here: senders hold the same lock).
+        let tok = ctx.prepare_wait();
+        let mut m = self.mailboxes[node].lock();
+        let next = m.pending.iter().map(|d| d.head).min();
+        m.armed = Some((tok, next.unwrap_or(SimTime::MAX)));
+        let sleep = Sleep::on(tok, "mpi_dlv_idle");
+        match next {
+            Some(at) => sleep.until(at),
+            None => sleep,
         }
     }
 
     /// Finish one parked internode message on the destination partition:
-    /// reserve the rx NIC from the head-arrival instant and run the
-    /// matching engine exactly as the serial path would.
+    /// reserve the rx NIC from the head-arrival instant, charge what the
+    /// sender rolled against the receive side, and run the matching engine.
     fn deliver(&self, ctx: &Ctx, dst_node: usize, d: Delivery) {
-        let mut rec = d.rec;
-        rec.arrival = self.res.reserve_net_rx(dst_node, None, d.head, d.dur);
+        let mut arrival = self.res.reserve_net_rx(dst_node, None, d.head, d.dur);
+        let Some(mut rec) = d.rec else {
+            return;
+        };
+        for (site, penalty) in d.late {
+            ctx.span("fault", arrival, arrival + penalty, || {
+                vec![("site", site.to_string())]
+            });
+            arrival += penalty;
+        }
+        rec.arrival = arrival;
         // The wire edge, emitted from protocol state so it is identical
-        // run over run: the sender's transmit enabled this daemon's work
+        // run over run: the sender's transmit enabled this handler's work
         // at the head-arrival instant (the engine-level wake edge is
-        // suppressed — see `initiate_send`).
+        // suppressed — see `post`).
         if let Some((src_name, sent)) = &rec.sent_by {
             ctx.edge("wake", src_name, *sent, ctx.name(), d.head, || {
                 vec![("tag", "mpi_dlv_idle".to_string())]
@@ -471,17 +506,15 @@ impl SysMpi {
         self.charge_call(ctx, src_node);
         let now = ctx.now();
 
-        // Conservative parallel mode: the sender's partition must not
-        // touch destination-node state, so internode sends stop at the
-        // sender's NIC and park the message at the destination's delivery
-        // daemon. Set for internode sends only; intra-node and self
-        // traffic stays within one partition and keeps the direct path.
-        let mut handoff: Option<(SimTime, SimDur)> = None;
-
-        let (arrival, sender_done, intra) = if src_global == dst_global {
+        // The sender's partition must not touch destination-node state, so
+        // an internode send stops at the sender's NIC and parks the message
+        // with the destination's delivery handler: `wire` is set for
+        // internode sends only; intra-node and self traffic stays within
+        // one partition.
+        let (arrival, sender_done, intra, wire) = if src_global == dst_global {
             // Self message: a host memcpy at match time; available now.
             let end = self.res.reserve_host_copy(src_node, buf.len, now);
-            (end, end, false)
+            (end, end, false, None)
         } else if src_node == dst_node {
             // Process-model intra-node transport: copy into the shared
             // staging segment; the receiver pays the copy-out at match.
@@ -499,118 +532,12 @@ impl SysMpi {
                     ("staging", "ipc_in".to_string()),
                 ]
             });
-            (end, end, true)
+            (end, end, true, None)
         } else {
-            let src_dev = match buf.loc {
-                BufLoc::Host => None,
-                BufLoc::Device(d) => {
-                    assert!(
-                        self.res.spec.network.gpudirect_rdma,
-                        "internode send from device memory requires GPUDirect RDMA; stage explicitly"
-                    );
-                    Some(d)
-                }
-            };
-            // The zero-copy registered-buffer path needs the runtime's
-            // special NIC integration (Mellanox OFED GPUDirect on Titan);
-            // elsewhere every host send stages through the library's
-            // internal pinned pool.
-            let zero_copy =
-                src_dev.is_some() || (buf.pinned && self.res.spec.network.gpudirect_rdma);
-            if self.conservative.load(Ordering::Acquire) {
-                // Sender-side half only; the destination daemon reserves
-                // the rx NIC when the head arrives (chaos is incompatible
-                // with this path — see `spawn_delivery_daemons`).
-                let tx = self
-                    .res
-                    .reserve_net_tx(src_node, dst_node, buf.len, now, src_dev, None, zero_copy);
-                handoff = Some((tx.head_arrival, tx.dur));
-                // The provisional arrival is overwritten at delivery; the
-                // head instant keeps the record causally ordered.
-                (tx.head_arrival, tx.tx_end, false)
-            } else {
-                // Injected link faults (impacc-chaos): a dropped message is
-                // detected by ack timeout and resent after exponential
-                // backoff. Resends are idempotent — the receiver sees exactly
-                // one SendRec — and the final allowed attempt always delivers
-                // (transient-fault model), so a faulted run is late, never
-                // wrong. Rolls are NOT gated on recording state: the fault
-                // schedule must be identical with and without a span sink.
-                let chaos = &self.res.chaos;
-                let max_retries = chaos.plan().map_or(0, |p| p.max_retries);
-                let mut attempt = 0u32;
-                let mut from = now;
-                let (arrival, sender_done) = loop {
-                    let parts = self.res.reserve_net_parts(
-                        src_node, dst_node, buf.len, from, src_dev, None, zero_copy,
-                    );
-                    if attempt < max_retries && chaos.roll(FaultSite::LinkDrop, from) {
-                        attempt += 1;
-                        let plan = chaos.plan().expect("a fault fired, so a plan is active");
-                        let detected = parts.tx_end + plan.timeout;
-                        let resume = detected + chaos.backoff(attempt);
-                        ctx.metrics().inc("retries");
-                        ctx.metrics().inc("chaos_link_drop");
-                        let a = attempt;
-                        ctx.span("fault", from, detected, || {
-                            vec![
-                                ("site", "link_drop".to_string()),
-                                ("dst", dst_global.to_string()),
-                                ("attempt", a.to_string()),
-                            ]
-                        });
-                        ctx.span("retry", detected, resume, || {
-                            vec![
-                                ("site", "link_drop".to_string()),
-                                ("dst", dst_global.to_string()),
-                                ("attempt", a.to_string()),
-                            ]
-                        });
-                        from = resume;
-                        continue;
-                    }
-                    let mut arrival = parts.rx_end;
-                    if chaos.roll(FaultSite::LinkDup, from) {
-                        // Duplicated on the wire: the ghost copy occupies the
-                        // NICs again, but receiver-side dedup drops it — the
-                        // matching engine never sees a second message.
-                        self.res.reserve_net_parts(
-                            src_node,
-                            dst_node,
-                            buf.len,
-                            parts.tx_end,
-                            src_dev,
-                            None,
-                            zero_copy,
-                        );
-                        ctx.metrics().inc("chaos_link_dup");
-                        ctx.span("fault", parts.tx_end, parts.tx_end, || {
-                            vec![
-                                ("site", "link_dup".to_string()),
-                                ("dst", dst_global.to_string()),
-                            ]
-                        });
-                    }
-                    if chaos.roll(FaultSite::LinkDelay, from) {
-                        let p = chaos.plan().expect("plan active").link_delay_penalty;
-                        ctx.metrics().inc("chaos_link_delay");
-                        let (a0, a1) = (arrival, arrival + p);
-                        ctx.span("fault", a0, a1, || vec![("site", "link_delay".to_string())]);
-                        arrival = a1;
-                    }
-                    if chaos.roll(FaultSite::NicBrownout, from) {
-                        let p = chaos.plan().expect("plan active").brownout_penalty;
-                        ctx.metrics().inc("chaos_nic_brownout");
-                        let (a0, a1) = (arrival, arrival + p);
-                        ctx.span("fault", a0, a1, || {
-                            vec![("site", "nic_brownout".to_string())]
-                        });
-                        arrival = a1;
-                    }
-                    break (arrival, parts.tx_end);
-                };
-                (arrival, sender_done, false)
-            }
+            let w = self.transmit(ctx, src_node, dst_node, dst_global, buf, now);
+            // The provisional arrival is overwritten at delivery; the head
+            // instant keeps the record causally ordered.
+            (w.head, w.tx_end, false, Some(w))
         };
 
         ctx.metrics().add("mpi_bytes_sent", buf.len);
@@ -641,41 +568,19 @@ impl SysMpi {
             sent_by: ctx.sink_enabled().then(|| (ctx.name().clone(), now)),
         };
 
-        if let Some((head, dur)) = handoff {
-            let wake = {
-                let mut m = self.mailboxes[dst_node].lock();
-                let seq = m.seqs.entry(src_global).or_insert(0);
-                *seq += 1;
-                let seq = *seq;
-                m.pending.push(Delivery {
-                    head,
-                    dur,
-                    src_global,
-                    seq,
-                    dst_global,
-                    rec,
-                });
-                // Wake the daemon only for a strictly earlier arrival than
-                // it armed for; otherwise its own deadline (or a prior
-                // wake) already covers this message.
-                match m.armed {
-                    Some((tok, at)) if head < at => {
-                        m.armed = Some((tok, head));
-                        Some(tok)
-                    }
-                    _ => None,
-                }
+        if let Some(w) = wire {
+            let arrival = |head, dur, late, rec| Delivery {
+                head,
+                dur,
+                src_global,
+                seq: 0, // assigned by `post`
+                dst_global,
+                late,
+                rec,
             };
-            if let Some(tok) = wake {
-                // The engine clamps cross-partition wakes to the lookahead
-                // bound; `head ≥ now + wire ≥ now + lookahead`, so the
-                // instant is delivered exactly. The return value is
-                // schedule-dependent and deliberately ignored. Untraced:
-                // whether the daemon resumes via this wake or via the
-                // deadline it armed is a real-time race (the virtual
-                // instant is identical either way), so the causal edge is
-                // emitted deterministically in `deliver` instead.
-                ctx.wake_at_untraced(tok, head);
+            self.post(ctx, dst_node, arrival(w.head, w.dur, w.late, Some(rec)));
+            if let Some((head, dur)) = w.ghost {
+                self.post(ctx, dst_node, arrival(head, dur, Vec::new(), None));
             }
             return sender_done;
         }
@@ -693,6 +598,139 @@ impl SysMpi {
             st.unexpected.entry(key).or_default().push_back(rec);
         }
         sender_done
+    }
+
+    /// The sender's half of an internode transfer, fault model included.
+    /// Rolls are the sender's own (and are NOT gated on recording state:
+    /// the fault schedule must be identical with and without a span sink).
+    /// A dropped attempt is detected by ack timeout and resent after
+    /// exponential backoff; resends are idempotent — the receiver sees
+    /// exactly one `SendRec` — and the final allowed attempt always
+    /// delivers.
+    fn transmit(
+        &self,
+        ctx: &Ctx,
+        src_node: usize,
+        dst_node: usize,
+        dst_global: u32,
+        buf: &MsgBuf,
+        now: SimTime,
+    ) -> Wire {
+        let src_dev = match buf.loc {
+            BufLoc::Host => None,
+            BufLoc::Device(d) => {
+                assert!(
+                    self.res.spec.network.gpudirect_rdma,
+                    "internode send from device memory requires GPUDirect RDMA; stage explicitly"
+                );
+                Some(d)
+            }
+        };
+        // The zero-copy registered-buffer path needs the runtime's special
+        // NIC integration (Mellanox OFED GPUDirect on Titan); elsewhere
+        // every host send stages through the library's internal pinned pool.
+        let zero_copy = src_dev.is_some() || (buf.pinned && self.res.spec.network.gpudirect_rdma);
+        let reserve_tx = |from| {
+            self.res
+                .reserve_net_tx(src_node, dst_node, buf.len, from, src_dev, None, zero_copy)
+        };
+        let chaos = &self.res.chaos;
+        let Some(plan) = chaos.plan() else {
+            return Wire::clean(reserve_tx(now));
+        };
+        let mut attempt = 0u32;
+        let mut from = now;
+        let tx = loop {
+            let tx = reserve_tx(from);
+            if attempt == plan.max_retries || !chaos.roll(ctx, FaultSite::LinkDrop) {
+                break tx;
+            }
+            attempt += 1;
+            let detected = tx.tx_end + plan.timeout;
+            let resume = detected + chaos.backoff(attempt);
+            ctx.metrics().inc("retries");
+            ctx.metrics().inc("chaos_link_drop");
+            for (label, t0, t1) in [("fault", from, detected), ("retry", detected, resume)] {
+                ctx.span(label, t0, t1, || {
+                    vec![
+                        ("site", "link_drop".to_string()),
+                        ("dst", dst_global.to_string()),
+                        ("attempt", attempt.to_string()),
+                    ]
+                });
+            }
+            from = resume;
+        };
+        let ghost = chaos.roll(ctx, FaultSite::LinkDup).then(|| {
+            // Duplicated on the wire: a second transmit behind the first.
+            let dup = reserve_tx(tx.tx_end);
+            ctx.metrics().inc("chaos_link_dup");
+            ctx.span("fault", tx.tx_end, tx.tx_end, || {
+                vec![
+                    ("site", "link_dup".to_string()),
+                    ("dst", dst_global.to_string()),
+                ]
+            });
+            (dup.head_arrival, dup.dur)
+        });
+        let mut late = Vec::new();
+        for (site, metric, penalty) in [
+            (
+                FaultSite::LinkDelay,
+                "chaos_link_delay",
+                plan.link_delay_penalty,
+            ),
+            (
+                FaultSite::NicBrownout,
+                "chaos_nic_brownout",
+                plan.brownout_penalty,
+            ),
+        ] {
+            if chaos.roll(ctx, site) {
+                ctx.metrics().inc(metric);
+                late.push((site.label(), penalty));
+            }
+        }
+        Wire {
+            late,
+            ghost,
+            ..Wire::clean(tx)
+        }
+    }
+
+    /// Park one arrival — a message, or with `rec: None` a duplicate's
+    /// ghost — in `dst_node`'s mailbox under the sender's next sequence
+    /// number, and make sure the node's delivery handler is up by its head.
+    fn post(&self, ctx: &Ctx, dst_node: usize, mut d: Delivery) {
+        let head = d.head;
+        let wake = {
+            let mut m = self.mailboxes[dst_node].lock();
+            let seq = m.seqs.entry(d.src_global).or_insert(0);
+            *seq += 1;
+            d.seq = *seq;
+            m.pending.push(d);
+            // Wake the handler only for a strictly earlier arrival than it
+            // armed for; otherwise its own deadline (or a prior wake)
+            // already covers this message.
+            match m.armed {
+                Some((tok, at)) if head < at => {
+                    m.armed = Some((tok, head));
+                    Some(tok)
+                }
+                _ => None,
+            }
+        };
+        if let Some(tok) = wake {
+            // The engine clamps cross-partition wakes to the lookahead
+            // bound; `head ≥ now + wire ≥ now + lookahead`, so the instant
+            // is delivered exactly. The return value is schedule-dependent
+            // and deliberately ignored. Untraced: whether the handler
+            // resumes via this wake or via the deadline it armed is a
+            // real-time race (the virtual instant is identical either
+            // way), so the causal edge is emitted deterministically in
+            // `deliver` instead.
+            ctx.wake_at_untraced(tok, head);
+        }
     }
 
     /// Post a receive; match against the unexpected queue if possible.
@@ -933,33 +971,8 @@ mod tests {
     use impacc_mem::Backing;
     use impacc_vtime::{Sim, SimDur};
 
-    /// Run `n` ranks placed round-robin-contiguously over the spec's nodes
-    /// with `per_node` ranks per node.
-    fn run_ranks(
-        spec: impacc_machine::MachineSpec,
-        per_node: usize,
-        n: usize,
-        f: impl Fn(&Ctx, MpiTask, Comm) + Send + Sync + 'static,
-    ) -> impacc_vtime::SimReport {
-        let res = Arc::new(ClusterResources::new(Arc::new(spec)));
-        let node_of: Vec<usize> = (0..n).map(|r| r / per_node).collect();
-        let sys = SysMpi::new(res, node_of);
-        let world = Comm::world(n as u32);
-        let f = Arc::new(f);
-        let mut sim = Sim::new();
-        for r in 0..n {
-            let sys = sys.clone();
-            let world = world.clone();
-            let f = f.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let ep = MpiTask::new(sys, r as u32);
-                f(ctx, ep, world);
-            });
-        }
-        sim.run().unwrap()
-    }
-
-    /// Like `run_ranks` but with a fault plan installed.
+    /// Run `n` ranks placed contiguously over the spec's nodes, `per_node`
+    /// to a node and each on its node's partition, with `chaos` installed.
     fn run_ranks_chaos(
         spec: impacc_machine::MachineSpec,
         chaos: impacc_machine::Chaos,
@@ -969,20 +982,35 @@ mod tests {
     ) -> impacc_vtime::SimReport {
         let res = Arc::new(ClusterResources::with_chaos(Arc::new(spec), chaos));
         let node_of: Vec<usize> = (0..n).map(|r| r / per_node).collect();
-        let sys = SysMpi::new(res, node_of);
+        // The lookahead `Launch` would derive: cross-node traffic really
+        // crosses partitions here.
+        let mut sim = Sim::with_config(impacc_vtime::SimConfig {
+            lookahead: res.min_cross_node_latency(),
+            ..Default::default()
+        });
+        let sys = SysMpi::new(&mut sim, res, node_of.clone());
         let world = Comm::world(n as u32);
         let f = Arc::new(f);
-        let mut sim = Sim::new();
-        for r in 0..n {
+        for (r, node) in node_of.into_iter().enumerate() {
             let sys = sys.clone();
             let world = world.clone();
             let f = f.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
+            sim.spawn_on(node as u32, format!("rank{r}"), move |ctx| {
                 let ep = MpiTask::new(sys, r as u32);
                 f(ctx, ep, world);
             });
         }
         sim.run().unwrap()
+    }
+
+    /// `run_ranks_chaos` without a fault plan.
+    fn run_ranks(
+        spec: impacc_machine::MachineSpec,
+        per_node: usize,
+        n: usize,
+        f: impl Fn(&Ctx, MpiTask, Comm) + Send + Sync + 'static,
+    ) -> impacc_vtime::SimReport {
+        run_ranks_chaos(spec, impacc_machine::Chaos::disabled(), per_node, n, f)
     }
 
     fn buf_with(vals: &[f64]) -> MsgBuf {
@@ -1420,10 +1448,10 @@ mod tests {
     #[test]
     fn unmatched_recv_deadlocks_cleanly() {
         let res = Arc::new(ClusterResources::new(Arc::new(presets::test_cluster(1, 1))));
-        let sys = SysMpi::new(res, vec![0]);
-        let world = Comm::world(1);
         let mut sim = Sim::new();
-        sim.spawn("rank0", move |ctx| {
+        let sys = SysMpi::new(&mut sim, res, vec![0]);
+        let world = Comm::world(1);
+        sim.spawn_on(0, "rank0", move |ctx| {
             let ep = MpiTask::new(sys, 0);
             let buf = empty_buf(1);
             ep.recv(ctx, &buf, None, None, &world);

@@ -566,15 +566,15 @@ mod tests {
             per_node.min(8),
         ))));
         let node_of: Vec<usize> = (0..n).map(|r| r / per_node).collect();
-        let sys = SysMpi::new(res, node_of);
+        let mut sim = Sim::new();
+        let sys = SysMpi::new(&mut sim, res, node_of);
         let world = Comm::world(n as u32);
         let f = Arc::new(f);
-        let mut sim = Sim::new();
         for r in 0..n {
             let sys = sys.clone();
             let world = world.clone();
             let f = f.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
+            sim.spawn_on((r / per_node) as u32, format!("rank{r}"), move |ctx| {
                 let ep = SysEndpoint::new(MpiTask::new(sys, r as u32));
                 f(ctx, ep, world);
             });

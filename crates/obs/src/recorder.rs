@@ -33,7 +33,7 @@ struct Event {
     kind: EventKind,
     t0: SimTime,
     t1: SimTime,
-    attrs: Vec<(&'static str, String)>,
+    attrs: Box<[(&'static str, String)]>,
 }
 
 /// Overwrite-oldest buffer of one actor's spans, plus the tallies the
@@ -97,7 +97,7 @@ impl SpanLane for Lane {
         }
         // Unknown labels degrade to markers carrying the original label,
         // keeping EventKind closed without losing information.
-        let (kind, mut attrs) = match EventKind::parse(label) {
+        let (kind, attrs) = match EventKind::parse(label) {
             Some(k) if self.full || window_keeps_attrs(k) => (k, attrs()),
             Some(k) => (k, Vec::new()),
             None => {
@@ -106,12 +106,11 @@ impl SpanLane for Lane {
                 (EventKind::Marker, a)
             }
         };
-        attrs.shrink_to_fit();
         self.push(Event {
             kind,
             t0,
             t1,
-            attrs,
+            attrs: attrs.into_boxed_slice(),
         });
     }
 }
@@ -289,7 +288,7 @@ impl Recorder {
             kind: span.kind,
             t0: span.t0,
             t1: span.t1,
-            attrs: span.attrs,
+            attrs: span.attrs.into_boxed_slice(),
         });
     }
 
@@ -358,7 +357,7 @@ impl Recorder {
                     t0: ev.t0,
                     t1: ev.t1,
                     attrs: if all_attrs || window_keeps_attrs(ev.kind) {
-                        ev.attrs.clone()
+                        ev.attrs.to_vec()
                     } else {
                         Vec::new()
                     },
@@ -438,10 +437,9 @@ impl Recorder {
         }
     }
 
-    /// Sort the retained edges by content. Under the conservative parallel
-    /// engine actors on different partitions emit concurrently, so raw
-    /// edge order is racy; `Launch` calls this once when a partitioned run
-    /// finishes, making the buffer byte-identical for every
+    /// Sort the retained edges by content. Actors on different partitions
+    /// emit concurrently, so raw edge order is racy; `Launch` calls this
+    /// once when a run finishes, making the buffer byte-identical for every
     /// `IMPACC_PARALLEL` value. (Spans need no such step: they are stored
     /// per actor.) Idempotent.
     pub fn canonicalize(&self) {

@@ -1,5 +1,5 @@
 //! Integration tests: span ordering/nesting invariants under the
-//! single-baton DES, engine stall spans, and run-to-run determinism.
+//! engine, its stall spans, and run-to-run determinism.
 
 use impacc_obs::{EventKind, Recorder};
 use impacc_vtime::{Latch, Sim, SimConfig, SimDur};
@@ -34,7 +34,7 @@ fn nested_spans_are_well_formed_per_actor() {
     assert!(worker[..3].iter().all(|s| s.kind == EventKind::Kernel));
     assert_eq!(worker[3].kind, EventKind::HandlerCmd);
     // Well-nested: any two spans of one actor are disjoint or contained —
-    // the single-baton scheduler admits no partial overlap.
+    // an actor runs one thing at a time, so no partial overlap.
     for a in &worker {
         for b in &worker {
             let disjoint = a.t1 <= b.t0 || b.t1 <= a.t0;

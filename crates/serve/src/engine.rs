@@ -1028,7 +1028,7 @@ mod tests {
             let base = format!("{}\nspec=psg\nnodes=1\ngpus=2", small_psg_job(label));
             let (_, healthy) = run(base.clone());
 
-            let (_, faulted) = run(format!("{base}\nchaos_rate=0.3\nchaos_seed=7"));
+            let (_, faulted) = run(format!("{base}\nchaos_rate=0.3\nchaos_seed=1"));
             let seen = observables(&faulted);
             assert_ne!(seen, observables(&healthy), "{label}: fault rolls fired");
             assert!(

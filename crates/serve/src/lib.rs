@@ -39,13 +39,19 @@ pub use front::{front_stats, DslFront, FrontStats};
 pub use job::{JobSpec, Priority, Workload};
 pub use workload::{run_job, JobOutcome};
 
+/// Bumped by a change that moves result bodies (a cost-model or schedule
+/// change) without moving the crate version or the artifact schema.
+/// 2: the one engine — a default build used to run a different
+/// deterministic schedule than one under `IMPACC_PARALLEL`.
+pub const RESULTS_EPOCH: u32 = 2;
+
 /// The code-version component of every content address. Bumping the
-/// crate version or the artifact schema moves every key, so results
-/// produced by older builds are never served as current.
+/// crate version, the artifact schema or [`RESULTS_EPOCH`] moves every
+/// key, so results produced by older builds are never served as current.
 pub fn code_version() -> &'static str {
     static VERSION: LazyLock<String> = LazyLock::new(|| {
         format!(
-            "impacc/{}+schema{}",
+            "impacc/{}+schema{}+results{RESULTS_EPOCH}",
             env!("CARGO_PKG_VERSION"),
             impacc_obs::SCHEMA_VERSION
         )

@@ -24,74 +24,74 @@ const PINNED: [(&str, &str, &str, &str); 10] = [
     (
         "allreduce",
         "workload=allreduce\nelems=64\nrounds=3\ngpus=2\nseed=7\nalgo=ring",
-        "f1d2cf7eed3efef1",
+        "dc01f44bebb1367d",
         "algo=ring chaos_rate=0 chaos_seed=0 elems=64 fail_device= gpus=2 nodes=2 rounds=3 seed=7 spec=test_cluster workload=allreduce",
     ),
     (
         "exchange",
         "workload=exchange\nnodes=2\ngpus=1\nrounds=3",
-        "7d1151a1197c5645",
+        "1a9e6af4f1cb1deb",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 nodes=2 rounds=3 seed=0 spec=test_cluster workload=exchange",
     ),
     (
         "jacobi",
         "workload=jacobi\nspec=psg\nnodes=1\ngpus=4\nn=32\niters=5",
-        "e6520511500cd618",
+        "8590981fd8516ab0",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=4 iters=5 n=32 nodes=1 seed=0 spec=psg workload=jacobi",
     ),
     (
         "stencil3d",
         "workload=stencil3d\nnodes=2\ngpus=2\nn=8\niters=3",
-        "cda4610b11786b5f",
+        "dcd6c3dd90b9504e",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 iters=3 n=8 nodes=2 seed=0 spec=test_cluster workload=stencil3d",
     ),
     (
         "stencil2d",
         "workload=stencil2d\nnodes=1\ngpus=2\nn=16\niters=3\nhalo=2",
-        "bca9ce4b29598fcf",
+        "66279c14a94f12ba",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 halo=2 iters=3 n=16 nodes=1 seed=0 spec=test_cluster workload=stencil2d",
     ),
     (
         "redblack",
         "workload=redblack\nspec=titan\nnodes=2\nn=16\niters=3",
-        "74783f0fc1459dcf",
+        "d455513ad586c9b3",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 iters=3 n=16 nodes=2 seed=0 spec=titan workload=redblack",
     ),
     (
         "faults",
         "workload=allreduce\nspec=psg\nnodes=1\ngpus=3\nfail_device=0:2,0:0\nchaos_rate=0.05\nchaos_seed=9",
-        "ebccfdf352963cbb",
+        "16da1f0a2fc40566",
         "algo=auto chaos_rate=0.05 chaos_seed=9 elems=128 fail_device=0:0,0:2 gpus=3 nodes=1 rounds=2 seed=0 spec=psg workload=allreduce",
     ),
     (
         "dsl_named",
         "workload=dsl\nprogram=jacobi\ngpus=2",
-        "5a9063caa5be8663",
+        "22516bd054860659",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s64.0;\\nparam\\siters\\s=\\s4.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\s1.0;\\sj\\s<\\s(n\\s-\\s1.0);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.25\\s*\\s(((u[(i\\s-\\s1.0)][j]\\s+\\su[(i\\s+\\s1.0)][j])\\s+\\su[i][(j\\s-\\s1.0)])\\s+\\su[i][(j\\s+\\s1.0)]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n seed=0 spec=test_cluster src_hash=de934840992ea811 workload=dsl",
     ),
     (
         "dsl_spelled",
         "workload=dsl\nprogram=jacobi\ngpus=2\nparams=n:64,iters:4",
-        "5a9063caa5be8663",
+        "22516bd054860659",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s64.0;\\nparam\\siters\\s=\\s4.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\s1.0;\\sj\\s<\\s(n\\s-\\s1.0);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.25\\s*\\s(((u[(i\\s-\\s1.0)][j]\\s+\\su[(i\\s+\\s1.0)][j])\\s+\\su[i][(j\\s-\\s1.0)])\\s+\\su[i][(j\\s+\\s1.0)]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n seed=0 spec=test_cluster src_hash=de934840992ea811 workload=dsl",
     ),
     (
         "dsl_h3",
         "workload=dsl\nprogram=stencil2d\nnodes=2\ngpus=2\nparams=h:3",
-        "43583b8c593c2db9",
+        "cdf8dc971479dece",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s48.0;\\nparam\\siters\\s=\\s3.0;\\nparam\\sh\\s=\\s3.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\sh;\\sj\\s<\\s(n\\s-\\sh);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.2\\s*\\s((((u[(i\\s-\\sh)][j]\\s+\\su[(i\\s+\\sh)][j])\\s+\\su[i][(j\\s-\\sh)])\\s+\\su[i][(j\\s+\\sh)])\\s+\\su[i][j]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n\\hpragma\\sacc\\sparallel\\sloop\\scopy(u)\\nfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\sfor\\s(j\\s=\\s0.0;\\sj\\s<\\sn;\\s++j)\\s{\\n\\s\\s\\s\\su[i][j]\\s=\\smax(u[i][j],\\s0.0);\\n\\s\\s}\\n}\\n seed=0 spec=test_cluster src_hash=e662d04954784840 workload=dsl",
     ),
 ];
 
 /// Key and canonical form of the dot example inlined with `params=n:1024`.
 const INLINE_DOT: (&str, &str) = (
-    "d890616cb0193e38",
+    "4325db5f54afbe8d",
     "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=1 program=param\\sn\\s=\\s1024.0;\\narray\\sx[n]\\sinit((0.5\\s+\\si));\\narray\\sy[n]\\sinit(2.0);\\ncomm_split_shared;\\nvar\\ssum\\s=\\s0.0;\\n\\hpragma\\sacc\\sparallel\\sloop\\scopyin(x,\\sy)\\sreduction(+:sum)\\nfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\ssum\\s+=\\s(x[i]\\s*\\sy[i]);\\n}\\nassert((sum\\s==\\s(n\\s*\\sn)));\\n seed=0 spec=test_cluster src_hash=c06a438591272ff0 workload=dsl",
 );
 
 /// Key and canonical form of a DSL job whose program does not compile.
 const UNCOMPILABLE: (&str, &str) = (
-    "16acd7b35468c24d",
+    "7cc705038d8b7d10",
     "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 nodes=2 program=<invalid:\\sdsl\\scompile\\sfailed:\\sline\\s2:\\sunknown\\sfunction\\s'frob'> seed=0 spec=test_cluster src_hash=0000000000000000 workload=dsl",
 );
 

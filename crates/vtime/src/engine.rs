@@ -1,61 +1,74 @@
 //! The discrete-event engine.
 //!
-//! Actors are OS threads, but **exactly one actor executes at any moment**:
-//! the engine hands a "baton" from actor to actor following a priority queue
-//! of virtual wake-up times (ties broken by FIFO sequence numbers). This makes
-//! every simulation deterministic and allows actor code to mutate shared
-//! simulation state through uncontended locks.
+//! One scheduler: a **conservative, windowed** discrete-event scheduler.
+//! Actors are grouped into **partitions** (one per simulated node under
+//! `impacc_core::Launch`; a fresh partition per actor by default). Within a
+//! partition exactly one actor executes at any moment, in the order of the
+//! partition's queue, so actors of one partition mutate shared simulation
+//! state through uncontended locks. Across partitions the engine runs in
+//! **horizon windows**: with `t0` the earliest pending event and `L` the
+//! configured [`SimConfig::lookahead`], every partition may execute its
+//! events with `t < t0 + L` concurrently, because any cross-partition effect
+//! an event at `t` can cause is delivered no earlier than `t + L`
+//! (cross-partition [`Ctx::wake`]/[`Ctx::wake_at`] clamp to the sender's
+//! clock plus `L` — the null-message guarantee). Up to
+//! [`SimConfig::parallelism`] partitions hold a grant at once; one worker is
+//! the default. Results are bit-identical for every worker count: partition
+//! queues order equal-time entries by content (push time, pusher name,
+//! per-pusher sequence), never by racy arrival order.
+//!
+//! Two cases need no window and the engine sees them for itself. With zero
+//! lookahead nothing may overlap, so every actor joins one partition and
+//! the run is one queue in content order. And a run with a single partition
+//! has nobody to synchronize with, so its horizon is unbounded.
 //!
 //! Time only moves when an actor calls [`Ctx::advance`] /
 //! [`Ctx::advance_until`]; the real-time cost of computation inside an actor
-//! does not affect virtual time.
+//! does not affect virtual time. Every actor has its own clock; an advance
+//! whose target lies inside the window and ahead of nothing else queued on
+//! the actor's partition bumps that clock and returns — no lock, no
+//! scheduler, no context switch (the in-window fast path, counted in
+//! [`SimReport::handoffs_elided`]). Everything else queues an entry and
+//! releases the partition's grant.
+//!
+//! The contract partitions add: state shared **across** partitions must be
+//! exchanged through `wake`/`wake_at` (or layers built on them, like the
+//! MPI library's delivery mailboxes) — polling another partition's mutable
+//! state races with its concurrent execution. Inside a partition the
+//! check-then-wait idiom is race-free.
 //!
 //! # Blocking protocol
 //!
 //! Synchronization primitives (see [`crate::sync`]) follow a two-step
 //! protocol: [`Ctx::prepare_wait`] obtains a [`WaitToken`], the primitive
 //! records the token in its own waiter list, and the actor then immediately
-//! calls [`Ctx::wait`]. Because no other actor can run between those two
-//! steps (the caller holds the baton), lost wake-ups are impossible. A waker
-//! calls [`Ctx::wake`] with the stored token; stale tokens (the waiter has
-//! since resumed) are ignored via a per-actor generation counter.
+//! calls [`Ctx::wait`]. A waker calls [`Ctx::wake`] with the stored token;
+//! one that fires between the two steps (a waker in another partition runs
+//! concurrently) is latched and consumed when the wait is entered, so lost
+//! wake-ups are impossible. Stale tokens (the waiter has since resumed) are
+//! ignored via a per-actor generation counter.
 //!
-//! # Handoff protocol
+//! # Grants
 //!
-//! Passing the baton (or a conservative-mode grant) is one `unpark` and one
-//! `park`. Whoever picks the next actor does so under the scheduler lock but
-//! only *records* the wake there; the lock guard (`SchedGuard`) issues it
-//! after unlocking, so the resumed thread never collides with a lock its
-//! waker still holds. Each actor sleeps on one atomic word (`Park`) plus
-//! its thread's park token, and on resuming consults the lock-free
+//! Whoever releases a grant picks the next ones under the scheduler lock
+//! but only *records* them there; the lock guard ([`SchedGuard`]) acts on
+//! them after unlocking, so a resumed thread never collides with a lock its
+//! waker still holds. A thread actor sleeps on one atomic word (`Park`)
+//! plus its thread's park token, and on resuming consults the lock-free
 //! `poisoned` flag instead of re-taking the scheduler lock.
 //!
-//! # Conservative parallel mode
+//! # Handlers
 //!
-//! With [`SimConfig::parallelism`] > 0 the single baton is replaced by a
-//! conservative parallel discrete-event scheduler. Actors are grouped into
-//! **partitions** (one per simulated node under `impacc_core::Launch`; a
-//! fresh partition per actor by default). The engine runs in **horizon
-//! windows**: with `t0` the earliest pending event and `L` the configured
-//! [`SimConfig::lookahead`], every partition may execute its events with
-//! `t < t0 + L` concurrently, because any cross-partition effect an event
-//! at `t` can cause is delivered no earlier than `t + L` (cross-partition
-//! [`Ctx::wake`]/[`Ctx::wake_at`] clamp to the sender's clock plus `L` —
-//! the null-message guarantee). Within a window each partition is fully
-//! serialized on its own queue, actors advance on **per-actor clocks**
-//! without touching the scheduler lock at all (the parallel fast path),
-//! and up to `parallelism` partitions run concurrently. Results are
-//! bit-identical for any `parallelism` value: partition queues order
-//! equal-time entries by content (push time, pusher name, per-pusher
-//! sequence), never by racy arrival order.
-//!
-//! The contract conservative mode adds: state shared **across** partitions
-//! must be exchanged through `wake`/`wake_at` (or layers built on them,
-//! like the MPI engine's delivery mailboxes) — polling another partition's
-//! mutable state races with its concurrent execution. Intra-partition
-//! code needs no changes: the check-then-wait idiom stays race-free.
+//! A [`Sim::spawn_handler_on`] daemon owns no thread. Its body is a closure
+//! the granting thread runs inline, outside the scheduler lock, with the
+//! handler's partition marked active exactly as for a thread actor. An
+//! activation is one dispatched event; it may read its clock, record spans
+//! and edges, count and wake, but not advance or wait — it ends by
+//! returning the [`Sleep`] (wait token, optional deadline) it wants to be
+//! resumed from. Service loops of the shape `loop { drain; arm; wait }`
+//! whose drain never moves the clock fit this form.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
@@ -99,9 +112,9 @@ pub enum WakeReason {
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum ActorState {
-    /// In the ready heap, waiting for the baton.
+    /// In its partition's queue, waiting for a grant.
     Queued,
-    /// Currently holding the baton.
+    /// Holding its partition's grant.
     Running,
     /// Suspended on a synchronization primitive.
     Blocked,
@@ -169,15 +182,14 @@ impl Park {
 }
 
 /// Lock-free per-actor state shared between the actor thread (fast path)
-/// and the scheduler (grants). The clock fields are only meaningful in
-/// conservative mode.
+/// and the scheduler (grants).
 struct ActorClock {
     /// Where this actor's spans go (`None`: no sink is recording). The
     /// actor pushes its own; the scheduler emits stall spans through it on
     /// the *woken* actor's behalf.
     lane: Option<Arc<dyn SpanLane>>,
-    /// The actor's own virtual clock. In conservative mode [`Ctx::now`]
-    /// reads this instead of the global mirror.
+    /// The actor's own virtual clock, maintained by the fast path and by
+    /// scheduler grants; [`Ctx::now`] reads it.
     local_now: AtomicU64,
     /// Advances taken on the lock-free fast path (no scheduler involvement).
     fast_advances: AtomicU64,
@@ -198,45 +210,95 @@ struct ActorSlot {
     /// Only populated when a sink is recording.
     blocked_cause: Option<String>,
     /// Tagged virtual-time accounting. Behind its own (uncontended) lock so
-    /// the conservative fast path can charge tags without the scheduler lock.
+    /// the fast path can charge tags without the scheduler lock.
     acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>>,
-    /// This actor's partition (conservative mode; 0 in legacy mode).
+    /// This actor's partition.
     part: u32,
     /// Per-pusher sequence for deterministic equal-time ordering of the
     /// partition-queue entries this actor pushes. Mutated under the
     /// scheduler lock; deterministic because each actor's own pushes are
     /// sequential.
     push_seq: u64,
-    /// Shared clock/counters (conservative mode).
+    /// Shared clock/counters.
     clock: Arc<ActorClock>,
-    /// Conservative mode: a wake that arrived between `prepare_wait` and
-    /// the matching `wait` (cross-partition wakers run concurrently, so the
-    /// legacy "nobody runs between the two steps" guarantee no longer
-    /// holds). Consumed when the wait is entered.
+    /// A wake that arrived between `prepare_wait` and the matching `wait`
+    /// (cross-partition wakers run concurrently). Consumed when the wait
+    /// is entered.
     pending_wake: Option<WakeSrc>,
     /// True between `prepare_wait` and the matching `wait`; gates
     /// `pending_wake` so late wakes of an already-resumed generation are
     /// still rejected as stale.
     wait_armed: bool,
-    /// Conservative mode: the deadline of the `wait_deadline` the actor is
-    /// blocked in, if any. A `wake_at` at/after this instant defers to the
-    /// deadline timer (deterministic: depends only on virtual times).
+    /// The deadline of the `wait_deadline` the actor is blocked in, if any:
+    /// its timer entry is queued at this instant. A `wake_at` at/after it
+    /// defers to the timer (deterministic: depends only on virtual times);
+    /// an earlier one removes the timer again (keeping the queue identical
+    /// across the woken-before-park / woken-while-parked race arms).
     blocked_deadline: Option<SimTime>,
-    /// Conservative mode: the queue entry of the pending deadline timer, so
-    /// a consuming wake can remove it (keeping the queue identical across
-    /// the woken-before-park / woken-while-parked race arms).
-    blocked_timer: Option<PEntry>,
-    /// Conservative mode: set while the actor sits in its partition queue
-    /// because a `wake`/`wake_at` put it there. Lets a later `wake_at` with
+    /// Set while the actor sits in its partition queue because a
+    /// `wake`/`wake_at` put it there. Lets a later `wake_at` with
     /// the same token re-schedule the entry *earlier* (deterministic min
     /// over senders, independent of real-time arrival order). Because the
     /// final resume instant is only known once no earlier sender can exist,
     /// the blocked-time charge, the stall span, and the wake edge are all
     /// deferred to grant time. Cleared on grant.
     queued_by_wake: Option<QueuedWake>,
+    /// A sleeping handler's body and context (`None` for a thread actor,
+    /// and while the handler's activation runs: the granting thread takes
+    /// it out, runs it unlocked and puts it back).
+    handler: Option<Box<Handler>>,
 }
 
-/// Conservative mode: a wake delivered between `prepare_wait` and the
+/// The body of a [`Sim::spawn_handler_on`] daemon.
+type HandlerBody = Box<dyn FnMut(&Ctx) -> Sleep + Send + 'static>;
+
+/// What a handler keeps between activations instead of a thread.
+struct Handler {
+    ctx: Ctx,
+    body: HandlerBody,
+}
+
+/// One granted handler activation, recorded under the scheduler lock and
+/// run by the unlocking thread (see [`SchedGuard`]).
+struct Activation {
+    id: ActorId,
+    reason: WakeReason,
+    handler: Box<Handler>,
+}
+
+/// How a handler sleeps until its next activation: the token of the
+/// [`Ctx::prepare_wait`] it ended with and, optionally, the instant to
+/// resume at when nobody wakes it first — the `prepare_wait` +
+/// `wait`/`wait_deadline` pair a thread daemon's loop ends with. Blocked
+/// time is charged under `tag`.
+#[derive(Copy, Clone, Debug)]
+pub struct Sleep {
+    token: WaitToken,
+    deadline: Option<SimTime>,
+    tag: &'static str,
+}
+
+impl Sleep {
+    /// Sleep until [`Ctx::wake`]/[`Ctx::wake_at`] with `token`.
+    pub fn on(token: WaitToken, tag: &'static str) -> Sleep {
+        Sleep {
+            token,
+            deadline: None,
+            tag,
+        }
+    }
+
+    /// ... or until the virtual clock reaches `deadline`, whichever comes
+    /// first.
+    pub fn until(self, deadline: SimTime) -> Sleep {
+        Sleep {
+            deadline: Some(deadline),
+            ..self
+        }
+    }
+}
+
+/// A wake delivered between `prepare_wait` and the
 /// matching `wait`. Merged by lexicographic min on `(at, src, src_vt)` so
 /// the winning waker is independent of real-time arrival order.
 struct WakeSrc {
@@ -249,21 +311,21 @@ struct WakeSrc {
     traced: bool,
 }
 
-/// Conservative mode: bookkeeping for an actor whose queue entry was placed
-/// by a wake (or by its `wait_deadline` cap). `src` is the winning waker —
-/// `None` when the deadline cap won or the winning wake was untraced,
-/// both of which resume like a timer and emit no wake edge.
+/// Bookkeeping for an actor whose queue entry was placed
+/// by a wake (or by its `wait_deadline` cap): the instant it is queued at,
+/// and `src`, the winning waker — `None` when the deadline cap won or the
+/// winning wake was untraced, both of which resume like a timer and emit
+/// no wake edge.
 struct QueuedWake {
     gen: u64,
-    entry: PEntry,
+    at: SimTime,
     src: Option<(Arc<str>, SimTime)>,
 }
 
-/// A partition-queue entry (conservative mode). The ordering key after `t`
+/// A partition-queue entry. The ordering key after `t`
 /// is pure content — the pusher's virtual time, name, and per-pusher
 /// sequence — so equal-time ordering is identical run over run no matter in
 /// which real-time order concurrent partitions pushed.
-#[derive(Clone)]
 struct PEntry {
     t: SimTime,
     /// Pusher's virtual clock at push time.
@@ -274,7 +336,9 @@ struct PEntry {
     src_seq: u64,
     id: ActorId,
     reason: WakeReason,
-    /// As in [`HeapEntry`]: `Some(gen)` marks a `wait_deadline` timer.
+    /// `None`: a normal entry for a Queued actor. `Some(gen)`: a timer for
+    /// a Blocked actor created by `wait_deadline`; it only fires if the
+    /// actor is still blocked in that same wait generation.
     timer_gen: Option<u64>,
 }
 
@@ -301,10 +365,12 @@ impl Ord for PEntry {
     }
 }
 
-/// One partition: an independent serialization domain in conservative mode.
+/// One partition: an independent serialization domain.
 struct Part {
-    /// Pending entries, ordered by [`PEntry`]'s content key.
-    queue: BTreeSet<PEntry>,
+    /// Pending entries, kept sorted by [`PEntry`]'s content key. A sorted
+    /// deque, not a tree: a partition holds an entry or two per actor, most
+    /// pushes land at the back and every grant pops the front.
+    queue: VecDeque<PEntry>,
     /// An actor of this partition currently holds a grant.
     active: bool,
     /// Present in `Sched::ready` (grantable in the current window).
@@ -320,7 +386,7 @@ struct Part {
 impl Part {
     fn new() -> Part {
         Part {
-            queue: BTreeSet::new(),
+            queue: VecDeque::new(),
             active: false,
             in_ready: false,
             front: Arc::new(AtomicU64::new(u64::MAX)),
@@ -329,55 +395,24 @@ impl Part {
     }
 
     fn sync_front(&self) {
-        let f = self.queue.first().map(|e| e.t.0).unwrap_or(u64::MAX);
+        let f = self.queue.front().map(|e| e.t.0).unwrap_or(u64::MAX);
         self.front.store(f, Ordering::Release);
     }
 }
 
-#[derive(Copy, Clone, PartialEq, Eq)]
-struct HeapEntry {
-    t: SimTime,
-    seq: u64,
-    id: ActorId,
-    reason: WakeReason,
-    /// `None`: a normal entry for a Queued actor. `Some(gen)`: a timer for
-    /// a Blocked actor created by `wait_deadline`; it only fires if the
-    /// actor is still blocked in that same wait generation.
-    timer_gen: Option<u64>,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (t, seq) pops first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 struct Sched {
-    now: SimTime,
     actors: Vec<ActorSlot>,
-    heap: BinaryHeap<HeapEntry>,
-    seq: u64,
     live_total: usize,
     live_nondaemon: usize,
     shutdown: bool,
     poison: Option<String>,
     events_dispatched: u64,
-    handoffs_elided: u64,
-    max_events: u64,
-    /// Wakes recorded under the lock by `dispatch`, `grant_one` and
-    /// `poison`; [`SchedGuard`] issues them after unlocking. The
-    /// legacy engine records at most one per critical section, so the
-    /// common case never touches the overflow `Vec`.
-    wake_first: Option<(Arc<Park>, WakeReason)>,
-    wake_rest: Vec<(Arc<Park>, WakeReason)>,
-    // --- conservative mode (empty/idle in legacy mode) ---
+    /// Thread wakes recorded under the lock by `grant_one` and `poison`;
+    /// [`SchedGuard`] issues them after unlocking.
+    wakes: Deferred<(Arc<Park>, WakeReason)>,
+    /// Handler activations `grant_one` granted; [`SchedGuard`] runs them
+    /// after unlocking.
+    activations: Deferred<Activation>,
     /// Partition table, fixed once the run starts (mid-run spawns inherit
     /// their parent's partition).
     parts: Vec<Part>,
@@ -404,38 +439,79 @@ struct Sched {
     horizon_stalls: u64,
 }
 
-/// The scheduler lock. Releasing it is the one place actor threads are
-/// woken: the guard first unlocks, then issues the wakes recorded while it
-/// was held — so a woken actor never runs into a lock its waker still
-/// holds, and a panic that unwinds through the guard still delivers them.
-struct SchedGuard<'a>(Option<MutexGuard<'a, Sched>>);
+/// What a critical section leaves for the unlocking thread to act on. One
+/// worker records at most one item per critical section, so the common case
+/// never touches the overflow `Vec`.
+struct Deferred<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for Deferred<T> {
+    fn default() -> Self {
+        Deferred {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<T> Deferred<T> {
+    fn push(&mut self, item: T) {
+        if self.first.is_none() {
+            self.first = Some(item);
+        } else {
+            self.rest.push(item);
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.rest.pop().or_else(|| self.first.take())
+    }
+}
+
+/// The scheduler lock. Releasing it is the one place grants take effect:
+/// the guard first unlocks, then issues the thread wakes and runs the
+/// handler activations recorded while it was held — so a woken actor never
+/// runs into a lock its waker still holds, and a panic that unwinds through
+/// the guard still delivers the wakes.
+struct SchedGuard<'a> {
+    shared: &'a Arc<EngineShared>,
+    guard: Option<MutexGuard<'a, Sched>>,
+}
 
 impl Deref for SchedGuard<'_> {
     type Target = Sched;
     fn deref(&self) -> &Sched {
-        self.0.as_ref().expect("held until drop")
+        self.guard.as_ref().expect("held until drop")
     }
 }
 
 impl DerefMut for SchedGuard<'_> {
     fn deref_mut(&mut self) -> &mut Sched {
-        self.0.as_mut().expect("held until drop")
+        self.guard.as_mut().expect("held until drop")
     }
 }
 
 impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
         // The mutex guard lives and dies inside the closure.
-        let wakes = self.0.take().map(|mut sched| {
+        let deferred = self.guard.take().map(|mut sched| {
             (
-                sched.wake_first.take(),
-                std::mem::take(&mut sched.wake_rest),
+                std::mem::take(&mut sched.wakes),
+                std::mem::take(&mut sched.activations),
             )
         });
-        if let Some((first, rest)) = wakes {
-            for (park, reason) in first.into_iter().chain(rest) {
-                park.wake(reason);
-            }
+        let Some((mut wakes, mut runs)) = deferred else {
+            return;
+        };
+        while let Some((park, reason)) = wakes.pop() {
+            park.wake(reason);
+        }
+        // A loop, not recursion: what an activation's own release grants
+        // joins `runs` instead of running from a nested guard's drop.
+        while let Some(act) = runs.pop() {
+            Engine::activate(self.shared, act, &mut runs);
         }
     }
 }
@@ -452,16 +528,11 @@ pub(crate) struct EngineShared {
     handles: Mutex<Vec<JoinHandle<()>>>,
     metrics: Metrics,
     stack_size: usize,
-    elide_handoff: bool,
-    /// Mirror of `Sched::now`, updated under the scheduler lock, so the
-    /// actor holding the baton can read the clock without contending on it.
-    now_ps: AtomicU64,
     sink: Option<Arc<dyn SpanSink>>,
-    /// Conservative mode: number of partitions allowed to run concurrently
-    /// (0 = legacy single-baton mode).
+    /// Number of partitions allowed to hold a grant at once (≥ 1).
     parallelism: usize,
-    /// Conservative mode: the lookahead `L` — the minimum virtual distance
-    /// of any cross-partition effect.
+    /// The lookahead `L` — the minimum virtual distance of any
+    /// cross-partition effect.
     lookahead: SimDur,
     /// Mirror of `Sched::window_h`, stable while any partition holds a
     /// grant, read by the lock-free fast path.
@@ -470,17 +541,19 @@ pub(crate) struct EngineShared {
     /// `Engine::poison`, nowhere else), so the fast path and every resumed
     /// actor notice poisoning without the scheduler lock.
     poisoned: AtomicBool,
-    /// Fast-path advances, for the (approximate) conservative-mode event
-    /// limit check.
+    /// Fast-path advances, for the (approximate) event limit check.
     fast_events: AtomicU64,
-    /// Copy of [`SimConfig::max_events`] readable without the scheduler
-    /// lock (the conservative fast path checks it).
+    /// [`SimConfig::max_events`], readable without the scheduler lock (the
+    /// fast path checks it too).
     max_events: u64,
 }
 
 impl EngineShared {
-    fn lock_sched(&self) -> SchedGuard<'_> {
-        SchedGuard(Some(self.sched.lock()))
+    fn lock_sched(self: &Arc<Self>) -> SchedGuard<'_> {
+        SchedGuard {
+            shared: self,
+            guard: Some(self.sched.lock()),
+        }
     }
 }
 
@@ -622,27 +695,18 @@ pub struct SimConfig {
     /// returns before evaluating attribute closures, so such a run pays
     /// nothing.
     pub sink: Option<Arc<dyn SpanSink>>,
-    /// Baton-handoff elision (on by default): when an actor calling
-    /// [`Ctx::advance`] would be re-dispatched immediately (no earlier or
-    /// equal-time entry in the event heap), it keeps running on the same OS
-    /// thread instead of parking and unparking. Virtual-time results are
-    /// bit-identical either way; set `false` to force the park/unpark path
-    /// (determinism tests diff the two).
-    pub elide_handoff: bool,
-    /// Conservative parallel mode: the maximum number of partitions that
-    /// may execute concurrently. `0` (the default) selects the legacy
-    /// single-baton scheduler, byte-for-byte unchanged. Any value ≥ 1 runs
-    /// the conservative scheduler; results are bit-identical across all
-    /// nonzero values (only wall-clock concurrency changes).
+    /// Worker count: the maximum number of partitions that may execute
+    /// concurrently. One by default, and `0` means one. Results are
+    /// bit-identical for every value (only wall-clock concurrency changes).
     pub parallelism: usize,
-    /// Conservative mode lookahead `L`: a guarantee by the model that no
+    /// The lookahead `L`: a guarantee by the model that no
     /// event in one partition causes an effect in another partition less
     /// than `L` of virtual time later (cross-partition wakes are clamped to
     /// at least the sender's clock + `L` to enforce it). Larger lookahead
     /// means longer lock-free runs between synchronization barriers.
     /// `impacc_core::Launch` derives it from the machine model's minimum
-    /// cross-node link latency. `ZERO` degenerates to one-event-at-a-time
-    /// (sound but serial).
+    /// cross-node link latency. With `ZERO` (the default) nothing may
+    /// overlap: every actor joins one partition and the run is one queue.
     pub lookahead: SimDur,
 }
 
@@ -652,7 +716,6 @@ impl fmt::Debug for SimConfig {
             .field("stack_size", &self.stack_size)
             .field("max_events", &self.max_events)
             .field("sink", &self.sink.as_ref().map(|_| "SpanSink"))
-            .field("elide_handoff", &self.elide_handoff)
             .field("parallelism", &self.parallelism)
             .field("lookahead", &self.lookahead)
             .finish()
@@ -665,8 +728,7 @@ impl Default for SimConfig {
             stack_size: 512 * 1024,
             max_events: u64::MAX,
             sink: None,
-            elide_handoff: true,
-            parallelism: 0,
+            parallelism: 1,
             lookahead: SimDur::ZERO,
         }
     }
@@ -754,29 +816,27 @@ impl ActorAccount {
 pub struct SimReport {
     /// Virtual time at which the last actor finished.
     pub end_time: SimTime,
-    /// Accounting per actor, in spawn order.
+    /// Accounting per actor, sorted by actor name.
     pub actors: Vec<ActorAccount>,
     /// Snapshot of engine-wide counters, in deterministic (sorted) key order.
     pub metrics: BTreeMap<&'static str, u64>,
-    /// Number of scheduler dispatches performed. Identical whether or not
-    /// handoff elision was enabled (an elided handoff still counts as one
-    /// dispatch), so event counts are comparable across configurations.
+    /// Number of events dispatched: scheduler grants (a handler activation
+    /// is one) plus in-window fast-path advances. The split between the two
+    /// is bookkeeping; the total depends only on virtual state.
     pub events: u64,
-    /// How many of those dispatches skipped the park/unpark round-trip
-    /// because the advancing actor was still the earliest runnable one.
-    /// Wall-clock bookkeeping only — zero when `elide_handoff` is off. In
-    /// conservative mode this counts the lock-free horizon-window advances
-    /// (the parallel analogue of the same fast path).
+    /// How many of those events were advances that skipped the scheduler
+    /// (and the park/unpark round-trip) because the target lay inside the
+    /// window and ahead of nothing else queued on the actor's partition.
     pub handoffs_elided: u64,
-    /// Conservative mode: scheduler grants issued in windows that released
-    /// two or more partitions — events that actually ran concurrently with
-    /// another partition's work. Zero in legacy mode. Deterministic (the
-    /// per-window grant set depends only on virtual state).
+    /// Scheduler grants issued in windows that released two or more
+    /// partitions — events that actually ran concurrently with another
+    /// partition's work. Deterministic (the per-window grant set depends
+    /// only on virtual state).
     pub parallel_advances: u64,
-    /// Conservative mode: how often a partition with pending work sat out a
-    /// window because its next event lay at/beyond the lookahead horizon.
-    /// High values relative to `events` mean the lookahead is too small for
-    /// the workload's event spacing. Zero in legacy mode.
+    /// How often a partition with pending work sat out a window because
+    /// its next event lay at/beyond the lookahead horizon. High values
+    /// relative to `events` mean the lookahead is too small for the
+    /// workload's event spacing. Zero for a single-partition run.
     pub horizon_stalls: u64,
 }
 
@@ -805,16 +865,17 @@ pub struct Ctx {
     name: Arc<str>,
     /// This actor's counter shard.
     metrics: Metrics,
-    /// This actor's clock/fast-path counters (conservative mode).
+    /// This actor's clock/fast-path counters.
     clock: Arc<ActorClock>,
-    /// This actor's partition (conservative mode).
+    /// This actor's partition.
     part: u32,
     /// This actor's tagged time accounting (shared with the scheduler;
     /// uncontended except when the scheduler charges blocked time).
     acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>>,
-    /// This partition's queue-front mirror (conservative mode).
+    /// This partition's queue-front mirror.
     part_front: Arc<AtomicU64>,
-    /// Where this actor's thread sleeps between grants.
+    /// Where this actor's thread sleeps between grants (a handler has no
+    /// thread and never sleeps here).
     park: Arc<Park>,
 }
 
@@ -836,22 +897,16 @@ impl Ctx {
         &self.name
     }
 
-    /// Current virtual time. Lock-free: in legacy mode this reads the
-    /// global clock mirror (the caller holds the baton, so nobody can move
-    /// the clock concurrently); in conservative mode every actor has its
-    /// own clock, maintained by the fast path and by scheduler grants.
+    /// Current virtual time: this actor's own clock, maintained by the
+    /// fast path and by scheduler grants. Lock-free.
     pub fn now(&self) -> SimTime {
-        if self.engine.parallelism > 0 {
-            SimTime(self.clock.local_now.load(Ordering::Relaxed))
-        } else {
-            SimTime(self.engine.now_ps.load(Ordering::Relaxed))
-        }
+        SimTime(self.clock.local_now.load(Ordering::Relaxed))
     }
 
-    /// This actor's partition index (0 in legacy mode). Actors in the same
-    /// partition are serialized against each other even in conservative
-    /// mode and may freely share state; cross-partition interaction must go
-    /// through [`Ctx::wake`]/[`Ctx::wake_at`] or layers built on them.
+    /// This actor's partition index. Actors in the same partition are
+    /// serialized against each other and may freely share state;
+    /// cross-partition interaction must go through
+    /// [`Ctx::wake`]/[`Ctx::wake_at`] or layers built on them.
     pub fn partition(&self) -> u32 {
         self.part
     }
@@ -928,95 +983,38 @@ impl Ctx {
     /// Charge `dur` of virtual time to this actor under `tag` and let other
     /// actors run in the meantime.
     pub fn advance(&self, dur: SimDur, tag: &'static str) {
-        if self.engine.parallelism > 0 {
-            // Conservative mode: the actor's own clock is authoritative and
-            // lock-free to read.
-            let target = SimTime(self.clock.local_now.load(Ordering::Relaxed)) + dur;
-            self.advance_conservative(target, tag);
-            return;
-        }
-        // The baton holder reads the clock mirror: nobody else can move it.
-        let target = SimTime(self.engine.now_ps.load(Ordering::Relaxed)) + dur;
-        self.advance_until(target, tag);
+        self.advance_until(self.now() + dur, tag);
     }
 
     /// Advance virtual time to the absolute instant `target` (no-op if the
     /// clock is already past it), charging the elapsed span under `tag`.
     ///
-    /// Fast path (when [`SimConfig::elide_handoff`] is on): if no heap entry
-    /// is due at or before the target instant, this actor would be handed
-    /// the baton right back after parking — the scheduler instead moves the
-    /// clock and returns without the unpark/park pair and the OS context
-    /// switch of a full handoff. The comparison is strict (`entry.t > t`)
-    /// because this actor's queue entry would carry the largest sequence
-    /// number: any equal-time entry wins the FIFO tie-break and must run
-    /// first, so ties take the slow path. Dispatch-order, event-count and
-    /// accounting behaviour are identical on both paths.
+    /// Fast path: while the target stays below the current window horizon
+    /// and this partition has no pending entry at or before it, the actor
+    /// bumps its own clock and keeps running — no lock, no scheduler, no
+    /// context switch. The comparison with the queue front is strict: an
+    /// equal-time entry may order first and must get its turn, so ties
+    /// queue. The two mirrors read here are race-safe while the actor runs:
+    /// the horizon only moves when no partition holds a grant (and this
+    /// actor holds one), and concurrent cross-partition pushes into this
+    /// partition carry `t ≥ horizon`, so a racing front read can never hide
+    /// an entry at or before `t`. Dispatch order, event count and
+    /// accounting are identical on both paths.
     pub fn advance_until(&self, target: SimTime, tag: &'static str) {
-        if self.engine.parallelism > 0 {
-            self.advance_conservative(target, tag);
-            return;
-        }
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            let now = sched.now;
-            let t = target.max(now);
-            {
-                let slot = &mut sched.actors[self.me.0 as usize];
-                debug_assert_eq!(slot.state, ActorState::Running);
-                *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += t.since(now);
-            }
-            if self.engine.elide_handoff && sched.heap.peek().is_none_or(|e| e.t > t) {
-                sched.events_dispatched += 1;
-                if sched.events_dispatched > sched.max_events {
-                    let msg = format!("event-limit:{}", sched.max_events);
-                    Engine::poison(&self.engine, &mut sched, msg);
-                } else {
-                    sched.now = t;
-                    self.engine.now_ps.store(t.0, Ordering::Relaxed);
-                    sched.handoffs_elided += 1;
-                }
-                self.check_poison(&sched);
-                return;
-            }
-            sched.actors[self.me.0 as usize].state = ActorState::Queued;
-            let seq = sched.bump_seq();
-            sched.heap.push(HeapEntry {
-                t,
-                seq,
-                id: self.me,
-                reason: WakeReason::Signaled,
-                timer_gen: None,
-            });
-            Engine::dispatch(&self.engine, &mut sched);
-        }
-        self.park_until_granted();
-    }
-
-    /// Conservative-mode advance. Fast path: while the target stays below
-    /// the current window horizon and this partition has no pending entry
-    /// at or before it, the actor bumps its own clock and keeps running —
-    /// no lock, no scheduler, no context switch. The two mirrors it reads
-    /// are race-safe while the actor runs: the horizon only moves when no
-    /// partition holds a grant (and this actor holds one), and concurrent
-    /// cross-partition pushes into this partition carry `t ≥ horizon`, so
-    /// a racing front read can never hide an entry at or before `t`.
-    fn advance_conservative(&self, target: SimTime, tag: &'static str) {
+        self.assert_owns_thread();
         self.check_poison_flag();
-        let now = SimTime(self.clock.local_now.load(Ordering::Relaxed));
+        let now = self.now();
         let t = target.max(now);
         *self.acct.lock().entry(tag).or_insert(SimDur::ZERO) += t.since(now);
-        if self.engine.elide_handoff
-            && t.0 < self.engine.window_h_ps.load(Ordering::Acquire)
+        if t.0 < self.engine.window_h_ps.load(Ordering::Acquire)
             && self.part_front.load(Ordering::Acquire) > t.0
         {
             self.clock.local_now.store(t.0, Ordering::Release);
             self.clock.fast_advances.fetch_add(1, Ordering::Relaxed);
             let n = self.engine.fast_events.fetch_add(1, Ordering::Relaxed) + 1;
             if n > self.engine.max_events {
-                // Approximate in conservative mode (scheduler grants are
-                // counted separately), but still a firm runaway guard.
+                // Approximate (scheduler grants are counted separately),
+                // but still a firm runaway guard.
                 let mut sched = self.engine.lock_sched();
                 let msg = format!("event-limit:{}", self.engine.max_events);
                 Engine::poison(&self.engine, &mut sched, msg);
@@ -1049,7 +1047,8 @@ impl Ctx {
         self.park_until_granted();
     }
 
-    /// Yield the baton without advancing time (FIFO among equal-time actors).
+    /// Yield without advancing time: equal-time entries queued on this
+    /// partition run first.
     pub fn yield_now(&self) {
         self.advance(SimDur::ZERO, "yield");
     }
@@ -1063,12 +1062,10 @@ impl Ctx {
         let slot = &mut sched.actors[self.me.0 as usize];
         debug_assert_eq!(slot.state, ActorState::Running);
         slot.wait_gen += 1;
-        if self.engine.parallelism > 0 {
-            // Wakers in other partitions may fire between this and the
-            // matching wait; arm the pending-wake latch that catches them.
-            slot.wait_armed = true;
-            slot.pending_wake = None;
-        }
+        // Wakers in other partitions may fire between this and the
+        // matching wait; arm the pending-wake latch that catches them.
+        slot.wait_armed = true;
+        slot.pending_wake = None;
         WaitToken {
             actor: self.me,
             gen: slot.wait_gen,
@@ -1121,9 +1118,7 @@ impl Ctx {
         self.wait_inner(token, tag, cause, Some(deadline))
     }
 
-    /// The one suspension body behind `wait*`: a deadline is one timer
-    /// entry on the heap, keyed by the wait generation so a wake that
-    /// lands first retires it.
+    /// The one suspension body behind `wait*`.
     fn wait_inner(
         &self,
         token: WaitToken,
@@ -1132,147 +1127,18 @@ impl Ctx {
         deadline: Option<SimTime>,
     ) -> WakeReason {
         assert_eq!(token.actor, self.me, "wait() with a foreign token");
-        if self.engine.parallelism > 0 {
-            return self.wait_conservative(token, tag, cause, deadline);
-        }
+        self.assert_owns_thread();
         {
             let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
             if sched.shutdown {
                 // Don't suspend daemons that race with shutdown.
-                return WakeReason::Shutdown;
-            }
-            let now = sched.now;
-            let slot = &mut sched.actors[self.me.0 as usize];
-            debug_assert_eq!(slot.state, ActorState::Running);
-            assert_eq!(
-                token.gen, slot.wait_gen,
-                "wait() must immediately follow prepare_wait()"
-            );
-            slot.state = ActorState::Blocked;
-            slot.blocked_since = now;
-            slot.blocked_tag = tag;
-            slot.blocked_cause = cause;
-            if let Some(deadline) = deadline {
-                let seq = sched.bump_seq();
-                sched.heap.push(HeapEntry {
-                    t: deadline.max(now),
-                    seq,
-                    id: self.me,
-                    reason: WakeReason::Signaled,
-                    timer_gen: Some(token.gen),
-                });
-            }
-            Engine::dispatch(&self.engine, &mut sched);
-        }
-        self.park_until_granted()
-    }
-
-    /// Conservative-mode suspension (both `wait` and `wait_deadline`). The
-    /// extra case over the legacy path: a cross-partition waker may have
-    /// fired between `prepare_wait` and this call — its wake is parked in
-    /// `pending_wake` and consumed here, so the lost-wakeup freedom the
-    /// single baton used to guarantee still holds.
-    fn wait_conservative(
-        &self,
-        token: WaitToken,
-        tag: &'static str,
-        cause: Option<String>,
-        deadline: Option<SimTime>,
-    ) -> WakeReason {
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            if sched.shutdown {
                 let slot = &mut sched.actors[self.me.0 as usize];
                 slot.wait_armed = false;
                 slot.pending_wake = None;
                 return WakeReason::Shutdown;
             }
-            let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
-            let pending;
-            {
-                let slot = &mut sched.actors[self.me.0 as usize];
-                debug_assert_eq!(slot.state, ActorState::Running);
-                assert_eq!(
-                    token.gen, slot.wait_gen,
-                    "wait() must immediately follow prepare_wait()"
-                );
-                slot.wait_armed = false;
-                pending = slot.pending_wake.take();
-            }
-            if let Some(p) = pending {
-                // A waker beat us here. Resume at the deterministic
-                // delivery time (capped by our deadline, floored by our
-                // clock). Charge/stall/edge are deferred to grant time —
-                // a later `wake_at` may still reschedule the entry earlier,
-                // and the waker-side race arm defers identically.
-                let wake_at = p.at.max(lnow);
-                let d_eff = deadline.map(|d| d.max(lnow));
-                // A wake at/after the deadline defers to the timer (exactly
-                // the waker-side `wake_at` rule), so strict inequality.
-                let wake_wins = d_eff.is_none_or(|d| wake_at < d);
-                let at = if wake_wins {
-                    wake_at
-                } else {
-                    d_eff.expect("wake_wins is false only with a deadline")
-                };
-                let entry = {
-                    let slot = &mut sched.actors[self.me.0 as usize];
-                    slot.state = ActorState::Queued;
-                    slot.blocked_since = lnow;
-                    slot.blocked_tag = tag;
-                    slot.blocked_cause = cause;
-                    // Keyed by the wait generation (not the push counter) so
-                    // this entry is byte-identical to the one the waker-side
-                    // path would have pushed had we already been parked —
-                    // the two race arms must not diverge in anything the
-                    // schedule can observe.
-                    let entry = PEntry {
-                        t: at,
-                        src_vt: lnow,
-                        src: self.name.clone(),
-                        src_seq: token.gen,
-                        id: self.me,
-                        reason: WakeReason::Signaled,
-                        timer_gen: None,
-                    };
-                    slot.queued_by_wake = Some(QueuedWake {
-                        gen: token.gen,
-                        entry: entry.clone(),
-                        // A deadline cap that wins (or ties) resumes like a
-                        // timer: no wake edge, exactly as the waker-side arm
-                        // behaves when `wake_at` defers to the deadline.
-                        // Untraced wakes resume timer-like unconditionally.
-                        src: (wake_wins && p.traced).then_some((p.src, p.src_vt)),
-                    });
-                    entry
-                };
-                Engine::push_entry(&mut sched, self.part, entry);
-            } else {
-                let slot = &mut sched.actors[self.me.0 as usize];
-                slot.state = ActorState::Blocked;
-                slot.blocked_since = lnow;
-                slot.blocked_tag = tag;
-                slot.blocked_cause = cause;
-                slot.blocked_deadline = deadline.map(|d| d.max(lnow));
-                if let Some(d) = deadline {
-                    // Also generation-keyed: a consuming wake removes this
-                    // timer again, leaving the queue exactly as if the wake
-                    // had landed before we parked.
-                    let entry = PEntry {
-                        t: d.max(lnow),
-                        src_vt: lnow,
-                        src: self.name.clone(),
-                        src_seq: token.gen,
-                        id: self.me,
-                        reason: WakeReason::Signaled,
-                        timer_gen: Some(token.gen),
-                    };
-                    slot.blocked_timer = Some(entry.clone());
-                    Engine::push_entry(&mut sched, self.part, entry);
-                }
-            }
+            Engine::suspend(&mut sched, token, tag, cause, deadline);
             Engine::release_grant(&self.engine, &mut sched, self.part);
         }
         self.park_until_granted()
@@ -1282,52 +1148,11 @@ impl Ctx {
     /// Returns `true` if the actor was actually woken; `false` if the token
     /// was stale (the actor already resumed for another reason).
     ///
-    /// Conservative mode: a wake across partitions is delivered at the
-    /// caller's clock plus the configured lookahead — the causality bound
-    /// the parallel scheduler is built on. Same-partition wakes deliver at
-    /// the caller's clock, as in legacy mode.
+    /// A wake across partitions is delivered at the caller's clock plus
+    /// the configured lookahead — the causality bound the scheduler is
+    /// built on. Same-partition wakes deliver at the caller's clock.
     pub fn wake(&self, token: WaitToken) -> bool {
-        if self.engine.parallelism > 0 {
-            let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
-            return self.wake_conservative(token, lnow, true);
-        }
-        let mut sched = self.engine.lock_sched();
-        self.check_poison(&sched);
-        let now = sched.now;
-        let slot = &mut sched.actors[token.actor.0 as usize];
-        if slot.state != ActorState::Blocked || slot.wait_gen != token.gen {
-            return false;
-        }
-        slot.state = ActorState::Queued;
-        let since = slot.blocked_since;
-        let elapsed = now.since(since);
-        let tag = slot.blocked_tag;
-        let cause = slot.blocked_cause.take();
-        *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += elapsed;
-        let seq = sched.bump_seq();
-        sched.heap.push(HeapEntry {
-            t: now,
-            seq,
-            id: token.actor,
-            reason: WakeReason::Signaled,
-            timer_gen: None,
-        });
-        Engine::emit_stall(&sched, token.actor, tag, cause.as_deref(), since, now);
-        // The causal backbone: every cross-actor resume (latch opens,
-        // notifies) funnels through here, so one edge covers them all.
-        if let Some(sink) = &self.engine.sink {
-            if sink.enabled() {
-                let dst = &sched.actors[token.actor.0 as usize].name;
-                sink.edge("wake", &self.name, now, dst, now, &mut || {
-                    let mut a = vec![("tag", tag.to_string())];
-                    if let Some(c) = &cause {
-                        a.push(("cause", c.clone()));
-                    }
-                    a
-                });
-            }
-        }
-        true
+        self.wake_inner(token, self.now(), true)
     }
 
     /// Resume the actor identified by `token` at the absolute virtual
@@ -1342,11 +1167,8 @@ impl Ctx {
     /// re-schedules the delivery: the target resumes at the minimum over
     /// all senders, independent of their real-time arrival order. This is
     /// the primitive cross-partition mailboxes are built on.
-    ///
-    /// Legacy mode: delivers at `max(at, now)` like a plain [`Ctx::wake`]
-    /// (rescheduling does not arise — there is no cross-actor concurrency).
     pub fn wake_at(&self, token: WaitToken, at: SimTime) -> bool {
-        self.wake_at_inner(token, at, true)
+        self.wake_inner(token, at, true)
     }
 
     /// [`Ctx::wake_at`] with timer-like attribution: the target resumes at
@@ -1355,57 +1177,14 @@ impl Ctx {
     /// Whether a parked peer resumes via a sender's wake or via its own
     /// armed deadline can depend on real-time interleaving even when the
     /// virtual instant is identical — so any protocol whose *causal trace*
-    /// must be schedule-independent (e.g. the conservative MPI mailbox)
-    /// wakes untraced and emits its own edge from protocol state instead.
+    /// must be schedule-independent (e.g. the MPI delivery mailbox) wakes
+    /// untraced and emits its own edge from protocol state instead.
     pub fn wake_at_untraced(&self, token: WaitToken, at: SimTime) -> bool {
-        self.wake_at_inner(token, at, false)
+        self.wake_inner(token, at, false)
     }
 
-    fn wake_at_inner(&self, token: WaitToken, at: SimTime, traced: bool) -> bool {
-        if self.engine.parallelism > 0 {
-            return self.wake_conservative(token, at, traced);
-        }
-        let mut sched = self.engine.lock_sched();
-        self.check_poison(&sched);
-        let now = sched.now;
-        let at = at.max(now);
-        let slot = &mut sched.actors[token.actor.0 as usize];
-        if slot.state != ActorState::Blocked || slot.wait_gen != token.gen {
-            return false;
-        }
-        slot.state = ActorState::Queued;
-        let since = slot.blocked_since;
-        let tag = slot.blocked_tag;
-        let cause = slot.blocked_cause.take();
-        *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += at.since(since);
-        let seq = sched.bump_seq();
-        sched.heap.push(HeapEntry {
-            t: at,
-            seq,
-            id: token.actor,
-            reason: WakeReason::Signaled,
-            timer_gen: None,
-        });
-        Engine::emit_stall(&sched, token.actor, tag, cause.as_deref(), since, at);
-        if traced {
-            if let Some(sink) = &self.engine.sink {
-                if sink.enabled() {
-                    let dst = &sched.actors[token.actor.0 as usize].name;
-                    sink.edge("wake", &self.name, now, dst, at, &mut || {
-                        let mut a = vec![("tag", tag.to_string())];
-                        if let Some(c) = &cause {
-                            a.push(("cause", c.clone()));
-                        }
-                        a
-                    });
-                }
-            }
-        }
-        true
-    }
-
-    /// Conservative-mode wake delivery (both [`Ctx::wake`] and
-    /// [`Ctx::wake_at`]). Three live arms, one per observable target state:
+    /// The one wake body behind `wake*`. Three live arms, one per
+    /// observable target state:
     ///
     /// * between `prepare_wait` and `wait` → park the wake in
     ///   `pending_wake` (min-merged over senders);
@@ -1416,16 +1195,16 @@ impl Ctx {
     /// All three arms defer the blocked-time charge, the stall span, and
     /// the wake edge to grant time, when the winning (minimum) sender is
     /// final — so traces are identical no matter which arm each sender hit.
-    fn wake_conservative(&self, token: WaitToken, at: SimTime, traced: bool) -> bool {
+    fn wake_inner(&self, token: WaitToken, at: SimTime, traced: bool) -> bool {
         let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
-        let lnow = SimTime(self.clock.local_now.load(Ordering::Relaxed));
+        let lnow = self.now();
         let tidx = token.actor.0 as usize;
         let target_part = sched.actors[tidx].part;
         let mut at = at.max(lnow);
         if target_part != self.part {
-            // The causality bound conservative parallelism rests on: no
-            // cross-partition effect lands closer than the lookahead.
+            // The causality bound the windows rest on: no cross-partition
+            // effect lands closer than the lookahead.
             at = at.max(lnow + self.engine.lookahead);
         }
         let me = WakeSrc {
@@ -1459,30 +1238,25 @@ impl Ctx {
                     return false;
                 }
             }
-            let (entry, stale_timer) = {
-                let slot = &mut sched.actors[tidx];
-                slot.state = ActorState::Queued;
-                slot.blocked_deadline = None;
-                let stale_timer = slot.blocked_timer.take();
-                let entry = PEntry {
-                    t: at,
-                    src_vt: slot.blocked_since,
-                    src: slot.name.clone(),
-                    src_seq: token.gen,
-                    id: token.actor,
-                    reason: WakeReason::Signaled,
-                    timer_gen: None,
-                };
-                slot.queued_by_wake = Some(QueuedWake {
-                    gen: token.gen,
-                    entry: entry.clone(),
-                    src: traced.then_some((me.src, me.src_vt)),
-                });
-                (entry, stale_timer)
-            };
-            if let Some(te) = stale_timer {
-                Engine::remove_entry(&mut sched, target_part, &te);
+            if let Some(d) = sched.actors[tidx].blocked_deadline.take() {
+                Engine::take_entry(&mut sched, tidx, d);
             }
+            let slot = &mut sched.actors[tidx];
+            slot.state = ActorState::Queued;
+            slot.queued_by_wake = Some(QueuedWake {
+                gen: token.gen,
+                at,
+                src: traced.then_some((me.src, me.src_vt)),
+            });
+            let entry = PEntry {
+                t: at,
+                src_vt: slot.blocked_since,
+                src: slot.name.clone(),
+                src_seq: token.gen,
+                id: token.actor,
+                reason: WakeReason::Signaled,
+                timer_gen: None,
+            };
             Engine::push_entry(&mut sched, target_part, entry);
             // No pump needed: a same-partition target's partition is active
             // (this actor runs in it); a cross-partition delivery lands at
@@ -1507,13 +1281,13 @@ impl Ctx {
             }
             let act = match &sched.actors[tidx].queued_by_wake {
                 Some(qw) if qw.gen == token.gen => {
-                    if at < qw.entry.t {
+                    if at < qw.at {
                         Act::Resched
                     } else {
                         match &qw.src {
                             None => Act::Stale,
                             Some((s, svt)) => {
-                                if at == qw.entry.t && (&me.src, me.src_vt) < (s, *svt) {
+                                if at == qw.at && (&me.src, me.src_vt) < (s, *svt) {
                                     Act::TakeSrc
                                 } else {
                                     Act::Absorb
@@ -1536,23 +1310,14 @@ impl Ctx {
                     return true;
                 }
                 Act::Resched => {
-                    let old = sched.actors[tidx]
+                    let qw = sched.actors[tidx]
                         .queued_by_wake
-                        .as_ref()
-                        .expect("matched above")
-                        .entry
-                        .clone();
-                    let mut entry = old.clone();
+                        .as_mut()
+                        .expect("matched above");
+                    let old = std::mem::replace(&mut qw.at, at);
+                    qw.src = traced.then_some((me.src, me.src_vt));
+                    let mut entry = Engine::take_entry(&mut sched, tidx, old);
                     entry.t = at;
-                    Engine::remove_entry(&mut sched, target_part, &old);
-                    {
-                        let qw = sched.actors[tidx]
-                            .queued_by_wake
-                            .as_mut()
-                            .expect("matched above");
-                        qw.entry = entry.clone();
-                        qw.src = traced.then_some((me.src, me.src_vt));
-                    }
                     Engine::push_entry(&mut sched, target_part, entry);
                     return true;
                 }
@@ -1562,17 +1327,23 @@ impl Ctx {
     }
 
     /// Spawn a new actor that keeps the simulation alive until it finishes.
-    /// In conservative mode the child joins this actor's partition (mid-run
-    /// spawns must not create new serialization domains — the child usually
-    /// shares state with its parent).
+    /// The child joins this actor's partition (mid-run spawns must not
+    /// create new serialization domains — the child usually shares state
+    /// with its parent).
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ActorId
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
         let name = name.into();
         self.emit_spawn_edge(&name);
-        Engine::spawn_inner(&self.engine, name, false, self.spawn_origin(), f)
-            .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
+        Engine::spawn_inner(
+            &self.engine,
+            name,
+            false,
+            self.spawn_origin(),
+            Start::Thread(f),
+        )
+        .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
 
     /// Spawn a daemon actor: the simulation may finish while it is blocked;
@@ -1584,20 +1355,26 @@ impl Ctx {
     {
         let name = name.into();
         self.emit_spawn_edge(&name);
-        Engine::spawn_inner(&self.engine, name, true, self.spawn_origin(), f)
-            .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
+        Engine::spawn_inner(
+            &self.engine,
+            name,
+            true,
+            self.spawn_origin(),
+            Start::Thread(f),
+        )
+        .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
 
-    /// Conservative-mode placement for a mid-run spawn: the child inherits
-    /// this actor's partition and starts at this actor's clock.
-    fn spawn_origin(&self) -> Option<SpawnOrigin> {
-        (self.engine.parallelism > 0).then(|| SpawnOrigin {
+    /// Placement for a mid-run spawn: the child inherits this actor's
+    /// partition and starts at this actor's clock.
+    fn spawn_origin(&self) -> SpawnOrigin {
+        SpawnOrigin {
             part: self.part,
-            t: SimTime(self.clock.local_now.load(Ordering::Relaxed)),
+            t: self.now(),
             src: self.name.clone(),
             parent: Some(self.me),
             seq: 0,
-        })
+        }
     }
 
     /// A "spawn" edge from this actor to a child it creates mid-run: the
@@ -1650,7 +1427,17 @@ impl Ctx {
         }
     }
 
-    /// Second half of every handoff: sleep until the scheduler grants this
+    /// A handler's activation may read its clock, record, count and wake;
+    /// moving the clock or suspending needs a thread of its own.
+    fn assert_owns_thread(&self) {
+        debug_assert!(
+            self.park.thread.get().is_some(),
+            "handler '{}' tried to advance or wait: an activation ends by returning its Sleep",
+            self.name
+        );
+    }
+
+    /// Second half of every release: sleep until the scheduler grants this
     /// actor again (the caller has just released the scheduler lock, which
     /// issued the wake it recorded), then resume without touching the lock.
     fn park_until_granted(&self) -> WakeReason {
@@ -1661,24 +1448,32 @@ impl Ctx {
 }
 
 impl Sched {
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+    /// Record that actor `idx` resumes, for the unlocking thread to act
+    /// on: a handler's activation to run, or a thread to wake.
+    fn resume_later(&mut self, idx: usize, reason: WakeReason) {
+        let slot = &mut self.actors[idx];
+        match slot.handler.take() {
+            Some(handler) => self.activations.push(Activation {
+                id: ActorId(idx as u32),
+                reason,
+                handler,
+            }),
+            None => self.wakes.push((slot.park.clone(), reason)),
+        }
     }
 
-    /// Record a wake of actor `idx` for the unlocking thread to issue.
-    fn wake_later(&mut self, idx: usize, reason: WakeReason) {
-        let wake = (self.actors[idx].park.clone(), reason);
-        if self.wake_first.is_none() {
-            self.wake_first = Some(wake);
-        } else {
-            self.wake_rest.push(wake);
-        }
+    /// The furthest any actor's clock got. Exact whenever nobody holds a
+    /// grant (at quiescence, after the run).
+    fn latest_clock(&self) -> SimTime {
+        self.actors
+            .iter()
+            .map(|s| SimTime(s.clock.local_now.load(Ordering::Relaxed)))
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 }
 
-/// Conservative-mode spawn placement: which partition the new actor joins
+/// Spawn placement: which partition the new actor joins
 /// and the deterministic key of its first queue entry. `parent` is the
 /// mid-run spawner (its push counter provides the equal-time tie-break);
 /// initial spawns pass `None` and use `seq` (the registration index).
@@ -1690,13 +1485,20 @@ struct SpawnOrigin {
     seq: u64,
 }
 
+/// How an actor runs: on a thread of its own, or as a handler the granting
+/// thread activates inline.
+enum Start<F> {
+    Thread(F),
+    Handler(HandlerBody),
+}
+
 /// A queued actor awaiting launch: name, daemon flag, explicit partition
-/// (conservative mode; `None` = a fresh partition of its own), and body.
+/// (`None` = a fresh partition of its own), and body.
 type PendingActor = (
     String,
     bool,
     Option<u32>,
-    Box<dyn FnOnce(&Ctx) + Send + 'static>,
+    Start<Box<dyn FnOnce(&Ctx) + Send + 'static>>,
 );
 
 /// Builder for a simulation run.
@@ -1737,14 +1539,15 @@ impl Sim {
         &self.metrics
     }
 
-    /// Register an actor to start at time zero. In conservative mode the
-    /// actor gets a fresh partition of its own; use [`Sim::spawn_on`] to
-    /// co-locate actors that share mutable state.
+    /// Register an actor to start at time zero. The actor gets a fresh
+    /// partition of its own; use [`Sim::spawn_on`] to co-locate actors that
+    /// share mutable state.
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> &mut Sim
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.initial.push((name.into(), false, None, Box::new(f)));
+        self.initial
+            .push((name.into(), false, None, Start::Thread(Box::new(f))));
         self
     }
 
@@ -1754,21 +1557,21 @@ impl Sim {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.initial.push((name.into(), true, None, Box::new(f)));
+        self.initial
+            .push((name.into(), true, None, Start::Thread(Box::new(f))));
         self
     }
 
     /// Register an actor on an explicit partition. Actors sharing a
-    /// partition are serialized against each other even in conservative
-    /// mode, so they may share mutable state exactly as under the legacy
-    /// scheduler. `impacc_core::Launch` places every actor of one simulated
-    /// node on one partition. Ignored (harmless) in legacy mode.
+    /// partition are serialized against each other, so they may share
+    /// mutable state. `impacc_core::Launch` places every actor of one
+    /// simulated node on one partition.
     pub fn spawn_on<F>(&mut self, part: u32, name: impl Into<String>, f: F) -> &mut Sim
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), false, Some(part), Box::new(f)));
+            .push((name.into(), false, Some(part), Start::Thread(Box::new(f))));
         self
     }
 
@@ -1778,7 +1581,22 @@ impl Sim {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), true, Some(part), Box::new(f)));
+            .push((name.into(), true, Some(part), Start::Thread(Box::new(f))));
+        self
+    }
+
+    /// Register a daemon on partition `part` that owns no thread: `f` is
+    /// activated inline by whichever thread grants it (see the module
+    /// docs, "Handlers"). The first activation is at time zero; each one
+    /// counts as one dispatched event and ends by returning how the
+    /// handler sleeps. At shutdown it is dropped without a further
+    /// activation.
+    pub fn spawn_handler_on<F>(&mut self, part: u32, name: impl Into<String>, f: F) -> &mut Sim
+    where
+        F: FnMut(&Ctx) -> Sleep + Send + 'static,
+    {
+        self.initial
+            .push((name.into(), true, Some(part), Start::Handler(Box::new(f))));
         self
     }
 
@@ -1818,10 +1636,11 @@ impl Engine {
     }
 
     fn run(sim: Sim) -> Result<SimReport, SimError> {
-        let parallel = sim.config.parallelism > 0;
-        // Conservative mode: place actors. Explicit partitions are honored
-        // as given; each unplaced actor gets a fresh partition after the
+        // Place actors. With zero lookahead nothing may overlap: one
+        // partition, one queue. Otherwise explicit partitions are honored
+        // as given and each unplaced actor gets a fresh partition after the
         // highest explicit one, in registration order (deterministic).
+        let one_queue = sim.config.lookahead == SimDur::ZERO;
         let mut next_part = sim
             .initial
             .iter()
@@ -1831,30 +1650,26 @@ impl Engine {
         let placements: Vec<u32> = sim
             .initial
             .iter()
-            .map(|(_, _, p, _)| {
-                p.unwrap_or_else(|| {
-                    let fresh = next_part;
+            .map(|(_, _, p, _)| match p {
+                _ if one_queue => 0,
+                Some(p) => *p,
+                None => {
                     next_part += 1;
-                    fresh
-                })
+                    next_part - 1
+                }
             })
             .collect();
-        let n_parts = if parallel { next_part.max(1) } else { 0 };
+        let n_parts = if one_queue { 1 } else { next_part.max(1) };
         let shared = Arc::new(EngineShared {
             sched: Mutex::new(Sched {
-                now: SimTime::ZERO,
                 actors: Vec::new(),
-                heap: BinaryHeap::new(),
-                seq: 0,
                 live_total: 0,
                 live_nondaemon: 0,
                 shutdown: false,
                 poison: None,
                 events_dispatched: 0,
-                handoffs_elided: 0,
-                max_events: sim.config.max_events,
-                wake_first: None,
-                wake_rest: Vec::new(),
+                wakes: Deferred::default(),
+                activations: Deferred::default(),
                 parts: (0..n_parts).map(|_| Part::new()).collect(),
                 ready: Vec::new(),
                 running: 0,
@@ -1873,10 +1688,8 @@ impl Engine {
             handles: Mutex::new(Vec::new()),
             metrics: sim.metrics.clone(),
             stack_size: sim.config.stack_size,
-            elide_handoff: sim.config.elide_handoff,
-            now_ps: AtomicU64::new(0),
             sink: sim.config.sink.clone(),
-            parallelism: sim.config.parallelism,
+            parallelism: sim.config.parallelism.max(1),
             lookahead: sim.config.lookahead,
             window_h_ps: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
@@ -1885,15 +1698,15 @@ impl Engine {
         });
 
         let had_initial = !sim.initial.is_empty();
-        for (i, (name, daemon, _p, f)) in sim.initial.into_iter().enumerate() {
-            let origin = parallel.then(|| SpawnOrigin {
+        for (i, (name, daemon, _p, start)) in sim.initial.into_iter().enumerate() {
+            let origin = SpawnOrigin {
                 part: placements[i],
                 t: SimTime::ZERO,
                 src: Arc::from(""),
                 parent: None,
                 seq: i as u64,
-            });
-            if Engine::spawn_inner(&shared, name, daemon, origin, f).is_err() {
+            };
+            if Engine::spawn_inner(&shared, name, daemon, origin, start).is_err() {
                 // Poisoned, and what was spawned is already being woken.
                 break;
             }
@@ -1902,11 +1715,7 @@ impl Engine {
         if had_initial {
             {
                 let mut sched = shared.lock_sched();
-                if parallel {
-                    Engine::pump(&shared, &mut sched);
-                } else {
-                    Engine::dispatch(&shared, &mut sched);
-                }
+                Engine::pump(&shared, &mut sched);
             }
             let mut done = shared.gate.done.lock();
             while !*done {
@@ -1922,33 +1731,14 @@ impl Engine {
         }
 
         let sched = shared.lock_sched();
-        let fast: u64 = if parallel {
-            sched
-                .actors
-                .iter()
-                .map(|s| s.clock.fast_advances.load(Ordering::Relaxed))
-                .sum()
-        } else {
-            0
-        };
-        // An elided (fast-path) advance and a granted one are the same
-        // virtual event, so the total is identical no matter how the
-        // elide-vs-grant split fell out.
-        let events = sched.events_dispatched + fast;
+        let fast: u64 = sched
+            .actors
+            .iter()
+            .map(|s| s.clock.fast_advances.load(Ordering::Relaxed))
+            .sum();
         if let Some(msg) = &sched.poison {
             return Err(Self::classify_poison(msg));
         }
-        let end_time = if parallel {
-            sched
-                .actors
-                .iter()
-                .map(|s| SimTime(s.clock.local_now.load(Ordering::Relaxed)))
-                .max()
-                .unwrap_or(sched.now)
-                .max(sched.now)
-        } else {
-            sched.now
-        };
         let mut actors: Vec<ActorAccount> = sched
             .actors
             .iter()
@@ -1957,21 +1747,17 @@ impl Engine {
                 tags: s.acct.lock().clone(),
             })
             .collect();
-        if parallel {
-            // Mid-run spawns allocate ids in racy real-time order across
-            // partitions; name order is the deterministic one.
-            actors.sort_by(|a, b| a.name.cmp(&b.name));
-        }
+        // Mid-run spawns allocate ids in racy real-time order across
+        // partitions; name order is the deterministic one.
+        actors.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(SimReport {
-            end_time,
+            end_time: sched.latest_clock(),
             actors,
             metrics: shared.metrics.snapshot(),
-            events,
-            handoffs_elided: if parallel {
-                fast
-            } else {
-                sched.handoffs_elided
-            },
+            // A fast-path advance and a granted one are the same virtual
+            // event, so the total is identical however the split fell out.
+            events: sched.events_dispatched + fast,
+            handoffs_elided: fast,
             parallel_advances: sched.parallel_advances,
             horizon_stalls: sched.horizon_stalls,
         })
@@ -2006,18 +1792,19 @@ impl Engine {
         }
     }
 
-    /// Register an actor and start its thread, parked until its first
-    /// grant. The thread is spawned under the scheduler lock, before the
-    /// slot exists: whoever can see the slot can already unpark the thread,
-    /// and a spawn the OS refuses leaves nothing half-registered. On that
-    /// failure the run is poisoned (`spawn:<actor>:<os error>`, returned as
-    /// `Err`) and every actor spawned so far is woken to unwind.
+    /// Register an actor and, unless it is a handler, start its thread,
+    /// parked until its first grant. The thread is spawned under the
+    /// scheduler lock, before the slot exists: whoever can see the slot can
+    /// already unpark the thread, and a spawn the OS refuses leaves nothing
+    /// half-registered. On that failure the run is poisoned
+    /// (`spawn:<actor>:<os error>`, returned as `Err`) and every actor
+    /// spawned so far is woken to unwind.
     fn spawn_inner<F>(
         shared: &Arc<EngineShared>,
         name: String,
         daemon: bool,
-        origin: Option<SpawnOrigin>,
-        f: F,
+        origin: SpawnOrigin,
+        start: Start<F>,
     ) -> Result<ActorId, String>
     where
         F: FnOnce(&Ctx) + Send + 'static,
@@ -2038,17 +1825,12 @@ impl Engine {
             panic!("simulation poisoned: {msg}");
         }
         let id = ActorId(sched.actors.len() as u32);
-        let (part, at) = origin.as_ref().map_or((0, sched.now), |o| (o.part, o.t));
+        let part = origin.part;
         let clock = Arc::new(ActorClock {
             lane,
-            local_now: AtomicU64::new(at.0),
+            local_now: AtomicU64::new(origin.t.0),
             fast_advances: AtomicU64::new(0),
         });
-        let part_front = if shared.parallelism > 0 {
-            sched.parts[part as usize].front.clone()
-        } else {
-            Arc::new(AtomicU64::new(u64::MAX))
-        };
         let actor_name: Arc<str> = name.as_str().into();
         let ctx = Ctx {
             engine: shared.clone(),
@@ -2058,35 +1840,44 @@ impl Engine {
             clock: clock.clone(),
             part,
             acct: acct.clone(),
-            part_front,
+            part_front: sched.parts[part as usize].front.clone(),
             park: park.clone(),
         };
-        let shared2 = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name(name)
-            .stack_size(shared.stack_size)
-            .spawn(move || {
-                // Wait for the first baton grant. `Shutdown` instead means
-                // the run was poisoned before this actor ever ran: its body
-                // must not start (it would run alongside the baton holder).
-                let result = match ctx.park.wait() {
-                    WakeReason::Signaled => panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))),
-                    WakeReason::Shutdown => Ok(()),
+        let handler = match start {
+            Start::Handler(body) => Some(Box::new(Handler { ctx, body })),
+            Start::Thread(f) => {
+                let shared2 = shared.clone();
+                let spawned = std::thread::Builder::new()
+                    .name(name)
+                    .stack_size(shared.stack_size)
+                    .spawn(move || {
+                        // Wait for the first grant. `Shutdown` instead means
+                        // the run was poisoned before this actor ever ran:
+                        // its body must not start.
+                        let result = match ctx.park.wait() {
+                            WakeReason::Signaled => {
+                                panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
+                            }
+                            WakeReason::Shutdown => Ok(()),
+                        };
+                        let mut sched = shared2.lock_sched();
+                        Engine::finish(&shared2, &mut sched, id, result.err());
+                    });
+                let handle = match spawned {
+                    Ok(handle) => handle,
+                    Err(e) => {
+                        let msg = format!("spawn:{actor_name}:{e}");
+                        Engine::poison(shared, &mut sched, msg.clone());
+                        return Err(msg);
+                    }
                 };
-                Engine::finish(&shared2, id, result.err());
-            });
-        let handle = match spawned {
-            Ok(handle) => handle,
-            Err(e) => {
-                let msg = format!("spawn:{actor_name}:{e}");
-                Engine::poison(shared, &mut sched, msg.clone());
-                return Err(msg);
+                park.thread
+                    .set(handle.thread().clone())
+                    .expect("a fresh park has no thread yet");
+                shared.handles.lock().push(handle);
+                None
             }
         };
-        park.thread
-            .set(handle.thread().clone())
-            .expect("a fresh park has no thread yet");
-        shared.handles.lock().push(handle);
         sched.actors.push(ActorSlot {
             name: actor_name,
             daemon,
@@ -2103,57 +1894,164 @@ impl Engine {
             pending_wake: None,
             wait_armed: false,
             blocked_deadline: None,
-            blocked_timer: None,
             queued_by_wake: None,
+            handler,
         });
         sched.live_total += 1;
         if !daemon {
             sched.live_nondaemon += 1;
         }
-        match origin {
-            Some(o) => {
-                let src_seq = match o.parent {
-                    Some(pid) => {
-                        let ps = &mut sched.actors[pid.0 as usize];
-                        let s = ps.push_seq;
-                        ps.push_seq += 1;
-                        s
-                    }
-                    None => o.seq,
-                };
-                let entry = PEntry {
-                    t: o.t,
-                    src_vt: o.t,
-                    src: o.src,
-                    src_seq,
-                    id,
-                    reason: WakeReason::Signaled,
-                    timer_gen: None,
-                };
-                Engine::push_entry(&mut sched, part, entry);
+        let src_seq = match origin.parent {
+            Some(pid) => {
+                let ps = &mut sched.actors[pid.0 as usize];
+                let s = ps.push_seq;
+                ps.push_seq += 1;
+                s
             }
-            None => {
-                let now = sched.now;
-                let seq = sched.bump_seq();
-                sched.heap.push(HeapEntry {
-                    t: now,
-                    seq,
-                    id,
-                    reason: WakeReason::Signaled,
-                    timer_gen: None,
-                });
-            }
-        }
+            None => origin.seq,
+        };
+        let entry = PEntry {
+            t: origin.t,
+            src_vt: origin.t,
+            src: origin.src,
+            src_seq,
+            id,
+            reason: WakeReason::Signaled,
+            timer_gen: None,
+        };
+        Engine::push_entry(&mut sched, part, entry);
         Ok(id)
     }
 
-    /// Actor termination: release the baton and account for liveness.
+    /// Run one granted handler activation on the calling thread, unlocked,
+    /// then put the handler back to sleep the way it asked and release its
+    /// partition's grant. Whatever that release grants to handlers joins
+    /// `runs` (the caller's loop), so activations never nest.
+    fn activate(shared: &Arc<EngineShared>, act: Activation, runs: &mut Deferred<Activation>) {
+        let Activation {
+            id,
+            reason,
+            mut handler,
+        } = act;
+        let outcome = match reason {
+            WakeReason::Signaled => {
+                panic::catch_unwind(AssertUnwindSafe(|| (handler.body)(&handler.ctx))).map(Some)
+            }
+            // Swept at shutdown: dropped without a further activation.
+            WakeReason::Shutdown => Ok(None),
+        };
+        let mut sched = shared.lock_sched();
+        // A panic here would unwind through the guard that called us, so a
+        // `Sleep` on the wrong token is reported like a panic in the body.
+        let outcome = outcome.and_then(|sleep| match sleep {
+            Some(s)
+                if s.token.actor != id || s.token.gen != sched.actors[id.0 as usize].wait_gen =>
+            {
+                Err(Box::new("a handler sleeps on the token of its last prepare_wait") as _)
+            }
+            other => Ok(other),
+        });
+        match outcome {
+            Ok(Some(sleep)) if !sched.shutdown && sched.poison.is_none() => {
+                let part = handler.ctx.part;
+                Engine::suspend(&mut sched, sleep.token, sleep.tag, None, sleep.deadline);
+                sched.actors[id.0 as usize].handler = Some(handler);
+                Engine::release_grant(shared, &mut sched, part);
+            }
+            Ok(_) => Engine::finish(shared, &mut sched, id, None),
+            Err(payload) => Engine::finish(shared, &mut sched, id, Some(payload)),
+        }
+        while let Some(next) = sched.activations.pop() {
+            runs.push(next);
+        }
+    }
+
+    /// Suspend the running actor `token` belongs to (both `wait` and
+    /// `wait_deadline`, and a handler's [`Sleep`]); the caller releases the
+    /// grant. A deadline is one timer entry in the partition queue, keyed
+    /// by the wait generation so a wake that lands first retires it. A
+    /// waker may have fired between `prepare_wait` and this call — its wake
+    /// sits in `pending_wake` and is consumed here, so no wake-up is lost.
+    fn suspend(
+        sched: &mut Sched,
+        token: WaitToken,
+        tag: &'static str,
+        cause: Option<String>,
+        deadline: Option<SimTime>,
+    ) {
+        let slot = &mut sched.actors[token.actor.0 as usize];
+        debug_assert_eq!(slot.state, ActorState::Running);
+        assert_eq!(
+            token.gen, slot.wait_gen,
+            "wait() must immediately follow prepare_wait()"
+        );
+        let lnow = SimTime(slot.clock.local_now.load(Ordering::Relaxed));
+        let part = slot.part;
+        slot.wait_armed = false;
+        slot.blocked_since = lnow;
+        slot.blocked_tag = tag;
+        slot.blocked_cause = cause;
+        let d_eff = deadline.map(|d| d.max(lnow));
+        // Both entries are keyed by the wait generation (not the push
+        // counter): the wake entry is byte-identical to the one the
+        // waker-side path would have pushed had the actor already been
+        // parked, and a consuming wake removes the timer again, leaving the
+        // queue exactly as if the wake had landed first — the two race arms
+        // must not diverge in anything the schedule can observe.
+        let mut entry = PEntry {
+            t: lnow,
+            src_vt: lnow,
+            src: slot.name.clone(),
+            src_seq: token.gen,
+            id: token.actor,
+            reason: WakeReason::Signaled,
+            timer_gen: None,
+        };
+        if let Some(p) = slot.pending_wake.take() {
+            // A waker beat us here. Resume at the deterministic delivery
+            // time (capped by our deadline, floored by our clock).
+            // Charge/stall/edge are deferred to grant time — a later
+            // `wake_at` may still reschedule the entry earlier, and the
+            // waker-side race arm defers identically.
+            let wake_at = p.at.max(lnow);
+            // A wake at/after the deadline defers to the timer (exactly
+            // the waker-side `wake_at` rule), so strict inequality.
+            let wake_wins = d_eff.is_none_or(|d| wake_at < d);
+            entry.t = if wake_wins {
+                wake_at
+            } else {
+                d_eff.expect("wake_wins is false only with a deadline")
+            };
+            slot.state = ActorState::Queued;
+            slot.queued_by_wake = Some(QueuedWake {
+                gen: token.gen,
+                at: entry.t,
+                // A deadline cap that wins (or ties) resumes like a timer:
+                // no wake edge, exactly as the waker-side arm behaves when
+                // `wake_at` defers to the deadline. Untraced wakes resume
+                // timer-like unconditionally.
+                src: (wake_wins && p.traced).then_some((p.src, p.src_vt)),
+            });
+        } else {
+            slot.state = ActorState::Blocked;
+            slot.blocked_deadline = d_eff;
+            let Some(d) = d_eff else {
+                return;
+            };
+            entry.t = d;
+            entry.timer_gen = Some(token.gen);
+        }
+        Engine::push_entry(sched, part, entry);
+    }
+
+    /// Actor termination (the scheduler lock is held): account for
+    /// liveness, report a panic, release the grant.
     fn finish(
         shared: &Arc<EngineShared>,
+        sched: &mut Sched,
         id: ActorId,
         panic_payload: Option<Box<dyn std::any::Any + Send>>,
     ) {
-        let mut sched = shared.lock_sched();
         sched.actors[id.0 as usize].state = ActorState::Finished;
         sched.live_total -= 1;
         if !sched.actors[id.0 as usize].daemon {
@@ -2169,19 +2067,15 @@ impl Engine {
             // cause already recorded: `poison` keeps the first.
             let name = &sched.actors[id.0 as usize].name;
             let msg = format!("panic:{name}:{msg}");
-            Engine::poison(shared, &mut sched, msg);
+            Engine::poison(shared, sched, msg);
         }
         if sched.poison.is_some() {
             // Poisoned by this actor, while it ran, or before it ever
-            // started: it has no baton or grant worth handing on.
+            // started: it has no grant worth handing on.
             return;
         }
-        if shared.parallelism > 0 {
-            let part = sched.actors[id.0 as usize].part;
-            Engine::release_grant(shared, &mut sched, part);
-        } else {
-            Engine::dispatch(shared, &mut sched);
-        }
+        let part = sched.actors[id.0 as usize].part;
+        Engine::release_grant(shared, sched, part);
     }
 
     /// The one place a run is poisoned. The first cause wins and does all
@@ -2201,24 +2095,33 @@ impl Engine {
                 sched.actors[idx].state,
                 ActorState::Queued | ActorState::Blocked
             ) {
-                sched.wake_later(idx, WakeReason::Shutdown);
+                sched.resume_later(idx, WakeReason::Shutdown);
             }
         }
-        sched.heap.clear();
-        // Conservative mode: actors holding grants never release them after
-        // poisoning (they panic at their next engine call), and the pump is
-        // never re-entered — parking the queues is enough.
+        // A sleeping handler has nothing to unwind, and what the pump had
+        // granted need not run any more.
+        sched.activations = Deferred::default();
+        // Actors holding grants never release them after poisoning (they
+        // panic at their next engine call), and the pump is never
+        // re-entered — parking the queues is enough.
         sched.ready.clear();
         Engine::open_gate(shared);
     }
 
-    /// Insert a conservative-mode entry and refresh the partition's front
+    /// Insert an entry and refresh the partition's front
     /// mirror and readiness. Does not pump: every caller either holds a
     /// grant (so the window cannot close underneath it) or is the pump.
     fn push_entry(sched: &mut Sched, part: u32, entry: PEntry) {
         let t = entry.t;
         let pi = part as usize;
-        sched.parts[pi].queue.insert(entry);
+        let queue = &mut sched.parts[pi].queue;
+        // Time mostly moves forward: try the back before searching.
+        if queue.back().is_none_or(|last| *last < entry) {
+            queue.push_back(entry);
+        } else {
+            let at = queue.partition_point(|e| *e < entry);
+            queue.insert(at, entry);
+        }
         sched.parts[pi].sync_front();
         if t < sched.window_h && !sched.parts[pi].active && !sched.parts[pi].in_ready {
             sched.parts[pi].in_ready = true;
@@ -2226,13 +2129,21 @@ impl Engine {
         }
     }
 
-    /// Remove a previously pushed entry (a consumed deadline timer, or a
-    /// wake delivery being rescheduled earlier).
-    fn remove_entry(sched: &mut Sched, part: u32, entry: &PEntry) {
-        let pi = part as usize;
-        let removed = sched.parts[pi].queue.remove(entry);
-        debug_assert!(removed, "removing an entry that was never pushed");
-        sched.parts[pi].sync_front();
+    /// Take actor `idx`'s generation-keyed entry queued at `t` back out (a
+    /// consumed deadline timer, or a wake delivery being rescheduled
+    /// earlier): everything else in its key — blocked-since instant, own
+    /// name, wait generation — the slot still holds.
+    fn take_entry(sched: &mut Sched, idx: usize, t: SimTime) -> PEntry {
+        let Sched { actors, parts, .. } = sched;
+        let slot = &actors[idx];
+        let key = (t, slot.blocked_since, &*slot.name, slot.wait_gen);
+        let part = &mut parts[slot.part as usize];
+        let at = part.queue.partition_point(|e| e.key() < key);
+        let entry = part.queue.remove(at);
+        let entry = entry.expect("a generation-keyed entry is queued until granted");
+        debug_assert!(entry.key() == key, "took the wrong entry");
+        part.sync_front();
+        entry
     }
 
     /// A partition's grant holder is done (parked, blocked, or finished):
@@ -2245,7 +2156,7 @@ impl Engine {
         sched.running -= 1;
         let front_live = sched.parts[pi]
             .queue
-            .first()
+            .front()
             .is_some_and(|e| e.t < sched.window_h);
         if front_live && !sched.parts[pi].in_ready {
             sched.parts[pi].in_ready = true;
@@ -2260,133 +2171,84 @@ impl Engine {
     fn grant_one(shared: &Arc<EngineShared>, sched: &mut Sched, part: u32) -> bool {
         let pi = part as usize;
         loop {
-            let entry = match sched.parts[pi].queue.first() {
-                Some(front) if front.t < sched.window_h => front.clone(),
-                _ => return false,
+            let h = sched.window_h;
+            let Some(entry) = sched.parts[pi].queue.pop_front_if(|front| front.t < h) else {
+                return false;
             };
-            sched.parts[pi].queue.remove(&entry);
             sched.parts[pi].sync_front();
             let idx = entry.id.0 as usize;
-            if let Some(gen) = entry.timer_gen {
-                if sched.actors[idx].state != ActorState::Blocked
-                    || sched.actors[idx].wait_gen != gen
-                {
+            let slot = &mut sched.actors[idx];
+            // The wait this entry ends, as its winning waker if it has one:
+            // a deadline's timer, or a delivery a wake queued. Anything
+            // else (an advance, a first grant, a shutdown sweep) was
+            // charged when it was pushed.
+            let ended_wait = match entry.timer_gen {
+                Some(gen) if slot.state != ActorState::Blocked || slot.wait_gen != gen => {
                     continue; // stale timer for an already-resumed wait
                 }
-                let (since, tag, cause) = {
-                    let slot = &mut sched.actors[idx];
-                    slot.state = ActorState::Running;
+                Some(_) => {
                     slot.blocked_deadline = None;
-                    slot.blocked_timer = None;
-                    let since = slot.blocked_since;
-                    let tag = slot.blocked_tag;
-                    let cause = slot.blocked_cause.take();
-                    *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += entry.t.since(since);
-                    slot.clock.local_now.store(entry.t.0, Ordering::Release);
-                    (since, tag, cause)
-                };
-                Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, entry.t);
-                sched.wake_later(idx, entry.reason);
-                return true;
-            }
-            debug_assert_eq!(
-                sched.actors[idx].state,
-                ActorState::Queued,
-                "partition entry for non-queued actor {}",
-                sched.actors[idx].name
-            );
-            // Wake-placed entries deferred their blocked-time charge, stall
-            // span, and wake edge to this moment: the delivery instant is
-            // final now (no sender can reschedule an already-granted wait).
-            let wake_info = {
-                let slot = &mut sched.actors[idx];
-                let qw = slot.queued_by_wake.take();
-                slot.state = ActorState::Running;
-                slot.clock.local_now.store(entry.t.0, Ordering::Release);
-                qw.map(|qw| {
-                    let since = slot.blocked_since;
-                    let tag = slot.blocked_tag;
-                    let cause = slot.blocked_cause.take();
-                    *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += entry.t.since(since);
-                    (since, tag, cause, qw.src)
-                })
+                    Some(None)
+                }
+                None => {
+                    debug_assert_eq!(
+                        slot.state,
+                        ActorState::Queued,
+                        "partition entry for non-queued actor {}",
+                        slot.name
+                    );
+                    slot.queued_by_wake.take().map(|qw| qw.src)
+                }
             };
-            if let Some((since, tag, cause, src)) = wake_info {
+            slot.state = ActorState::Running;
+            slot.clock.local_now.store(entry.t.0, Ordering::Release);
+            if let Some(waker) = ended_wait {
+                // The blocked-time charge, the stall span and the wake edge
+                // were deferred to this moment: the resume instant is final
+                // now (no sender can reschedule an already-granted wait).
+                let (since, tag) = (slot.blocked_since, slot.blocked_tag);
+                let cause = slot.blocked_cause.take();
+                *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += entry.t.since(since);
                 Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, entry.t);
-                if let Some((src_name, src_vt)) = src {
-                    if let Some(sink) = &shared.sink {
-                        if sink.enabled() {
-                            let dst = &sched.actors[idx].name;
-                            sink.edge("wake", &src_name, src_vt, dst, entry.t, &mut || {
-                                let mut a = vec![("tag", tag.to_string())];
-                                if let Some(c) = &cause {
-                                    a.push(("cause", c.clone()));
-                                }
-                                a
-                            });
+                let sink = shared.sink.as_ref().filter(|s| s.enabled());
+                if let (Some((src_name, src_vt)), Some(sink)) = (waker, sink) {
+                    let dst = &sched.actors[idx].name;
+                    sink.edge("wake", &src_name, src_vt, dst, entry.t, &mut || {
+                        let mut a = vec![("tag", tag.to_string())];
+                        if let Some(c) = &cause {
+                            a.push(("cause", c.clone()));
                         }
-                    }
+                        a
+                    });
                 }
             }
-            sched.wake_later(idx, entry.reason);
+            sched.resume_later(idx, entry.reason);
             return true;
         }
     }
 
-    /// The conservative scheduler loop: issue grants to ready partitions up
-    /// to the parallelism cap; when the window drains (no grant held, no
-    /// partition ready) close it and open the next one at the new minimum
-    /// pending time — or terminate. Called with the scheduler locked.
+    /// The scheduler loop: issue grants to ready partitions up to the
+    /// worker count; when the window drains (no grant held, no partition
+    /// ready) close it and open the next one at the new minimum pending
+    /// time — or terminate. Called with the scheduler locked.
     fn pump(shared: &Arc<EngineShared>, sched: &mut Sched) {
         if sched.poison.is_some() {
             return;
         }
-        let serial = shared.lookahead == SimDur::ZERO;
         loop {
             // Grant phase.
-            while sched.running < shared.parallelism && !sched.ready.is_empty() {
-                // Zero lookahead degenerates to serial execution: equal-time
-                // events in different partitions may interact, so run the
-                // globally smallest entry only, one grant at a time.
-                let pick = if serial {
-                    if sched.running > 0 {
-                        break;
-                    }
-                    let mut best: Option<usize> = None;
-                    for i in 0..sched.ready.len() {
-                        let p = sched.ready[i] as usize;
-                        if sched.parts[p].queue.first().is_none() {
-                            continue;
-                        }
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                let bp = sched.ready[b] as usize;
-                                match (sched.parts[p].queue.first(), sched.parts[bp].queue.first())
-                                {
-                                    (Some(f), Some(bf)) => f.key() < bf.key(),
-                                    (Some(_), None) => true,
-                                    _ => false,
-                                }
-                            }
-                        };
-                        if better {
-                            best = Some(i);
-                        }
-                    }
-                    best.unwrap_or(sched.ready.len() - 1)
-                } else {
-                    sched.ready.len() - 1
+            while sched.running < shared.parallelism {
+                let Some(part) = sched.ready.pop() else {
+                    break;
                 };
-                let part = sched.ready.swap_remove(pick);
                 sched.parts[part as usize].in_ready = false;
                 debug_assert!(!sched.parts[part as usize].active);
                 if Engine::grant_one(shared, sched, part) {
                     sched.parts[part as usize].active = true;
                     sched.running += 1;
                     sched.events_dispatched += 1;
-                    if sched.events_dispatched > sched.max_events {
-                        let msg = format!("event-limit:{}", sched.max_events);
+                    if sched.events_dispatched > shared.max_events {
+                        let msg = format!("event-limit:{}", shared.max_events);
                         Engine::poison(shared, sched, msg);
                         return;
                     }
@@ -2406,10 +2268,7 @@ impl Engine {
             // The window is drained: take close-of-window stats once.
             if sched.window_id > sched.window_closed {
                 sched.window_closed = sched.window_id;
-                // Zero-lookahead serial mode never overlaps grants, so its
-                // windows contribute no parallel advances even when ties put
-                // several partitions in one window.
-                if !serial && sched.window_distinct >= 2 {
+                if sched.window_distinct >= 2 {
                     sched.parallel_advances += sched.window_grants;
                 }
                 sched.horizon_stalls +=
@@ -2418,11 +2277,11 @@ impl Engine {
             let t0 = sched
                 .parts
                 .iter()
-                .filter_map(|p| p.queue.first().map(|e| e.t))
+                .filter_map(|p| p.queue.front().map(|e| e.t))
                 .min();
             let Some(t0) = t0 else {
                 // No pending event anywhere: terminate or sweep daemons.
-                if Engine::conservative_quiesce(shared, sched) {
+                if Engine::quiesce(shared, sched) {
                     return;
                 }
                 // The sweep queued shutdown wakes; grant them.
@@ -2431,10 +2290,9 @@ impl Engine {
             sched.window_id += 1;
             sched.window_grants = 0;
             sched.window_distinct = 0;
-            sched.now = sched.now.max(t0);
-            shared.now_ps.store(sched.now.0, Ordering::Relaxed);
-            let h = if serial {
-                SimTime(t0.0.saturating_add(1))
+            // A lone partition has nobody to wait for: no horizon.
+            let h = if sched.parts.len() == 1 {
+                SimTime::MAX
             } else {
                 t0 + shared.lookahead
             };
@@ -2442,7 +2300,7 @@ impl Engine {
             shared.window_h_ps.store(h.0, Ordering::Release);
             sched.ready.clear();
             for i in 0..sched.parts.len() {
-                let live = sched.parts[i].queue.first().is_some_and(|e| e.t < h);
+                let live = sched.parts[i].queue.front().is_some_and(|e| e.t < h);
                 sched.parts[i].in_ready = live;
                 if live {
                     sched.ready.push(i as u32);
@@ -2451,11 +2309,12 @@ impl Engine {
         }
     }
 
-    /// Conservative-mode termination: every queue is empty and no grant is
-    /// outstanding. Opens the gate (run complete or deadlock) and returns
+    /// Termination: every queue is empty and no grant is outstanding. Opens the gate (run complete or deadlock) and returns
     /// `true`, or sweeps blocked daemons with shutdown wakes and returns
     /// `false` so the pump grants them.
-    fn conservative_quiesce(shared: &Arc<EngineShared>, sched: &mut Sched) -> bool {
+    #[cold]
+    #[inline(never)]
+    fn quiesce(shared: &Arc<EngineShared>, sched: &mut Sched) -> bool {
         if sched.live_total == 0 {
             Engine::open_gate(shared);
             return true;
@@ -2465,13 +2324,7 @@ impl Engine {
             // The run's end: the furthest any actor's clock got. All clocks
             // are settled here (nobody holds a grant), so this is exact and
             // deterministic.
-            let t_end = sched
-                .actors
-                .iter()
-                .map(|s| SimTime(s.clock.local_now.load(Ordering::Relaxed)))
-                .max()
-                .unwrap_or(sched.now)
-                .max(sched.now);
+            let t_end = sched.latest_clock();
             let mut swept = false;
             for i in 0..sched.actors.len() {
                 if sched.actors[i].state != ActorState::Blocked {
@@ -2488,7 +2341,6 @@ impl Engine {
                     // A pending deadline timer would still be queued, so this
                     // sweep (all queues empty) cannot see one; defensive.
                     slot.blocked_deadline = None;
-                    slot.blocked_timer = None;
                     let entry = PEntry {
                         t: t_end,
                         src_vt: since,
@@ -2538,111 +2390,6 @@ impl Engine {
         let mut done = shared.gate.done.lock();
         *done = true;
         shared.gate.cv.notify_all();
-    }
-
-    /// Pick the next actor to run, or handle termination conditions.
-    /// Called with the scheduler locked, by a thread that is giving up
-    /// (or has never held) the baton.
-    fn dispatch(shared: &Arc<EngineShared>, sched: &mut Sched) {
-        if sched.poison.is_some() {
-            return;
-        }
-        sched.events_dispatched += 1;
-        if sched.events_dispatched > sched.max_events {
-            let msg = format!("event-limit:{}", sched.max_events);
-            Engine::poison(shared, sched, msg);
-            return;
-        }
-
-        while let Some(entry) = sched.heap.pop() {
-            if let Some(gen) = entry.timer_gen {
-                // A deadline timer: only valid while its actor is still
-                // blocked in the same wait generation.
-                let slot = &mut sched.actors[entry.id.0 as usize];
-                if slot.state != ActorState::Blocked || slot.wait_gen != gen {
-                    continue; // stale: the actor was notified earlier
-                }
-                sched.now = sched.now.max(entry.t);
-                shared.now_ps.store(sched.now.0, Ordering::Relaxed);
-                let since = slot.blocked_since;
-                let elapsed = sched.now.since(since);
-                let tag = slot.blocked_tag;
-                let cause = slot.blocked_cause.take();
-                *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += elapsed;
-                slot.state = ActorState::Running;
-                sched.wake_later(entry.id.0 as usize, entry.reason);
-                Engine::emit_stall(sched, entry.id, tag, cause.as_deref(), since, sched.now);
-                return;
-            }
-            debug_assert_eq!(
-                sched.actors[entry.id.0 as usize].state,
-                ActorState::Queued,
-                "heap entry for non-queued actor {}",
-                sched.actors[entry.id.0 as usize].name
-            );
-            sched.now = sched.now.max(entry.t);
-            shared.now_ps.store(sched.now.0, Ordering::Relaxed);
-            sched.actors[entry.id.0 as usize].state = ActorState::Running;
-            sched.wake_later(entry.id.0 as usize, entry.reason);
-            return;
-        }
-
-        if sched.live_total == 0 {
-            Engine::open_gate(shared);
-            return;
-        }
-
-        if sched.live_nondaemon == 0 {
-            // All real work done: shut the daemons down.
-            if !sched.shutdown {
-                sched.shutdown = true;
-            }
-            let now = sched.now;
-            let mut woke = false;
-            for i in 0..sched.actors.len() as u32 {
-                if sched.actors[i as usize].state == ActorState::Blocked {
-                    let slot = &mut sched.actors[i as usize];
-                    slot.state = ActorState::Queued;
-                    let since = slot.blocked_since;
-                    let elapsed = now.since(since);
-                    let tag = slot.blocked_tag;
-                    let cause = slot.blocked_cause.take();
-                    *slot.acct.lock().entry(tag).or_insert(SimDur::ZERO) += elapsed;
-                    let seq = sched.bump_seq();
-                    sched.heap.push(HeapEntry {
-                        t: now,
-                        seq,
-                        id: ActorId(i),
-                        reason: WakeReason::Shutdown,
-                        timer_gen: None,
-                    });
-                    Engine::emit_stall(sched, ActorId(i), tag, cause.as_deref(), since, now);
-                    woke = true;
-                }
-            }
-            if woke {
-                Engine::dispatch(shared, sched);
-                return;
-            }
-            // Daemons are all finished or running — nothing to do; the last
-            // finishing daemon re-enters dispatch and hits live_total == 0.
-            if sched.live_total == 0 {
-                Engine::open_gate(shared);
-            }
-            return;
-        }
-
-        // Live non-daemon actors exist but nothing is runnable: deadlock.
-        let mut detail = String::new();
-        for slot in &sched.actors {
-            if slot.state == ActorState::Blocked {
-                detail.push_str(&format!(
-                    "  actor '{}' blocked on '{}' since {}\n",
-                    slot.name, slot.blocked_tag, slot.blocked_since
-                ));
-            }
-        }
-        Engine::poison(shared, sched, format!("deadlock:{detail}"));
     }
 }
 
@@ -2752,7 +2499,11 @@ mod tests {
             ctx.advance(SimDur::from_us(1), "sleep");
             let tok = t2.lock().unwrap().take().expect("registered first");
             assert!(ctx.wake(tok));
-            assert!(!ctx.wake(tok), "second wake must be stale");
+            // Until the waiter is granted, a repeated wake merges into the
+            // delivery already queued (min over senders), so it is honoured.
+            assert!(ctx.wake(tok));
+            ctx.advance(SimDur::from_us(1), "sleep");
+            assert!(!ctx.wake(tok), "a wake after the resume must be stale");
         });
         let report = sim.run().unwrap();
         assert_eq!(
@@ -2996,95 +2747,9 @@ mod tests {
         }
     }
 
-    /// The workload used by the elision tests: two actors with skewed
-    /// strides (so one is frequently sole-earliest and can elide) plus a
-    /// wait/wake pair (exercising the slow path and deadline timers).
-    fn elision_workload(elide: bool) -> (SimReport, Vec<Seen>) {
-        use std::sync::Mutex as StdMutex;
-        let slot: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
-        let s2 = slot.clone();
-        let seen = Arc::new(Collect::default());
-        let mut sim = Sim::with_config(SimConfig {
-            elide_handoff: elide,
-            sink: Some(seen.clone()),
-            ..SimConfig::default()
-        });
-        sim.spawn("fast", move |ctx| {
-            for i in 0..200u64 {
-                ctx.advance(SimDur::from_ns(1), "spin");
-                if i % 50 == 0 {
-                    ctx.event("tick", || vec![("i", i.to_string())]);
-                }
-            }
-            let tok = ctx.prepare_wait();
-            *s2.lock().unwrap() = Some(tok);
-            ctx.wait(tok, "wait_peer");
-            ctx.metrics().add("fast_done", 1);
-        });
-        sim.spawn("slow", move |ctx| {
-            for _ in 0..10u64 {
-                ctx.advance(SimDur::from_us(1), "walk");
-            }
-            let tok = slot.lock().unwrap().take().unwrap();
-            assert!(ctx.wake(tok));
-            ctx.metrics().add("slow_done", 1);
-        });
-        (sim.run().unwrap(), seen.sorted())
-    }
+    // --- windows across partitions ---
 
-    #[test]
-    fn handoff_elision_preserves_report() {
-        let (on, seen_on) = elision_workload(true);
-        let (off, seen_off) = elision_workload(false);
-        assert!(on.handoffs_elided > 0, "fast path never taken");
-        assert_eq!(off.handoffs_elided, 0, "elision taken while disabled");
-        assert_eq!(on.end_time, off.end_time);
-        assert_eq!(on.events, off.events);
-        assert_eq!(on.metrics, off.metrics);
-        assert!(seen_on.iter().any(|s| s.2 == "tick"));
-        assert_eq!(seen_on, seen_off);
-        for (a, b) in on.actors.iter().zip(off.actors.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.tags, b.tags);
-        }
-        // A fleet whose every advance ties with the rest never has a sole
-        // earliest actor: FIFO order forces a real handoff each time, so
-        // the fast path must not fire even though it is enabled.
-        let mut ties = Sim::new();
-        for a in 0..4 {
-            ties.spawn(format!("t{a}"), |ctx| {
-                for _ in 0..200 {
-                    ctx.advance(SimDur::from_ns(1), "w");
-                }
-            });
-        }
-        assert_eq!(
-            ties.run().unwrap().handoffs_elided,
-            0,
-            "uniform ties must never elide"
-        );
-    }
-
-    #[test]
-    fn elision_respects_event_limit() {
-        // A single spinner elides every handoff; the event limit must
-        // still trip at exactly the configured count.
-        let mut sim = Sim::with_config(SimConfig {
-            max_events: 50,
-            ..SimConfig::default()
-        });
-        sim.spawn("spinner", |ctx| loop {
-            ctx.advance(SimDur::from_ns(1), "spin");
-        });
-        match sim.run() {
-            Err(SimError::EventLimit { limit }) => assert_eq!(limit, 50),
-            other => panic!("expected event limit, got {other:?}"),
-        }
-    }
-
-    // --- conservative parallel mode ---
-
-    fn conservative(parallelism: usize, lookahead: SimDur) -> SimConfig {
+    fn windowed(parallelism: usize, lookahead: SimDur) -> SimConfig {
         SimConfig {
             parallelism,
             lookahead,
@@ -3105,39 +2770,12 @@ mod tests {
     }
 
     #[test]
-    fn conservative_lockstep_matches_legacy_accounting() {
-        let mut legacy = Sim::new();
-        lockstep_fleet(&mut legacy, 6, 40);
-        let legacy = legacy.run().unwrap();
-        let mut par = Sim::with_config(conservative(4, SimDur::from_us(10)));
-        lockstep_fleet(&mut par, 6, 40);
-        let par = par.run().unwrap();
-        assert_eq!(par.end_time, legacy.end_time);
-        // The serial engine's total includes one final teardown dispatch
-        // the windowed scheduler does not issue.
-        assert!(
-            legacy.events.abs_diff(par.events) <= 1,
-            "event totals diverged: serial {}, conservative {}",
-            legacy.events,
-            par.events
-        );
-        for a in &legacy.actors {
-            assert_eq!(
-                par.actor(&a.name).unwrap().tags,
-                a.tags,
-                "accounting diverged for {}",
-                a.name
-            );
-        }
-    }
-
-    #[test]
     fn conservative_identical_across_parallelism() {
         let run = |parallelism: usize| {
             let seen = Arc::new(Collect::default());
             let mut sim = Sim::with_config(SimConfig {
                 sink: Some(seen.clone()),
-                ..conservative(parallelism, SimDur::from_us(5))
+                ..windowed(parallelism, SimDur::from_us(5))
             });
             lockstep_fleet(&mut sim, 8, 50);
             (sim.run().unwrap(), seen.sorted())
@@ -3169,7 +2807,7 @@ mod tests {
         // Lookahead 500ns: the waker's advance to 1us crosses the first
         // horizon, so the waiter is guaranteed parked (and its token
         // registered) before the waker's wake executes.
-        let mut sim = Sim::with_config(conservative(4, SimDur::from_ns(500)));
+        let mut sim = Sim::with_config(windowed(4, SimDur::from_ns(500)));
         sim.spawn("waiter", move |ctx| {
             let tok = ctx.prepare_wait();
             *t1.lock().unwrap() = Some(tok);
@@ -3196,7 +2834,7 @@ mod tests {
         use std::sync::Mutex as StdMutex;
         let token_cell: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
         let t0 = token_cell.clone();
-        let mut sim = Sim::with_config(conservative(4, SimDur::from_ns(500)));
+        let mut sim = Sim::with_config(windowed(4, SimDur::from_ns(500)));
         sim.spawn("waiter", move |ctx| {
             let tok = ctx.prepare_wait();
             *t0.lock().unwrap() = Some(tok);
@@ -3225,7 +2863,7 @@ mod tests {
         use std::sync::Mutex as StdMutex;
         let token_cell: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
         let t0 = token_cell.clone();
-        let mut sim = Sim::with_config(conservative(4, SimDur::from_ns(500)));
+        let mut sim = Sim::with_config(windowed(4, SimDur::from_ns(500)));
         sim.spawn("waiter", move |ctx| {
             let tok = ctx.prepare_wait();
             *t0.lock().unwrap() = Some(tok);
@@ -3249,7 +2887,7 @@ mod tests {
 
     #[test]
     fn conservative_children_inherit_partition() {
-        let mut sim = Sim::with_config(conservative(2, SimDur::from_us(1)));
+        let mut sim = Sim::with_config(windowed(2, SimDur::from_us(1)));
         sim.spawn_on(3, "parent", |ctx| {
             assert_eq!(ctx.partition(), 3);
             ctx.advance(SimDur::from_us(1), "w");
@@ -3266,33 +2904,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wake_at_delivers_at_future_instant() {
-        use std::sync::Mutex as StdMutex;
-        let token_cell: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
-        let t0 = token_cell.clone();
-        let mut sim = Sim::new();
-        sim.spawn("waiter", move |ctx| {
-            let tok = ctx.prepare_wait();
-            *t0.lock().unwrap() = Some(tok);
-            ctx.wait(tok, "blocked");
-            assert_eq!(ctx.now(), SimTime(3 * crate::time::PS_PER_US));
-        });
-        let tc = token_cell.clone();
-        sim.spawn("waker", move |ctx| {
-            ctx.advance(SimDur::from_us(1), "sleep");
-            let tok = tc.lock().unwrap().take().unwrap();
-            assert!(ctx.wake_at(tok, SimTime(3 * crate::time::PS_PER_US)));
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(
-            report.actor("waiter").unwrap().tag("blocked"),
-            SimDur::from_us(3)
-        );
-    }
-
-    #[test]
     fn conservative_deadlock_is_detected() {
-        let mut sim = Sim::with_config(conservative(2, SimDur::from_us(1)));
+        let mut sim = Sim::with_config(windowed(2, SimDur::from_us(1)));
         sim.spawn("stuck", |ctx| {
             let tok = ctx.prepare_wait();
             ctx.wait(tok, "never");
@@ -3308,7 +2921,7 @@ mod tests {
     fn conservative_event_limit_trips() {
         let mut sim = Sim::with_config(SimConfig {
             max_events: 200,
-            ..conservative(2, SimDur::from_us(1))
+            ..windowed(2, SimDur::from_us(1))
         });
         sim.spawn("spinner", |ctx| loop {
             ctx.advance(SimDur::from_us(10), "spin");
@@ -3324,7 +2937,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let saw_shutdown = Arc::new(AtomicBool::new(false));
         let flag = saw_shutdown.clone();
-        let mut sim = Sim::with_config(conservative(4, SimDur::from_us(1)));
+        let mut sim = Sim::with_config(windowed(4, SimDur::from_us(1)));
         sim.spawn_daemon("svc", move |ctx| loop {
             let tok = ctx.prepare_wait();
             if ctx.wait(tok, "svc_idle") == WakeReason::Shutdown {
@@ -3347,7 +2960,7 @@ mod tests {
     #[test]
     fn conservative_zero_lookahead_is_serial_but_correct() {
         let run = |parallelism: usize, lookahead: SimDur| {
-            let mut sim = Sim::with_config(conservative(parallelism, lookahead));
+            let mut sim = Sim::with_config(windowed(parallelism, lookahead));
             lockstep_fleet(&mut sim, 4, 20);
             sim.run().unwrap()
         };
@@ -3355,7 +2968,204 @@ mod tests {
         let windowed = run(4, SimDur::from_us(3));
         assert_eq!(serial.end_time, windowed.end_time);
         assert_eq!(serial.actors, windowed.actors);
-        // Zero lookahead cannot release two partitions into one window.
+        // Zero lookahead is one partition: no window ever holds two.
         assert_eq!(serial.parallel_advances, 0);
+        assert_eq!(serial.horizon_stalls, 0);
+        assert_eq!(serial.events, windowed.events);
+    }
+
+    // --- handlers: daemons that own no thread ---
+
+    fn us(n: u64) -> SimTime {
+        SimTime::ZERO + SimDur::from_us(n)
+    }
+
+    /// A ticker that wakes at 0, 10, 20 and 30 us and then sleeps for good,
+    /// as a handler (`inline`) or as the thread daemon it replaces.
+    fn ticker(inline: bool) -> (SimReport, Vec<SimTime>) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let tick = move |ctx: &Ctx| {
+            let mut log = log.lock().unwrap();
+            log.push(ctx.now());
+            let sleep = Sleep::on(ctx.prepare_wait(), "idle");
+            if log.len() < 4 {
+                sleep.until(ctx.now() + SimDur::from_us(10))
+            } else {
+                sleep
+            }
+        };
+        let mut sim = Sim::with_config(windowed(1, SimDur::from_us(1)));
+        if inline {
+            sim.spawn_handler_on(0, "tick", tick);
+        } else {
+            sim.spawn_daemon_on(0, "tick", move |ctx| loop {
+                let Sleep {
+                    token,
+                    deadline,
+                    tag,
+                } = tick(ctx);
+                let reason = match deadline {
+                    Some(at) => ctx.wait_deadline(token, at, tag),
+                    None => ctx.wait(token, tag),
+                };
+                if reason == WakeReason::Shutdown {
+                    return;
+                }
+            });
+        }
+        sim.spawn_on(0, "work", |ctx| ctx.advance(SimDur::from_us(100), "w"));
+        let report = sim.run().unwrap();
+        let seen = seen.lock().unwrap().clone();
+        (report, seen)
+    }
+
+    #[test]
+    fn handler_activation_is_one_event_and_its_deadline_fires_on_time() {
+        let (report, seen) = ticker(true);
+        // Four activations, each re-armed deadline met at its instant; the
+        // shutdown sweep is a grant but not an activation.
+        assert_eq!(seen, vec![us(0), us(10), us(20), us(30)]);
+        // work: first grant + one advance; tick: four activations + sweep.
+        assert_eq!(report.events, 2 + 4 + 1);
+        assert_eq!(report.end_time, us(100));
+        assert_eq!(
+            report.actor("tick").unwrap().tag("idle"),
+            SimDur::from_us(100)
+        );
+        // Exactly what the thread daemon of the same body reports.
+        let (threaded, seen_threaded) = ticker(false);
+        assert_eq!(seen, seen_threaded);
+        assert_eq!(report.events, threaded.events);
+        assert_eq!(report.end_time, threaded.end_time);
+        assert_eq!(report.actors, threaded.actors);
+    }
+
+    #[test]
+    fn earlier_wake_at_reschedules_a_sleeping_handler() {
+        use std::sync::Mutex as StdMutex;
+        let cell: Arc<StdMutex<Option<WaitToken>>> = Arc::new(StdMutex::new(None));
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let (c2, log) = (cell.clone(), seen.clone());
+        let mut sim = Sim::with_config(windowed(2, SimDur::from_us(1)));
+        sim.spawn_handler_on(0, "mailbox", move |ctx| {
+            log.lock().unwrap().push(ctx.now());
+            let tok = ctx.prepare_wait();
+            *c2.lock().unwrap() = Some(tok);
+            let sleep = Sleep::on(tok, "idle");
+            if ctx.now() < us(50) {
+                sleep.until(us(50))
+            } else {
+                sleep
+            }
+        });
+        sim.spawn_on(1, "sender", move |ctx| {
+            ctx.advance(SimDur::from_us(5), "w");
+            let tok = cell.lock().unwrap().expect("armed at 0 us");
+            assert!(ctx.wake_at(tok, us(30)));
+            // Earlier wins, whichever call lands first; later is absorbed.
+            assert!(ctx.wake_at(tok, us(20)));
+            assert!(ctx.wake_at(tok, us(40)));
+            ctx.advance(SimDur::from_us(95), "w");
+        });
+        sim.run().unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![us(0), us(20), us(50)]);
+    }
+
+    #[test]
+    fn handler_panic_is_reported_by_name() {
+        let mut sim = Sim::new();
+        let mut calls = 0;
+        sim.spawn_handler_on(0, "bad", move |ctx| {
+            calls += 1;
+            assert!(calls < 2, "boom");
+            Sleep::on(ctx.prepare_wait(), "idle").until(us(1))
+        });
+        sim.spawn("bystander", |ctx| {
+            ctx.advance(SimDur::from_secs(1), "sleep")
+        });
+        match sim.run() {
+            Err(SimError::ActorPanic { actor, message }) => {
+                assert_eq!(actor, "bad");
+                assert!(message.contains("boom"));
+            }
+            other => panic!("expected the handler's panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn handler_sleeping_on_a_stale_token_is_a_reported_bug() {
+        let mut sim = Sim::new();
+        sim.spawn_handler_on(0, "sloppy", |ctx| {
+            let stale = ctx.prepare_wait();
+            let _current = ctx.prepare_wait();
+            Sleep::on(stale, "idle")
+        });
+        sim.spawn("work", |ctx| ctx.advance(SimDur::from_us(1), "w"));
+        match sim.run() {
+            Err(SimError::ActorPanic { actor, message }) => {
+                assert_eq!(actor, "sloppy");
+                assert!(message.contains("last prepare_wait"), "{message}");
+            }
+            other => panic!("expected the misuse to be reported, got {other:?}"),
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn handler_that_advances_is_a_reported_bug() {
+        let mut sim = Sim::new();
+        sim.spawn_handler_on(0, "greedy", |ctx| {
+            ctx.advance(SimDur::from_us(1), "w");
+            Sleep::on(ctx.prepare_wait(), "idle")
+        });
+        sim.spawn("work", |ctx| ctx.advance(SimDur::from_us(1), "w"));
+        match sim.run() {
+            Err(SimError::ActorPanic { actor, message }) => {
+                assert_eq!(actor, "greedy");
+                assert!(message.contains("advance or wait"), "{message}");
+            }
+            other => panic!("expected the misuse to be reported, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn handlers_spawn_no_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex as StdMutex;
+        let ran_on = Arc::new(StdMutex::new(HashSet::new()));
+        let count = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::with_config(windowed(1, SimDur::from_us(1)));
+        for i in 0..512u32 {
+            let (ran_on, count) = (ran_on.clone(), count.clone());
+            sim.spawn_handler_on(i % 8, format!("h{i:03}"), move |ctx| {
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                count.fetch_add(1, Ordering::Relaxed);
+                let sleep = Sleep::on(ctx.prepare_wait(), "idle");
+                if ctx.now() < us(9) {
+                    sleep.until(ctx.now() + SimDur::from_us(3))
+                } else {
+                    sleep
+                }
+            });
+        }
+        let worker = Arc::new(StdMutex::new(None));
+        let w2 = worker.clone();
+        sim.spawn_on(0, "work", move |ctx| {
+            *w2.lock().unwrap() = Some(std::thread::current().id());
+            ctx.advance(SimDur::from_us(10), "w");
+        });
+        let report = sim.run().unwrap();
+        // 0, 3, 6 and 9 us for each of the 512.
+        assert_eq!(count.load(Ordering::Relaxed), 512 * 4);
+        assert_eq!(report.end_time, us(10));
+        // Every activation ran on a thread that already existed: the one
+        // that called `run`, or the lone thread actor's.
+        let allowed: HashSet<_> = [
+            std::thread::current().id(),
+            worker.lock().unwrap().expect("work ran"),
+        ]
+        .into();
+        assert!(ran_on.lock().unwrap().is_subset(&allowed));
     }
 }

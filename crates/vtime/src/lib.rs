@@ -47,8 +47,8 @@ mod sync;
 mod time;
 
 pub use engine::{
-    ActorAccount, ActorId, Ctx, Metrics, Sim, SimConfig, SimError, SimReport, SpanLane, SpanSink,
-    WaitToken, WakeReason,
+    ActorAccount, ActorId, Ctx, Metrics, Sim, SimConfig, SimError, SimReport, Sleep, SpanLane,
+    SpanSink, WaitToken, WakeReason,
 };
 pub use resource::SerialResource;
 pub use sync::{Latch, Notify};

@@ -2,9 +2,12 @@
 //!
 //! Built on the engine's [`prepare_wait`](crate::Ctx::prepare_wait) /
 //! [`wait`](crate::Ctx::wait) / [`wake`](crate::Ctx::wake) protocol. Because
-//! the engine serializes actor execution, the classic check-then-wait race
-//! cannot occur *as long as no blocking engine call happens between checking
-//! a condition and registering as a waiter* — which these primitives uphold.
+//! the engine serializes the actors of a partition (and latches a wake from
+//! another partition that lands between `prepare_wait` and `wait`), the
+//! classic check-then-wait race cannot occur *as long as no blocking engine
+//! call happens between checking a condition and registering as a waiter* —
+//! which these primitives uphold. A primitive shared across partitions is
+//! only as ordered as the lookahead makes it (see the engine's module docs).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
