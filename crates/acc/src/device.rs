@@ -3,8 +3,9 @@
 //! A [`Device`] wraps one accelerator of the machine spec: it owns the
 //! device-memory space inside the node's unified address space, a serial
 //! compute engine (kernels execute one at a time), and helpers that enqueue
-//! copies/kernels on activity queues or perform them directly (the message
-//! handler thread uses the direct forms for fused copies, §3.7).
+//! copies/kernels on activity queues or perform them directly. Each
+//! operation is one `async fn` ([`Device::copy`], [`Device::kernel`]): a
+//! queue's handler awaits it, a task thread blocks on it.
 //!
 //! Timing convention: an operation's *data effects* (bytes moved, kernel
 //! results written) materialize at the operation's completion instant —
@@ -13,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use impacc_machine::{ClusterResources, DeviceKind, DeviceSpec, HdDir, KernelCost};
+use impacc_machine::{ClusterResources, DeviceKind, DeviceSpec, HdDir, KernelCost, LaunchConfig};
 use impacc_mem::{AddressSpace, Backing, DevPtr, MemError, MemSpace, Region};
 use impacc_vtime::{Ctx, Latch, SerialResource};
 
@@ -190,8 +191,25 @@ impl Device {
         dev: (&Arc<Backing>, u64),
         bytes: u64,
     ) {
+        ctx.block_on(self.copy(ctx, dir, far, pinned, host, dev, bytes))
+    }
+
+    /// The copy itself: what [`Device::perform_copy`] blocks on and a
+    /// queued copy awaits.
+    #[allow(clippy::too_many_arguments)]
+    pub async fn copy(
+        &self,
+        ctx: &Ctx,
+        dir: HdDir,
+        far: bool,
+        pinned: bool,
+        host: (&Arc<Backing>, u64),
+        dev: (&Arc<Backing>, u64),
+        bytes: u64,
+    ) {
         let d = &self.inner;
-        ctx.advance(d.res.acc_copy_overhead(d.spec.kind), tags::OVERHEAD);
+        ctx.sleep(d.res.acc_copy_overhead(d.spec.kind), tags::OVERHEAD)
+            .await;
         // Transient DMA faults re-reserve the link per attempt; only the
         // final attempt commits bytes (impacc-mem owns that invariant).
         let end = impacc_mem::reserve_hd_with_faults(
@@ -210,7 +228,7 @@ impl Device {
             HdDir::DtoH => (tags::DTOH, "t_DtoH"),
         };
         let issue = ctx.now();
-        ctx.advance_until(end, tag);
+        ctx.sleep_until(end, tag).await;
         impacc_mem::commit_copy(dir, host, dev, bytes);
         ctx.metrics().add(tag, bytes);
         ctx.metrics().add(tkey, end.since(issue).0);
@@ -238,16 +256,9 @@ impl Device {
         bytes: u64,
     ) -> Latch {
         let this = self.clone();
-        q.enqueue(ctx, "copy", move |qctx| {
-            this.perform_copy(
-                qctx,
-                dir,
-                far,
-                pinned,
-                (&host.0, host.1),
-                (&dev.0, dev.1),
-                bytes,
-            );
+        q.submit(ctx, "copy", |qctx| async move {
+            let (host, dev) = ((&host.0, host.1), (&dev.0, dev.1));
+            this.copy(&qctx, dir, far, pinned, host, dev, bytes).await;
         })
     }
 
@@ -287,7 +298,7 @@ impl Device {
     /// Perform (blocking) a kernel: reserve the device's compute engine for
     /// the modelled duration, then apply `f`'s data effects.
     pub fn perform_kernel(&self, ctx: &Ctx, cost: &KernelCost, f: impl FnOnce()) {
-        self.perform_kernel_cfg(ctx, cost, &impacc_machine::LaunchConfig::default(), f);
+        self.perform_kernel_cfg(ctx, cost, &LaunchConfig::default(), f);
     }
 
     /// Like [`Device::perform_kernel`] with an explicit gang/worker/vector
@@ -297,9 +308,15 @@ impl Device {
         &self,
         ctx: &Ctx,
         cost: &KernelCost,
-        cfg: &impacc_machine::LaunchConfig,
+        cfg: &LaunchConfig,
         f: impl FnOnce(),
     ) {
+        ctx.block_on(self.kernel(ctx, cost, cfg, f))
+    }
+
+    /// The kernel itself: what [`Device::perform_kernel_cfg`] blocks on and
+    /// a queued kernel awaits.
+    pub async fn kernel(&self, ctx: &Ctx, cost: &KernelCost, cfg: &LaunchConfig, f: impl FnOnce()) {
         let d = &self.inner;
         assert!(
             !self.is_failed(),
@@ -307,11 +324,12 @@ impl Device {
             d.node,
             d.idx
         );
-        ctx.advance(d.res.launch_overhead(d.spec.kind), tags::OVERHEAD);
+        ctx.sleep(d.res.launch_overhead(d.spec.kind), tags::OVERHEAD)
+            .await;
         let dur = d.res.kernel_dur_cfg(d.node, d.idx, cost, cfg);
         let issue = ctx.now();
         let (start, end) = d.compute.reserve(ctx, dur);
-        ctx.advance_until(end, tags::KERNEL);
+        ctx.sleep_until(end, tags::KERNEL).await;
         if start > issue {
             // Contention on the device's serial compute engine.
             ctx.span("queue_wait", issue, start, || {
@@ -333,9 +351,21 @@ impl Device {
         cost: KernelCost,
         f: impl FnOnce() + Send + 'static,
     ) -> Latch {
+        self.enqueue_kernel_cfg(ctx, q, cost, LaunchConfig::default(), f)
+    }
+
+    /// [`Device::enqueue_kernel`] with an explicit launch configuration.
+    pub fn enqueue_kernel_cfg(
+        &self,
+        ctx: &Ctx,
+        q: &ActivityQueue,
+        cost: KernelCost,
+        cfg: LaunchConfig,
+        f: impl FnOnce() + Send + 'static,
+    ) -> Latch {
         let this = self.clone();
-        q.enqueue(ctx, "kernel", move |qctx| {
-            this.perform_kernel(qctx, &cost, f);
+        q.submit(ctx, "kernel", |qctx| async move {
+            this.kernel(&qctx, &cost, &cfg, f).await
         })
     }
 }

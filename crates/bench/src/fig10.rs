@@ -16,7 +16,7 @@ use impacc_apps::{run_dgemm, DgemmParams};
 use impacc_core::{RunSummary, RuntimeOptions};
 
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
-use crate::util::{comm_secs, copy_secs, full, kernel_secs, quick, Table};
+use crate::util::{comm_secs, copy_secs, kernel_secs, quick, Table};
 
 fn dgemm(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, n: usize) -> RunSummary {
     run_dgemm(spec, opts, Some(4096), DgemmParams { n, verify: false }).expect("dgemm run")
@@ -76,10 +76,8 @@ pub fn run() -> String {
     let n = if quick() { 4096 } else { 24576 };
     let titan_counts: Vec<usize> = if quick() {
         vec![128, 256]
-    } else if full() {
-        vec![128, 256, 512, 1024, 2048, 4096, 8192]
     } else {
-        vec![128, 256, 512, 1024, 2048]
+        vec![128, 256, 512, 1024, 2048, 4096, 8192]
     };
     let base128 = dgemm(titan_tasks(titan_counts[0]), RuntimeOptions::baseline(), n).elapsed_secs();
     let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC", "IMPACC/MPI+X"]);

@@ -10,7 +10,7 @@ use impacc_apps::{run_ep, EpClass, EpParams};
 use impacc_core::RuntimeOptions;
 
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
-use crate::util::{full, quick, Table};
+use crate::util::{quick, Table};
 
 fn ep(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, class: EpClass) -> f64 {
     let params = EpParams {
@@ -67,10 +67,8 @@ pub fn run() -> String {
     // (g) Titan, class 64xE, normalized to 128 tasks.
     let counts: Vec<usize> = if quick() {
         vec![128, 256]
-    } else if full() {
-        vec![128, 256, 512, 1024, 2048, 4096, 8192]
     } else {
-        vec![128, 256, 512, 1024, 2048]
+        vec![128, 256, 512, 1024, 2048, 4096, 8192]
     };
     let base = ep(
         titan_tasks(counts[0]),

@@ -11,7 +11,7 @@ use impacc_apps::{run_lulesh, LuleshParams};
 use impacc_core::RuntimeOptions;
 
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
-use crate::util::{full, quick, Table};
+use crate::util::{quick, Table};
 
 fn lulesh(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, s: usize) -> f64 {
     run_lulesh(
@@ -81,10 +81,8 @@ pub fn run() -> String {
     let s = s_titan;
     let counts: Vec<usize> = if quick() {
         vec![125, 216]
-    } else if full() {
-        vec![125, 216, 512, 1000, 3375, 8000]
     } else {
-        vec![125, 216, 512, 1000]
+        vec![125, 216, 512, 1000, 3375, 8000]
     };
     let base = lulesh(titan_tasks(counts[0]), RuntimeOptions::baseline(), s);
     let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC", "IMPACC/MPI+X"]);

@@ -10,8 +10,8 @@
 //! How fast the simulator itself runs is measured by the standalone
 //! `benchmark/` package and nowhere else.
 //!
-//! Environment switches: `IMPACC_BENCH_QUICK=1` trims sweeps;
-//! `IMPACC_BENCH_FULL=1` unlocks the 4096/8192-task Titan points.
+//! Environment switch: `IMPACC_BENCH_QUICK=1` trims sweeps. The default
+//! runs every point the paper plots, the 8,192-task Titan ones included.
 
 #![warn(missing_docs)]
 

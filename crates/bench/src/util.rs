@@ -13,12 +13,6 @@ pub fn quick() -> bool {
     impacc_core::config::bench_quick()
 }
 
-/// Full mode unlocks the largest Titan-scale points
-/// (`IMPACC_BENCH_FULL=1`); they spawn tens of thousands of actor threads.
-pub fn full() -> bool {
-    impacc_core::config::bench_full()
-}
-
 /// Geometric size sweep `[from, to]` multiplying by `factor`.
 pub fn size_sweep(from: u64, to: u64, factor: u64) -> Vec<u64> {
     let mut v = Vec::new();
@@ -263,7 +257,7 @@ pub fn metric_secs(s: &RunSummary, key: &'static str) -> f64 {
 }
 
 /// Total device-copy time (all PCIe directions), aggregated across task
-/// threads, queue daemons and the message handlers.
+/// threads, activity queues and the message handlers.
 pub fn copy_secs(s: &RunSummary) -> f64 {
     metric_secs(s, "t_HtoD") + metric_secs(s, "t_DtoH") + metric_secs(s, "t_DtoD")
 }

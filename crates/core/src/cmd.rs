@@ -1,5 +1,5 @@
 //! Message commands exchanged between task threads and the node's message
-//! handler thread (§3.7). A command's completion handle is the same
+//! handler (§3.7). A command's completion handle is the same
 //! [`impacc_mpi::Request`] the system library hands out: the handler
 //! completes it, naming itself, at the fused copy's finish instant.
 

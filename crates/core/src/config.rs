@@ -11,7 +11,6 @@
 //! | `IMPACC_PROF` | [`prof_requested`] | `1` ⇒ append a critical-path profile |
 //! | `IMPACC_BENCH_DIR` | [`bench_dir`] | where `BENCH_*`/`PROF_*` artifacts go |
 //! | `IMPACC_BENCH_QUICK` | [`bench_quick`] | `1` ⇒ trim sweeps for CI |
-//! | `IMPACC_BENCH_FULL` | [`bench_full`] | `1` ⇒ unlock the largest points |
 //! | `IMPACC_SERVE_WORKERS` | [`serve_workers`] | worker-pool size override for `impacc-serve` |
 //! | `IMPACC_PARALLEL` | [`parallelism`] | scheduler worker count: simulated nodes that may execute at once (unset/`0` ⇒ 1) |
 //! | `IMPACC_FLIGHT` | [`flight_enabled`] / [`flight_dump_dir`] | `0` ⇒ flight recorder off; `1` ⇒ dumps to `bench_dir()`; `<dir>` ⇒ dumps there; unset ⇒ record, no launch-side dumps |
@@ -50,11 +49,6 @@ pub fn bench_dir() -> PathBuf {
 /// `IMPACC_BENCH_QUICK=1`: trim sweeps for CI.
 pub fn bench_quick() -> bool {
     flag("IMPACC_BENCH_QUICK")
-}
-
-/// `IMPACC_BENCH_FULL=1`: unlock the largest (Titan-scale) sweep points.
-pub fn bench_full() -> bool {
-    flag("IMPACC_BENCH_FULL")
 }
 
 /// `IMPACC_SERVE_WORKERS=<n>`: override the `impacc-serve` worker-pool

@@ -1,7 +1,10 @@
-//! The per-node message handler thread (§3.7).
+//! The per-node message handler (§3.7).
 //!
-//! One handler daemon runs per node. Task threads push message commands
-//! onto two lock-free MPSC queues:
+//! One handler runs per node: in the paper a thread, here an
+//! `impacc_vtime` handler — an actor that owns no thread, whose body
+//! ([`NodeHandler::run`]) the engine polls inline and which advances and
+//! waits by awaiting. Task threads push message commands onto two
+//! lock-free MPSC queues:
 //!
 //! * the **intra-node message queue** — send/receive commands the handler
 //!   matches by `(comm, src, dst, tag)` in FIFO order and *fuses* into a
@@ -30,7 +33,7 @@ use crate::mode::RuntimeOptions;
 use crate::mpsc::MpscQueue;
 
 /// The node message handler. Construct with [`NodeHandler::new`], then
-/// start its daemon with [`NodeHandler::run`] from a spawned actor.
+/// spawn [`NodeHandler::run`] as the node's handler actor.
 pub struct NodeHandler {
     node: usize,
     res: Arc<ClusterResources>,
@@ -69,20 +72,22 @@ impl NodeHandler {
         })
     }
 
-    /// Submit an intra-node message command (task-thread side). Charges the
+    /// Submit an intra-node message command (task side). Charges the
     /// command-creation overhead to the caller.
-    pub fn submit(&self, ctx: &Ctx, mut cmd: MsgCmd) {
-        ctx.advance(self.res.handler_cmd_overhead(), impacc_mpi::tags::MPI_CALL);
-        self.enqueue_jitter(ctx);
+    pub async fn submit(&self, ctx: &Ctx, mut cmd: MsgCmd) {
+        ctx.sleep(self.res.handler_cmd_overhead(), impacc_mpi::tags::MPI_CALL)
+            .await;
+        self.enqueue_jitter(ctx).await;
         cmd.submitted_by = ctx.sink_enabled().then(|| (ctx.name().clone(), ctx.now()));
         self.intra.push(cmd);
         self.work.notify_one(ctx);
     }
 
-    /// Submit a pending internode receive (task-thread side).
-    pub fn submit_pending(&self, ctx: &Ctx, p: PendingRecv) {
-        ctx.advance(self.res.handler_cmd_overhead(), impacc_mpi::tags::MPI_CALL);
-        self.enqueue_jitter(ctx);
+    /// Submit a pending internode receive (task side).
+    pub async fn submit_pending(&self, ctx: &Ctx, p: PendingRecv) {
+        ctx.sleep(self.res.handler_cmd_overhead(), impacc_mpi::tags::MPI_CALL)
+            .await;
+        self.enqueue_jitter(ctx).await;
         p.req.subscribe(&self.work);
         self.pending.push(p);
         self.work.notify_one(ctx);
@@ -90,7 +95,7 @@ impl NodeHandler {
 
     /// Injected MPSC enqueue jitter: a scheduling hiccup between building a
     /// command and it landing on the handler queue, charged to the caller.
-    fn enqueue_jitter(&self, ctx: &Ctx) {
+    async fn enqueue_jitter(&self, ctx: &Ctx) {
         if self.res.chaos.roll(ctx, FaultSite::EnqueueJitter) {
             let p = self
                 .res
@@ -103,13 +108,14 @@ impl NodeHandler {
             ctx.span("fault", t0, t0 + p, || {
                 vec![("site", "enqueue_jitter".to_string())]
             });
-            ctx.advance(p, impacc_mpi::tags::MPI_CALL);
+            ctx.sleep(p, impacc_mpi::tags::MPI_CALL).await;
         }
     }
 
-    /// The handler daemon body. Spawn with
-    /// `ctx.spawn_daemon("handler.nX", move |ctx| handler.run(ctx))`.
-    pub fn run(&self, ctx: &Ctx) {
+    /// The handler's body: drain both queues, then sleep until a command
+    /// arrives or the earliest pending internode receive completes. Spawn
+    /// it as the node's handler actor (`handler.nX`).
+    pub async fn run(&self, ctx: &Ctx) {
         let mut unmatched_send: HashMap<MatchKey, VecDeque<MsgCmd>> = HashMap::new();
         let mut unmatched_recv: HashMap<MatchKey, VecDeque<MsgCmd>> = HashMap::new();
         let mut pendings: Vec<PendingRecv> = Vec::new();
@@ -121,13 +127,13 @@ impl NodeHandler {
                     CmdKind::Send => "send",
                     CmdKind::Recv => "recv",
                 };
-                // Handler-thread dequeue edge: this command's processing
-                // could not start before the task pushed it.
+                // Handler dequeue edge: this command's processing could
+                // not start before the task pushed it.
                 if let Some((by, at)) = &cmd.submitted_by {
                     ctx.edge_to_self("deq", by, *at, t0, || vec![("kind", kind.to_string())]);
                 }
                 // Dequeue + scheduling cost of one message command.
-                ctx.advance(self.res.handler_cmd_overhead(), "handler");
+                ctx.sleep(self.res.handler_cmd_overhead(), "handler").await;
                 if self.res.chaos.roll(ctx, FaultSite::HandlerStall) {
                     // The handler thread loses its core for a scheduling
                     // quantum; every queued command behind this one waits.
@@ -142,9 +148,10 @@ impl NodeHandler {
                     ctx.span("fault", s0, s0 + p, || {
                         vec![("site", "handler_stall".to_string())]
                     });
-                    ctx.advance(p, "handler");
+                    ctx.sleep(p, "handler").await;
                 }
-                self.process(ctx, cmd, &mut unmatched_send, &mut unmatched_recv);
+                self.process(ctx, cmd, &mut unmatched_send, &mut unmatched_recv)
+                    .await;
                 ctx.span("handler_cmd", t0, ctx.now(), || {
                     vec![("kind", kind.to_string())]
                 });
@@ -160,7 +167,7 @@ impl NodeHandler {
                 match pendings[i].req.completion_time() {
                     Some(t) if t <= now => {
                         let p = pendings.swap_remove(i);
-                        self.finish_pending(ctx, p);
+                        self.finish_pending(ctx, p).await;
                         progressed = true;
                     }
                     _ => i += 1,
@@ -173,25 +180,23 @@ impl NodeHandler {
                 .iter()
                 .filter_map(|p| p.req.completion_time())
                 .min();
-            let reason = match deadline {
+            let idle = self.work.notified(ctx, "handler_idle");
+            let woke = match deadline {
                 Some(t) => {
                     let n = pendings.len();
-                    self.work
-                        .wait_deadline_with_cause(ctx, t, "handler_idle", || {
-                            format!("pending internode recv x{n}")
-                        })
+                    idle.until(t)
+                        .cause(|| format!("pending internode recv x{n}"))
+                        .await
                 }
-                None => self
-                    .work
-                    .wait_with_cause(ctx, "handler_idle", || "intra queue empty".to_string()),
+                None => idle.cause(|| "intra queue empty".to_string()).await,
             };
-            if reason == WakeReason::Shutdown {
+            if woke == WakeReason::Shutdown {
                 return;
             }
         }
     }
 
-    fn process(
+    async fn process(
         &self,
         ctx: &Ctx,
         cmd: MsgCmd,
@@ -202,14 +207,14 @@ impl NodeHandler {
         match cmd.kind {
             CmdKind::Send => {
                 if let Some(recv) = unmatched_recv.get_mut(&key).and_then(|q| q.pop_front()) {
-                    self.fuse(ctx, cmd, recv);
+                    self.fuse(ctx, cmd, recv).await;
                 } else {
                     unmatched_send.entry(key).or_default().push_back(cmd);
                 }
             }
             CmdKind::Recv => {
                 if let Some(send) = unmatched_send.get_mut(&key).and_then(|q| q.pop_front()) {
-                    self.fuse(ctx, send, cmd);
+                    self.fuse(ctx, send, cmd).await;
                 } else {
                     unmatched_recv.entry(key).or_default().push_back(cmd);
                 }
@@ -225,7 +230,17 @@ impl NodeHandler {
     /// completes both sides' handles at the computed finish instant, so a
     /// burst of messages streams onto the PCIe links back-to-back while
     /// the handler keeps draining its queue.
-    fn fuse(&self, ctx: &Ctx, send: MsgCmd, recv: MsgCmd) {
+    async fn fuse(&self, ctx: &Ctx, send: MsgCmd, recv: MsgCmd) {
+        let path = self.fuse_path(ctx, &send, &recv);
+        // Node heap aliasing is the one step of a fusion that moves the
+        // handler's clock; the copy paths only reserve links.
+        let aliased = path == "HtoH" && self.try_alias(ctx, &send, &recv).await;
+        self.fused_copy(ctx, send, recv, path, aliased);
+    }
+
+    /// The start of a fusion: check the sizes, count it and name its copy
+    /// path.
+    fn fuse_path(&self, ctx: &Ctx, send: &MsgCmd, recv: &MsgCmd) -> &'static str {
         let (sbuf, rbuf) = (&send.buf.msg, &recv.buf.msg);
         assert!(
             sbuf.len <= rbuf.len,
@@ -250,13 +265,20 @@ impl NodeHandler {
                 ("path", path.to_string()),
             ]
         });
+        path
+    }
+
+    /// The rest of a fusion: the one copy (none when `aliased`) and both
+    /// sides' completions at its finish instant.
+    fn fused_copy(&self, ctx: &Ctx, send: MsgCmd, recv: MsgCmd, path: &str, aliased: bool) {
+        let (sbuf, rbuf) = (&send.buf.msg, &recv.buf.msg);
         let len = sbuf.len;
         let now = ctx.now();
         let copy_bytes = || Backing::copy(&sbuf.backing, sbuf.off, &rbuf.backing, rbuf.off, len);
 
         let complete: SimTime = match (sbuf.loc, rbuf.loc) {
             (BufLoc::Host, BufLoc::Host) => {
-                if self.try_alias(ctx, &send, &recv) {
+                if aliased {
                     ctx.metrics().inc("aliased_msgs");
                     ctx.event("alias", || {
                         vec![("outcome", "hit".to_string()), ("bytes", len.to_string())]
@@ -452,7 +474,7 @@ impl NodeHandler {
     /// 3. Both calls used the IMPACC directive with `readonly`.
     /// 4. The receiver has no other pointer to the receive buffer.
     /// 5. The receive fully overwrites the receive buffer.
-    fn try_alias(&self, ctx: &Ctx, send: &MsgCmd, recv: &MsgCmd) -> bool {
+    async fn try_alias(&self, ctx: &Ctx, send: &MsgCmd, recv: &MsgCmd) -> bool {
         let miss = |reason: &'static str| {
             ctx.event("alias", || {
                 vec![
@@ -480,15 +502,16 @@ impl NodeHandler {
         {
             return miss("partial_overwrite"); // requirement 5
         }
-        ctx.advance(self.res.heap_op_overhead(), "handler");
+        ctx.sleep(self.res.heap_op_overhead(), "handler").await;
         self.heap
             .alias(&self.space, rh.ptr, sh.addr)
             .expect("alias requirements were checked");
         true
     }
 
-    fn finish_pending(&self, ctx: &Ctx, p: PendingRecv) {
-        let st = p.req.wait(ctx).expect("pending receives carry a status");
+    async fn finish_pending(&self, ctx: &Ctx, p: PendingRecv) {
+        let st = p.req.completion(ctx).await;
+        let st = st.expect("pending receives carry a status");
         let BufLoc::Device(d) = p.dev_buf.msg.loc else {
             unreachable!("pending internode commands target device memory");
         };

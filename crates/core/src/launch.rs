@@ -426,8 +426,9 @@ impl Launch {
                         let handler = handler.clone();
                         // Pinned to its node's partition: the handler
                         // touches only node-local shared structures.
-                        sim.spawn_daemon_on(t.node as u32, format!("handler.n{}", t.node), {
-                            move |ctx| handler.run(ctx)
+                        let name = format!("handler.n{}", t.node);
+                        sim.spawn_handler_on(t.node as u32, name, |ctx| async move {
+                            handler.run(&ctx).await
                         });
                     }
                     node_space[t.node] = Some(space);

@@ -2,8 +2,9 @@
 //!
 //! The IMPACC runtime's task threads push message commands onto two such
 //! queues per node — the *intra-node message queue* and the *pending
-//! internode message queue* — and the node's single message handler thread
-//! consumes them. This is a Vyukov-style intrusive MPSC queue: producers
+//! internode message queue* — and the node's single message handler
+//! consumes them (an engine handler: its activations may run on different
+//! OS threads, one at a time, ordered by the scheduler lock). This is a Vyukov-style intrusive MPSC queue: producers
 //! serialize only on one atomic swap, the consumer walks the linked list
 //! without any atomics beyond a per-node `next` load.
 //!
@@ -20,7 +21,7 @@ struct Node<T> {
 }
 
 /// A lock-free MPSC FIFO. `push` may be called from any thread; `pop` must
-/// only be called from the single consumer thread.
+/// only be called by the single consumer, one call at a time.
 pub struct MpscQueue<T> {
     /// Producers swap themselves in here.
     tail: AtomicPtr<Node<T>>,

@@ -184,7 +184,7 @@ impl MpiOpts {
 }
 
 /// Everything a communication operation needs, clonable into activity-queue
-/// closures (the op may execute on a queue daemon, not the task thread).
+/// ops (the op may execute on a queue's handler, not the task thread).
 #[derive(Clone)]
 pub(crate) struct CommCore {
     pub rank: u32,
@@ -213,11 +213,15 @@ impl CommCore {
         comm: &Comm,
         readonly: bool,
     ) {
-        self.isend_inner(ctx, buf, dst_rel, tag, comm, readonly)
-            .wait(ctx);
+        ctx.block_on(async {
+            let req = self.isend(ctx, buf, dst_rel, tag, comm, readonly).await;
+            req.completion(ctx).await;
+        })
     }
 
-    pub fn isend_inner(
+    /// Route one non-blocking send: what `MPI_Isend` blocks on, and what a
+    /// send enqueued on an activity queue awaits.
+    pub async fn isend(
         &self,
         ctx: &Ctx,
         buf: ResolvedBuf,
@@ -235,21 +239,19 @@ impl CommCore {
                 dst: dst_global,
                 tag,
             });
-            handler.submit(
-                ctx,
-                MsgCmd {
-                    kind: CmdKind::Send,
-                    src: self.rank,
-                    src_rel: comm.rel_of(self.rank).expect("sender in communicator"),
-                    dst: dst_global,
-                    tag,
-                    comm_id: comm.id(),
-                    buf,
-                    readonly,
-                    done: done.clone(),
-                    submitted_by: None,
-                },
-            );
+            let cmd = MsgCmd {
+                kind: CmdKind::Send,
+                src: self.rank,
+                src_rel: comm.rel_of(self.rank).expect("sender in communicator"),
+                dst: dst_global,
+                tag,
+                comm_id: comm.id(),
+                buf,
+                readonly,
+                done: done.clone(),
+                submitted_by: None,
+            };
+            handler.submit(ctx, cmd).await;
             return done;
         }
         // System-MPI path; stage device buffers unless GPUDirect covers
@@ -257,19 +259,25 @@ impl CommCore {
         match buf.msg.loc {
             BufLoc::Device(d) if dst_node == self.node || !self.gpudirect() => {
                 let staging = Backing::new(buf.msg.len, self.phys_cap);
-                self.devices[d].perform_copy(
-                    ctx,
-                    HdDir::DtoH,
-                    buf.far,
-                    true, // runtime staging is pre-pinned
-                    (&staging, 0),
-                    (&buf.msg.backing, buf.msg.off),
-                    buf.msg.len,
-                );
+                self.devices[d]
+                    .copy(
+                        ctx,
+                        HdDir::DtoH,
+                        buf.far,
+                        true, // runtime staging is pre-pinned
+                        (&staging, 0),
+                        (&buf.msg.backing, buf.msg.off),
+                        buf.msg.len,
+                    )
+                    .await;
                 let m = MsgBuf::host(staging, 0, buf.msg.len).registered();
-                self.sysmpi.isend(ctx, &m, dst_rel, tag, comm)
+                self.sysmpi.start_isend(ctx, &m, dst_rel, tag, comm).await
             }
-            _ => self.sysmpi.isend(ctx, &buf.msg, dst_rel, tag, comm),
+            _ => {
+                self.sysmpi
+                    .start_isend(ctx, &buf.msg, dst_rel, tag, comm)
+                    .await
+            }
         }
     }
 
@@ -283,9 +291,23 @@ impl CommCore {
         comm: &Comm,
         readonly: bool,
     ) -> Status {
-        self.irecv_inner(ctx, buf, src, tag, comm, readonly)
-            .wait(ctx)
-            .expect("receives carry a status")
+        ctx.block_on(self.recv(ctx, buf, src, tag, comm, readonly))
+    }
+
+    /// Route one receive to completion: what [`CommCore::do_recv`] blocks
+    /// on, and what a receive enqueued on an activity queue awaits.
+    pub async fn recv(
+        &self,
+        ctx: &Ctx,
+        buf: ResolvedBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+        readonly: bool,
+    ) -> Status {
+        let req = self.irecv(ctx, buf, src, tag, comm, readonly).await;
+        let st = req.completion(ctx).await;
+        st.expect("receives carry a status")
     }
 
     /// `MPI_Sendrecv`: deadlock-free even against synchronous fused sends.
@@ -301,13 +323,14 @@ impl CommCore {
         comm: &Comm,
         readonly: bool,
     ) -> Status {
-        let sreq = self.isend_inner(ctx, sbuf, dst, tag, comm, readonly);
+        let sreq = ctx.block_on(self.isend(ctx, sbuf, dst, tag, comm, readonly));
         let st = self.do_recv(ctx, rbuf, Some(src), Some(tag), comm, readonly);
         sreq.wait(ctx);
         st
     }
 
-    pub fn irecv_inner(
+    /// Route one non-blocking receive (see [`CommCore::isend`]).
+    pub async fn irecv(
         &self,
         ctx: &Ctx,
         buf: ResolvedBuf,
@@ -329,21 +352,19 @@ impl CommCore {
             let tag = tag.expect("the unified intra-node path needs an exact tag");
             let handler = self.handler.as_ref().expect("IMPACC mode has a handler");
             let done = Request::pending(WaitCause::FusedRecv { src: src_rel, tag });
-            handler.submit(
-                ctx,
-                MsgCmd {
-                    kind: CmdKind::Recv,
-                    src: comm.global_of(src_rel),
-                    src_rel,
-                    dst: self.rank,
-                    tag,
-                    comm_id: comm.id(),
-                    buf,
-                    readonly,
-                    done: done.clone(),
-                    submitted_by: None,
-                },
-            );
+            let cmd = MsgCmd {
+                kind: CmdKind::Recv,
+                src: comm.global_of(src_rel),
+                src_rel,
+                dst: self.rank,
+                tag,
+                comm_id: comm.id(),
+                buf,
+                readonly,
+                done: done.clone(),
+                submitted_by: None,
+            };
+            handler.submit(ctx, cmd).await;
             return done;
         }
         match buf.msg.loc {
@@ -356,20 +377,18 @@ impl CommCore {
                     .expect("device receives without GPUDirect need the IMPACC runtime");
                 let staging = Backing::new(buf.msg.len, self.phys_cap);
                 let m = MsgBuf::host(staging.clone(), 0, buf.msg.len).registered();
-                let req = self.sysmpi.irecv(ctx, &m, src, tag, comm);
+                let req = self.sysmpi.start_irecv(ctx, &m, src, tag, comm).await;
                 let done = Request::pending(WaitCause::PendingInternodeRecv);
-                handler.submit_pending(
-                    ctx,
-                    PendingRecv {
-                        req,
-                        staging,
-                        dev_buf: buf,
-                        done: done.clone(),
-                    },
-                );
+                let pending = PendingRecv {
+                    req,
+                    staging,
+                    dev_buf: buf,
+                    done: done.clone(),
+                };
+                handler.submit_pending(ctx, pending).await;
                 done
             }
-            _ => self.sysmpi.irecv(ctx, &buf.msg, src, tag, comm),
+            _ => self.sysmpi.start_irecv(ctx, &buf.msg, src, tag, comm).await,
         }
     }
 }
@@ -802,10 +821,10 @@ impl TaskCtx {
     ) -> Option<Latch> {
         match q {
             Some(q) => {
-                let dev = self.device.clone();
-                Some(self.queue(q).enqueue(&self.ctx, "kernel", move |qctx| {
-                    dev.perform_kernel_cfg(qctx, &cost, &cfg, f);
-                }))
+                Some(
+                    self.device
+                        .enqueue_kernel_cfg(&self.ctx, &self.queue(q), cost, cfg, f),
+                )
             }
             None => {
                 self.device.perform_kernel_cfg(&self.ctx, &cost, &cfg, f);
@@ -921,9 +940,12 @@ impl TaskCtx {
                 // not be overwritten by later operations until the message
                 // is delivered, exactly as with any MPI_Isend.
                 let core = self.comm.clone();
-                self.queue(q).enqueue(&self.ctx, "mpi_isend", move |qctx| {
-                    let _issued = core.isend_inner(qctx, buf, dst, tag, &world, opts.readonly);
-                });
+                self.queue(q)
+                    .submit(&self.ctx, "mpi_isend", |qctx| async move {
+                        let _issued = core
+                            .isend(&qctx, buf, dst, tag, &world, opts.readonly)
+                            .await;
+                    });
             }
             None => self
                 .comm
@@ -947,9 +969,11 @@ impl TaskCtx {
         match opts.queue {
             Some(q) => {
                 let core = self.comm.clone();
-                self.queue(q).enqueue(&self.ctx, "mpi_irecv", move |qctx| {
-                    core.do_recv(qctx, buf, Some(src), Some(tag), &world, opts.readonly);
-                });
+                self.queue(q)
+                    .submit(&self.ctx, "mpi_irecv", |qctx| async move {
+                        let (src, tag) = (Some(src), Some(tag));
+                        core.recv(&qctx, buf, src, tag, &world, opts.readonly).await;
+                    });
                 None
             }
             None => {
@@ -977,8 +1001,11 @@ impl TaskCtx {
             "use mpi_send with async(q) to enqueue"
         );
         let buf = self.resolve(b, off, len, opts.device);
-        self.comm
-            .isend_inner(&self.ctx, buf, dst, tag, self.world_ref(), opts.readonly)
+        let world = self.world_ref();
+        self.ctx.block_on(
+            self.comm
+                .isend(&self.ctx, buf, dst, tag, world, opts.readonly),
+        )
     }
 
     /// `MPI_Irecv`.
@@ -997,13 +1024,10 @@ impl TaskCtx {
             "use mpi_recv with async(q) to enqueue"
         );
         let buf = self.resolve(b, off, len, opts.device);
-        self.comm.irecv_inner(
-            &self.ctx,
-            buf,
-            Some(src),
-            Some(tag),
-            self.world_ref(),
-            opts.readonly,
+        let (src, tag, world) = (Some(src), Some(tag), self.world_ref());
+        self.ctx.block_on(
+            self.comm
+                .irecv(&self.ctx, buf, src, tag, world, opts.readonly),
         )
     }
 
@@ -1036,8 +1060,11 @@ impl TaskCtx {
         self.check_opts(&opts);
         assert!(opts.queue.is_none(), "wildcard receives cannot be enqueued");
         let buf = self.resolve(b, off, len, opts.device);
-        self.comm
-            .irecv_inner(&self.ctx, buf, None, None, self.world_ref(), opts.readonly)
+        let world = self.world_ref();
+        self.ctx.block_on(
+            self.comm
+                .irecv(&self.ctx, buf, None, None, world, opts.readonly),
+        )
     }
 
     /// `MPI_Waitall`.

@@ -98,10 +98,12 @@ fn the_completion_handle_stays_within_its_allocation_budget() {
 
     // Warm marginal cost of a fused message: the difference between a long
     // and a short run cancels launch, spawn and first-touch growth. 24.5 at
-    // the parent of this handle; what remains is two handles and two queue
-    // nodes a message, the suspended waiters' latch slots and stall causes.
+    // the parent of this handle, 11.0 while a suspended waiter's stall cause
+    // was formatted for a window store that drops it; what remains is two
+    // handles and two queue nodes a message and the suspended waiters'
+    // latch slots.
     let (short, long) = (sendrecv_allocs(200), sendrecv_allocs(1200));
     let per_msg = (long - short) as f64 / 2000.0;
     println!("ALLOCS per fused 64 B message: {per_msg:.3}");
-    assert!(per_msg <= 11.0, "{per_msg} allocations per fused message");
+    assert!(per_msg <= 7.5, "{per_msg} allocations per fused message");
 }

@@ -3,7 +3,7 @@
 //! device-buffer staging paths, and the baseline model.
 
 use impacc_core::{Launch, MpiOpts, RuntimeOptions, TaskCtx};
-use impacc_machine::{presets, KernelCost};
+use impacc_machine::{presets, FaultPlan, FaultSite, KernelCost};
 use impacc_mpi::ReduceOp;
 use impacc_obs::{EventKind, Recorder};
 
@@ -342,6 +342,56 @@ fn unified_activity_queue_runs_figure4c_pipeline() {
         tc.acc_wait(1);
     });
     assert!(s.report.metrics["fused_msgs"] >= 2);
+}
+
+#[test]
+fn queue_abort_replay_is_identical_at_every_worker_count() {
+    // Every other queued op is flushed and replayed (§5f) while kernels,
+    // fused sends and receives suspend mid-way on the queues' handlers, two
+    // nodes run side by side, and a reduction joins them each round.
+    let run = |degree: usize| {
+        let rec = Recorder::new();
+        let s = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
+            .chaos(FaultPlan::new(5).with_rate(FaultSite::QueueAbort, 0.5))
+            .parallelism(degree)
+            .recorder(&rec)
+            .run(|tc| {
+                let peer = tc.rank() ^ 1;
+                let (out, inn) = (tc.malloc_f64(64), tc.malloc_f64(64));
+                tc.acc_create(&out);
+                tc.acc_create(&inn);
+                for _ in 0..3 {
+                    tc.acc_kernel(Some(1), KernelCost::flops(1e7), || {});
+                    tc.mpi_send(&out, 0, out.len, peer, 0, MpiOpts::device().on_queue(1));
+                    tc.mpi_recv(&inn, 0, inn.len, peer, 0, MpiOpts::device().on_queue(1));
+                    tc.acc_wait(1);
+                    tc.mpi_allreduce_f64(&[tc.rank() as f64], ReduceOp::Sum);
+                }
+            })
+            .expect("simulation completes");
+        let r = &s.report;
+        let facts = format!(
+            "{:?}",
+            (
+                r.end_time,
+                r.events,
+                r.handoffs_elided,
+                &r.metrics,
+                &r.actors
+            )
+        );
+        (
+            facts,
+            rec.spans(),
+            rec.edges(),
+            r.metrics["chaos_queue_abort"],
+        )
+    };
+    let base = run(1);
+    assert!(base.3 > 0, "the plan must abort some ops");
+    for degree in [2, 8] {
+        assert!(run(degree) == base, "parallelism {degree} diverged");
+    }
 }
 
 #[test]

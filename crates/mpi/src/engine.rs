@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use impacc_machine::{ClusterResources, FaultSite, MpiThreading, NetTx};
 use impacc_mem::CowSnapshot;
-use impacc_vtime::{Ctx, Latch, SerialResource, Sim, SimDur, SimTime, Sleep, WaitToken};
+use impacc_vtime::{Ctx, Latch, SerialResource, Sim, SimDur, SimTime, WaitToken, WakeReason};
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
@@ -183,10 +183,17 @@ impl Request {
     /// `MPI_Wait`: block until the operation completes; returns the status
     /// for receives.
     pub fn wait(&self, ctx: &Ctx) -> Option<Status> {
+        ctx.block_on(self.completion(ctx))
+    }
+
+    /// The awaitable [`Request::wait`], for a handler (a queued receive).
+    pub async fn completion(&self, ctx: &Ctx) -> Option<Status> {
         let cause = self.inner.cause;
         self.inner
             .latch
-            .wait_with_cause(ctx, tags::MPI_WAIT, || cause.to_string());
+            .opened(ctx, tags::MPI_WAIT)
+            .cause(|| cause.to_string())
+            .await;
         let woke = ctx.now();
         let (at, status, ride_from) = {
             let done = self.inner.done.lock();
@@ -195,7 +202,7 @@ impl Request {
             let by = by.filter(|_| done.at > woke && ctx.sink_enabled());
             (done.at, done.status, by.cloned())
         };
-        ctx.advance_until(at, tags::MPI_WAIT);
+        ctx.sleep_until(at, tags::MPI_WAIT).await;
         if let Some(by) = ride_from {
             // The completer issued the copy asynchronously; the waiter rode
             // virtual time to the completion instant. Record the ride as a
@@ -379,46 +386,56 @@ impl SysMpi {
         });
         for node in 0..sys.res.spec.node_count() {
             let sys = sys.clone();
-            sim.spawn_handler_on(node as u32, format!("mpi.dlv.n{node}"), move |ctx| {
-                sys.deliver_arrived(ctx, node)
-            });
+            sim.spawn_handler_on(
+                node as u32,
+                format!("mpi.dlv.n{node}"),
+                move |ctx| async move { sys.serve_mailbox(&ctx, node).await },
+            );
         }
         sys
     }
 
-    /// One activation of node `node`'s delivery handler: deliver everything
-    /// that has arrived by now, then sleep until the earliest message still
-    /// in flight — or until a sender posts an earlier one.
-    fn deliver_arrived(&self, ctx: &Ctx, node: usize) -> Sleep {
-        let now = ctx.now();
-        let mut batch = {
-            let mut m = self.mailboxes[node].lock();
-            m.armed = None;
-            let mut batch = Vec::new();
-            let mut i = 0;
-            while i < m.pending.len() {
-                if m.pending[i].head <= now {
-                    batch.push(m.pending.swap_remove(i));
-                } else {
-                    i += 1;
+    /// Node `node`'s delivery handler: deliver everything that has arrived
+    /// by now, then sleep until the earliest message still in flight — or
+    /// until a sender posts an earlier one.
+    async fn serve_mailbox(&self, ctx: &Ctx, node: usize) {
+        loop {
+            let now = ctx.now();
+            let mut batch = {
+                let mut m = self.mailboxes[node].lock();
+                m.armed = None;
+                let mut batch = Vec::new();
+                let mut i = 0;
+                while i < m.pending.len() {
+                    if m.pending[i].head <= now {
+                        batch.push(m.pending.swap_remove(i));
+                    } else {
+                        i += 1;
+                    }
                 }
+                batch
+            };
+            batch.sort_by_key(|a| (a.head, a.src_global, a.seq));
+            for d in batch {
+                self.deliver(ctx, node, d);
             }
-            batch
-        };
-        batch.sort_by_key(|a| (a.head, a.src_global, a.seq));
-        for d in batch {
-            self.deliver(ctx, node, d);
-        }
-        // Arm for the earliest not-yet-arrived message (new pushes are
-        // visible here: senders hold the same lock).
-        let tok = ctx.prepare_wait();
-        let mut m = self.mailboxes[node].lock();
-        let next = m.pending.iter().map(|d| d.head).min();
-        m.armed = Some((tok, next.unwrap_or(SimTime::MAX)));
-        let sleep = Sleep::on(tok, "mpi_dlv_idle");
-        match next {
-            Some(at) => sleep.until(at),
-            None => sleep,
+            // Arm for the earliest not-yet-arrived message (new pushes are
+            // visible here: senders hold the same lock).
+            let tok = ctx.prepare_wait();
+            let next = {
+                let mut m = self.mailboxes[node].lock();
+                let next = m.pending.iter().map(|d| d.head).min();
+                m.armed = Some((tok, next.unwrap_or(SimTime::MAX)));
+                next
+            };
+            let sleep = ctx.suspend(tok, "mpi_dlv_idle");
+            let woke = match next {
+                Some(at) => sleep.until(at).await,
+                None => sleep.await,
+            };
+            if woke == WakeReason::Shutdown {
+                return;
+            }
         }
     }
 
@@ -479,19 +496,20 @@ impl SysMpi {
 
     /// Charge the software cost of one MPI call, serializing per node when
     /// the library is not thread-safe.
-    fn charge_call(&self, ctx: &Ctx, node: usize) {
+    async fn charge_call(&self, ctx: &Ctx, node: usize) {
         let d = self.res.mpi_call_overhead();
         match &self.node_serial {
             Some(locks) => {
                 let (_, end) = locks[node].reserve(ctx, d);
-                ctx.advance_until(end, tags::MPI_CALL);
+                ctx.sleep_until(end, tags::MPI_CALL).await;
             }
-            None => ctx.advance(d, tags::MPI_CALL),
+            None => ctx.sleep(d, tags::MPI_CALL).await,
         }
     }
 
-    /// Initiate a send. Returns the sender-completion instant and either
-    /// performs the match (posted receive found) or queues the message.
+    /// Initiate a send whose call the caller has charged. Returns the
+    /// sender-completion instant and either performs the match (posted
+    /// receive found) or queues the message.
     fn initiate_send(
         &self,
         ctx: &Ctx,
@@ -503,7 +521,6 @@ impl SysMpi {
     ) -> SimTime {
         let src_node = self.node_of(src_global);
         let dst_node = self.node_of(dst_global);
-        self.charge_call(ctx, src_node);
         let now = ctx.now();
 
         // The sender's partition must not touch destination-node state, so
@@ -733,7 +750,8 @@ impl SysMpi {
         }
     }
 
-    /// Post a receive; match against the unexpected queue if possible.
+    /// Post a receive whose call the caller has charged; match against the
+    /// unexpected queue if possible.
     fn post_recv(
         &self,
         ctx: &Ctx,
@@ -744,7 +762,6 @@ impl SysMpi {
         comm: &Comm,
     ) -> Request {
         let dst_node = self.node_of(dst_global);
-        self.charge_call(ctx, dst_node);
         if let BufLoc::Device(_) = buf.loc {
             assert!(
                 self.res.spec.network.gpudirect_rdma,
@@ -848,7 +865,7 @@ impl SysMpi {
         comm: &Comm,
     ) -> Option<Status> {
         let dst_node = self.node_of(dst_global);
-        self.charge_call(ctx, dst_node);
+        ctx.block_on(self.charge_call(ctx, dst_node));
         let now = ctx.now();
         let st = self.state.lock();
         let key = (comm.id(), dst_global);
@@ -909,6 +926,7 @@ impl MpiTask {
     /// `MPI_Send` (eager): blocks until the message has left `buf`.
     pub fn send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
         let dst_global = comm.global_of(dst);
+        ctx.block_on(self.sys.charge_call(ctx, self.node()));
         let done = self
             .sys
             .initiate_send(ctx, self.global, buf, dst_global, tag, comm);
@@ -917,7 +935,20 @@ impl MpiTask {
 
     /// `MPI_Isend`: returns immediately with a request.
     pub fn isend(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) -> Request {
+        ctx.block_on(self.start_isend(ctx, buf, dst, tag, comm))
+    }
+
+    /// The awaitable [`MpiTask::isend`], for a handler (a queued send).
+    pub async fn start_isend(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        dst: u32,
+        tag: i32,
+        comm: &Comm,
+    ) -> Request {
         let dst_global = comm.global_of(dst);
+        self.sys.charge_call(ctx, self.node()).await;
         let done = self
             .sys
             .initiate_send(ctx, self.global, buf, dst_global, tag, comm);
@@ -935,6 +966,19 @@ impl MpiTask {
 
     /// `MPI_Irecv`: post a receive, returning a request.
     pub fn irecv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Request {
+        ctx.block_on(self.start_irecv(ctx, buf, src, tag, comm))
+    }
+
+    /// The awaitable [`MpiTask::irecv`], for a handler (a queued receive).
+    pub async fn start_irecv(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+    ) -> Request {
+        self.sys.charge_call(ctx, self.node()).await;
         self.sys.post_recv(ctx, self.global, buf, src, tag, comm)
     }
 

@@ -193,7 +193,7 @@ impl EventKind {
 /// fusion reasons, queue names — as key/value pairs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
-    /// Name of the emitting actor (task, queue daemon, handler, ...).
+    /// Name of the emitting actor (task, activity queue, handler, ...).
     pub actor: String,
     /// What the time was spent on.
     pub kind: EventKind,

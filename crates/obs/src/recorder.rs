@@ -113,6 +113,10 @@ impl SpanLane for Lane {
             attrs: attrs.into_boxed_slice(),
         });
     }
+
+    fn keeps_attrs(&self, label: &'static str) -> bool {
+        self.cap > 0 && (self.full || EventKind::parse(label).is_none_or(window_keeps_attrs))
+    }
 }
 
 /// Deterministic (sorted) snapshot of every counter and gauge.
@@ -609,6 +613,11 @@ mod tests {
         let s = r.spans().pop().unwrap();
         assert_eq!(s.kind, EventKind::Marker);
         assert_eq!(s.attr("label"), Some("exotic"));
+        // The engine asks before formatting a stall's cause.
+        assert!(!lane.keeps_attrs("stall"));
+        assert!(lane.keeps_attrs("fault") && lane.keeps_attrs("exotic"));
+        assert!(Recorder::new().lane("a").keeps_attrs("stall"));
+        assert!(!Recorder::disabled().lane("a").keeps_attrs("fault"));
     }
 
     #[test]

@@ -59,21 +59,36 @@
 //!
 //! # Handlers
 //!
-//! A [`Sim::spawn_handler_on`] daemon owns no thread. Its body is a closure
-//! the granting thread runs inline, outside the scheduler lock, with the
-//! handler's partition marked active exactly as for a thread actor. An
-//! activation is one dispatched event; it may read its clock, record spans
-//! and edges, count and wake, but not advance or wait — it ends by
-//! returning the [`Sleep`] (wait token, optional deadline) it wants to be
-//! resumed from. Service loops of the shape `loop { drain; arm; wait }`
-//! whose drain never moves the clock fit this form.
+//! A handler ([`Sim::spawn_handler_on`], [`Ctx::spawn_handler`]) is an
+//! actor that owns no thread. Its body is a `Future` built from its own
+//! [`Ctx`] and polled by whichever thread issues its grant: inline, outside
+//! the scheduler lock, with the handler's partition marked active exactly
+//! as for a thread actor. The body may advance and wait anywhere, through
+//! the awaitable forms of those calls — [`Ctx::sleep`], [`Ctx::sleep_until`]
+//! and [`Ctx::suspend`] (with [`Notify::notified`](crate::Notify::notified)
+//! and [`Latch::opened`](crate::Latch::opened) on top). Each takes the
+//! decision the blocking call takes: an advance inside the window elides
+//! and returns at once, anything else records the one entry the thread
+//! would queue and returns `Pending`. A pending body therefore means "the
+//! one sleep this actor just recorded"; the granting thread queues it,
+//! releases the grant, and the grant that ends the sleep polls the body on
+//! from there. One activation is one dispatched event, as one grant of a
+//! thread actor is.
+//!
+//! A thread actor runs the same future with [`Ctx::block_on`]: on a thread
+//! every engine call blocks in place, so one poll finishes it. One
+//! definition of an operation thus serves a handler that awaits it and a
+//! thread that blocks on it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::future::Future;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
 use std::thread::{JoinHandle, Thread};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -188,6 +203,9 @@ struct ActorClock {
     /// actor pushes its own; the scheduler emits stall spans through it on
     /// the *woken* actor's behalf.
     lane: Option<Arc<dyn SpanLane>>,
+    /// Does the lane keep a stall span's attributes? Only then is a wait's
+    /// cause formatted (fixed at spawn: a store's retention is).
+    keeps_causes: bool,
     /// The actor's own virtual clock, maintained by the fast path and by
     /// scheduler grants; [`Ctx::now`] reads it.
     local_now: AtomicU64,
@@ -199,7 +217,7 @@ struct ActorSlot {
     name: Arc<str>,
     daemon: bool,
     state: ActorState,
-    park: Arc<Park>,
+    runner: Runner,
     /// Incremented every time the actor suspends; guards against stale wakes.
     wait_gen: u64,
     blocked_since: SimTime,
@@ -207,7 +225,7 @@ struct ActorSlot {
     /// What the actor is concretely waiting *for* (awaited MPI tag, queue
     /// name, latch label). Attached to the stall span as a `cause` attr so
     /// the profiler's wait-state classifier never buckets it "unknown".
-    /// Only populated when a sink is recording.
+    /// Only populated when the actor's lane keeps stall attributes.
     blocked_cause: Option<String>,
     /// Tagged virtual-time accounting. Behind its own (uncontended) lock so
     /// the fast path can charge tags without the scheduler lock.
@@ -243,19 +261,25 @@ struct ActorSlot {
     /// the blocked-time charge, the stall span, and the wake edge are all
     /// deferred to grant time. Cleared on grant.
     queued_by_wake: Option<QueuedWake>,
-    /// A sleeping handler's body and context (`None` for a thread actor,
-    /// and while the handler's activation runs: the granting thread takes
-    /// it out, runs it unlocked and puts it back).
-    handler: Option<Box<Handler>>,
 }
 
-/// The body of a [`Sim::spawn_handler_on`] daemon.
-type HandlerBody = Box<dyn FnMut(&Ctx) -> Sleep + Send + 'static>;
+/// How an actor's code runs between grants, as its slot keeps it.
+enum Runner {
+    /// On an OS thread of its own, asleep in this `Park`.
+    Thread(Arc<Park>),
+    /// A handler's body, while it sleeps. `None` while an activation polls
+    /// it (the granting thread takes it out and puts it back) and, for a
+    /// moment at spawn, before it is built.
+    Handler(Option<Box<Handler>>),
+}
+
+/// The body of a handler: its future, built from its own [`Ctx`].
+type Body = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// What a handler keeps between activations instead of a thread.
 struct Handler {
-    ctx: Ctx,
-    body: HandlerBody,
+    step: Arc<Mutex<Step>>,
+    body: Body,
 }
 
 /// One granted handler activation, recorded under the scheduler lock and
@@ -266,36 +290,35 @@ struct Activation {
     handler: Box<Handler>,
 }
 
-/// How a handler sleeps until its next activation: the token of the
-/// [`Ctx::prepare_wait`] it ended with and, optionally, the instant to
-/// resume at when nobody wakes it first — the `prepare_wait` +
-/// `wait`/`wait_deadline` pair a thread daemon's loop ends with. Blocked
-/// time is charged under `tag`.
-#[derive(Copy, Clone, Debug)]
-pub struct Sleep {
-    token: WaitToken,
-    deadline: Option<SimTime>,
-    tag: &'static str,
+/// Where a handler's leaf futures and its activations meet: the one
+/// suspension a poll stopped at, and the reason the activation being
+/// polled resumed with.
+struct Step {
+    sleep: Option<Sleep>,
+    woke: WakeReason,
 }
 
-impl Sleep {
-    /// Sleep until [`Ctx::wake`]/[`Ctx::wake_at`] with `token`.
-    pub fn on(token: WaitToken, tag: &'static str) -> Sleep {
-        Sleep {
-            token,
-            deadline: None,
-            tag,
-        }
-    }
+/// A suspension a handler's body recorded instead of blocking: exactly
+/// what a thread actor's `advance_until` or `wait*` does under the
+/// scheduler lock, left for `Engine::activate` to do after the poll.
+enum Sleep {
+    /// An advance that did not elide: queue at `t`, pushed from clock
+    /// `from`.
+    Advance { t: SimTime, from: SimTime },
+    /// A wait on `token` (see [`Ctx::suspend`]).
+    Wait {
+        token: WaitToken,
+        tag: &'static str,
+        cause: Option<String>,
+        deadline: Option<SimTime>,
+    },
+}
 
-    /// ... or until the virtual clock reaches `deadline`, whichever comes
-    /// first.
-    pub fn until(self, deadline: SimTime) -> Sleep {
-        Sleep {
-            deadline: Some(deadline),
-            ..self
-        }
-    }
+/// How an actor's [`Ctx`] reaches its runner.
+#[derive(Clone)]
+enum Host {
+    Thread(Arc<Park>),
+    Handler(Arc<Mutex<Step>>),
 }
 
 /// A wake delivered between `prepare_wait` and the
@@ -546,6 +569,8 @@ pub(crate) struct EngineShared {
     /// [`SimConfig::max_events`], readable without the scheduler lock (the
     /// fast path checks it too).
     max_events: u64,
+    /// OS threads started for actors ([`SimReport::threads_spawned`]).
+    threads: AtomicU64,
 }
 
 impl EngineShared {
@@ -607,6 +632,14 @@ pub trait SpanLane: Send + Sync {
         t1: SimTime,
         attrs: &mut dyn FnMut() -> Vec<(&'static str, String)>,
     );
+
+    /// Would [`SpanLane::span`] run the attribute closure of a `label`
+    /// span? The engine asks once per actor, for `"stall"`, so a wait's
+    /// cause is only formatted where it is kept. The default keeps all.
+    fn keeps_attrs(&self, label: &'static str) -> bool {
+        let _ = label;
+        true
+    }
 }
 
 /// One shard of the engine-wide counter set.
@@ -838,6 +871,10 @@ pub struct SimReport {
     /// relative to `events` mean the lookahead is too small for the
     /// workload's event spacing. Zero for a single-partition run.
     pub horizon_stalls: u64,
+    /// OS threads the engine started: one per thread actor, none for a
+    /// handler. A fact about the host process, not about the simulated
+    /// run.
+    pub threads_spawned: u64,
 }
 
 impl SimReport {
@@ -874,9 +911,9 @@ pub struct Ctx {
     acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>>,
     /// This partition's queue-front mirror.
     part_front: Arc<AtomicU64>,
-    /// Where this actor's thread sleeps between grants (a handler has no
-    /// thread and never sleeps here).
-    park: Arc<Park>,
+    /// Where this actor's thread sleeps between grants, or where its
+    /// handler body records the one suspension it stopped at.
+    host: Host,
 }
 
 impl fmt::Debug for Ctx {
@@ -1000,8 +1037,43 @@ impl Ctx {
     /// partition carry `t ≥ horizon`, so a racing front read can never hide
     /// an entry at or before `t`. Dispatch order, event count and
     /// accounting are identical on both paths.
+    ///
+    /// Blocking: a handler awaits [`Ctx::sleep_until`] instead.
     pub fn advance_until(&self, target: SimTime, tag: &'static str) {
-        self.assert_owns_thread();
+        let Some((t, from)) = self.try_elide(target, tag) else {
+            return;
+        };
+        let park = self.park();
+        {
+            let mut sched = self.engine.lock_sched();
+            self.check_poison(&sched);
+            Engine::queue_advance(&mut sched, self.me, t, from);
+            Engine::release_grant(&self.engine, &mut sched, self.part);
+        }
+        self.park_until_granted(park);
+    }
+
+    /// The awaitable [`Ctx::advance`]: what a handler's body awaits where a
+    /// thread actor would call `advance`.
+    pub fn sleep(&self, dur: SimDur, tag: &'static str) -> Advance<'_> {
+        self.sleep_until(self.now() + dur, tag)
+    }
+
+    /// The awaitable [`Ctx::advance_until`].
+    pub fn sleep_until(&self, target: SimTime, tag: &'static str) -> Advance<'_> {
+        Advance {
+            ctx: self,
+            target,
+            tag,
+            queued: false,
+        }
+    }
+
+    /// The decision every advance takes, on a thread or in a handler:
+    /// charge the span under `tag`, then take the fast path if it applies
+    /// (see [`Ctx::advance_until`]). `None` when it did; otherwise the
+    /// instant to queue at and the clock the entry is pushed from.
+    fn try_elide(&self, target: SimTime, tag: &'static str) -> Option<(SimTime, SimTime)> {
         self.check_poison_flag();
         let now = self.now();
         let t = target.max(now);
@@ -1020,31 +1092,9 @@ impl Ctx {
                 Engine::poison(&self.engine, &mut sched, msg);
                 self.check_poison(&sched);
             }
-            return;
+            return None;
         }
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            let entry = {
-                let slot = &mut sched.actors[self.me.0 as usize];
-                debug_assert_eq!(slot.state, ActorState::Running);
-                slot.state = ActorState::Queued;
-                let seq = slot.push_seq;
-                slot.push_seq += 1;
-                PEntry {
-                    t,
-                    src_vt: now,
-                    src: self.name.clone(),
-                    src_seq: seq,
-                    id: self.me,
-                    reason: WakeReason::Signaled,
-                    timer_gen: None,
-                }
-            };
-            Engine::push_entry(&mut sched, self.part, entry);
-            Engine::release_grant(&self.engine, &mut sched, self.part);
-        }
-        self.park_until_granted();
+        Some((t, now))
     }
 
     /// Yield without advancing time: equal-time entries queued on this
@@ -1054,8 +1104,9 @@ impl Ctx {
     }
 
     /// First half of the blocking protocol: obtain a token that a waker can
-    /// use to resume this actor. Must be followed by [`Ctx::wait`] on this
-    /// actor before it performs any other engine call.
+    /// use to resume this actor. Must be followed by [`Ctx::wait`] (or an
+    /// awaited [`Ctx::suspend`]) on this actor before it performs any other
+    /// engine call.
     pub fn prepare_wait(&self) -> WaitToken {
         let mut sched = self.engine.lock_sched();
         self.check_poison(&sched);
@@ -1075,21 +1126,7 @@ impl Ctx {
     /// Suspend until another actor calls [`Ctx::wake`] with `token`, or the
     /// engine shuts down. Blocked time is charged under `tag`.
     pub fn wait(&self, token: WaitToken, tag: &'static str) -> WakeReason {
-        self.wait_inner(token, tag, None, None)
-    }
-
-    /// Like [`Ctx::wait`], but records *what* is being awaited (an MPI tag,
-    /// a queue name, a latch label). The cause lands on the resulting stall
-    /// span as a `cause` attr; `cause` is only evaluated while a sink is
-    /// recording, so instrumented waits stay free when observability is off.
-    pub fn wait_with_cause(
-        &self,
-        token: WaitToken,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        let cause = self.sink_enabled().then(cause);
-        self.wait_inner(token, tag, cause, None)
+        self.block_on(self.suspend(token, tag))
     }
 
     /// Like [`Ctx::wait`], but also resumes (with `WakeReason::Signaled`)
@@ -1102,23 +1139,19 @@ impl Ctx {
         deadline: SimTime,
         tag: &'static str,
     ) -> WakeReason {
-        self.wait_inner(token, tag, None, Some(deadline))
+        self.block_on(self.suspend(token, tag).until(deadline))
     }
 
-    /// [`Ctx::wait_deadline`] with a recorded wait cause (see
-    /// [`Ctx::wait_with_cause`]).
-    pub fn wait_deadline_with_cause(
-        &self,
-        token: WaitToken,
-        deadline: SimTime,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        let cause = self.sink_enabled().then(cause);
-        self.wait_inner(token, tag, cause, Some(deadline))
+    /// The awaitable wait on `token` (from this actor's last
+    /// [`Ctx::prepare_wait`]): resolves to why the actor resumed. Refine it
+    /// with [`Suspend::until`] (a deadline) and [`Suspend::cause`]; the
+    /// blocking `wait*` methods are this future run by [`Ctx::block_on`].
+    pub fn suspend(&self, token: WaitToken, tag: &'static str) -> Suspend<'_> {
+        Suspend::new(self, Some(token), tag)
     }
 
-    /// The one suspension body behind `wait*`.
+    /// A thread actor's wait: suspend under the scheduler lock unless the
+    /// engine is shutting down, then sleep until granted.
     fn wait_inner(
         &self,
         token: WaitToken,
@@ -1127,21 +1160,39 @@ impl Ctx {
         deadline: Option<SimTime>,
     ) -> WakeReason {
         assert_eq!(token.actor, self.me, "wait() with a foreign token");
-        self.assert_owns_thread();
+        let park = self.park();
         {
             let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
-            if sched.shutdown {
-                // Don't suspend daemons that race with shutdown.
-                let slot = &mut sched.actors[self.me.0 as usize];
-                slot.wait_armed = false;
-                slot.pending_wake = None;
+            if !Engine::begin_wait(&mut sched, token, tag, cause, deadline) {
                 return WakeReason::Shutdown;
             }
-            Engine::suspend(&mut sched, token, tag, cause, deadline);
             Engine::release_grant(&self.engine, &mut sched, self.part);
         }
-        self.park_until_granted()
+        self.park_until_granted(park)
+    }
+
+    /// Run `fut` to completion on this actor and return its output: how a
+    /// thread actor performs an operation a handler would await. On a
+    /// thread every engine call inside blocks in place, so one poll
+    /// finishes it.
+    ///
+    /// # Panics
+    ///
+    /// On a handler, if `fut` would suspend — a handler awaits instead —
+    /// and on a thread, if `fut` waits for something other than the engine.
+    pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        let mut fut = std::pin::pin!(fut);
+        match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(out) => out,
+            Poll::Pending => match self.host {
+                Host::Handler(_) => self.blocking_in_handler(),
+                Host::Thread(_) => panic!(
+                    "actor '{}' blocked on a future that is not an engine suspension",
+                    self.name
+                ),
+            },
+        }
     }
 
     /// Resume the actor identified by `token` at the current virtual time.
@@ -1341,7 +1392,7 @@ impl Ctx {
             name,
             false,
             self.spawn_origin(),
-            Start::Thread(f),
+            Start::<F, NoBody>::Thread(f),
         )
         .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
@@ -1360,7 +1411,28 @@ impl Ctx {
             name,
             true,
             self.spawn_origin(),
-            Start::Thread(f),
+            Start::<F, NoBody>::Thread(f),
+        )
+        .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
+    }
+
+    /// Spawn a handler daemon (see the module docs, "Handlers"): `body`
+    /// builds its future from the handler's own context, here and now, and
+    /// the future runs on whatever thread grants it — the handler owns
+    /// none. Partition, first instant and spawn edge as in [`Ctx::spawn`].
+    pub fn spawn_handler<B, F>(&self, name: impl Into<String>, body: B) -> ActorId
+    where
+        B: FnOnce(Ctx) -> F,
+        F: Future<Output = ()> + Send + 'static,
+    {
+        let name = name.into();
+        self.emit_spawn_edge(&name);
+        Engine::spawn_inner(
+            &self.engine,
+            name,
+            true,
+            self.spawn_origin(),
+            Start::<NoThread, _>::Handler(|ctx| Box::pin(body(ctx)) as Body),
         )
         .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
@@ -1427,23 +1499,159 @@ impl Ctx {
         }
     }
 
-    /// A handler's activation may read its clock, record, count and wake;
-    /// moving the clock or suspending needs a thread of its own.
-    fn assert_owns_thread(&self) {
-        debug_assert!(
-            self.park.thread.get().is_some(),
-            "handler '{}' tried to advance or wait: an activation ends by returning its Sleep",
+    /// The thread a blocking call sleeps on. A handler has none: it awaits
+    /// the call's future form, and blocking is a bug reported by name.
+    fn park(&self) -> &Arc<Park> {
+        match &self.host {
+            Host::Thread(park) => park,
+            Host::Handler(_) => self.blocking_in_handler(),
+        }
+    }
+
+    fn blocking_in_handler(&self) -> ! {
+        panic!(
+            "handler '{}' made a blocking engine call: a handler awaits it (Ctx::sleep, Ctx::suspend)",
+            self.name
+        )
+    }
+
+    /// Leave `sleep` for the activation polling this handler's body.
+    fn record(&self, step: &Mutex<Step>, sleep: Sleep) {
+        let mut step = step.lock();
+        assert!(
+            step.sleep.is_none(),
+            "handler '{}' stopped at two suspensions in one poll",
             self.name
         );
+        step.sleep = Some(sleep);
     }
 
     /// Second half of every release: sleep until the scheduler grants this
     /// actor again (the caller has just released the scheduler lock, which
     /// issued the wake it recorded), then resume without touching the lock.
-    fn park_until_granted(&self) -> WakeReason {
-        let reason = self.park.wait();
+    fn park_until_granted(&self, park: &Park) -> WakeReason {
+        let reason = park.wait();
         self.check_poison_flag();
         reason
+    }
+}
+
+/// The future of [`Ctx::sleep`] / [`Ctx::sleep_until`]: an advance a
+/// handler awaits. On a thread actor it is the blocking advance.
+#[must_use = "an advance does nothing unless awaited"]
+pub struct Advance<'a> {
+    ctx: &'a Ctx,
+    target: SimTime,
+    tag: &'static str,
+    /// A handler queued its entry and returned `Pending`; the next poll is
+    /// the grant that ends the advance.
+    queued: bool,
+}
+
+impl Future for Advance<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let ctx = this.ctx;
+        match &ctx.host {
+            Host::Thread(_) => ctx.advance_until(this.target, this.tag),
+            Host::Handler(_) if this.queued => ctx.check_poison_flag(),
+            Host::Handler(step) => {
+                if let Some((t, from)) = ctx.try_elide(this.target, this.tag) {
+                    ctx.record(step, Sleep::Advance { t, from });
+                    this.queued = true;
+                    return Poll::Pending;
+                }
+            }
+        }
+        Poll::Ready(())
+    }
+}
+
+/// The future of [`Ctx::suspend`] (and of [`Notify::notified`] /
+/// [`Latch::opened`]): a wait a handler awaits, resolving to why the actor
+/// resumed. On a thread actor it is the blocking wait.
+///
+/// [`Notify::notified`]: crate::Notify::notified
+/// [`Latch::opened`]: crate::Latch::opened
+#[must_use = "a wait does nothing unless awaited"]
+pub struct Suspend<'a> {
+    ctx: &'a Ctx,
+    /// `None`: nothing to wait for (an open latch), ready at once.
+    token: Option<WaitToken>,
+    tag: &'static str,
+    deadline: Option<SimTime>,
+    cause: Option<String>,
+    /// A handler recorded the wait and returned `Pending`; the next poll is
+    /// the grant that ends it.
+    parked: bool,
+}
+
+impl<'a> Suspend<'a> {
+    pub(crate) fn new(ctx: &'a Ctx, token: Option<WaitToken>, tag: &'static str) -> Suspend<'a> {
+        Suspend {
+            ctx,
+            token,
+            tag,
+            deadline: None,
+            cause: None,
+            parked: false,
+        }
+    }
+
+    /// Also resume (with [`WakeReason::Signaled`]) when the clock reaches
+    /// `deadline`, whichever comes first (see [`Ctx::wait_deadline`]).
+    pub fn until(self, deadline: SimTime) -> Suspend<'a> {
+        Suspend {
+            deadline: Some(deadline),
+            ..self
+        }
+    }
+
+    /// Record *what* is awaited (an MPI tag, a queue name, a latch label):
+    /// the cause lands on the resulting stall span as a `cause` attr, so the
+    /// profiler's wait-state classifier never buckets it "unknown". `cause`
+    /// runs only if the wait is real and the actor's span lane keeps stall
+    /// attributes (a full trace, not the flight window): instrumented waits
+    /// cost nothing otherwise.
+    pub fn cause(self, cause: impl FnOnce() -> String) -> Suspend<'a> {
+        let kept = self.token.is_some() && self.ctx.clock.keeps_causes;
+        Suspend {
+            cause: kept.then(cause),
+            ..self
+        }
+    }
+}
+
+impl Future for Suspend<'_> {
+    type Output = WakeReason;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<WakeReason> {
+        let this = self.get_mut();
+        let ctx = this.ctx;
+        let Some(token) = this.token else {
+            return Poll::Ready(WakeReason::Signaled);
+        };
+        let cause = this.cause.take();
+        match &ctx.host {
+            Host::Thread(_) => Poll::Ready(ctx.wait_inner(token, this.tag, cause, this.deadline)),
+            Host::Handler(step) if this.parked => {
+                ctx.check_poison_flag();
+                Poll::Ready(step.lock().woke)
+            }
+            Host::Handler(step) => {
+                let sleep = Sleep::Wait {
+                    token,
+                    tag: this.tag,
+                    cause,
+                    deadline: this.deadline,
+                };
+                ctx.record(step, sleep);
+                this.parked = true;
+                Poll::Pending
+            }
+        }
     }
 }
 
@@ -1451,14 +1659,18 @@ impl Sched {
     /// Record that actor `idx` resumes, for the unlocking thread to act
     /// on: a handler's activation to run, or a thread to wake.
     fn resume_later(&mut self, idx: usize, reason: WakeReason) {
-        let slot = &mut self.actors[idx];
-        match slot.handler.take() {
-            Some(handler) => self.activations.push(Activation {
-                id: ActorId(idx as u32),
-                reason,
-                handler,
-            }),
-            None => self.wakes.push((slot.park.clone(), reason)),
+        match &mut self.actors[idx].runner {
+            Runner::Thread(park) => self.wakes.push((park.clone(), reason)),
+            // No body: a poisoning overtook the spawn that is building it.
+            Runner::Handler(body) => {
+                if let Some(handler) = body.take() {
+                    self.activations.push(Activation {
+                        id: ActorId(idx as u32),
+                        reason,
+                        handler,
+                    });
+                }
+            }
         }
     }
 
@@ -1485,12 +1697,19 @@ struct SpawnOrigin {
     seq: u64,
 }
 
-/// How an actor runs: on a thread of its own, or as a handler the granting
-/// thread activates inline.
-enum Start<F> {
+/// How an actor runs: on a thread of its own, or as a handler whose body
+/// `H` builds from the handler's context.
+enum Start<F, H> {
     Thread(F),
-    Handler(HandlerBody),
+    Handler(H),
 }
+
+/// What makes a handler's body, boxed until [`Sim::run`] spawns it.
+type BodyFn = Box<dyn FnOnce(Ctx) -> Body + Send + 'static>;
+
+/// The `Start` parameters a spawn of the other kind leaves unused.
+type NoThread = fn(&Ctx);
+type NoBody = fn(Ctx) -> Body;
 
 /// A queued actor awaiting launch: name, daemon flag, explicit partition
 /// (`None` = a fresh partition of its own), and body.
@@ -1498,7 +1717,7 @@ type PendingActor = (
     String,
     bool,
     Option<u32>,
-    Start<Box<dyn FnOnce(&Ctx) + Send + 'static>>,
+    Start<Box<dyn FnOnce(&Ctx) + Send + 'static>, BodyFn>,
 );
 
 /// Builder for a simulation run.
@@ -1585,18 +1804,23 @@ impl Sim {
         self
     }
 
-    /// Register a daemon on partition `part` that owns no thread: `f` is
-    /// activated inline by whichever thread grants it (see the module
-    /// docs, "Handlers"). The first activation is at time zero; each one
-    /// counts as one dispatched event and ends by returning how the
-    /// handler sleeps. At shutdown it is dropped without a further
-    /// activation.
-    pub fn spawn_handler_on<F>(&mut self, part: u32, name: impl Into<String>, f: F) -> &mut Sim
+    /// Register a handler daemon on partition `part` (see the module docs,
+    /// "Handlers"): it owns no thread; `body` builds its future from the
+    /// handler's context when the run starts, and its first activation is
+    /// at time zero.
+    pub fn spawn_handler_on<B, F>(
+        &mut self,
+        part: u32,
+        name: impl Into<String>,
+        body: B,
+    ) -> &mut Sim
     where
-        F: FnMut(&Ctx) -> Sleep + Send + 'static,
+        B: FnOnce(Ctx) -> F + Send + 'static,
+        F: Future<Output = ()> + Send + 'static,
     {
+        let body: BodyFn = Box::new(|ctx| Box::pin(body(ctx)));
         self.initial
-            .push((name.into(), true, Some(part), Start::Handler(Box::new(f))));
+            .push((name.into(), true, Some(part), Start::Handler(body)));
         self
     }
 
@@ -1695,6 +1919,7 @@ impl Engine {
             poisoned: AtomicBool::new(false),
             fast_events: AtomicU64::new(0),
             max_events: sim.config.max_events,
+            threads: AtomicU64::new(0),
         });
 
         let had_initial = !sim.initial.is_empty();
@@ -1760,6 +1985,7 @@ impl Engine {
             handoffs_elided: fast,
             parallel_advances: sched.parallel_advances,
             horizon_stalls: sched.horizon_stalls,
+            threads_spawned: shared.threads.load(Ordering::Relaxed),
         })
     }
 
@@ -1792,25 +2018,35 @@ impl Engine {
         }
     }
 
-    /// Register an actor and, unless it is a handler, start its thread,
-    /// parked until its first grant. The thread is spawned under the
-    /// scheduler lock, before the slot exists: whoever can see the slot can
-    /// already unpark the thread, and a spawn the OS refuses leaves nothing
-    /// half-registered. On that failure the run is poisoned
+    /// Register an actor and start it: a thread actor's thread, parked
+    /// until its first grant, or a handler's body. The thread is spawned
+    /// under the scheduler lock, before the slot exists: whoever can see the
+    /// slot can already unpark the thread, and a spawn the OS refuses leaves
+    /// nothing half-registered. On that failure the run is poisoned
     /// (`spawn:<actor>:<os error>`, returned as `Err`) and every actor
-    /// spawned so far is woken to unwind.
-    fn spawn_inner<F>(
+    /// spawned so far is woken to unwind. A handler's body is built after
+    /// the lock is released — `body` may run any code — and installed
+    /// before its first grant: a mid-run spawner holds the grant of the
+    /// partition the handler joins, and initial spawns precede the run.
+    fn spawn_inner<F, H>(
         shared: &Arc<EngineShared>,
         name: String,
         daemon: bool,
         origin: SpawnOrigin,
-        start: Start<F>,
+        start: Start<F, H>,
     ) -> Result<ActorId, String>
     where
         F: FnOnce(&Ctx) + Send + 'static,
+        H: FnOnce(Ctx) -> Body,
     {
         let metrics = shared.metrics.new_shard();
-        let park = Park::new();
+        let host = match start {
+            Start::Thread(_) => Host::Thread(Park::new()),
+            Start::Handler(_) => Host::Handler(Arc::new(Mutex::new(Step {
+                sleep: None,
+                woke: WakeReason::Signaled,
+            }))),
+        };
         let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
         let lane = shared
@@ -1827,6 +2063,7 @@ impl Engine {
         let id = ActorId(sched.actors.len() as u32);
         let part = origin.part;
         let clock = Arc::new(ActorClock {
+            keeps_causes: lane.as_ref().is_some_and(|l| l.keeps_attrs("stall")),
             lane,
             local_now: AtomicU64::new(origin.t.0),
             fast_advances: AtomicU64::new(0),
@@ -1841,11 +2078,15 @@ impl Engine {
             part,
             acct: acct.clone(),
             part_front: sched.parts[part as usize].front.clone(),
-            park: park.clone(),
+            host,
         };
-        let handler = match start {
-            Start::Handler(body) => Some(Box::new(Handler { ctx, body })),
-            Start::Thread(f) => {
+        let (runner, build) = match (start, &ctx.host) {
+            (Start::Handler(body), Host::Handler(step)) => {
+                let step = step.clone();
+                (Runner::Handler(None), Some((ctx, step, body)))
+            }
+            (Start::Thread(f), Host::Thread(park)) => {
+                let park = park.clone();
                 let shared2 = shared.clone();
                 let spawned = std::thread::Builder::new()
                     .name(name)
@@ -1854,7 +2095,7 @@ impl Engine {
                         // Wait for the first grant. `Shutdown` instead means
                         // the run was poisoned before this actor ever ran:
                         // its body must not start.
-                        let result = match ctx.park.wait() {
+                        let result = match ctx.park().wait() {
                             WakeReason::Signaled => {
                                 panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
                             }
@@ -1875,14 +2116,16 @@ impl Engine {
                     .set(handle.thread().clone())
                     .expect("a fresh park has no thread yet");
                 shared.handles.lock().push(handle);
-                None
+                shared.threads.fetch_add(1, Ordering::Relaxed);
+                (Runner::Thread(park), None)
             }
+            _ => unreachable!("the host was chosen by the start"),
         };
         sched.actors.push(ActorSlot {
             name: actor_name,
             daemon,
             state: ActorState::Queued,
-            park,
+            runner,
             wait_gen: 0,
             blocked_since: SimTime::ZERO,
             blocked_tag: "",
@@ -1895,7 +2138,6 @@ impl Engine {
             wait_armed: false,
             blocked_deadline: None,
             queued_by_wake: None,
-            handler,
         });
         sched.live_total += 1;
         if !daemon {
@@ -1920,54 +2162,136 @@ impl Engine {
             timer_gen: None,
         };
         Engine::push_entry(&mut sched, part, entry);
+        drop(sched);
+        if let Some((ctx, step, build)) = build {
+            let handler = Box::new(Handler {
+                step,
+                body: build(ctx),
+            });
+            let mut sched = shared.lock_sched();
+            // After a poisoning nothing runs it; left in its slot it would
+            // keep the engine alive through its own context.
+            if sched.poison.is_none() {
+                sched.actors[id.0 as usize].runner = Runner::Handler(Some(handler));
+            }
+        }
         Ok(id)
     }
 
-    /// Run one granted handler activation on the calling thread, unlocked,
-    /// then put the handler back to sleep the way it asked and release its
-    /// partition's grant. Whatever that release grants to handlers joins
-    /// `runs` (the caller's loop), so activations never nest.
+    /// Run one granted handler activation on the calling thread, unlocked:
+    /// poll the body with the reason it resumed for, then do under the lock
+    /// what the body's pending call asked — what a thread actor's blocking
+    /// call does — put the body back and release the partition's grant.
+    /// Whatever that release grants to handlers joins `runs` (the caller's
+    /// loop), so activations never nest.
     fn activate(shared: &Arc<EngineShared>, act: Activation, runs: &mut Deferred<Activation>) {
         let Activation {
             id,
-            reason,
+            mut reason,
             mut handler,
         } = act;
-        let outcome = match reason {
-            WakeReason::Signaled => {
-                panic::catch_unwind(AssertUnwindSafe(|| (handler.body)(&handler.ctx))).map(Some)
-            }
-            // Swept at shutdown: dropped without a further activation.
-            WakeReason::Shutdown => Ok(None),
+        let idx = id.0 as usize;
+        let mut sched = loop {
+            handler.step.lock().woke = reason;
+            let polled = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut cx = Context::from_waker(Waker::noop());
+                handler.body.as_mut().poll(&mut cx)
+            }));
+            let sleep = handler.step.lock().sleep.take();
+            let mut sched = shared.lock_sched();
+            // A panic here would unwind through the guard that called us, so
+            // a body's misuse is reported like a panic in the body.
+            let misuse = |msg: &'static str| Some(Box::new(msg) as Box<dyn std::any::Any + Send>);
+            let failed = match (polled, sleep) {
+                (Err(payload), _) => payload.into(),
+                (Ok(Poll::Ready(())), _) => None,
+                (Ok(Poll::Pending), None) => {
+                    misuse("a handler's body is pending on something other than the engine")
+                }
+                // Poisoned meanwhile: it would panic at its next call.
+                (Ok(Poll::Pending), Some(_)) if sched.poison.is_some() => None,
+                (Ok(Poll::Pending), Some(Sleep::Wait { token, .. }))
+                    if token.actor != id || token.gen != sched.actors[idx].wait_gen =>
+                {
+                    misuse("a handler waits on the token of its last prepare_wait")
+                }
+                (Ok(Poll::Pending), Some(sleep)) => {
+                    match sleep {
+                        Sleep::Advance { t, from } => {
+                            Engine::queue_advance(&mut sched, id, t, from)
+                        }
+                        Sleep::Wait {
+                            token,
+                            tag,
+                            cause,
+                            deadline,
+                        } => {
+                            if !Engine::begin_wait(&mut sched, token, tag, cause, deadline) {
+                                // Shutting down: the wait returns at once,
+                                // as a thread's does.
+                                drop(sched);
+                                reason = WakeReason::Shutdown;
+                                continue;
+                            }
+                        }
+                    }
+                    let part = sched.actors[idx].part;
+                    sched.actors[idx].runner = Runner::Handler(Some(handler));
+                    Engine::release_grant(shared, &mut sched, part);
+                    break sched;
+                }
+            };
+            Engine::finish(shared, &mut sched, id, failed);
+            break sched;
         };
-        let mut sched = shared.lock_sched();
-        // A panic here would unwind through the guard that called us, so a
-        // `Sleep` on the wrong token is reported like a panic in the body.
-        let outcome = outcome.and_then(|sleep| match sleep {
-            Some(s)
-                if s.token.actor != id || s.token.gen != sched.actors[id.0 as usize].wait_gen =>
-            {
-                Err(Box::new("a handler sleeps on the token of its last prepare_wait") as _)
-            }
-            other => Ok(other),
-        });
-        match outcome {
-            Ok(Some(sleep)) if !sched.shutdown && sched.poison.is_none() => {
-                let part = handler.ctx.part;
-                Engine::suspend(&mut sched, sleep.token, sleep.tag, None, sleep.deadline);
-                sched.actors[id.0 as usize].handler = Some(handler);
-                Engine::release_grant(shared, &mut sched, part);
-            }
-            Ok(_) => Engine::finish(shared, &mut sched, id, None),
-            Err(payload) => Engine::finish(shared, &mut sched, id, Some(payload)),
-        }
         while let Some(next) = sched.activations.pop() {
             runs.push(next);
         }
     }
 
+    /// Queue the running actor `id` at `t` (its advance did not elide),
+    /// pushed from clock `from`; the caller releases the grant.
+    fn queue_advance(sched: &mut Sched, id: ActorId, t: SimTime, from: SimTime) {
+        let slot = &mut sched.actors[id.0 as usize];
+        debug_assert_eq!(slot.state, ActorState::Running);
+        slot.state = ActorState::Queued;
+        let seq = slot.push_seq;
+        slot.push_seq += 1;
+        let entry = PEntry {
+            t,
+            src_vt: from,
+            src: slot.name.clone(),
+            src_seq: seq,
+            id,
+            reason: WakeReason::Signaled,
+            timer_gen: None,
+        };
+        let part = slot.part;
+        Engine::push_entry(sched, part, entry);
+    }
+
+    /// Enter a wait. At shutdown a daemon is not suspended again: `false`,
+    /// and the wait returns [`WakeReason::Shutdown`] at once. Otherwise the
+    /// actor is suspended (the caller releases the grant).
+    fn begin_wait(
+        sched: &mut Sched,
+        token: WaitToken,
+        tag: &'static str,
+        cause: Option<String>,
+        deadline: Option<SimTime>,
+    ) -> bool {
+        if sched.shutdown {
+            let slot = &mut sched.actors[token.actor.0 as usize];
+            slot.wait_armed = false;
+            slot.pending_wake = None;
+            return false;
+        }
+        Engine::suspend(sched, token, tag, cause, deadline);
+        true
+    }
+
     /// Suspend the running actor `token` belongs to (both `wait` and
-    /// `wait_deadline`, and a handler's [`Sleep`]); the caller releases the
+    /// `wait_deadline`, on a thread or in a handler); the caller releases the
     /// grant. A deadline is one timer entry in the partition queue, keyed
     /// by the wait generation so a wake that lands first retires it. A
     /// waker may have fired between `prepare_wait` and this call — its wake
@@ -2980,39 +3304,35 @@ mod tests {
         SimTime::ZERO + SimDur::from_us(n)
     }
 
-    /// A ticker that wakes at 0, 10, 20 and 30 us and then sleeps for good,
-    /// as a handler (`inline`) or as the thread daemon it replaces.
-    fn ticker(inline: bool) -> (SimReport, Vec<SimTime>) {
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let log = seen.clone();
-        let tick = move |ctx: &Ctx| {
-            let mut log = log.lock().unwrap();
-            log.push(ctx.now());
-            let sleep = Sleep::on(ctx.prepare_wait(), "idle");
-            if log.len() < 4 {
+    /// A ticker that wakes at 0, 10, 20 and 30 us and then sleeps for good.
+    async fn tick(ctx: &Ctx, log: Arc<std::sync::Mutex<Vec<SimTime>>>) {
+        loop {
+            let ticks = {
+                let mut log = log.lock().unwrap();
+                log.push(ctx.now());
+                log.len()
+            };
+            let sleep = ctx.suspend(ctx.prepare_wait(), "idle");
+            let sleep = if ticks < 4 {
                 sleep.until(ctx.now() + SimDur::from_us(10))
             } else {
                 sleep
+            };
+            if sleep.await == WakeReason::Shutdown {
+                return;
             }
-        };
+        }
+    }
+
+    /// The ticker as a handler (`inline`) or as a thread daemon.
+    fn ticker(inline: bool) -> (SimReport, Vec<SimTime>) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
         let mut sim = Sim::with_config(windowed(1, SimDur::from_us(1)));
         if inline {
-            sim.spawn_handler_on(0, "tick", tick);
+            sim.spawn_handler_on(0, "tick", |ctx| async move { tick(&ctx, log).await });
         } else {
-            sim.spawn_daemon_on(0, "tick", move |ctx| loop {
-                let Sleep {
-                    token,
-                    deadline,
-                    tag,
-                } = tick(ctx);
-                let reason = match deadline {
-                    Some(at) => ctx.wait_deadline(token, at, tag),
-                    None => ctx.wait(token, tag),
-                };
-                if reason == WakeReason::Shutdown {
-                    return;
-                }
-            });
+            sim.spawn_daemon_on(0, "tick", |ctx| ctx.block_on(tick(ctx, log)));
         }
         sim.spawn_on(0, "work", |ctx| ctx.advance(SimDur::from_us(100), "w"));
         let report = sim.run().unwrap();
@@ -3024,7 +3344,7 @@ mod tests {
     fn handler_activation_is_one_event_and_its_deadline_fires_on_time() {
         let (report, seen) = ticker(true);
         // Four activations, each re-armed deadline met at its instant; the
-        // shutdown sweep is a grant but not an activation.
+        // shutdown sweep is one more grant.
         assert_eq!(seen, vec![us(0), us(10), us(20), us(30)]);
         // work: first grant + one advance; tick: four activations + sweep.
         assert_eq!(report.events, 2 + 4 + 1);
@@ -3039,6 +3359,74 @@ mod tests {
         assert_eq!(report.events, threaded.events);
         assert_eq!(report.end_time, threaded.end_time);
         assert_eq!(report.actors, threaded.actors);
+        assert_eq!((report.threads_spawned, threaded.threads_spawned), (1, 2));
+    }
+
+    /// A body that advances and waits mid-way: two advances, a wait on a
+    /// token the other actor wakes, an advance, a deadline wait.
+    async fn midway(ctx: &Ctx, cell: Arc<std::sync::Mutex<Option<WaitToken>>>) {
+        ctx.sleep(SimDur::from_us(2), "compute").await;
+        ctx.sleep(SimDur::from_us(5), "compute").await;
+        let tok = ctx.prepare_wait();
+        *cell.lock().unwrap() = Some(tok);
+        let reason = ctx
+            .suspend(tok, "blocked")
+            .cause(|| "the poker".to_string())
+            .await;
+        assert_eq!(reason, WakeReason::Signaled);
+        ctx.sleep_until(ctx.now() + SimDur::from_us(1), "compute")
+            .await;
+        let nap = ctx.suspend(ctx.prepare_wait(), "nap");
+        nap.until(ctx.now() + SimDur::from_us(4)).await;
+        ctx.sleep(SimDur::ZERO, "compute").await;
+    }
+
+    /// `midway` on a handler (`inline`) or on a thread, beside a thread
+    /// that advances in step with it and wakes it.
+    fn run_midway(inline: bool, lookahead: SimDur) -> (SimReport, Vec<Seen>) {
+        let seen = Arc::new(Collect::default());
+        let cell = Arc::new(std::sync::Mutex::new(None));
+        let mut sim = Sim::with_config(SimConfig {
+            sink: Some(seen.clone()),
+            ..windowed(1, lookahead)
+        });
+        let c2 = cell.clone();
+        if inline {
+            sim.spawn_handler_on(0, "subject", |ctx| async move { midway(&ctx, c2).await });
+        } else {
+            sim.spawn_daemon_on(0, "subject", |ctx| ctx.block_on(midway(ctx, c2)));
+        }
+        sim.spawn_on(0, "poker", move |ctx| {
+            ctx.advance(SimDur::from_us(3), "w");
+            ctx.advance(SimDur::from_us(4), "w"); // ties the subject at 7
+            ctx.advance(SimDur::from_us(5), "w");
+            let tok = cell.lock().unwrap().take().expect("the subject waits");
+            assert!(ctx.wake(tok));
+            ctx.advance(SimDur::from_us(20), "w");
+        });
+        (sim.run().unwrap(), seen.sorted())
+    }
+
+    #[test]
+    fn a_handler_advances_and_waits_midway_exactly_as_a_thread_does() {
+        for lookahead in [SimDur::ZERO, SimDur::from_us(1)] {
+            let (h, h_seen) = run_midway(true, lookahead);
+            let (t, t_seen) = run_midway(false, lookahead);
+            assert_eq!(h.events, t.events);
+            assert_eq!(h.handoffs_elided, t.handoffs_elided);
+            assert_eq!(h.end_time, t.end_time);
+            assert_eq!(h.actors, t.actors);
+            assert_eq!(h_seen, t_seen);
+            // Both branches of the decision ran: elided and queued steps.
+            assert!(h.handoffs_elided > 0 && h.events > h.handoffs_elided);
+            let subject = h.actor("subject").unwrap();
+            assert_eq!(subject.tag("blocked"), SimDur::from_us(5));
+            assert_eq!(subject.tag("nap"), SimDur::from_us(4));
+            let stalls: Vec<_> = h_seen.iter().filter(|s| s.2 == "stall").collect();
+            assert_eq!(stalls.len(), 2, "{stalls:?}");
+            assert!(stalls[0].3.contains(&("cause", "the poker".to_string())));
+            assert_eq!((h.threads_spawned, t.threads_spawned), (1, 2));
+        }
     }
 
     #[test]
@@ -3048,15 +3436,20 @@ mod tests {
         let seen = Arc::new(StdMutex::new(Vec::new()));
         let (c2, log) = (cell.clone(), seen.clone());
         let mut sim = Sim::with_config(windowed(2, SimDur::from_us(1)));
-        sim.spawn_handler_on(0, "mailbox", move |ctx| {
-            log.lock().unwrap().push(ctx.now());
-            let tok = ctx.prepare_wait();
-            *c2.lock().unwrap() = Some(tok);
-            let sleep = Sleep::on(tok, "idle");
-            if ctx.now() < us(50) {
-                sleep.until(us(50))
-            } else {
-                sleep
+        sim.spawn_handler_on(0, "mailbox", |ctx| async move {
+            loop {
+                log.lock().unwrap().push(ctx.now());
+                let tok = ctx.prepare_wait();
+                *c2.lock().unwrap() = Some(tok);
+                let sleep = ctx.suspend(tok, "idle");
+                let sleep = if ctx.now() < us(50) {
+                    sleep.until(us(50))
+                } else {
+                    sleep
+                };
+                if sleep.await == WakeReason::Shutdown {
+                    return;
+                }
             }
         });
         sim.spawn_on(1, "sender", move |ctx| {
@@ -3075,11 +3468,11 @@ mod tests {
     #[test]
     fn handler_panic_is_reported_by_name() {
         let mut sim = Sim::new();
-        let mut calls = 0;
-        sim.spawn_handler_on(0, "bad", move |ctx| {
-            calls += 1;
-            assert!(calls < 2, "boom");
-            Sleep::on(ctx.prepare_wait(), "idle").until(us(1))
+        sim.spawn_handler_on(0, "bad", |ctx| async move {
+            for calls in 1.. {
+                assert!(calls < 2, "boom");
+                ctx.suspend(ctx.prepare_wait(), "idle").until(us(1)).await;
+            }
         });
         sim.spawn("bystander", |ctx| {
             ctx.advance(SimDur::from_secs(1), "sleep")
@@ -3094,12 +3487,12 @@ mod tests {
     }
 
     #[test]
-    fn handler_sleeping_on_a_stale_token_is_a_reported_bug() {
+    fn handler_waiting_on_a_stale_token_is_a_reported_bug() {
         let mut sim = Sim::new();
-        sim.spawn_handler_on(0, "sloppy", |ctx| {
+        sim.spawn_handler_on(0, "sloppy", |ctx| async move {
             let stale = ctx.prepare_wait();
             let _current = ctx.prepare_wait();
-            Sleep::on(stale, "idle")
+            ctx.suspend(stale, "idle").await;
         });
         sim.spawn("work", |ctx| ctx.advance(SimDur::from_us(1), "w"));
         match sim.run() {
@@ -3111,19 +3504,18 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    fn handler_that_advances_is_a_reported_bug() {
+    fn handler_that_blocks_is_a_reported_bug() {
         let mut sim = Sim::new();
-        sim.spawn_handler_on(0, "greedy", |ctx| {
+        sim.spawn_handler_on(0, "greedy", |ctx| async move {
+            // The blocking form, where the body should await `sleep`.
             ctx.advance(SimDur::from_us(1), "w");
-            Sleep::on(ctx.prepare_wait(), "idle")
         });
         sim.spawn("work", |ctx| ctx.advance(SimDur::from_us(1), "w"));
         match sim.run() {
             Err(SimError::ActorPanic { actor, message }) => {
                 assert_eq!(actor, "greedy");
-                assert!(message.contains("advance or wait"), "{message}");
+                assert!(message.contains("blocking engine call"), "{message}");
             }
             other => panic!("expected the misuse to be reported, got {other:?}"),
         }
@@ -3135,37 +3527,26 @@ mod tests {
         use std::sync::Mutex as StdMutex;
         let ran_on = Arc::new(StdMutex::new(HashSet::new()));
         let count = Arc::new(AtomicU64::new(0));
-        let mut sim = Sim::with_config(windowed(1, SimDur::from_us(1)));
+        let mut sim = Sim::new();
         for i in 0..512u32 {
             let (ran_on, count) = (ran_on.clone(), count.clone());
-            sim.spawn_handler_on(i % 8, format!("h{i:03}"), move |ctx| {
-                ran_on.lock().unwrap().insert(std::thread::current().id());
-                count.fetch_add(1, Ordering::Relaxed);
-                let sleep = Sleep::on(ctx.prepare_wait(), "idle");
-                if ctx.now() < us(9) {
-                    sleep.until(ctx.now() + SimDur::from_us(3))
-                } else {
-                    sleep
+            sim.spawn_handler_on(0, format!("h{i:03}"), |ctx| async move {
+                // Every step ties with 511 others: each one suspends.
+                for _ in 0..4 {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                    count.fetch_add(1, Ordering::Relaxed);
+                    ctx.sleep(SimDur::from_us(3), "w").await;
                 }
             });
         }
-        let worker = Arc::new(StdMutex::new(None));
-        let w2 = worker.clone();
-        sim.spawn_on(0, "work", move |ctx| {
-            *w2.lock().unwrap() = Some(std::thread::current().id());
-            ctx.advance(SimDur::from_us(10), "w");
-        });
         let report = sim.run().unwrap();
-        // 0, 3, 6 and 9 us for each of the 512.
         assert_eq!(count.load(Ordering::Relaxed), 512 * 4);
-        assert_eq!(report.end_time, us(10));
-        // Every activation ran on a thread that already existed: the one
-        // that called `run`, or the lone thread actor's.
-        let allowed: HashSet<_> = [
-            std::thread::current().id(),
-            worker.lock().unwrap().expect("work ran"),
-        ]
-        .into();
-        assert!(ran_on.lock().unwrap().is_subset(&allowed));
+        assert_eq!(report.end_time, us(12));
+        assert_eq!(report.events, 512 * 5);
+        // No thread was started: every activation ran on the one that
+        // called `run`.
+        assert_eq!(report.threads_spawned, 0);
+        let only: HashSet<_> = [std::thread::current().id()].into();
+        assert_eq!(*ran_on.lock().unwrap(), only);
     }
 }

@@ -11,6 +11,8 @@
 //!
 //! * [`Sim`] / [`Ctx`] — build and run a simulation; actors advance the
 //!   clock with [`Ctx::advance`] and suspend/resume via wait tokens.
+//!   Daemons are handlers ([`Ctx::spawn_handler`]): futures that own no
+//!   thread and `.await` the same calls ([`Ctx::sleep`], [`Ctx::suspend`]).
 //! * [`Notify`] / [`Latch`] — condition-variable and one-shot-gate
 //!   primitives for building runtimes on top.
 //! * [`SerialResource`] — FIFO-contended hardware (PCIe directions, NICs).
@@ -47,8 +49,8 @@ mod sync;
 mod time;
 
 pub use engine::{
-    ActorAccount, ActorId, Ctx, Metrics, Sim, SimConfig, SimError, SimReport, Sleep, SpanLane,
-    SpanSink, WaitToken, WakeReason,
+    ActorAccount, ActorId, Advance, Ctx, Metrics, Sim, SimConfig, SimError, SimReport, SpanLane,
+    SpanSink, Suspend, WaitToken, WakeReason,
 };
 pub use resource::SerialResource;
 pub use sync::{Latch, Notify};

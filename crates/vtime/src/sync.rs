@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::engine::{Ctx, WaitToken, WakeReason};
+use crate::engine::{Ctx, Suspend, WaitToken, WakeReason};
 
 /// A condition-variable-like notifier with no memory: `wait` always suspends
 /// until a *subsequent* `notify_one` / `notify_all` (or engine shutdown).
@@ -39,22 +39,18 @@ impl Notify {
         tok
     }
 
+    /// Register the calling actor and return the wait for a *subsequent*
+    /// notification, to await (see [`Ctx::suspend`]). Registration happens
+    /// here, not at the first poll, so a condition checked just before
+    /// cannot change unseen.
+    pub fn notified<'a>(&self, ctx: &'a Ctx, tag: &'static str) -> Suspend<'a> {
+        ctx.suspend(self.register(ctx), tag)
+    }
+
     /// Suspend the calling actor until notified. Blocked time is charged
     /// under `tag`.
     pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
-        ctx.wait(self.register(ctx), tag)
-    }
-
-    /// [`Notify::wait`] with a recorded wait cause (what is being awaited;
-    /// see [`Ctx::wait_with_cause`]). `cause` is only evaluated while a
-    /// span sink is recording.
-    pub fn wait_with_cause(
-        &self,
-        ctx: &Ctx,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        ctx.wait_with_cause(self.register(ctx), tag, cause)
+        ctx.block_on(self.notified(ctx, tag))
     }
 
     /// Like [`Notify::wait`], but also returns when the clock reaches
@@ -66,19 +62,7 @@ impl Notify {
         deadline: crate::time::SimTime,
         tag: &'static str,
     ) -> WakeReason {
-        ctx.wait_deadline(self.register(ctx), deadline, tag)
-    }
-
-    /// [`Notify::wait_deadline`] with a recorded wait cause (see
-    /// [`Ctx::wait_with_cause`]).
-    pub fn wait_deadline_with_cause(
-        &self,
-        ctx: &Ctx,
-        deadline: crate::time::SimTime,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        ctx.wait_deadline_with_cause(self.register(ctx), deadline, tag, cause)
+        ctx.block_on(self.notified(ctx, tag).until(deadline))
     }
 
     /// Wake the longest-waiting actor. Returns `true` if one was woken.
@@ -146,27 +130,25 @@ impl Latch {
         Some(tok)
     }
 
-    /// Suspend until the latch opens (immediate if already open).
-    pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
-        match self.register(ctx) {
-            Some(tok) => ctx.wait(tok, tag),
-            None => WakeReason::Signaled,
-        }
+    /// The wait for the latch to open, to await (see [`Ctx::suspend`]):
+    /// ready at once if it already is.
+    pub fn opened<'a>(&self, ctx: &'a Ctx, tag: &'static str) -> Suspend<'a> {
+        Suspend::new(ctx, self.register(ctx), tag)
     }
 
-    /// [`Latch::wait`] with a recorded wait cause (see
-    /// [`Ctx::wait_with_cause`]). `cause` is only evaluated if the actor
-    /// actually suspends and a span sink is recording.
+    /// Suspend until the latch opens (immediate if already open).
+    pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
+        ctx.block_on(self.opened(ctx, tag))
+    }
+
+    /// [`Latch::wait`] with a recorded wait cause (see [`Suspend::cause`]).
     pub fn wait_with_cause(
         &self,
         ctx: &Ctx,
         tag: &'static str,
         cause: impl FnOnce() -> String,
     ) -> WakeReason {
-        match self.register(ctx) {
-            Some(tok) => ctx.wait_with_cause(tok, tag, cause),
-            None => WakeReason::Signaled,
-        }
+        ctx.block_on(self.opened(ctx, tag).cause(cause))
     }
 
     /// Open the latch and wake all waiters. Idempotent.
