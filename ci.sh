@@ -119,4 +119,10 @@ echo "==> serve campaign: compiled-DSL programs end-to-end"
 # programs, so 6 front misses.
 campaign_gate "dsl campaign gate" campaigns/dsl.campaign 6
 
+echo "==> serve campaign: fault injection end-to-end"
+# The exchange under seeded link faults and a failed device: recovery and
+# remap must reproduce the same result bytes, so the resubmit of the
+# faulted and device-loss points is answered by the cache too.
+campaign_gate "chaos campaign gate" campaigns/chaos_sweep.campaign
+
 echo "ci: all green"

@@ -17,7 +17,7 @@
 //! binary fail loudly instead of shipping an empty profile.
 fn main() {
     let args = impacc_bench::args_or_exit("prof", &["WORKLOAD", "--trace", "--slack"]);
-    let name = args.workload.as_deref().unwrap_or("fig14");
+    let name = args.word.as_deref().unwrap_or("fig14");
     match impacc_bench::prof::profile_figure(name, args.trace.as_deref(), args.slack) {
         Ok(out) => print!("{out}"),
         Err(msg) => {

@@ -3,7 +3,10 @@
 //! One module per table/figure of §4; each exposes a `run()` that returns
 //! the rendered report, and a thin binary under `src/bin/` prints it.
 //! `cargo run -p impacc-bench --release --bin all_figures` regenerates
-//! everything (EXPERIMENTS.md records the output).
+//! everything (EXPERIMENTS.md records the output; `golden/` holds the
+//! quick-mode reports the `golden` test byte-diffs). The one binary that
+//! is not a figure, `sweep <file.campaign>`, renders a shipped serve
+//! campaign as a table ([`sweep`]).
 //!
 //! Everything here is virtual time: no module reads a clock, so two runs
 //! of a binary print the same bytes and write the same `BENCH_<name>.json`.
@@ -16,10 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod array;
-pub mod chaos;
-pub mod coll;
-pub mod dsl;
 pub mod fig10;
 pub mod fig12;
 pub mod fig13;
@@ -29,29 +28,46 @@ pub mod fig8;
 pub mod fig9;
 pub mod prof;
 pub mod specs;
+pub mod sweep;
 pub mod util;
+
+/// One `all_figures` section: the `BENCH_<name>.json` name, the heading,
+/// and the report.
+pub type Figure = (&'static str, &'static str, fn() -> String);
+
+/// Every section `all_figures` prints, in order.
+pub const FIGURES: [Figure; 11] = [
+    ("table1", "Table 1", impacc_machine::presets::table1),
+    ("fig5", "Figures 4/5", fig5::run),
+    ("fig8", "Figure 8", fig8::run),
+    ("fig9", "Figure 9", fig9::run),
+    ("fig10", "Figure 10", fig10::run),
+    ("fig11", "Figure 11", fig10::run_fig11),
+    ("fig12", "Figure 12", fig12::run),
+    ("fig13", "Figure 13", fig13::run),
+    ("fig14", "Figure 14", fig13::run_fig14),
+    ("fig15", "Figure 15", fig15::run),
+    ("ablations", "Ablations", ablations::run),
+];
 
 /// What a harness binary's command line asked for.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Args {
-    /// `--quick`: alias for `IMPACC_BENCH_QUICK=1` (trim sweeps).
-    pub quick: bool,
-    /// `--smoke`: run the binary's fixed check instead of its sweep.
-    pub smoke: bool,
     /// `--critical-path`: append a critical-path profile to the figure.
     pub critical_path: bool,
     /// `--slack`: `prof`'s ranked off-path slack view.
     pub slack: bool,
     /// `--trace <path>` / `--trace=<path>`: also write a Chrome trace.
     pub trace: Option<String>,
-    /// The one positional word (`prof`'s workload name).
-    pub workload: Option<String>,
+    /// The one positional word (`prof`'s workload, `sweep`'s campaign).
+    pub word: Option<String>,
 }
 
 /// Parse a command line against the words one binary `accepts`: any of
-/// the flags above, plus `WORKLOAD` for one positional word. Everything
-/// else — an unknown or misspelt flag, a second positional, `--trace`
-/// without a path — is an error naming the offender.
+/// the flags above, plus one bare upper-case name (`WORKLOAD`, `CAMPAIGN`)
+/// for one positional word. Everything else — an unknown or misspelt
+/// flag, a second positional, `--trace` without a path — is an error
+/// naming the offender.
 pub fn parse_args(
     accepts: &[&str],
     argv: impl IntoIterator<Item = String>,
@@ -66,19 +82,18 @@ pub fn parse_args(
         let known = if word.starts_with("--") {
             accepts.contains(&word)
         } else {
-            out.workload.is_none() && accepts.contains(&"WORKLOAD")
+            out.word.is_none() && accepts.iter().any(|w| !w.starts_with("--"))
         };
         match word {
             _ if !known => return Err(format!("unknown argument {a:?}")),
-            "--quick" => out.quick = true,
-            "--smoke" => out.smoke = true,
             "--critical-path" => out.critical_path = true,
             "--slack" => out.slack = true,
             "--trace" => {
                 let path = inline.or_else(|| argv.next().filter(|p| !p.starts_with("--")));
+                let path = path.filter(|p| !p.is_empty());
                 out.trace = Some(path.ok_or("--trace needs a path")?);
             }
-            _ => out.workload = Some(a),
+            _ => out.word = Some(a),
         }
     }
     Ok(out)
@@ -99,22 +114,6 @@ pub fn args_or_exit(bin: &str, accepts: &[&str]) -> Args {
         eprintln!("{bin}: {e}\nusage: {bin}{usage}");
         std::process::exit(2);
     })
-}
-
-/// Shared entry point for the sweep binaries (`bench_coll`, `bench_array`,
-/// `bench_dsl`, `bench_chaos`): `--smoke` runs the binary's fixed check
-/// (it panics — nonzero exit — on any violation and writes no
-/// `BENCH_<name>.json`) instead of the sweep.
-pub fn bench_bin(name: &str, run: fn() -> String, smoke: fn() -> String) {
-    let args = args_or_exit(&format!("bench_{name}"), &["--quick", "--smoke"]);
-    if args.quick {
-        std::env::set_var("IMPACC_BENCH_QUICK", "1");
-    }
-    if args.smoke {
-        print!("{}", smoke());
-    } else {
-        util::bench_main(name, run);
-    }
 }
 
 /// Shared entry point for the figure binaries: print the figure and write
@@ -161,7 +160,7 @@ mod tests {
         // it stands, is the workload.
         let prof = ["WORKLOAD", "--trace", "--slack"];
         let got = parse(&prof, "--trace out.json fig5 --slack").unwrap();
-        assert_eq!(got.workload.as_deref(), Some("fig5"));
+        assert_eq!(got.word.as_deref(), Some("fig5"));
         assert_eq!(got.trace.as_deref(), Some("out.json"));
         assert!(got.slack);
 
@@ -172,6 +171,8 @@ mod tests {
             (&prof[..], "fig5 fig12", "fig12"),
             (&fig[..], "--trace", "--trace needs a path"),
             (&fig[..], "--trace --critical-path", "--trace needs a path"),
+            (&fig[..], "--trace=", "--trace needs a path"),
+            (&fig[..], "--trace= out.json", "--trace needs a path"),
         ] {
             let err = parse(accepts, line).unwrap_err();
             assert!(err.contains(offender), "{line:?}: {err}");

@@ -14,12 +14,15 @@
 //!   not move a single byte of the existing observability artifacts:
 //!   chrome trace, `PROF_*.json` payload, end time, event count, or
 //!   engine metrics of a healthy (non-anomalous) run.
+//! * **A run is dumped on what went wrong** — through the one function
+//!   that picks a finished run's trigger (`FlightRecorder::dump_run`).
 
+use impacc_apps::exchange;
 use impacc_bench::specs::titan_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
-use impacc_flight::{FlightRecorder, Trigger};
-use impacc_machine::KernelCost;
-use impacc_obs::Recorder;
+use impacc_flight::{FlightRecorder, Trigger, Watchdog};
+use impacc_machine::{presets, FaultPlan, KernelCost, MachineSpec};
+use impacc_obs::{chrome, Recorder};
 
 const N: usize = 1 << 12;
 
@@ -143,4 +146,64 @@ fn always_on_recorder_leaves_golden_observables_untouched() {
         base_prof, prof,
         "PROF json payload must be identical with the recorder attached"
     );
+}
+
+/// The fig-5-class exchange (128 KiB buffers) on `spec` under `plan`,
+/// dumped the way `Launch` dumps a run when a dump directory is set.
+fn faulted_dump(label: &str, spec: MachineSpec, plan: FaultPlan, rounds: u32) -> String {
+    let fr = FlightRecorder::new();
+    let s = Launch::new(spec, RuntimeOptions::impacc())
+        .chaos(plan)
+        .flight(&fr)
+        .run(move |tc| exchange(tc, 1 << 14, rounds, 0))
+        .expect("faulted run");
+    let pairs: Vec<(&str, u64)> = s.report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
+    let findings = Watchdog::new().check_counters(&pairs);
+    fr.dump_run(label, pairs.iter().copied(), &findings)
+        .to_json()
+}
+
+#[test]
+fn device_loss_is_dumped_on_its_anomaly_with_the_remap_marker() {
+    let loss = || {
+        let mut spec = presets::psg();
+        spec.nodes[0].devices.truncate(2);
+        faulted_dump(
+            "chaos_device_loss",
+            spec,
+            FaultPlan::new(7).fail_device(0, 0),
+            2,
+        )
+    };
+    let json = loss();
+    assert!(
+        json.contains("\"schema_version\""),
+        "flight dumps are schema-versioned"
+    );
+    assert!(
+        json.contains("\"trigger\":\"anomaly\""),
+        "a device loss is dumped on the watchdog's anomaly, not on request: {json}"
+    );
+    assert!(
+        json.contains("device_loss"),
+        "the watchdog must attribute the device loss: {json}"
+    );
+    assert!(
+        json.contains("remap"),
+        "the ring's last events must carry the remap marker: {json}"
+    );
+    assert!(chrome::structurally_valid(&json));
+    assert_eq!(
+        json,
+        loss(),
+        "flight dumps must be bit-reproducible for a fixed fault plan"
+    );
+
+    let links = faulted_dump(
+        "chaos_links",
+        presets::test_cluster(2, 1),
+        FaultPlan::new(17).with_uniform_rate(0.1),
+        4,
+    );
+    assert!(chrome::structurally_valid(&links));
 }

@@ -99,12 +99,6 @@ pub fn flight_capacity() -> usize {
     impacc_flight::DEFAULT_RING_CAPACITY
 }
 
-/// Chaos fault count that constitutes a burst (triggers a flight dump and
-/// the `fault_burst` anomaly).
-pub fn flight_burst() -> u64 {
-    impacc_flight::watchdog::FAULT_BURST_THRESHOLD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -540,10 +540,7 @@ impl Launch {
         // structured `anomaly` spans (recorded into the store at the
         // run's end instant), and — when a dump directory is configured —
         // trigger a `FLIGHT_*.json` dump.
-        // Burst beats rule findings in trigger precedence: a fault burst
-        // explains its own anomalies.
         if let Some(fr) = flight {
-            let burst = crate::config::flight_burst();
             let wd = Watchdog::new();
             let pairs: Vec<(&str, u64)> = report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
             let mut anomalies = wd.check_counters(&pairs);
@@ -554,22 +551,8 @@ impl Launch {
                 fr.record_span(a.to_span(report.end_time));
             }
             if let Some(dir) = crate::config::flight_dump_dir() {
-                let trigger = if fr.fault_fires() >= burst {
-                    Trigger::FaultBurst {
-                        fired: fr.fault_fires(),
-                        threshold: burst,
-                    }
-                } else if let Some(a) = anomalies.iter().find(|a| a.deterministic) {
-                    Trigger::Anomaly(a.rule.to_string())
-                } else {
-                    Trigger::Request
-                };
-                // Only determinism-safe findings are embedded in dump
-                // bytes (DESIGN.md §5j); live-only rules stay live-only.
-                anomalies.retain(|a| a.deterministic);
-                let dump = fr.dump(
+                let dump = fr.dump_run(
                     &self.flight_label,
-                    trigger,
                     report.metrics.iter().map(|(k, v)| (*k, *v)),
                     &anomalies,
                 );

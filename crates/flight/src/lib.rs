@@ -192,6 +192,36 @@ impl FlightRecorder {
             anomalies: anomalies.to_vec(),
         }
     }
+
+    /// The dump of a finished run, given the watchdog's `findings` over it.
+    /// Trigger precedence: a fault burst (at least
+    /// [`watchdog::FAULT_BURST_THRESHOLD`] faults fired into this store)
+    /// explains its own anomalies, so it comes first; then the first
+    /// deterministic finding; then a plain request. Only the deterministic
+    /// findings are embedded in the bytes (DESIGN.md §5j): live-only rules
+    /// stay live-only. `Launch` dumps a run through this and nothing else
+    /// picks that trigger.
+    pub fn dump_run<K: Into<String>>(
+        &self,
+        job: &str,
+        counters: impl IntoIterator<Item = (K, u64)>,
+        findings: &[Anomaly],
+    ) -> FlightDump {
+        let (fired, threshold) = (self.fault_fires(), watchdog::FAULT_BURST_THRESHOLD);
+        let trigger = if fired >= threshold {
+            Trigger::FaultBurst { fired, threshold }
+        } else if let Some(a) = findings.iter().find(|a| a.deterministic) {
+            Trigger::Anomaly(a.rule.to_string())
+        } else {
+            Trigger::Request
+        };
+        let kept: Vec<Anomaly> = findings
+            .iter()
+            .filter(|a| a.deterministic)
+            .cloned()
+            .collect();
+        self.dump(job, trigger, counters, &kept)
+    }
 }
 
 /// A drained flight window plus the context that triggered it. Render

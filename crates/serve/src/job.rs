@@ -67,11 +67,11 @@ impl Priority {
 /// program over the launched runtime.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Workload {
-    /// `rounds` verified Sum-allreduces of `elems` f64s (the `bench_coll`
-    /// sweep body).
+    /// `rounds` verified Sum-allreduces of `elems` f64s (the body of
+    /// `campaigns/coll_sweep.campaign`).
     Allreduce,
     /// The fig-5-class kernel→copy→send/recv→copy→kernel exchange between
-    /// two ranks (the `bench_chaos` sweep body).
+    /// two ranks (the body of `campaigns/chaos_sweep.campaign`).
     Exchange,
     /// The paper's Jacobi solver (`n×n` mesh, `iters` sweeps).
     Jacobi,

@@ -24,6 +24,8 @@ pub struct JobOutcome {
     pub result: String,
     /// `PROF_<key>.json` body when the job asked for one.
     pub prof: Option<String>,
+    /// Virtual end time in picoseconds: the body's `end_ps`.
+    pub end_ps: u64,
     /// The run's engine counters — watchdog input and serve aggregate
     /// feed. Not part of the cached bytes (already embedded in `result`).
     pub metrics: BTreeMap<String, u64>,
@@ -137,6 +139,7 @@ pub(crate) fn run_job_keyed(
     Ok(JobOutcome {
         result: result_json(key, &job.canonical(), &summary),
         prof,
+        end_ps: summary.report.end_time.0,
         metrics,
     })
 }
