@@ -36,6 +36,20 @@ campaign_gate() {
     echo "$label: ok"
 }
 
+echo "==> one rank form: no thread-rank facade outside its home"
+# A rank body is a future (`Launch::run_async` + `Rank`). The thread-rank
+# facade (the synchronous `Launch::run` + `TaskCtx`) is kept for the frozen
+# benchmark package alone: only its definition and the test that pins it
+# to the handler schedule (crates/core/tests/runtime.rs) may name it.
+fork=$(grep -rnE --include='*.rs' 'TaskCtx|Launch::run\b|\.run\((move\s+)?\|' \
+        crates src examples tests \
+    | grep -vE '^crates/core/(src/(task|launch|lib)|tests/runtime)\.rs:' || true)
+if [[ -n "$fork" ]]; then
+    echo "$fork"
+    echo "rank form gate: FAIL — write rank bodies against Rank and launch them with run_async"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -5,7 +5,7 @@
 //! compute engine (kernels execute one at a time), and helpers that enqueue
 //! copies/kernels on activity queues or perform them directly. Each
 //! operation is one `async fn` ([`Device::copy`], [`Device::kernel`]): a
-//! queue's handler awaits it, a task thread blocks on it.
+//! queue's handler awaits it, and so does a rank.
 //!
 //! Timing convention: an operation's *data effects* (bytes moved, kernel
 //! results written) materialize at the operation's completion instant —
@@ -177,25 +177,10 @@ impl Device {
         Ok(())
     }
 
-    /// Perform a host<->device copy on the calling actor, blocking it until
-    /// the transfer completes. `far` selects the NUMA-unfriendly path;
-    /// `pinned` says the host endpoint is page-locked memory.
-    #[allow(clippy::too_many_arguments)]
-    pub fn perform_copy(
-        &self,
-        ctx: &Ctx,
-        dir: HdDir,
-        far: bool,
-        pinned: bool,
-        host: (&Arc<Backing>, u64),
-        dev: (&Arc<Backing>, u64),
-        bytes: u64,
-    ) {
-        ctx.block_on(self.copy(ctx, dir, far, pinned, host, dev, bytes))
-    }
-
-    /// The copy itself: what [`Device::perform_copy`] blocks on and a
-    /// queued copy awaits.
+    /// A host<->device copy, to await on the calling actor until the
+    /// transfer completes (a rank's `acc update`, a queued copy). `far`
+    /// selects the NUMA-unfriendly path; `pinned` says the host endpoint is
+    /// page-locked memory.
     #[allow(clippy::too_many_arguments)]
     pub async fn copy(
         &self,
@@ -262,9 +247,9 @@ impl Device {
         })
     }
 
-    /// Perform a direct device-to-device peer copy (GPUDirect-style) to
-    /// `dst_dev` on the same node, blocking the calling actor.
-    pub fn perform_p2p(
+    /// A direct device-to-device peer copy (GPUDirect-style) to `dst_dev`
+    /// on the same node, to await on the calling actor.
+    pub async fn p2p(
         &self,
         ctx: &Ctx,
         dst_dev: &Device,
@@ -274,12 +259,13 @@ impl Device {
     ) {
         let d = &self.inner;
         assert_eq!(d.node, dst_dev.inner.node, "peer copies are intra-node");
-        ctx.advance(d.res.acc_copy_overhead(d.spec.kind), tags::OVERHEAD);
+        ctx.sleep(d.res.acc_copy_overhead(d.spec.kind), tags::OVERHEAD)
+            .await;
         let issue = ctx.now();
         let end = d
             .res
             .reserve_p2p_copy(d.node, d.idx, dst_dev.inner.idx, bytes, ctx.now());
-        ctx.advance_until(end, tags::DTOD);
+        ctx.sleep_until(end, tags::DTOD).await;
         Backing::copy(src.0, src.1, dst.0, dst.1, bytes);
         ctx.metrics().add(tags::DTOD, bytes);
         ctx.metrics().add("t_DtoD", end.since(issue).0);
@@ -295,27 +281,10 @@ impl Device {
         });
     }
 
-    /// Perform (blocking) a kernel: reserve the device's compute engine for
-    /// the modelled duration, then apply `f`'s data effects.
-    pub fn perform_kernel(&self, ctx: &Ctx, cost: &KernelCost, f: impl FnOnce()) {
-        self.perform_kernel_cfg(ctx, cost, &LaunchConfig::default(), f);
-    }
-
-    /// Like [`Device::perform_kernel`] with an explicit gang/worker/vector
-    /// launch configuration (§2.3): undersized launches underutilize the
-    /// device's execution lanes.
-    pub fn perform_kernel_cfg(
-        &self,
-        ctx: &Ctx,
-        cost: &KernelCost,
-        cfg: &LaunchConfig,
-        f: impl FnOnce(),
-    ) {
-        ctx.block_on(self.kernel(ctx, cost, cfg, f))
-    }
-
-    /// The kernel itself: what [`Device::perform_kernel_cfg`] blocks on and
-    /// a queued kernel awaits.
+    /// A kernel, to await on the calling actor: reserve the device's
+    /// compute engine for the modelled duration, then apply `f`'s data
+    /// effects. `cfg` is the gang/worker/vector launch configuration
+    /// (§2.3): undersized launches underutilize the device's lanes.
     pub async fn kernel(&self, ctx: &Ctx, cost: &KernelCost, cfg: &LaunchConfig, f: impl FnOnce()) {
         let d = &self.inner;
         assert!(
@@ -440,7 +409,7 @@ mod tests {
             let host = space.alloc(MemSpace::Host, 1 << 20).unwrap();
             host.backing.write(0, &[9; 64]);
             let a = dev.alloc(1 << 20).unwrap();
-            dev.perform_copy(
+            ctx.block_on(dev.copy(
                 ctx,
                 HdDir::HtoD,
                 false,
@@ -448,7 +417,7 @@ mod tests {
                 (&host.backing, 0),
                 (&a.region.backing, 0),
                 1 << 20,
-            );
+            ));
             let mut out = [0u8; 64];
             a.region.backing.read(0, &mut out);
             assert_eq!(out, [9; 64]);
@@ -531,7 +500,7 @@ mod tests {
             let host = space.alloc(MemSpace::Host, 64 << 20).unwrap();
             let a = dev.alloc(64 << 20).unwrap();
             let t0 = ctx.now();
-            dev.perform_copy(
+            ctx.block_on(dev.copy(
                 ctx,
                 HdDir::HtoD,
                 false,
@@ -539,10 +508,10 @@ mod tests {
                 (&host.backing, 0),
                 (&a.region.backing, 0),
                 64 << 20,
-            );
+            ));
             let near = ctx.now().since(t0);
             let t1 = ctx.now();
-            dev.perform_copy(
+            ctx.block_on(dev.copy(
                 ctx,
                 HdDir::HtoD,
                 true,
@@ -550,7 +519,7 @@ mod tests {
                 (&host.backing, 0),
                 (&a.region.backing, 0),
                 64 << 20,
-            );
+            ));
             let far = ctx.now().since(t1);
             let ratio = far.as_secs_f64() / near.as_secs_f64();
             assert!(ratio > 3.0 && ratio < 4.0, "ratio = {ratio}");
@@ -564,13 +533,13 @@ mod tests {
             let a = dev0.alloc(1 << 20).unwrap();
             let b = dev1.alloc(1 << 20).unwrap();
             a.region.backing.write(100, &[7; 8]);
-            dev0.perform_p2p(
+            ctx.block_on(dev0.p2p(
                 ctx,
                 &dev1,
                 (&a.region.backing, 0),
                 (&b.region.backing, 0),
                 1 << 20,
-            );
+            ));
             let mut out = [0u8; 8];
             b.region.backing.read(100, &mut out);
             assert_eq!(out, [7; 8]);
@@ -583,7 +552,12 @@ mod tests {
             let t0 = ctx.now();
             // 1.45 GFLOP on a 1450 GFLOP/s device at the generated-kernel
             // efficiency of 0.3 => 3.33 ms.
-            dev.perform_kernel(ctx, &KernelCost::flops(1.45e9), || {});
+            ctx.block_on(dev.kernel(
+                ctx,
+                &KernelCost::flops(1.45e9),
+                &LaunchConfig::default(),
+                || {},
+            ));
             let dt = ctx.now().since(t0).as_secs_f64();
             let expect = 1.45e9 / (1450e9 * 0.3) + 8e-6;
             assert!((dt - expect).abs() < 0.1e-3, "dt = {dt}, expect {expect}");
@@ -628,7 +602,7 @@ mod tests {
             let host = space.alloc(MemSpace::Host, 1 << 20).unwrap();
             let a = dev.alloc(1 << 20).unwrap();
             let t0 = ctx.now();
-            dev.perform_copy(
+            ctx.block_on(dev.copy(
                 ctx,
                 HdDir::HtoD,
                 false,
@@ -636,7 +610,7 @@ mod tests {
                 (&host.backing, 0),
                 (&a.region.backing, 0),
                 1 << 20,
-            );
+            ));
             // No driver overhead, host-memcpy speed.
             let dt = ctx.now().since(t0).as_secs_f64();
             assert!(dt < 60e-6, "dt = {dt}");

@@ -118,12 +118,15 @@ impl ActivityQueue {
         done
     }
 
-    /// `#pragma acc wait(q)`: block the calling task until everything
+    /// `#pragma acc wait(q)`: resume the calling task once everything
     /// currently on the queue has completed. Blocked time is charged under
     /// `tag`.
-    pub fn wait_all(&self, ctx: &Ctx, tag: &'static str) {
+    pub async fn wait_all(&self, ctx: &Ctx, tag: &'static str) {
         let marker = self.push(ctx, "wait_marker", None);
-        marker.wait_with_cause(ctx, tag, || format!("drain queue {}", self.inner.name));
+        marker
+            .opened(ctx, tag)
+            .cause(|| format!("drain queue {}", self.inner.name))
+            .await;
     }
 
     /// `#pragma acc wait(other) async(self)`: enqueue a dependency so that
@@ -289,7 +292,7 @@ mod tests {
                     log.lock().unwrap().push(i);
                 });
             }
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             // In-order: 0 (10us) then 1 (7us) then 2 (4us) = 21us total,
             // even though later ops are shorter.
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(21));
@@ -324,7 +327,7 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::ZERO);
             ctx.advance(SimDur::from_us(5), "host_work");
             assert_eq!(q.pending(), 1);
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_ms(1));
             assert_eq!(q.pending(), 0);
         });
@@ -378,7 +381,7 @@ mod tests {
         sim.spawn("host", move |ctx| {
             let q = ActivityQueue::spawn(ctx, "q".into());
             q.enqueue_wait_for(ctx, &q);
-            q.wait_all(ctx, "w");
+            ctx.block_on(q.wait_all(ctx, "w"));
         });
         sim.run().unwrap();
     }
@@ -431,10 +434,10 @@ mod tests {
             });
             // The first wait marker was enqueued before "inner" existed, so
             // it completes right after "outer"...
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(1));
             // ...and a second wait drains the nested op.
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(3));
         });
         sim.run().unwrap();
@@ -455,7 +458,7 @@ mod tests {
                 });
             }
             for q in &queues {
-                q.wait_all(ctx, "acc_wait");
+                ctx.block_on(q.wait_all(ctx, "acc_wait"));
             }
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(2));
         });
@@ -473,7 +476,7 @@ mod tests {
                 qctx.sleep(SimDur::from_us(1), "w").await;
                 panic!("op failed mid-way");
             });
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
         });
         match sim.run() {
             Err(impacc_vtime::SimError::ActorPanic { actor, message }) => {
@@ -529,9 +532,9 @@ mod tests {
                     qc.sleep(SimDur::from_us(2), "w").await;
                 });
             });
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(1));
-            q.wait_all(ctx, "acc_wait");
+            ctx.block_on(q.wait_all(ctx, "acc_wait"));
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(3));
         });
         sim.run().unwrap();

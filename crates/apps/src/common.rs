@@ -1,6 +1,8 @@
 //! Shared helpers for the benchmark applications.
 
-use impacc_core::{Launch, RunSummary, RuntimeOptions, TaskCtx};
+use std::future::Future;
+
+use impacc_core::{Launch, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::MachineSpec;
 use impacc_vtime::SimError;
 
@@ -12,18 +14,19 @@ pub use impacc_array::{math_ok, BlockPartition};
 /// Run a per-task program over `spec` with the given runtime options.
 /// Anything beyond a physical-backing cap — a recorder, a flight
 /// recorder, a pinned engine — is configured on [`Launch`] directly.
-pub fn launch_app<F>(
+pub fn launch_app<F, Fut>(
     spec: MachineSpec,
     options: RuntimeOptions,
     phys_cap: Option<u64>,
     app: F,
 ) -> Result<RunSummary, SimError>
 where
-    F: Fn(&TaskCtx) + Send + Sync + 'static,
+    F: Fn(Rank) -> Fut + Send + Sync + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
 {
     let mut l = Launch::new(spec, options);
     if let Some(cap) = phys_cap {
         l = l.phys_cap(cap);
     }
-    l.run(app)
+    l.run_async(app)
 }

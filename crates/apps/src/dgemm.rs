@@ -12,7 +12,7 @@
 //! Figure 4(b) thing: explicit staging plus `acc wait` / `MPI_Waitall`
 //! between the MPI and OpenACC streamlines.
 
-use impacc_core::{BufView, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{BufView, MpiOpts, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_vtime::SimError;
 
@@ -40,7 +40,7 @@ const TAG_A: i32 = 100;
 const TAG_C: i32 = 101;
 
 /// The per-task DGEMM program.
-pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
+pub async fn dgemm_task(tc: &Rank, p: &DgemmParams) {
     let n = p.n;
     let rank = tc.rank() as usize;
     let size = tc.size() as usize;
@@ -49,10 +49,10 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
     let impacc = tc.options().is_impacc();
 
     // ---- allocation & input distribution -------------------------------
-    let b = tc.malloc_f64(n * n);
-    let a_block = tc.malloc_f64(my_rows.max(1) * n);
+    let b = tc.malloc_f64(n * n).await;
+    let a_block = tc.malloc_f64(my_rows.max(1) * n).await;
     let a_full = if rank == 0 {
-        let a = tc.malloc_f64(n * n);
+        let a = tc.malloc_f64(n * n).await;
         let av = tc.host_view(&a);
         if math_ok(&av) {
             let fill = |view: BufView, at: fn(usize, usize) -> f64| {
@@ -76,7 +76,7 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
     } else {
         MpiOpts::host()
     };
-    tc.mpi_bcast(&b, 0, bcast_opts);
+    tc.mpi_bcast(&b, 0, bcast_opts).await;
 
     // Root scatters A row blocks; the slices are read-only so node-local
     // tasks alias straight into the root's A (Figure 7).
@@ -93,29 +93,33 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
             }
             let off = (part.offsets[r] * n * 8) as u64;
             let len = (part.counts[r] * n * 8) as u64;
-            tc.mpi_send(a, off, len, r as u32, TAG_A, send_opts);
+            tc.mpi_send(a, off, len, r as u32, TAG_A, send_opts).await;
         }
         // The root's own block travels as a self message so that — like
         // everyone else — only the block (not all of A) gets a device
         // mirror; under IMPACC the read-only self transfer aliases.
         if my_rows > 0 {
-            let req = tc.mpi_isend(
-                a,
-                (part.offsets[0] * n * 8) as u64,
-                (my_rows * n * 8) as u64,
-                0,
-                TAG_A,
-                send_opts,
-            );
-            tc.mpi_recv(&a_block, 0, a_block.len, 0, TAG_A, send_opts);
-            req.wait(tc.ctx());
+            let req = tc
+                .mpi_isend(
+                    a,
+                    (part.offsets[0] * n * 8) as u64,
+                    (my_rows * n * 8) as u64,
+                    0,
+                    TAG_A,
+                    send_opts,
+                )
+                .await;
+            tc.mpi_recv(&a_block, 0, a_block.len, 0, TAG_A, send_opts)
+                .await;
+            req.completion(tc.ctx()).await;
         }
     } else if my_rows > 0 {
-        tc.mpi_recv(&a_block, 0, a_block.len, 0, TAG_A, send_opts);
+        tc.mpi_recv(&a_block, 0, a_block.len, 0, TAG_A, send_opts)
+            .await;
     }
 
     // ---- device compute -------------------------------------------------
-    let c_block = tc.malloc_f64(my_rows.max(1) * n);
+    let c_block = tc.malloc_f64(my_rows.max(1) * n).await;
     if my_rows > 0 {
         let (a_buf, a_row0) = (&a_block, 0usize);
         tc.acc_create(a_buf);
@@ -160,9 +164,9 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
         if use_queue {
             // Unified activity queue: updates, kernel, result send all on
             // queue 1; the host never blocks until the final wait.
-            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1));
-            tc.acc_update_device(&b, 0, b.len, Some(1));
-            tc.acc_kernel(Some(1), cost, gemm);
+            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1)).await;
+            tc.acc_update_device(&b, 0, b.len, Some(1)).await;
+            tc.acc_kernel(Some(1), cost, gemm).await;
             if rank != 0 {
                 tc.mpi_send(
                     &c_block,
@@ -171,42 +175,45 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
                     0,
                     TAG_C,
                     MpiOpts::device().on_queue(1),
-                );
+                )
+                .await;
             } else {
-                tc.acc_update_host(&c_block, 0, c_block.len, Some(1));
+                tc.acc_update_host(&c_block, 0, c_block.len, Some(1)).await;
             }
         } else if impacc {
             // IMPACC without the unified queue (ablation): unified device
             // buffers, but Figure 4(b)-style synchronization points.
-            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1));
-            tc.acc_update_device(&b, 0, b.len, Some(1));
-            tc.acc_wait(1);
-            tc.acc_kernel(None, cost, gemm);
+            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1)).await;
+            tc.acc_update_device(&b, 0, b.len, Some(1)).await;
+            tc.acc_wait(1).await;
+            tc.acc_kernel(None, cost, gemm).await;
             if rank != 0 {
-                tc.mpi_send(&c_block, 0, c_block.len, 0, TAG_C, MpiOpts::device());
+                tc.mpi_send(&c_block, 0, c_block.len, 0, TAG_C, MpiOpts::device())
+                    .await;
             } else {
-                tc.acc_update_host(&c_block, 0, c_block.len, None);
+                tc.acc_update_host(&c_block, 0, c_block.len, None).await;
             }
         } else {
             // Figure 4(b): async ops with explicit synchronization points.
-            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1));
-            tc.acc_update_device(&b, 0, b.len, Some(1));
-            tc.acc_wait(1);
-            tc.acc_kernel(None, cost, gemm);
-            tc.acc_update_host(&c_block, 0, c_block.len, None);
+            tc.acc_update_device(a_buf, 0, a_buf.len, Some(1)).await;
+            tc.acc_update_device(&b, 0, b.len, Some(1)).await;
+            tc.acc_wait(1).await;
+            tc.acc_kernel(None, cost, gemm).await;
+            tc.acc_update_host(&c_block, 0, c_block.len, None).await;
             if rank != 0 {
-                tc.mpi_send(&c_block, 0, c_block.len, 0, TAG_C, MpiOpts::host());
+                tc.mpi_send(&c_block, 0, c_block.len, 0, TAG_C, MpiOpts::host())
+                    .await;
             }
         }
     }
 
     // ---- gather ----------------------------------------------------------
     if rank == 0 {
-        let c = tc.malloc_f64(n * n);
+        let c = tc.malloc_f64(n * n).await;
         // Root's own block.
         if my_rows > 0 {
             if impacc {
-                tc.acc_wait(1);
+                tc.acc_wait(1).await;
             }
             let cb = tc.host_view(&c_block);
             let cv = tc.host_view(&c);
@@ -223,18 +230,19 @@ pub fn dgemm_task(tc: &TaskCtx, p: &DgemmParams) {
             }
             let off = (part.offsets[r] * n * 8) as u64;
             let len = (part.counts[r] * n * 8) as u64;
-            tc.mpi_recv(&c, off, len, r as u32, TAG_C, MpiOpts::host());
+            tc.mpi_recv(&c, off, len, r as u32, TAG_C, MpiOpts::host())
+                .await;
         }
         if p.verify {
             verify_product(tc, &c, n);
         }
     } else if impacc && my_rows > 0 {
         // Drain the pipeline before exiting.
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
 }
 
-fn verify_product(tc: &TaskCtx, c: &impacc_core::HBuf, n: usize) {
+fn verify_product(tc: &Rank, c: &impacc_core::HBuf, n: usize) {
     let cv = tc.host_view(c);
     if !math_ok(&cv) {
         return;
@@ -260,7 +268,10 @@ pub fn run_dgemm(
     phys_cap: Option<u64>,
     params: DgemmParams,
 ) -> Result<RunSummary, SimError> {
-    launch_app(spec, options, phys_cap, move |tc| dgemm_task(tc, &params))
+    launch_app(spec, options, phys_cap, move |tc| {
+        let params = params.clone();
+        async move { dgemm_task(&tc, &params).await }
+    })
 }
 
 #[cfg(test)]

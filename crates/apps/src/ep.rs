@@ -11,7 +11,7 @@
 //! arithmetic actually executes on a deterministic sample (`sample_pairs`),
 //! keeping the statistics verifiable.
 
-use impacc_core::{RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_mpi::ReduceOp;
 use impacc_vtime::SimError;
@@ -153,7 +153,7 @@ pub fn ep_kernel(rng: &mut NpbRng, pairs: u64) -> EpStats {
 }
 
 /// The per-task EP program. Returns the reduced global statistics.
-pub fn ep_task(tc: &TaskCtx, p: &EpParams) -> EpStats {
+pub async fn ep_task(tc: &Rank, p: &EpParams) -> EpStats {
     let rank = tc.rank() as u64;
     let size = tc.size() as u64;
 
@@ -173,14 +173,15 @@ pub fn ep_task(tc: &TaskCtx, p: &EpParams) -> EpStats {
         let mut rng = rng.clone();
         tc.acc_kernel(None, cost, move || {
             *stats.lock() = ep_kernel(&mut rng, my_sample);
-        });
+        })
+        .await;
     }
     let local = stats.lock().clone();
 
     // The only communication: one allreduce of [sx, sy, q0..q9].
     let mut v = vec![local.sx, local.sy];
     v.extend_from_slice(&local.q);
-    let total = tc.mpi_allreduce_f64(&v, ReduceOp::Sum);
+    let total = tc.mpi_allreduce_f64(&v, ReduceOp::Sum).await;
     let mut out = EpStats {
         sx: total[0],
         sy: total[1],
@@ -201,7 +202,10 @@ pub fn run_ep(
     params: EpParams,
 ) -> Result<RunSummary, SimError> {
     launch_app(spec, options, None, move |tc| {
-        ep_task(tc, &params);
+        let params = params.clone();
+        async move {
+            ep_task(&tc, &params).await;
+        }
     })
 }
 
@@ -265,13 +269,16 @@ mod tests {
                 RuntimeOptions::impacc(),
                 None,
                 move |tc| {
-                    let p = EpParams {
-                        total_pairs: 1 << 12,
-                        sample_pairs: 1 << 12,
-                    };
-                    let st = ep_task(tc, &p);
-                    if tc.rank() == 0 {
-                        *got2.lock() = st;
+                    let got2 = got2.clone();
+                    async move {
+                        let p = EpParams {
+                            total_pairs: 1 << 12,
+                            sample_pairs: 1 << 12,
+                        };
+                        let st = ep_task(&tc, &p).await;
+                        if tc.rank() == 0 {
+                            *got2.lock() = st;
+                        }
                     }
                 },
             )

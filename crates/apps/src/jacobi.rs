@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use impacc_array::{CartGrid, ResProbe};
-use impacc_core::{BufView, HBuf, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{BufView, HBuf, MpiOpts, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_vtime::SimError;
 
@@ -108,14 +108,14 @@ pub fn serial_jacobi(n: usize, iters: usize) -> Vec<f64> {
 
 /// The per-task Jacobi program. Returns the final local interior rows
 /// (for tests); timing is in the run report.
-pub fn jacobi_task(tc: &TaskCtx, p: &JacobiParams) {
-    jacobi_task_probed(tc, p, None)
+pub async fn jacobi_task(tc: &Rank, p: &JacobiParams) {
+    jacobi_task_probed(tc, p, None).await
 }
 
 /// [`jacobi_task`] with an optional residual probe: rank 0 pushes every
 /// globally-reduced residual, so harnesses can compare the convergence
 /// history bit-for-bit against the array-API reimplementation.
-pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProbe>) {
+pub async fn jacobi_task_probed(tc: &Rank, p: &JacobiParams, probe: Option<&ResProbe>) {
     let n = p.n;
     let rank = tc.rank() as usize;
     let size = tc.size() as usize;
@@ -131,8 +131,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
     let row_bytes = (n * 8) as u64;
 
     // Local field: rows + 2 ghost rows, double buffered.
-    let mut u = tc.malloc_f64((rows + 2) * n);
-    let mut unew = tc.malloc_f64((rows + 2) * n);
+    let mut u = tc.malloc_f64((rows + 2) * n).await;
+    let mut unew = tc.malloc_f64((rows + 2) * n).await;
     {
         let uv = tc.host_view(&u);
         if math_ok(&uv) {
@@ -145,8 +145,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
             }
         }
     }
-    tc.acc_copyin(&u);
-    tc.acc_copyin(&unew);
+    tc.acc_copyin(&u).await;
+    tc.acc_copyin(&unew).await;
 
     let grid = CartGrid::line(size);
     let up = grid.neighbor(rank, 0, -1).map(|r| r as u32);
@@ -185,7 +185,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                         upr,
                         TAG_UP,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                 }
                 if let Some(dn) = down {
                     tc.mpi_send(
@@ -195,7 +196,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                         dn,
                         TAG_DOWN,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                 }
                 if let Some(upr) = up {
                     tc.mpi_recv(
@@ -205,7 +207,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                         upr,
                         TAG_DOWN,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                 }
                 if let Some(dn) = down {
                     tc.mpi_recv(
@@ -215,79 +218,99 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                         dn,
                         TAG_UP,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                 }
             } else if impacc {
                 // IMPACC without the unified queue (ablation): unified
                 // device-buffer calls, explicit blocking order.
                 let mut reqs = Vec::new();
                 if let Some(upr) = up {
-                    reqs.push(tc.mpi_isend(
-                        &u,
-                        row_bytes,
-                        row_bytes,
-                        upr,
-                        TAG_UP,
-                        MpiOpts::device(),
-                    ));
-                    reqs.push(tc.mpi_irecv(&u, 0, row_bytes, upr, TAG_DOWN, MpiOpts::device()));
+                    reqs.push(
+                        tc.mpi_isend(&u, row_bytes, row_bytes, upr, TAG_UP, MpiOpts::device())
+                            .await,
+                    );
+                    reqs.push(
+                        tc.mpi_irecv(&u, 0, row_bytes, upr, TAG_DOWN, MpiOpts::device())
+                            .await,
+                    );
                 }
                 if let Some(dn) = down {
-                    reqs.push(tc.mpi_isend(
-                        &u,
-                        rows as u64 * row_bytes,
-                        row_bytes,
-                        dn,
-                        TAG_DOWN,
-                        MpiOpts::device(),
-                    ));
-                    reqs.push(tc.mpi_irecv(
-                        &u,
-                        (rows as u64 + 1) * row_bytes,
-                        row_bytes,
-                        dn,
-                        TAG_UP,
-                        MpiOpts::device(),
-                    ));
+                    reqs.push(
+                        tc.mpi_isend(
+                            &u,
+                            rows as u64 * row_bytes,
+                            row_bytes,
+                            dn,
+                            TAG_DOWN,
+                            MpiOpts::device(),
+                        )
+                        .await,
+                    );
+                    reqs.push(
+                        tc.mpi_irecv(
+                            &u,
+                            (rows as u64 + 1) * row_bytes,
+                            row_bytes,
+                            dn,
+                            TAG_UP,
+                            MpiOpts::device(),
+                        )
+                        .await,
+                    );
                 }
-                tc.mpi_waitall(&reqs);
+                tc.mpi_waitall(&reqs).await;
             } else {
                 // Baseline: stage boundary rows through the host.
                 if up.is_some() {
-                    tc.acc_update_host(&u, row_bytes, row_bytes, None);
+                    tc.acc_update_host(&u, row_bytes, row_bytes, None).await;
                 }
                 if down.is_some() {
-                    tc.acc_update_host(&u, rows as u64 * row_bytes, row_bytes, None);
+                    tc.acc_update_host(&u, rows as u64 * row_bytes, row_bytes, None)
+                        .await;
                 }
                 let mut reqs = Vec::new();
                 if let Some(upr) = up {
-                    reqs.push(tc.mpi_isend(&u, row_bytes, row_bytes, upr, TAG_UP, MpiOpts::host()));
-                    reqs.push(tc.mpi_irecv(&u, 0, row_bytes, upr, TAG_DOWN, MpiOpts::host()));
+                    reqs.push(
+                        tc.mpi_isend(&u, row_bytes, row_bytes, upr, TAG_UP, MpiOpts::host())
+                            .await,
+                    );
+                    reqs.push(
+                        tc.mpi_irecv(&u, 0, row_bytes, upr, TAG_DOWN, MpiOpts::host())
+                            .await,
+                    );
                 }
                 if let Some(dn) = down {
-                    reqs.push(tc.mpi_isend(
-                        &u,
-                        rows as u64 * row_bytes,
-                        row_bytes,
-                        dn,
-                        TAG_DOWN,
-                        MpiOpts::host(),
-                    ));
-                    reqs.push(tc.mpi_irecv(
-                        &u,
-                        (rows as u64 + 1) * row_bytes,
-                        row_bytes,
-                        dn,
-                        TAG_UP,
-                        MpiOpts::host(),
-                    ));
+                    reqs.push(
+                        tc.mpi_isend(
+                            &u,
+                            rows as u64 * row_bytes,
+                            row_bytes,
+                            dn,
+                            TAG_DOWN,
+                            MpiOpts::host(),
+                        )
+                        .await,
+                    );
+                    reqs.push(
+                        tc.mpi_irecv(
+                            &u,
+                            (rows as u64 + 1) * row_bytes,
+                            row_bytes,
+                            dn,
+                            TAG_UP,
+                            MpiOpts::host(),
+                        )
+                        .await,
+                    );
                 }
-                tc.mpi_waitall(&reqs);
+                tc.mpi_waitall(&reqs).await;
                 if up.is_some() {
-                    tc.acc_update_device(&u, 0, row_bytes, None);
+                    tc.acc_update_device(&u, 0, row_bytes, None).await;
                 }
                 if down.is_some() {
-                    tc.acc_update_device(&u, (rows as u64 + 1) * row_bytes, row_bytes, None);
+                    tc.acc_update_device(&u, (rows as u64 + 1) * row_bytes, row_bytes, None)
+                        .await;
                 }
             }
 
@@ -305,19 +328,21 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                 });
             };
             if impacc && tc.options().unified_queue {
-                tc.acc_kernel(Some(1), stencil_cost, sweep);
+                tc.acc_kernel(Some(1), stencil_cost, sweep).await;
             } else {
-                tc.acc_kernel(None, stencil_cost, sweep);
+                tc.acc_kernel(None, stencil_cost, sweep).await;
             }
         }
         // Convergence check: the global residual, reduced every sweep —
         // the log(p) term that eventually dominates at Titan scale. The
         // sweep kernel must have completed before its residual is read.
         if impacc && tc.options().unified_queue {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
         let mine = *local_res.lock();
-        let residual = tc.mpi_allreduce_f64(&[mine], impacc_mpi::ReduceOp::Max);
+        let residual = tc
+            .mpi_allreduce_f64(&[mine], impacc_mpi::ReduceOp::Max)
+            .await;
         assert!(
             residual[0].is_finite() && residual[0] >= mine,
             "global residual must bound the local one"
@@ -340,16 +365,17 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
         );
     }
     if impacc && tc.options().unified_queue {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
 
     // ---- verification gather -------------------------------------------
     if p.verify {
         if rows > 0 {
-            tc.acc_update_host(&u, row_bytes, rows as u64 * row_bytes, None);
+            tc.acc_update_host(&u, row_bytes, rows as u64 * row_bytes, None)
+                .await;
         }
         if rank == 0 {
-            let full = tc.malloc_f64(n * n);
+            let full = tc.malloc_f64(n * n).await;
             let fv = tc.host_view(&full);
             if rows > 0 {
                 let uv = tc.host_view(&u);
@@ -370,7 +396,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                     r as u32,
                     TAG_GATHER,
                     MpiOpts::host(),
-                );
+                )
+                .await;
             }
             if math_ok(&fv) {
                 let reference = serial_jacobi(n, p.iters);
@@ -392,7 +419,8 @@ pub fn jacobi_task_probed(tc: &TaskCtx, p: &JacobiParams, probe: Option<&ResProb
                 0,
                 TAG_GATHER,
                 MpiOpts::host(),
-            );
+            )
+            .await;
         }
     }
     let _: (HBuf, HBuf) = (u, unew);
@@ -405,7 +433,10 @@ pub fn run_jacobi(
     phys_cap: Option<u64>,
     params: JacobiParams,
 ) -> Result<RunSummary, SimError> {
-    launch_app(spec, options, phys_cap, move |tc| jacobi_task(tc, &params))
+    launch_app(spec, options, phys_cap, move |tc| {
+        let params = params.clone();
+        async move { jacobi_task(&tc, &params).await }
+    })
 }
 
 #[cfg(test)]
@@ -439,6 +470,33 @@ mod tests {
             )
             .unwrap();
         }
+    }
+
+    #[test]
+    fn a_jacobi_rank_future_stays_small() {
+        // Every collective algorithm is boxed at its dispatch, so a rank
+        // future holds the app's own state and not the algorithm tree; the
+        // largest Titan point keeps 8,192 of them alive at once.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let size = Arc::new(AtomicUsize::new(0));
+        let seen = size.clone();
+        let p = JacobiParams {
+            n: 16,
+            iters: 1,
+            verify: false,
+        };
+        launch_app(presets::psg(), RuntimeOptions::impacc(), None, move |tc| {
+            let (p, seen) = (p.clone(), seen.clone());
+            async move {
+                let fut = jacobi_task(&tc, &p);
+                seen.store(std::mem::size_of_val(&fut), Ordering::Relaxed);
+                fut.await
+            }
+        })
+        .unwrap();
+        let size = size.load(Ordering::Relaxed);
+        println!("SIZE jacobi rank future {size} bytes");
+        assert!(size <= 2048, "jacobi rank future grew to {size} bytes");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # impacc-apps — the paper's benchmark applications
 //!
 //! MPI+OpenACC implementations of the four evaluation workloads (§4.2),
-//! each written once against the [`TaskCtx`](impacc_core::TaskCtx) API and
+//! each written once against the [`Rank`](impacc_core::Rank) API and
 //! runnable under both the IMPACC runtime and the legacy MPI+OpenACC
 //! baseline:
 //!

@@ -16,7 +16,7 @@
 //! proxy field, with device kernels between them, and a periodic
 //! allreduce standing in for the `dtcourant`/`dthydro` reduction.
 
-use impacc_core::{MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{MpiOpts, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_mpi::{ReduceOp, Request};
 use impacc_vtime::SimError;
@@ -110,7 +110,7 @@ fn payload(rank: usize, dir_idx: usize, iter: usize) -> f64 {
 }
 
 /// The per-task LULESH proxy program.
-pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
+pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
     let size = tc.size() as usize;
     let q = (size as f64).cbrt().round() as usize;
     assert_eq!(q * q * q, size, "LULESH requires a cubic task count");
@@ -120,17 +120,17 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
 
     // One send and one receive buffer per direction (host heap; LULESH's
     // comm buffers are plain mallocs).
-    let send_bufs: Vec<_> = dirs
-        .iter()
-        .map(|d| tc.malloc_f64(patch_elems(*d, s)))
-        .collect();
-    let recv_bufs: Vec<_> = dirs
-        .iter()
-        .map(|d| tc.malloc_f64(patch_elems(*d, s)))
-        .collect();
+    let mut send_bufs = Vec::with_capacity(dirs.len());
+    for d in &dirs {
+        send_bufs.push(tc.malloc_f64(patch_elems(*d, s)).await);
+    }
+    let mut recv_bufs = Vec::with_capacity(dirs.len());
+    for d in &dirs {
+        recv_bufs.push(tc.malloc_f64(patch_elems(*d, s)).await);
+    }
     // The element field lives on the device.
-    let field = tc.malloc_f64(s * s * s);
-    tc.acc_copyin(&field);
+    let field = tc.malloc_f64(s * s * s).await;
+    tc.acc_copyin(&field).await;
 
     // Per-iteration costs: three kernel phases like LULESH's
     // CalcForce / CalcLagrange / CalcTimeConstraints split.
@@ -158,7 +158,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
 
     for iter in 0..p.iters {
         // ---- phase 1: node-centred exchange over all 26 neighbours -----
-        tc.acc_update_host(&field, 0, boundary_bytes, None);
+        tc.acc_update_host(&field, 0, boundary_bytes, None).await;
         let mut reqs: Vec<Request> = Vec::new();
         for (di, d) in dirs.iter().enumerate() {
             let Some(nb) = me.neighbor(*d) else { continue };
@@ -171,23 +171,29 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
                 }
             }
             let tag = di as i32;
-            reqs.push(tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host()));
+            reqs.push(
+                tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host())
+                    .await,
+            );
             // The matching receive uses the opposite direction's tag.
             let opp = dirs
                 .iter()
                 .position(|o| *o == (-d.0, -d.1, -d.2))
                 .expect("directions are symmetric");
-            reqs.push(tc.mpi_irecv(
-                &recv_bufs[di],
-                0,
-                recv_bufs[di].len,
-                nb.rank() as u32,
-                opp as i32,
-                MpiOpts::host(),
-            ));
+            reqs.push(
+                tc.mpi_irecv(
+                    &recv_bufs[di],
+                    0,
+                    recv_bufs[di].len,
+                    nb.rank() as u32,
+                    opp as i32,
+                    MpiOpts::host(),
+                )
+                .await,
+            );
         }
-        tc.mpi_waitall(&reqs);
-        tc.acc_update_device(&field, 0, boundary_bytes, None);
+        tc.mpi_waitall(&reqs).await;
+        tc.acc_update_device(&field, 0, boundary_bytes, None).await;
 
         if p.verify {
             for (di, d) in dirs.iter().enumerate() {
@@ -205,7 +211,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
             }
         }
 
-        tc.acc_kernel(None, phase_cost[0], || {});
+        tc.acc_kernel(None, phase_cost[0], || {}).await;
 
         // ---- phase 2: element-centred exchange over the 6 faces --------
         let mut reqs: Vec<Request> = Vec::new();
@@ -216,23 +222,29 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
             let Some(nb) = me.neighbor(*d) else { continue };
             let tag = 100 + di as i32;
             let sb = &send_bufs[di];
-            reqs.push(tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host()));
+            reqs.push(
+                tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host())
+                    .await,
+            );
             let opp = dirs
                 .iter()
                 .position(|o| *o == (-d.0, -d.1, -d.2))
                 .expect("symmetric");
-            reqs.push(tc.mpi_irecv(
-                &recv_bufs[di],
-                0,
-                recv_bufs[di].len,
-                nb.rank() as u32,
-                100 + opp as i32,
-                MpiOpts::host(),
-            ));
+            reqs.push(
+                tc.mpi_irecv(
+                    &recv_bufs[di],
+                    0,
+                    recv_bufs[di].len,
+                    nb.rank() as u32,
+                    100 + opp as i32,
+                    MpiOpts::host(),
+                )
+                .await,
+            );
         }
-        tc.mpi_waitall(&reqs);
-        tc.acc_kernel(None, phase_cost[1], || {});
-        tc.acc_kernel(None, phase_cost[2], || {});
+        tc.mpi_waitall(&reqs).await;
+        tc.acc_kernel(None, phase_cost[1], || {}).await;
+        tc.acc_kernel(None, phase_cost[2], || {}).await;
 
         // ---- time-constraint reduction ----------------------------------
         // Local constraint from the received boundary payloads (their
@@ -256,7 +268,7 @@ pub fn lulesh_task(tc: &TaskCtx, p: &LuleshParams) {
         } else {
             1.0 / (iter + 1) as f64
         };
-        let dt = tc.mpi_allreduce_f64(&[local_dt], ReduceOp::Min);
+        let dt = tc.mpi_allreduce_f64(&[local_dt], ReduceOp::Min).await;
         assert!(
             dt[0] > 0.0 && dt[0] <= local_dt,
             "global dt must satisfy every rank's constraint"
@@ -281,7 +293,10 @@ pub fn run_lulesh(
     phys_cap: Option<u64>,
     params: LuleshParams,
 ) -> Result<RunSummary, SimError> {
-    launch_app(spec, options, phys_cap, move |tc| lulesh_task(tc, &params))
+    launch_app(spec, options, phys_cap, move |tc| {
+        let params = params.clone();
+        async move { lulesh_task(&tc, &params).await }
+    })
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! `impacc-serve`'s `allreduce`/`exchange` workloads run these bodies;
 //! `seed` varies the payload values, never the traffic.
 
-use impacc_core::{MpiOpts, TaskCtx};
+use impacc_core::{MpiOpts, Rank};
 use impacc_machine::KernelCost;
 use impacc_mpi::ReduceOp;
 
@@ -13,13 +13,13 @@ use crate::common::math_ok;
 /// contribution so distinct seeds produce distinct payloads while staying
 /// integer-valued (all fold orders bit-identical). One buffer per rank
 /// for all rounds: filled, reduced and checked where it is.
-pub fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32, seed: u64) {
+pub async fn allreduce_rounds(tc: &Rank, elems: usize, rounds: u32, seed: u64) {
     let size = tc.size();
     let shift = (seed % 1024) as f64;
     let buf = tc.mpi_scratch_f64(elems);
     for round in 0..rounds {
         buf.with_f64s_mut(|vals| vals.fill((tc.rank() + round) as f64 + shift));
-        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum);
+        tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum).await;
         let expect = (0..size).map(|r| (r + round) as f64 + shift).sum::<f64>();
         assert!(
             buf.with_f64s(|out| out.len() == elems && out.iter().all(|&x| x == expect)),
@@ -31,12 +31,12 @@ pub fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32, seed: u64) {
 /// The fig-5-class two-rank exchange of `n` f64s: kernel → copyout →
 /// send/recv → copyin → kernel, `rounds` times, every consume kernel
 /// asserting its input — so completion is itself a correctness result.
-pub fn exchange(tc: &TaskCtx, n: usize, rounds: u32, seed: u64) {
+pub async fn exchange(tc: &Rank, n: usize, rounds: u32, seed: u64) {
     let peer = 1 - tc.rank();
     let shift = (seed % 1024) as f64;
     let me = tc.rank() as f64 + shift;
-    let buf0 = tc.malloc_f64(n);
-    let buf1 = tc.malloc_f64(n);
+    let buf0 = tc.malloc_f64(n).await;
+    let buf1 = tc.malloc_f64(n).await;
     tc.acc_create(&buf0);
     tc.acc_create(&buf1);
     let cost = KernelCost::new(10.0 * n as f64, 16.0 * n as f64);
@@ -64,12 +64,15 @@ pub fn exchange(tc: &TaskCtx, n: usize, rounds: u32, seed: u64) {
                 }
             }
         };
-        tc.acc_kernel(None, cost, produce);
-        tc.acc_update_host(&buf0, 0, buf0.len, None);
-        let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host());
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host());
-        sreq.wait(tc.ctx());
-        tc.acc_update_device(&buf1, 0, buf1.len, None);
-        tc.acc_kernel(None, cost, consume);
+        tc.acc_kernel(None, cost, produce).await;
+        tc.acc_update_host(&buf0, 0, buf0.len, None).await;
+        let sreq = tc
+            .mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host())
+            .await;
+        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host())
+            .await;
+        sreq.completion(tc.ctx()).await;
+        tc.acc_update_device(&buf1, 0, buf1.len, None).await;
+        tc.acc_kernel(None, cost, consume).await;
     }
 }

@@ -74,22 +74,28 @@ fn array_jacobi_matches_handwritten_in_all_modes() {
             verify: true,
         };
         let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
-            jacobi_task_probed(tc, &params, Some(&probe_in))
+            let params = params.clone();
+            let probe_in = probe_in.clone();
+            async move { jacobi_task_probed(&tc, &params, Some(&probe_in)).await }
         })
         .expect("hand-written jacobi");
 
         let arr_probe = ResProbe::new();
         let probe_in = arr_probe.clone();
         let arr = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
-            jacobi_array_task(
-                tc,
-                &ArrayJacobiParams {
-                    n: 24,
-                    iters: 6,
-                    verify: true,
-                },
-                Some(&probe_in),
-            )
+            let probe_in = probe_in.clone();
+            async move {
+                jacobi_array_task(
+                    &tc,
+                    &ArrayJacobiParams {
+                        n: 24,
+                        iters: 6,
+                        verify: true,
+                    },
+                    Some(&probe_in),
+                )
+                .await
+            }
         })
         .expect("array jacobi");
 
@@ -128,9 +134,9 @@ fn array_jacobi_matches_handwritten_under_phys_cap() {
         presets::test_cluster(2, 2),
         RuntimeOptions::impacc(),
         Some(4096),
-        move |tc| {
+        move |tc| async move {
             jacobi_array_task(
-                tc,
+                &tc,
                 &ArrayJacobiParams {
                     n: 256,
                     iters: 4,
@@ -138,6 +144,7 @@ fn array_jacobi_matches_handwritten_under_phys_cap() {
                 },
                 None,
             )
+            .await
         },
     )
     .expect("array jacobi (capped)");
@@ -192,9 +199,9 @@ fn array_jacobi_is_bit_identical_across_parallelism() {
         let s = Launch::new(presets::test_cluster(4, 2), RuntimeOptions::impacc())
             .parallelism(degree)
             .recorder(&rec)
-            .run(move |tc| {
+            .run_async(move |tc| async move {
                 jacobi_array_task(
-                    tc,
+                    &tc,
                     &ArrayJacobiParams {
                         n: 64,
                         iters: 6,
@@ -202,6 +209,7 @@ fn array_jacobi_is_bit_identical_across_parallelism() {
                     },
                     None,
                 )
+                .await
             })
             .expect("array jacobi run");
         observe(s, &rec, "array_jacobi")
@@ -236,9 +244,9 @@ fn stencil3d_chaos_fixed_seed_is_repeatable() {
         let s = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
             .chaos(plan)
             .recorder(&rec)
-            .run(move |tc| {
+            .run_async(move |tc| async move {
                 stencil3d_task(
-                    tc,
+                    &tc,
                     &Stencil3dParams {
                         n: 8,
                         iters: 4,
@@ -246,6 +254,7 @@ fn stencil3d_chaos_fixed_seed_is_repeatable() {
                     },
                     None,
                 )
+                .await
             })
             .expect("faulted stencil3d");
         observe(s, &rec, "stencil3d_chaos")
@@ -279,7 +288,8 @@ fn stencil2d_verifies_across_halo_depths_tasks_and_modes() {
                     verify: true,
                 };
                 launch_app(presets::test_cluster(1, tasks), opts, None, move |tc| {
-                    stencil2d_task(tc, &p, None)
+                    let p = p.clone();
+                    async move { stencil2d_task(&tc, &p, None).await }
                 })
                 .unwrap_or_else(|e| panic!("stencil2d h={halo} t={tasks} {name}: {e:?}"));
             }
@@ -299,7 +309,8 @@ fn stencil3d_verifies_across_tasks() {
                 verify: true,
             };
             launch_app(presets::test_cluster(1, tasks), opts, None, move |tc| {
-                stencil3d_task(tc, &p, None)
+                let p = p.clone();
+                async move { stencil3d_task(&tc, &p, None).await }
             })
             .unwrap_or_else(|e| panic!("stencil3d t={tasks} {name}: {e:?}"));
         }
@@ -316,7 +327,8 @@ fn redblack_verifies_across_tasks() {
                 verify: true,
             };
             launch_app(presets::test_cluster(1, tasks), opts, None, move |tc| {
-                redblack_task(tc, &p, None)
+                let p = p.clone();
+                async move { redblack_task(&tc, &p, None).await }
             })
             .unwrap_or_else(|e| panic!("redblack t={tasks} {name}: {e:?}"));
         }
@@ -354,18 +366,21 @@ fn map_reduce_gather_are_exact_on_both_layouts() {
             RuntimeOptions::impacc(),
             None,
             move |tc| {
-                let u = DistArray::build(tc, &spec_in);
-                u.fill(tc, cell);
-                u.to_device(tc);
-                u.map(tc, 1.0, |_g, old| 2.0 * old);
-                let got = u.reduce(tc, ReduceOp::Sum, 1.0, |_g, v| v);
-                assert_eq!(got.to_bits(), expect_sum.to_bits(), "reduce sum");
-                if let Some(full) = u.gather(tc, 0) {
-                    for i in 0..9isize {
-                        for j in 0..7isize {
-                            let got = full[(i * 7 + j) as usize];
-                            let want = 2.0 * cell(&[i, j]);
-                            assert_eq!(got.to_bits(), want.to_bits(), "gather[{i},{j}]");
+                let spec_in = spec_in.clone();
+                async move {
+                    let u = DistArray::build(&tc, &spec_in).await;
+                    u.fill(&tc, cell);
+                    u.to_device(&tc).await;
+                    u.map(&tc, 1.0, |_g, old| 2.0 * old).await;
+                    let got = u.reduce(&tc, ReduceOp::Sum, 1.0, |_g, v| v).await;
+                    assert_eq!(got.to_bits(), expect_sum.to_bits(), "reduce sum");
+                    if let Some(full) = u.gather(&tc, 0).await {
+                        for i in 0..9isize {
+                            for j in 0..7isize {
+                                let got = full[(i * 7 + j) as usize];
+                                let want = 2.0 * cell(&[i, j]);
+                                assert_eq!(got.to_bits(), want.to_bits(), "gather[{i},{j}]");
+                            }
                         }
                     }
                 }

@@ -13,7 +13,7 @@ fn run_coll(algo: Option<CollAlgo>, elems: usize, rounds: u32) -> RunSummary {
     if let Some(a) = algo {
         l = l.coll_algo(a);
     }
-    l.run(move |tc| allreduce_rounds(tc, elems, rounds, 0))
+    l.run_async(move |tc| async move { allreduce_rounds(&tc, elems, rounds, 0).await })
         .expect("coll run")
 }
 

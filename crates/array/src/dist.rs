@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use impacc_core::{BufView, HBuf, MpiOpts, TaskCtx};
+use impacc_core::{BufView, HBuf, MpiOpts, Rank};
 use impacc_machine::KernelCost;
 use impacc_mpi::ReduceOp;
 use parking_lot::Mutex;
@@ -282,7 +282,7 @@ impl DistArray {
     /// the halo schedule, and allocates the padded local buffer on the
     /// node heap. The tile starts on the host; call [`DistArray::fill`]
     /// then [`DistArray::to_device`].
-    pub fn build(tc: &TaskCtx, spec: &ArraySpec) -> DistArray {
+    pub async fn build(tc: &Rank, spec: &ArraySpec) -> DistArray {
         spec.validate(tc.size() as usize)
             .unwrap_or_else(|e| panic!("invalid array spec: {e}"));
         let rank = tc.rank() as usize;
@@ -315,7 +315,7 @@ impl DistArray {
             Layout::BlockCyclic { .. } => Schedule::default(),
         };
         let total: usize = geom.padded.iter().product();
-        let buf = tc.malloc_f64(total);
+        let buf = tc.malloc_f64(total).await;
         DistArray {
             spec: spec.clone(),
             rank,
@@ -393,7 +393,7 @@ impl DistArray {
     /// Initialize every cell — ghosts included — from its global
     /// coordinates (ghost coordinates fall outside `0..shape`, which is
     /// where boundary conditions live). Host-side; no simulated cost.
-    pub fn fill(&self, tc: &TaskCtx, f: impl Fn(&[isize]) -> f64) {
+    pub fn fill(&self, tc: &Rank, f: impl Fn(&[isize]) -> f64) {
         let hv = tc.host_view(&self.buf);
         if !math_ok(&hv) {
             return;
@@ -425,8 +425,8 @@ impl DistArray {
     }
 
     /// `#pragma acc enter data copyin` for the tile.
-    pub fn to_device(&self, tc: &TaskCtx) {
-        tc.acc_copyin(&self.buf);
+    pub async fn to_device(&self, tc: &Rank) {
+        tc.acc_copyin(&self.buf).await;
     }
 
     /// Exchange halos per the inferred schedule, lowered to the active
@@ -434,7 +434,7 @@ impl DistArray {
     /// contiguous run (the simulated analogue of a derived datatype);
     /// run order is row-major on both endpoints, so per-tag FIFO
     /// matching pairs them correctly.
-    pub fn exchange(&self, tc: &TaskCtx) {
+    pub async fn exchange(&self, tc: &Rank) {
         if self.sched.pairs.is_empty() {
             return;
         }
@@ -457,7 +457,8 @@ impl DistArray {
                         p.send.peer,
                         p.send.tag,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                     bytes += len as u64 * 8;
                     msgs += 1;
                 }
@@ -471,7 +472,8 @@ impl DistArray {
                         p.recv.peer,
                         p.recv.tag,
                         MpiOpts::device().on_queue(1),
-                    );
+                    )
+                    .await;
                 }
             }
         } else if impacc {
@@ -480,65 +482,79 @@ impl DistArray {
             let mut reqs = Vec::new();
             for p in &self.sched.pairs {
                 for (off, len) in p.send.region.runs(&self.padded) {
-                    reqs.push(tc.mpi_isend(
-                        &self.buf,
-                        off as u64 * 8,
-                        len as u64 * 8,
-                        p.send.peer,
-                        p.send.tag,
-                        MpiOpts::device(),
-                    ));
+                    reqs.push(
+                        tc.mpi_isend(
+                            &self.buf,
+                            off as u64 * 8,
+                            len as u64 * 8,
+                            p.send.peer,
+                            p.send.tag,
+                            MpiOpts::device(),
+                        )
+                        .await,
+                    );
                     bytes += len as u64 * 8;
                     msgs += 1;
                 }
                 for (off, len) in p.recv.region.runs(&self.padded) {
-                    reqs.push(tc.mpi_irecv(
-                        &self.buf,
-                        off as u64 * 8,
-                        len as u64 * 8,
-                        p.recv.peer,
-                        p.recv.tag,
-                        MpiOpts::device(),
-                    ));
+                    reqs.push(
+                        tc.mpi_irecv(
+                            &self.buf,
+                            off as u64 * 8,
+                            len as u64 * 8,
+                            p.recv.peer,
+                            p.recv.tag,
+                            MpiOpts::device(),
+                        )
+                        .await,
+                    );
                 }
             }
-            tc.mpi_waitall(&reqs);
+            tc.mpi_waitall(&reqs).await;
         } else {
             // Baseline: stage each slab through the host around host MPI.
             for p in &self.sched.pairs {
                 for (off, len) in p.send.region.runs(&self.padded) {
-                    tc.acc_update_host(&self.buf, off as u64 * 8, len as u64 * 8, None);
+                    tc.acc_update_host(&self.buf, off as u64 * 8, len as u64 * 8, None)
+                        .await;
                 }
             }
             let mut reqs = Vec::new();
             for p in &self.sched.pairs {
                 for (off, len) in p.send.region.runs(&self.padded) {
-                    reqs.push(tc.mpi_isend(
-                        &self.buf,
-                        off as u64 * 8,
-                        len as u64 * 8,
-                        p.send.peer,
-                        p.send.tag,
-                        MpiOpts::host(),
-                    ));
+                    reqs.push(
+                        tc.mpi_isend(
+                            &self.buf,
+                            off as u64 * 8,
+                            len as u64 * 8,
+                            p.send.peer,
+                            p.send.tag,
+                            MpiOpts::host(),
+                        )
+                        .await,
+                    );
                     bytes += len as u64 * 8;
                     msgs += 1;
                 }
                 for (off, len) in p.recv.region.runs(&self.padded) {
-                    reqs.push(tc.mpi_irecv(
-                        &self.buf,
-                        off as u64 * 8,
-                        len as u64 * 8,
-                        p.recv.peer,
-                        p.recv.tag,
-                        MpiOpts::host(),
-                    ));
+                    reqs.push(
+                        tc.mpi_irecv(
+                            &self.buf,
+                            off as u64 * 8,
+                            len as u64 * 8,
+                            p.recv.peer,
+                            p.recv.tag,
+                            MpiOpts::host(),
+                        )
+                        .await,
+                    );
                 }
             }
-            tc.mpi_waitall(&reqs);
+            tc.mpi_waitall(&reqs).await;
             for p in &self.sched.pairs {
                 for (off, len) in p.recv.region.runs(&self.padded) {
-                    tc.acc_update_device(&self.buf, off as u64 * 8, len as u64 * 8, None);
+                    tc.acc_update_device(&self.buf, off as u64 * 8, len as u64 * 8, None)
+                        .await;
                 }
             }
         }
@@ -563,9 +579,9 @@ impl DistArray {
     /// array for an in-place colored sweep). Returns the local residual
     /// slot (`max |new − old|` over updated cells); wait on the queue
     /// before reading it under the unified-queue mode.
-    pub fn stencil(
+    pub async fn stencil(
         &self,
-        tc: &TaskCtx,
+        tc: &Rank,
         out: &DistArray,
         spec: &StencilSpec,
         f: CellFn,
@@ -664,7 +680,7 @@ impl DistArray {
         let ctx = tc.ctx();
         let t0 = ctx.now();
         let q = (tc.options().is_impacc() && tc.options().unified_queue).then_some(1);
-        tc.acc_kernel(q, cost, sweep);
+        tc.acc_kernel(q, cost, sweep).await;
         ctx.metrics().add("array_cells", cells);
         ctx.span("array.kernel", t0, ctx.now(), || {
             vec![
@@ -677,9 +693,9 @@ impl DistArray {
 
     /// Apply `f(global_coords, old) -> new` to every owned cell on the
     /// device (works for any layout, cyclic included).
-    pub fn map(
+    pub async fn map(
         &self,
-        tc: &TaskCtx,
+        tc: &Rank,
         flops_per_cell: f64,
         f: impl Fn(&[isize], f64) -> f64 + Send + Sync + 'static,
     ) {
@@ -731,7 +747,7 @@ impl DistArray {
         let ctx = tc.ctx();
         let t0 = ctx.now();
         let q = (tc.options().is_impacc() && tc.options().unified_queue).then_some(1);
-        tc.acc_kernel(q, cost, body);
+        tc.acc_kernel(q, cost, body).await;
         ctx.metrics().add("array_cells", cells);
         ctx.span("array.kernel", t0, ctx.now(), || {
             vec![("cells", cells.to_string()), ("kind", "map".to_string())]
@@ -741,9 +757,9 @@ impl DistArray {
     /// Fold `f(global_coords, value)` over every owned cell, then combine
     /// across ranks with `op`. Collective: every rank must call it.
     /// Returns 0.0 (deterministically) when truncation disables math.
-    pub fn reduce(
+    pub async fn reduce(
         &self,
-        tc: &TaskCtx,
+        tc: &Rank,
         op: ReduceOp,
         flops_per_cell: f64,
         f: impl Fn(&[isize], f64) -> f64 + Send + Sync + 'static,
@@ -802,10 +818,10 @@ impl DistArray {
                 total as f64 * 8.0,
             );
             let q = unified.then_some(1);
-            tc.acc_kernel(q, cost, body);
+            tc.acc_kernel(q, cost, body).await;
         }
         if unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
         let mine = (*local.lock()).unwrap_or(match op {
             ReduceOp::Sum => 0.0,
@@ -815,7 +831,7 @@ impl DistArray {
         });
         let ctx = tc.ctx();
         let t0 = ctx.now();
-        let out = tc.mpi_allreduce_f64(&[mine], op);
+        let out = tc.mpi_allreduce_f64(&[mine], op).await;
         ctx.span("array.redist", t0, ctx.now(), || {
             vec![("kind", "reduce".to_string())]
         });
@@ -828,7 +844,7 @@ impl DistArray {
     /// straight into the assembled buffer (for a 1-d row decomposition
     /// this reproduces the hand-written gather exactly); strided blocks
     /// stage through a packed buffer and scatter cell-by-cell.
-    pub fn gather(&self, tc: &TaskCtx, root: u32) -> Option<Vec<f64>> {
+    pub async fn gather(&self, tc: &Rank, root: u32) -> Option<Vec<f64>> {
         let ctx = tc.ctx();
         let t0 = ctx.now();
         let rank = self.rank as u32;
@@ -836,12 +852,13 @@ impl DistArray {
         let owned = self.owned_region();
         if !self.is_empty() {
             for (off, len) in owned.runs(&self.padded) {
-                tc.acc_update_host(&self.buf, off as u64 * 8, len as u64 * 8, None);
+                tc.acc_update_host(&self.buf, off as u64 * 8, len as u64 * 8, None)
+                    .await;
             }
         }
         let total_global: usize = self.spec.shape.iter().product();
         let out = if rank == root {
-            let full = tc.malloc_f64(total_global);
+            let full = tc.malloc_f64(total_global).await;
             let fv = tc.host_view(&full);
             let ok = math_ok(&fv);
             if !self.is_empty() && ok {
@@ -885,11 +902,12 @@ impl DistArray {
                             r as u32,
                             GATHER_TAG,
                             MpiOpts::host(),
-                        );
+                        )
+                        .await;
                         at += len as u64;
                     }
                 } else {
-                    let staging = tc.malloc_f64(cells);
+                    let staging = tc.malloc_f64(cells).await;
                     let mut at = 0u64;
                     for (_off, len) in region.runs(&geom.padded) {
                         tc.mpi_recv(
@@ -899,7 +917,8 @@ impl DistArray {
                             r as u32,
                             GATHER_TAG,
                             MpiOpts::host(),
-                        );
+                        )
+                        .await;
                         at += len as u64;
                     }
                     if ok {
@@ -908,7 +927,7 @@ impl DistArray {
                             scatter_packed(&self.spec, r, &sv, &fv);
                         }
                     }
-                    tc.free(staging);
+                    tc.free(staging).await;
                 }
             }
             ok.then(|| fv.read_f64s(0, total_global))
@@ -922,7 +941,8 @@ impl DistArray {
                         root,
                         GATHER_TAG,
                         MpiOpts::host(),
-                    );
+                    )
+                    .await;
                 }
             }
             None

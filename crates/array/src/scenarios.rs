@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use impacc_core::TaskCtx;
+use impacc_core::Rank;
 use impacc_mpi::ReduceOp;
 
 use crate::decomp::CartGrid;
@@ -50,14 +50,14 @@ pub struct ArrayJacobiParams {
 /// decomposition this issues the identical operation sequence as the
 /// hand-written `jacobi_task`, which the parity tests verify down to
 /// byte-equal metrics and end times.
-pub fn jacobi_array_task(tc: &TaskCtx, p: &ArrayJacobiParams, probe: Option<&ResProbe>) {
+pub async fn jacobi_array_task(tc: &Rank, p: &ArrayJacobiParams, probe: Option<&ResProbe>) {
     let spec = ArraySpec::block(vec![p.n, p.n], CartGrid::line(tc.size() as usize), 1);
-    let mut u = DistArray::build(tc, &spec);
-    let mut unew = DistArray::build(tc, &spec);
+    let mut u = DistArray::build(tc, &spec).await;
+    let mut unew = DistArray::build(tc, &spec).await;
     u.fill(tc, jacobi_bc);
     unew.fill(tc, jacobi_bc);
-    u.to_device(tc);
-    unew.to_device(tc);
+    u.to_device(tc).await;
+    unew.to_device(tc).await;
     tc.ctx()
         .event("marker", || vec![("phase", "sweep".to_string())]);
 
@@ -65,19 +65,19 @@ pub fn jacobi_array_task(tc: &TaskCtx, p: &ArrayJacobiParams, probe: Option<&Res
     let f = jacobi_cell();
     let mut residuals: Vec<f64> = Vec::new();
     for it in 0..p.iters {
-        u.exchange(tc);
+        u.exchange(tc).await;
         let sspec = StencilSpec {
             margin: vec![(0, 0), (1, 1)],
             flops_per_cell: 6.0,
             fallback: 1.0 / (it + 1) as f64,
             color: None,
         };
-        let res = u.stencil(tc, &unew, &sspec, f.clone());
+        let res = u.stencil(tc, &unew, &sspec, f.clone()).await;
         if unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
         let mine = res.get();
-        let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max);
+        let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max).await;
         assert!(
             residual[0].is_finite() && residual[0] >= mine,
             "global residual must bound the local one"
@@ -97,10 +97,10 @@ pub fn jacobi_array_task(tc: &TaskCtx, p: &ArrayJacobiParams, probe: Option<&Res
         );
     }
     if unified {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
     if p.verify {
-        let got = u.gather(tc, 0);
+        let got = u.gather(tc, 0).await;
         if let Some(got) = got {
             let mut reference = SerialField::new(&[p.n, p.n], 1, 1, &jacobi_bc);
             let mut serial_res = Vec::new();
@@ -144,14 +144,14 @@ fn stencil3d_cell() -> CellFn {
 /// 0 and 1 split across the rank grid (so dim-1 halos exercise the
 /// strided multi-run lowering), dimension 2 unsplit with in-domain
 /// boundaries.
-pub fn stencil3d_task(tc: &TaskCtx, p: &Stencil3dParams, probe: Option<&ResProbe>) {
+pub async fn stencil3d_task(tc: &Rank, p: &Stencil3dParams, probe: Option<&ResProbe>) {
     let spec = ArraySpec::block(vec![p.n, p.n, p.n], CartGrid::new(tc.size() as usize, 2), 1);
-    let mut u = DistArray::build(tc, &spec);
-    let mut unew = DistArray::build(tc, &spec);
+    let mut u = DistArray::build(tc, &spec).await;
+    let mut unew = DistArray::build(tc, &spec).await;
     u.fill(tc, stencil3d_bc);
     unew.fill(tc, stencil3d_bc);
-    u.to_device(tc);
-    unew.to_device(tc);
+    u.to_device(tc).await;
+    unew.to_device(tc).await;
     tc.ctx()
         .event("marker", || vec![("phase", "sweep".to_string())]);
 
@@ -160,18 +160,18 @@ pub fn stencil3d_task(tc: &TaskCtx, p: &Stencil3dParams, probe: Option<&ResProbe
     let margin = vec![(0, 0), (0, 0), (1, 1)];
     let mut residuals: Vec<f64> = Vec::new();
     for it in 0..p.iters {
-        u.exchange(tc);
+        u.exchange(tc).await;
         let sspec = StencilSpec {
             margin: margin.clone(),
             flops_per_cell: 9.0,
             fallback: 1.0 / (it + 1) as f64,
             color: None,
         };
-        let res = u.stencil(tc, &unew, &sspec, f.clone());
+        let res = u.stencil(tc, &unew, &sspec, f.clone()).await;
         if unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
-        let residual = tc.mpi_allreduce_f64(&[res.get()], ReduceOp::Max);
+        let residual = tc.mpi_allreduce_f64(&[res.get()], ReduceOp::Max).await;
         assert!(residual[0].is_finite());
         if let Some(pr) = probe {
             if tc.rank() == 0 {
@@ -182,10 +182,10 @@ pub fn stencil3d_task(tc: &TaskCtx, p: &Stencil3dParams, probe: Option<&ResProbe
         u.swap(&mut unew);
     }
     if unified {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
     if p.verify {
-        if let Some(got) = u.gather(tc, 0) {
+        if let Some(got) = u.gather(tc, 0).await {
             let mut reference = SerialField::new(&[p.n, p.n, p.n], 2, 1, &stencil3d_bc);
             let mut serial_res = Vec::new();
             for _ in 0..p.iters {
@@ -223,15 +223,15 @@ fn stencil2d_cell(h: usize) -> CellFn {
 /// Radius-`halo` star average on a row-decomposed square: the halo
 /// depth is a runtime parameter, so one sweep exchanges `halo` rows per
 /// neighbour — the knob the campaign files and the bench sweep turn.
-pub fn stencil2d_task(tc: &TaskCtx, p: &Stencil2dParams, probe: Option<&ResProbe>) {
+pub async fn stencil2d_task(tc: &Rank, p: &Stencil2dParams, probe: Option<&ResProbe>) {
     assert!(p.halo >= 1, "stencil2d needs a positive halo");
     let spec = ArraySpec::block(vec![p.n, p.n], CartGrid::line(tc.size() as usize), p.halo);
-    let mut u = DistArray::build(tc, &spec);
-    let mut unew = DistArray::build(tc, &spec);
+    let mut u = DistArray::build(tc, &spec).await;
+    let mut unew = DistArray::build(tc, &spec).await;
     u.fill(tc, jacobi_bc);
     unew.fill(tc, jacobi_bc);
-    u.to_device(tc);
-    unew.to_device(tc);
+    u.to_device(tc).await;
+    unew.to_device(tc).await;
     tc.ctx()
         .event("marker", || vec![("phase", "sweep".to_string())]);
 
@@ -240,18 +240,18 @@ pub fn stencil2d_task(tc: &TaskCtx, p: &Stencil2dParams, probe: Option<&ResProbe
     let margin = vec![(0, 0), (p.halo, p.halo)];
     let mut residuals: Vec<f64> = Vec::new();
     for it in 0..p.iters {
-        u.exchange(tc);
+        u.exchange(tc).await;
         let sspec = StencilSpec {
             margin: margin.clone(),
             flops_per_cell: (4 * p.halo + 2) as f64,
             fallback: 1.0 / (it + 1) as f64,
             color: None,
         };
-        let res = u.stencil(tc, &unew, &sspec, f.clone());
+        let res = u.stencil(tc, &unew, &sspec, f.clone()).await;
         if unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
-        let residual = tc.mpi_allreduce_f64(&[res.get()], ReduceOp::Max);
+        let residual = tc.mpi_allreduce_f64(&[res.get()], ReduceOp::Max).await;
         assert!(residual[0].is_finite());
         if let Some(pr) = probe {
             if tc.rank() == 0 {
@@ -262,10 +262,10 @@ pub fn stencil2d_task(tc: &TaskCtx, p: &Stencil2dParams, probe: Option<&ResProbe
         u.swap(&mut unew);
     }
     if unified {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
     if p.verify {
-        if let Some(got) = u.gather(tc, 0) {
+        if let Some(got) = u.gather(tc, 0).await {
             let mut reference = SerialField::new(&[p.n, p.n], 1, p.halo, &jacobi_bc);
             let mut serial_res = Vec::new();
             for _ in 0..p.iters {
@@ -291,11 +291,11 @@ pub struct RedBlackParams {
 /// Red-black Gauss-Seidel relaxation: two colored in-place half-sweeps
 /// per iteration, with a halo exchange before each so the black pass
 /// sees the red updates from the neighbouring tiles.
-pub fn redblack_task(tc: &TaskCtx, p: &RedBlackParams, probe: Option<&ResProbe>) {
+pub async fn redblack_task(tc: &Rank, p: &RedBlackParams, probe: Option<&ResProbe>) {
     let spec = ArraySpec::block(vec![p.n, p.n], CartGrid::line(tc.size() as usize), 1);
-    let u = DistArray::build(tc, &spec);
+    let u = DistArray::build(tc, &spec).await;
     u.fill(tc, jacobi_bc);
-    u.to_device(tc);
+    u.to_device(tc).await;
     tc.ctx()
         .event("marker", || vec![("phase", "sweep".to_string())]);
 
@@ -304,23 +304,23 @@ pub fn redblack_task(tc: &TaskCtx, p: &RedBlackParams, probe: Option<&ResProbe>)
     let margin = vec![(0, 0), (1, 1)];
     let mut residuals: Vec<f64> = Vec::new();
     for it in 0..p.iters {
-        let half = |color: usize| {
-            u.exchange(tc);
+        let half = async |color: usize| {
+            u.exchange(tc).await;
             let sspec = StencilSpec {
                 margin: margin.clone(),
                 flops_per_cell: 3.0,
                 fallback: 1.0 / (it + 1) as f64,
                 color: Some(color),
             };
-            u.stencil(tc, &u, &sspec, f.clone())
+            u.stencil(tc, &u, &sspec, f.clone()).await
         };
-        let red = half(0);
-        let black = half(1);
+        let red = half(0).await;
+        let black = half(1).await;
         if unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
         let mine = red.get().max(black.get());
-        let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max);
+        let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max).await;
         assert!(residual[0].is_finite());
         if let Some(pr) = probe {
             if tc.rank() == 0 {
@@ -330,10 +330,10 @@ pub fn redblack_task(tc: &TaskCtx, p: &RedBlackParams, probe: Option<&ResProbe>)
         residuals.push(residual[0]);
     }
     if unified {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
     if p.verify {
-        if let Some(got) = u.gather(tc, 0) {
+        if let Some(got) = u.gather(tc, 0).await {
             let mut reference = SerialField::new(&[p.n, p.n], 1, 1, &jacobi_bc);
             let mut serial_res = Vec::new();
             for _ in 0..p.iters {

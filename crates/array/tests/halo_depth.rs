@@ -28,7 +28,10 @@ fn stencil2d(n: usize, iters: usize, halo: usize) -> RunSummary {
         verify: false,
     };
     Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
-        .run(move |tc| stencil2d_task(tc, &p, None))
+        .run_async(move |tc| {
+            let p = p.clone();
+            async move { stencil2d_task(&tc, &p, None).await }
+        })
         .expect("stencil2d run")
 }
 
@@ -72,7 +75,10 @@ fn array_jacobi_keeps_the_impacc_win() {
             verify: false,
         };
         Launch::new(presets::test_cluster(2, 2), opts)
-            .run(move |tc| jacobi_array_task(tc, &p, None))
+            .run_async(move |tc| {
+                let p = p.clone();
+                async move { jacobi_array_task(&tc, &p, None).await }
+            })
             .expect("array jacobi run")
             .elapsed_secs()
     };

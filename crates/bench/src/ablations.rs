@@ -2,7 +2,7 @@
 //! called out in DESIGN.md.
 
 use impacc_apps::{run_dgemm, run_lulesh, DgemmParams, LuleshParams};
-use impacc_core::{Launch, MpiOpts, RuntimeOptions, TaskCtx};
+use impacc_core::{Launch, MpiOpts, Rank, RuntimeOptions};
 use impacc_machine::presets;
 
 use crate::specs::{beacon_tasks, psg_tasks};
@@ -145,16 +145,16 @@ pub fn handler_overhead() -> String {
     let max = if quick() { 1 << 14 } else { 1 << 22 };
     for bytes in size_sweep(64, max, 8) {
         let run = |opts: RuntimeOptions| -> f64 {
-            let app = move |tc: &TaskCtx| {
+            let app = move |tc: Rank| async move {
                 if tc.rank() >= 2 {
                     return;
                 }
-                let buf = tc.malloc(bytes);
+                let buf = tc.malloc(bytes).await;
                 for i in 0..8 {
                     if tc.rank() == 0 {
-                        tc.mpi_send(&buf, 0, bytes, 1, i, MpiOpts::host());
+                        tc.mpi_send(&buf, 0, bytes, 1, i, MpiOpts::host()).await;
                     } else {
-                        tc.mpi_recv(&buf, 0, bytes, 0, i, MpiOpts::host());
+                        tc.mpi_recv(&buf, 0, bytes, 0, i, MpiOpts::host()).await;
                     }
                 }
             };
@@ -162,7 +162,7 @@ pub fn handler_overhead() -> String {
             spec.nodes[0].devices.truncate(2);
             Launch::new(spec, opts)
                 .phys_cap(4096)
-                .run(app)
+                .run_async(app)
                 .unwrap()
                 .elapsed_secs()
         };

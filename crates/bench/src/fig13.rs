@@ -209,7 +209,10 @@ fn trace_fig14(path: &str) -> String {
         Launch::new(psg_tasks(tasks), opts)
             .phys_cap(4096)
             .recorder(&rec)
-            .run(move |tc| jacobi_task(tc, &p))
+            .run_async(move |tc| {
+                let p = p.clone();
+                async move { jacobi_task(&tc, &p).await }
+            })
             .expect("jacobi run");
         rec.spans()
     };
@@ -277,7 +280,10 @@ mod tests {
         Launch::new(psg_tasks(4), opts)
             .phys_cap(4096)
             .recorder(&rec)
-            .run(move |tc| jacobi_task(tc, &p))
+            .run_async(move |tc| {
+                let p = p.clone();
+                async move { jacobi_task(&tc, &p).await }
+            })
             .unwrap();
         rec.spans()
     }
@@ -321,7 +327,10 @@ mod tests {
                 Launch::new(psg_tasks(2), opts)
                     .phys_cap(4096)
                     .recorder(&rec)
-                    .run(move |tc| jacobi_task(tc, &p))
+                    .run_async(move |tc| {
+                        let p = p.clone();
+                        async move { jacobi_task(&tc, &p).await }
+                    })
                     .unwrap()
             };
             assert!(rec.span_count() > 0);

@@ -12,7 +12,7 @@
 //!   final wait — and is free to do other work meanwhile.
 
 use impacc_apps::math_ok;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{Launch, MpiOpts, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{presets, KernelCost, MachineSpec};
 use impacc_obs::{chrome, Recorder};
 
@@ -33,11 +33,11 @@ const N: usize = 1 << 18; // 2 Mi bytes per buffer
 
 /// One kernel → send/recv → kernel exchange between two ranks, synchronized
 /// the way `style` says.
-pub fn exchange(tc: &TaskCtx, style: Style) {
+pub async fn exchange(tc: &Rank, style: Style) {
     let peer = 1 - tc.rank();
     let me = tc.rank() as f64;
-    let buf0 = tc.malloc_f64(N);
-    let buf1 = tc.malloc_f64(N);
+    let buf0 = tc.malloc_f64(N).await;
+    let buf1 = tc.malloc_f64(N).await;
     tc.acc_create(&buf0);
     tc.acc_create(&buf1);
     let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
@@ -63,38 +63,45 @@ pub fn exchange(tc: &TaskCtx, style: Style) {
     match style {
         Style::Synchronous => {
             // kernel - copyout - send - recv - copyin - kernel, all blocking.
-            tc.acc_kernel(None, cost, produce);
-            tc.acc_update_host(&buf0, 0, buf0.len, None);
-            let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, 0, MpiOpts::host());
-            tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::host());
-            sreq.wait(tc.ctx());
-            tc.acc_update_device(&buf1, 0, buf1.len, None);
-            tc.acc_kernel(None, cost, consume);
+            tc.acc_kernel(None, cost, produce).await;
+            tc.acc_update_host(&buf0, 0, buf0.len, None).await;
+            let sreq = tc
+                .mpi_isend(&buf0, 0, buf0.len, peer, 0, MpiOpts::host())
+                .await;
+            tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::host())
+                .await;
+            sreq.completion(tc.ctx()).await;
+            tc.acc_update_device(&buf1, 0, buf1.len, None).await;
+            tc.acc_kernel(None, cost, consume).await;
         }
         Style::AsyncWithWaits => {
             // async ops, but the host must bridge MPI and OpenACC with
             // explicit synchronization points.
-            tc.acc_kernel(Some(1), cost, produce);
-            tc.acc_update_host(&buf0, 0, buf0.len, Some(1));
-            tc.acc_wait(1);
+            tc.acc_kernel(Some(1), cost, produce).await;
+            tc.acc_update_host(&buf0, 0, buf0.len, Some(1)).await;
+            tc.acc_wait(1).await;
             let reqs = vec![
-                tc.mpi_isend(&buf0, 0, buf0.len, peer, 0, MpiOpts::host()),
-                tc.mpi_irecv(&buf1, 0, buf1.len, peer, 0, MpiOpts::host()),
+                tc.mpi_isend(&buf0, 0, buf0.len, peer, 0, MpiOpts::host())
+                    .await,
+                tc.mpi_irecv(&buf1, 0, buf1.len, peer, 0, MpiOpts::host())
+                    .await,
             ];
-            tc.mpi_waitall(&reqs);
-            tc.acc_update_device(&buf1, 0, buf1.len, Some(1));
-            tc.acc_kernel(Some(1), cost, consume);
-            tc.acc_wait(1);
+            tc.mpi_waitall(&reqs).await;
+            tc.acc_update_device(&buf1, 0, buf1.len, Some(1)).await;
+            tc.acc_kernel(Some(1), cost, consume).await;
+            tc.acc_wait(1).await;
         }
         Style::UnifiedQueue => {
             // Figure 4(c): one queue carries everything; the host stays
             // free and does its own work concurrently.
-            tc.acc_kernel(Some(1), cost, produce);
-            tc.mpi_send(&buf0, 0, buf0.len, peer, 0, MpiOpts::device().on_queue(1));
-            tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::device().on_queue(1));
-            tc.acc_kernel(Some(1), cost, consume);
-            tc.host_compute(100e-6); // the CPU cycles the paper says we save
-            tc.acc_wait(1);
+            tc.acc_kernel(Some(1), cost, produce).await;
+            tc.mpi_send(&buf0, 0, buf0.len, peer, 0, MpiOpts::device().on_queue(1))
+                .await;
+            tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::device().on_queue(1))
+                .await;
+            tc.acc_kernel(Some(1), cost, consume).await;
+            tc.host_compute(100e-6).await; // the CPU cycles the paper says we save
+            tc.acc_wait(1).await;
         }
     }
 }
@@ -119,7 +126,7 @@ pub fn launch(style: Style) -> Launch {
 /// Run one style; returns the summary.
 pub fn run_style(style: Style) -> RunSummary {
     launch(style)
-        .run(move |tc| exchange(tc, style))
+        .run_async(move |tc| async move { exchange(&tc, style).await })
         .expect("figure 5 run")
 }
 
@@ -166,7 +173,9 @@ pub fn run_traced(trace: Option<&str>) -> String {
         if let Some(rec) = &rec {
             l = l.recorder(rec);
         }
-        let s = l.run(move |tc| exchange(tc, style)).expect("figure 5 run");
+        let s = l
+            .run_async(move |tc| async move { exchange(&tc, style).await })
+            .expect("figure 5 run");
         let total = s.elapsed_secs();
         let blocked = host_blocked_secs(&s);
         t.row(vec![
@@ -241,7 +250,7 @@ mod tests {
                 _ => RuntimeOptions::baseline(),
             };
             Launch::new(spec(), opts)
-                .run(move |tc| exchange(tc, style))
+                .run_async(move |tc| async move { exchange(&tc, style).await })
                 .unwrap();
         }
     }

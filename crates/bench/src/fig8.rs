@@ -19,22 +19,23 @@ fn copy_time(spec: MachineSpec, dir: HdDir, far: bool, bytes: u64) -> f64 {
     let out = crate::util::probe::<f64>();
     let out2 = out.clone();
     let mut sim = Sim::new();
-    sim.spawn("task", move |ctx| {
+    sim.spawn_async_on(0, "task", move |ctx| async move {
         let res = Arc::new(ClusterResources::new(Arc::new(spec)));
         let space = Arc::new(AddressSpace::new(1 << 42, Some(4096)));
         let dev = Device::new(0, 0, res, space.clone());
         let host = space.alloc(MemSpace::Host, bytes).expect("host alloc");
         let d = dev.alloc(bytes).expect("device alloc");
         let t0 = ctx.now();
-        dev.perform_copy(
-            ctx,
+        dev.copy(
+            &ctx,
             dir,
             far,
             true, // bandwidth microbenchmarks use page-locked memory
             (&host.backing, 0),
             (&d.region.backing, 0),
             bytes,
-        );
+        )
+        .await;
         *out2.lock() = Some(ctx.now().since(t0).as_secs_f64());
     });
     sim.run().expect("fig8 run");

@@ -8,7 +8,7 @@
 //! intra-node DtoD (direct PCIe peer copy vs DtoH+HtoH+HtoD), and on
 //! Titan internode via GPUDirect RDMA.
 
-use impacc_core::{MpiOpts, RuntimeOptions, TaskCtx};
+use impacc_core::{MpiOpts, Rank, RuntimeOptions};
 use impacc_machine::{presets, MachineSpec};
 
 use crate::util::{fmt_bytes, gbps, probe, quick, size_sweep, Table};
@@ -31,54 +31,57 @@ pub fn measure(spec: MachineSpec, options: RuntimeOptions, kind: Kind, bytes: u6
     let out = probe::<f64>();
     let out2 = out.clone();
     let impacc = options.is_impacc();
-    let app = move |tc: &TaskCtx| {
-        if tc.rank() >= 2 {
-            return;
-        }
-        let buf = tc.malloc(bytes);
-        let send_dev = kind == Kind::DtoD;
-        let recv_dev = kind != Kind::HtoH;
-        if (tc.rank() == 0 && send_dev) || (tc.rank() == 1 && recv_dev) {
-            tc.acc_create(&buf);
-        }
-        tc.mpi_barrier();
-        let t0 = tc.ctx().now();
-        for i in 0..REPS {
-            let tag = i as i32;
-            if tc.rank() == 0 {
-                if impacc {
-                    let o = if send_dev {
-                        MpiOpts::device()
+    let app = move |tc: Rank| {
+        let out2 = out2.clone();
+        async move {
+            if tc.rank() >= 2 {
+                return;
+            }
+            let buf = tc.malloc(bytes).await;
+            let send_dev = kind == Kind::DtoD;
+            let recv_dev = kind != Kind::HtoH;
+            if (tc.rank() == 0 && send_dev) || (tc.rank() == 1 && recv_dev) {
+                tc.acc_create(&buf);
+            }
+            tc.mpi_barrier().await;
+            let t0 = tc.ctx().now();
+            for i in 0..REPS {
+                let tag = i as i32;
+                if tc.rank() == 0 {
+                    if impacc {
+                        let o = if send_dev {
+                            MpiOpts::device()
+                        } else {
+                            MpiOpts::host()
+                        };
+                        tc.mpi_send(&buf, 0, bytes, 1, tag, o).await;
                     } else {
-                        MpiOpts::host()
-                    };
-                    tc.mpi_send(&buf, 0, bytes, 1, tag, o);
-                } else {
-                    // Baseline: stage the device buffer through the host.
-                    if send_dev {
-                        tc.acc_update_host(&buf, 0, bytes, None);
+                        // Baseline: stage the device buffer through the host.
+                        if send_dev {
+                            tc.acc_update_host(&buf, 0, bytes, None).await;
+                        }
+                        tc.mpi_send(&buf, 0, bytes, 1, tag, MpiOpts::host()).await;
                     }
-                    tc.mpi_send(&buf, 0, bytes, 1, tag, MpiOpts::host());
-                }
-            } else {
-                if impacc {
-                    let o = if recv_dev {
-                        MpiOpts::device()
-                    } else {
-                        MpiOpts::host()
-                    };
-                    tc.mpi_recv(&buf, 0, bytes, 0, tag, o);
                 } else {
-                    tc.mpi_recv(&buf, 0, bytes, 0, tag, MpiOpts::host());
-                    if recv_dev {
-                        tc.acc_update_device(&buf, 0, bytes, None);
+                    if impacc {
+                        let o = if recv_dev {
+                            MpiOpts::device()
+                        } else {
+                            MpiOpts::host()
+                        };
+                        tc.mpi_recv(&buf, 0, bytes, 0, tag, o).await;
+                    } else {
+                        tc.mpi_recv(&buf, 0, bytes, 0, tag, MpiOpts::host()).await;
+                        if recv_dev {
+                            tc.acc_update_device(&buf, 0, bytes, None).await;
+                        }
                     }
                 }
             }
-        }
-        if tc.rank() == 1 {
-            let dt = tc.ctx().now().since(t0).as_secs_f64() / REPS as f64;
-            *out2.lock() = Some(dt);
+            if tc.rank() == 1 {
+                let dt = tc.ctx().now().since(t0).as_secs_f64() / REPS as f64;
+                *out2.lock() = Some(dt);
+            }
         }
     };
     impacc_apps::launch_app(spec, options, Some(4096), app).expect("fig9 run");

@@ -71,7 +71,7 @@ pub fn record_fig5() -> Recorder {
     let style = fig5::Style::UnifiedQueue;
     fig5::launch(style)
         .recorder(&rec)
-        .run(move |tc| fig5::exchange(tc, style))
+        .run_async(move |tc| async move { fig5::exchange(&tc, style).await })
         .expect("figure 5 run");
     rec
 }
@@ -86,8 +86,11 @@ pub fn record_fig12() -> Recorder {
     };
     Launch::new(psg_tasks(4), RuntimeOptions::impacc())
         .recorder(&rec)
-        .run(move |tc| {
-            ep_task(tc, &p);
+        .run_async(move |tc| {
+            let p = p.clone();
+            async move {
+                ep_task(&tc, &p).await;
+            }
         })
         .expect("ep run");
     rec
@@ -107,7 +110,10 @@ pub fn record_fig14() -> Recorder {
     Launch::new(psg_tasks(4), RuntimeOptions::impacc())
         .phys_cap(4096)
         .recorder(&rec)
-        .run(move |tc| jacobi_task(tc, &p))
+        .run_async(move |tc| {
+            let p = p.clone();
+            async move { jacobi_task(&tc, &p).await }
+        })
         .expect("jacobi run");
     rec
 }

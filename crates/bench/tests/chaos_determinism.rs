@@ -42,7 +42,7 @@ fn exchange_launch(spec: MachineSpec, plan: Option<FaultPlan>) -> Launch {
 /// launch. Every consume kernel checks its input, so a faulted run that
 /// finishes delivered the right bytes.
 fn run_exchange(l: Launch, rounds: u32) -> RunSummary {
-    l.run(move |tc| exchange(tc, 1 << 14, rounds, 0))
+    l.run_async(move |tc| async move { exchange(&tc, 1 << 14, rounds, 0).await })
         .expect("chaos run")
 }
 
@@ -56,14 +56,16 @@ fn coll_spec() -> MachineSpec {
 /// engine's own per-call selection — so faults land on both internode
 /// collective edges and intra-node folds.
 fn run_coll_chaos(l: Launch) -> RunSummary {
-    l.run(|tc| {
-        allreduce_rounds(tc, 16, 2, 0);
-        allreduce_rounds(tc, 1 << 14, 1, 0);
-        let sub = tc.mpi_comm_split((tc.rank() % 2) as i64, tc.rank() as i64);
+    l.run_async(|tc| async move {
+        allreduce_rounds(&tc, 16, 2, 0).await;
+        allreduce_rounds(&tc, 1 << 14, 1, 0).await;
+        let sub = tc
+            .mpi_comm_split((tc.rank() % 2) as i64, tc.rank() as i64)
+            .await;
         assert_eq!(sub.size(), tc.size() / 2);
-        tc.mpi_barrier();
-        allreduce_rounds(tc, 256, 1, 0);
-        tc.mpi_barrier();
+        tc.mpi_barrier().await;
+        allreduce_rounds(&tc, 256, 1, 0).await;
+        tc.mpi_barrier().await;
     })
     .expect("coll chaos run")
 }

@@ -39,18 +39,20 @@ fn run_exchange(degree: usize, fr: Option<&FlightRecorder>, rec: Option<&Recorde
     if let Some(rec) = rec {
         l = l.recorder(rec);
     }
-    l.run(move |tc| {
+    l.run_async(move |tc| async move {
         let peer = 1 - tc.rank();
-        let buf0 = tc.malloc_f64(N);
-        let buf1 = tc.malloc_f64(N);
+        let buf0 = tc.malloc_f64(N).await;
+        let buf1 = tc.malloc_f64(N).await;
         tc.acc_create(&buf0);
         tc.acc_create(&buf1);
         let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
         for i in 0..8 {
-            tc.acc_kernel(Some(1), cost, || {});
-            tc.mpi_send(&buf0, 0, buf0.len, peer, i, MpiOpts::device().on_queue(1));
-            tc.mpi_recv(&buf1, 0, buf1.len, peer, i, MpiOpts::device().on_queue(1));
-            tc.acc_wait(1);
+            tc.acc_kernel(Some(1), cost, || {}).await;
+            tc.mpi_send(&buf0, 0, buf0.len, peer, i, MpiOpts::device().on_queue(1))
+                .await;
+            tc.mpi_recv(&buf1, 0, buf1.len, peer, i, MpiOpts::device().on_queue(1))
+                .await;
+            tc.acc_wait(1).await;
         }
     })
     .expect("exchange run")
@@ -155,7 +157,7 @@ fn faulted_dump(label: &str, spec: MachineSpec, plan: FaultPlan, rounds: u32) ->
     let s = Launch::new(spec, RuntimeOptions::impacc())
         .chaos(plan)
         .flight(&fr)
-        .run(move |tc| exchange(tc, 1 << 14, rounds, 0))
+        .run_async(move |tc| async move { exchange(&tc, 1 << 14, rounds, 0).await })
         .expect("faulted run");
     let pairs: Vec<(&str, u64)> = s.report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
     let findings = Watchdog::new().check_counters(&pairs);

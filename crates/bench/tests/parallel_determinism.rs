@@ -12,7 +12,7 @@
 use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_bench::specs::titan_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
-use impacc_machine::{FaultPlan, KernelCost};
+use impacc_machine::{presets, FaultPlan, KernelCost};
 use impacc_obs::Recorder;
 
 /// The parallelism degrees the satellite pins: single-worker conservative,
@@ -63,38 +63,66 @@ fn assert_bit_identical(base: &Observed, other: &Observed, degree: usize) {
 /// Multi-node Jacobi through the app runner, with the parallelism degree
 /// supplied the way users supply it: the `IMPACC_PARALLEL` environment
 /// knob (resolved by `Launch` via `impacc_core::config::parallelism`).
+/// Two shapes: 4 Titan nodes, and 64 Titan nodes of handler ranks run
+/// three times at each degree. Every rank activation still runs on the
+/// thread whose release granted it, so this pins the window schedule's
+/// independence from the worker count, not cross-worker polling.
 #[test]
 fn jacobi_is_bit_identical_across_impacc_parallel() {
     let ambient = std::env::var("IMPACC_PARALLEL").ok();
-    let run = |degree: usize| -> Observed {
+    let run = |spec: &impacc_machine::MachineSpec, n: usize, iters: usize, degree: usize| {
         std::env::set_var("IMPACC_PARALLEL", degree.to_string());
         let rec = Recorder::new();
         let p = JacobiParams {
-            n: 256,
-            iters: 8,
+            n,
+            iters,
             verify: false,
         };
-        let s = Launch::new(titan_tasks(4), RuntimeOptions::impacc())
+        let s = Launch::new(spec.clone(), RuntimeOptions::impacc())
             .phys_cap(4096)
             .recorder(&rec)
-            .run(move |tc| jacobi_task(tc, &p))
+            .run_async(move |tc| {
+                let p = p.clone();
+                async move { jacobi_task(&tc, &p).await }
+            })
             .expect("jacobi run");
+        assert_eq!(s.report.threads_spawned, 0, "ranks are handlers");
         observe(s, &rec, "jacobi")
     };
-    let base = run(DEGREES[0]);
-    let rest: Vec<Observed> = DEGREES[1..].iter().map(|&d| run(d)).collect();
+    let shapes = [
+        ("titan4", titan_tasks(4), 256, 8, 1),
+        ("titan64", presets::titan(64), 512, 4, 3),
+    ];
+    let mut observed = Vec::new();
+    for (name, spec, n, iters, repeats) in &shapes {
+        let base = run(spec, *n, *iters, DEGREES[0]);
+        let rest: Vec<(usize, Observed)> = DEGREES
+            .iter()
+            .flat_map(|&d| std::iter::repeat_n(d, *repeats))
+            .skip(1)
+            .map(|d| (d, run(spec, *n, *iters, d)))
+            .collect();
+        observed.push((name, base, rest));
+    }
     // Restore whatever the harness had exported (ci runs tier-1 under
     // IMPACC_PARALLEL=4; clobbering it would leak into sibling tests).
     match ambient {
         Some(v) => std::env::set_var("IMPACC_PARALLEL", v),
         None => std::env::remove_var("IMPACC_PARALLEL"),
     }
-    assert!(
-        base.summary.report.parallel_advances > 0,
-        "a 4-node jacobi should overlap partitions in at least one window"
-    );
-    for (d, other) in DEGREES[1..].iter().zip(&rest) {
-        assert_bit_identical(&base, other, *d);
+    for (name, base, rest) in &observed {
+        assert!(
+            base.summary.report.parallel_advances > 0,
+            "a multi-node jacobi ({name}) should overlap partitions in at least one window"
+        );
+        for (d, other) in rest {
+            assert_bit_identical(base, other, *d);
+            assert_eq!(
+                format!("{:?}", base.summary.report),
+                format!("{:?}", other.summary.report),
+                "{name} report @ p={d}"
+            );
+        }
     }
 }
 
@@ -110,18 +138,20 @@ fn unified_queue_exchange_is_bit_identical_across_parallelism() {
             .phys_cap(4096)
             .parallelism(degree)
             .recorder(&rec)
-            .run(move |tc| {
+            .run_async(move |tc| async move {
                 let peer = 1 - tc.rank();
-                let buf0 = tc.malloc_f64(N);
-                let buf1 = tc.malloc_f64(N);
+                let buf0 = tc.malloc_f64(N).await;
+                let buf1 = tc.malloc_f64(N).await;
                 tc.acc_create(&buf0);
                 tc.acc_create(&buf1);
                 let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
                 for i in 0..8 {
-                    tc.acc_kernel(Some(1), cost, || {});
-                    tc.mpi_send(&buf0, 0, buf0.len, peer, i, MpiOpts::device().on_queue(1));
-                    tc.mpi_recv(&buf1, 0, buf1.len, peer, i, MpiOpts::device().on_queue(1));
-                    tc.acc_wait(1);
+                    tc.acc_kernel(Some(1), cost, || {}).await;
+                    tc.mpi_send(&buf0, 0, buf0.len, peer, i, MpiOpts::device().on_queue(1))
+                        .await;
+                    tc.mpi_recv(&buf1, 0, buf1.len, peer, i, MpiOpts::device().on_queue(1))
+                        .await;
+                    tc.acc_wait(1).await;
                 }
             })
             .expect("exchange run");
@@ -154,7 +184,10 @@ fn faulted_jacobi_is_bit_identical_across_parallelism() {
             .chaos(FaultPlan::new(17).with_uniform_rate(0.1))
             .parallelism(degree)
             .recorder(&rec)
-            .run(move |tc| jacobi_task(tc, &p))
+            .run_async(move |tc| {
+                let p = p.clone();
+                async move { jacobi_task(&tc, &p).await }
+            })
             .expect("faulted jacobi run");
         observe(s, &rec, "jacobi_faulted")
     };

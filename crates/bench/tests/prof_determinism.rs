@@ -18,7 +18,10 @@ fn profile_jacobi(workers: usize) -> (impacc_prof::Report, f64) {
         .phys_cap(4096)
         .parallelism(workers)
         .recorder(&rec)
-        .run(move |tc| jacobi_task(tc, &p))
+        .run_async(move |tc| {
+            let p = p.clone();
+            async move { jacobi_task(&tc, &p).await }
+        })
         .expect("jacobi run");
     let report = impacc_prof::analyze(&rec.spans(), &rec.edges());
     let secs = summary.elapsed_secs();

@@ -88,7 +88,11 @@ fn handwritten_jacobi_is_pinned_in_all_modes() {
             };
             let s = Launch::new(presets::psg(), opts)
                 .parallelism(degree)
-                .run(move |tc| jacobi_task_probed(tc, &p, Some(&inner)))
+                .run_async(move |tc| {
+                    let inner = inner.clone();
+                    let p = p.clone();
+                    async move { jacobi_task_probed(&tc, &p, Some(&inner)).await }
+                })
                 .expect("jacobi run");
             pin(&s, &probe.take())
         });
@@ -105,16 +109,20 @@ fn array_scenarios_are_pinned() {
             let inner = probe.clone();
             let s = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
                 .parallelism(degree)
-                .run(move |tc| {
-                    redblack_task(
-                        tc,
-                        &RedBlackParams {
-                            n: 24,
-                            iters: 5,
-                            verify: true,
-                        },
-                        Some(&inner),
-                    )
+                .run_async(move |tc| {
+                    let inner = inner.clone();
+                    async move {
+                        redblack_task(
+                            &tc,
+                            &RedBlackParams {
+                                n: 24,
+                                iters: 5,
+                                verify: true,
+                            },
+                            Some(&inner),
+                        )
+                        .await
+                    }
                 })
                 .expect("redblack run");
             pin(&s, &probe.take())
@@ -128,16 +136,20 @@ fn array_scenarios_are_pinned() {
             let inner = probe.clone();
             let s = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
                 .parallelism(degree)
-                .run(move |tc| {
-                    stencil3d_task(
-                        tc,
-                        &Stencil3dParams {
-                            n: 12,
-                            iters: 4,
-                            verify: true,
-                        },
-                        Some(&inner),
-                    )
+                .run_async(move |tc| {
+                    let inner = inner.clone();
+                    async move {
+                        stencil3d_task(
+                            &tc,
+                            &Stencil3dParams {
+                                n: 12,
+                                iters: 4,
+                                verify: true,
+                            },
+                            Some(&inner),
+                        )
+                        .await
+                    }
                 })
                 .expect("stencil3d run");
             pin(&s, &probe.take())
@@ -163,10 +175,15 @@ fn compiled_examples_are_pinned() {
             let out = scalars.clone();
             let s = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
                 .parallelism(degree)
-                .run(move |tc| {
-                    let r = run_program(tc, &c, Some(&inner), false);
-                    if tc.rank() == 0 {
-                        *out.lock() = r.scalars.values().copied().collect();
+                .run_async(move |tc| {
+                    let c = c.clone();
+                    let inner = inner.clone();
+                    let out = out.clone();
+                    async move {
+                        let r = run_program(&tc, &c, Some(&inner), false).await;
+                        if tc.rank() == 0 {
+                            *out.lock() = r.scalars.values().copied().collect();
+                        }
                     }
                 })
                 .expect("dsl run");
@@ -187,13 +204,16 @@ fn allreduce_pin(algo: CollAlgo, elems: usize, degree: usize) -> String {
     let s = Launch::new(presets::test_cluster(2, 4), RuntimeOptions::impacc())
         .parallelism(degree)
         .coll_algo(algo)
-        .run(move |tc| {
-            let mine: Vec<f64> = (0..elems)
-                .map(|i| ((tc.rank() as usize * 13 + i * 7) % 97) as f64 - 40.0)
-                .collect();
-            let sum = tc.mpi_allreduce_f64(&mine, ReduceOp::Sum);
-            if tc.rank() == 5 {
-                *out.lock() = sum;
+        .run_async(move |tc| {
+            let out = out.clone();
+            async move {
+                let mine: Vec<f64> = (0..elems)
+                    .map(|i| ((tc.rank() as usize * 13 + i * 7) % 97) as f64 - 40.0)
+                    .collect();
+                let sum = tc.mpi_allreduce_f64(&mine, ReduceOp::Sum).await;
+                if tc.rank() == 5 {
+                    *out.lock() = sum;
+                }
             }
         })
         .expect("allreduce run");

@@ -24,7 +24,7 @@ pub(crate) fn copy_local(src: &MsgBuf, dst: &MsgBuf) {
 
 /// Binomial allreduce: the reduce+bcast composition, dispatched as its own
 /// registry entry.
-pub(crate) fn binomial_allreduce<T: PointToPoint>(
+pub(crate) async fn binomial_allreduce<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -32,8 +32,8 @@ pub(crate) fn binomial_allreduce<T: PointToPoint>(
     op: ReduceOp,
     comm: &Comm,
 ) {
-    t.reduce(ctx, sendbuf, Some(recvbuf), op, 0, comm);
-    t.flat_bcast(ctx, recvbuf, 0, comm);
+    t.reduce(ctx, sendbuf, Some(recvbuf), op, 0, comm).await;
+    t.flat_bcast(ctx, recvbuf, 0, comm).await;
 }
 
 /// Chunk length (in elems) of ring chunk `i` when `e` elems split over
@@ -49,7 +49,7 @@ fn chunk_start(e: usize, n: u32, i: u32) -> usize {
 /// Ring allreduce: chunked reduce-scatter ring (n−1 steps) followed by an
 /// allgather ring (n−1 steps). Bandwidth-optimal: each rank moves
 /// 2·(n−1)/n of the payload regardless of n.
-pub(crate) fn ring_allreduce<T: PointToPoint>(
+pub(crate) async fn ring_allreduce<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -80,13 +80,13 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
     for s in 0..n - 1 {
         let (out, inn) = (chunk((r + n - s) % n), chunk((r + n - s - 1) % n));
         let rb = rb.slice(0, inn.len);
-        t.pt_sendrecv(ctx, &out, next, &rb, prev, tag, comm);
+        t.pt_sendrecv(ctx, &out, next, &rb, prev, tag, comm).await;
         op.fold(&inn, &rb);
     }
     // Allgather ring: circulate the completed chunks, received in place.
     for s in 0..n - 1 {
         let (out, inn) = (chunk((r + 1 + n - s) % n), chunk((r + n - s) % n));
-        t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm);
+        t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm).await;
     }
     deliver_fold(&acc, recvbuf);
 }
@@ -98,7 +98,7 @@ pub(crate) fn ring_allreduce<T: PointToPoint>(
 /// `acc.len` bytes). Returns `(pof2, rem, newrank)`; `newrank < 0` means
 /// this rank sat out and must receive the final result.
 #[allow(clippy::too_many_arguments)]
-fn fold_remainder<T: PointToPoint>(
+async fn fold_remainder<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     acc: &MsgBuf,
@@ -116,10 +116,10 @@ fn fold_remainder<T: PointToPoint>(
     let rem = n - pof2;
     let newrank = if r < 2 * rem {
         if r.is_multiple_of(2) {
-            t.pt_send(ctx, acc, r + 1, tag, comm);
+            t.pt_send(ctx, acc, r + 1, tag, comm).await;
             -1
         } else {
-            t.pt_recv(ctx, rb, Some(r - 1), Some(tag), comm);
+            t.pt_recv(ctx, rb, Some(r - 1), Some(tag), comm).await;
             op.fold(acc, rb);
             (r / 2) as i64
         }
@@ -131,7 +131,7 @@ fn fold_remainder<T: PointToPoint>(
 
 /// The reverse of [`fold_remainder`]: deliver the final result to the
 /// ranks that sat out.
-fn unfold_remainder<T: PointToPoint>(
+async fn unfold_remainder<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     acc: &MsgBuf,
@@ -144,9 +144,9 @@ fn unfold_remainder<T: PointToPoint>(
         return;
     }
     if r.is_multiple_of(2) {
-        t.pt_recv(ctx, acc, Some(r + 1), Some(tag), comm);
+        t.pt_recv(ctx, acc, Some(r + 1), Some(tag), comm).await;
     } else {
-        t.pt_send(ctx, acc, r - 1, tag, comm);
+        t.pt_send(ctx, acc, r - 1, tag, comm).await;
     }
 }
 
@@ -162,7 +162,7 @@ fn real_rank(newrank: u32, rem: u32) -> u32 {
 
 /// Recursive-doubling allreduce: ⌈log2 n⌉ full-payload exchanges —
 /// latency-optimal for small messages.
-pub(crate) fn rd_allreduce<T: PointToPoint>(
+pub(crate) async fn rd_allreduce<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -178,18 +178,19 @@ pub(crate) fn rd_allreduce<T: PointToPoint>(
     let tag = t.coll_seq().next_tag(comm);
     let acc = fold_buffer(t, sendbuf, Some(recvbuf));
     let rb = t.scratch(acc.len);
-    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
+    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm).await;
     if newrank >= 0 {
         let nr = newrank as u32;
         let mut mask = 1u32;
         while mask < pof2 {
             let partner = real_rank(nr ^ mask, rem);
-            t.pt_sendrecv(ctx, &acc, partner, &rb, partner, tag, comm);
+            t.pt_sendrecv(ctx, &acc, partner, &rb, partner, tag, comm)
+                .await;
             op.fold(&acc, &rb);
             mask <<= 1;
         }
     }
-    unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
+    unfold_remainder(t, ctx, &acc, r, rem, tag, comm).await;
     deliver_fold(&acc, recvbuf);
 }
 
@@ -197,7 +198,7 @@ pub(crate) fn rd_allreduce<T: PointToPoint>(
 /// recursive-doubling allgather that replays the split history in
 /// reverse — bandwidth-optimal with log-latency, the classic mid-size
 /// choice.
-pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
+pub(crate) async fn rabenseifner_allreduce<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -213,7 +214,7 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
     let tag = t.coll_seq().next_tag(comm);
     let acc = fold_buffer(t, sendbuf, Some(recvbuf));
     let rb = t.scratch(acc.len);
-    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm);
+    let (pof2, rem, newrank) = fold_remainder(t, ctx, &acc, &rb, op, r, n, tag, comm).await;
     if newrank >= 0 {
         let nr = newrank as u32;
         let e = (acc.len / 8) as usize;
@@ -232,7 +233,8 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
                 (elems(lo, mid), elems(mid, hi))
             };
             let rb = rb.slice(0, keep.len);
-            t.pt_sendrecv(ctx, &out, partner, &rb, partner, tag, comm);
+            t.pt_sendrecv(ctx, &out, partner, &rb, partner, tag, comm)
+                .await;
             op.fold(&keep, &rb);
             hist.push((mask, lo, mid, hi, keep_lower));
             if keep_lower {
@@ -252,16 +254,17 @@ pub(crate) fn rabenseifner_allreduce<T: PointToPoint>(
             } else {
                 (elems(fmid, fhi), elems(flo, fmid))
             };
-            t.pt_sendrecv(ctx, &out, partner, &inn, partner, tag, comm);
+            t.pt_sendrecv(ctx, &out, partner, &inn, partner, tag, comm)
+                .await;
         }
     }
-    unfold_remainder(t, ctx, &acc, r, rem, tag, comm);
+    unfold_remainder(t, ctx, &acc, r, rem, tag, comm).await;
     deliver_fold(&acc, recvbuf);
 }
 
 /// Ring allgather: circulate blocks around the ring directly in
 /// `recvbuf`, n−1 steps of one block each.
-pub(crate) fn ring_allgather<T: PointToPoint>(
+pub(crate) async fn ring_allgather<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -290,13 +293,13 @@ pub(crate) fn ring_allgather<T: PointToPoint>(
         let ri = (r + n - s - 1) % n;
         let out = recvbuf.slice(si as u64 * b, b);
         let inn = recvbuf.slice(ri as u64 * b, b);
-        t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm);
+        t.pt_sendrecv(ctx, &out, next, &inn, prev, tag, comm).await;
     }
 }
 
 /// Bruck allgather: ⌈log2 n⌉ steps of doubling block counts in a rotated
 /// working buffer, then one local rotation into rank order.
-pub(crate) fn bruck_allgather<T: PointToPoint>(
+pub(crate) async fn bruck_allgather<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     sendbuf: &MsgBuf,
@@ -321,7 +324,7 @@ pub(crate) fn bruck_allgather<T: PointToPoint>(
         let src = (r + pof2) % n;
         let out = work.slice(0, cnt as u64 * b);
         let inn = work.slice(pof2 as u64 * b, cnt as u64 * b);
-        t.pt_sendrecv(ctx, &out, dst, &inn, src, tag, comm);
+        t.pt_sendrecv(ctx, &out, dst, &inn, src, tag, comm).await;
         pof2 <<= 1;
     }
     for i in 0..n {

@@ -75,7 +75,7 @@ impl NodeColl {
 
     /// Leader side: park until `want` members have posted, then return
     /// their contributions sorted by rank.
-    fn await_contribs(&self, ctx: &Ctx, key: (u64, i32), want: usize) -> Vec<(u32, MsgBuf)> {
+    async fn await_contribs(&self, ctx: &Ctx, key: (u64, i32), want: usize) -> Vec<(u32, MsgBuf)> {
         loop {
             {
                 let slots = self.slots.lock();
@@ -83,7 +83,7 @@ impl NodeColl {
                     break;
                 }
             }
-            self.notify.wait(ctx, "coll_intra");
+            self.notify.notified(ctx, "coll_intra").await;
         }
         let mut c = self
             .slots
@@ -105,7 +105,7 @@ impl NodeColl {
 
     /// Member side: park until the leader publishes, then return the
     /// result backing.
-    fn await_result(&self, ctx: &Ctx, key: (u64, i32)) -> Arc<Backing> {
+    async fn await_result(&self, ctx: &Ctx, key: (u64, i32)) -> Arc<Backing> {
         loop {
             {
                 let slots = self.slots.lock();
@@ -113,7 +113,7 @@ impl NodeColl {
                     break res;
                 }
             }
-            self.notify.wait(ctx, "coll_intra");
+            self.notify.notified(ctx, "coll_intra").await;
         }
     }
 
@@ -178,12 +178,12 @@ impl CollEngine {
 
     /// Wrap an intra-node phase: charge memcpy time (with chaos), count
     /// bytes, and emit the `coll_intra` span.
-    fn intra_phase(&self, ctx: &Ctx, op: &'static str, phase: &'static str, bytes: u64) {
+    async fn intra_phase(&self, ctx: &Ctx, op: &'static str, phase: &'static str, bytes: u64) {
         if bytes == 0 {
             return;
         }
         let t0 = ctx.now();
-        self.charge_intra(ctx, bytes);
+        self.charge_intra(ctx, bytes).await;
         ctx.metrics().add("coll_intra_bytes", bytes);
         ctx.span("coll_intra", t0, ctx.now(), || {
             vec![
@@ -199,7 +199,7 @@ impl CollEngine {
     /// node in place of the node's lowest (the dispatcher passes `None`;
     /// the fold-order test does not).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hier_allreduce<T: PointToPoint>(
+    pub(crate) async fn hier_allreduce<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -222,16 +222,16 @@ impl CollEngine {
         let bytes = sendbuf.len;
         if r != g.leader {
             nc.post(ctx, key, r, sendbuf.clone());
-            let res = nc.await_result(ctx, key);
+            let res = nc.await_result(ctx, key).await;
             Backing::copy(&res, 0, &recvbuf.backing, recvbuf.off, bytes);
-            self.intra_phase(ctx, "allreduce", "copy_out", bytes);
+            self.intra_phase(ctx, "allreduce", "copy_out", bytes).await;
             nc.retire(key, g.members.len() - 1);
             return;
         }
         // Leader: fold the node's contributions in ascending rank order
         // (canonical order — identical to the flat reference for exact
         // payloads regardless of where ranks live).
-        let contribs = nc.await_contribs(ctx, key, g.members.len() - 1);
+        let contribs = nc.await_contribs(ctx, key, g.members.len() - 1).await;
         let mut fold: Vec<(u32, &MsgBuf)> = contribs.iter().map(|(rr, b)| (*rr, b)).collect();
         fold.push((r, sendbuf));
         fold.sort_by_key(|(rr, _)| *rr);
@@ -247,7 +247,8 @@ impl CollEngine {
             "allreduce",
             "fold",
             bytes * (g.members.len() as u64 - 1),
-        );
+        )
+        .await;
         // Internode: binomial reduce to the first leader, binomial bcast
         // back over the leader overlay.
         let leaders: Vec<u32> = groups.iter().map(|g| g.leader).collect();
@@ -260,12 +261,14 @@ impl CollEngine {
                 if li & mask == 0 {
                     let child = li | mask;
                     if child < ln {
-                        t.pt_recv(ctx, &tmp, Some(leaders[child as usize]), Some(tag), comm);
+                        t.pt_recv(ctx, &tmp, Some(leaders[child as usize]), Some(tag), comm)
+                            .await;
                         op.fold(&acc, &tmp);
                     }
                 } else {
                     let parent = li & !mask;
-                    t.pt_send(ctx, &acc, leaders[parent as usize], tag, comm);
+                    t.pt_send(ctx, &acc, leaders[parent as usize], tag, comm)
+                        .await;
                     ctx.metrics().add("coll_inter_bytes", bytes);
                     break;
                 }
@@ -274,11 +277,11 @@ impl CollEngine {
         }
         deliver_fold(&acc, recvbuf);
         if ln > 1 {
-            overlay_bcast(t, ctx, recvbuf, &leaders, li, 0, tag, comm);
+            overlay_bcast(t, ctx, recvbuf, &leaders, li, 0, tag, comm).await;
         }
         // Publish for the members.
         if g.members.len() > 1 {
-            self.intra_phase(ctx, "allreduce", "publish", bytes);
+            self.intra_phase(ctx, "allreduce", "publish", bytes).await;
             nc.publish(ctx, key, (&recvbuf.backing, recvbuf.off), bytes);
         }
     }
@@ -287,7 +290,7 @@ impl CollEngine {
     /// its node), then a single shared publish each member copies from —
     /// the §3.8 shape: one node-shared buffer instead of per-pair
     /// messages.
-    pub(crate) fn hier_bcast<T: PointToPoint>(
+    pub(crate) async fn hier_bcast<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -307,9 +310,9 @@ impl CollEngine {
         let nc = self.rendezvous().clone();
         let bytes = buf.len;
         if r != g.leader {
-            let res = nc.await_result(ctx, key);
+            let res = nc.await_result(ctx, key).await;
             Backing::copy(&res, 0, &buf.backing, buf.off, bytes);
-            self.intra_phase(ctx, "bcast", "copy_out", bytes);
+            self.intra_phase(ctx, "bcast", "copy_out", bytes).await;
             nc.retire(key, g.members.len() - 1);
             return;
         }
@@ -318,10 +321,10 @@ impl CollEngine {
         if ln > 1 {
             let li = leaders.iter().position(|&l| l == r).unwrap() as u32;
             let ri = leaders.iter().position(|&l| l == root).unwrap() as u32;
-            overlay_bcast(t, ctx, buf, &leaders, li, ri, tag, comm);
+            overlay_bcast(t, ctx, buf, &leaders, li, ri, tag, comm).await;
         }
         if g.members.len() > 1 {
-            self.intra_phase(ctx, "bcast", "publish", bytes);
+            self.intra_phase(ctx, "bcast", "publish", bytes).await;
             nc.publish(ctx, key, (&buf.backing, buf.off), bytes);
         }
     }
@@ -329,7 +332,7 @@ impl CollEngine {
     /// Hierarchical allgather: intra-node gather at the leader, a ring of
     /// variable-size node blocks over the leader overlay, then
     /// publish/copy-out of the assembled vector.
-    pub(crate) fn hier_allgather<T: PointToPoint>(
+    pub(crate) async fn hier_allgather<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -357,15 +360,15 @@ impl CollEngine {
         let total = b * n as u64;
         if r != g.leader {
             nc.post(ctx, key, r, sendbuf.clone());
-            let res = nc.await_result(ctx, key);
+            let res = nc.await_result(ctx, key).await;
             Backing::copy(&res, 0, &recvbuf.backing, recvbuf.off, total);
-            self.intra_phase(ctx, "allgather", "copy_out", total);
+            self.intra_phase(ctx, "allgather", "copy_out", total).await;
             nc.retire(key, g.members.len() - 1);
             return;
         }
         // Leader: place every member's block (own included) at its rank
         // offset in recvbuf.
-        let contribs = nc.await_contribs(ctx, key, g.members.len() - 1);
+        let contribs = nc.await_contribs(ctx, key, g.members.len() - 1).await;
         for (mr, mb) in contribs
             .iter()
             .map(|(mr, mb)| (*mr, mb))
@@ -379,7 +382,8 @@ impl CollEngine {
                 b,
             );
         }
-        self.intra_phase(ctx, "allgather", "gather", b * (g.members.len() as u64 - 1));
+        self.intra_phase(ctx, "allgather", "gather", b * (g.members.len() as u64 - 1))
+            .await;
         // Internode ring of packed node blocks (sizes derived from the
         // shared placement, so every leader knows every block size).
         let ln = groups.len();
@@ -414,7 +418,8 @@ impl CollEngine {
                     prev,
                     tag,
                     comm,
-                );
+                )
+                .await;
                 ctx.metrics()
                     .add("coll_inter_bytes", blocks[sj].as_ref().unwrap().len);
                 for (k, &mr) in groups[rj].members.iter().enumerate() {
@@ -430,14 +435,14 @@ impl CollEngine {
             }
         }
         if g.members.len() > 1 {
-            self.intra_phase(ctx, "allgather", "publish", total);
+            self.intra_phase(ctx, "allgather", "publish", total).await;
             nc.publish(ctx, key, (&recvbuf.backing, recvbuf.off), total);
         }
     }
 
     /// Hierarchical barrier: members check in at their leader, leaders run
     /// a dissemination barrier, then the leader releases the node.
-    pub(crate) fn hier_barrier<T: PointToPoint>(&self, t: &T, ctx: &Ctx, comm: &Comm) {
+    pub(crate) async fn hier_barrier<T: PointToPoint>(&self, t: &T, ctx: &Ctx, comm: &Comm) {
         let n = comm.size();
         if n <= 1 {
             return;
@@ -450,11 +455,11 @@ impl CollEngine {
         let nc = self.rendezvous().clone();
         if r != g.leader {
             nc.post(ctx, key, r, t.scratch(0));
-            let _ = nc.await_result(ctx, key);
+            let _ = nc.await_result(ctx, key).await;
             nc.retire(key, g.members.len() - 1);
             return;
         }
-        let _ = nc.await_contribs(ctx, key, g.members.len() - 1);
+        let _ = nc.await_contribs(ctx, key, g.members.len() - 1).await;
         let leaders: Vec<u32> = groups.iter().map(|g| g.leader).collect();
         let ln = leaders.len() as u32;
         if ln > 1 {
@@ -465,7 +470,8 @@ impl CollEngine {
             while k < ln {
                 let dst = leaders[((li + k) % ln) as usize];
                 let src = leaders[((li + ln - k) % ln) as usize];
-                t.pt_sendrecv(ctx, &token, dst, &token_in, src, tag, comm);
+                t.pt_sendrecv(ctx, &token, dst, &token_in, src, tag, comm)
+                    .await;
                 k <<= 1;
             }
         }
@@ -478,7 +484,7 @@ impl CollEngine {
 /// Binomial bcast over a leader overlay: ranks `leaders[..]`, rooted at
 /// overlay index `ri`; `li` is this leader's overlay index.
 #[allow(clippy::too_many_arguments)]
-fn overlay_bcast<T: PointToPoint>(
+async fn overlay_bcast<T: PointToPoint>(
     t: &T,
     ctx: &Ctx,
     buf: &MsgBuf,
@@ -494,7 +500,7 @@ fn overlay_bcast<T: PointToPoint>(
     while mask < ln {
         if vr & mask != 0 {
             let src = leaders[((vr - mask + ri) % ln) as usize];
-            t.pt_recv(ctx, buf, Some(src), Some(tag), comm);
+            t.pt_recv(ctx, buf, Some(src), Some(tag), comm).await;
             break;
         }
         mask <<= 1;
@@ -503,7 +509,7 @@ fn overlay_bcast<T: PointToPoint>(
     while mask > 0 {
         if vr + mask < ln {
             let dst = leaders[((vr + mask + ri) % ln) as usize];
-            t.pt_send(ctx, buf, dst, tag, comm);
+            t.pt_send(ctx, buf, dst, tag, comm).await;
             ctx.metrics().add("coll_inter_bytes", buf.len);
         }
         mask >>= 1;
@@ -526,7 +532,15 @@ mod tests {
             assert!(buf.folds_in_place(&buf));
             // Rank 2 leads ranks 0, 1, 2: its own buffer is not where the
             // fold starts, so it cannot be where the fold runs.
-            engine.hier_allreduce(&ep, ctx, &buf, &buf, ReduceOp::Sum, &world, Some(2));
+            ctx.block_on(engine.hier_allreduce(
+                &ep,
+                ctx,
+                &buf,
+                &buf,
+                ReduceOp::Sum,
+                &world,
+                Some(2),
+            ));
             assert_eq!(buf.read_f64s(), vec![7.0], "((v0 + v1) + v2) + (v3 + v4)");
         });
     }

@@ -29,6 +29,7 @@
 pub mod algos;
 pub mod hier;
 
+use std::future::Future;
 use std::sync::Arc;
 
 use impacc_machine::{Chaos, FaultSite, JobTopo};
@@ -302,14 +303,14 @@ impl CollEngine {
     /// traffic, rolling the `copy_fault` chaos site per the faulty-copy
     /// idiom: failed folds occupy the memory system for a full pass, then
     /// retry.
-    pub(crate) fn charge_intra(&self, ctx: &Ctx, bytes: u64) {
+    pub(crate) async fn charge_intra(&self, ctx: &Ctx, bytes: u64) {
         let d = SimDur::from_secs_f64(self.memcpy_lat + bytes as f64 / self.memcpy_bw);
         let extra = self.chaos.extra_attempts(ctx, FaultSite::CopyFault);
         for attempt in 1..=extra {
             ctx.metrics().inc("retries");
             ctx.metrics().inc("chaos_copy_fault");
             let f0 = ctx.now();
-            ctx.advance(d, "coll_intra");
+            ctx.sleep(d, "coll_intra").await;
             ctx.span("fault", f0, ctx.now(), || {
                 vec![
                     ("site", "copy_fault".to_string()),
@@ -324,19 +325,21 @@ impl CollEngine {
                 ]
             });
         }
-        ctx.advance(d, "coll_intra");
+        ctx.sleep(d, "coll_intra").await;
     }
 
-    /// Emit the engine-level `mpi_coll` span around a dispatched body.
-    fn dispatch_span<R>(
+    /// Await a dispatched body inside the engine-level `mpi_coll` span.
+    /// Callers box each algorithm's future: its state lives on the heap
+    /// for the call, not in every rank's future.
+    async fn dispatch_span<R>(
         ctx: &Ctx,
         op: CollOp,
         algo: CollAlgo,
         bytes: u64,
-        f: impl FnOnce() -> R,
+        body: impl Future<Output = R>,
     ) -> R {
         let t0 = ctx.now();
-        let r = f();
+        let r = body.await;
         ctx.span("mpi_coll", t0, ctx.now(), || {
             vec![
                 ("op", op.label().to_string()),
@@ -349,7 +352,7 @@ impl CollEngine {
 
     /// Engine-dispatched `MPI_Allreduce`.
     #[allow(clippy::too_many_arguments)]
-    pub fn allreduce<T: PointToPoint>(
+    pub async fn allreduce<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -365,22 +368,38 @@ impl CollEngine {
         }
         ctx.metrics().inc(algo.counter());
         if algo == CollAlgo::Flat {
-            return t.flat_allreduce(ctx, sendbuf, recvbuf, op, comm);
+            return Box::pin(t.flat_allreduce(ctx, sendbuf, recvbuf, op, comm)).await;
         }
-        CollEngine::dispatch_span(ctx, CollOp::Allreduce, algo, sendbuf.len, || match algo {
-            CollAlgo::Binomial => algos::binomial_allreduce(t, ctx, sendbuf, recvbuf, op, comm),
-            CollAlgo::Ring => algos::ring_allreduce(t, ctx, sendbuf, recvbuf, op, comm),
-            CollAlgo::RecursiveDoubling => algos::rd_allreduce(t, ctx, sendbuf, recvbuf, op, comm),
-            CollAlgo::Rabenseifner => {
-                algos::rabenseifner_allreduce(t, ctx, sendbuf, recvbuf, op, comm)
+        let body = async {
+            match algo {
+                CollAlgo::Binomial => {
+                    Box::pin(algos::binomial_allreduce(
+                        t, ctx, sendbuf, recvbuf, op, comm,
+                    ))
+                    .await
+                }
+                CollAlgo::Ring => {
+                    Box::pin(algos::ring_allreduce(t, ctx, sendbuf, recvbuf, op, comm)).await
+                }
+                CollAlgo::RecursiveDoubling => {
+                    Box::pin(algos::rd_allreduce(t, ctx, sendbuf, recvbuf, op, comm)).await
+                }
+                CollAlgo::Rabenseifner => {
+                    let run = algos::rabenseifner_allreduce(t, ctx, sendbuf, recvbuf, op, comm);
+                    Box::pin(run).await
+                }
+                CollAlgo::Hier => {
+                    let run = self.hier_allreduce(t, ctx, sendbuf, recvbuf, op, comm, None);
+                    Box::pin(run).await
+                }
+                CollAlgo::Flat | CollAlgo::Bruck => unreachable!("clamped"),
             }
-            CollAlgo::Hier => self.hier_allreduce(t, ctx, sendbuf, recvbuf, op, comm, None),
-            CollAlgo::Flat | CollAlgo::Bruck => unreachable!("clamped"),
-        })
+        };
+        CollEngine::dispatch_span(ctx, CollOp::Allreduce, algo, sendbuf.len, body).await
     }
 
     /// Engine-dispatched `MPI_Bcast`.
-    pub fn bcast<T: PointToPoint>(
+    pub async fn bcast<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -395,23 +414,23 @@ impl CollEngine {
         }
         ctx.metrics().inc(algo.counter());
         match algo {
-            CollAlgo::Flat => t.flat_bcast(ctx, buf, root, comm),
+            CollAlgo::Flat => Box::pin(t.flat_bcast(ctx, buf, root, comm)).await,
             CollAlgo::Binomial => {
                 // The flat body *is* the binomial tree; dispatching it under
                 // the binomial label keeps the registry honest.
-                CollEngine::dispatch_span(ctx, CollOp::Bcast, algo, buf.len, || {
-                    t.flat_bcast(ctx, buf, root, comm)
-                })
+                let body = Box::pin(t.flat_bcast(ctx, buf, root, comm));
+                CollEngine::dispatch_span(ctx, CollOp::Bcast, algo, buf.len, body).await
             }
-            CollAlgo::Hier => CollEngine::dispatch_span(ctx, CollOp::Bcast, algo, buf.len, || {
-                self.hier_bcast(t, ctx, buf, root, comm)
-            }),
+            CollAlgo::Hier => {
+                let body = Box::pin(self.hier_bcast(t, ctx, buf, root, comm));
+                CollEngine::dispatch_span(ctx, CollOp::Bcast, algo, buf.len, body).await
+            }
             _ => unreachable!("clamped"),
         }
     }
 
     /// Engine-dispatched `MPI_Allgather`.
-    pub fn allgather<T: PointToPoint>(
+    pub async fn allgather<T: PointToPoint>(
         &self,
         t: &T,
         ctx: &Ctx,
@@ -426,25 +445,35 @@ impl CollEngine {
         }
         ctx.metrics().inc(algo.counter());
         if algo == CollAlgo::Flat {
-            return t.flat_allgather(ctx, sendbuf, recvbuf, comm);
+            return Box::pin(t.flat_allgather(ctx, sendbuf, recvbuf, comm)).await;
         }
-        CollEngine::dispatch_span(ctx, CollOp::Allgather, algo, sendbuf.len, || match algo {
-            CollAlgo::Ring => algos::ring_allgather(t, ctx, sendbuf, recvbuf, comm),
-            CollAlgo::Bruck => algos::bruck_allgather(t, ctx, sendbuf, recvbuf, comm),
-            CollAlgo::Hier => self.hier_allgather(t, ctx, sendbuf, recvbuf, comm),
-            _ => unreachable!("clamped"),
-        })
+        let body = async {
+            match algo {
+                CollAlgo::Ring => {
+                    Box::pin(algos::ring_allgather(t, ctx, sendbuf, recvbuf, comm)).await
+                }
+                CollAlgo::Bruck => {
+                    Box::pin(algos::bruck_allgather(t, ctx, sendbuf, recvbuf, comm)).await
+                }
+                CollAlgo::Hier => {
+                    Box::pin(self.hier_allgather(t, ctx, sendbuf, recvbuf, comm)).await
+                }
+                _ => unreachable!("clamped"),
+            }
+        };
+        CollEngine::dispatch_span(ctx, CollOp::Allgather, algo, sendbuf.len, body).await
     }
 
     /// Engine-dispatched `MPI_Barrier`.
-    pub fn barrier<T: PointToPoint>(&self, t: &T, ctx: &Ctx, comm: &Comm, opts: CollOpts) {
+    pub async fn barrier<T: PointToPoint>(&self, t: &T, ctx: &Ctx, comm: &Comm, opts: CollOpts) {
         let algo = self.select(CollOp::Barrier, 0, comm, opts);
         ctx.metrics().inc(algo.counter());
         match algo {
-            CollAlgo::Flat => t.flat_barrier(ctx, comm),
-            CollAlgo::Hier => CollEngine::dispatch_span(ctx, CollOp::Barrier, algo, 0, || {
-                self.hier_barrier(t, ctx, comm)
-            }),
+            CollAlgo::Flat => Box::pin(t.flat_barrier(ctx, comm)).await,
+            CollAlgo::Hier => {
+                let body = Box::pin(self.hier_barrier(t, ctx, comm));
+                CollEngine::dispatch_span(ctx, CollOp::Barrier, algo, 0, body).await
+            }
             _ => unreachable!("clamped"),
         }
     }
@@ -475,15 +504,22 @@ pub mod testutil {
     }
 
     impl PointToPoint for PooledEndpoint {
-        fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
-            self.ep.pt_send(ctx, buf, dst, tag, comm)
+        async fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
+            self.ep.pt_send(ctx, buf, dst, tag, comm).await
         }
 
-        fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, c: &Comm) -> Status {
-            self.ep.pt_recv(ctx, buf, src, tag, c)
+        async fn pt_recv(
+            &self,
+            ctx: &Ctx,
+            buf: &MsgBuf,
+            src: SrcSel,
+            tag: TagSel,
+            c: &Comm,
+        ) -> Status {
+            self.ep.pt_recv(ctx, buf, src, tag, c).await
         }
 
-        fn pt_sendrecv(
+        async fn pt_sendrecv(
             &self,
             ctx: &Ctx,
             sendbuf: &MsgBuf,
@@ -495,6 +531,7 @@ pub mod testutil {
         ) -> Status {
             self.ep
                 .pt_sendrecv(ctx, sendbuf, dst, recvbuf, src, tag, comm)
+                .await
         }
 
         fn comm_rank(&self, comm: &Comm) -> u32 {
@@ -675,7 +712,7 @@ mod tests {
             let vals: Vec<f64> = (0..elems).map(|i| (r as usize * 7 + i) as f64).collect();
             let sb = buf_of(&vals);
             let rb = zeros(elems);
-            engine.allreduce(
+            ctx.block_on(engine.allreduce(
                 &ep,
                 ctx,
                 &sb,
@@ -683,7 +720,7 @@ mod tests {
                 ReduceOp::Sum,
                 &world,
                 CollOpts { algo: Some(algo) },
-            );
+            ));
             let expect: Vec<f64> = (0..elems)
                 .map(|i| (0..n).map(|rr| (rr * 7 + i) as f64).sum())
                 .collect();
@@ -720,7 +757,7 @@ mod tests {
             // allgather
             let sb = buf_of(&[r as f64 * 10.0, r as f64 * 10.0 + 1.0]);
             let rb = zeros(2 * n as usize);
-            engine.allgather(
+            ctx.block_on(engine.allgather(
                 &ep,
                 ctx,
                 &sb,
@@ -729,7 +766,7 @@ mod tests {
                 CollOpts {
                     algo: Some(CollAlgo::Hier),
                 },
-            );
+            ));
             let expect: Vec<f64> = (0..n)
                 .flat_map(|rr| [rr as f64 * 10.0, rr as f64 * 10.0 + 1.0])
                 .collect();
@@ -740,7 +777,7 @@ mod tests {
             } else {
                 zeros(2)
             };
-            engine.bcast(
+            ctx.block_on(engine.bcast(
                 &ep,
                 ctx,
                 &b,
@@ -749,17 +786,17 @@ mod tests {
                 CollOpts {
                     algo: Some(CollAlgo::Hier),
                 },
-            );
+            ));
             assert_eq!(b.read_f64s(), vec![42.0, 43.0]);
             // barrier completes
-            engine.barrier(
+            ctx.block_on(engine.barrier(
                 &ep,
                 ctx,
                 &world,
                 CollOpts {
                     algo: Some(CollAlgo::Hier),
                 },
-            );
+            ));
         });
     }
 
@@ -769,7 +806,7 @@ mod tests {
             let r = ep.comm_rank(&world);
             let sb = buf_of(&[r as f64; 8]);
             let rb = zeros(8);
-            engine.allreduce(
+            ctx.block_on(engine.allreduce(
                 &ep,
                 ctx,
                 &sb,
@@ -777,7 +814,7 @@ mod tests {
                 ReduceOp::Sum,
                 &world,
                 CollOpts::default(),
-            );
+            ));
             // Policy must have picked hier on this 2-ranks-per-node shape;
             // by the time any member returns, the leaders have folded
             // (intra) and exchanged (inter).

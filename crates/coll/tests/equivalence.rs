@@ -97,10 +97,10 @@ proptest! {
                 // ---- allreduce ----
                 let sb = buf_of(&mine);
                 let flat = zeros(elems);
-                engine.allreduce(&ep, ctx, &sb, &flat, op, comm, opts(CollAlgo::Flat));
+                ctx.block_on(engine.allreduce(&ep, ctx, &sb, &flat, op, comm, opts(CollAlgo::Flat)));
                 for algo in CollAlgo::ALL {
                     let rb = zeros(elems);
-                    engine.allreduce(&ep, ctx, &sb, &rb, op, comm, opts(algo));
+                    ctx.block_on(engine.allreduce(&ep, ctx, &sb, &rb, op, comm, opts(algo)));
                     assert_eq!(
                         bits(&rb),
                         bits(&flat),
@@ -111,10 +111,10 @@ proptest! {
                 // ---- bcast ----
                 let base = payload(op, comm.global_of(root), elems.max(1));
                 let flat_b = if me == root { buf_of(&base) } else { zeros(base.len()) };
-                engine.bcast(&ep, ctx, &flat_b, root, comm, opts(CollAlgo::Flat));
+                ctx.block_on(engine.bcast(&ep, ctx, &flat_b, root, comm, opts(CollAlgo::Flat)));
                 for algo in CollAlgo::ALL {
                     let b = if me == root { buf_of(&base) } else { zeros(base.len()) };
-                    engine.bcast(&ep, ctx, &b, root, comm, opts(algo));
+                    ctx.block_on(engine.bcast(&ep, ctx, &b, root, comm, opts(algo)));
                     assert_eq!(
                         bits(&b),
                         bits(&flat_b),
@@ -126,10 +126,10 @@ proptest! {
                 let block = payload(op, comm.global_of(me), elems.max(1));
                 let sb = buf_of(&block);
                 let flat_g = zeros(block.len() * size as usize);
-                engine.allgather(&ep, ctx, &sb, &flat_g, comm, opts(CollAlgo::Flat));
+                ctx.block_on(engine.allgather(&ep, ctx, &sb, &flat_g, comm, opts(CollAlgo::Flat)));
                 for algo in CollAlgo::ALL {
                     let rb = zeros(block.len() * size as usize);
-                    engine.allgather(&ep, ctx, &sb, &rb, comm, opts(algo));
+                    ctx.block_on(engine.allgather(&ep, ctx, &sb, &rb, comm, opts(algo)));
                     assert_eq!(
                         bits(&rb),
                         bits(&flat_g),
@@ -139,7 +139,7 @@ proptest! {
 
                 // ---- barrier ----
                 for algo in CollAlgo::ALL {
-                    engine.barrier(&ep, ctx, comm, opts(algo));
+                    ctx.block_on(engine.barrier(&ep, ctx, comm, opts(algo)));
                     barriers.fetch_add(1, Ordering::Relaxed);
                 }
             };
@@ -179,8 +179,10 @@ fn reduce_world(
         let me = ep.comm_rank(&world);
         let (sb, rb) = bufs(me);
         match algo {
-            Some(algo) => engine.allreduce(&ep, ctx, &sb, &rb, op, &world, opts(algo)),
-            None => ep.reduce(ctx, &sb, Some(&rb), op, 0, &world),
+            Some(algo) => {
+                ctx.block_on(engine.allreduce(&ep, ctx, &sb, &rb, op, &world, opts(algo)))
+            }
+            None => ctx.block_on(ep.reduce(ctx, &sb, Some(&rb), op, 0, &world)),
         }
         if algo.is_some() || me == 0 {
             out.lock().unwrap()[me as usize] = bits(&rb);

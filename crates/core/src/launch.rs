@@ -12,6 +12,7 @@
 //! address spaces, no handler, round-robin OS placement) so experiments
 //! compare both runtimes over identical hardware and applications.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use impacc_acc::Device;
@@ -23,11 +24,11 @@ use impacc_machine::{
 use impacc_mem::{AddressSpace, NodeHeap};
 use impacc_mpi::{Comm, MpiTask, SysMpi};
 use impacc_obs::Recorder;
-use impacc_vtime::{Sim, SimConfig, SimError, SimReport, SpanSink};
+use impacc_vtime::{Ctx, Sim, SimConfig, SimError, SimReport, SpanSink};
 
 use crate::handler::NodeHandler;
 use crate::mode::RuntimeOptions;
-use crate::task::{CommCore, TaskCtx, TaskSeed};
+use crate::task::{CommCore, Rank, TaskCtx, TaskSeed};
 
 /// Where one task landed: the output of automatic task-device mapping.
 #[derive(Clone, Debug)]
@@ -105,7 +106,7 @@ impl RunSummary {
     }
 }
 
-/// Job launcher. Configure, then [`Launch::run`].
+/// Job launcher. Configure, then [`Launch::run_async`].
 pub struct Launch {
     spec: MachineSpec,
     options: RuntimeOptions,
@@ -298,11 +299,47 @@ impl Launch {
         (spec, tasks)
     }
 
-    /// Run `app` once per task and collect the report.
+    /// Run `app` once per task and collect the report. Each rank body is
+    /// the future `app` makes of its [`Rank`], polled as a handler on its
+    /// node's partition: the launch starts no OS thread of its own.
+    pub fn run_async<F, Fut>(self, app: F) -> Result<RunSummary, SimError>
+    where
+        F: Fn(Rank) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        let app = Arc::new(app);
+        self.launch(move |sim, part, name, boot| {
+            let app = app.clone();
+            sim.spawn_async_on(
+                part,
+                name,
+                move |ctx| async move { app(boot.rank(ctx)).await },
+            );
+        })
+    }
+
+    /// Run the synchronous `app` once per task, each on an OS thread of its
+    /// own behind the [`TaskCtx`] facade, and collect the report. The
+    /// schedule is [`Launch::run_async`]'s.
     pub fn run<F>(self, app: F) -> Result<RunSummary, SimError>
     where
         F: Fn(&TaskCtx) + Send + Sync + 'static,
     {
+        let app = Arc::new(app);
+        self.launch(move |sim, part, name, boot| {
+            let app = app.clone();
+            sim.spawn_on(part, name, move |ctx| {
+                app(&TaskCtx::new(boot.rank(ctx.clone())));
+            });
+        })
+    }
+
+    /// Map, place and start the job: `spawn` registers each rank's actor
+    /// on its node's partition under its name, from its [`Boot`].
+    fn launch(
+        self,
+        mut spawn: impl FnMut(&mut Sim, u32, String, Boot),
+    ) -> Result<RunSummary, SimError> {
         if let Err(e) = impacc_machine::validate(&self.spec) {
             panic!("refusing to launch on an invalid machine: {e}");
         }
@@ -440,7 +477,6 @@ impl Launch {
             }
         }
 
-        let app = Arc::new(app);
         for (i, t) in tasks.iter().enumerate() {
             let was_remapped = remapped[i];
             let (space, heap, devices, handler) = if impacc {
@@ -482,31 +518,15 @@ impl Launch {
                 node_coll: node_coll[t.node].clone(),
                 coll_algo: self.coll_algo,
             };
-            let app = app.clone();
-            let (node, dev_idx, socket, far) = (t.node, t.dev_idx, t.socket, t.far);
-            sim.spawn_on(t.node as u32, format!("rank{}", t.rank), move |ctx| {
-                ctx.event("marker", || {
-                    vec![
-                        ("phase", "pin".to_string()),
-                        ("node", node.to_string()),
-                        ("device", dev_idx.to_string()),
-                        ("socket", socket.to_string()),
-                        ("far", far.to_string()),
-                    ]
-                });
-                if was_remapped {
-                    ctx.metrics().inc("device_remaps");
-                    ctx.event("marker", || {
-                        vec![
-                            ("phase", "remap".to_string()),
-                            ("node", node.to_string()),
-                            ("device", dev_idx.to_string()),
-                        ]
-                    });
-                }
-                let tc = TaskCtx::from_seed(ctx.clone(), seed);
-                app(&tc);
-            });
+            let boot = Boot {
+                seed,
+                node: t.node,
+                dev_idx: t.dev_idx,
+                socket: t.socket,
+                far: t.far,
+                remapped: was_remapped,
+            };
+            spawn(&mut sim, t.node as u32, format!("rank{}", t.rank), boot);
         }
 
         // Counter handle surviving `sim.run(self)`: a panicked run still
@@ -571,6 +591,51 @@ impl Launch {
             }
         }
         Ok(RunSummary { report, tasks })
+    }
+}
+
+/// What one rank starts from: its seed and where the launcher put it.
+struct Boot {
+    seed: TaskSeed,
+    node: usize,
+    dev_idx: usize,
+    socket: usize,
+    far: bool,
+    remapped: bool,
+}
+
+impl Boot {
+    /// At the rank's first grant: mark where it was pinned (and remapped),
+    /// then build its [`Rank`] on its actor's context.
+    fn rank(self, ctx: Ctx) -> Rank {
+        let Boot {
+            seed,
+            node,
+            dev_idx,
+            socket,
+            far,
+            remapped,
+        } = self;
+        ctx.event("marker", || {
+            vec![
+                ("phase", "pin".to_string()),
+                ("node", node.to_string()),
+                ("device", dev_idx.to_string()),
+                ("socket", socket.to_string()),
+                ("far", far.to_string()),
+            ]
+        });
+        if remapped {
+            ctx.metrics().inc("device_remaps");
+            ctx.event("marker", || {
+                vec![
+                    ("phase", "remap".to_string()),
+                    ("node", node.to_string()),
+                    ("device", dev_idx.to_string()),
+                ]
+            });
+        }
+        Rank::from_seed(ctx, seed)
     }
 }
 
@@ -650,9 +715,7 @@ mod tests {
         spec.nodes[0].devices.truncate(2);
         let s = Launch::new(spec, RuntimeOptions::impacc())
             .chaos(FaultPlan::new(7).fail_device(0, 0))
-            .run(|tc| {
-                tc.mpi_barrier();
-            })
+            .run_async(|rank| async move { rank.mpi_barrier().await })
             .unwrap();
         assert_eq!(s.tasks[0].dev_idx, 1, "rank 0 moved onto the survivor");
         assert_eq!(s.tasks[1].dev_idx, 1, "rank 1 kept its healthy device");
@@ -667,6 +730,6 @@ mod tests {
         spec.nodes[0].devices.truncate(1);
         let _ = Launch::new(spec, RuntimeOptions::impacc())
             .chaos(FaultPlan::new(7).fail_device(0, 0))
-            .run(|_tc| {});
+            .run_async(|_rank| async {});
     }
 }

@@ -4,7 +4,7 @@
 //! substrates: automatic task-device mapping with NUMA-friendly pinning
 //! ([`Launch`], §3.2–3.3), the unified node virtual address space and
 //! per-task present tables (via `impacc-mem`, §3.4), unified MPI
-//! communication routines accepting device buffers ([`TaskCtx`], §3.5),
+//! communication routines accepting device buffers ([`Rank`], §3.5),
 //! the unified activity queue (`MpiOpts::on_queue`, §3.6), the per-node
 //! message handler with lock-free command queues and message fusion
 //! ([`NodeHandler`], [`MpscQueue`], §3.7), and node heap aliasing (§3.8).
@@ -29,4 +29,4 @@ pub use impacc_coll::{CollAlgo, CollEngine, CollOp, CollOpts, NodeColl};
 pub use launch::{Launch, RunSummary, TaskInfo};
 pub use mode::{Mode, RuntimeOptions};
 pub use mpsc::MpscQueue;
-pub use task::{BufView, DataClause, HBuf, MpiOpts, TaskCtx};
+pub use task::{BufView, DataClause, HBuf, MpiOpts, Rank, TaskCtx};

@@ -1,6 +1,7 @@
-//! The task context: what an MPI+OpenACC program is written against.
+//! The rank: what an MPI+OpenACC program is written against.
 //!
-//! A [`TaskCtx`] bundles the paper's programming surface:
+//! A [`Rank`] bundles the paper's programming surface; every operation
+//! that can suspend is an `async fn` under its MPI/OpenACC name:
 //!
 //! * **MPI**: `mpi_send` / `mpi_recv` / `mpi_isend` / `mpi_irecv` plus
 //!   collectives — *unified communication routines* (§3.5) that accept
@@ -12,13 +13,18 @@
 //!   table), kernels and `async` activity queues, `acc_wait`.
 //! * **IMPACC directives** ([`MpiOpts`]): the `sendbuf(device)`,
 //!   `readonly` and `async(n)` clauses of `#pragma acc mpi`.
+//!
+//! A rank body is a future the engine polls as a handler on its node's
+//! partition ([`crate::Launch::run_async`]). [`TaskCtx`] is the synchronous
+//! facade of a rank that owns an OS thread ([`crate::Launch::run`]): a
+//! handful of the same operations, each blocking on the rank's future.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use impacc_acc::{ActivityQueue, Device};
 use impacc_coll::{CollAlgo, CollEngine, CollOpts, NodeColl};
-use impacc_machine::{ClusterResources, DeviceKind, HdDir, KernelCost};
+use impacc_machine::{ClusterResources, DeviceKind, HdDir, KernelCost, LaunchConfig};
 use impacc_mem::{AddressSpace, Backing, F64Span, HeapPtr, NodeHeap, PresentTable, VirtAddr};
 use impacc_mem::{DevPtr, PresentEntry, ReducePool};
 use impacc_mpi::{
@@ -33,7 +39,7 @@ use crate::handler::NodeHandler;
 use crate::mode::RuntimeOptions;
 
 /// A data clause of a structured `#pragma acc data` region
-/// (see [`TaskCtx::acc_data`]).
+/// (see [`Rank::acc_data`]).
 #[derive(Copy, Clone, Debug)]
 pub enum DataClause<'a> {
     /// `create(b)`: device mirror for the region's duration, no transfers.
@@ -50,7 +56,7 @@ pub enum DataClause<'a> {
 
 /// A host heap buffer handle — a simulated pointer *variable*, so node heap
 /// aliasing can transparently re-aim it (§3.8). Dereference through
-/// [`TaskCtx::host_view`].
+/// [`Rank::host_view`].
 #[derive(Copy, Clone, Debug)]
 pub struct HBuf {
     pub(crate) ptr: HeapPtr,
@@ -184,7 +190,7 @@ impl MpiOpts {
 }
 
 /// Everything a communication operation needs, clonable into activity-queue
-/// ops (the op may execute on a queue's handler, not the task thread).
+/// ops (the op may execute on a queue's handler, not the rank).
 #[derive(Clone)]
 pub(crate) struct CommCore {
     pub rank: u32,
@@ -203,8 +209,8 @@ impl CommCore {
         self.res.spec.network.gpudirect_rdma
     }
 
-    /// Route one send. Blocking: returns when the send buffer is reusable.
-    pub fn do_send(
+    /// Route one send: resolves when the send buffer is reusable.
+    pub async fn send(
         &self,
         ctx: &Ctx,
         buf: ResolvedBuf,
@@ -213,14 +219,12 @@ impl CommCore {
         comm: &Comm,
         readonly: bool,
     ) {
-        ctx.block_on(async {
-            let req = self.isend(ctx, buf, dst_rel, tag, comm, readonly).await;
-            req.completion(ctx).await;
-        })
+        let req = self.isend(ctx, buf, dst_rel, tag, comm, readonly).await;
+        req.completion(ctx).await;
     }
 
-    /// Route one non-blocking send: what `MPI_Isend` blocks on, and what a
-    /// send enqueued on an activity queue awaits.
+    /// Route one non-blocking send: `MPI_Isend`, and what a send enqueued
+    /// on an activity queue awaits.
     pub async fn isend(
         &self,
         ctx: &Ctx,
@@ -271,31 +275,14 @@ impl CommCore {
                     )
                     .await;
                 let m = MsgBuf::host(staging, 0, buf.msg.len).registered();
-                self.sysmpi.start_isend(ctx, &m, dst_rel, tag, comm).await
+                self.sysmpi.isend(ctx, &m, dst_rel, tag, comm).await
             }
-            _ => {
-                self.sysmpi
-                    .start_isend(ctx, &buf.msg, dst_rel, tag, comm)
-                    .await
-            }
+            _ => self.sysmpi.isend(ctx, &buf.msg, dst_rel, tag, comm).await,
         }
     }
 
-    /// Route one receive. Blocking.
-    pub fn do_recv(
-        &self,
-        ctx: &Ctx,
-        buf: ResolvedBuf,
-        src: SrcSel,
-        tag: TagSel,
-        comm: &Comm,
-        readonly: bool,
-    ) -> Status {
-        ctx.block_on(self.recv(ctx, buf, src, tag, comm, readonly))
-    }
-
-    /// Route one receive to completion: what [`CommCore::do_recv`] blocks
-    /// on, and what a receive enqueued on an activity queue awaits.
+    /// Route one receive to completion: `MPI_Recv`, and what a receive
+    /// enqueued on an activity queue awaits.
     pub async fn recv(
         &self,
         ctx: &Ctx,
@@ -312,7 +299,7 @@ impl CommCore {
 
     /// `MPI_Sendrecv`: deadlock-free even against synchronous fused sends.
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &self,
         ctx: &Ctx,
         sbuf: ResolvedBuf,
@@ -323,9 +310,11 @@ impl CommCore {
         comm: &Comm,
         readonly: bool,
     ) -> Status {
-        let sreq = ctx.block_on(self.isend(ctx, sbuf, dst, tag, comm, readonly));
-        let st = self.do_recv(ctx, rbuf, Some(src), Some(tag), comm, readonly);
-        sreq.wait(ctx);
+        let sreq = self.isend(ctx, sbuf, dst, tag, comm, readonly).await;
+        let st = self
+            .recv(ctx, rbuf, Some(src), Some(tag), comm, readonly)
+            .await;
+        sreq.completion(ctx).await;
         st
     }
 
@@ -377,7 +366,7 @@ impl CommCore {
                     .expect("device receives without GPUDirect need the IMPACC runtime");
                 let staging = Backing::new(buf.msg.len, self.phys_cap);
                 let m = MsgBuf::host(staging.clone(), 0, buf.msg.len).registered();
-                let req = self.sysmpi.start_irecv(ctx, &m, src, tag, comm).await;
+                let req = self.sysmpi.irecv(ctx, &m, src, tag, comm).await;
                 let done = Request::pending(WaitCause::PendingInternodeRecv);
                 let pending = PendingRecv {
                     req,
@@ -388,14 +377,15 @@ impl CommCore {
                 handler.submit_pending(ctx, pending).await;
                 done
             }
-            _ => self.sysmpi.start_irecv(ctx, &buf.msg, src, tag, comm).await,
+            _ => self.sysmpi.irecv(ctx, &buf.msg, src, tag, comm).await,
         }
     }
 }
 
-/// The per-task programming context. Created by the launcher; passed by
-/// reference to the application closure.
-pub struct TaskCtx {
+/// One MPI task and its accelerator: the programming context a rank body
+/// is written against. Created by the launcher and handed to the rank
+/// body; every operation that can suspend is an `async fn`.
+pub struct Rank {
     ctx: Ctx,
     world: Comm,
     socket: usize,
@@ -413,7 +403,7 @@ pub struct TaskCtx {
     pool: ReducePool,
 }
 
-/// Bundle the launcher hands to each task actor to build its context.
+/// Bundle the launcher hands to each rank actor to build its [`Rank`].
 pub(crate) struct TaskSeed {
     pub world: Comm,
     pub socket: usize,
@@ -426,8 +416,8 @@ pub(crate) struct TaskSeed {
     pub coll_algo: Option<CollAlgo>,
 }
 
-impl TaskCtx {
-    pub(crate) fn from_seed(ctx: Ctx, seed: TaskSeed) -> TaskCtx {
+impl Rank {
+    pub(crate) fn from_seed(ctx: Ctx, seed: TaskSeed) -> Rank {
         let costs = &seed.comm.res.spec.costs;
         let engine = CollEngine::new(
             seed.comm.node_of.clone(),
@@ -438,7 +428,7 @@ impl TaskCtx {
             seed.node_coll,
             seed.coll_algo,
         );
-        TaskCtx {
+        Rank {
             ctx,
             world: seed.world,
             socket: seed.socket,
@@ -556,20 +546,20 @@ impl TaskCtx {
     // ---------------------------------------------------------------
 
     /// `malloc(len)` on the (node-shared) hooked heap.
-    pub fn malloc(&self, len: u64) -> HBuf {
-        self.ctx.advance(self.comm.res.heap_op_overhead(), "heap");
+    pub async fn malloc(&self, len: u64) -> HBuf {
+        self.heap_op().await;
         let ptr = self.heap.malloc(&self.space, len).expect("host allocation");
         HBuf { ptr, len }
     }
 
     /// Allocate a buffer of `n` f64 elements.
-    pub fn malloc_f64(&self, n: usize) -> HBuf {
-        self.malloc(n as u64 * 8)
+    pub async fn malloc_f64(&self, n: usize) -> HBuf {
+        self.malloc(n as u64 * 8).await
     }
 
     /// `calloc(n, size)` on the hooked heap (zero-initialized).
-    pub fn calloc(&self, n: u64, size: u64) -> HBuf {
-        self.ctx.advance(self.comm.res.heap_op_overhead(), "heap");
+    pub async fn calloc(&self, n: u64, size: u64) -> HBuf {
+        self.heap_op().await;
         let ptr = self
             .heap
             .calloc(&self.space, n, size)
@@ -580,8 +570,8 @@ impl TaskCtx {
     /// `realloc(b, new_len)` on the hooked heap: the handle is re-aimed at
     /// a private block of `new_len` bytes with the old prefix copied (an
     /// aliased buffer is unshared by this).
-    pub fn realloc(&self, b: &mut HBuf, new_len: u64) {
-        self.ctx.advance(self.comm.res.heap_op_overhead(), "heap");
+    pub async fn realloc(&self, b: &mut HBuf, new_len: u64) {
+        self.heap_op().await;
         self.heap
             .realloc(&self.space, b.ptr, new_len)
             .expect("valid realloc");
@@ -590,9 +580,16 @@ impl TaskCtx {
 
     /// `free()`: drop this task's reference; storage is released when the
     /// heap-table refcount reaches zero.
-    pub fn free(&self, b: HBuf) {
-        self.ctx.advance(self.comm.res.heap_op_overhead(), "heap");
+    pub async fn free(&self, b: HBuf) {
+        self.heap_op().await;
         self.heap.free(&self.space, b.ptr).expect("valid free");
+    }
+
+    /// The hooked allocator's per-call overhead.
+    async fn heap_op(&self) {
+        self.ctx
+            .sleep(self.comm.res.heap_op_overhead(), "heap")
+            .await;
     }
 
     /// Resolve the current host storage of a buffer (aliasing-aware).
@@ -613,7 +610,7 @@ impl TaskCtx {
         self.heap.declare_ptr(addr)
     }
 
-    /// Drop a pointer declared with [`TaskCtx::hold_extra_pointer`].
+    /// Drop a pointer declared with [`Rank::hold_extra_pointer`].
     pub fn release_extra_pointer(&self, p: HeapPtr) {
         self.heap.drop_ptr(p);
     }
@@ -678,17 +675,36 @@ impl TaskCtx {
     }
 
     /// `#pragma acc update device(b[off..off+len])`. With `q`, enqueued
-    /// asynchronously; otherwise blocks.
-    pub fn acc_update_device(&self, b: &HBuf, off: u64, len: u64, q: Option<u32>) -> Option<Latch> {
-        self.update(b, off, len, HdDir::HtoD, q)
+    /// asynchronously; otherwise resolves when the copy has landed.
+    pub async fn acc_update_device(
+        &self,
+        b: &HBuf,
+        off: u64,
+        len: u64,
+        q: Option<u32>,
+    ) -> Option<Latch> {
+        self.update(b, off, len, HdDir::HtoD, q).await
     }
 
     /// `#pragma acc update host(b[off..off+len])`.
-    pub fn acc_update_host(&self, b: &HBuf, off: u64, len: u64, q: Option<u32>) -> Option<Latch> {
-        self.update(b, off, len, HdDir::DtoH, q)
+    pub async fn acc_update_host(
+        &self,
+        b: &HBuf,
+        off: u64,
+        len: u64,
+        q: Option<u32>,
+    ) -> Option<Latch> {
+        self.update(b, off, len, HdDir::DtoH, q).await
     }
 
-    fn update(&self, b: &HBuf, off: u64, len: u64, dir: HdDir, q: Option<u32>) -> Option<Latch> {
+    async fn update(
+        &self,
+        b: &HBuf,
+        off: u64,
+        len: u64,
+        dir: HdDir,
+        q: Option<u32>,
+    ) -> Option<Latch> {
         let addr = self.heap.deref(b.ptr).expect("live buffer");
         let (region, roff) = self.space.resolve(addr).expect("mapped buffer");
         let (entry, eoff) = self.present.find_by_host(addr).expect("present");
@@ -708,24 +724,19 @@ impl TaskCtx {
                 len,
             )),
             None => {
-                self.device.perform_copy(
-                    &self.ctx,
-                    dir,
-                    self.dev_far,
-                    false,
-                    (&host.0, host.1),
-                    (&dev.0, dev.1),
-                    len,
-                );
+                let (host, dev) = ((&host.0, host.1), (&dev.0, dev.1));
+                self.device
+                    .copy(&self.ctx, dir, self.dev_far, false, host, dev, len)
+                    .await;
                 None
             }
         }
     }
 
     /// `copyin`: create + full update-device.
-    pub fn acc_copyin(&self, b: &HBuf) {
+    pub async fn acc_copyin(&self, b: &HBuf) {
         self.acc_create(b);
-        self.acc_update_device(b, 0, b.len, None);
+        self.acc_update_device(b, 0, b.len, None).await;
     }
 
     /// A structured `#pragma acc data` region: the clauses' entry actions
@@ -733,15 +744,20 @@ impl TaskCtx {
     /// the region are deleted on the way out even for `copyin`-only data.
     ///
     /// ```ignore
-    /// tc.acc_data(&[DataClause::Copyin(&a), DataClause::Copyout(&c)], |tc| {
-    ///     tc.acc_kernel(...);
-    /// });
+    /// rank.acc_data(&[DataClause::Copyin(&a), DataClause::Copyout(&c)], async |rank| {
+    ///     rank.acc_kernel(...).await;
+    /// })
+    /// .await;
     /// ```
-    pub fn acc_data<R>(&self, clauses: &[DataClause<'_>], body: impl FnOnce(&TaskCtx) -> R) -> R {
+    pub async fn acc_data<R>(
+        &self,
+        clauses: &[DataClause<'_>],
+        body: impl AsyncFnOnce(&Rank) -> R,
+    ) -> R {
         for c in clauses {
             match c {
                 DataClause::Create(b) | DataClause::Copyout(b) => self.acc_create(b),
-                DataClause::Copyin(b) | DataClause::Copy(b) => self.acc_copyin(b),
+                DataClause::Copyin(b) | DataClause::Copy(b) => self.acc_copyin(b).await,
                 DataClause::Present(b) => {
                     assert!(
                         self.acc_is_present(b),
@@ -750,11 +766,11 @@ impl TaskCtx {
                 }
             }
         }
-        let out = body(self);
+        let out = body(self).await;
         for c in clauses {
             match c {
                 DataClause::Create(b) | DataClause::Copyin(b) => self.acc_delete(b),
-                DataClause::Copyout(b) | DataClause::Copy(b) => self.acc_copyout(b),
+                DataClause::Copyout(b) | DataClause::Copy(b) => self.acc_copyout(b).await,
                 DataClause::Present(b) => {
                     let _ = b; // owned by an enclosing region
                 }
@@ -764,8 +780,8 @@ impl TaskCtx {
     }
 
     /// `copyout`: full update-host + delete.
-    pub fn acc_copyout(&self, b: &HBuf) {
-        self.acc_update_host(b, 0, b.len, None);
+    pub async fn acc_copyout(&self, b: &HBuf) {
+        self.acc_update_host(b, 0, b.len, None).await;
         self.acc_delete(b);
     }
 
@@ -789,34 +805,26 @@ impl TaskCtx {
 
     /// Launch a kernel (`#pragma acc kernels/parallel`). `f` performs the
     /// real computation; `cost` models its duration. With `q`, enqueued on
-    /// that activity queue (`async(q)`); otherwise blocks (the implicit
-    /// barrier of a synchronous construct, charged with sync overhead).
-    pub fn acc_kernel(
+    /// that activity queue (`async(q)`); otherwise resolves once it has run
+    /// (the implicit barrier of a synchronous construct, charged with sync
+    /// overhead).
+    pub async fn acc_kernel(
         &self,
         q: Option<u32>,
         cost: KernelCost,
         f: impl FnOnce() + Send + 'static,
     ) -> Option<Latch> {
-        match q {
-            Some(q) => Some(
-                self.device
-                    .enqueue_kernel(&self.ctx, &self.queue(q), cost, f),
-            ),
-            None => {
-                self.device.perform_kernel(&self.ctx, &cost, f);
-                self.ctx.advance(self.comm.res.sync_overhead(), "acc_wait");
-                None
-            }
-        }
+        self.acc_kernel_cfg(q, cost, LaunchConfig::default(), f)
+            .await
     }
 
     /// Launch a kernel with an explicit `num_gangs/num_workers/
     /// vector_length` configuration.
-    pub fn acc_kernel_cfg(
+    pub async fn acc_kernel_cfg(
         &self,
         q: Option<u32>,
         cost: KernelCost,
-        cfg: impacc_machine::LaunchConfig,
+        cfg: LaunchConfig,
         f: impl FnOnce() + Send + 'static,
     ) -> Option<Latch> {
         match q {
@@ -827,17 +835,22 @@ impl TaskCtx {
                 )
             }
             None => {
-                self.device.perform_kernel_cfg(&self.ctx, &cost, &cfg, f);
-                self.ctx.advance(self.comm.res.sync_overhead(), "acc_wait");
+                self.device.kernel(&self.ctx, &cost, &cfg, f).await;
+                self.sync_overhead("acc_wait").await;
                 None
             }
         }
     }
 
+    /// The host-side cost of one synchronization call, charged under `tag`.
+    async fn sync_overhead(&self, tag: &'static str) {
+        self.ctx.sleep(self.comm.res.sync_overhead(), tag).await;
+    }
+
     /// `#pragma acc wait(q)`.
-    pub fn acc_wait(&self, q: u32) {
-        self.ctx.advance(self.comm.res.sync_overhead(), "acc_wait");
-        self.queue(q).wait_all(&self.ctx, "acc_wait");
+    pub async fn acc_wait(&self, q: u32) {
+        self.sync_overhead("acc_wait").await;
+        self.queue(q).wait_all(&self.ctx, "acc_wait").await;
     }
 
     /// `#pragma acc wait(wait_q) async(async_q)`: make queue `async_q`
@@ -850,17 +863,17 @@ impl TaskCtx {
     }
 
     /// `#pragma acc wait` (all queues this task ever used).
-    pub fn acc_wait_all(&self) {
+    pub async fn acc_wait_all(&self) {
         let queues: Vec<ActivityQueue> = self.queues.lock().values().cloned().collect();
-        self.ctx.advance(self.comm.res.sync_overhead(), "acc_wait");
+        self.sync_overhead("acc_wait").await;
         for q in queues {
-            q.wait_all(&self.ctx, "acc_wait");
+            q.wait_all(&self.ctx, "acc_wait").await;
         }
     }
 
     /// Charge host (CPU) computation time.
-    pub fn host_compute(&self, secs: f64) {
-        self.ctx.advance(SimDur::from_secs_f64(secs), "host");
+    pub async fn host_compute(&self, secs: f64) {
+        self.ctx.sleep(SimDur::from_secs_f64(secs), "host").await;
     }
 
     // ---------------------------------------------------------------
@@ -926,7 +939,7 @@ impl TaskCtx {
 
     /// `MPI_Send` over a byte range of `b` (world communicator).
     /// With `opts.queue`, the call is enqueued (returns immediately).
-    pub fn mpi_send(&self, b: &HBuf, off: u64, len: u64, dst: u32, tag: i32, opts: MpiOpts) {
+    pub async fn mpi_send(&self, b: &HBuf, off: u64, len: u64, dst: u32, tag: i32, opts: MpiOpts) {
         self.check_opts(&opts);
         let buf = self.resolve(b, off, len, opts.device);
         let world = self.world_ref().clone();
@@ -947,14 +960,16 @@ impl TaskCtx {
                             .await;
                     });
             }
-            None => self
-                .comm
-                .do_send(&self.ctx, buf, dst, tag, &world, opts.readonly),
+            None => {
+                self.comm
+                    .send(&self.ctx, buf, dst, tag, &world, opts.readonly)
+                    .await
+            }
         }
     }
 
     /// `MPI_Recv`. With `opts.queue`, enqueued (returns `None`).
-    pub fn mpi_recv(
+    pub async fn mpi_recv(
         &self,
         b: &HBuf,
         off: u64,
@@ -977,16 +992,18 @@ impl TaskCtx {
                 None
             }
             None => {
-                Some(
-                    self.comm
-                        .do_recv(&self.ctx, buf, Some(src), Some(tag), &world, opts.readonly),
-                )
+                let (src, tag) = (Some(src), Some(tag));
+                let st = self
+                    .comm
+                    .recv(&self.ctx, buf, src, tag, &world, opts.readonly)
+                    .await;
+                Some(st)
             }
         }
     }
 
     /// `MPI_Isend`.
-    pub fn mpi_isend(
+    pub async fn mpi_isend(
         &self,
         b: &HBuf,
         off: u64,
@@ -1002,14 +1019,13 @@ impl TaskCtx {
         );
         let buf = self.resolve(b, off, len, opts.device);
         let world = self.world_ref();
-        self.ctx.block_on(
-            self.comm
-                .isend(&self.ctx, buf, dst, tag, world, opts.readonly),
-        )
+        self.comm
+            .isend(&self.ctx, buf, dst, tag, world, opts.readonly)
+            .await
     }
 
     /// `MPI_Irecv`.
-    pub fn mpi_irecv(
+    pub async fn mpi_irecv(
         &self,
         b: &HBuf,
         off: u64,
@@ -1025,16 +1041,15 @@ impl TaskCtx {
         );
         let buf = self.resolve(b, off, len, opts.device);
         let (src, tag, world) = (Some(src), Some(tag), self.world_ref());
-        self.ctx.block_on(
-            self.comm
-                .irecv(&self.ctx, buf, src, tag, world, opts.readonly),
-        )
+        self.comm
+            .irecv(&self.ctx, buf, src, tag, world, opts.readonly)
+            .await
     }
 
     /// `MPI_Sendrecv`: combined exchange over the unified routines,
     /// deadlock-free even against synchronous fused sends.
     #[allow(clippy::too_many_arguments)]
-    pub fn mpi_sendrecv(
+    pub async fn mpi_sendrecv(
         &self,
         send: &HBuf,
         dst: u32,
@@ -1050,35 +1065,35 @@ impl TaskCtx {
         let world = self.world_ref();
         self.comm
             .sendrecv(&self.ctx, sbuf, dst, rbuf, src, tag, world, opts.readonly)
+            .await
     }
 
     /// `MPI_Irecv` with `MPI_ANY_SOURCE`/`MPI_ANY_TAG`. Wildcard receives
     /// go through the system-MPI path, so under the IMPACC runtime the
     /// matching sender must be on another node (node-local senders use
     /// the handler's exact-match queues).
-    pub fn mpi_irecv_any(&self, b: &HBuf, off: u64, len: u64, opts: MpiOpts) -> Request {
+    pub async fn mpi_irecv_any(&self, b: &HBuf, off: u64, len: u64, opts: MpiOpts) -> Request {
         self.check_opts(&opts);
         assert!(opts.queue.is_none(), "wildcard receives cannot be enqueued");
         let buf = self.resolve(b, off, len, opts.device);
         let world = self.world_ref();
-        self.ctx.block_on(
-            self.comm
-                .irecv(&self.ctx, buf, None, None, world, opts.readonly),
-        )
+        self.comm
+            .irecv(&self.ctx, buf, None, None, world, opts.readonly)
+            .await
     }
 
     /// `MPI_Waitall`.
-    pub fn mpi_waitall(&self, reqs: &[Request]) {
-        self.ctx.advance(self.comm.res.sync_overhead(), "mpi_wait");
+    pub async fn mpi_waitall(&self, reqs: &[Request]) {
+        self.sync_overhead("mpi_wait").await;
         for r in reqs {
-            r.wait(&self.ctx);
+            r.completion(&self.ctx).await;
         }
     }
 
     /// `MPI_Barrier(MPI_COMM_WORLD)`.
-    pub fn mpi_barrier(&self) {
+    pub async fn mpi_barrier(&self) {
         let world = self.world_ref().clone();
-        self.barrier(&self.ctx, &world);
+        self.barrier(&self.ctx, &world).await;
     }
 
     /// `MPI_Bcast` of a whole heap buffer. Under IMPACC with `readonly`,
@@ -1086,13 +1101,13 @@ impl TaskCtx {
     /// remote node; node-local redistribution goes through the handler
     /// with `readonly` attributes, so eligible receivers *alias* the
     /// buffer instead of copying.
-    pub fn mpi_bcast(&self, b: &HBuf, root: u32, opts: MpiOpts) {
+    pub async fn mpi_bcast(&self, b: &HBuf, root: u32, opts: MpiOpts) {
         self.check_opts(&opts);
         let world = self.world_ref().clone();
         let use_alias = self.comm.opts.is_impacc() && self.comm.opts.aliasing && opts.readonly;
         if !use_alias {
             let m = self.resolve(b, 0, b.len, opts.device).msg;
-            self.bcast(&self.ctx, &m, root, &world);
+            self.bcast(&self.ctx, &m, root, &world).await;
             return;
         }
         let tag = self.coll.next_tag(&world);
@@ -1134,7 +1149,7 @@ impl TaskCtx {
             while mask < nl {
                 if vr & mask != 0 {
                     let src = leaders[((vr - mask + ri) % nl) as usize];
-                    self.mpi_recv(b, 0, b.len, src, tag, MpiOpts::host());
+                    self.mpi_recv(b, 0, b.len, src, tag, MpiOpts::host()).await;
                     break;
                 }
                 mask <<= 1;
@@ -1143,7 +1158,7 @@ impl TaskCtx {
             while mask > 0 {
                 if vr + mask < nl {
                     let dst = leaders[((vr + mask + ri) % nl) as usize];
-                    self.mpi_send(b, 0, b.len, dst, tag, MpiOpts::host());
+                    self.mpi_send(b, 0, b.len, dst, tag, MpiOpts::host()).await;
                 }
                 mask >>= 1;
             }
@@ -1151,11 +1166,11 @@ impl TaskCtx {
             // handler — eligible receivers alias instead of copying.
             for r in 0..world.size() {
                 if r != me && node_of[r as usize] == my_node {
-                    self.mpi_send(b, 0, b.len, r, tag, o);
+                    self.mpi_send(b, 0, b.len, r, tag, o).await;
                 }
             }
         } else {
-            self.mpi_recv(b, 0, b.len, leader_of(my_node), tag, o);
+            self.mpi_recv(b, 0, b.len, leader_of(my_node), tag, o).await;
         }
     }
 
@@ -1163,12 +1178,12 @@ impl TaskCtx {
     /// `(color, key)`. Implemented as an allgather of every task's pair
     /// followed by the deterministic local grouping, so all members of a
     /// color agree on the sub-communicator (including its id).
-    pub fn mpi_comm_split(&self, color: i64, key: i64) -> Comm {
+    pub async fn mpi_comm_split(&self, color: i64, key: i64) -> Comm {
         let world = self.world_ref().clone();
         let n = world.size() as usize;
         let mine = self.staged(&[color as f64, key as f64]);
         let all = self.scratch(16 * n as u64);
-        self.allgather(&self.ctx, &mine, &all, &world);
+        self.allgather(&self.ctx, &mine, &all, &world).await;
         let (colors, keys): (Vec<i64>, Vec<i64>) = all.with_f64s(|vals| {
             vals.chunks_exact(2)
                 .map(|pair| (pair[0] as i64, pair[1] as i64))
@@ -1177,7 +1192,7 @@ impl TaskCtx {
         world.split(&colors, &keys, self.comm_rank(&world))
     }
 
-    /// A host buffer of `n` f64s for [`TaskCtx::mpi_allreduce_in_place`]:
+    /// A host buffer of `n` f64s for [`Rank::mpi_allreduce_in_place`]:
     /// runtime scratch outside the simulated heap (no virtual time, real
     /// bytes even in phys-capped runs), contents unspecified — fill it
     /// through [`MsgBuf::with_f64s_mut`], read it through
@@ -1188,28 +1203,29 @@ impl TaskCtx {
 
     /// `MPI_Allreduce(MPI_IN_PLACE, buf, ..)` over f64 elements on the
     /// world communicator: `buf` is contribution and result, and — when it
-    /// is a buffer from [`TaskCtx::mpi_scratch_f64`] — the running fold as
+    /// is a buffer from [`Rank::mpi_scratch_f64`] — the running fold as
     /// well, so the call moves the payload through no other buffer of its
     /// size than the receive side of each exchange.
-    pub fn mpi_allreduce_in_place(&self, buf: &MsgBuf, op: ReduceOp) {
+    pub async fn mpi_allreduce_in_place(&self, buf: &MsgBuf, op: ReduceOp) {
         let world = self.world_ref().clone();
-        self.allreduce(&self.ctx, buf, buf, op, &world);
+        self.allreduce(&self.ctx, buf, buf, op, &world).await;
     }
 
     /// `MPI_Allreduce` convenience over f64 values, staged through the
-    /// task's scratch ([`TaskCtx::mpi_allreduce_in_place`] skips the
+    /// task's scratch ([`Rank::mpi_allreduce_in_place`] skips the
     /// staging copies; this form suits a residual, a dot product, a dt).
-    pub fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
+    pub async fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let buf = self.staged(vals);
-        self.mpi_allreduce_in_place(&buf, op);
+        self.mpi_allreduce_in_place(&buf, op).await;
         buf.read_f64s()
     }
 
     /// `MPI_Reduce` convenience over f64 values; result on `root`.
-    pub fn mpi_reduce_f64(&self, vals: &[f64], op: ReduceOp, root: u32) -> Option<Vec<f64>> {
+    pub async fn mpi_reduce_f64(&self, vals: &[f64], op: ReduceOp, root: u32) -> Option<Vec<f64>> {
         let world = self.world_ref().clone();
         let buf = self.staged(vals);
-        self.reduce(&self.ctx, &buf, Some(&buf), op, root, &world);
+        self.reduce(&self.ctx, &buf, Some(&buf), op, root, &world)
+            .await;
         (self.comm.rank == world.global_of(root)).then(|| buf.read_f64s())
     }
 
@@ -1221,18 +1237,25 @@ impl TaskCtx {
     }
 }
 
-impl PointToPoint for TaskCtx {
-    fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
+impl PointToPoint for Rank {
+    async fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
         let buf = self.resolved(buf.clone(), None);
-        self.comm.do_send(ctx, buf, dst, tag, comm, false);
+        self.comm.send(ctx, buf, dst, tag, comm, false).await;
     }
 
-    fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Status {
+    async fn pt_recv(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+    ) -> Status {
         let buf = self.resolved(buf.clone(), None);
-        self.comm.do_recv(ctx, buf, src, tag, comm, false)
+        self.comm.recv(ctx, buf, src, tag, comm, false).await
     }
 
-    fn pt_sendrecv(
+    async fn pt_sendrecv(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -1246,6 +1269,7 @@ impl PointToPoint for TaskCtx {
         let rbuf = self.resolved(recvbuf.clone(), None);
         self.comm
             .sendrecv(ctx, sbuf, dst, rbuf, src, tag, comm, false)
+            .await
     }
 
     fn comm_rank(&self, comm: &Comm) -> u32 {
@@ -1264,22 +1288,113 @@ impl PointToPoint for TaskCtx {
     // selects a registry algorithm (hierarchical under IMPACC when the
     // placement has multi-rank nodes) instead of the flat p2p defaults.
 
-    fn barrier(&self, ctx: &Ctx, comm: &Comm) {
-        self.engine.barrier(self, ctx, comm, CollOpts::default());
+    async fn barrier(&self, ctx: &Ctx, comm: &Comm) {
+        let opts = CollOpts::default();
+        self.engine.barrier(self, ctx, comm, opts).await;
     }
 
-    fn bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
-        self.engine
-            .bcast(self, ctx, buf, root, comm, CollOpts::default());
+    async fn bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
+        let opts = CollOpts::default();
+        self.engine.bcast(self, ctx, buf, root, comm, opts).await;
     }
 
-    fn allreduce(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, op: ReduceOp, comm: &Comm) {
-        self.engine
-            .allreduce(self, ctx, sendbuf, recvbuf, op, comm, CollOpts::default());
+    async fn allreduce(
+        &self,
+        ctx: &Ctx,
+        sendbuf: &MsgBuf,
+        recvbuf: &MsgBuf,
+        op: ReduceOp,
+        comm: &Comm,
+    ) {
+        let opts = CollOpts::default();
+        let run = self
+            .engine
+            .allreduce(self, ctx, sendbuf, recvbuf, op, comm, opts);
+        run.await;
     }
 
-    fn allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
-        self.engine
-            .allgather(self, ctx, sendbuf, recvbuf, comm, CollOpts::default());
+    async fn allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
+        let opts = CollOpts::default();
+        let run = self
+            .engine
+            .allgather(self, ctx, sendbuf, recvbuf, comm, opts);
+        run.await;
+    }
+}
+
+/// The synchronous facade of a rank that owns an OS thread
+/// ([`crate::Launch::run`]): a handful of [`Rank`]'s operations, each a
+/// forward or a block on the rank's own future. Everything else is
+/// written against [`Rank`] and launched with
+/// [`crate::Launch::run_async`].
+pub struct TaskCtx {
+    rank: Rank,
+}
+
+impl TaskCtx {
+    pub(crate) fn new(rank: Rank) -> TaskCtx {
+        TaskCtx { rank }
+    }
+
+    /// [`Rank::rank`].
+    pub fn rank(&self) -> u32 {
+        self.rank.rank()
+    }
+
+    /// [`Rank::size`].
+    pub fn size(&self) -> u32 {
+        self.rank.size()
+    }
+
+    /// [`Rank::malloc`], blocking.
+    #[track_caller]
+    pub fn malloc(&self, len: u64) -> HBuf {
+        self.rank.ctx.block_on(self.rank.malloc(len))
+    }
+
+    /// [`Rank::host_view`].
+    pub fn host_view(&self, b: &HBuf) -> BufView {
+        self.rank.host_view(b)
+    }
+
+    /// [`Rank::mpi_sendrecv`], blocking.
+    #[allow(clippy::too_many_arguments)]
+    #[track_caller]
+    pub fn mpi_sendrecv(
+        &self,
+        send: &HBuf,
+        dst: u32,
+        recv: &HBuf,
+        src: u32,
+        tag: i32,
+        opts: MpiOpts,
+    ) -> Status {
+        let op = self.rank.mpi_sendrecv(send, dst, recv, src, tag, opts);
+        self.rank.ctx.block_on(op)
+    }
+
+    /// [`Rank::acc_kernel`], blocking.
+    #[track_caller]
+    pub fn acc_kernel(
+        &self,
+        q: Option<u32>,
+        cost: KernelCost,
+        f: impl FnOnce() + Send + 'static,
+    ) -> Option<Latch> {
+        self.rank.ctx.block_on(self.rank.acc_kernel(q, cost, f))
+    }
+
+    /// [`Rank::acc_wait`], blocking.
+    #[track_caller]
+    pub fn acc_wait(&self, q: u32) {
+        self.rank.ctx.block_on(self.rank.acc_wait(q))
+    }
+
+    /// [`Rank::mpi_allreduce_f64`], blocking.
+    #[track_caller]
+    pub fn mpi_allreduce_f64(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
+        self.rank
+            .ctx
+            .block_on(self.rank.mpi_allreduce_f64(vals, op))
     }
 }

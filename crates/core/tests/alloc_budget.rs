@@ -65,11 +65,12 @@ fn sendrecv_allocs(rounds: usize) -> u64 {
     let before = allocs();
     let s = Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
         .parallelism(1)
-        .run(move |tc| {
+        .run_async(move |tc| async move {
             let peer = 1 - tc.rank();
-            let (out, inn) = (tc.malloc(64), tc.malloc(64));
+            let (out, inn) = (tc.malloc(64).await, tc.malloc(64).await);
             for _ in 0..rounds {
-                tc.mpi_sendrecv(&out, peer, &inn, peer, 3, MpiOpts::host());
+                tc.mpi_sendrecv(&out, peer, &inn, peer, 3, MpiOpts::host())
+                    .await;
             }
         })
         .expect("simulation completes");
@@ -88,7 +89,7 @@ fn the_completion_handle_stays_within_its_allocation_budget() {
             let req = Request::pending(WaitCause::FusedSend { dst: 1, tag: 7 });
             req.complete_named(ctx, ctx.now(), None);
             assert!(req.test(ctx));
-            assert_eq!(req.wait(ctx), None);
+            assert_eq!(ctx.block_on(req.completion(ctx)), None);
             allocs() - before
         };
         round(); // the engine's first `mpi_wait` accounting entry

@@ -2,40 +2,49 @@
 //! heap aliasing (all five §3.8 requirements), unified activity queues,
 //! device-buffer staging paths, and the baseline model.
 
-use impacc_core::{Launch, MpiOpts, RuntimeOptions, TaskCtx};
+use std::future::Future;
+
+use impacc_core::{Launch, MpiOpts, Rank, RuntimeOptions};
 use impacc_machine::{presets, FaultPlan, FaultSite, KernelCost};
 use impacc_mpi::ReduceOp;
 use impacc_obs::{EventKind, Recorder};
 
-fn run_impacc(
+fn run_impacc<Fut>(
     spec: impacc_machine::MachineSpec,
-    app: impl Fn(&TaskCtx) + Send + Sync + 'static,
-) -> impacc_core::RunSummary {
+    app: impl Fn(Rank) -> Fut + Send + Sync + 'static,
+) -> impacc_core::RunSummary
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
     Launch::new(spec, RuntimeOptions::impacc())
-        .run(app)
+        .run_async(app)
         .expect("simulation completes")
 }
 
-fn run_baseline(
+fn run_baseline<Fut>(
     spec: impacc_machine::MachineSpec,
-    app: impl Fn(&TaskCtx) + Send + Sync + 'static,
-) -> impacc_core::RunSummary {
+    app: impl Fn(Rank) -> Fut + Send + Sync + 'static,
+) -> impacc_core::RunSummary
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
     Launch::new(spec, RuntimeOptions::baseline())
-        .run(app)
+        .run_async(app)
         .expect("simulation completes")
 }
 
 #[test]
 fn intra_node_host_send_recv_is_fused() {
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
-        let buf = tc.malloc_f64(64);
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
+        let buf = tc.malloc_f64(64).await;
         if tc.rank() == 0 {
             let v: Vec<f64> = (0..64).map(|i| i as f64).collect();
             tc.host_view(&buf).write_f64s(0, &v);
-            tc.mpi_send(&buf, 0, buf.len, 1, 5, MpiOpts::host());
+            tc.mpi_send(&buf, 0, buf.len, 1, 5, MpiOpts::host()).await;
         } else {
             let st = tc
                 .mpi_recv(&buf, 0, buf.len, 0, 5, MpiOpts::host())
+                .await
                 .unwrap();
             assert_eq!(st.src, 0);
             assert_eq!(st.len, 512);
@@ -55,15 +64,17 @@ fn intra_node_host_send_recv_is_fused() {
 fn figure7_aliasing_end_to_end() {
     // Sender mallocs 100 f64, sends a 10-element slice at offset 40;
     // receiver's 10-element buffer aliases it: zero bytes copied.
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
         if tc.rank() == 0 {
-            let src = tc.malloc_f64(100);
+            let src = tc.malloc_f64(100).await;
             let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
             tc.host_view(&src).write_f64s(0, &v);
-            tc.mpi_send(&src, 40 * 8, 80, 1, 0, MpiOpts::host().readonly());
+            tc.mpi_send(&src, 40 * 8, 80, 1, 0, MpiOpts::host().readonly())
+                .await;
         } else {
-            let dst = tc.malloc_f64(10);
-            tc.mpi_recv(&dst, 0, 80, 0, 0, MpiOpts::host().readonly());
+            let dst = tc.malloc_f64(10).await;
+            tc.mpi_recv(&dst, 0, 80, 0, 0, MpiOpts::host().readonly())
+                .await;
             // The receiver observes the sender's data through its pointer.
             assert_eq!(tc.host_view(&dst).read_f64s(0, 3), vec![40.0, 41.0, 42.0]);
         }
@@ -75,7 +86,7 @@ fn figure7_aliasing_end_to_end() {
 #[test]
 fn aliasing_requires_readonly_on_both_sides() {
     for (send_ro, recv_ro) in [(true, false), (false, true), (false, false)] {
-        let s = run_impacc(presets::test_cluster(1, 2), move |tc| {
+        let s = run_impacc(presets::test_cluster(1, 2), move |tc| async move {
             let o = |ro: bool| {
                 if ro {
                     MpiOpts::host().readonly()
@@ -84,11 +95,11 @@ fn aliasing_requires_readonly_on_both_sides() {
                 }
             };
             if tc.rank() == 0 {
-                let src = tc.malloc_f64(8);
-                tc.mpi_send(&src, 0, 64, 1, 0, o(send_ro));
+                let src = tc.malloc_f64(8).await;
+                tc.mpi_send(&src, 0, 64, 1, 0, o(send_ro)).await;
             } else {
-                let dst = tc.malloc_f64(8);
-                tc.mpi_recv(&dst, 0, 64, 0, 0, o(recv_ro));
+                let dst = tc.malloc_f64(8).await;
+                tc.mpi_recv(&dst, 0, 64, 0, 0, o(recv_ro)).await;
             }
         });
         assert_eq!(s.report.metrics.get("aliased_msgs"), None);
@@ -100,14 +111,16 @@ fn aliasing_requires_readonly_on_both_sides() {
 fn aliasing_requires_single_pointer_to_recv_buffer() {
     // Requirement 4: a second pointer variable into the receive buffer
     // blocks aliasing.
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
         if tc.rank() == 0 {
-            let src = tc.malloc_f64(8);
-            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly());
+            let src = tc.malloc_f64(8).await;
+            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly())
+                .await;
         } else {
-            let dst = tc.malloc_f64(8);
+            let dst = tc.malloc_f64(8).await;
             let extra = tc.hold_extra_pointer(&dst);
-            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly());
+            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly())
+                .await;
             tc.release_extra_pointer(extra);
         }
     });
@@ -117,13 +130,15 @@ fn aliasing_requires_single_pointer_to_recv_buffer() {
 #[test]
 fn aliasing_requires_full_overwrite() {
     // Requirement 5: receiving into a prefix of a larger buffer copies.
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
         if tc.rank() == 0 {
-            let src = tc.malloc_f64(8);
-            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly());
+            let src = tc.malloc_f64(8).await;
+            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly())
+                .await;
         } else {
-            let dst = tc.malloc_f64(16); // twice the message size
-            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly());
+            let dst = tc.malloc_f64(16).await; // twice the message size
+            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly())
+                .await;
         }
     });
     assert_eq!(s.report.metrics.get("aliased_msgs"), None);
@@ -134,13 +149,15 @@ fn aliasing_disabled_by_option() {
     let mut opts = RuntimeOptions::impacc();
     opts.aliasing = false;
     let s = Launch::new(presets::test_cluster(1, 2), opts)
-        .run(|tc| {
+        .run_async(|tc| async move {
             if tc.rank() == 0 {
-                let src = tc.malloc_f64(8);
-                tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly());
+                let src = tc.malloc_f64(8).await;
+                tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly())
+                    .await;
             } else {
-                let dst = tc.malloc_f64(8);
-                tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly());
+                let dst = tc.malloc_f64(8).await;
+                tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly())
+                    .await;
             }
         })
         .unwrap();
@@ -149,36 +166,38 @@ fn aliasing_disabled_by_option() {
 
 #[test]
 fn aliased_sender_free_keeps_data_alive() {
-    run_impacc(presets::test_cluster(1, 2), |tc| {
+    run_impacc(presets::test_cluster(1, 2), |tc| async move {
         if tc.rank() == 0 {
-            let src = tc.malloc_f64(4);
+            let src = tc.malloc_f64(4).await;
             tc.host_view(&src).write_f64s(0, &[7.0, 8.0, 9.0, 10.0]);
-            tc.mpi_send(&src, 0, 32, 1, 0, MpiOpts::host().readonly());
-            tc.free(src); // refcount drops to 1; receiver still owns it
-            tc.mpi_barrier();
+            tc.mpi_send(&src, 0, 32, 1, 0, MpiOpts::host().readonly())
+                .await;
+            tc.free(src).await; // refcount drops to 1; receiver still owns it
+            tc.mpi_barrier().await;
         } else {
-            let dst = tc.malloc_f64(4);
-            tc.mpi_recv(&dst, 0, 32, 0, 0, MpiOpts::host().readonly());
-            tc.mpi_barrier();
+            let dst = tc.malloc_f64(4).await;
+            tc.mpi_recv(&dst, 0, 32, 0, 0, MpiOpts::host().readonly())
+                .await;
+            tc.mpi_barrier().await;
             assert_eq!(
                 tc.host_view(&dst).read_f64s(0, 4),
                 vec![7.0, 8.0, 9.0, 10.0]
             );
-            tc.free(dst);
+            tc.free(dst).await;
         }
     });
 }
 
 #[test]
 fn device_to_device_intra_node_uses_peer_copy_on_psg() {
-    let s = run_impacc(presets::psg(), |tc| {
-        let buf = tc.malloc_f64(1024);
+    let s = run_impacc(presets::psg(), |tc| async move {
+        let buf = tc.malloc_f64(1024).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
             tc.dev_view(&buf).write_f64s(0, &[3.5; 16]);
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device()).await;
         } else if tc.rank() == 1 {
-            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device());
+            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device()).await;
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![3.5, 3.5]);
         }
     });
@@ -189,14 +208,14 @@ fn device_to_device_intra_node_uses_peer_copy_on_psg() {
 
 #[test]
 fn device_to_device_on_beacon_stages_once_through_host() {
-    let s = run_impacc(presets::beacon(1), |tc| {
-        let buf = tc.malloc_f64(1024);
+    let s = run_impacc(presets::beacon(1), |tc| async move {
+        let buf = tc.malloc_f64(1024).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
             tc.dev_view(&buf).write_f64s(0, &[1.25; 4]);
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device()).await;
         } else if tc.rank() == 1 {
-            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device());
+            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device()).await;
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![1.25, 1.25]);
         }
     });
@@ -210,16 +229,17 @@ fn device_to_device_on_beacon_stages_once_through_host() {
 fn internode_device_recv_goes_through_pending_queue() {
     // Beacon has no GPUDirect: internode device receives stage through
     // pre-pinned memory and the pending internode message queue.
-    let s = run_impacc(presets::beacon(2), |tc| {
-        let buf = tc.malloc_f64(256);
+    let s = run_impacc(presets::beacon(2), |tc| async move {
+        let buf = tc.malloc_f64(256).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
             tc.dev_view(&buf).write_f64s(0, &[2.5; 8]);
             // rank 4 is the first task of node 1
-            tc.mpi_send(&buf, 0, buf.len, 4, 9, MpiOpts::device());
+            tc.mpi_send(&buf, 0, buf.len, 4, 9, MpiOpts::device()).await;
         } else if tc.rank() == 4 {
             let st = tc
                 .mpi_recv(&buf, 0, buf.len, 0, 9, MpiOpts::device())
+                .await
                 .unwrap();
             assert_eq!(st.len, 2048);
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![2.5, 2.5]);
@@ -235,9 +255,9 @@ fn internode_device_recv_goes_through_pending_queue() {
 /// One non-blocking exchange, written once for every route a message can
 /// take: `dst` posts the receive and polls `MPI_Test` until it turns true,
 /// then `MPI_Wait` returns the status without moving the clock.
-fn poll_then_wait(tc: &TaskCtx, src: u32, dst: u32, opts: MpiOpts) {
+async fn poll_then_wait(tc: &Rank, src: u32, dst: u32, opts: MpiOpts) {
     let payload: Vec<f64> = (0..16).map(|i| 0.5 + i as f64).collect();
-    let buf = tc.malloc_f64(16);
+    let buf = tc.malloc_f64(16).await;
     if opts.device {
         tc.acc_create(&buf);
     }
@@ -246,26 +266,33 @@ fn poll_then_wait(tc: &TaskCtx, src: u32, dst: u32, opts: MpiOpts) {
     } else {
         tc.host_view(&buf)
     };
-    let poll = |req: &impacc_mpi::Request| {
+    let poll = async |req: &impacc_mpi::Request| {
         let mut polls = 0;
         while !req.test(tc.ctx()) {
-            tc.host_compute(1e-6);
+            tc.host_compute(1e-6).await;
             polls += 1;
         }
         polls
     };
     if tc.rank() == src {
-        tc.host_compute(50e-6);
+        tc.host_compute(50e-6).await;
         view.write_f64s(0, &payload);
-        let req = tc.mpi_isend(&buf, 0, buf.len, dst, 11, opts);
-        poll(&req);
-        assert_eq!(req.wait(tc.ctx()), None, "sends carry no status");
+        let req = tc.mpi_isend(&buf, 0, buf.len, dst, 11, opts).await;
+        poll(&req).await;
+        assert_eq!(
+            req.completion(tc.ctx()).await,
+            None,
+            "sends carry no status"
+        );
     } else if tc.rank() == dst {
-        let req = tc.mpi_irecv(&buf, 0, buf.len, src, 11, opts);
+        let req = tc.mpi_irecv(&buf, 0, buf.len, src, 11, opts).await;
         assert!(!req.test(tc.ctx()), "nothing has been sent yet");
-        assert!(poll(&req) >= 50, "the sender starts 50 us in");
+        assert!(poll(&req).await >= 50, "the sender starts 50 us in");
         let tested_at = tc.ctx().now();
-        let st = req.wait(tc.ctx()).expect("receives carry a status");
+        let st = req
+            .completion(tc.ctx())
+            .await
+            .expect("receives carry a status");
         assert_eq!(tc.ctx().now(), tested_at, "a tested request is complete");
         assert_eq!((st.src, st.tag, st.len), (src, 11, 128));
         assert_eq!(view.read_f64s(0, 16), payload);
@@ -274,21 +301,21 @@ fn poll_then_wait(tc: &TaskCtx, src: u32, dst: u32, opts: MpiOpts) {
 
 #[test]
 fn one_request_handle_on_the_fused_system_and_pending_routes() {
-    let fused = run_impacc(presets::test_cluster(1, 2), |tc| {
-        poll_then_wait(tc, 0, 1, MpiOpts::host())
+    let fused = run_impacc(presets::test_cluster(1, 2), |tc| async move {
+        poll_then_wait(&tc, 0, 1, MpiOpts::host()).await
     });
     assert_eq!(fused.report.metrics["fused_msgs"], 1);
     assert_eq!(fused.report.metrics.get("mpi_bytes_sent"), None);
 
-    let system = run_impacc(presets::test_cluster(2, 1), |tc| {
-        poll_then_wait(tc, 0, 1, MpiOpts::host())
+    let system = run_impacc(presets::test_cluster(2, 1), |tc| async move {
+        poll_then_wait(&tc, 0, 1, MpiOpts::host()).await
     });
     assert_eq!(system.report.metrics.get("fused_msgs"), None);
     assert_eq!(system.report.metrics["mpi_bytes_sent"], 128);
 
     // Beacon has no GPUDirect RDMA; rank 4 is the first task of node 1.
-    let pending = run_impacc(presets::beacon(2), |tc| {
-        poll_then_wait(tc, 0, 4, MpiOpts::device())
+    let pending = run_impacc(presets::beacon(2), |tc| async move {
+        poll_then_wait(&tc, 0, 4, MpiOpts::device()).await
     });
     assert_eq!(pending.report.metrics.get("fused_msgs"), None);
     assert_eq!(pending.report.metrics["mpi_bytes_sent"], 128);
@@ -297,14 +324,14 @@ fn one_request_handle_on_the_fused_system_and_pending_routes() {
 
 #[test]
 fn internode_device_transfer_uses_gpudirect_on_titan() {
-    let s = run_impacc(presets::titan(2), |tc| {
-        let buf = tc.malloc_f64(256);
+    let s = run_impacc(presets::titan(2), |tc| async move {
+        let buf = tc.malloc_f64(256).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
             tc.dev_view(&buf).write_f64s(0, &[4.5; 4]);
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device()).await;
         } else {
-            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device());
+            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::device()).await;
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![4.5, 4.5]);
         }
     });
@@ -316,19 +343,22 @@ fn internode_device_transfer_uses_gpudirect_on_titan() {
 fn unified_activity_queue_runs_figure4c_pipeline() {
     // kernel -> isend -> irecv -> kernel all on queue 1, host never blocks
     // until the final acc_wait.
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
         let peer = 1 - tc.rank();
-        let buf0 = tc.malloc_f64(512);
-        let buf1 = tc.malloc_f64(512);
+        let buf0 = tc.malloc_f64(512).await;
+        let buf1 = tc.malloc_f64(512).await;
         tc.acc_create(&buf0);
         tc.acc_create(&buf1);
         let d0 = tc.dev_view(&buf0);
         let me = tc.rank() as f64;
         tc.acc_kernel(Some(1), KernelCost::flops(1e9), move || {
             d0.write_f64s(0, &vec![me; 512]);
-        });
-        tc.mpi_send(&buf0, 0, buf0.len, peer, 0, MpiOpts::device().on_queue(1));
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::device().on_queue(1));
+        })
+        .await;
+        tc.mpi_send(&buf0, 0, buf0.len, peer, 0, MpiOpts::device().on_queue(1))
+            .await;
+        tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, MpiOpts::device().on_queue(1))
+            .await;
         let host_free_at = tc.ctx().now();
         assert!(
             host_free_at.as_secs_f64() < 1e-4,
@@ -338,8 +368,9 @@ fn unified_activity_queue_runs_figure4c_pipeline() {
         let expect = peer as f64;
         tc.acc_kernel(Some(1), KernelCost::flops(1e9), move || {
             assert_eq!(d1.read_f64s(0, 2), vec![expect, expect]);
-        });
-        tc.acc_wait(1);
+        })
+        .await;
+        tc.acc_wait(1).await;
     });
     assert!(s.report.metrics["fused_msgs"] >= 2);
 }
@@ -355,17 +386,20 @@ fn queue_abort_replay_is_identical_at_every_worker_count() {
             .chaos(FaultPlan::new(5).with_rate(FaultSite::QueueAbort, 0.5))
             .parallelism(degree)
             .recorder(&rec)
-            .run(|tc| {
+            .run_async(|tc| async move {
                 let peer = tc.rank() ^ 1;
-                let (out, inn) = (tc.malloc_f64(64), tc.malloc_f64(64));
+                let (out, inn) = (tc.malloc_f64(64).await, tc.malloc_f64(64).await);
                 tc.acc_create(&out);
                 tc.acc_create(&inn);
                 for _ in 0..3 {
-                    tc.acc_kernel(Some(1), KernelCost::flops(1e7), || {});
-                    tc.mpi_send(&out, 0, out.len, peer, 0, MpiOpts::device().on_queue(1));
-                    tc.mpi_recv(&inn, 0, inn.len, peer, 0, MpiOpts::device().on_queue(1));
-                    tc.acc_wait(1);
-                    tc.mpi_allreduce_f64(&[tc.rank() as f64], ReduceOp::Sum);
+                    tc.acc_kernel(Some(1), KernelCost::flops(1e7), || {}).await;
+                    tc.mpi_send(&out, 0, out.len, peer, 0, MpiOpts::device().on_queue(1))
+                        .await;
+                    tc.mpi_recv(&inn, 0, inn.len, peer, 0, MpiOpts::device().on_queue(1))
+                        .await;
+                    tc.acc_wait(1).await;
+                    tc.mpi_allreduce_f64(&[tc.rank() as f64], ReduceOp::Sum)
+                        .await;
                 }
             })
             .expect("simulation completes");
@@ -397,23 +431,26 @@ fn queue_abort_replay_is_identical_at_every_worker_count() {
 #[test]
 fn baseline_requires_explicit_staging_and_works() {
     // The Figure 4(a) style: copyout, blocking send/recv, copyin.
-    let s = run_baseline(presets::psg(), |tc| {
+    let s = run_baseline(presets::psg(), |tc| async move {
         if tc.rank() >= 2 {
             return;
         }
         let peer = 1 - tc.rank();
-        let buf = tc.malloc_f64(512);
+        let buf = tc.malloc_f64(512).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
             let d = tc.dev_view(&buf);
             tc.acc_kernel(None, KernelCost::flops(1e9), move || {
                 d.write_f64s(0, &[6.5; 512]);
-            });
-            tc.acc_update_host(&buf, 0, buf.len, None);
-            tc.mpi_send(&buf, 0, buf.len, peer, 0, MpiOpts::host());
+            })
+            .await;
+            tc.acc_update_host(&buf, 0, buf.len, None).await;
+            tc.mpi_send(&buf, 0, buf.len, peer, 0, MpiOpts::host())
+                .await;
         } else {
-            tc.mpi_recv(&buf, 0, buf.len, peer, 0, MpiOpts::host());
-            tc.acc_update_device(&buf, 0, buf.len, None);
+            tc.mpi_recv(&buf, 0, buf.len, peer, 0, MpiOpts::host())
+                .await;
+            tc.acc_update_device(&buf, 0, buf.len, None).await;
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![6.5, 6.5]);
         }
     });
@@ -424,28 +461,28 @@ fn baseline_requires_explicit_staging_and_works() {
 #[test]
 #[should_panic(expected = "IMPACC directive clauses require the IMPACC runtime")]
 fn baseline_rejects_impacc_directives() {
-    let _ = run_baseline(presets::test_cluster(1, 2), |tc| {
-        let buf = tc.malloc_f64(8);
+    let _ = run_baseline(presets::test_cluster(1, 2), |tc| async move {
+        let buf = tc.malloc_f64(8).await;
         tc.acc_create(&buf);
         if tc.rank() == 0 {
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::device()).await;
         }
     });
 }
 
 #[test]
 fn collectives_work_through_unified_routines() {
-    let s = run_impacc(presets::test_cluster(2, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(2, 2), |tc| async move {
         let r = tc.rank() as f64;
-        let sums = tc.mpi_allreduce_f64(&[r, 1.0], ReduceOp::Sum);
+        let sums = tc.mpi_allreduce_f64(&[r, 1.0], ReduceOp::Sum).await;
         assert_eq!(sums, vec![6.0, 4.0]);
-        let maxs = tc.mpi_reduce_f64(&[r], ReduceOp::Max, 0);
+        let maxs = tc.mpi_reduce_f64(&[r], ReduceOp::Max, 0).await;
         if tc.rank() == 0 {
             assert_eq!(maxs.unwrap(), vec![3.0]);
         } else {
             assert!(maxs.is_none());
         }
-        tc.mpi_barrier();
+        tc.mpi_barrier().await;
     });
     // Intra-node legs of the collectives were fused.
     assert!(s.report.metrics["fused_msgs"] > 0);
@@ -453,13 +490,13 @@ fn collectives_work_through_unified_routines() {
 
 #[test]
 fn bcast_aliases_across_node_local_tasks() {
-    let s = run_impacc(presets::test_cluster(2, 4), |tc| {
-        let buf = tc.malloc_f64(1024);
+    let s = run_impacc(presets::test_cluster(2, 4), |tc| async move {
+        let buf = tc.malloc_f64(1024).await;
         if tc.rank() == 2 {
             let v: Vec<f64> = (0..1024).map(|i| i as f64 * 0.5).collect();
             tc.host_view(&buf).write_f64s(0, &v);
         }
-        tc.mpi_bcast(&buf, 2, MpiOpts::host().readonly());
+        tc.mpi_bcast(&buf, 2, MpiOpts::host().readonly()).await;
         assert_eq!(tc.host_view(&buf).read_f64s(2, 2), vec![1.0, 1.5]);
     });
     // 8 tasks on 2 nodes, root on node 0: 3 node-local aliases at the root
@@ -470,11 +507,11 @@ fn bcast_aliases_across_node_local_tasks() {
 
 #[test]
 fn present_table_round_trips_pointers() {
-    run_impacc(presets::psg(), |tc| {
+    run_impacc(presets::psg(), |tc| async move {
         if tc.rank() != 0 {
             return;
         }
-        let buf = tc.malloc_f64(100);
+        let buf = tc.malloc_f64(100).await;
         tc.acc_create(&buf);
         let dp = tc.acc_deviceptr(&buf);
         let hp = tc.acc_hostptr(dp);
@@ -489,16 +526,16 @@ fn present_table_round_trips_pointers() {
 
 #[test]
 fn update_device_and_host_move_data_both_ways() {
-    run_impacc(presets::beacon(1), |tc| {
+    run_impacc(presets::beacon(1), |tc| async move {
         if tc.rank() != 0 {
             return;
         }
-        let buf = tc.malloc_f64(32);
+        let buf = tc.malloc_f64(32).await;
         tc.host_view(&buf).write_f64s(0, &[1.0; 32]);
-        tc.acc_copyin(&buf);
+        tc.acc_copyin(&buf).await;
         assert_eq!(tc.dev_view(&buf).read_f64s(0, 2), vec![1.0, 1.0]);
         tc.dev_view(&buf).write_f64s(0, &[2.0; 32]);
-        tc.acc_update_host(&buf, 0, buf.len, None);
+        tc.acc_update_host(&buf, 0, buf.len, None).await;
         assert_eq!(tc.host_view(&buf).read_f64s(30, 2), vec![2.0, 2.0]);
         tc.acc_delete(&buf);
     });
@@ -506,16 +543,16 @@ fn update_device_and_host_move_data_both_ways() {
 
 #[test]
 fn partial_updates_respect_offsets() {
-    run_impacc(presets::psg(), |tc| {
+    run_impacc(presets::psg(), |tc| async move {
         if tc.rank() != 0 {
             return;
         }
-        let buf = tc.malloc_f64(16);
+        let buf = tc.malloc_f64(16).await;
         tc.host_view(&buf)
             .write_f64s(0, &(0..16).map(|i| i as f64).collect::<Vec<_>>());
         tc.acc_create(&buf);
         // Update only elements 4..8 on the device.
-        tc.acc_update_device(&buf, 4 * 8, 4 * 8, None);
+        tc.acc_update_device(&buf, 4 * 8, 4 * 8, None).await;
         let d = tc.dev_view(&buf);
         assert_eq!(d.read_f64s(0, 2), vec![0.0, 0.0], "untouched prefix");
         assert_eq!(d.read_f64s(4, 4), vec![4.0, 5.0, 6.0, 7.0]);
@@ -525,19 +562,20 @@ fn partial_updates_respect_offsets() {
 
 #[test]
 fn cpu_fallback_node_runs_tasks() {
-    let s = run_impacc(presets::mixed_demo(), |tc| {
+    let s = run_impacc(presets::mixed_demo(), |tc| async move {
         // 5 tasks: 2 GPU + GPU + MIC + 1 CPU (see launch::tests).
         let r = tc.rank() as f64;
-        let total = tc.mpi_allreduce_f64(&[r], ReduceOp::Sum);
+        let total = tc.mpi_allreduce_f64(&[r], ReduceOp::Sum).await;
         assert_eq!(total, vec![10.0]);
         if tc.acc_device_kind() == impacc_machine::DeviceKind::CpuCores {
             // CPU-as-accelerator can run kernels too.
-            let buf = tc.malloc_f64(8);
+            let buf = tc.malloc_f64(8).await;
             tc.acc_create(&buf);
             let d = tc.dev_view(&buf);
             tc.acc_kernel(None, KernelCost::flops(1e9), move || {
                 d.write_f64s(0, &[9.0; 8]);
-            });
+            })
+            .await;
             assert_eq!(tc.dev_view(&buf).read_f64s(0, 1), vec![9.0]);
         }
     });
@@ -554,21 +592,21 @@ fn numa_pinning_speeds_up_transfers() {
         s.nodes[0].devices.truncate(4);
         s
     };
-    let work = |tc: &TaskCtx| {
+    let work = |tc: Rank| async move {
         if tc.rank() != 2 {
             return;
         }
-        let buf = tc.malloc_f64(1 << 20);
+        let buf = tc.malloc_f64(1 << 20).await;
         tc.acc_create(&buf);
-        tc.acc_update_device(&buf, 0, buf.len, None);
+        tc.acc_update_device(&buf, 0, buf.len, None).await;
         tc.acc_delete(&buf);
     };
     let pinned = Launch::new(spec(), RuntimeOptions::impacc())
-        .run(work)
+        .run_async(work)
         .unwrap();
     let mut unpinned_opts = RuntimeOptions::impacc();
     unpinned_opts.numa_pinning = false;
-    let unpinned = Launch::new(spec(), unpinned_opts).run(work).unwrap();
+    let unpinned = Launch::new(spec(), unpinned_opts).run_async(work).unwrap();
     assert!(pinned.tasks[2].socket == 0 && !pinned.tasks[2].far);
     assert!(
         unpinned.tasks[2].far,
@@ -584,40 +622,40 @@ fn numa_pinning_speeds_up_transfers() {
 #[test]
 fn device_memory_capacity_respected_per_task() {
     // Two tasks sharing one node must each get their own device memory.
-    run_impacc(presets::titan(1), |tc| {
-        let buf = tc.malloc(5 << 30);
+    run_impacc(presets::titan(1), |tc| async move {
+        let buf = tc.malloc(5 << 30).await;
         tc.acc_create(&buf); // 5 GB of the K20x's 6 GB
         tc.acc_delete(&buf);
-        tc.free(buf);
+        tc.free(buf).await;
     });
 }
 
 #[test]
 fn truncated_backing_keeps_timing_but_caps_memory() {
     let full = Launch::new(presets::psg(), RuntimeOptions::impacc())
-        .run(|tc| {
+        .run_async(|tc| async move {
             if tc.rank() >= 2 {
                 return;
             }
-            let buf = tc.malloc_f64(1 << 16);
+            let buf = tc.malloc_f64(1 << 16).await;
             if tc.rank() == 0 {
-                tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host());
+                tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host()).await;
             } else {
-                tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host());
+                tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host()).await;
             }
         })
         .unwrap();
     let capped = Launch::new(presets::psg(), RuntimeOptions::impacc())
         .phys_cap(1024)
-        .run(|tc| {
+        .run_async(|tc| async move {
             if tc.rank() >= 2 {
                 return;
             }
-            let buf = tc.malloc_f64(1 << 16);
+            let buf = tc.malloc_f64(1 << 16).await;
             if tc.rank() == 0 {
-                tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host());
+                tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host()).await;
             } else {
-                tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host());
+                tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host()).await;
             }
         })
         .unwrap();
@@ -629,15 +667,15 @@ fn truncated_backing_keeps_timing_but_caps_memory() {
 
 #[test]
 fn impacc_intra_node_beats_baseline_on_large_messages() {
-    let app = |tc: &TaskCtx| {
+    let app = |tc: Rank| async move {
         if tc.rank() >= 2 {
             return;
         }
-        let buf = tc.malloc_f64(1 << 17); // 1 MiB
+        let buf = tc.malloc_f64(1 << 17).await; // 1 MiB
         if tc.rank() == 0 {
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host()).await;
         } else {
-            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host());
+            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host()).await;
         }
     };
     let i = run_impacc(presets::psg(), app);
@@ -651,7 +689,7 @@ fn impacc_intra_node_beats_baseline_on_large_messages() {
 
 #[test]
 fn openacc_runtime_routines_behave_per_spec() {
-    run_impacc(presets::mixed_demo(), |tc| {
+    run_impacc(presets::mixed_demo(), |tc| async move {
         // acc_set_device_num is ignored: the mapping is fixed at launch.
         let before = tc.acc_get_device_num();
         tc.acc_set_device_num(before + 1);
@@ -668,7 +706,7 @@ fn openacc_runtime_routines_behave_per_spec() {
         }
 
         // acc_is_present tracks create/delete.
-        let buf = tc.malloc_f64(16);
+        let buf = tc.malloc_f64(16).await;
         assert!(!tc.acc_is_present(&buf));
         tc.acc_create(&buf);
         assert!(tc.acc_is_present(&buf));
@@ -679,15 +717,17 @@ fn openacc_runtime_routines_behave_per_spec() {
 
 #[test]
 fn sendrecv_ring_rotates_data() {
-    let s = run_impacc(presets::test_cluster(2, 2), |tc| {
+    let s = run_impacc(presets::test_cluster(2, 2), |tc| async move {
         let n = tc.size();
         let me = tc.rank();
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let out = tc.malloc_f64(4);
-        let inn = tc.malloc_f64(4);
+        let out = tc.malloc_f64(4).await;
+        let inn = tc.malloc_f64(4).await;
         tc.host_view(&out).write_f64s(0, &[me as f64; 4]);
-        let st = tc.mpi_sendrecv(&out, right, &inn, left, 3, MpiOpts::host());
+        let st = tc
+            .mpi_sendrecv(&out, right, &inn, left, 3, MpiOpts::host())
+            .await;
         assert_eq!(st.src, left);
         assert_eq!(tc.host_view(&inn).read_f64s(0, 4), vec![left as f64; 4]);
     });
@@ -697,16 +737,16 @@ fn sendrecv_ring_rotates_data() {
 
 #[test]
 fn profile_renders_the_run() {
-    let s = run_impacc(presets::test_cluster(1, 2), |tc| {
-        let buf = tc.malloc_f64(1024);
+    let s = run_impacc(presets::test_cluster(1, 2), |tc| async move {
+        let buf = tc.malloc_f64(1024).await;
         tc.acc_create(&buf);
-        tc.acc_update_device(&buf, 0, buf.len, None);
+        tc.acc_update_device(&buf, 0, buf.len, None).await;
         if tc.rank() == 0 {
-            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host());
+            tc.mpi_send(&buf, 0, buf.len, 1, 0, MpiOpts::host()).await;
         } else {
-            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host());
+            tc.mpi_recv(&buf, 0, buf.len, 0, 0, MpiOpts::host()).await;
         }
-        tc.acc_kernel(None, KernelCost::flops(1e6), || {});
+        tc.acc_kernel(None, KernelCost::flops(1e6), || {}).await;
     });
     let p = s.profile();
     assert!(p.contains("elapsed:"));
@@ -717,16 +757,18 @@ fn profile_renders_the_run() {
 
 #[test]
 fn comm_split_groups_by_node_and_reduces_within() {
-    run_impacc(presets::test_cluster(2, 4), |tc| {
+    run_impacc(presets::test_cluster(2, 4), |tc| async move {
         // Split by node; order sub-ranks by descending world rank.
-        let sub = tc.mpi_comm_split(tc.node() as i64, -(tc.rank() as i64));
+        let sub = tc
+            .mpi_comm_split(tc.node() as i64, -(tc.rank() as i64))
+            .await;
         assert_eq!(sub.size(), 4);
         // Reduce within the sub-communicator through the unified routines.
         let sb = impacc_mpi::MsgBuf::host(impacc_mem::Backing::new(8, None), 0, 8);
         sb.write_f64s(&[tc.rank() as f64]);
         let rb = impacc_mpi::MsgBuf::host(impacc_mem::Backing::new(8, None), 0, 8);
         use impacc_mpi::PointToPoint;
-        tc.allreduce(tc.ctx(), &sb, &rb, ReduceOp::Sum, &sub);
+        tc.allreduce(tc.ctx(), &sb, &rb, ReduceOp::Sum, &sub).await;
         let expect = if tc.node() == 0 {
             0.0 + 1.0 + 2.0 + 3.0
         } else {
@@ -745,15 +787,17 @@ fn runtime_trace_records_fusions_and_aliases() {
     let rec = Recorder::new();
     Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
         .recorder(&rec)
-        .run(|tc| {
-            let a = tc.malloc_f64(8);
+        .run_async(|tc| async move {
+            let a = tc.malloc_f64(8).await;
             if tc.rank() == 0 {
-                tc.mpi_send(&a, 0, a.len, 1, 1, MpiOpts::host());
-                tc.mpi_send(&a, 0, a.len, 1, 2, MpiOpts::host().readonly());
+                tc.mpi_send(&a, 0, a.len, 1, 1, MpiOpts::host()).await;
+                tc.mpi_send(&a, 0, a.len, 1, 2, MpiOpts::host().readonly())
+                    .await;
             } else {
-                tc.mpi_recv(&a, 0, a.len, 0, 1, MpiOpts::host());
-                let b = tc.malloc_f64(8);
-                tc.mpi_recv(&b, 0, b.len, 0, 2, MpiOpts::host().readonly());
+                tc.mpi_recv(&a, 0, a.len, 0, 1, MpiOpts::host()).await;
+                let b = tc.malloc_f64(8).await;
+                tc.mpi_recv(&b, 0, b.len, 0, 2, MpiOpts::host().readonly())
+                    .await;
             }
         })
         .unwrap();
@@ -767,25 +811,32 @@ fn runtime_trace_records_fusions_and_aliases() {
 #[test]
 fn acc_data_region_manages_mirrors_and_motion() {
     use impacc_core::DataClause;
-    run_impacc(presets::psg(), |tc| {
+    run_impacc(presets::psg(), |tc| async move {
         if tc.rank() != 0 {
             return;
         }
-        let a = tc.malloc_f64(16);
-        let c = tc.malloc_f64(16);
+        let a = tc.malloc_f64(16).await;
+        let c = tc.malloc_f64(16).await;
         tc.host_view(&a).write_f64s(0, &[2.0; 16]);
-        let sum = tc.acc_data(&[DataClause::Copyin(&a), DataClause::Copyout(&c)], |tc| {
-            assert!(tc.acc_is_present(&a) && tc.acc_is_present(&c));
-            let av = tc.dev_view(&a);
-            let cv = tc.dev_view(&c);
-            tc.acc_kernel(None, KernelCost::flops(16.0), move || {
-                let vals: Vec<f64> = av.read_f64s(0, 16).iter().map(|v| v * 3.0).collect();
-                cv.write_f64s(0, &vals);
-            });
-            // Nested present() region over already-mapped data.
-            tc.acc_data(&[DataClause::Present(&a)], |_| {});
-            42
-        });
+        let sum = tc
+            .acc_data(
+                &[DataClause::Copyin(&a), DataClause::Copyout(&c)],
+                async |tc: &Rank| {
+                    assert!(tc.acc_is_present(&a) && tc.acc_is_present(&c));
+                    let av = tc.dev_view(&a);
+                    let cv = tc.dev_view(&c);
+                    tc.acc_kernel(None, KernelCost::flops(16.0), move || {
+                        let vals: Vec<f64> = av.read_f64s(0, 16).iter().map(|v| v * 3.0).collect();
+                        cv.write_f64s(0, &vals);
+                    })
+                    .await;
+                    // Nested present() region over already-mapped data.
+                    tc.acc_data(&[DataClause::Present(&a)], async |_: &Rank| {})
+                        .await;
+                    42
+                },
+            )
+            .await;
         assert_eq!(sum, 42);
         // Mirrors gone; copyout materialized on the host.
         assert!(!tc.acc_is_present(&a) && !tc.acc_is_present(&c));
@@ -796,13 +847,13 @@ fn acc_data_region_manages_mirrors_and_motion() {
 #[test]
 fn launch_reports_app_panics_with_rank() {
     let err = Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
-        .run(|tc| {
+        .run_async(|tc| async move {
             if tc.rank() == 1 {
                 panic!("application bug on rank 1");
             }
             // rank 0 blocks forever waiting for rank 1
-            let b = tc.malloc_f64(1);
-            tc.mpi_recv(&b, 0, 8, 1, 0, MpiOpts::host());
+            let b = tc.malloc_f64(1).await;
+            tc.mpi_recv(&b, 0, 8, 1, 0, MpiOpts::host()).await;
         })
         .unwrap_err();
     match err {
@@ -817,11 +868,11 @@ fn launch_reports_app_panics_with_rank() {
 #[test]
 fn launch_reports_communication_deadlocks() {
     let err = Launch::new(presets::test_cluster(1, 2), RuntimeOptions::impacc())
-        .run(|tc| {
+        .run_async(|tc| async move {
             if tc.rank() == 0 {
-                let b = tc.malloc_f64(1);
+                let b = tc.malloc_f64(1).await;
                 // No matching sender anywhere.
-                tc.mpi_recv(&b, 0, 8, 1, 77, MpiOpts::host());
+                tc.mpi_recv(&b, 0, 8, 1, 77, MpiOpts::host()).await;
             }
         })
         .unwrap_err();
@@ -839,14 +890,14 @@ fn wildcard_receive_works_for_internode_senders() {
     // supported whenever the matching sender is on another node (the
     // unified intra-node path needs an explicit source — a documented
     // limitation of the reproduction).
-    run_impacc(presets::test_cluster(2, 1), |tc| {
-        let b = tc.malloc_f64(4);
+    run_impacc(presets::test_cluster(2, 1), |tc| async move {
+        let b = tc.malloc_f64(4).await;
         if tc.rank() == 0 {
             tc.host_view(&b).write_f64s(0, &[5.0; 4]);
-            tc.mpi_send(&b, 0, b.len, 1, 11, MpiOpts::host());
+            tc.mpi_send(&b, 0, b.len, 1, 11, MpiOpts::host()).await;
         } else {
-            let req = tc.mpi_irecv_any(&b, 0, b.len, MpiOpts::host());
-            let st = req.wait(tc.ctx()).unwrap();
+            let req = tc.mpi_irecv_any(&b, 0, b.len, MpiOpts::host()).await;
+            let st = req.completion(tc.ctx()).await.unwrap();
             assert_eq!((st.src, st.tag), (0, 11));
             assert_eq!(tc.host_view(&b).read_f64s(0, 1), vec![5.0]);
         }
@@ -855,22 +906,24 @@ fn wildcard_receive_works_for_internode_senders() {
 
 #[test]
 fn realloc_through_taskctx_unshares_aliased_buffers() {
-    run_impacc(presets::test_cluster(1, 2), |tc| {
+    run_impacc(presets::test_cluster(1, 2), |tc| async move {
         if tc.rank() == 0 {
-            let src = tc.malloc_f64(8);
+            let src = tc.malloc_f64(8).await;
             tc.host_view(&src).write_f64s(0, &[4.0; 8]);
-            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly());
-            tc.mpi_barrier();
+            tc.mpi_send(&src, 0, 64, 1, 0, MpiOpts::host().readonly())
+                .await;
+            tc.mpi_barrier().await;
         } else {
-            let mut dst = tc.malloc_f64(8);
-            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly());
+            let mut dst = tc.malloc_f64(8).await;
+            tc.mpi_recv(&dst, 0, 64, 0, 0, MpiOpts::host().readonly())
+                .await;
             // dst aliases the sender's buffer; growing it must unshare.
-            tc.realloc(&mut dst, 128);
+            tc.realloc(&mut dst, 128).await;
             assert_eq!(dst.len, 128);
             let v = tc.host_view(&dst);
             assert_eq!(v.read_f64s(0, 8), vec![4.0; 8]);
             v.write_f64s(8, &[9.0; 8]);
-            tc.mpi_barrier();
+            tc.mpi_barrier().await;
         }
     });
 }
@@ -880,8 +933,9 @@ fn launch_config_underutilization_shows_in_time() {
     use impacc_machine::LaunchConfig;
     let run = |cfg: LaunchConfig| {
         Launch::new(presets::test_cluster(1, 1), RuntimeOptions::impacc())
-            .run(move |tc| {
-                tc.acc_kernel_cfg(None, KernelCost::flops(1e10), cfg, || {});
+            .run_async(move |tc| async move {
+                tc.acc_kernel_cfg(None, KernelCost::flops(1e10), cfg, || {})
+                    .await;
             })
             .unwrap()
             .elapsed_secs()
@@ -894,4 +948,198 @@ fn launch_config_underutilization_shows_in_time() {
     });
     let ratio = half / saturated;
     assert!((1.8..2.2).contains(&ratio), "ratio = {ratio}");
+}
+
+// ---------------------------------------------------------------------
+// One schedule for both rank forms: the synchronous facade on thread
+// ranks (`Launch::run` + `TaskCtx`) and the async entry on handler ranks
+// (`Launch::run_async` + `Rank`) run the same program to the same
+// virtual-time observables, so the benchmark's thread-path workloads keep
+// measuring the program the stack runs.
+// ---------------------------------------------------------------------
+
+/// Everything a run shows of its schedule: the report's virtual-time
+/// facts (the host's thread count aside) and the recorded span stream.
+fn schedule_of(s: impacc_core::RunSummary, rec: &Recorder) -> String {
+    let r = &s.report;
+    format!(
+        "{:?}\n{:?}",
+        (
+            r.end_time,
+            r.events,
+            r.handoffs_elided,
+            r.parallel_advances,
+            r.horizon_stalls,
+            &r.actors,
+            &r.metrics,
+        ),
+        rec.spans()
+    )
+}
+
+/// The payload `rank` sends in `round`: distinct per sender and round.
+fn storm_payload(rank: u32, round: u32) -> [f64; 8] {
+    std::array::from_fn(|k| rank as f64 * 8192.0 + round as f64 + k as f64 * 0.125)
+}
+
+const STORM_ROUNDS: u32 = 40;
+
+#[test]
+fn facade_and_handler_ranks_run_one_ring_schedule() {
+    let launch = |rec: &Recorder| {
+        Launch::new(presets::test_cluster(2, 4), RuntimeOptions::impacc()).recorder(rec)
+    };
+    let rec = Recorder::new();
+    let threads = launch(&rec)
+        .run(|tc| {
+            let (me, n) = (tc.rank(), tc.size());
+            let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+            let (sbuf, rbuf) = (tc.malloc(64), tc.malloc(64));
+            for round in 0..STORM_ROUNDS {
+                tc.host_view(&sbuf).write_f64s(0, &storm_payload(me, round));
+                tc.mpi_sendrecv(&sbuf, right, &rbuf, left, 7, MpiOpts::host());
+                let got = tc.host_view(&rbuf).read_f64s(0, 8);
+                assert_eq!(got, storm_payload(left, round));
+            }
+        })
+        .expect("thread ring completes");
+    assert_eq!(threads.report.threads_spawned, 8);
+    let threads = schedule_of(threads, &rec);
+
+    let rec = Recorder::new();
+    let handlers = launch(&rec)
+        .run_async(|tc| async move {
+            let (me, n) = (tc.rank(), tc.size());
+            let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+            let (sbuf, rbuf) = (tc.malloc(64).await, tc.malloc(64).await);
+            for round in 0..STORM_ROUNDS {
+                tc.host_view(&sbuf).write_f64s(0, &storm_payload(me, round));
+                tc.mpi_sendrecv(&sbuf, right, &rbuf, left, 7, MpiOpts::host())
+                    .await;
+                let got = tc.host_view(&rbuf).read_f64s(0, 8);
+                assert_eq!(got, storm_payload(left, round));
+            }
+        })
+        .expect("handler ring completes");
+    assert_eq!(handlers.report.threads_spawned, 0);
+    assert!(
+        threads == schedule_of(handlers, &rec),
+        "the ring schedules diverge"
+    );
+}
+
+const JACOBI_N: usize = 64;
+const JACOBI_ITERS: usize = 4;
+
+/// One sweep of a row block of `JACOBI_N` columns, ghost rows at both
+/// ends: returns the largest change.
+fn jacobi_sweep(v: &impacc_core::BufView, rows: usize) -> f64 {
+    let n = JACOBI_N;
+    v.with_f64s_mut(0, (rows + 2) * n, |u| {
+        let old = u.to_vec();
+        let mut res = 0.0f64;
+        for i in 1..=rows {
+            for j in 1..n - 1 {
+                let new = 0.25
+                    * (old[(i - 1) * n + j]
+                        + old[(i + 1) * n + j]
+                        + old[i * n + j - 1]
+                        + old[i * n + j + 1]);
+                res = res.max((new - old[i * n + j]).abs());
+                u[i * n + j] = new;
+            }
+        }
+        res
+    })
+}
+
+#[test]
+fn facade_and_handler_ranks_run_one_jacobi_schedule() {
+    // A PSG Jacobi on the facade's operations: row blocks on a periodic
+    // ring, halos by `mpi_sendrecv`, the sweep a kernel on queue 1, and the
+    // residual reduced every sweep.
+    let launch =
+        |rec: &Recorder| Launch::new(presets::psg(), RuntimeOptions::impacc()).recorder(rec);
+    let row = (JACOBI_N * 8) as u64;
+    let cost = KernelCost::new(
+        6.0 * (JACOBI_N * JACOBI_N) as f64,
+        16.0 * (JACOBI_N * JACOBI_N) as f64,
+    );
+    let rec = Recorder::new();
+    let threads = launch(&rec)
+        .run(move |tc| {
+            let (me, n) = (tc.rank(), tc.size());
+            let rows = JACOBI_N / n as usize;
+            let (up, down) = ((me + n - 1) % n, (me + 1) % n);
+            let u = tc.malloc((rows as u64 + 2) * row);
+            let (top, bottom) = (tc.malloc(row), tc.malloc(row));
+            let (ghost_top, ghost_bottom) = (tc.malloc(row), tc.malloc(row));
+            tc.host_view(&u)
+                .with_f64s_mut(0, (rows + 2) * JACOBI_N, |f| f.fill(me as f64));
+            for _ in 0..JACOBI_ITERS {
+                let field = tc.host_view(&u);
+                tc.host_view(&top)
+                    .write_f64s(0, &field.read_f64s(JACOBI_N, JACOBI_N));
+                let last = field.read_f64s(rows * JACOBI_N, JACOBI_N);
+                tc.host_view(&bottom).write_f64s(0, &last);
+                tc.mpi_sendrecv(&top, up, &ghost_bottom, down, 1, MpiOpts::host());
+                tc.mpi_sendrecv(&bottom, down, &ghost_top, up, 2, MpiOpts::host());
+                field.write_f64s(0, &tc.host_view(&ghost_top).read_f64s(0, JACOBI_N));
+                let after = (rows + 1) * JACOBI_N;
+                field.write_f64s(after, &tc.host_view(&ghost_bottom).read_f64s(0, JACOBI_N));
+                let res = std::sync::Arc::new(parking_lot::Mutex::new(0.0));
+                let slot = res.clone();
+                tc.acc_kernel(Some(1), cost, move || {
+                    *slot.lock() = jacobi_sweep(&field, rows)
+                });
+                tc.acc_wait(1);
+                let mine = *res.lock();
+                let global = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max);
+                assert!(global[0] >= mine);
+            }
+        })
+        .expect("thread jacobi completes");
+    let threads = schedule_of(threads, &rec);
+
+    let rec = Recorder::new();
+    let handlers = launch(&rec)
+        .run_async(move |tc| async move {
+            let (me, n) = (tc.rank(), tc.size());
+            let rows = JACOBI_N / n as usize;
+            let (up, down) = ((me + n - 1) % n, (me + 1) % n);
+            let u = tc.malloc((rows as u64 + 2) * row).await;
+            let (top, bottom) = (tc.malloc(row).await, tc.malloc(row).await);
+            let (ghost_top, ghost_bottom) = (tc.malloc(row).await, tc.malloc(row).await);
+            tc.host_view(&u)
+                .with_f64s_mut(0, (rows + 2) * JACOBI_N, |f| f.fill(me as f64));
+            for _ in 0..JACOBI_ITERS {
+                let field = tc.host_view(&u);
+                tc.host_view(&top)
+                    .write_f64s(0, &field.read_f64s(JACOBI_N, JACOBI_N));
+                let last = field.read_f64s(rows * JACOBI_N, JACOBI_N);
+                tc.host_view(&bottom).write_f64s(0, &last);
+                tc.mpi_sendrecv(&top, up, &ghost_bottom, down, 1, MpiOpts::host())
+                    .await;
+                tc.mpi_sendrecv(&bottom, down, &ghost_top, up, 2, MpiOpts::host())
+                    .await;
+                field.write_f64s(0, &tc.host_view(&ghost_top).read_f64s(0, JACOBI_N));
+                let after = (rows + 1) * JACOBI_N;
+                field.write_f64s(after, &tc.host_view(&ghost_bottom).read_f64s(0, JACOBI_N));
+                let res = std::sync::Arc::new(parking_lot::Mutex::new(0.0));
+                let slot = res.clone();
+                tc.acc_kernel(Some(1), cost, move || {
+                    *slot.lock() = jacobi_sweep(&field, rows)
+                })
+                .await;
+                tc.acc_wait(1).await;
+                let mine = *res.lock();
+                let global = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max).await;
+                assert!(global[0] >= mine);
+            }
+        })
+        .expect("handler jacobi completes");
+    assert!(
+        threads == schedule_of(handlers, &rec),
+        "the Jacobi schedules diverge"
+    );
 }

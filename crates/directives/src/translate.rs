@@ -1,4 +1,4 @@
-//! Directive-to-runtime lowering: the plan of `TaskCtx` calls the IMPACC
+//! Directive-to-runtime lowering: the plan of `Rank` calls the IMPACC
 //! compiler would emit for each directive in a source file.
 //!
 //! The real compiler is a full source-to-source translator (built on

@@ -139,10 +139,15 @@ fn main() {
             let out_slot: Arc<Mutex<Option<RunOut>>> = Arc::new(Mutex::new(None));
             let (cc, pp, slot) = (c.clone(), probe.clone(), out_slot.clone());
             let summary = Launch::new(presets::test_cluster(nodes, gpus), opts)
-                .run(move |tc| {
-                    let out = run_program(tc, &cc, Some(&pp), false);
-                    if tc.rank() == 0 {
-                        *slot.lock() = Some(out);
+                .run_async(move |tc| {
+                    let cc = cc.clone();
+                    let pp = pp.clone();
+                    let slot = slot.clone();
+                    async move {
+                        let out = run_program(&tc, &cc, Some(&pp), false).await;
+                        if tc.rank() == 0 {
+                            *slot.lock() = Some(out);
+                        }
                     }
                 })
                 .unwrap_or_else(|e| fail(&format!("simulation failed: {e:?}")));

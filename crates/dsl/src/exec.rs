@@ -1,5 +1,5 @@
 //! The runtime executor: drive a [`Compiled`] program through a
-//! [`TaskCtx`].
+//! [`Rank`].
 //!
 //! The op walk reproduces the hand-written scenario structure *exactly*
 //! — build every array in declaration order, fill, copyin, emit the
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use impacc_array::{math_ok, ArraySpec, CartGrid, Cell, CellFn, DistArray, ResProbe, StencilSpec};
-use impacc_core::{BufView, TaskCtx};
+use impacc_core::{BufView, Rank};
 use impacc_machine::KernelCost;
 use parking_lot::Mutex;
 
@@ -146,7 +146,7 @@ fn two(v: &mut [DistArray], a: usize, b: usize) -> (&mut DistArray, &mut DistArr
 }
 
 struct Exec<'a> {
-    tc: &'a TaskCtx,
+    tc: &'a Rank,
     c: &'a Compiled,
     arrays: Vec<DistArray>,
     env: BTreeMap<String, f64>,
@@ -158,13 +158,13 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    fn run_ops(&mut self, ops: &[Op]) {
+    async fn run_ops(&mut self, ops: &[Op]) {
         for op in ops {
-            self.run_op(op);
+            self.run_op(op).await;
         }
     }
 
-    fn run_op(&mut self, op: &Op) {
+    async fn run_op(&mut self, op: &Op) {
         let tc = self.tc;
         match op {
             Op::CommSplitShared => {
@@ -173,7 +173,7 @@ impl Exec<'_> {
                 // set call is a documented no-op — the launcher already
                 // bound compactly, which is exactly this mapping when
                 // the node has one device per task.
-                let shm = tc.mpi_comm_split(tc.node() as i64, tc.rank() as i64);
+                let shm = tc.mpi_comm_split(tc.node() as i64, tc.rank() as i64).await;
                 let shmrank = shm.rel_of(tc.rank()).unwrap_or(0) as usize;
                 tc.acc_set_device_num(shmrank);
                 if shm.size() as usize == tc.acc_get_num_devices(tc.acc_device_kind()) {
@@ -202,10 +202,11 @@ impl Exec<'_> {
             } => {
                 for k in 0..*count {
                     self.env.insert(var.clone(), (*lo + k as i64) as f64);
-                    self.run_ops(body);
+                    // A loop nests the plan: its body's future is boxed.
+                    Box::pin(self.run_ops(body)).await;
                 }
             }
-            Op::Exchange { arr } => self.arrays[*arr].exchange(tc),
+            Op::Exchange { arr } => self.arrays[*arr].exchange(tc).await,
             Op::Stencil {
                 site,
                 src,
@@ -222,13 +223,15 @@ impl Exec<'_> {
                     color: None,
                 };
                 self.sweeps[*site] += 1;
-                let res = self.arrays[*src].stencil(tc, &self.arrays[*dst], &sspec, cell_fn(cell));
+                let res = self.arrays[*src]
+                    .stencil(tc, &self.arrays[*dst], &sspec, cell_fn(cell))
+                    .await;
                 if let Some(var) = reduce {
                     if self.unified {
-                        tc.acc_wait(1);
+                        tc.acc_wait(1).await;
                     }
                     let mine = res.get();
-                    let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max);
+                    let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max).await;
                     assert!(
                         residual[0].is_finite() && residual[0] >= mine,
                         "global residual must bound the local one"
@@ -243,9 +246,11 @@ impl Exec<'_> {
             }
             Op::Map { arr, flops, cell } => {
                 let e = cell.clone();
-                self.arrays[*arr].map(tc, *flops, move |g, old| {
-                    eval(&e, &|d| g[d] as f64, &|_, _| old, &no_scalar)
-                });
+                self.arrays[*arr]
+                    .map(tc, *flops, move |g, old| {
+                        eval(&e, &|d| g[d] as f64, &|_, _| old, &no_scalar)
+                    })
+                    .await;
             }
             Op::Reduce {
                 arrays,
@@ -254,7 +259,7 @@ impl Exec<'_> {
                 flops,
                 cell,
             } => {
-                let v = self.run_reduce(arrays, *op, *flops, cell);
+                let v = self.run_reduce(arrays, *op, *flops, cell).await;
                 self.env.insert(var.clone(), v);
             }
             Op::Swap { a, b } => {
@@ -268,7 +273,7 @@ impl Exec<'_> {
 
     /// Multi-array fold + allreduce, operation-for-operation parallel to
     /// [`DistArray::reduce`].
-    fn run_reduce(&mut self, idxs: &[usize], op: ReduceOp, flops: f64, cell: &KExpr) -> f64 {
+    async fn run_reduce(&mut self, idxs: &[usize], op: ReduceOp, flops: f64, cell: &KExpr) -> f64 {
         let tc = self.tc;
         let anchor = &self.arrays[idxs[0]];
         let local: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
@@ -339,10 +344,10 @@ impl Exec<'_> {
                 idxs.len() as f64 * total as f64 * 8.0,
             );
             let q = self.unified.then_some(1);
-            tc.acc_kernel(q, cost, body);
+            tc.acc_kernel(q, cost, body).await;
         }
         if self.unified {
-            tc.acc_wait(1);
+            tc.acc_wait(1).await;
         }
         let mine = (*local.lock()).unwrap_or(match op {
             ReduceOp::Sum => 0.0,
@@ -352,7 +357,7 @@ impl Exec<'_> {
         });
         let ctx = tc.ctx();
         let t0 = ctx.now();
-        let out = tc.mpi_allreduce_f64(&[mine], op);
+        let out = tc.mpi_allreduce_f64(&[mine], op).await;
         ctx.span("array.redist", t0, ctx.now(), || {
             vec![("kind", "reduce".to_string())]
         });
@@ -366,13 +371,17 @@ impl Exec<'_> {
 /// `probe` records every globally-reduced stencil residual on rank 0;
 /// `gather` additionally collects each global array to rank 0's host at
 /// the end (extra simulated traffic — leave off for tick-parity runs).
-pub fn run_program(tc: &TaskCtx, c: &Compiled, probe: Option<&ResProbe>, gather: bool) -> RunOut {
+pub async fn run_program(
+    tc: &Rank,
+    c: &Compiled,
+    probe: Option<&ResProbe>,
+    gather: bool,
+) -> RunOut {
     let size = tc.size() as usize;
-    let arrays: Vec<DistArray> = c
-        .arrays
-        .iter()
-        .map(|info| DistArray::build(tc, &array_spec(info, size)))
-        .collect();
+    let mut arrays = Vec::with_capacity(c.arrays.len());
+    for info in &c.arrays {
+        arrays.push(DistArray::build(tc, &array_spec(info, size)).await);
+    }
     for (arr, info) in arrays.iter().zip(&c.arrays) {
         match &info.init {
             Some(e) => {
@@ -383,7 +392,7 @@ pub fn run_program(tc: &TaskCtx, c: &Compiled, probe: Option<&ResProbe>, gather:
         }
     }
     for arr in &arrays {
-        arr.to_device(tc);
+        arr.to_device(tc).await;
     }
     tc.ctx()
         .event("marker", || vec![("phase", "sweep".to_string())]);
@@ -402,9 +411,9 @@ pub fn run_program(tc: &TaskCtx, c: &Compiled, probe: Option<&ResProbe>, gather:
         sweeps: vec![0; c.stencil_sites],
         unified,
     };
-    ex.run_ops(&c.plan);
+    ex.run_ops(&c.plan).await;
     if unified && c.has_device_ops {
-        tc.acc_wait(1);
+        tc.acc_wait(1).await;
     }
 
     let mut out = RunOut {
@@ -413,7 +422,7 @@ pub fn run_program(tc: &TaskCtx, c: &Compiled, probe: Option<&ResProbe>, gather:
     };
     if gather {
         for (i, info) in c.arrays.iter().enumerate() {
-            if let Some(vals) = ex.arrays[i].gather(tc, 0) {
+            if let Some(vals) = ex.arrays[i].gather(tc, 0).await {
                 out.fields.insert(info.name.clone(), vals);
             }
         }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use impacc_apps::{jacobi_task_probed, launch_app, JacobiParams};
 use impacc_array::scenarios::{jacobi_array_task, ArrayJacobiParams};
 use impacc_array::ResProbe;
-use impacc_core::{Launch, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_dsl::{compile_with_overrides, example, interpret_serial, run_program, Compiled};
 use impacc_machine::presets;
 use parking_lot::Mutex;
@@ -63,8 +63,12 @@ fn launch_dsl(
     if let Some(p) = parallelism {
         l = l.parallelism(p);
     }
-    l.run(move |tc: &TaskCtx| {
-        run_program(tc, &c, Some(&probe), false);
+    l.run_async(move |tc| {
+        let c = c.clone();
+        let probe = probe.clone();
+        async move {
+            run_program(&tc, &c, Some(&probe), false).await;
+        }
     })
     .expect("dsl run")
 }
@@ -83,7 +87,9 @@ fn dsl_jacobi_matches_handwritten_in_all_modes() {
             verify: false,
         };
         let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
-            jacobi_task_probed(tc, &params, Some(&probe_in))
+            let params = params.clone();
+            let probe_in = probe_in.clone();
+            async move { jacobi_task_probed(&tc, &params, Some(&probe_in)).await }
         })
         .expect("hand-written jacobi");
 
@@ -123,16 +129,20 @@ fn dsl_jacobi_matches_array_scenario_across_parallelism() {
         let probe_in = arr_probe.clone();
         let arr = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
             .parallelism(degree)
-            .run(move |tc| {
-                jacobi_array_task(
-                    tc,
-                    &ArrayJacobiParams {
-                        n: 32,
-                        iters: 5,
-                        verify: false,
-                    },
-                    Some(&probe_in),
-                )
+            .run_async(move |tc| {
+                let probe_in = probe_in.clone();
+                async move {
+                    jacobi_array_task(
+                        &tc,
+                        &ArrayJacobiParams {
+                            n: 32,
+                            iters: 5,
+                            verify: false,
+                        },
+                        Some(&probe_in),
+                    )
+                    .await
+                }
             })
             .expect("array jacobi");
 
@@ -182,10 +192,15 @@ fn dsl_jacobi_field_matches_serial_oracle() {
             presets::test_cluster(ranks.0, ranks.1),
             RuntimeOptions::impacc(),
         )
-        .run(move |tc| {
-            let out = run_program(tc, &cc, Some(&pp), true);
-            if tc.rank() == 0 {
-                *sink.lock() = out.fields;
+        .run_async(move |tc| {
+            let cc = cc.clone();
+            let pp = pp.clone();
+            let sink = sink.clone();
+            async move {
+                let out = run_program(&tc, &cc, Some(&pp), true).await;
+                if tc.rank() == 0 {
+                    *sink.lock() = out.fields;
+                }
             }
         })
         .expect("dsl run");
@@ -219,9 +234,13 @@ fn dot_and_stencil2d_run_end_to_end() {
         let sums: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = sums.clone();
         let run = Launch::new(presets::test_cluster(nodes, gpus), RuntimeOptions::impacc())
-            .run(move |tc| {
-                let out = run_program(tc, &cc, None, false);
-                sink.lock().push(out.scalars["sum"]);
+            .run_async(move |tc| {
+                let cc = cc.clone();
+                let sink = sink.clone();
+                async move {
+                    let out = run_program(&tc, &cc, None, false).await;
+                    sink.lock().push(out.scalars["sum"]);
+                }
             })
             .expect("dot run");
         let sums = sums.lock();
@@ -247,10 +266,15 @@ fn dot_and_stencil2d_run_end_to_end() {
     let fields: Arc<Mutex<BTreeMap<String, Vec<f64>>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let sink = fields.clone();
     Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
-        .run(move |tc| {
-            let out = run_program(tc, &cc, Some(&pp), true);
-            if tc.rank() == 0 {
-                *sink.lock() = out.fields;
+        .run_async(move |tc| {
+            let cc = cc.clone();
+            let pp = pp.clone();
+            let sink = sink.clone();
+            async move {
+                let out = run_program(&tc, &cc, Some(&pp), true).await;
+                if tc.rank() == 0 {
+                    *sink.lock() = out.fields;
+                }
             }
         })
         .expect("stencil2d run");
@@ -278,8 +302,11 @@ fn one_annotated_loop_splits_across_a_nodes_devices() {
         let cc = c.clone();
         Launch::new(presets::test_cluster(1, gpus), RuntimeOptions::impacc())
             .phys_cap(4096)
-            .run(move |tc: &TaskCtx| {
-                run_program(tc, &cc, None, false);
+            .run_async(move |tc| {
+                let cc = cc.clone();
+                async move {
+                    run_program(&tc, &cc, None, false).await;
+                }
             })
             .expect("dsl run")
             .elapsed_secs()

@@ -5,7 +5,7 @@
 //! transfer and then tears down without publishing any bytes, the next
 //! attempt re-reserves the link, and only the final successful attempt
 //! commits data. This module owns that invariant for every copy path
-//! (direct `perform_copy`, handler-fused `issue_hd`): callers charge
+//! (`Device::copy`, handler-fused `issue_hd`): callers charge
 //! link time via [`reserve_hd_with_faults`] and move bytes exactly once
 //! via [`commit_copy`], so application state can never observe a
 //! half-written mirror.

@@ -180,13 +180,8 @@ impl Request {
         self.inner.latch.open(ctx);
     }
 
-    /// `MPI_Wait`: block until the operation completes; returns the status
-    /// for receives.
-    pub fn wait(&self, ctx: &Ctx) -> Option<Status> {
-        ctx.block_on(self.completion(ctx))
-    }
-
-    /// The awaitable [`Request::wait`], for a handler (a queued receive).
+    /// `MPI_Wait`: resolves when the operation completes, with the status
+    /// for receives. A thread actor blocks on it with `Ctx::block_on`.
     pub async fn completion(&self, ctx: &Ctx) -> Option<Status> {
         let cause = self.inner.cause;
         self.inner
@@ -236,11 +231,6 @@ impl Request {
     /// multiplex many requests. No ping if already matched: poll first.
     pub fn subscribe(&self, n: &impacc_vtime::Notify) {
         self.inner.latch.subscribe(n);
-    }
-
-    /// `MPI_Waitall` over a set of requests.
-    pub fn wait_all(ctx: &Ctx, reqs: &[Request]) -> Vec<Option<Status>> {
-        reqs.iter().map(|r| r.wait(ctx)).collect()
     }
 }
 
@@ -856,7 +846,7 @@ impl SysMpi {
     /// `MPI_Iprobe` support: peek at the earliest matching unexpected
     /// message's envelope, honouring arrival time (a message that is still
     /// "in flight" at the current virtual time is not yet visible).
-    fn probe(
+    async fn probe(
         &self,
         ctx: &Ctx,
         dst_global: u32,
@@ -865,7 +855,7 @@ impl SysMpi {
         comm: &Comm,
     ) -> Option<Status> {
         let dst_node = self.node_of(dst_global);
-        ctx.block_on(self.charge_call(ctx, dst_node));
+        self.charge_call(ctx, dst_node).await;
         let now = ctx.now();
         let st = self.state.lock();
         let key = (comm.id(), dst_global);
@@ -923,30 +913,18 @@ impl MpiTask {
         self.sys.node_of(self.global)
     }
 
-    /// `MPI_Send` (eager): blocks until the message has left `buf`.
-    pub fn send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
+    /// `MPI_Send` (eager): returns when the message has left `buf`.
+    pub async fn send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
         let dst_global = comm.global_of(dst);
-        ctx.block_on(self.sys.charge_call(ctx, self.node()));
+        self.sys.charge_call(ctx, self.node()).await;
         let done = self
             .sys
             .initiate_send(ctx, self.global, buf, dst_global, tag, comm);
-        ctx.advance_until(done, tags::MPI_WAIT);
+        ctx.sleep_until(done, tags::MPI_WAIT).await;
     }
 
-    /// `MPI_Isend`: returns immediately with a request.
-    pub fn isend(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) -> Request {
-        ctx.block_on(self.start_isend(ctx, buf, dst, tag, comm))
-    }
-
-    /// The awaitable [`MpiTask::isend`], for a handler (a queued send).
-    pub async fn start_isend(
-        &self,
-        ctx: &Ctx,
-        buf: &MsgBuf,
-        dst: u32,
-        tag: i32,
-        comm: &Comm,
-    ) -> Request {
+    /// `MPI_Isend`: returns at once with a request.
+    pub async fn isend(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) -> Request {
         let dst_global = comm.global_of(dst);
         self.sys.charge_call(ctx, self.node()).await;
         let done = self
@@ -957,20 +935,22 @@ impl MpiTask {
         req
     }
 
-    /// `MPI_Recv`: blocks until a matching message is in `buf`.
-    pub fn recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Status {
-        self.irecv(ctx, buf, src, tag, comm)
-            .wait(ctx)
-            .expect("receive requests carry a status")
+    /// `MPI_Recv`: returns when a matching message is in `buf`.
+    pub async fn recv(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+    ) -> Status {
+        let req = self.irecv(ctx, buf, src, tag, comm).await;
+        let st = req.completion(ctx).await;
+        st.expect("receive requests carry a status")
     }
 
     /// `MPI_Irecv`: post a receive, returning a request.
-    pub fn irecv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Request {
-        ctx.block_on(self.start_irecv(ctx, buf, src, tag, comm))
-    }
-
-    /// The awaitable [`MpiTask::irecv`], for a handler (a queued receive).
-    pub async fn start_irecv(
+    pub async fn irecv(
         &self,
         ctx: &Ctx,
         buf: &MsgBuf,
@@ -985,7 +965,7 @@ impl MpiTask {
     /// `MPI_Sendrecv`: a combined exchange that cannot deadlock when both
     /// peers initiate simultaneously.
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -995,16 +975,16 @@ impl MpiTask {
         tag: i32,
         comm: &Comm,
     ) -> Status {
-        let sreq = self.isend(ctx, sendbuf, dst, tag, comm);
-        let st = self.recv(ctx, recvbuf, Some(src), Some(tag), comm);
-        sreq.wait(ctx);
+        let sreq = self.isend(ctx, sendbuf, dst, tag, comm).await;
+        let st = self.recv(ctx, recvbuf, Some(src), Some(tag), comm).await;
+        sreq.completion(ctx).await;
         st
     }
 
     /// `MPI_Iprobe`: is a matching message already waiting (without
     /// receiving it)? Returns its envelope if so.
-    pub fn iprobe(&self, ctx: &Ctx, src: SrcSel, tag: TagSel, comm: &Comm) -> Option<Status> {
-        self.sys.probe(ctx, self.global, src, tag, comm)
+    pub async fn iprobe(&self, ctx: &Ctx, src: SrcSel, tag: TagSel, comm: &Comm) -> Option<Status> {
+        self.sys.probe(ctx, self.global, src, tag, comm).await
     }
 }
 
@@ -1086,7 +1066,7 @@ mod tests {
             let req = req.clone();
             sim.spawn(name, move |ctx| {
                 ctx.advance(SimDur::from_us(start), "sleep");
-                assert_eq!(req.wait(ctx), Some(ST));
+                assert_eq!(ctx.block_on(req.completion(ctx)), Some(ST));
                 assert_eq!(ctx.now(), at_us(end));
             });
         }
@@ -1111,7 +1091,7 @@ mod tests {
             assert!(!req.test(ctx), "matched, but complete only at 10 us");
             ctx.advance(SimDur::from_us(8), "sleep");
             assert!(!req.test(ctx));
-            assert_eq!(req.wait(ctx), None);
+            assert_eq!(ctx.block_on(req.completion(ctx)), None);
             assert_eq!(ctx.now(), at_us(10), "wait returns exactly at the instant");
             assert!(req.test(ctx));
         });
@@ -1178,7 +1158,7 @@ mod tests {
         }
         sim.spawn("waiter", move |ctx| {
             ctx.advance(SimDur::from_us(1), "sleep");
-            assert_eq!(req.wait(ctx), Some(ST));
+            assert_eq!(ctx.block_on(req.completion(ctx)), Some(ST));
             assert_eq!(ctx.now(), at_us(5));
         });
         sim.run().unwrap();
@@ -1275,10 +1255,10 @@ mod tests {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
                 let buf = buf_with(&[1.0, 2.0, 3.0]);
-                ep.send(ctx, &buf, 1, 7, &world);
+                ctx.block_on(ep.send(ctx, &buf, 1, 7, &world));
             } else {
                 let buf = empty_buf(3);
-                let st = ep.recv(ctx, &buf, Some(0), Some(7), &world);
+                let st = ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(7), &world));
                 assert_eq!(
                     st,
                     Status {
@@ -1297,10 +1277,10 @@ mod tests {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
                 ctx.advance(SimDur::from_ms(1), "sleep");
-                ep.send(ctx, &buf_with(&[9.0]), 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&[9.0]), 1, 0, &world));
             } else {
                 let buf = empty_buf(1);
-                let st = ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                let st = ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
                 assert_eq!(buf.read_f64s(), vec![9.0]);
                 assert_eq!(st.len, 8);
                 // Receiver waited for the sender's sleep + transfer.
@@ -1313,16 +1293,16 @@ mod tests {
     fn wildcard_source_and_tag() {
         run_ranks(presets::test_cluster(3, 1), 1, 3, |ctx, ep, world| {
             match ep.global_rank() {
-                0 => ep.send(ctx, &buf_with(&[1.0]), 2, 5, &world),
+                0 => ctx.block_on(ep.send(ctx, &buf_with(&[1.0]), 2, 5, &world)),
                 1 => {
                     ctx.advance(SimDur::from_us(50), "sleep");
-                    ep.send(ctx, &buf_with(&[2.0]), 2, 6, &world);
+                    ctx.block_on(ep.send(ctx, &buf_with(&[2.0]), 2, 6, &world));
                 }
                 _ => {
                     let buf = empty_buf(1);
-                    let st1 = ep.recv(ctx, &buf, None, None, &world);
+                    let st1 = ctx.block_on(ep.recv(ctx, &buf, None, None, &world));
                     let first = buf.read_f64s()[0];
-                    let st2 = ep.recv(ctx, &buf, None, None, &world);
+                    let st2 = ctx.block_on(ep.recv(ctx, &buf, None, None, &world));
                     let second = buf.read_f64s()[0];
                     // Deterministic engine: rank 0's message arrives first.
                     assert_eq!((st1.src, st1.tag, first), (0, 5, 1.0));
@@ -1337,12 +1317,12 @@ mod tests {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
                 for i in 0..5 {
-                    ep.send(ctx, &buf_with(&[i as f64]), 1, 3, &world);
+                    ctx.block_on(ep.send(ctx, &buf_with(&[i as f64]), 1, 3, &world));
                 }
             } else {
                 for i in 0..5 {
                     let buf = empty_buf(1);
-                    ep.recv(ctx, &buf, Some(0), Some(3), &world);
+                    ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(3), &world));
                     assert_eq!(buf.read_f64s()[0], i as f64, "non-overtaking violated");
                 }
             }
@@ -1355,16 +1335,16 @@ mod tests {
             if ep.global_rank() == 0 {
                 let buf = buf_with(&vec![1.0; 1 << 17]); // 1 MiB
                 let t0 = ctx.now();
-                let req = ep.isend(ctx, &buf, 1, 0, &world);
+                let req = ctx.block_on(ep.isend(ctx, &buf, 1, 0, &world));
                 // isend returns immediately (call overhead only).
                 assert!(ctx.now().since(t0).as_secs_f64() < 5e-6);
                 ctx.advance(SimDur::from_us(30), "useful_work");
-                req.wait(ctx);
+                ctx.block_on(req.completion(ctx));
             } else {
                 let buf = empty_buf(1 << 17);
-                let req = ep.irecv(ctx, &buf, Some(0), Some(0), &world);
+                let req = ctx.block_on(ep.irecv(ctx, &buf, Some(0), Some(0), &world));
                 assert!(!req.test(ctx));
-                let st = req.wait(ctx).unwrap();
+                let st = ctx.block_on(req.completion(ctx)).unwrap();
                 assert_eq!(st.len, 1 << 20);
                 assert!(req.test(ctx));
             }
@@ -1376,10 +1356,10 @@ mod tests {
         // Baseline process-model: 1 MiB intra-node = two host copies.
         let report = run_ranks(presets::psg(), 8, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
-                ep.send(ctx, &buf_with(&vec![0.5; 1 << 17]), 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&vec![0.5; 1 << 17]), 1, 0, &world));
             } else {
                 let buf = empty_buf(1 << 17);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
                 let t = ctx.now().as_secs_f64();
                 let one_copy = (1u64 << 20) as f64 / 20e9;
                 assert!(t > 2.0 * one_copy, "t = {t}, one copy = {one_copy}");
@@ -1393,14 +1373,14 @@ mod tests {
     fn internode_respects_wire_and_nic() {
         run_ranks(presets::titan(2), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
-                ep.send(ctx, &buf_with(&vec![0.5; 1 << 17]), 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&vec![0.5; 1 << 17]), 1, 0, &world));
                 // Sender done at tx_end, before the receiver.
                 let t = ctx.now().as_secs_f64();
                 let expected = (1u64 << 20) as f64 / 4.5e9;
                 assert!(t > expected && t < expected * 1.5, "t = {t}");
             } else {
                 let buf = empty_buf(1 << 17);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
             }
         });
     }
@@ -1412,10 +1392,10 @@ mod tests {
             if ep.global_rank() == 0 {
                 b.write(0, &[1; 8]);
                 let buf = MsgBuf::device(b, 0, 1 << 20, 0);
-                ep.send(ctx, &buf, 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf, 1, 0, &world));
             } else {
                 let buf = MsgBuf::device(b, 0, 1 << 20, 0);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
                 let mut out = [0u8; 8];
                 buf.backing.read(0, &mut out);
                 assert_eq!(out, [1; 8]);
@@ -1429,10 +1409,10 @@ mod tests {
         run_ranks(presets::beacon(2), 4, 8, |ctx, ep, world| {
             if ep.global_rank() == 0 {
                 let buf = MsgBuf::device(Backing::new(64, None), 0, 64, 0);
-                ep.send(ctx, &buf, 4, 0, &world); // rank 4 is on node 1
+                ctx.block_on(ep.send(ctx, &buf, 4, 0, &world)); // rank 4 is on node 1
             } else if ep.global_rank() == 4 {
                 let buf = empty_buf(8);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
             }
         });
     }
@@ -1446,20 +1426,20 @@ mod tests {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
                 let buf = buf_with(&[1.0, 2.0]);
-                ep.send(ctx, &buf, 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf, 1, 0, &world));
                 buf.write_f64s(&[-9.0, -9.0]);
-                ep.send(ctx, &buf, 1, 1, &world);
+                ctx.block_on(ep.send(ctx, &buf, 1, 1, &world));
             } else {
                 // Let both sends land in the unexpected queue first.
                 ctx.advance(SimDur::from_ms(5), "sleep");
                 let buf = empty_buf(2);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
                 assert_eq!(
                     buf.read_f64s(),
                     vec![1.0, 2.0],
                     "in-flight eager message must not see the sender's overwrite"
                 );
-                ep.recv(ctx, &buf, Some(0), Some(1), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(1), &world));
                 assert_eq!(buf.read_f64s(), vec![-9.0, -9.0]);
             }
         });
@@ -1468,10 +1448,10 @@ mod tests {
     #[test]
     fn self_send_completes() {
         run_ranks(presets::test_cluster(1, 1), 1, 1, |ctx, ep, world| {
-            let req = ep.isend(ctx, &buf_with(&[4.0]), 0, 1, &world);
+            let req = ctx.block_on(ep.isend(ctx, &buf_with(&[4.0]), 0, 1, &world));
             let buf = empty_buf(1);
-            ep.recv(ctx, &buf, Some(0), Some(1), &world);
-            req.wait(ctx);
+            ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(1), &world));
+            ctx.block_on(req.completion(ctx));
             assert_eq!(buf.read_f64s(), vec![4.0]);
         });
     }
@@ -1481,10 +1461,10 @@ mod tests {
     fn truncation_is_an_error() {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
-                ep.send(ctx, &buf_with(&[1.0, 2.0]), 1, 0, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&[1.0, 2.0]), 1, 0, &world));
             } else {
                 let buf = empty_buf(1);
-                ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
             }
         });
     }
@@ -1498,7 +1478,7 @@ mod tests {
         sim.spawn_on(0, "rank0", move |ctx| {
             let ep = MpiTask::new(sys, 0);
             let buf = empty_buf(1);
-            ep.recv(ctx, &buf, None, None, &world);
+            ctx.block_on(ep.recv(ctx, &buf, None, None, &world));
         });
         match sim.run() {
             Err(impacc_vtime::SimError::Deadlock { .. }) => {}
@@ -1513,7 +1493,7 @@ mod tests {
             let peer = 1 - me;
             let out = buf_with(&[me as f64]);
             let inn = empty_buf(1);
-            let st = ep.sendrecv(ctx, &out, peer, &inn, peer, 42, &world);
+            let st = ctx.block_on(ep.sendrecv(ctx, &out, peer, &inn, peer, 42, &world));
             assert_eq!(st.src, peer);
             assert_eq!(inn.read_f64s(), vec![peer as f64]);
         });
@@ -1523,21 +1503,25 @@ mod tests {
     fn iprobe_sees_arrived_messages_only() {
         run_ranks(presets::test_cluster(2, 1), 1, 2, |ctx, ep, world| {
             if ep.global_rank() == 0 {
-                ep.send(ctx, &buf_with(&[5.0]), 1, 9, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&[5.0]), 1, 9, &world));
             } else {
                 // Nothing has been sent yet at t=0.
-                assert!(ep.iprobe(ctx, Some(0), Some(9), &world).is_none());
+                assert!(ctx
+                    .block_on(ep.iprobe(ctx, Some(0), Some(9), &world))
+                    .is_none());
                 // Wait long enough for the eager message to arrive.
                 ctx.advance(impacc_vtime::SimDur::from_ms(10), "sleep");
-                let st = ep
-                    .iprobe(ctx, Some(0), Some(9), &world)
+                let st = ctx
+                    .block_on(ep.iprobe(ctx, Some(0), Some(9), &world))
                     .expect("message arrived");
                 assert_eq!((st.src, st.tag, st.len), (0, 9, 8));
                 // Probing does not consume: the receive still matches.
                 let buf = empty_buf(1);
-                ep.recv(ctx, &buf, Some(0), Some(9), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(9), &world));
                 assert_eq!(buf.read_f64s(), vec![5.0]);
-                assert!(ep.iprobe(ctx, Some(0), Some(9), &world).is_none());
+                assert!(ctx
+                    .block_on(ep.iprobe(ctx, Some(0), Some(9), &world))
+                    .is_none());
             }
         });
     }
@@ -1559,10 +1543,10 @@ mod tests {
             2,
             |ctx, ep, world| {
                 if ep.global_rank() == 0 {
-                    ep.send(ctx, &buf_with(&[3.0, 4.0]), 1, 0, &world);
+                    ctx.block_on(ep.send(ctx, &buf_with(&[3.0, 4.0]), 1, 0, &world));
                 } else {
                     let buf = empty_buf(2);
-                    ep.recv(ctx, &buf, Some(0), Some(0), &world);
+                    ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(0), &world));
                     assert_eq!(buf.read_f64s(), vec![3.0, 4.0]);
                 }
             },
@@ -1577,12 +1561,12 @@ mod tests {
         let body = |ctx: &Ctx, ep: MpiTask, world: Comm| {
             if ep.global_rank() == 0 {
                 for i in 0..8 {
-                    ep.send(ctx, &buf_with(&[i as f64]), 1, i, &world);
+                    ctx.block_on(ep.send(ctx, &buf_with(&[i as f64]), 1, i, &world));
                 }
             } else {
                 for i in 0..8 {
                     let buf = empty_buf(1);
-                    ep.recv(ctx, &buf, Some(0), Some(i), &world);
+                    ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(i), &world));
                     assert_eq!(buf.read_f64s(), vec![i as f64]);
                 }
             }
@@ -1615,16 +1599,18 @@ mod tests {
             |ctx, ep, world| {
                 if ep.global_rank() == 0 {
                     for i in 0..4 {
-                        ep.send(ctx, &buf_with(&[i as f64]), 1, 3, &world);
+                        ctx.block_on(ep.send(ctx, &buf_with(&[i as f64]), 1, 3, &world));
                     }
                 } else {
                     for i in 0..4 {
                         let buf = empty_buf(1);
-                        ep.recv(ctx, &buf, Some(0), Some(3), &world);
+                        ctx.block_on(ep.recv(ctx, &buf, Some(0), Some(3), &world));
                         assert_eq!(buf.read_f64s()[0], i as f64);
                     }
                     // No ghost copies left behind.
-                    assert!(ep.iprobe(ctx, Some(0), Some(3), &world).is_none());
+                    assert!(ctx
+                        .block_on(ep.iprobe(ctx, Some(0), Some(3), &world))
+                        .is_none());
                 }
             },
         );
@@ -1639,10 +1625,10 @@ mod tests {
         let report = run_ranks(spec, 8, 16, |ctx, ep, world| {
             // All 8 ranks of node 0 send internode simultaneously.
             if ep.global_rank() < 8 {
-                ep.send(ctx, &buf_with(&[0.0]), 8 + ep.global_rank(), 0, &world);
+                ctx.block_on(ep.send(ctx, &buf_with(&[0.0]), 8 + ep.global_rank(), 0, &world));
             } else {
                 let buf = empty_buf(1);
-                ep.recv(ctx, &buf, Some(ep.global_rank() - 8), Some(0), &world);
+                ctx.block_on(ep.recv(ctx, &buf, Some(ep.global_rank() - 8), Some(0), &world));
             }
         });
         // With serialization, the 8th sender's call start is pushed back by

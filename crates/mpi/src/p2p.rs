@@ -11,6 +11,7 @@
 //! bottleneck the paper's DGEMM scaling exposes).
 
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::Arc;
 
 use impacc_mem::Backing;
@@ -47,11 +48,11 @@ impl CollSeq {
     }
 }
 
-/// Wrap a collective's body in an `mpi_coll` span (zero-cost when no span
-/// sink is attached).
-fn coll_span<R>(ctx: &Ctx, op: &'static str, bytes: u64, f: impl FnOnce() -> R) -> R {
+/// Await a collective's body inside an `mpi_coll` span (zero-cost when no
+/// span sink is attached).
+async fn coll_span<R>(ctx: &Ctx, op: &'static str, bytes: u64, body: impl Future<Output = R>) -> R {
     let t0 = ctx.now();
-    let r = f();
+    let r = body.await;
     ctx.span("mpi_coll", t0, ctx.now(), || {
         vec![("op", op.to_string()), ("bytes", bytes.to_string())]
     });
@@ -91,12 +92,21 @@ pub fn deliver_fold(acc: &MsgBuf, recvbuf: &MsgBuf) {
     }
 }
 
-/// Point-to-point transport with derived collectives.
+/// Point-to-point transport with derived collectives. Every operation that
+/// can suspend is an `async fn`: a rank awaits it wherever it runs.
+#[allow(async_fn_in_trait)] // implemented and awaited on concrete types
 pub trait PointToPoint {
     /// Send `buf` to communicator-relative rank `dst` with `tag`.
-    fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm);
+    async fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm);
     /// Receive into `buf`.
-    fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Status;
+    async fn pt_recv(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+    ) -> Status;
     /// This endpoint's communicator-relative rank.
     fn comm_rank(&self, comm: &Comm) -> u32;
     /// The endpoint's collective sequence counters.
@@ -115,7 +125,7 @@ pub trait PointToPoint {
     /// Implementations must issue the send non-blockingly before waiting
     /// on the receive.
     #[allow(clippy::too_many_arguments)] // mirrors the MPI_Sendrecv signature
-    fn pt_sendrecv(
+    async fn pt_sendrecv(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -129,55 +139,57 @@ pub trait PointToPoint {
     /// `MPI_Barrier`. Dispatches to the flat dissemination algorithm;
     /// runtimes with a collectives engine (`impacc-coll`) override this to
     /// route through the algorithm registry.
-    fn barrier(&self, ctx: &Ctx, comm: &Comm) {
-        self.flat_barrier(ctx, comm)
+    async fn barrier(&self, ctx: &Ctx, comm: &Comm) {
+        self.flat_barrier(ctx, comm).await
     }
 
     /// Flat dissemination barrier, ⌈log2 n⌉ rounds — the registry's
     /// `flat` entry and the correctness reference.
-    fn flat_barrier(&self, ctx: &Ctx, comm: &Comm) {
+    async fn flat_barrier(&self, ctx: &Ctx, comm: &Comm) {
         let n = comm.size();
         if n <= 1 {
             return;
         }
         let r = self.comm_rank(comm);
         let tag = self.coll_seq().next_tag(comm);
-        coll_span(ctx, "barrier", 0, || {
+        coll_span(ctx, "barrier", 0, async {
             let token = self.scratch(0);
             let token_in = self.scratch(0);
             let mut k = 1u32;
             while k < n {
                 let dst = (r + k) % n;
                 let src = (r + n - k) % n;
-                self.pt_sendrecv(ctx, &token, dst, &token_in, src, tag, comm);
+                self.pt_sendrecv(ctx, &token, dst, &token_in, src, tag, comm)
+                    .await;
                 k <<= 1;
             }
         })
+        .await
     }
 
     /// `MPI_Bcast`. Every rank passes its own `buf` of identical length;
     /// non-roots receive into it. Dispatches to the flat binomial tree;
     /// engine-backed runtimes override this.
-    fn bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
-        self.flat_bcast(ctx, buf, root, comm)
+    async fn bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
+        self.flat_bcast(ctx, buf, root, comm).await
     }
 
     /// Flat binomial-tree broadcast rooted at `root` — the registry's
     /// `flat` entry and the correctness reference.
-    fn flat_bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
+    async fn flat_bcast(&self, ctx: &Ctx, buf: &MsgBuf, root: u32, comm: &Comm) {
         let n = comm.size();
         if n <= 1 {
             return;
         }
         let r = self.comm_rank(comm);
         let tag = self.coll_seq().next_tag(comm);
-        coll_span(ctx, "bcast", buf.len, || {
+        coll_span(ctx, "bcast", buf.len, async {
             let vr = (r + n - root) % n;
             let mut mask = 1u32;
             while mask < n {
                 if vr & mask != 0 {
                     let src = (vr - mask + root) % n;
-                    self.pt_recv(ctx, buf, Some(src), Some(tag), comm);
+                    self.pt_recv(ctx, buf, Some(src), Some(tag), comm).await;
                     break;
                 }
                 mask <<= 1;
@@ -186,11 +198,12 @@ pub trait PointToPoint {
             while mask > 0 {
                 if vr + mask < n {
                     let dst = (vr + mask + root) % n;
-                    self.pt_send(ctx, buf, dst, tag, comm);
+                    self.pt_send(ctx, buf, dst, tag, comm).await;
                 }
                 mask >>= 1;
             }
         })
+        .await
     }
 
     /// `MPI_Reduce` over f64 elements: binomial tree; the reduced vector
@@ -198,7 +211,7 @@ pub trait PointToPoint {
     /// that passes its send buffer as `recvbuf` too (`MPI_IN_PLACE`) lends
     /// it as the running fold when [`MsgBuf::folds_in_place`] allows — a
     /// non-root is then left holding its subtree's partial result.
-    fn reduce(
+    async fn reduce(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -219,7 +232,7 @@ pub trait PointToPoint {
             return copy_out(sendbuf);
         }
         let acc = fold_buffer(self, sendbuf, recvbuf);
-        coll_span(ctx, "reduce", sendbuf.len, || {
+        coll_span(ctx, "reduce", sendbuf.len, async {
             let vr = (r + n - root) % n;
             // One receive buffer for every child; leaves never need it.
             let mut tmp = None;
@@ -230,30 +243,25 @@ pub trait PointToPoint {
                     if child < n {
                         let src = (child + root) % n;
                         let tmp = tmp.get_or_insert_with(|| self.scratch(sendbuf.len));
-                        self.pt_recv(ctx, tmp, Some(src), Some(tag), comm);
+                        self.pt_recv(ctx, tmp, Some(src), Some(tag), comm).await;
                         op.fold(&acc, tmp);
                     }
                 } else {
                     let parent = vr & !mask;
                     let dst = (parent + root) % n;
-                    self.pt_send(ctx, &acc, dst, tag, comm);
+                    self.pt_send(ctx, &acc, dst, tag, comm).await;
                     break;
                 }
                 mask <<= 1;
             }
-        });
+        })
+        .await;
         copy_out(&acc);
     }
 
     /// `MPI_Allreduce`. Every rank supplies `recvbuf`. Dispatches to the
     /// flat reduce+bcast composition; engine-backed runtimes override this.
-    fn allreduce(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, op: ReduceOp, comm: &Comm) {
-        self.flat_allreduce(ctx, sendbuf, recvbuf, op, comm)
-    }
-
-    /// Flat allreduce = binomial reduce to rank 0 + binomial broadcast —
-    /// the registry's `flat` entry and the correctness reference.
-    fn flat_allreduce(
+    async fn allreduce(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -261,15 +269,28 @@ pub trait PointToPoint {
         op: ReduceOp,
         comm: &Comm,
     ) {
-        self.reduce(ctx, sendbuf, Some(recvbuf), op, 0, comm);
-        self.flat_bcast(ctx, recvbuf, 0, comm);
+        self.flat_allreduce(ctx, sendbuf, recvbuf, op, comm).await
+    }
+
+    /// Flat allreduce = binomial reduce to rank 0 + binomial broadcast —
+    /// the registry's `flat` entry and the correctness reference.
+    async fn flat_allreduce(
+        &self,
+        ctx: &Ctx,
+        sendbuf: &MsgBuf,
+        recvbuf: &MsgBuf,
+        op: ReduceOp,
+        comm: &Comm,
+    ) {
+        self.reduce(ctx, sendbuf, Some(recvbuf), op, 0, comm).await;
+        self.flat_bcast(ctx, recvbuf, 0, comm).await;
     }
 
     /// `MPI_Gather`: every rank contributes `sendbuf`; on `root`,
     /// `recvbuf` must hold `size * sendbuf.len` bytes, filled in rank
     /// order. Linear algorithm (the root's NIC is the physical bottleneck
     /// anyway).
-    fn gather(
+    async fn gather(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -295,11 +316,11 @@ pub trait PointToPoint {
                         sendbuf.len,
                     );
                 } else {
-                    self.pt_recv(ctx, &slot, Some(i), Some(tag), comm);
+                    self.pt_recv(ctx, &slot, Some(i), Some(tag), comm).await;
                 }
             }
         } else {
-            self.pt_send(ctx, sendbuf, root, tag, comm);
+            self.pt_send(ctx, sendbuf, root, tag, comm).await;
         }
         let bytes = sendbuf.len;
         ctx.span("mpi_coll", t0, ctx.now(), || {
@@ -309,7 +330,7 @@ pub trait PointToPoint {
 
     /// `MPI_Scatter`: on `root`, `sendbuf` holds `size` slots of
     /// `recvbuf.len` bytes each, delivered in rank order.
-    fn scatter(
+    async fn scatter(
         &self,
         ctx: &Ctx,
         sendbuf: Option<&MsgBuf>,
@@ -335,11 +356,12 @@ pub trait PointToPoint {
                         recvbuf.len,
                     );
                 } else {
-                    self.pt_send(ctx, &slot, i, tag, comm);
+                    self.pt_send(ctx, &slot, i, tag, comm).await;
                 }
             }
         } else {
-            self.pt_recv(ctx, recvbuf, Some(root), Some(tag), comm);
+            self.pt_recv(ctx, recvbuf, Some(root), Some(tag), comm)
+                .await;
         }
         let bytes = recvbuf.len;
         ctx.span("mpi_coll", t0, ctx.now(), || {
@@ -350,7 +372,7 @@ pub trait PointToPoint {
     /// `MPI_Gatherv`: rank `i` contributes `counts[i]` bytes; the root
     /// receives them packed at `displs[i]` (byte offsets) in `recvbuf`.
     #[allow(clippy::too_many_arguments)]
-    fn gatherv(
+    async fn gatherv(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -385,18 +407,18 @@ pub trait PointToPoint {
                         sendbuf.len,
                     );
                 } else {
-                    self.pt_recv(ctx, &slot, Some(i), Some(tag), comm);
+                    self.pt_recv(ctx, &slot, Some(i), Some(tag), comm).await;
                 }
             }
         } else if sendbuf.len > 0 {
-            self.pt_send(ctx, sendbuf, root, tag, comm);
+            self.pt_send(ctx, sendbuf, root, tag, comm).await;
         }
     }
 
     /// `MPI_Scatterv`: the root holds slices at `displs[i]` of `counts[i]`
     /// bytes; rank `i` receives its slice into `recvbuf`.
     #[allow(clippy::too_many_arguments)]
-    fn scatterv(
+    async fn scatterv(
         &self,
         ctx: &Ctx,
         sendbuf: Option<&MsgBuf>,
@@ -428,18 +450,19 @@ pub trait PointToPoint {
                         recvbuf.len,
                     );
                 } else {
-                    self.pt_send(ctx, &slot, i, tag, comm);
+                    self.pt_send(ctx, &slot, i, tag, comm).await;
                 }
             }
         } else if recvbuf.len > 0 {
-            self.pt_recv(ctx, recvbuf, Some(root), Some(tag), comm);
+            self.pt_recv(ctx, recvbuf, Some(root), Some(tag), comm)
+                .await;
         }
     }
 
     /// `MPI_Alltoall`: `sendbuf` holds `size` slots of `block` bytes, one
     /// per destination; `recvbuf` receives one block from every rank, in
     /// rank order. Pairwise-exchange algorithm (deadlock-free rounds).
-    fn alltoall(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
+    async fn alltoall(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
         let n = comm.size();
         let r = self.comm_rank(comm);
         assert_eq!(
@@ -468,7 +491,7 @@ pub trait PointToPoint {
             let src = (r + n - round) % n;
             let out = sendbuf.slice(dst as u64 * block, block);
             let inn = recvbuf.slice(src as u64 * block, block);
-            self.pt_sendrecv(ctx, &out, dst, &inn, src, tag, comm);
+            self.pt_sendrecv(ctx, &out, dst, &inn, src, tag, comm).await;
         }
         let bytes = sendbuf.len;
         ctx.span("mpi_coll", t0, ctx.now(), || {
@@ -479,15 +502,15 @@ pub trait PointToPoint {
     /// `MPI_Allgather`. `recvbuf` must hold `size * sendbuf.len` bytes on
     /// every rank. Dispatches to the flat gather+bcast composition;
     /// engine-backed runtimes override this.
-    fn allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
-        self.flat_allgather(ctx, sendbuf, recvbuf, comm)
+    async fn allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
+        self.flat_allgather(ctx, sendbuf, recvbuf, comm).await
     }
 
     /// Flat allgather = gather to rank 0 + broadcast of the full vector —
     /// the registry's `flat` entry and the correctness reference.
-    fn flat_allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
-        self.gather(ctx, sendbuf, Some(recvbuf), 0, comm);
-        self.flat_bcast(ctx, recvbuf, 0, comm);
+    async fn flat_allgather(&self, ctx: &Ctx, sendbuf: &MsgBuf, recvbuf: &MsgBuf, comm: &Comm) {
+        self.gather(ctx, sendbuf, Some(recvbuf), 0, comm).await;
+        self.flat_bcast(ctx, recvbuf, 0, comm).await;
     }
 }
 
@@ -513,12 +536,12 @@ impl SysEndpoint {
 }
 
 impl PointToPoint for SysEndpoint {
-    fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
-        self.task.send(ctx, buf, dst, tag, comm);
+    async fn pt_send(&self, ctx: &Ctx, buf: &MsgBuf, dst: u32, tag: i32, comm: &Comm) {
+        self.task.send(ctx, buf, dst, tag, comm).await;
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn pt_sendrecv(
+    async fn pt_sendrecv(
         &self,
         ctx: &Ctx,
         sendbuf: &MsgBuf,
@@ -528,14 +551,20 @@ impl PointToPoint for SysEndpoint {
         tag: i32,
         comm: &Comm,
     ) -> Status {
-        let sreq = self.task.isend(ctx, sendbuf, dst, tag, comm);
-        let st = self.task.recv(ctx, recvbuf, Some(src), Some(tag), comm);
-        sreq.wait(ctx);
-        st
+        self.task
+            .sendrecv(ctx, sendbuf, dst, recvbuf, src, tag, comm)
+            .await
     }
 
-    fn pt_recv(&self, ctx: &Ctx, buf: &MsgBuf, src: SrcSel, tag: TagSel, comm: &Comm) -> Status {
-        self.task.recv(ctx, buf, src, tag, comm)
+    async fn pt_recv(
+        &self,
+        ctx: &Ctx,
+        buf: &MsgBuf,
+        src: SrcSel,
+        tag: TagSel,
+        comm: &Comm,
+    ) -> Status {
+        self.task.recv(ctx, buf, src, tag, comm).await
     }
 
     fn comm_rank(&self, comm: &Comm) -> u32 {
@@ -601,7 +630,7 @@ mod tests {
             let r = ep.comm_rank(&world);
             ctx.advance(impacc_vtime::SimDur::from_us(r as u64 * 100), "skew");
             b2.fetch_add(1, Ordering::SeqCst);
-            ep.barrier(ctx, &world);
+            ctx.block_on(ep.barrier(ctx, &world));
             assert_eq!(
                 b2.load(Ordering::SeqCst),
                 6,
@@ -620,7 +649,7 @@ mod tests {
                 } else {
                     buf_of(&[0.0; 3])
                 };
-                ep.bcast(ctx, &buf, root, &world);
+                ctx.block_on(ep.bcast(ctx, &buf, root, &world));
                 assert_eq!(buf.read_f64s(), vec![root as f64 * 10.0, 1.0, 2.0]);
             });
         }
@@ -632,7 +661,7 @@ mod tests {
             let r = ep.comm_rank(&world) as f64;
             let sb = buf_of(&[r, 2.0 * r]);
             let rb = buf_of(&[0.0, 0.0]);
-            ep.reduce(ctx, &sb, Some(&rb), ReduceOp::Sum, 0, &world);
+            ctx.block_on(ep.reduce(ctx, &sb, Some(&rb), ReduceOp::Sum, 0, &world));
             if ep.comm_rank(&world) == 0 {
                 assert_eq!(rb.read_f64s(), vec![28.0, 56.0]); // 0+..+7
             }
@@ -645,7 +674,7 @@ mod tests {
             let r = ep.comm_rank(&world) as f64;
             let sb = buf_of(&[r, -r]);
             let rb = buf_of(&[0.0, 0.0]);
-            ep.allreduce(ctx, &sb, &rb, ReduceOp::Max, &world);
+            ctx.block_on(ep.allreduce(ctx, &sb, &rb, ReduceOp::Max, &world));
             assert_eq!(rb.read_f64s(), vec![4.0, 0.0]);
         });
     }
@@ -657,10 +686,10 @@ mod tests {
             let sb = buf_of(&[r as f64; 2]);
             if r == 1 {
                 let rb = buf_of(&[0.0; 8]);
-                ep.gather(ctx, &sb, Some(&rb), 1, &world);
+                ctx.block_on(ep.gather(ctx, &sb, Some(&rb), 1, &world));
                 assert_eq!(rb.read_f64s(), vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
             } else {
-                ep.gather(ctx, &sb, None, 1, &world);
+                ctx.block_on(ep.gather(ctx, &sb, None, 1, &world));
             }
         });
     }
@@ -672,9 +701,9 @@ mod tests {
             let rb = buf_of(&[0.0; 2]);
             if r == 0 {
                 let sb = buf_of(&[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]);
-                ep.scatter(ctx, Some(&sb), &rb, 0, &world);
+                ctx.block_on(ep.scatter(ctx, Some(&sb), &rb, 0, &world));
             } else {
-                ep.scatter(ctx, None, &rb, 0, &world);
+                ctx.block_on(ep.scatter(ctx, None, &rb, 0, &world));
             }
             assert_eq!(rb.read_f64s(), vec![r as f64, r as f64 + 0.5]);
         });
@@ -686,7 +715,7 @@ mod tests {
             let r = ep.comm_rank(&world);
             let sb = buf_of(&[r as f64]);
             let rb = buf_of(&[0.0; 3]);
-            ep.allgather(ctx, &sb, &rb, &world);
+            ctx.block_on(ep.allgather(ctx, &sb, &rb, &world));
             assert_eq!(rb.read_f64s(), vec![0.0, 1.0, 2.0]);
         });
     }
@@ -708,19 +737,19 @@ mod tests {
             let mine = buf_of(&vec![r as f64; (r + 1) as usize]);
             if r == 0 {
                 let rb = buf_of(&[0.0; 10]);
-                ep.gatherv(ctx, &mine, Some(&rb), &counts, &displs, 0, &world);
+                ctx.block_on(ep.gatherv(ctx, &mine, Some(&rb), &counts, &displs, 0, &world));
                 assert_eq!(
                     rb.read_f64s(),
                     vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
                 );
                 // Scatter it back out.
                 let back = buf_of(&[0.0; 1]);
-                ep.scatterv(ctx, Some(&rb), &back, &counts, &displs, 0, &world);
+                ctx.block_on(ep.scatterv(ctx, Some(&rb), &back, &counts, &displs, 0, &world));
                 assert_eq!(back.read_f64s(), vec![0.0]);
             } else {
-                ep.gatherv(ctx, &mine, None, &counts, &displs, 0, &world);
+                ctx.block_on(ep.gatherv(ctx, &mine, None, &counts, &displs, 0, &world));
                 let back = buf_of(&vec![0.0; (r + 1) as usize]);
-                ep.scatterv(ctx, None, &back, &counts, &displs, 0, &world);
+                ctx.block_on(ep.scatterv(ctx, None, &back, &counts, &displs, 0, &world));
                 assert_eq!(back.read_f64s(), vec![r as f64; (r + 1) as usize]);
             }
         });
@@ -732,7 +761,7 @@ mod tests {
             let r = ep.comm_rank(&world) as f64;
             let sb = buf_of(&[10.0 * r, 10.0 * r + 1.0, 10.0 * r + 2.0]);
             let rb = buf_of(&[0.0; 3]);
-            ep.alltoall(ctx, &sb, &rb, &world);
+            ctx.block_on(ep.alltoall(ctx, &sb, &rb, &world));
             assert_eq!(rb.read_f64s(), vec![r, 10.0 + r, 20.0 + r]);
         });
     }
@@ -744,7 +773,7 @@ mod tests {
             // Block for destination j is [10*r + j].
             let sb = buf_of(&[10.0 * r, 10.0 * r + 1.0, 10.0 * r + 2.0, 10.0 * r + 3.0]);
             let rb = buf_of(&[0.0; 4]);
-            ep.alltoall(ctx, &sb, &rb, &world);
+            ctx.block_on(ep.alltoall(ctx, &sb, &rb, &world));
             // Received block from rank i is [10*i + r].
             assert_eq!(rb.read_f64s(), vec![r, 10.0 + r, 20.0 + r, 30.0 + r]);
         });
@@ -758,8 +787,8 @@ mod tests {
             let b = buf_of(&[10.0 * r]);
             let ra = buf_of(&[0.0]);
             let rb = buf_of(&[0.0]);
-            ep.allreduce(ctx, &a, &ra, ReduceOp::Sum, &world);
-            ep.allreduce(ctx, &b, &rb, ReduceOp::Sum, &world);
+            ctx.block_on(ep.allreduce(ctx, &a, &ra, ReduceOp::Sum, &world));
+            ctx.block_on(ep.allreduce(ctx, &b, &rb, ReduceOp::Sum, &world));
             assert_eq!(ra.read_f64s(), vec![6.0]);
             assert_eq!(rb.read_f64s(), vec![60.0]);
         });
@@ -774,7 +803,7 @@ mod tests {
             let sub = world.split(&colors, &keys, r);
             let sb = buf_of(&[r as f64]);
             let rb = buf_of(&[0.0]);
-            ep.allreduce(ctx, &sb, &rb, ReduceOp::Sum, &sub);
+            ctx.block_on(ep.allreduce(ctx, &sb, &rb, ReduceOp::Sum, &sub));
             // Even ranks: 0 + 2 = 2; odd ranks: 1 + 3 = 4.
             let expect = if r % 2 == 0 { 2.0 } else { 4.0 };
             assert_eq!(rb.read_f64s(), vec![expect]);

@@ -65,7 +65,7 @@ fn run_program(tags: Vec<i32>, recvs: Vec<(RecvSel, usize)>) {
             for (i, tag) in tags.iter().enumerate() {
                 let buf = MsgBuf::host(Backing::new(8, None), 0, 8);
                 buf.write_f64s(&[i as f64]); // payload = send index
-                ep.send(ctx, &buf, 1, *tag, &world);
+                ctx.block_on(ep.send(ctx, &buf, 1, *tag, &world));
             }
         });
     }
@@ -77,7 +77,7 @@ fn run_program(tags: Vec<i32>, recvs: Vec<(RecvSel, usize)>) {
                 RecvSel::Exact(t) => (Some(0), Some(*t)),
                 RecvSel::Any => (None, None),
             };
-            let st = ep.recv(ctx, &buf, src, tag, &world);
+            let st = ctx.block_on(ep.recv(ctx, &buf, src, tag, &world));
             let got = buf.read_f64s()[0] as usize;
             assert_eq!(
                 got, *expect_idx,

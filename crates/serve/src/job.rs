@@ -12,11 +12,13 @@
 //! results, which is what makes content-addressed caching sound here.
 
 use std::fmt::{self, Write as _};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 use impacc_apps::{allreduce_rounds, exchange, jacobi_task, JacobiParams};
 use impacc_array::{max_halo, scenarios, CartGrid};
-use impacc_core::{CollAlgo, TaskCtx};
+use impacc_core::{CollAlgo, Rank};
 use impacc_machine::{presets, MachineSpec};
 
 use crate::front::{self, DslFront};
@@ -90,8 +92,11 @@ pub enum Workload {
     Dsl,
 }
 
-/// The program one rank of a job runs.
-pub(crate) type RankBody = Box<dyn Fn(&TaskCtx) + Send + Sync>;
+/// The program one rank of a job runs: the future it makes of its rank.
+pub(crate) type RankBody = Box<dyn Fn(Rank) -> RankFuture + Send + Sync>;
+
+/// One rank's body, boxed so every workload's fits one [`RankBody`].
+pub(crate) type RankFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 /// Everything that differs between workloads. [`WORKLOADS`] holds one
 /// row per [`Workload`]; parsing, validation, the canonical form and the
@@ -120,7 +125,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         body: |j| {
             let (elems, rounds, seed) = (j.elems, j.rounds, j.seed);
             Ok(Box::new(move |tc| {
-                allreduce_rounds(tc, elems, rounds, seed)
+                Box::pin(async move { allreduce_rounds(&tc, elems, rounds, seed).await })
             }))
         },
     },
@@ -135,7 +140,9 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         body: |j| {
             let (rounds, seed) = (j.rounds, j.seed);
             // 32 KiB per buffer.
-            Ok(Box::new(move |tc| exchange(tc, 1 << 12, rounds, seed)))
+            Ok(Box::new(move |tc| {
+                Box::pin(async move { exchange(&tc, 1 << 12, rounds, seed).await })
+            }))
         },
     },
     WorkloadRow {
@@ -154,7 +161,10 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
                 iters: j.iters,
                 verify: false,
             };
-            Ok(Box::new(move |tc| jacobi_task(tc, &p)))
+            Ok(Box::new(move |tc| {
+                let p = p.clone();
+                Box::pin(async move { jacobi_task(&tc, &p).await })
+            }))
         },
     },
     WorkloadRow {
@@ -180,7 +190,10 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
                 iters: j.iters,
                 verify: false,
             };
-            Ok(Box::new(move |tc| scenarios::stencil3d_task(tc, &p, None)))
+            Ok(Box::new(move |tc| {
+                let p = p.clone();
+                Box::pin(async move { scenarios::stencil3d_task(&tc, &p, None).await })
+            }))
         },
     },
     WorkloadRow {
@@ -200,7 +213,10 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
                 halo: j.halo,
                 verify: false,
             };
-            Ok(Box::new(move |tc| scenarios::stencil2d_task(tc, &p, None)))
+            Ok(Box::new(move |tc| {
+                let p = p.clone();
+                Box::pin(async move { scenarios::stencil2d_task(&tc, &p, None).await })
+            }))
         },
     },
     WorkloadRow {
@@ -214,7 +230,10 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
                 iters: j.iters,
                 verify: false,
             };
-            Ok(Box::new(move |tc| scenarios::redblack_task(tc, &p, None)))
+            Ok(Box::new(move |tc| {
+                let p = p.clone();
+                Box::pin(async move { scenarios::redblack_task(&tc, &p, None).await })
+            }))
         },
     },
     WorkloadRow {
@@ -231,7 +250,10 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         body: |j| {
             let c = j.dsl_front()?.compiled.clone();
             Ok(Box::new(move |tc| {
-                impacc_dsl::run_program(tc, &c, None, false);
+                let c = c.clone();
+                Box::pin(async move {
+                    impacc_dsl::run_program(&tc, &c, None, false).await;
+                })
             }))
         },
     },

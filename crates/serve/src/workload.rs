@@ -110,7 +110,7 @@ pub(crate) fn run_job_keyed(
     }
     let marker = (key.to_string(), job.campaign.clone());
     let summary = l
-        .run(move |tc| {
+        .run_async(move |tc| {
             if tc.rank() == 0 {
                 // Zero-width correlation marker: ties every span stream
                 // back to the job (and campaign) it belongs to.

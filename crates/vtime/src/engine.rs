@@ -59,9 +59,12 @@
 //!
 //! # Handlers
 //!
-//! A handler ([`Sim::spawn_handler_on`], [`Ctx::spawn_handler`]) is an
-//! actor that owns no thread. Its body is a `Future` built from its own
-//! [`Ctx`] and polled by whichever thread issues its grant: inline, outside
+//! A handler is an actor that owns no thread: a daemon
+//! ([`Sim::spawn_handler_on`], [`Ctx::spawn_handler`]) or an actor that
+//! keeps the run alive until its body completes ([`Sim::spawn_async_on`],
+//! how `impacc_core::Launch` starts every rank). Its body is a `Future`
+//! built from its own [`Ctx`] and polled by whichever thread issues its
+//! grant: inline, outside
 //! the scheduler lock, with the handler's partition marked active exactly
 //! as for a thread actor. The body may advance and wait anywhere, through
 //! the awaitable forms of those calls — [`Ctx::sleep`], [`Ctx::sleep_until`]
@@ -78,7 +81,9 @@
 //! A thread actor runs the same future with [`Ctx::block_on`]: on a thread
 //! every engine call blocks in place, so one poll finishes it. One
 //! definition of an operation thus serves a handler that awaits it and a
-//! thread that blocks on it.
+//! thread that blocks on it. A blocking call made from a handler is a bug
+//! the run reports as a panic naming the handler and the call site, even
+//! where the call would not have suspended.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -1019,6 +1024,7 @@ impl Ctx {
 
     /// Charge `dur` of virtual time to this actor under `tag` and let other
     /// actors run in the meantime.
+    #[track_caller]
     pub fn advance(&self, dur: SimDur, tag: &'static str) {
         self.advance_until(self.now() + dur, tag);
     }
@@ -1038,12 +1044,15 @@ impl Ctx {
     /// an entry at or before `t`. Dispatch order, event count and
     /// accounting are identical on both paths.
     ///
-    /// Blocking: a handler awaits [`Ctx::sleep_until`] instead.
+    /// Blocking: a handler awaits [`Ctx::sleep_until`] instead, and calling
+    /// this from one panics, naming the call site, even where the advance
+    /// would have elided.
+    #[track_caller]
     pub fn advance_until(&self, target: SimTime, tag: &'static str) {
+        let park = self.park();
         let Some((t, from)) = self.try_elide(target, tag) else {
             return;
         };
-        let park = self.park();
         {
             let mut sched = self.engine.lock_sched();
             self.check_poison(&sched);
@@ -1125,6 +1134,7 @@ impl Ctx {
 
     /// Suspend until another actor calls [`Ctx::wake`] with `token`, or the
     /// engine shuts down. Blocked time is charged under `tag`.
+    #[track_caller]
     pub fn wait(&self, token: WaitToken, tag: &'static str) -> WakeReason {
         self.block_on(self.suspend(token, tag))
     }
@@ -1133,6 +1143,7 @@ impl Ctx {
     /// when the virtual clock reaches `deadline`, whichever comes first.
     /// Used by service actors that must stay responsive to new work while
     /// a known future completion is outstanding.
+    #[track_caller]
     pub fn wait_deadline(
         &self,
         token: WaitToken,
@@ -1179,19 +1190,23 @@ impl Ctx {
     ///
     /// # Panics
     ///
-    /// On a handler, if `fut` would suspend — a handler awaits instead —
-    /// and on a thread, if `fut` waits for something other than the engine.
+    /// On a handler, always — a handler awaits instead, and a blocking
+    /// call it makes is a bug whether or not this one would have
+    /// suspended — and on a thread, if `fut` waits for something other
+    /// than the engine. Either panic names the caller's location.
+    #[track_caller]
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        if let Host::Handler(_) = self.host {
+            self.blocking_in_handler();
+        }
         let mut fut = std::pin::pin!(fut);
         match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
             Poll::Ready(out) => out,
-            Poll::Pending => match self.host {
-                Host::Handler(_) => self.blocking_in_handler(),
-                Host::Thread(_) => panic!(
-                    "actor '{}' blocked on a future that is not an engine suspension",
-                    self.name
-                ),
-            },
+            Poll::Pending => panic!(
+                "actor '{}' blocked on a future that is not an engine suspension at {}",
+                self.name,
+                std::panic::Location::caller()
+            ),
         }
     }
 
@@ -1500,7 +1515,9 @@ impl Ctx {
     }
 
     /// The thread a blocking call sleeps on. A handler has none: it awaits
-    /// the call's future form, and blocking is a bug reported by name.
+    /// the call's future form, and blocking is a bug reported by name and
+    /// call site.
+    #[track_caller]
     fn park(&self) -> &Arc<Park> {
         match &self.host {
             Host::Thread(park) => park,
@@ -1508,10 +1525,12 @@ impl Ctx {
         }
     }
 
+    #[track_caller]
     fn blocking_in_handler(&self) -> ! {
         panic!(
-            "handler '{}' made a blocking engine call: a handler awaits it (Ctx::sleep, Ctx::suspend)",
-            self.name
+            "handler '{}' made a blocking engine call at {}: a handler awaits it (Ctx::sleep, Ctx::suspend)",
+            self.name,
+            std::panic::Location::caller()
         )
     }
 
@@ -1821,6 +1840,20 @@ impl Sim {
         let body: BodyFn = Box::new(|ctx| Box::pin(body(ctx)));
         self.initial
             .push((name.into(), true, Some(part), Start::Handler(body)));
+        self
+    }
+
+    /// [`Sim::spawn_handler_on`] for an actor that keeps the simulation
+    /// alive until its body completes, as [`Sim::spawn_on`] registers one
+    /// on a thread: the same schedule, no thread.
+    pub fn spawn_async_on<B, F>(&mut self, part: u32, name: impl Into<String>, body: B) -> &mut Sim
+    where
+        B: FnOnce(Ctx) -> F + Send + 'static,
+        F: Future<Output = ()> + Send + 'static,
+    {
+        let body: BodyFn = Box::new(|ctx| Box::pin(body(ctx)));
+        self.initial
+            .push((name.into(), false, Some(part), Start::Handler(body)));
         self
     }
 
@@ -3506,16 +3539,43 @@ mod tests {
 
     #[test]
     fn handler_that_blocks_is_a_reported_bug() {
+        use std::sync::atomic::AtomicU32;
+        // Where each body made its blocking call, as `file:line:`.
+        static ADVANCE_AT: AtomicU32 = AtomicU32::new(0);
+        static WAIT_AT: AtomicU32 = AtomicU32::new(0);
         let mut sim = Sim::new();
         sim.spawn_handler_on(0, "greedy", |ctx| async move {
+            ADVANCE_AT.store(line!() + 2, Ordering::Relaxed);
             // The blocking form, where the body should await `sleep`.
             ctx.advance(SimDur::from_us(1), "w");
         });
         sim.spawn("work", |ctx| ctx.advance(SimDur::from_us(1), "w"));
+        let at = |line: &AtomicU32| format!(" at {}:{}:", file!(), line.load(Ordering::Relaxed));
         match sim.run() {
             Err(SimError::ActorPanic { actor, message }) => {
                 assert_eq!(actor, "greedy");
                 assert!(message.contains("blocking engine call"), "{message}");
+                assert!(message.contains(&at(&ADVANCE_AT)), "{message}");
+            }
+            other => panic!("expected the misuse to be reported, got {other:?}"),
+        }
+        // A rank-shaped handler (non-daemon) that blocks on an open latch:
+        // it would not have suspended, and is reported all the same.
+        let mut sim = Sim::new();
+        sim.spawn_async_on(0, "rank0", |ctx| async move {
+            let latch = crate::Latch::new();
+            latch.open(&ctx);
+            WAIT_AT.store(line!() + 1, Ordering::Relaxed);
+            latch.wait(&ctx, "w");
+        });
+        match sim.run() {
+            Err(SimError::ActorPanic { actor, message }) => {
+                assert_eq!(actor, "rank0");
+                let want = format!(
+                    "handler 'rank0' made a blocking engine call{}",
+                    at(&WAIT_AT)
+                );
+                assert!(message.starts_with(&want), "{message}");
             }
             other => panic!("expected the misuse to be reported, got {other:?}"),
         }

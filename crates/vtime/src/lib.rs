@@ -1,8 +1,8 @@
 //! # impacc-vtime — deterministic virtual-time engine
 //!
 //! The foundation of the IMPACC reproduction: a discrete-event simulation
-//! engine whose actors are real OS threads executing real Rust code (so
-//! application results are bit-exact), while **time is virtual** — charged
+//! engine whose actors execute real Rust code (so application results are
+//! bit-exact), while **time is virtual** — charged
 //! explicitly from analytic cost models, advanced by a deterministic
 //! scheduler. This is what lets a laptop reproduce the *shape* of
 //! experiments the paper ran on 8,192 Titan nodes.
@@ -11,8 +11,11 @@
 //!
 //! * [`Sim`] / [`Ctx`] — build and run a simulation; actors advance the
 //!   clock with [`Ctx::advance`] and suspend/resume via wait tokens.
-//!   Daemons are handlers ([`Ctx::spawn_handler`]): futures that own no
-//!   thread and `.await` the same calls ([`Ctx::sleep`], [`Ctx::suspend`]).
+//!   Most actors are handlers — daemons ([`Ctx::spawn_handler`]) and the
+//!   stack's ranks ([`Sim::spawn_async_on`]): futures that own no thread,
+//!   polled by whichever thread grants them, that `.await` the same calls
+//!   ([`Ctx::sleep`], [`Ctx::suspend`]). Only a raw [`Sim::spawn`] actor
+//!   (and so a rank of `impacc-core`'s synchronous facade) is an OS thread.
 //! * [`Notify`] / [`Latch`] — condition-variable and one-shot-gate
 //!   primitives for building runtimes on top.
 //! * [`SerialResource`] — FIFO-contended hardware (PCIe directions, NICs).

@@ -51,14 +51,6 @@ impl SerialResource {
         (start, end)
     }
 
-    /// Reserve and block the calling actor until the reservation completes,
-    /// charging the wait under `tag`. Returns the completion instant.
-    pub fn reserve_and_wait(&self, ctx: &Ctx, dur: SimDur, tag: &'static str) -> SimTime {
-        let (_, end) = self.reserve(ctx, dur);
-        ctx.advance_until(end, tag);
-        end
-    }
-
     /// Instant at which the resource next becomes free.
     pub fn free_at(&self) -> SimTime {
         *self.free_at.lock()
@@ -78,7 +70,8 @@ mod tests {
             let link = link.clone();
             sim.spawn(name, move |ctx| {
                 ctx.advance(SimDur::from_us(offset), "setup");
-                let end = link.reserve_and_wait(ctx, SimDur::from_us(10), "xfer");
+                let (_, end) = link.reserve(ctx, SimDur::from_us(10));
+                ctx.advance_until(end, "xfer");
                 // a: starts at 0, ends 10. b: wants to start at 1 but the
                 // link is busy until 10, so ends at 20.
                 let expect = if offset == 0 { 10 } else { 20 };

@@ -49,6 +49,7 @@ impl Notify {
 
     /// Suspend the calling actor until notified. Blocked time is charged
     /// under `tag`.
+    #[track_caller]
     pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
         ctx.block_on(self.notified(ctx, tag))
     }
@@ -56,6 +57,7 @@ impl Notify {
     /// Like [`Notify::wait`], but also returns when the clock reaches
     /// `deadline`. The caller cannot distinguish a notification from a
     /// timeout (poll your condition either way).
+    #[track_caller]
     pub fn wait_deadline(
         &self,
         ctx: &Ctx,
@@ -137,18 +139,9 @@ impl Latch {
     }
 
     /// Suspend until the latch opens (immediate if already open).
+    #[track_caller]
     pub fn wait(&self, ctx: &Ctx, tag: &'static str) -> WakeReason {
         ctx.block_on(self.opened(ctx, tag))
-    }
-
-    /// [`Latch::wait`] with a recorded wait cause (see [`Suspend::cause`]).
-    pub fn wait_with_cause(
-        &self,
-        ctx: &Ctx,
-        tag: &'static str,
-        cause: impl FnOnce() -> String,
-    ) -> WakeReason {
-        ctx.block_on(self.opened(ctx, tag).cause(cause))
     }
 
     /// Open the latch and wake all waiters. Idempotent.

@@ -15,7 +15,7 @@ fn run_mask(name: &str, mask: DeviceTypeMask) {
     let spec = impacc::machine::presets::mixed_demo();
     let summary = Launch::new(spec, RuntimeOptions::impacc())
         .device_mask(mask)
-        .run(|tc| {
+        .run_async(|tc| async move {
             // Divide work by attached device speed: GPUs take 4 units,
             // MICs 3, CPU fallback 1.
             let my_share = match tc.acc_device_kind() {
@@ -23,11 +23,12 @@ fn run_mask(name: &str, mask: DeviceTypeMask) {
                 DeviceKind::OpenClMic => 3.0,
                 DeviceKind::CpuCores => 1.0,
             };
-            let totals = tc.mpi_allreduce_f64(&[my_share, 1.0], ReduceOp::Sum);
+            let totals = tc.mpi_allreduce_f64(&[my_share, 1.0], ReduceOp::Sum).await;
             let (total_share, ntasks) = (totals[0], totals[1]);
             // Each task computes its fraction of a fixed 1 TFLOP job.
             let my_flops = 1e12 * my_share / total_share;
-            tc.acc_kernel(None, KernelCost::flops(my_flops), || {});
+            tc.acc_kernel(None, KernelCost::flops(my_flops), || {})
+                .await;
             if tc.rank() == 0 {
                 println!("    {ntasks} tasks, total share {total_share}");
             }

@@ -15,11 +15,11 @@ fn main() {
     spec.nodes[0].devices.truncate(2);
 
     let summary = Launch::new(spec, RuntimeOptions::impacc())
-        .run(|tc| {
+        .run_async(|tc| async move {
             let peer = 1 - tc.rank();
             let n = 1 << 20; // 1 Mi f64 elements = 8 MiB
-            let buf = tc.malloc_f64(n);
-            let inbox = tc.malloc_f64(n);
+            let buf = tc.malloc_f64(n).await;
+            let inbox = tc.malloc_f64(n).await;
             tc.acc_create(&buf);
             tc.acc_create(&inbox);
 
@@ -33,13 +33,16 @@ fn main() {
                     let vals: Vec<f64> = (0..n).map(|i| me * 1000.0 + i as f64).collect();
                     view.write_f64s(0, &vals);
                 },
-            );
+            )
+            .await;
 
             // Exchange device buffers — no explicit staging, no waits:
             // the unified activity queue keeps everything in order.
-            tc.mpi_send(&buf, 0, buf.len, peer, 0, MpiOpts::device().on_queue(1));
-            tc.mpi_recv(&inbox, 0, inbox.len, peer, 0, MpiOpts::device().on_queue(1));
-            tc.acc_wait(1);
+            tc.mpi_send(&buf, 0, buf.len, peer, 0, MpiOpts::device().on_queue(1))
+                .await;
+            tc.mpi_recv(&inbox, 0, inbox.len, peer, 0, MpiOpts::device().on_queue(1))
+                .await;
+            tc.acc_wait(1).await;
 
             // The peer's data is now in our device memory.
             let got = tc.dev_view(&inbox).read_f64s(0, 2);

@@ -38,58 +38,65 @@ fn main() {
     let rec = Recorder::new();
     let summary = Launch::new(spec, RuntimeOptions::impacc())
         .recorder(&rec)
-        .run(move |tc| {
-            let n = 4096usize;
-            let peer = 1 - tc.rank();
-            let me = tc.rank() as f64;
-            let buf0 = tc.malloc_f64(n);
-            let buf1 = tc.malloc_f64(n);
-            tc.acc_create(&buf0);
-            tc.acc_create(&buf1);
+        .run_async(move |tc| {
+            let plan = plan.clone();
+            async move {
+                let n = 4096usize;
+                let peer = 1 - tc.rank();
+                let me = tc.rank() as f64;
+                let buf0 = tc.malloc_f64(n).await;
+                let buf1 = tc.malloc_f64(n).await;
+                tc.acc_create(&buf0);
+                tc.acc_create(&buf1);
 
-            let mut kernel_no = 0;
-            for call in &plan {
-                match call {
-                    RuntimeCall::KernelLaunch { queue, .. } => {
-                        kernel_no += 1;
-                        let cost = KernelCost::new(2.0 * n as f64, 16.0 * n as f64);
-                        if kernel_no == 1 {
-                            // "buf0[i] = f(i)"
-                            let d = tc.dev_view(&buf0);
-                            tc.acc_kernel(*queue, cost, move || {
-                                let vals: Vec<f64> =
-                                    (0..n).map(|i| me * 10_000.0 + i as f64).collect();
-                                d.write_f64s(0, &vals);
-                            });
-                        } else {
-                            // "g(buf1[i])" — checks what arrived.
-                            let d = tc.dev_view(&buf1);
-                            let expect = peer as f64 * 10_000.0;
-                            tc.acc_kernel(*queue, cost, move || {
-                                assert_eq!(d.read_f64s(0, 1)[0], expect);
-                            });
+                let mut kernel_no = 0;
+                for call in &plan {
+                    match call {
+                        RuntimeCall::KernelLaunch { queue, .. } => {
+                            kernel_no += 1;
+                            let cost = KernelCost::new(2.0 * n as f64, 16.0 * n as f64);
+                            if kernel_no == 1 {
+                                // "buf0[i] = f(i)"
+                                let d = tc.dev_view(&buf0);
+                                tc.acc_kernel(*queue, cost, move || {
+                                    let vals: Vec<f64> =
+                                        (0..n).map(|i| me * 10_000.0 + i as f64).collect();
+                                    d.write_f64s(0, &vals);
+                                })
+                                .await;
+                            } else {
+                                // "g(buf1[i])" — checks what arrived.
+                                let d = tc.dev_view(&buf1);
+                                let expect = peer as f64 * 10_000.0;
+                                tc.acc_kernel(*queue, cost, move || {
+                                    assert_eq!(d.read_f64s(0, 1)[0], expect);
+                                })
+                                .await;
+                            }
                         }
+                        RuntimeCall::UnifiedMpi {
+                            call,
+                            send_opts,
+                            recv_opts,
+                        } => match call.as_str() {
+                            "MPI_Isend" => {
+                                tc.mpi_send(&buf0, 0, buf0.len, peer, 0, *send_opts).await
+                            }
+                            "MPI_Irecv" => {
+                                tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, *recv_opts).await;
+                            }
+                            other => panic!("plan contains unexpected call {other}"),
+                        },
+                        RuntimeCall::Wait { queues } => {
+                            for q in queues {
+                                tc.acc_wait(*q).await;
+                            }
+                        }
+                        other => panic!("Figure 4(c) should not lower {other:?}"),
                     }
-                    RuntimeCall::UnifiedMpi {
-                        call,
-                        send_opts,
-                        recv_opts,
-                    } => match call.as_str() {
-                        "MPI_Isend" => tc.mpi_send(&buf0, 0, buf0.len, peer, 0, *send_opts),
-                        "MPI_Irecv" => {
-                            tc.mpi_recv(&buf1, 0, buf1.len, peer, 0, *recv_opts);
-                        }
-                        other => panic!("plan contains unexpected call {other}"),
-                    },
-                    RuntimeCall::Wait { queues } => {
-                        for q in queues {
-                            tc.acc_wait(*q);
-                        }
-                    }
-                    other => panic!("Figure 4(c) should not lower {other:?}"),
                 }
+                tc.acc_wait(1).await;
             }
-            tc.acc_wait(1);
         })
         .expect("the lowered program runs");
 

@@ -37,8 +37,8 @@ pub use impacc_vtime as vtime;
 /// The things almost every IMPACC program needs.
 pub mod prelude {
     pub use impacc_core::{
-        BufView, CollAlgo, CollOp, CollOpts, HBuf, Launch, Mode, MpiOpts, RunSummary,
-        RuntimeOptions, TaskCtx,
+        BufView, CollAlgo, CollOp, CollOpts, HBuf, Launch, Mode, MpiOpts, Rank, RunSummary,
+        RuntimeOptions,
     };
     pub use impacc_machine::{DeviceKind, DeviceTypeMask, KernelCost, MachineSpec};
     pub use impacc_mpi::{Comm, PointToPoint, ReduceOp, Request, Status};

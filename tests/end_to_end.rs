@@ -228,8 +228,8 @@ fn mixed_cluster_runs_every_figure2_mask() {
     ] {
         let s = Launch::new(spec.clone(), RuntimeOptions::impacc())
             .device_mask(mask)
-            .run(|tc| {
-                let total = tc.mpi_allreduce_f64(&[1.0], ReduceOp::Sum);
+            .run_async(|tc| async move {
+                let total = tc.mpi_allreduce_f64(&[1.0], ReduceOp::Sum).await;
                 assert_eq!(total[0] as u32, tc.size());
             })
             .unwrap();
@@ -281,16 +281,16 @@ fn directive_options_drive_the_runtime() {
     let mut spec = impacc::machine::presets::psg();
     spec.nodes[0].devices.truncate(2);
     Launch::new(spec, RuntimeOptions::impacc())
-        .run(move |tc| {
+        .run_async(move |tc| async move {
             let peer = 1 - tc.rank();
-            let buf = tc.malloc_f64(128);
-            let inbox = tc.malloc_f64(128);
+            let buf = tc.malloc_f64(128).await;
+            let inbox = tc.malloc_f64(128).await;
             tc.acc_create(&buf);
             tc.acc_create(&inbox);
             tc.dev_view(&buf).write_f64s(0, &[tc.rank() as f64; 128]);
-            tc.mpi_send(&buf, 0, buf.len, peer, 0, send_opts);
-            tc.mpi_recv(&inbox, 0, inbox.len, peer, 0, recv_opts);
-            tc.acc_wait(1);
+            tc.mpi_send(&buf, 0, buf.len, peer, 0, send_opts).await;
+            tc.mpi_recv(&inbox, 0, inbox.len, peer, 0, recv_opts).await;
+            tc.acc_wait(1).await;
             assert_eq!(tc.dev_view(&inbox).read_f64s(0, 1), vec![peer as f64]);
         })
         .unwrap();

@@ -144,26 +144,29 @@ proptest! {
             opts.aliasing = aliasing;
             let observed = observed.clone();
             Launch::new(impacc::machine::presets::test_cluster(1, 2), opts)
-                .run(move |tc| {
-                    if tc.rank() == 0 {
-                        let src = tc.malloc_f64(total);
-                        let vals: Vec<f64> = (0..total)
-                            .map(|i| (seed as f64) + i as f64)
-                            .collect();
-                        tc.host_view(&src).write_f64s(0, &vals);
-                        tc.mpi_send(
-                            &src,
-                            (off_elems * 8) as u64,
-                            (elems * 8) as u64,
-                            1,
-                            0,
-                            MpiOpts::host().readonly(),
-                        );
-                    } else {
-                        let dst = tc.malloc_f64(elems);
-                        tc.mpi_recv(&dst, 0, dst.len, 0, 0, MpiOpts::host().readonly());
-                        let got = tc.host_view(&dst).read_f64s(0, elems);
-                        observed.lock().push(got);
+                .run_async(move |tc| {
+                    let observed = observed.clone();
+                    async move {
+                        if tc.rank() == 0 {
+                            let src = tc.malloc_f64(total).await;
+                            let vals: Vec<f64> = (0..total)
+                                .map(|i| (seed as f64) + i as f64)
+                                .collect();
+                            tc.host_view(&src).write_f64s(0, &vals);
+                            tc.mpi_send(
+                                &src,
+                                (off_elems * 8) as u64,
+                                (elems * 8) as u64,
+                                1,
+                                0,
+                                MpiOpts::host().readonly(),
+                            ).await;
+                        } else {
+                            let dst = tc.malloc_f64(elems).await;
+                            tc.mpi_recv(&dst, 0, dst.len, 0, 0, MpiOpts::host().readonly()).await;
+                            let got = tc.host_view(&dst).read_f64s(0, elems);
+                            observed.lock().push(got);
+                        }
                     }
                 })
                 .unwrap();
@@ -206,11 +209,15 @@ proptest! {
         let results = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let r2 = results.clone();
         Launch::new(impacc::machine::presets::test_cluster(2, 2), RuntimeOptions::impacc())
-            .run(move |tc| {
-                let r = tc.rank() as usize;
-                let mine = &padded2[r * per..(r + 1) * per];
-                let got = tc.mpi_allreduce_f64(mine, op);
-                r2.lock().push(got);
+            .run_async(move |tc| {
+                let padded2 = padded2.clone();
+                let r2 = r2.clone();
+                async move {
+                    let r = tc.rank() as usize;
+                    let mine = &padded2[r * per..(r + 1) * per];
+                    let got = tc.mpi_allreduce_f64(mine, op).await;
+                    r2.lock().push(got);
+                }
             })
             .unwrap();
         for got in results.lock().iter() {
@@ -240,16 +247,16 @@ proptest! {
             RuntimeOptions::baseline()
         };
         Launch::new(impacc::machine::presets::test_cluster(1, 2), opts)
-            .run(move |tc| {
-                let buf = tc.malloc_f64(1);
+            .run_async(move |tc| async move {
+                let buf = tc.malloc_f64(1).await;
                 if tc.rank() == 0 {
                     for i in 0..count {
                         tc.host_view(&buf).write_f64s(0, &[i as f64]);
-                        tc.mpi_send(&buf, 0, 8, 1, tag, MpiOpts::host());
+                        tc.mpi_send(&buf, 0, 8, 1, tag, MpiOpts::host()).await;
                     }
                 } else {
                     for i in 0..count {
-                        tc.mpi_recv(&buf, 0, 8, 0, tag, MpiOpts::host());
+                        tc.mpi_recv(&buf, 0, 8, 0, tag, MpiOpts::host()).await;
                         assert_eq!(tc.host_view(&buf).read_f64s(0, 1)[0], i as f64);
                     }
                 }
