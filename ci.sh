@@ -139,4 +139,26 @@ echo "==> serve campaign: fault injection end-to-end"
 # faulted and device-loss points is answered by the cache too.
 campaign_gate "chaos campaign gate" campaigns/chaos_sweep.campaign
 
+echo "==> serve daemon: a poison request fails alone"
+# A request written straight into the spool, past the client-side parse of
+# `serve submit`, whose allreduce payload (2^40 f64s per rank, 8 TiB) no
+# node can hold, beside one valid job: the daemon must refuse the first
+# with a done/<name>.err sidecar, execute the second and exit 0. An
+# allocation the host cannot back used to abort the whole process here.
+rm -rf "$SPOOL"
+mkdir -p "$SPOOL/incoming"
+printf 'workload=allreduce\nelems=1099511627776\n' >"$SPOOL/incoming/poison.job"
+printf 'workload=allreduce\nelems=64\nseed=28\n' >"$SPOOL/incoming/valid.job"
+poisoned=$("$serve_bin" daemon --spool "$SPOOL" --workers 1 --drain) || {
+    echo "poison request gate: FAIL — the daemon exited with status $?"
+    exit 1
+}
+echo "$poisoned"
+if ! grep -q "executed 1, cache_hits 0, rejected 1, failed 0," <<<"$poisoned" \
+        || ! grep -q "8796093022208 bytes" "$SPOOL/done/poison.job.err"; then
+    echo "poison request gate: FAIL — the valid job must run and the poison one be refused"
+    exit 1
+fi
+echo "poison request gate: ok"
+
 echo "ci: all green"

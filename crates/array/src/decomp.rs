@@ -61,6 +61,16 @@ impl BlockPartition {
     }
 }
 
+/// [`BlockPartition::min_nonzero`] of `BlockPartition::new(n, p)`, without
+/// building the partition: every part holds `n / p` or one more, so the
+/// smallest non-empty one holds `n / p`, or 1 when some parts are empty.
+fn min_block(n: usize, p: usize) -> usize {
+    match n / p {
+        0 => usize::from(n > 0),
+        base => base,
+    }
+}
+
 /// How each decomposed dimension assigns global indices to ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Layout {
@@ -93,15 +103,8 @@ impl CartGrid {
     /// dimensions are sorted descending so earlier (slower-varying)
     /// array dimensions get the larger splits.
     pub fn new(ranks: usize, nd: usize) -> CartGrid {
-        assert!(ranks > 0 && nd > 0);
         let mut dims = vec![1usize; nd];
-        let mut factors = prime_factors(ranks);
-        factors.sort_unstable_by(|a, b| b.cmp(a));
-        for f in factors {
-            let i = (0..nd).min_by_key(|&i| dims[i]).unwrap();
-            dims[i] *= f;
-        }
-        dims.sort_unstable_by(|a, b| b.cmp(a));
+        dims_create(ranks, &mut dims);
         CartGrid { dims }
     }
 
@@ -169,34 +172,50 @@ impl CartGrid {
     }
 }
 
-/// Largest halo depth a block decomposition of `shape` over `grid` can
-/// exchange in one hop: the smallest non-zero block length over every
-/// grid dimension that actually splits (more than one rank). Unsplit
-/// dimensions do not constrain the halo.
-pub fn max_halo(shape: &[usize], grid: &CartGrid) -> usize {
+/// Largest halo depth a block decomposition of `shape` over a grid of
+/// extents `dims` (a [`CartGrid`]'s `dims`) can exchange in one hop: the
+/// smallest non-zero block length over every grid dimension that actually
+/// splits (more than one rank). Unsplit dimensions do not constrain the
+/// halo. Takes the extents, not the grid, so a caller can check a
+/// decomposition without building one.
+pub fn max_halo(shape: &[usize], dims: &[usize]) -> usize {
     let mut h = usize::MAX;
-    for (&n, &dim) in shape.iter().zip(&grid.dims) {
+    for (&n, &dim) in shape.iter().zip(dims) {
         if dim > 1 {
-            h = h.min(BlockPartition::new(n, dim).min_nonzero());
+            h = h.min(min_block(n, dim));
         }
     }
     h
 }
 
-fn prime_factors(mut n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut f = 2;
+/// [`CartGrid::new`]'s factoring of `ranks` into `dims`, one slot per grid
+/// dimension, in place: the prime factors of `ranks`, largest first, each
+/// multiplied onto the currently smallest dimension, then the dimensions
+/// sorted descending.
+pub fn dims_create(ranks: usize, dims: &mut [usize]) {
+    assert!(ranks > 0 && !dims.is_empty());
+    dims.fill(1);
+    // Trial division finds the factors smallest first; a usize has fewer
+    // prime factors than bits.
+    let mut factors = [0usize; usize::BITS as usize];
+    let (mut k, mut n, mut f) = (0, ranks, 2);
     while f * f <= n {
         while n.is_multiple_of(f) {
-            out.push(f);
+            factors[k] = f;
+            k += 1;
             n /= f;
         }
         f += 1;
     }
     if n > 1 {
-        out.push(n);
+        factors[k] = n;
+        k += 1;
     }
-    out
+    for &f in factors[..k].iter().rev() {
+        let i = (0..dims.len()).min_by_key(|&i| dims[i]).unwrap();
+        dims[i] *= f;
+    }
+    dims.sort_unstable_by(|a, b| b.cmp(a));
 }
 
 #[cfg(test)]
@@ -218,6 +237,19 @@ mod tests {
         assert_eq!(p.offsets, vec![0, 1, 2, 3, 3]);
         assert_eq!(p.min_nonzero(), 1);
         assert_eq!(p.range(1), 1..2);
+    }
+
+    #[test]
+    fn min_block_is_the_partitions_smallest_nonzero_part() {
+        for n in 0..40 {
+            for p in 1..12 {
+                assert_eq!(
+                    min_block(n, p),
+                    BlockPartition::new(n, p).min_nonzero(),
+                    "n={n} p={p}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -251,11 +283,11 @@ mod tests {
 
     #[test]
     fn max_halo_tracks_smallest_split_block() {
-        assert_eq!(max_halo(&[16, 16], &CartGrid::line(4)), 4);
-        assert_eq!(max_halo(&[10, 10], &CartGrid::new(4, 2)), 5);
+        assert_eq!(max_halo(&[16, 16], &CartGrid::line(4).dims), 4);
+        assert_eq!(max_halo(&[10, 10], &CartGrid::new(4, 2).dims), 5);
         // Unsplit dims don't constrain.
-        assert_eq!(max_halo(&[4, 1000], &CartGrid::line(2)), 2);
+        assert_eq!(max_halo(&[4, 1000], &CartGrid::line(2).dims), 2);
         // No split dims at all: unconstrained.
-        assert_eq!(max_halo(&[8], &CartGrid::line(1)), usize::MAX);
+        assert_eq!(max_halo(&[8], &CartGrid::line(1).dims), usize::MAX);
     }
 }

@@ -63,44 +63,56 @@ impl ArraySpec {
 
     /// Check the declaration against a launch of `size` ranks.
     pub fn validate(&self, size: usize) -> Result<(), String> {
-        if self.shape.is_empty() {
-            return Err("array shape must have at least one dimension".into());
-        }
-        if self.shape.contains(&0) {
-            return Err("array extents must be positive".into());
-        }
-        let g = self.grid.ndims();
-        if g == 0 || g > self.shape.len() {
-            return Err(format!("grid rank {g} must be in 1..={}", self.shape.len()));
-        }
-        if self.grid.ranks() != size {
-            return Err(format!(
-                "grid addresses {} ranks but the launch has {size}",
-                self.grid.ranks()
-            ));
-        }
-        match self.layout {
-            Layout::Block => {
-                let cap = max_halo(&self.shape, &self.grid);
-                if self.halo > cap {
-                    return Err(format!(
-                        "halo {} exceeds the smallest split block ({cap}); \
-                         multi-hop halos are not supported",
-                        self.halo
-                    ));
-                }
-            }
-            Layout::BlockCyclic { block } => {
-                if block == 0 {
-                    return Err("cyclic block length must be positive".into());
-                }
-                if self.halo != 0 {
-                    return Err("halo exchange over a block-cyclic layout is not supported".into());
-                }
-            }
-        }
-        Ok(())
+        check_decomposition(&self.shape, &self.grid.dims, self.layout, self.halo, size)
     }
+}
+
+/// [`ArraySpec::validate`] over the parts of a spec (`dims` is the grid's
+/// extents), so a caller checks a declaration without building its spec.
+/// Allocates only for the error it returns.
+pub fn check_decomposition(
+    shape: &[usize],
+    dims: &[usize],
+    layout: Layout,
+    halo: usize,
+    size: usize,
+) -> Result<(), String> {
+    if shape.is_empty() {
+        return Err("array shape must have at least one dimension".into());
+    }
+    if shape.contains(&0) {
+        return Err("array extents must be positive".into());
+    }
+    let g = dims.len();
+    if g == 0 || g > shape.len() {
+        return Err(format!("grid rank {g} must be in 1..={}", shape.len()));
+    }
+    let ranks: usize = dims.iter().product();
+    if ranks != size {
+        return Err(format!(
+            "grid addresses {ranks} ranks but the launch has {size}"
+        ));
+    }
+    match layout {
+        Layout::Block => {
+            let cap = max_halo(shape, dims);
+            if halo > cap {
+                return Err(format!(
+                    "halo {halo} exceeds the smallest split block ({cap}); \
+                     multi-hop halos are not supported"
+                ));
+            }
+        }
+        Layout::BlockCyclic { block } => {
+            if block == 0 {
+                return Err("cyclic block length must be positive".into());
+            }
+            if halo != 0 {
+                return Err("halo exchange over a block-cyclic layout is not supported".into());
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Shared local-residual slot written by an asynchronous stencil kernel.

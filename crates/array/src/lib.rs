@@ -25,9 +25,9 @@ pub mod dist;
 pub mod scenarios;
 pub mod schedule;
 
-pub use decomp::{max_halo, BlockPartition, CartGrid, Layout};
+pub use decomp::{dims_create, max_halo, BlockPartition, CartGrid, Layout};
 pub use dist::{
-    math_ok, tile_extents, tile_geom, ArraySpec, Cell, CellFn, DistArray, ResProbe, StencilRes,
-    StencilSpec, GATHER_TAG,
+    check_decomposition, math_ok, tile_extents, tile_geom, ArraySpec, Cell, CellFn, DistArray,
+    ResProbe, StencilRes, StencilSpec, GATHER_TAG,
 };
 pub use schedule::{directions, infer, Entry, Pair, RegionBox, Schedule, TileGeom, HALO_TAG_BASE};

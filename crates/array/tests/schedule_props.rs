@@ -73,7 +73,7 @@ proptest! {
         let shape: Vec<usize> = [e0, e1, e2][..nd].to_vec();
         let gdims: Vec<usize> = [g0, g1, g2][..nd].to_vec();
         let grid = CartGrid { dims: gdims };
-        let cap = max_halo(&shape, &grid);
+        let cap = max_halo(&shape, &grid.dims);
         let halo = raw_halo.min(cap.max(1)).max(1);
         let mut spec = ArraySpec::block(shape.clone(), grid.clone(), halo);
         spec.corners = true;

@@ -92,9 +92,27 @@ pub fn example(name: &str) -> Option<&'static str> {
 /// ranks (halo fits the smallest block, grid addresses the ranks).
 pub fn validate_launch(c: &Compiled, tasks: usize) -> Result<(), String> {
     for info in &c.arrays {
-        exec::array_spec(info, tasks)
-            .validate(tasks)
-            .map_err(|e| format!("array '{}': {e}", info.name))?;
+        // The grid `exec::array_spec` builds, factored on the stack: a
+        // declaration names a 1-d or 2-d grid.
+        let mut grid = [0usize; 2];
+        let dims = grid
+            .get_mut(..info.grid_nd)
+            .filter(|d| !d.is_empty())
+            .ok_or_else(|| {
+                format!(
+                    "array '{}': grid rank {} is not 1 or 2",
+                    info.name, info.grid_nd
+                )
+            })?;
+        impacc_array::dims_create(tasks, dims);
+        impacc_array::check_decomposition(
+            &info.shape,
+            dims,
+            impacc_array::Layout::Block,
+            info.halo,
+            tasks,
+        )
+        .map_err(|e| format!("array '{}': {e}", info.name))?;
     }
     Ok(())
 }

@@ -8,6 +8,12 @@
 
 use crate::spec::*;
 
+/// Host memory of a PSG node (and of a `test_cluster` node, which is one).
+pub const PSG_HOST_MEM: u64 = 256 << 30;
+
+/// Host memory of a Titan node.
+pub const TITAN_HOST_MEM: u64 = 32 << 30;
+
 /// NVIDIA PSG cluster node (Table 1, column 1): 2× Xeon E5-2698 v3,
 /// 8× Kepler GK210 (K80 halves), PCIe Gen3 x16, CUDA.
 pub fn psg_node() -> NodeSpec {
@@ -39,7 +45,7 @@ pub fn psg_node() -> NodeSpec {
             far_bw_factor: 1.0 / 3.5,
         },
         p2p_dtod: true, // GPUDirect peer-to-peer across the shared root complex
-        mem_bytes: 256 << 30,
+        mem_bytes: PSG_HOST_MEM,
     }
 }
 
@@ -137,7 +143,7 @@ pub fn titan_node() -> NodeSpec {
             far_bw_factor: 1.0, // single socket: no NUMA penalty
         },
         p2p_dtod: false, // single GPU per node
-        mem_bytes: 32 << 30,
+        mem_bytes: TITAN_HOST_MEM,
     }
 }
 

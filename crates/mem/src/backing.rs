@@ -229,17 +229,44 @@ fn edit_f64s<R>(phys: &mut [u8], off: u64, n: usize, f: impl FnOnce(&mut [f64]) 
     r
 }
 
+/// `len` zero bytes, or `None` when the host cannot back them. Like
+/// `vec![0u8; len]` the zeroing is the allocator's, so fresh pages stay
+/// untouched until written; unlike it, a refusal is returned instead of
+/// aborting the process.
+fn zeroed(len: u64) -> Option<Vec<u8>> {
+    let len = usize::try_from(len).ok()?;
+    if len == 0 {
+        return Some(Vec::new());
+    }
+    let layout = std::alloc::Layout::array::<u8>(len).ok()?;
+    // SAFETY: `layout` has a non-zero size.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return None;
+    }
+    // SAFETY: `ptr` was just allocated by the global allocator with
+    // `layout` — `len` bytes at alignment 1, which is a `Vec<u8>` of
+    // capacity `len` — and all `len` bytes are initialized (zero).
+    Some(unsafe { Vec::from_raw_parts(ptr, len, len) })
+}
+
 impl Backing {
     /// Allocate `logical_len` bytes, storing at most `phys_cap` of them
-    /// physically (`None` = store everything).
+    /// physically (`None` = store everything). Panics, naming the size,
+    /// when the host cannot back the stored bytes: a simulated rank's
+    /// panic fails its run, where the allocator's abort would end the
+    /// whole process.
     pub fn new(logical_len: u64, phys_cap: Option<u64>) -> Arc<Backing> {
         let phys_len = match phys_cap {
             Some(cap) => logical_len.min(cap),
             None => logical_len,
         };
+        let phys = zeroed(phys_len).unwrap_or_else(|| {
+            panic!("cannot allocate a {phys_len}-byte buffer: the host cannot back it")
+        });
         Arc::new(Backing {
             logical_len,
-            phys: Mutex::new(vec![0u8; phys_len as usize]),
+            phys: Mutex::new(phys),
             watchers: Mutex::new(Vec::new()),
             watcher_count: AtomicUsize::new(0),
         })
@@ -620,6 +647,18 @@ impl CowSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_buffer_the_host_cannot_back_is_a_panic_naming_its_size() {
+        // 2^60 bytes exceed any host's address space.
+        let err = std::panic::catch_unwind(|| Backing::new(1 << 60, None))
+            .expect_err("no host backs 2^60 bytes");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("1152921504606846976-byte"), "{msg}");
+        // A capped backing stores only its prefix, so it still fits.
+        assert_eq!(Backing::new(1 << 60, Some(16)).phys_len(), 16);
+        assert_eq!(Backing::new(0, None).phys_len(), 0);
+    }
 
     #[test]
     fn full_backing_round_trips() {

@@ -4,7 +4,7 @@
 //! Life of a request:
 //!
 //! ```text
-//! submit(job) ── validate ── key ──► cache probe ──hit──► ready Ticket (no queue slot,
+//! submit(job) ── admit ────────────► cache probe ──hit──► ready Ticket (no queue slot,
 //!                                      │ miss                no channel)
 //!                                      ├─ in-flight? ──► coalesce onto the running job
 //!                                      │
@@ -14,9 +14,10 @@
 //!         JOB_<key>.json / PROF_<key>.json → fulfill every waiter
 //! ```
 //!
-//! The key is computed once, in `submit`, and travels with the job: the
-//! worker, the flight label, the profile name and the result body all
-//! use that one string.
+//! The key is computed once, in `submit` (`admit` validates and keys the
+//! job with one lookup of a DSL program's front), and travels with
+//! the job: the worker, the flight label, the profile name and the result
+//! body all use that one string.
 //!
 //! Every decision increments an [`impacc_obs::Recorder`] counter
 //! (`serve_admitted`, `serve_rejected`, `serve_cache_hit`,
@@ -545,12 +546,14 @@ impl Serve {
     /// resolved when the cache had the answer — or a [`Reject`] telling
     /// the caller exactly why not.
     pub fn submit(&self, job: JobSpec) -> Result<Ticket, Reject> {
-        if let Err(why) = job.validate() {
-            self.shared.rec.counter_inc("serve_rejected");
-            self.shared.rec.counter_inc("serve_rejected_invalid");
-            return Err(Reject::Invalid(why));
-        }
-        let key = job.key();
+        let key = match job.admit() {
+            Ok(key) => key,
+            Err(why) => {
+                self.shared.rec.counter_inc("serve_rejected");
+                self.shared.rec.counter_inc("serve_rejected_invalid");
+                return Err(Reject::Invalid(why));
+            }
+        };
 
         // Cache probe before taking a queue slot: a hit consumes no
         // capacity and is a ticket that already holds its result.
@@ -888,6 +891,26 @@ mod tests {
             Err(Reject::Invalid(why)) => assert!(why.contains("psg")),
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_payload_no_node_can_hold_is_refused_and_the_engine_serves_on() {
+        // 2^40 f64s per rank: 8 TiB, which used to abort the process from
+        // inside the worker's first buffer allocation.
+        let serve = Serve::start(ServeConfig::default());
+        let poison = JobSpec {
+            elems: 1 << 40,
+            ..quick_job(0)
+        };
+        match serve.submit(poison) {
+            Err(Reject::Invalid(why)) => assert!(why.contains("8796093022208 bytes"), "{why}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let text = "workload=allreduce\nelems=1099511627776";
+        let err = JobSpec::parse(text).expect_err("parse applies the same rule");
+        assert!(err.contains("8796093022208 bytes per rank"), "{err}");
+        assert!(serve.submit(quick_job(1)).unwrap().wait().is_ok());
+        assert_eq!(serve.status().rejected_invalid, 1);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! deterministic, equal keys are *guaranteed* to produce bit-identical
 //! results, which is what makes content-addressed caching sound here.
 
-use std::fmt::{self, Write as _};
+use std::cell::OnceCell;
+use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use impacc_apps::{allreduce_rounds, exchange, jacobi_task, JacobiParams};
-use impacc_array::{max_halo, scenarios, CartGrid};
+use impacc_array::{dims_create, max_halo, scenarios};
 use impacc_core::{CollAlgo, Rank};
 use impacc_machine::{presets, MachineSpec};
 
@@ -109,8 +110,9 @@ pub(crate) struct WorkloadRow {
     /// common ones (machine, seed, fault plan): the keys its canonical
     /// form adds, and the only ones that reach its run.
     pub(crate) reads: &'static [&'static str],
-    /// The workload's own admission rule.
-    validate: fn(&JobSpec) -> Result<(), String>,
+    /// The workload's own admission rule (`front` is the job's DSL
+    /// program, looked up on first use).
+    validate: fn(&JobSpec, &Front) -> Result<(), String>,
     /// Build the rank body, before launch and off the simulated ranks:
     /// a DSL compile error is the job's error, not a panic inside one.
     pub(crate) body: fn(&JobSpec) -> Result<RankBody, String>,
@@ -121,7 +123,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Allreduce,
         label: "allreduce",
         reads: &["algo", "elems", "rounds"],
-        validate: |_| Ok(()),
+        validate: |j, _| payload_fits(j),
         body: |j| {
             let (elems, rounds, seed) = (j.elems, j.rounds, j.seed);
             Ok(Box::new(move |tc| {
@@ -133,7 +135,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Exchange,
         label: "exchange",
         reads: &["rounds"],
-        validate: |j| match j.task_count() {
+        validate: |j, _| match j.task_count() {
             2 => Ok(()),
             n => Err(format!("exchange needs exactly 2 tasks, spec hosts {n}")),
         },
@@ -149,7 +151,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Jacobi,
         label: "jacobi",
         reads: &["iters", "n"],
-        validate: |j| {
+        validate: |j, _| {
             if j.n < 8 || !j.n.is_multiple_of(2) {
                 return Err("jacobi mesh n must be even and >= 8".into());
             }
@@ -171,12 +173,15 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Stencil3d,
         label: "stencil3d",
         reads: &["iters", "n"],
-        validate: |j| {
+        validate: |j, _| {
             if j.n < 4 {
                 return Err("stencil3d cube n must be >= 4".into());
             }
             let tasks = j.task_count();
-            if max_halo(&[j.n, j.n, j.n], &CartGrid::new(tasks, 2)) < 1 {
+            // The 2-d rank grid `stencil3d_task` decomposes the cube over.
+            let mut grid = [1; 2];
+            dims_create(tasks, &mut grid);
+            if max_halo(&[j.n, j.n, j.n], &grid) < 1 {
                 return Err(format!(
                     "stencil3d n={} too small for a {tasks} rank grid",
                     j.n
@@ -200,7 +205,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Stencil2d,
         label: "stencil2d",
         reads: &["halo", "iters", "n"],
-        validate: |j| {
+        validate: |j, _| {
             if j.halo == 0 {
                 return Err("stencil2d halo must be >= 1".into());
             }
@@ -223,7 +228,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Redblack,
         label: "redblack",
         reads: &["iters", "n"],
-        validate: |j| line_mesh_fits(j, 1),
+        validate: |j, _| line_mesh_fits(j, 1),
         body: |j| {
             let p = scenarios::RedBlackParams {
                 n: j.n,
@@ -240,11 +245,11 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Dsl,
         label: "dsl",
         reads: &["program"],
-        validate: |j| {
+        validate: |j, front| {
             if j.program.is_empty() {
                 return Err("dsl workload needs program=<example|inline source>".into());
             }
-            impacc_dsl::validate_launch(&j.dsl_front()?.compiled, j.task_count())
+            impacc_dsl::validate_launch(&front.get()?.compiled, j.task_count())
                 .map_err(|e| format!("dsl program cannot launch: {e}"))
         },
         body: |j| {
@@ -266,10 +271,29 @@ fn line_mesh_fits(j: &JobSpec, halo: usize) -> Result<(), String> {
         return Err(format!("mesh n={} must exceed 2*halo={}", j.n, 2 * halo));
     }
     let tasks = j.task_count();
-    if max_halo(&[j.n, j.n], &CartGrid::line(tasks)) < halo {
+    if max_halo(&[j.n, j.n], &[tasks]) < halo {
         return Err(format!(
             "halo {halo} exceeds the smallest block of n={} over {tasks} ranks",
             j.n
+        ));
+    }
+    Ok(())
+}
+
+/// Every payload byte is stored, so a rank's buffer of `elems` f64s, times
+/// the ranks sharing a node, must fit the simulated node's host memory: a
+/// request for more is refused here instead of failing the allocation.
+fn payload_fits(j: &JobSpec) -> Result<(), String> {
+    let Some(preset) = j.preset() else {
+        return Ok(()); // no machine to fit: the run reports the preset
+    };
+    let per_rank = j.elems as u128 * 8;
+    let per_node = (j.task_count() / j.nodes) as u128;
+    if per_rank * per_node > u128::from(preset.host_mem) {
+        return Err(format!(
+            "elems={} is {per_rank} bytes per rank, {per_node} rank(s) per node: \
+             more than a {} node's {} bytes of host memory",
+            j.elems, preset.name, preset.host_mem
         ));
     }
     Ok(())
@@ -307,6 +331,8 @@ impl Workload {
 /// One machine preset (`spec=`), sized by the job's `nodes`/`gpus`.
 pub(crate) struct Preset {
     name: &'static str,
+    /// Host memory of one of its nodes, bytes.
+    host_mem: u64,
     /// Tasks the §3.2 mapper will create on it.
     tasks: fn(&JobSpec) -> usize,
     /// Why the job's `nodes`/`gpus` do not fit it, if they do not.
@@ -317,12 +343,14 @@ pub(crate) struct Preset {
 static PRESETS: [Preset; 3] = [
     Preset {
         name: "test_cluster",
+        host_mem: presets::PSG_HOST_MEM,
         tasks: |j| j.nodes * j.gpus,
         misfit: |_| None,
         build: |j| presets::test_cluster(j.nodes, j.gpus),
     },
     Preset {
         name: "psg",
+        host_mem: presets::PSG_HOST_MEM,
         tasks: |j| j.gpus,
         misfit: |j| (j.gpus > 8 || j.nodes != 1).then_some("psg is one node with up to 8 GPUs"),
         build: |j| {
@@ -333,6 +361,7 @@ static PRESETS: [Preset; 3] = [
     },
     Preset {
         name: "titan",
+        host_mem: presets::TITAN_HOST_MEM,
         tasks: |j| j.nodes,
         misfit: |_| None,
         build: |j| presets::titan(j.nodes),
@@ -436,9 +465,216 @@ pub struct JobSpec {
 
 impl Default for JobSpec {
     fn default() -> JobSpec {
+        JobSpec::with_spec(DEFAULT_SPEC)
+    }
+}
+
+/// The `spec=` a job names when it names none.
+const DEFAULT_SPEC: &str = "test_cluster";
+
+fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+    v.parse::<T>()
+        .map_err(|_| format!("field {key}: cannot parse {v:?}"))
+}
+
+fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
+    match v {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(format!("field {key}: want 0|1|true|false, got {v:?}")),
+    }
+}
+
+/// The `key = value` pairs of a job text, one per line, `#` comments
+/// and blank lines skipped; a line without `=` is an error. Each line is
+/// read once: the scan that finds its first `=` goes on to its comment or
+/// its end, whichever comes first (a line that `str::lines` would end in
+/// `\r\n` loses the `\r` to the trim).
+fn text_pairs(text: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    let mut rest = text;
+    std::iter::from_fn(move || loop {
+        if rest.is_empty() {
+            return None;
+        }
+        let bytes = rest.as_bytes();
+        let len = bytes.len();
+        // `end`: where the pair's text stops, at a `#`, a newline or the
+        // end of the text.
+        let (eq, end) = match bytes.iter().position(|&b| matches!(b, b'=' | b'#' | b'\n')) {
+            Some(i) if bytes[i] == b'=' => {
+                let value = &bytes[i + 1..];
+                (
+                    Some(i),
+                    i + 1 + find_either(value, b'#', b'\n').unwrap_or(value.len()),
+                )
+            }
+            Some(i) => (None, i),
+            None => (None, len),
+        };
+        let next = match bytes.get(end) {
+            Some(b'#') => rest[end..].find('\n').map_or(len, |nl| end + nl + 1),
+            Some(_) => end + 1,
+            None => len,
+        };
+        let content = &rest[..end];
+        rest = &rest[next..];
+        match eq {
+            Some(i) => return Some(Ok((trim(&content[..i]), trim(&content[i + 1..])))),
+            None => match trim(content) {
+                "" => continue,
+                line => return Some(Err(format!("expected key=value, got {line:?}"))),
+            },
+        }
+    })
+}
+
+/// Index of the first `a` or `b` in `hay`, eight bytes a step: a word
+/// holds a byte equal to `x` iff `w ^ x·0x01…01` holds a zero byte, and
+/// the lowest byte the zero-byte test flags is exactly the first one.
+fn find_either(hay: &[u8], a: u8, b: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let zero = |w: u64| w.wrapping_sub(LO) & !w & HI;
+    let (ma, mb) = (LO * u64::from(a), LO * u64::from(b));
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hit = zero(w ^ ma) | zero(w ^ mb);
+        if hit != 0 {
+            return Some(i * 8 + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = hay.len() - tail.len();
+    tail.iter().position(|&x| x == a || x == b).map(|i| at + i)
+}
+
+/// `str::trim`, answered without decoding when both ends are visible
+/// ASCII — the common case.
+fn trim(s: &str) -> &str {
+    // ASCII that `char::is_whitespace` does not match.
+    let solid = |b: &u8| b.is_ascii() && !matches!(b, b'\t'..=b'\r' | b' ');
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(a), Some(b)) if solid(a) && solid(b) => s,
+        _ => s.trim(),
+    }
+}
+
+/// Where [`JobSpec::write_pairs`] puts the canonical pairs: a `String`
+/// (canonical form, wire format) or a key's FNV-1a state. Integers are
+/// rendered here, not through `core::fmt`, which costs more than hashing
+/// their digits does.
+trait Sink {
+    fn put(&mut self, s: &str);
+
+    fn put_u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.put(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+    }
+
+    /// `key` (which ends in `=`), `value`, `sep`.
+    fn pair(&mut self, key: &str, value: &str, sep: &str) {
+        self.put(key);
+        self.put(value);
+        self.put(sep);
+    }
+
+    /// [`Sink::pair`] of a number.
+    fn num(&mut self, key: &str, value: u64, sep: &str) {
+        self.put(key);
+        self.put_u64(value);
+        self.put(sep);
+    }
+
+    /// `{v}` of an f64; only a non-zero rate takes the formatter.
+    fn put_f64(&mut self, v: f64)
+    where
+        Self: Sized,
+    {
+        if v.to_bits() == 0 {
+            self.put("0");
+        } else {
+            let _ = fmt::write(&mut FmtSink(self), format_args!("{v}"));
+        }
+    }
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// A [`Sink`] as a formatter target.
+struct FmtSink<'a, S>(&'a mut S);
+
+impl<S: Sink> fmt::Write for FmtSink<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put(s);
+        Ok(())
+    }
+}
+
+/// FNV-1a as a [`Sink`], so [`JobSpec::key`] hashes the canonical form as
+/// it is written instead of building it first.
+struct Fnv(u64);
+
+impl Sink for Fnv {
+    fn put(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The FNV-1a state every key starts from: the offset basis fed the code
+/// version and a newline.
+static KEY_BASIS: LazyLock<u64> = LazyLock::new(|| {
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    fnv.put(crate::code_version());
+    fnv.put("\n");
+    fnv.0
+});
+
+/// A job's DSL front, looked up at most once for everything one call
+/// derives from the job (validation and key at admission).
+pub(crate) struct Front<'j> {
+    job: &'j JobSpec,
+    got: OnceCell<Result<Arc<DslFront>, String>>,
+}
+
+impl<'j> Front<'j> {
+    fn of(job: &'j JobSpec) -> Front<'j> {
+        Front {
+            job,
+            got: OnceCell::new(),
+        }
+    }
+
+    fn get(&self) -> Result<&DslFront, String> {
+        match self.got.get_or_init(|| self.job.dsl_front()) {
+            Ok(front) => Ok(front),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+impl JobSpec {
+    /// Every field at its default, on machine preset `spec`.
+    fn with_spec(spec: &str) -> JobSpec {
         JobSpec {
             workload: Workload::Allreduce,
-            spec: "test_cluster".into(),
+            spec: spec.to_string(),
             nodes: 2,
             gpus: 1,
             seed: 0,
@@ -458,51 +694,7 @@ impl Default for JobSpec {
             campaign: String::new(),
         }
     }
-}
 
-fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
-    v.parse::<T>()
-        .map_err(|_| format!("field {key}: cannot parse {v:?}"))
-}
-
-fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
-    match v {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!("field {key}: want 0|1|true|false, got {v:?}")),
-    }
-}
-
-/// The `key = value` pairs of a job text, one per line, `#` comments
-/// and blank lines skipped; a line without `=` is an error.
-fn text_pairs(text: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
-    text.lines().filter_map(|raw| {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            return None;
-        }
-        Some(match line.split_once('=') {
-            Some((k, v)) => Ok((k.trim(), v.trim())),
-            None => Err(format!("expected key=value, got {line:?}")),
-        })
-    })
-}
-
-/// FNV-1a as a [`fmt::Write`] sink, so [`JobSpec::key`] hashes the
-/// canonical form as it is written instead of building it first.
-struct Fnv(u64);
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-impl JobSpec {
     /// Parse a job from `key = value` text: exactly one pair per line —
     /// the line is split at its first `=`, so the value is everything
     /// after it — and `#` starts a comment. [`JobSpec::to_file`] is the
@@ -525,19 +717,24 @@ impl JobSpec {
     fn build<'a>(
         pairs: impl Iterator<Item = Result<(&'a str, &'a str), String>>,
     ) -> Result<JobSpec, String> {
-        let mut job = JobSpec::default();
+        // The preset is one of the table's names until the end, so the
+        // job's `spec` string is made once.
+        let mut job = JobSpec::with_spec("");
+        let mut spec = DEFAULT_SPEC;
         for pair in pairs {
             let (k, v) = pair?;
             match k {
                 "workload" => job.workload = Workload::parse(v)?,
                 "spec" => {
-                    if !PRESETS.iter().any(|p| p.name == v) {
-                        return Err(format!(
-                            "unknown machine preset {v:?} ({})",
-                            names(PRESETS.iter().map(|p| p.name))
-                        ));
+                    spec = match PRESETS.iter().find(|p| p.name == v) {
+                        Some(p) => p.name,
+                        None => {
+                            return Err(format!(
+                                "unknown machine preset {v:?} ({})",
+                                names(PRESETS.iter().map(|p| p.name))
+                            ))
+                        }
                     }
-                    job.spec = v.to_string();
                 }
                 "nodes" => job.nodes = parse_num(k, v)?,
                 "gpus" => job.gpus = parse_num(k, v)?,
@@ -547,7 +744,7 @@ impl JobSpec {
                 "n" => job.n = parse_num(k, v)?,
                 "iters" => job.iters = parse_num(k, v)?,
                 "halo" => job.halo = parse_num(k, v)?,
-                "program" => job.program = v.to_string(),
+                "program" => v.clone_into(&mut job.program),
                 "params" => {
                     let mut params: Vec<(String, f64)> = Vec::new();
                     for part in v.split(',').filter(|p| !p.trim().is_empty()) {
@@ -594,29 +791,42 @@ impl JobSpec {
                 }
                 "prof" => job.prof = parse_bool(k, v)?,
                 "priority" => job.priority = Priority::parse(v)?,
-                "campaign" => job.campaign = v.to_string(),
+                "campaign" => v.clone_into(&mut job.campaign),
                 other => return Err(format!("unknown job field {other:?}")),
             }
         }
+        job.spec = spec.to_string();
         job.validate()?;
         Ok(job)
     }
 
     /// Reject requests the runner cannot execute, with the reason.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_with(&Front::of(self))
+    }
+
+    fn validate_with(&self, front: &Front) -> Result<(), String> {
         if self.nodes == 0 || self.gpus == 0 {
             return Err("nodes and gpus must be >= 1".into());
         }
         if let Some(why) = self.preset().and_then(|p| (p.misfit)(self)) {
             return Err(why.into());
         }
-        (self.workload.row().validate)(self)?;
+        (self.workload.row().validate)(self, front)?;
         for &(n, d) in &self.fail_device {
             if n >= self.nodes || d >= self.gpus {
                 return Err(format!("fail_device {n}:{d} outside the machine"));
             }
         }
         Ok(())
+    }
+
+    /// [`JobSpec::validate`], then [`JobSpec::key`]: what admission runs on
+    /// every submission, a DSL program's front looked up once for both.
+    pub(crate) fn admit(&self) -> Result<String, String> {
+        let front = Front::of(self);
+        self.validate_with(&front)?;
+        Ok(self.key_with(&front))
     }
 
     /// The job's DSL program, compiled: the plan, its normal form and
@@ -645,40 +855,45 @@ impl JobSpec {
     /// between pairs: one walk over every key in sorted order, a key
     /// written iff every workload carries it or the job's row reads it.
     /// `src_hash` is derived from `program`; the wire format leaves it out.
-    fn write_pairs(&self, out: &mut impl fmt::Write, sep: char, src_hash: bool) -> fmt::Result {
+    fn write_pairs(&self, out: &mut impl Sink, front: &Front, sep: &str, src_hash: bool) {
         let row = self.workload.row();
         let reads = |field: &str| row.reads.contains(&field);
         if reads("algo") {
-            write!(out, "algo={}{sep}", self.algo.map_or("auto", |a| a.label()))?;
+            out.pair("algo=", self.algo.map_or("auto", |a| a.label()), sep);
         }
-        write!(
-            out,
-            "chaos_rate={}{sep}chaos_seed={}{sep}",
-            self.chaos_rate, self.chaos_seed
-        )?;
+        out.put("chaos_rate=");
+        out.put_f64(self.chaos_rate);
+        out.put(sep);
+        out.num("chaos_seed=", self.chaos_seed, sep);
         if reads("elems") {
-            write!(out, "elems={}{sep}", self.elems)?;
+            out.num("elems=", self.elems as u64, sep);
         }
-        out.write_str("fail_device=")?;
-        for (i, (n, d)) in self.fail_device.iter().enumerate() {
-            write!(out, "{}{n}:{d}", if i > 0 { "," } else { "" })?;
+        out.put("fail_device=");
+        for (i, &(n, d)) in self.fail_device.iter().enumerate() {
+            if i > 0 {
+                out.put(",");
+            }
+            out.put_u64(n as u64);
+            out.put(":");
+            out.put_u64(d as u64);
         }
-        write!(out, "{sep}gpus={}{sep}", self.gpus)?;
+        out.put(sep);
+        out.num("gpus=", self.gpus as u64, sep);
         if reads("halo") {
-            write!(out, "halo={}{sep}", self.halo)?;
+            out.num("halo=", self.halo as u64, sep);
         }
         if reads("iters") {
-            write!(out, "iters={}{sep}", self.iters)?;
+            out.num("iters=", self.iters as u64, sep);
         }
         if reads("n") {
-            write!(out, "n={}{sep}", self.n)?;
+            out.num("n=", self.n as u64, sep);
         }
-        write!(out, "nodes={}{sep}", self.nodes)?;
+        out.num("nodes=", self.nodes as u64, sep);
         // The program is keyed by its *normal form* (canonical source
         // with params resolved), so spelling variants cannot split the
         // cache. `src_hash` rides along for observability and
         // greppability.
-        let front = reads("program").then(|| self.dsl_front());
+        let front = reads("program").then(|| front.get());
         let invalid;
         let dsl: Option<(&str, &str)> = match &front {
             Some(Ok(f)) => Some((&f.normal_form, &f.src_hash)),
@@ -689,16 +904,18 @@ impl JobSpec {
             None => None,
         };
         if let Some((program, _)) = dsl {
-            write!(out, "program={program}{sep}")?;
+            out.pair("program=", program, sep);
         }
         if reads("rounds") {
-            write!(out, "rounds={}{sep}", self.rounds)?;
+            out.num("rounds=", self.rounds.into(), sep);
         }
-        write!(out, "seed={}{sep}spec={}{sep}", self.seed, self.spec)?;
+        out.num("seed=", self.seed, sep);
+        out.pair("spec=", &self.spec, sep);
         if let (Some((_, hash)), true) = (dsl, src_hash) {
-            write!(out, "src_hash={hash}{sep}")?;
+            out.pair("src_hash=", hash, sep);
         }
-        write!(out, "workload={}", row.label)
+        out.put("workload=");
+        out.put(row.label);
     }
 
     /// The result-affecting fields in normal form: key-sorted, defaults
@@ -707,7 +924,7 @@ impl JobSpec {
     /// excluded, as are parameters the selected workload ignores.
     pub fn canonical(&self) -> String {
         let mut out = String::with_capacity(160);
-        let _ = self.write_pairs(&mut out, ' ', true);
+        self.write_pairs(&mut out, &Front::of(self), " ", true);
         out
     }
 
@@ -716,16 +933,21 @@ impl JobSpec {
     /// results (engine determinism); any result-affecting change —
     /// including a code/schema bump — moves the key.
     pub fn key(&self) -> String {
-        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
-        let _ = fnv.write_str(crate::code_version());
-        let _ = fnv.write_str("\n");
-        let _ = self.write_pairs(&mut fnv, ' ', true);
+        self.key_with(&Front::of(self))
+    }
+
+    fn key_with(&self, front: &Front) -> String {
+        let mut fnv = Fnv(*KEY_BASIS);
+        self.write_pairs(&mut fnv, front, " ", true);
         // Finalize (splitmix64) so near-identical canonicals avalanche.
         let mut h = fnv.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
-        format!("{h:016x}")
+        (0..16)
+            .rev()
+            .map(|nibble| char::from(b"0123456789abcdef"[(h >> (4 * nibble)) as usize & 0xf]))
+            .collect()
     }
 
     /// Render the job as a `key=value` file body that [`JobSpec::parse`]
@@ -737,15 +959,17 @@ impl JobSpec {
         // knob); `params` are already folded into the canonical program
         // text.
         let mut out = String::with_capacity(192);
-        let _ = self.write_pairs(&mut out, '\n', false);
+        self.write_pairs(&mut out, &Front::of(self), "\n", false);
         if self.prof {
             out.push_str("\nprof=1");
         }
         if self.priority != Priority::Normal {
-            let _ = write!(out, "\npriority={}", self.priority.label());
+            out.push_str("\npriority=");
+            out.push_str(self.priority.label());
         }
         if !self.campaign.is_empty() {
-            let _ = write!(out, "\ncampaign={}", self.campaign);
+            out.push_str("\ncampaign=");
+            out.push_str(&self.campaign);
         }
         out.push('\n');
         out
@@ -755,6 +979,66 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pairs as `str::lines`, `split('#')` and `split_once('=')` see
+    /// them: what the single-pass scan must agree with.
+    fn reference_pairs(text: &str) -> Vec<Result<(&str, &str), String>> {
+        text.lines()
+            .filter_map(|raw| {
+                let line = raw.split('#').next().unwrap_or("").trim();
+                if line.is_empty() {
+                    return None;
+                }
+                Some(match line.split_once('=') {
+                    Some((k, v)) => Ok((k.trim(), v.trim())),
+                    None => Err(format!("expected key=value, got {line:?}")),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_single_pass_scan_agrees_with_line_splitting() {
+        const ALPHABET: [&str; 10] = ["a", "b", "=", "#", "\n", "\r", " ", "\t", "\u{a0}", "é"];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let len = (next() % 40) as usize;
+            let text: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            let got: Vec<_> = text_pairs(&text).collect();
+            assert_eq!(got, reference_pairs(&text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn find_either_finds_the_first_of_two_bytes() {
+        // Every placement of an `a` and a later `b` (or none) in every
+        // length, so each lane of a word and the tail are exercised; the
+        // filler bytes sit one away from the needles.
+        for len in 0..40 {
+            for at in 0..=len {
+                for later in at..=len {
+                    let mut hay = vec![b'"'; len];
+                    if at < len {
+                        hay[at] = b'#';
+                    }
+                    if later < len {
+                        hay[later] = b'\n';
+                    }
+                    let want = hay.iter().position(|&x| x == b'#' || x == b'\n');
+                    assert_eq!(find_either(&hay, b'#', b'\n'), want, "{hay:?}");
+                    assert_eq!(find_either(&hay, b'\n', b'#'), want, "{hay:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn to_file_round_trips_through_parse() {
