@@ -47,6 +47,36 @@ impl Directive {
         }
     }
 
+    /// Check the directive against the MPI routine it annotates (§3.5:
+    /// the directive applies to the immediately following MPI call).
+    /// Refused: `sendbuf` on a receive, `recvbuf` on a send, `async` on
+    /// anything but `MPI_Isend`/`MPI_Irecv` (only a non-blocking call is
+    /// queued), and a `call` that is no `MPI_` routine.
+    pub fn check_call(&self, call: &str) -> Result<(), String> {
+        let (sends, recvs) = match call {
+            "MPI_Send" | "MPI_Ssend" | "MPI_Rsend" | "MPI_Bsend" | "MPI_Isend" => (true, false),
+            "MPI_Recv" | "MPI_Irecv" => (false, true),
+            c if c.starts_with("MPI_") => (true, true),
+            _ => {
+                return Err(format!(
+                    "the directive must annotate an MPI call, not '{call}'"
+                ))
+            }
+        };
+        if self.recvbuf.is_some() && !recvs {
+            return Err(format!("recvbuf clause on send call {call}"));
+        }
+        if self.sendbuf.is_some() && !sends {
+            return Err(format!("sendbuf clause on receive call {call}"));
+        }
+        if self.asyncq.is_some() && !matches!(call, "MPI_Isend" | "MPI_Irecv") {
+            return Err(format!(
+                "async clause on {call}: only MPI_Isend and MPI_Irecv are queued"
+            ));
+        }
+        Ok(())
+    }
+
     /// Render back to canonical directive text.
     pub fn render(&self) -> String {
         let mut out = String::from("#pragma acc mpi");
