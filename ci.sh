@@ -85,6 +85,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+# An intra-doc link to a deleted or private item is a warning rustdoc
+# prints and moves past; here it fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> benchmark package self-check"
 # benchmark/ is a standalone package outside the workspace (its own
 # lockfile, path-deps on crates/*): none of the steps above build it, yet
@@ -139,24 +144,30 @@ echo "==> serve campaign: fault injection end-to-end"
 # faulted and device-loss points is answered by the cache too.
 campaign_gate "chaos campaign gate" campaigns/chaos_sweep.campaign
 
-echo "==> serve daemon: a poison request fails alone"
-# A request written straight into the spool, past the client-side parse of
-# `serve submit`, whose allreduce payload (2^40 f64s per rank, 8 TiB) no
-# node can hold, beside one valid job: the daemon must refuse the first
-# with a done/<name>.err sidecar, execute the second and exit 0. An
-# allocation the host cannot back used to abort the whole process here.
+echo "==> serve daemon: poison requests fail alone"
+# Requests written straight into the spool, past the client-side parse of
+# `serve submit`, that no node can hold, beside one valid job: an
+# allreduce payload of 2^40 f64s per rank (8 TiB), and a 2^40-wide mesh
+# as a stencil2d job and as the DSL's stencil2d program. The daemon must
+# refuse each with a done/<name>.err sidecar, execute the valid job and
+# exit 0. An allocation the host cannot back used to abort the whole
+# process here.
 rm -rf "$SPOOL"
 mkdir -p "$SPOOL/incoming"
 printf 'workload=allreduce\nelems=1099511627776\n' >"$SPOOL/incoming/poison.job"
+printf 'workload=stencil2d\nn=1099511627776\n' >"$SPOOL/incoming/poison_mesh.job"
+printf 'workload=dsl\nprogram=stencil2d\nparams=n:1099511627776\n' >"$SPOOL/incoming/poison_dsl.job"
 printf 'workload=allreduce\nelems=64\nseed=28\n' >"$SPOOL/incoming/valid.job"
 poisoned=$("$serve_bin" daemon --spool "$SPOOL" --workers 1 --drain) || {
     echo "poison request gate: FAIL — the daemon exited with status $?"
     exit 1
 }
 echo "$poisoned"
-if ! grep -q "executed 1, cache_hits 0, rejected 1, failed 0," <<<"$poisoned" \
-        || ! grep -q "8796093022208 bytes" "$SPOOL/done/poison.job.err"; then
-    echo "poison request gate: FAIL — the valid job must run and the poison one be refused"
+if ! grep -q "executed 1, cache_hits 0, rejected 3, failed 0," <<<"$poisoned" \
+        || ! grep -q "8796093022208 bytes per rank" "$SPOOL/done/poison.job.err" \
+        || ! grep -q "bytes per rank" "$SPOOL/done/poison_mesh.job.err" \
+        || ! grep -q "bytes per rank" "$SPOOL/done/poison_dsl.job.err"; then
+    echo "poison request gate: FAIL — the valid job must run and each poison one be refused"
     exit 1
 fi
 echo "poison request gate: ok"

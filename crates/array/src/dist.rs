@@ -237,6 +237,21 @@ pub fn tile_geom(spec: &ArraySpec, rank: usize) -> TileGeom {
     }
 }
 
+/// Bytes of the largest padded `f64` tile a [`Layout::Block`] decomposition
+/// of `shape` over a grid of extents `dims` (a [`CartGrid`]'s `dims`) with
+/// ghost depth `halo` gives any rank: the product of rank 0's
+/// [`tile_geom`] `padded` extents (a block partition hands its larger
+/// blocks to the first ranks), times 8. Computed on the stack and
+/// saturating, so admission can refuse a mesh no host can hold before a
+/// [`DistArray::build`] allocates anything.
+pub fn tile_bytes(shape: &[usize], dims: &[usize], halo: usize) -> u128 {
+    let extents = shape.iter().enumerate().map(|(d, &n)| match dims.get(d) {
+        Some(&p) => n.div_ceil(p) as u128 + 2 * halo as u128,
+        None => n as u128,
+    });
+    extents.fold(8, u128::saturating_mul)
+}
+
 /// Owned counts and (block) offsets of `rank`'s tile, per dim.
 pub fn tile_extents(spec: &ArraySpec, rank: usize) -> (Vec<usize>, Vec<usize>) {
     let nd = spec.shape.len();

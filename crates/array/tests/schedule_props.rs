@@ -12,7 +12,8 @@
 //!    which is what makes per-run FIFO message matching line up.
 
 use impacc_array::{
-    directions, infer, max_halo, tile_extents, tile_geom, ArraySpec, CartGrid, RegionBox,
+    directions, infer, max_halo, tile_bytes, tile_extents, tile_geom, ArraySpec, CartGrid,
+    RegionBox,
 };
 use proptest::prelude::*;
 
@@ -54,6 +55,29 @@ fn for_each_cell(padded: &[usize], mut f: impl FnMut(&[usize])) {
             idx[d] = 0;
         }
     }
+}
+
+/// `tile_bytes` is the largest padded tile `tile_geom` gives any rank.
+#[test]
+fn tile_bytes_is_the_largest_tile_geom() {
+    for shape in [vec![7], vec![1, 1], vec![10, 3], vec![5, 9, 4]] {
+        for ranks in 1..8 {
+            for g in 1..=shape.len() {
+                let grid = CartGrid::new(ranks, g);
+                for halo in 0..3 {
+                    let spec = ArraySpec::block(shape.clone(), grid.clone(), halo);
+                    let cells = (0..ranks)
+                        .map(|r| tile_geom(&spec, r).padded.iter().product::<usize>())
+                        .max()
+                        .unwrap();
+                    let got = tile_bytes(&shape, &grid.dims, halo);
+                    assert_eq!(got, cells as u128 * 8, "{shape:?} over {:?}", grid.dims);
+                }
+            }
+        }
+    }
+    // A mesh no address space holds saturates instead of wrapping.
+    assert_eq!(tile_bytes(&[usize::MAX; 3], &[1], 1), u128::MAX);
 }
 
 proptest! {

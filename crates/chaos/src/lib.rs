@@ -115,8 +115,8 @@ impl FaultSite {
 pub struct FaultPlan {
     /// Seed hashed into every roll.
     pub seed: u64,
-    /// Per-site fault probability, indexed by [`FaultSite::idx`]-order
-    /// (use [`FaultPlan::with_rate`]).
+    /// Per-site fault probability, in [`FaultSite::ALL`] order (use
+    /// [`FaultPlan::with_rate`]).
     pub rates: [f64; 9],
     /// Devices `(node, dev_idx)` that are down from launch; the mapper
     /// remaps their tasks onto surviving devices.

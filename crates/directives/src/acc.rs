@@ -7,9 +7,10 @@
 //! module parses the OpenACC 2.x directives those programs use: compute
 //! constructs, structured/unstructured data constructs, `update`, `wait`
 //! and loop annotations, with the clause set the evaluation applications
-//! exercise.
+//! exercise. It reads the line through the same token cursor as the
+//! `acc mpi` grammar.
 
-use crate::parser::{tokenize, ParseError, Tok};
+use crate::parser::{err, int, Cursor, ParseError, Tok};
 
 /// Which OpenACC directive a line carries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,22 +81,6 @@ pub struct AccDirective {
     pub reductions: Vec<Reduction>,
 }
 
-impl AccDirective {
-    /// The activity queue this directive targets (bare `async` = queue 0).
-    pub fn queue(&self) -> Option<u32> {
-        self.asyncq.map(|q| q.unwrap_or(0))
-    }
-
-    /// Variables listed under a given data clause.
-    pub fn vars_of(&self, clause: &str) -> Vec<&str> {
-        self.data
-            .iter()
-            .filter(|v| v.clause == clause)
-            .flat_map(|v| v.vars.iter().map(|s| s.as_str()))
-            .collect()
-    }
-}
-
 const DATA_CLAUSES: &[&str] = &[
     "copy", "copyin", "copyout", "create", "present", "delete", "device", "self", "host",
 ];
@@ -104,24 +89,10 @@ const LOOP_MODES: &[&str] = &["gang", "worker", "vector", "independent", "seq"];
 /// Parse one `#pragma acc ...` line (any directive except `acc mpi`,
 /// which [`crate::parse_directive`] owns).
 pub fn parse_acc_directive(line: &str) -> Result<AccDirective, ParseError> {
-    let toks = tokenize(line)?;
-    let mut pos = 0usize;
-    let ident = |pos: usize| -> Option<&str> {
-        match toks.get(pos) {
-            Some((_, Tok::Ident(w))) => Some(w.as_str()),
-            _ => None,
-        }
-    };
-    for want in ["#pragma", "acc"] {
-        if ident(pos) != Some(want) {
-            return Err(ParseError {
-                at: toks.get(pos).map(|(a, _)| *a).unwrap_or(line.len()),
-                message: format!("expected '{want}'"),
-            });
-        }
-        pos += 1;
-    }
-    let (kind, consumed) = match (ident(pos), ident(pos + 1)) {
+    let mut c = Cursor::new(line)?;
+    c.header(&["#pragma", "acc"])
+        .map_err(|w| err(c.at(), format!("expected '{w}'")))?;
+    let (kind, words) = match (c.word(0), c.word(1)) {
         (Some("kernels"), _) => (AccKind::Kernels, 1),
         (Some("parallel"), _) => (AccKind::Parallel, 1),
         (Some("enter"), Some("data")) => (AccKind::EnterData, 2),
@@ -130,24 +101,15 @@ pub fn parse_acc_directive(line: &str) -> Result<AccDirective, ParseError> {
         (Some("update"), _) => (AccKind::Update, 1),
         (Some("wait"), _) => (AccKind::Wait, 1),
         (Some("loop"), _) => (AccKind::Loop, 1),
-        (Some("mpi"), _) => {
-            return Err(ParseError {
-                at: toks[pos].0,
-                message: "use parse_directive() for '#pragma acc mpi'".into(),
-            })
-        }
-        (other, _) => {
-            return Err(ParseError {
-                at: toks.get(pos).map(|(a, _)| *a).unwrap_or(line.len()),
-                message: format!("unknown OpenACC directive {other:?}"),
-            })
-        }
+        (Some("mpi"), _) => return Err(err(c.at(), "use parse_directive() for '#pragma acc mpi'")),
+        (other, _) => return Err(err(c.at(), format!("unknown OpenACC directive {other:?}"))),
     };
-    pos += consumed;
+    c.skip(words);
 
     let mut d = AccDirective {
         kind,
-        has_loop: false,
+        // `kernels loop` / `parallel loop`.
+        has_loop: matches!(kind, AccKind::Kernels | AccKind::Parallel) && c.eat(Tok::Ident("loop")),
         asyncq: None,
         waits: Vec::new(),
         data: Vec::new(),
@@ -158,254 +120,82 @@ pub fn parse_acc_directive(line: &str) -> Result<AccDirective, ParseError> {
         loop_modes: Vec::new(),
         reductions: Vec::new(),
     };
-
-    // `kernels loop` / `parallel loop`.
-    if matches!(kind, AccKind::Kernels | AccKind::Parallel) && ident(pos) == Some("loop") {
-        d.has_loop = true;
-        pos += 1;
+    // The `wait` *directive* takes an optional bare argument list, and
+    // clauses may follow it (`wait(1) async(2)`).
+    if kind == AccKind::Wait && c.peek(0) == Some(Tok::LParen) {
+        d.waits = int_list(&mut c)?;
     }
-
-    // The `wait` *directive* takes an optional bare argument list.
-    if kind == AccKind::Wait {
-        if matches!(toks.get(pos), Some((_, Tok::LParen))) {
-            d.waits = parse_int_list(line, &toks, &mut pos)?;
-        }
-        if pos < toks.len() {
-            // fall through: `wait(1) async(2)` is legal
-        } else {
-            return Ok(d);
-        }
-    }
-
-    while pos < toks.len() {
-        let (at, name) = match &toks[pos] {
-            (at, Tok::Ident(n)) => (*at, n.clone()),
-            (at, other) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("expected a clause, found {other:?}"),
+    while let Some((at, name)) = c.clause()? {
+        match name {
+            "async" => {
+                d.asyncq = Some(match c.peek(0) {
+                    Some(Tok::LParen) => Some(one(&mut c, at, name, "queue")?),
+                    _ => None,
                 })
             }
-        };
-        pos += 1;
-        match name.as_str() {
-            "async" => {
-                if matches!(toks.get(pos), Some((_, Tok::LParen))) {
-                    let list = parse_int_list(line, &toks, &mut pos)?;
-                    if list.len() != 1 {
-                        return Err(ParseError {
-                            at,
-                            message: "async takes exactly one queue".into(),
-                        });
-                    }
-                    d.asyncq = Some(Some(list[0]));
-                } else {
-                    d.asyncq = Some(None);
-                }
-            }
-            "wait" => {
-                d.waits = parse_int_list(line, &toks, &mut pos)?;
-            }
+            "wait" => d.waits = int_list(&mut c)?,
             "num_gangs" | "num_workers" | "vector_length" | "collapse" => {
-                let list = parse_int_list(line, &toks, &mut pos)?;
-                if list.len() != 1 {
-                    return Err(ParseError {
-                        at,
-                        message: format!("{name} takes exactly one integer"),
-                    });
-                }
-                let slot = match name.as_str() {
+                let v = one(&mut c, at, name, "integer")?;
+                *match name {
                     "num_gangs" => &mut d.num_gangs,
                     "num_workers" => &mut d.num_workers,
                     "vector_length" => &mut d.vector_length,
                     _ => &mut d.collapse,
-                };
-                *slot = Some(list[0]);
+                } = Some(v);
             }
             "reduction" => {
-                d.reductions.push(parse_reduction(line, &toks, &mut pos)?);
+                c.expect(Tok::LParen)?;
+                let unterminated = "unterminated reduction clause";
+                let op = c.item(
+                    |t| match t {
+                        Tok::Sym(s @ ('+' | '*')) => Some(s.to_string()),
+                        Tok::Ident(w @ ("max" | "min")) => Some(w.to_string()),
+                        _ => None,
+                    },
+                    "expected a reduction operator (+, *, max, min)",
+                    unterminated,
+                )?;
+                c.expect(Tok::Sym(':'))?;
+                let vars = c.list(name_of, "expected a reduction variable", unterminated)?;
+                d.reductions.push(Reduction { op, vars });
             }
-            c if DATA_CLAUSES.contains(&c) => {
-                let vars = parse_var_list(line, &toks, &mut pos)?;
-                d.data.push(VarList { clause: name, vars });
+            clause if DATA_CLAUSES.contains(&clause) => {
+                c.expect(Tok::LParen)?;
+                let vars = c.list(
+                    name_of,
+                    "expected a variable name",
+                    "unterminated variable list",
+                )?;
+                d.data.push(VarList {
+                    clause: clause.to_string(),
+                    vars,
+                });
             }
-            m if LOOP_MODES.contains(&m) => {
-                d.loop_modes.push(name);
-            }
-            other => {
-                return Err(ParseError {
-                    at,
-                    message: format!("unknown clause '{other}'"),
-                })
-            }
+            mode if LOOP_MODES.contains(&mode) => d.loop_modes.push(mode.to_string()),
+            other => return Err(err(at, format!("unknown clause '{other}'"))),
         }
     }
     Ok(d)
 }
 
-fn parse_int_list(
-    line: &str,
-    toks: &[(usize, Tok)],
-    pos: &mut usize,
-) -> Result<Vec<u32>, ParseError> {
-    expect(line, toks, pos, &Tok::LParen)?;
-    let mut out = Vec::new();
-    loop {
-        match toks.get(*pos) {
-            Some((_, Tok::Int(v))) => {
-                out.push(*v);
-                *pos += 1;
-            }
-            Some((at, t)) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("expected an integer, found {t:?}"),
-                })
-            }
-            None => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "unterminated argument list".into(),
-                })
-            }
-        }
-        match toks.get(*pos) {
-            Some((_, Tok::Comma)) => *pos += 1,
-            Some((_, Tok::RParen)) => {
-                *pos += 1;
-                return Ok(out);
-            }
-            _ => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "expected ',' or ')'".into(),
-                })
-            }
-        }
+/// `( int, ... )`.
+fn int_list(c: &mut Cursor) -> Result<Vec<u32>, ParseError> {
+    c.expect(Tok::LParen)?;
+    c.list(int, "expected an integer", "unterminated argument list")
+}
+
+/// `( int )`: the list of clause `name` at `at`, which holds one value.
+fn one(c: &mut Cursor, at: usize, name: &str, noun: &str) -> Result<u32, ParseError> {
+    match int_list(c)?[..] {
+        [v] => Ok(v),
+        _ => Err(err(at, format!("{name} takes exactly one {noun}"))),
     }
 }
 
-fn parse_reduction(
-    line: &str,
-    toks: &[(usize, Tok)],
-    pos: &mut usize,
-) -> Result<Reduction, ParseError> {
-    expect(line, toks, pos, &Tok::LParen)?;
-    let op = match toks.get(*pos) {
-        Some((_, Tok::Sym(c))) if matches!(c, '+' | '*') => c.to_string(),
-        Some((_, Tok::Ident(w))) if w == "max" || w == "min" => w.clone(),
-        Some((at, t)) => {
-            return Err(ParseError {
-                at: *at,
-                message: format!("expected a reduction operator (+, *, max, min), found {t:?}"),
-            })
-        }
-        None => {
-            return Err(ParseError {
-                at: line.len(),
-                message: "unterminated reduction clause".into(),
-            })
-        }
-    };
-    *pos += 1;
-    expect(line, toks, pos, &Tok::Sym(':'))?;
-    let mut vars = Vec::new();
-    loop {
-        match toks.get(*pos) {
-            Some((_, Tok::Ident(v))) => {
-                vars.push(v.clone());
-                *pos += 1;
-            }
-            Some((at, t)) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("expected a reduction variable, found {t:?}"),
-                })
-            }
-            None => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "unterminated reduction clause".into(),
-                })
-            }
-        }
-        match toks.get(*pos) {
-            Some((_, Tok::Comma)) => *pos += 1,
-            Some((_, Tok::RParen)) => {
-                *pos += 1;
-                return Ok(Reduction { op, vars });
-            }
-            _ => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "expected ',' or ')'".into(),
-                })
-            }
-        }
-    }
-}
-
-fn parse_var_list(
-    line: &str,
-    toks: &[(usize, Tok)],
-    pos: &mut usize,
-) -> Result<Vec<String>, ParseError> {
-    expect(line, toks, pos, &Tok::LParen)?;
-    let mut out = Vec::new();
-    loop {
-        match toks.get(*pos) {
-            Some((_, Tok::Ident(v))) => {
-                out.push(v.clone());
-                *pos += 1;
-            }
-            Some((at, t)) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("expected a variable name, found {t:?}"),
-                })
-            }
-            None => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "unterminated variable list".into(),
-                })
-            }
-        }
-        match toks.get(*pos) {
-            Some((_, Tok::Comma)) => *pos += 1,
-            Some((_, Tok::RParen)) => {
-                *pos += 1;
-                return Ok(out);
-            }
-            _ => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "expected ',' or ')'".into(),
-                })
-            }
-        }
-    }
-}
-
-fn expect(
-    line: &str,
-    toks: &[(usize, Tok)],
-    pos: &mut usize,
-    want: &Tok,
-) -> Result<(), ParseError> {
-    match toks.get(*pos) {
-        Some((_, t)) if t == want => {
-            *pos += 1;
-            Ok(())
-        }
-        Some((at, t)) => Err(ParseError {
-            at: *at,
-            message: format!("expected {want:?}, found {t:?}"),
-        }),
-        None => Err(ParseError {
-            at: line.len(),
-            message: format!("expected {want:?}, found end of line"),
-        }),
+fn name_of(t: Tok) -> Option<String> {
+    match t {
+        Tok::Ident(v) => Some(v.to_string()),
+        _ => None,
     }
 }
 
@@ -413,18 +203,27 @@ fn expect(
 mod tests {
     use super::*;
 
+    /// The variables listed under data clause `clause`.
+    fn vars<'a>(d: &'a AccDirective, clause: &str) -> Vec<&'a str> {
+        d.data
+            .iter()
+            .filter(|v| v.clause == clause)
+            .flat_map(|v| v.vars.iter().map(String::as_str))
+            .collect()
+    }
+
     #[test]
     fn parses_the_papers_kernels_lines() {
         // Figure 4: "#pragma acc kernels loop copyout(buf0) async(1)"
         let d = parse_acc_directive("#pragma acc kernels loop copyout(buf0) async(1)").unwrap();
         assert_eq!(d.kind, AccKind::Kernels);
         assert!(d.has_loop);
-        assert_eq!(d.vars_of("copyout"), vec!["buf0"]);
-        assert_eq!(d.queue(), Some(1));
+        assert_eq!(vars(&d, "copyout"), vec!["buf0"]);
+        assert_eq!(d.asyncq, Some(Some(1)));
 
         let d = parse_acc_directive("#pragma acc kernels loop copyin(buf1)").unwrap();
-        assert_eq!(d.vars_of("copyin"), vec!["buf1"]);
-        assert_eq!(d.queue(), None);
+        assert_eq!(vars(&d, "copyin"), vec!["buf1"]);
+        assert_eq!(d.asyncq, None);
     }
 
     #[test]
@@ -433,14 +232,14 @@ mod tests {
             parse_acc_directive("#pragma acc data copyin(a, b) create(c) present(d) copyout(r)")
                 .unwrap();
         assert_eq!(d.kind, AccKind::Data);
-        assert_eq!(d.vars_of("copyin"), vec!["a", "b"]);
-        assert_eq!(d.vars_of("create"), vec!["c"]);
-        assert_eq!(d.vars_of("present"), vec!["d"]);
-        assert_eq!(d.vars_of("copyout"), vec!["r"]);
+        assert_eq!(vars(&d, "copyin"), vec!["a", "b"]);
+        assert_eq!(vars(&d, "create"), vec!["c"]);
+        assert_eq!(vars(&d, "present"), vec!["d"]);
+        assert_eq!(vars(&d, "copyout"), vec!["r"]);
 
         let d = parse_acc_directive("#pragma acc enter data create(u) async(2)").unwrap();
         assert_eq!(d.kind, AccKind::EnterData);
-        assert_eq!(d.queue(), Some(2));
+        assert_eq!(d.asyncq, Some(Some(2)));
         let d = parse_acc_directive("#pragma acc exit data delete(u)").unwrap();
         assert_eq!(d.kind, AccKind::ExitData);
     }
@@ -449,8 +248,8 @@ mod tests {
     fn parses_update_and_wait() {
         let d = parse_acc_directive("#pragma acc update host(u) device(v) async(1)").unwrap();
         assert_eq!(d.kind, AccKind::Update);
-        assert_eq!(d.vars_of("host"), vec!["u"]);
-        assert_eq!(d.vars_of("device"), vec!["v"]);
+        assert_eq!(vars(&d, "host"), vec!["u"]);
+        assert_eq!(vars(&d, "device"), vec!["v"]);
 
         let d = parse_acc_directive("#pragma acc wait(1, 2)").unwrap();
         assert_eq!(d.kind, AccKind::Wait);
@@ -486,7 +285,7 @@ mod tests {
                 vars: vec!["sum".into()]
             }]
         );
-        assert_eq!(d.vars_of("copyin"), vec!["a", "b"]);
+        assert_eq!(vars(&d, "copyin"), vec!["a", "b"]);
 
         let d = parse_acc_directive("#pragma acc parallel loop reduction(max:res, err)").unwrap();
         assert_eq!(d.reductions[0].op, "max");
@@ -534,6 +333,6 @@ mod tests {
     fn wait_directive_with_async_continuation() {
         let d = parse_acc_directive("#pragma acc wait(3) async(4)").unwrap();
         assert_eq!(d.waits, vec![3]);
-        assert_eq!(d.queue(), Some(4));
+        assert_eq!(d.asyncq, Some(Some(4)));
     }
 }

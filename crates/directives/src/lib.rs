@@ -11,21 +11,18 @@
 //!         | async [ ( int-expr ) ]
 //! ```
 //!
-//! This crate implements that grammar: a tokenizer, a parser producing a
-//! typed [`Directive`], conversion to the runtime's
-//! [`MpiOpts`](impacc_core::MpiOpts), and a small source scanner that
-//! finds IMPACC directives in C-like source text and checks that each is
-//! followed by an MPI call (reporting which call and whether the clauses
-//! are consistent with it — e.g. `sendbuf` on an `MPI_Irecv` is rejected).
+//! This crate is the front end for both pragma families, one token cursor
+//! under two entry points: [`parse_directive`] turns an `acc mpi` line into
+//! a typed [`Directive`] — its runtime [`MpiOpts`](impacc_core::MpiOpts)
+//! and the §3.5 rule against the MPI call it annotates
+//! ([`Directive::check_call`]) — and [`parse_acc_directive`] turns the
+//! OpenACC directives the applications use into an [`AccDirective`], which
+//! `impacc-dsl` lowers.
 
 #![warn(missing_docs)]
 
 pub mod acc;
 pub mod parser;
-pub mod scan;
-pub mod translate;
 
 pub use acc::{parse_acc_directive, AccDirective, AccKind, Reduction, VarList};
 pub use parser::{parse_directive, BufClause, Directive, ParseError};
-pub use scan::{scan_source, MpiCallKind, ScanIssue, ScannedDirective};
-pub use translate::{translate, Lowering, RuntimeCall};

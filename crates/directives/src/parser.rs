@@ -1,4 +1,5 @@
-//! Tokenizer and parser for the IMPACC directive clause grammar.
+//! The token cursor both pragma families parse with, and the grammar of
+//! the IMPACC directive extension, `#pragma acc mpi` (§3.5).
 
 use std::fmt;
 
@@ -126,9 +127,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
-    Ident(String),
+pub(crate) fn err(at: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        at,
+        message: message.into(),
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tok<'a> {
+    Ident(&'a str),
     Int(u32),
     LParen,
     RParen,
@@ -138,251 +146,252 @@ pub(crate) enum Tok {
     Sym(char),
 }
 
-pub(crate) fn tokenize(s: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
-    let mut toks = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
+/// A token cursor over one pragma line. Every error either points at the
+/// token it stopped on or, past the last one, at the line's end.
+pub(crate) struct Cursor<'a> {
+    len: usize,
+    toks: Vec<(usize, Tok<'a>)>,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Tokenize `line`. A byte is read as the `char` of its value, so a
+    /// non-ASCII character is refused at its first byte.
+    pub(crate) fn new(line: &'a str) -> Result<Cursor<'a>, ParseError> {
+        let bytes = line.as_bytes();
+        let ident = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'#');
+        let mut toks = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            let (start, c) = (i, bytes[i] as char);
             i += 1;
-        } else if c == '(' {
-            toks.push((i, Tok::LParen));
-            i += 1;
-        } else if c == ')' {
-            toks.push((i, Tok::RParen));
-            i += 1;
-        } else if c == ',' {
-            toks.push((i, Tok::Comma));
-            i += 1;
-        } else if matches!(c, '+' | '-' | '*' | '/' | ':') {
-            toks.push((i, Tok::Sym(c)));
-            i += 1;
-        } else if c.is_ascii_alphabetic() || c == '_' || c == '#' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric()
-                    || bytes[i] == b'_'
-                    || bytes[i] == b'#')
-            {
-                i += 1;
-            }
-            toks.push((start, Tok::Ident(s[start..i].to_string())));
-        } else if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                i += 1;
-            }
-            let v: u32 = s[start..i].parse().map_err(|_| ParseError {
-                at: start,
-                message: format!("integer literal out of range: {}", &s[start..i]),
-            })?;
-            toks.push((start, Tok::Int(v)));
-        } else {
-            return Err(ParseError {
-                at: i,
-                message: format!("unexpected character '{c}'"),
-            });
+            let tok = match c {
+                c if c.is_whitespace() => continue,
+                '(' => Tok::LParen,
+                ')' => Tok::RParen,
+                ',' => Tok::Comma,
+                '+' | '-' | '*' | '/' | ':' => Tok::Sym(c),
+                c if c.is_ascii_alphabetic() || c == '_' || c == '#' => {
+                    while i < bytes.len() && ident(bytes[i]) {
+                        i += 1;
+                    }
+                    Tok::Ident(&line[start..i])
+                }
+                c if c.is_ascii_digit() => {
+                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                        i += 1;
+                    }
+                    let text = &line[start..i];
+                    let range = || err(start, format!("integer literal out of range: {text}"));
+                    Tok::Int(text.parse().map_err(|_| range())?)
+                }
+                _ => {
+                    return Err(err(start, format!("unexpected character '{c}'")));
+                }
+            };
+            toks.push((start, tok));
+        }
+        Ok(Cursor {
+            len: line.len(),
+            toks,
+            pos: 0,
+        })
+    }
+
+    /// The token `ahead` places past the next one.
+    pub(crate) fn peek(&self, ahead: usize) -> Option<Tok<'a>> {
+        self.toks.get(self.pos + ahead).map(|&(_, t)| t)
+    }
+
+    /// The identifier `ahead` places past the next token, if it is one.
+    pub(crate) fn word(&self, ahead: usize) -> Option<&'a str> {
+        match self.peek(ahead) {
+            Some(Tok::Ident(w)) => Some(w),
+            _ => None,
         }
     }
-    Ok(toks)
+
+    /// The offset of the next token, or the line's end.
+    pub(crate) fn at(&self) -> usize {
+        self.toks.get(self.pos).map_or(self.len, |&(at, _)| at)
+    }
+
+    /// The line's end, where an error past the last token points.
+    pub(crate) fn end(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn skip(&mut self, n: usize) {
+        self.pos += n;
+    }
+
+    /// Consume the next token if it is `want`.
+    pub(crate) fn eat(&mut self, want: Tok) -> bool {
+        let hit = self.peek(0) == Some(want);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consume `words` in order, or name the first one missing.
+    pub(crate) fn header(&mut self, words: &[&'static str]) -> Result<(), &'static str> {
+        match words.iter().find(|&&w| !self.eat(Tok::Ident(w))) {
+            Some(w) => Err(w),
+            None => Ok(()),
+        }
+    }
+
+    /// "expected `what`, found" the next token or the end of the line.
+    pub(crate) fn expected(&self, what: &str) -> ParseError {
+        match self.peek(0) {
+            Some(t) => err(self.at(), format!("expected {what}, found {t:?}")),
+            None => err(self.len, format!("expected {what}, found end of line")),
+        }
+    }
+
+    pub(crate) fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
+        if self.eat(want) {
+            Ok(())
+        } else {
+            Err(self.expected(&format!("{want:?}")))
+        }
+    }
+
+    /// The next clause name and its offset; `None` at the end of the line.
+    pub(crate) fn clause(&mut self) -> Result<Option<(usize, &'a str)>, ParseError> {
+        match self.peek(0) {
+            None => Ok(None),
+            Some(Tok::Ident(name)) => {
+                let at = self.at();
+                self.pos += 1;
+                Ok(Some((at, name)))
+            }
+            Some(t) => Err(err(self.at(), format!("expected a clause, found {t:?}"))),
+        }
+    }
+
+    /// One item `pick` accepts: "`what`, found" any other token, or
+    /// `unterminated` at the end of the line.
+    pub(crate) fn item<T>(
+        &mut self,
+        pick: impl Fn(Tok<'a>) -> Option<T>,
+        what: &str,
+        unterminated: &str,
+    ) -> Result<T, ParseError> {
+        let t = self.peek(0).ok_or_else(|| err(self.len, unterminated))?;
+        let v = pick(t).ok_or_else(|| err(self.at(), format!("{what}, found {t:?}")))?;
+        self.pos += 1;
+        Ok(v)
+    }
+
+    /// Comma-separated items up to the closing `)` (the `(` is consumed).
+    pub(crate) fn list<T>(
+        &mut self,
+        pick: impl Fn(Tok<'a>) -> Option<T>,
+        what: &str,
+        unterminated: &str,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut out = Vec::new();
+        loop {
+            out.push(self.item(&pick, what, unterminated)?);
+            if self.eat(Tok::RParen) {
+                return Ok(out);
+            }
+            if !self.eat(Tok::Comma) {
+                return Err(err(self.len, "expected ',' or ')'"));
+            }
+        }
+    }
+}
+
+pub(crate) fn int(t: Tok) -> Option<u32> {
+    match t {
+        Tok::Int(v) => Some(v),
+        _ => None,
+    }
 }
 
 /// Parse one directive line, e.g.
 /// `#pragma acc mpi sendbuf(device, readonly) async(1)`.
 pub fn parse_directive(line: &str) -> Result<Directive, ParseError> {
-    let toks = tokenize(line)?;
-    let mut pos = 0usize;
-    let expect_ident = |pos: &mut usize, want: &str| -> Result<(), ParseError> {
-        match toks.get(*pos) {
-            Some((_, Tok::Ident(w))) if w == want => {
-                *pos += 1;
-                Ok(())
-            }
-            Some((at, t)) => Err(ParseError {
-                at: *at,
-                message: format!("expected '{want}', found {t:?}"),
-            }),
-            None => Err(ParseError {
-                at: line.len(),
-                message: format!("expected '{want}', found end of line"),
-            }),
-        }
-    };
-    expect_ident(&mut pos, "#pragma")?;
-    expect_ident(&mut pos, "acc")?;
-    expect_ident(&mut pos, "mpi")?;
-
+    let mut c = Cursor::new(line)?;
+    c.header(&["#pragma", "acc", "mpi"])
+        .map_err(|w| c.expected(&format!("'{w}'")))?;
     let mut d = Directive::default();
-    while pos < toks.len() {
-        let (at, tok) = &toks[pos];
-        let name = match tok {
-            Tok::Ident(n) => n.clone(),
-            other => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("expected a clause, found {other:?}"),
-                })
-            }
-        };
-        pos += 1;
-        match name.as_str() {
+    while let Some((at, name)) = c.clause()? {
+        match name {
             "sendbuf" | "recvbuf" => {
-                let clause = parse_buf_clause(line, &toks, &mut pos)?;
-                let slot = if name == "sendbuf" {
-                    &mut d.sendbuf
-                } else {
-                    &mut d.recvbuf
+                let clause = buf_clause(&mut c)?;
+                let slot = match name {
+                    "sendbuf" => &mut d.sendbuf,
+                    _ => &mut d.recvbuf,
                 };
-                if slot.is_some() {
-                    return Err(ParseError {
-                        at: *at,
-                        message: format!("duplicate '{name}' clause"),
-                    });
+                if slot.replace(clause).is_some() {
+                    return Err(err(at, format!("duplicate '{name}' clause")));
                 }
-                *slot = Some(clause);
             }
             "async" => {
                 if d.asyncq.is_some() {
-                    return Err(ParseError {
-                        at: *at,
-                        message: "duplicate 'async' clause".into(),
-                    });
+                    return Err(err(at, "duplicate 'async' clause"));
                 }
-                // Optional (int-expr).
-                if matches!(toks.get(pos), Some((_, Tok::LParen))) {
-                    pos += 1;
-                    let q = match toks.get(pos) {
-                        Some((_, Tok::Int(v))) => *v,
-                        Some((at, t)) => {
-                            return Err(ParseError {
-                                at: *at,
-                                message: format!(
-                                    "async expects a non-negative integer, found {t:?}"
-                                ),
-                            })
-                        }
-                        None => {
-                            return Err(ParseError {
-                                at: line.len(),
-                                message: "unterminated async clause".into(),
-                            })
-                        }
-                    };
-                    pos += 1;
-                    match toks.get(pos) {
-                        Some((_, Tok::RParen)) => pos += 1,
-                        _ => {
-                            return Err(ParseError {
-                                at: line.len(),
-                                message: "expected ')' after async queue".into(),
-                            })
-                        }
+                let mut q = None;
+                if c.eat(Tok::LParen) {
+                    let what = "async expects a non-negative integer";
+                    q = Some(c.item(int, what, "unterminated async clause")?);
+                    if !c.eat(Tok::RParen) {
+                        return Err(err(c.end(), "expected ')' after async queue"));
                     }
-                    d.asyncq = Some(Some(q));
-                } else {
-                    d.asyncq = Some(None);
                 }
+                d.asyncq = Some(q);
             }
             other => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!(
-                        "unknown clause '{other}' (expected sendbuf, recvbuf or async)"
-                    ),
-                })
+                return Err(err(
+                    at,
+                    format!("unknown clause '{other}' (expected sendbuf, recvbuf or async)"),
+                ))
             }
         }
     }
-    if d.sendbuf.is_none() && d.recvbuf.is_none() && d.asyncq.is_none() {
-        return Err(ParseError {
-            at: line.len(),
-            message: "directive has no clauses".into(),
-        });
+    if d == Directive::default() {
+        return Err(err(c.end(), "directive has no clauses"));
     }
     Ok(d)
 }
 
-fn parse_buf_clause(
-    line: &str,
-    toks: &[(usize, Tok)],
-    pos: &mut usize,
-) -> Result<BufClause, ParseError> {
-    match toks.get(*pos) {
-        Some((_, Tok::LParen)) => *pos += 1,
-        _ => {
-            return Err(ParseError {
-                at: line.len(),
-                message: "expected '(' after buffer clause".into(),
-            })
-        }
+/// `( [device] [,] [readonly] )`, either order, each attribute at most
+/// once; a comma may follow an attribute, not lead.
+fn buf_clause(c: &mut Cursor) -> Result<BufClause, ParseError> {
+    if !c.eat(Tok::LParen) {
+        return Err(err(c.end(), "expected '(' after buffer clause"));
     }
-    let mut clause = BufClause::default();
-    let mut first = true;
+    let mut b = BufClause::default();
     loop {
-        match toks.get(*pos) {
-            Some((_, Tok::RParen)) => {
-                *pos += 1;
-                return Ok(clause);
-            }
-            Some((_, Tok::Comma)) if !first => {
-                *pos += 1;
-            }
-            Some((at, Tok::Comma)) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: "leading comma in buffer clause".into(),
-                })
-            }
-            _ => {}
+        if c.eat(Tok::RParen) {
+            return Ok(b);
         }
-        match toks.get(*pos) {
-            Some((at, Tok::Ident(a))) => {
-                match a.as_str() {
-                    "device" => {
-                        if clause.device {
-                            return Err(ParseError {
-                                at: *at,
-                                message: "duplicate 'device' attribute".into(),
-                            });
-                        }
-                        clause.device = true;
-                    }
-                    "readonly" => {
-                        if clause.readonly {
-                            return Err(ParseError {
-                                at: *at,
-                                message: "duplicate 'readonly' attribute".into(),
-                            });
-                        }
-                        clause.readonly = true;
-                    }
-                    other => {
-                        return Err(ParseError {
-                            at: *at,
-                            message: format!(
-                                "unknown attribute '{other}' (expected device or readonly)"
-                            ),
-                        })
-                    }
-                }
-                *pos += 1;
-                first = false;
+        if c.peek(0) == Some(Tok::Comma) {
+            if b == BufClause::default() {
+                return Err(err(c.at(), "leading comma in buffer clause"));
             }
-            Some((_, Tok::RParen)) => continue,
-            Some((at, t)) => {
-                return Err(ParseError {
-                    at: *at,
-                    message: format!("unexpected {t:?} in buffer clause"),
-                })
-            }
-            None => {
-                return Err(ParseError {
-                    at: line.len(),
-                    message: "unterminated buffer clause".into(),
-                })
-            }
+            c.skip(1);
         }
+        let at = c.at();
+        let (name, slot) = match c.peek(0) {
+            Some(Tok::Ident("device")) => ("device", &mut b.device),
+            Some(Tok::Ident("readonly")) => ("readonly", &mut b.readonly),
+            Some(Tok::Ident(other)) => {
+                return Err(err(
+                    at,
+                    format!("unknown attribute '{other}' (expected device or readonly)"),
+                ))
+            }
+            Some(Tok::RParen) => continue,
+            Some(t) => return Err(err(at, format!("unexpected {t:?} in buffer clause"))),
+            None => return Err(err(c.end(), "unterminated buffer clause")),
+        };
+        if std::mem::replace(slot, true) {
+            return Err(err(at, format!("duplicate '{name}' attribute")));
+        }
+        c.skip(1);
     }
 }
 

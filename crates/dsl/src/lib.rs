@@ -89,8 +89,12 @@ pub fn example(name: &str) -> Option<&'static str> {
 }
 
 /// Check that every declared array decomposes over a launch of `tasks`
-/// ranks (halo fits the smallest block, grid addresses the ranks).
-pub fn validate_launch(c: &Compiled, tasks: usize) -> Result<(), String> {
+/// ranks (halo fits the smallest block, grid addresses the ranks), and
+/// return the bytes of one rank's padded tiles, the largest rank's
+/// ([`impacc_array::tile_bytes`]), for the caller to hold against a node's
+/// host memory.
+pub fn validate_launch(c: &Compiled, tasks: usize) -> Result<u128, String> {
+    let mut bytes = 0u128;
     for info in &c.arrays {
         // The grid `exec::array_spec` builds, factored on the stack: a
         // declaration names a 1-d or 2-d grid.
@@ -113,8 +117,9 @@ pub fn validate_launch(c: &Compiled, tasks: usize) -> Result<(), String> {
             tasks,
         )
         .map_err(|e| format!("array '{}': {e}", info.name))?;
+        bytes = bytes.saturating_add(impacc_array::tile_bytes(&info.shape, dims, info.halo));
     }
-    Ok(())
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -5,24 +5,31 @@
 //! alternation; found by handle, it costs none.
 //!
 //! The counting allocator is process-wide, so this test is alone in its
-//! binary.
+//! binary; it counts only the calling thread's allocations, so libtest's
+//! own threads cannot move the figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use impacc_obs::{Recorder, SpanSink};
 use impacc_vtime::SimTime;
 
-struct Count;
+struct CountThread;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call forwards unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Count {
+unsafe impl GlobalAlloc for CountThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // Relaxed: a statistic, read on the one thread that allocates.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -32,8 +39,14 @@ unsafe impl GlobalAlloc for Count {
         unsafe { System.dealloc(ptr, layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator and the
         // caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for Count {
 }
 
 #[global_allocator]
-static ALLOC: Count = Count;
+static ALLOC: CountThread = CountThread;
 
 #[test]
 fn a_warm_window_store_records_without_allocating() {
@@ -57,8 +70,8 @@ fn a_warm_window_store_records_without_allocating() {
     };
     // Warm up: both rings grow to their capacity.
     (0..4 * WINDOW as u64).for_each(push);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     (0..10_000).for_each(push);
-    assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0);
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
     assert_eq!(store.span_count(), 2 * WINDOW);
 }

@@ -914,6 +914,41 @@ mod tests {
     }
 
     #[test]
+    fn a_mesh_no_node_can_hold_is_refused_and_the_engine_serves_on() {
+        // n = 2^40: one rank's padded tiles run to 2^83 bytes and more.
+        // The stencils and the DSL used to abort the process allocating a
+        // tile's index map in `DistArray::build`, and jacobi to fail its
+        // job in `Backing::new`; all are refused at admission now.
+        let serve = Serve::start(ServeConfig::default());
+        let n = 1usize << 40;
+        for text in [
+            "workload=jacobi\nn=8",
+            "workload=stencil2d\nn=8",
+            "workload=redblack\nn=8",
+            "workload=stencil3d\nn=8",
+            "workload=dsl\nprogram=stencil2d",
+        ] {
+            let mut job = JobSpec::parse(text).unwrap();
+            job.n = n;
+            job.params = vec![("n".into(), n as f64)];
+            match serve.submit(job) {
+                Err(Reject::Invalid(why)) => {
+                    assert!(why.contains("bytes per rank"), "{text}: {why}")
+                }
+                other => panic!("{text}: expected Invalid, got {other:?}"),
+            }
+            let big = match text.strip_suffix("n=8") {
+                Some(head) => format!("{head}n={n}"),
+                None => format!("{text}\nparams=n:{n}"),
+            };
+            let err = JobSpec::parse(&big).expect_err("parse applies the same rule");
+            assert!(err.contains("bytes per rank"), "{big}: {err}");
+        }
+        assert!(serve.submit(quick_job(1)).unwrap().wait().is_ok());
+        assert_eq!(serve.status().rejected_invalid, 5);
+    }
+
+    #[test]
     fn failed_jobs_resolve_tickets_with_errors() {
         let serve = Serve::start(ServeConfig::default());
         // An unknown preset passes shape validation but fails when the

@@ -18,7 +18,7 @@ use std::pin::Pin;
 use std::sync::{Arc, LazyLock};
 
 use impacc_apps::{allreduce_rounds, exchange, jacobi_task, JacobiParams};
-use impacc_array::{dims_create, max_halo, scenarios};
+use impacc_array::{dims_create, max_halo, scenarios, tile_bytes};
 use impacc_core::{CollAlgo, Rank};
 use impacc_machine::{presets, MachineSpec};
 
@@ -123,7 +123,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Allreduce,
         label: "allreduce",
         reads: &["algo", "elems", "rounds"],
-        validate: |j, _| payload_fits(j),
+        validate: |j, _| host_fits(j, format_args!("elems={}", j.elems), j.elems as u128 * 8),
         body: |j| {
             let (elems, rounds, seed) = (j.elems, j.rounds, j.seed);
             Ok(Box::new(move |tc| {
@@ -155,7 +155,9 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
             if j.n < 8 || !j.n.is_multiple_of(2) {
                 return Err("jacobi mesh n must be even and >= 8".into());
             }
-            Ok(())
+            // `u` and `unew`: row blocks with one ghost row each side.
+            let tile = tile_bytes(&[j.n, j.n], &[j.task_count()], 1);
+            host_fits(j, format_args!("n={}", j.n), tile.saturating_mul(2))
         },
         body: |j| {
             let p = JacobiParams {
@@ -187,7 +189,8 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
                     j.n
                 ));
             }
-            Ok(())
+            let tile = tile_bytes(&[j.n, j.n, j.n], &grid, 1);
+            host_fits(j, format_args!("n={}", j.n), tile.saturating_mul(2))
         },
         body: |j| {
             let p = scenarios::Stencil3dParams {
@@ -209,7 +212,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
             if j.halo == 0 {
                 return Err("stencil2d halo must be >= 1".into());
             }
-            line_mesh_fits(j, j.halo)
+            line_mesh_fits(j, j.halo, 2)
         },
         body: |j| {
             let p = scenarios::Stencil2dParams {
@@ -228,7 +231,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
         workload: Workload::Redblack,
         label: "redblack",
         reads: &["iters", "n"],
-        validate: |j, _| line_mesh_fits(j, 1),
+        validate: |j, _| line_mesh_fits(j, 1, 1),
         body: |j| {
             let p = scenarios::RedBlackParams {
                 n: j.n,
@@ -249,8 +252,9 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
             if j.program.is_empty() {
                 return Err("dsl workload needs program=<example|inline source>".into());
             }
-            impacc_dsl::validate_launch(&front.get()?.compiled, j.task_count())
-                .map_err(|e| format!("dsl program cannot launch: {e}"))
+            let bytes = impacc_dsl::validate_launch(&front.get()?.compiled, j.task_count())
+                .map_err(|e| format!("dsl program cannot launch: {e}"))?;
+            host_fits(j, "the dsl program's arrays", bytes)
         },
         body: |j| {
             let c = j.dsl_front()?.compiled.clone();
@@ -265,8 +269,9 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
 ];
 
 /// The `n×n` mesh split into row blocks, one per task, leaves every
-/// block at least `halo` rows to exchange.
-fn line_mesh_fits(j: &JobSpec, halo: usize) -> Result<(), String> {
+/// block at least `halo` rows to exchange, and a rank's `tiles` padded
+/// blocks fit its node.
+fn line_mesh_fits(j: &JobSpec, halo: usize, tiles: u128) -> Result<(), String> {
     if j.n <= 2 * halo {
         return Err(format!("mesh n={} must exceed 2*halo={}", j.n, 2 * halo));
     }
@@ -277,23 +282,24 @@ fn line_mesh_fits(j: &JobSpec, halo: usize) -> Result<(), String> {
             j.n
         ));
     }
-    Ok(())
+    let tile = tile_bytes(&[j.n, j.n], &[tasks], halo);
+    host_fits(j, format_args!("n={}", j.n), tile.saturating_mul(tiles))
 }
 
-/// Every payload byte is stored, so a rank's buffer of `elems` f64s, times
-/// the ranks sharing a node, must fit the simulated node's host memory: a
-/// request for more is refused here instead of failing the allocation.
-fn payload_fits(j: &JobSpec) -> Result<(), String> {
+/// Every stored byte is real, so the `per_rank` bytes a rank of `j`
+/// allocates (`what` names them), times the ranks sharing a node, must fit
+/// the simulated node's host memory: a request for more is refused here
+/// instead of failing, or aborting, the allocation.
+fn host_fits(j: &JobSpec, what: impl fmt::Display, per_rank: u128) -> Result<(), String> {
     let Some(preset) = j.preset() else {
         return Ok(()); // no machine to fit: the run reports the preset
     };
-    let per_rank = j.elems as u128 * 8;
     let per_node = (j.task_count() / j.nodes) as u128;
-    if per_rank * per_node > u128::from(preset.host_mem) {
+    if per_rank.saturating_mul(per_node) > u128::from(preset.host_mem) {
         return Err(format!(
-            "elems={} is {per_rank} bytes per rank, {per_node} rank(s) per node: \
-             more than a {} node's {} bytes of host memory",
-            j.elems, preset.name, preset.host_mem
+            "{what}: {per_rank} bytes per rank x {per_node} rank(s) per node \
+             exceed a {} node's {} bytes of host memory",
+            preset.name, preset.host_mem
         ));
     }
     Ok(())

@@ -4,7 +4,7 @@
 //! The build environment cannot reach crates.io, so the real `proptest`
 //! cannot be vendored. This shim keeps the property tests' source unchanged:
 //! the [`proptest!`] macro, [`strategy::Strategy`] with `prop_map`/`boxed`,
-//! integer/float range strategies, [`any`], tuple strategies,
+//! integer/float range strategies, [`any`](strategy::any), tuple strategies,
 //! `prop::collection::vec`, [`prop_oneof!`] and the `prop_assert*` macros.
 //!
 //! Differences from real proptest, deliberately accepted:
@@ -241,7 +241,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between alternative strategies ([`prop_oneof!`]).
+    /// Uniform choice between alternative strategies ([`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<V> {
         variants: Vec<BoxedStrategy<V>>,
     }

@@ -1,64 +1,44 @@
-//! The compiler front-end half: scan MPI+OpenACC source text for
-//! `#pragma acc mpi` directives (§3.5), validate them against the calls
-//! they annotate, and show the runtime options each one selects.
+//! The compiler front-end half: parse `#pragma acc mpi` directives (§3.5),
+//! check each against the MPI call it annotates, and show the runtime
+//! options each one selects.
 //!
 //! Run with: `cargo run --release --example directive_check`
 
-use impacc::directives::{parse_directive, scan_source};
+use impacc::directives::parse_directive;
 
-const SOURCE: &str = r#"
-/* Figure 4(c): the fully asynchronous IMPACC pipeline. */
-#pragma acc kernels loop async(1)
-for (i = 0; i < n; i++) { buf0[i] = f(i); }
-
-#pragma acc mpi sendbuf(device) async(1)
-MPI_Isend(buf0, n, MPI_DOUBLE, peer, 0, MPI_COMM_WORLD, &req[0]);
-
-#pragma acc mpi recvbuf(device) async(1)
-MPI_Irecv(buf1, n, MPI_DOUBLE, peer, 0, MPI_COMM_WORLD, &req[1]);
-
-#pragma acc kernels loop async(1)
-for (i = 0; i < n; i++) { g(buf1[i]); }
-
-/* Figure 7: read-only pair eligible for node heap aliasing. */
-#pragma acc mpi sendbuf(readonly)
-MPI_Send(src + off, 10, MPI_DOUBLE, 1, 7, MPI_COMM_WORLD);
-
-/* And two mistakes a compiler should catch: */
-#pragma acc mpi recvbuf(device)
-MPI_Isend(buf0, n, MPI_DOUBLE, peer, 0, MPI_COMM_WORLD, &req[2]);
-
-#pragma acc mpi sendbuf(device) async(2)
-MPI_Send(buf0, n, MPI_DOUBLE, peer, 0, MPI_COMM_WORLD);
-"#;
+/// Each directive with the MPI call that follows it in the source.
+const ANNOTATED: &[(&str, &str)] = &[
+    // Figure 4(c): the fully asynchronous IMPACC pipeline.
+    ("#pragma acc mpi sendbuf(device) async(1)", "MPI_Isend"),
+    ("#pragma acc mpi recvbuf(device) async(1)", "MPI_Irecv"),
+    // Figure 7: read-only pair eligible for node heap aliasing.
+    ("#pragma acc mpi sendbuf(readonly)", "MPI_Send"),
+    ("#pragma acc mpi recvbuf(readonly)", "MPI_Recv"),
+    // And two mistakes a compiler should catch:
+    ("#pragma acc mpi recvbuf(device)", "MPI_Isend"),
+    ("#pragma acc mpi sendbuf(device) async(2)", "MPI_Send"),
+];
 
 fn main() {
-    let (found, issues) = scan_source(SOURCE);
-
-    println!("directives found:");
-    for d in &found {
-        println!(
-            "  line {:>2}: {}  ->  {} (send opts {:?}, recv opts {:?})",
-            d.line,
-            d.directive.render(),
-            d.call_name.as_deref().unwrap_or("<no call>"),
-            d.directive.send_opts(),
-            d.directive.recv_opts(),
-        );
+    let mut refused = 0;
+    for (line, call) in ANNOTATED {
+        let d = parse_directive(line).expect("every listed directive parses");
+        match d.check_call(call) {
+            Ok(()) => println!(
+                "  {}  ->  {call} (send opts {:?}, recv opts {:?})",
+                d.render(),
+                d.send_opts(),
+                d.recv_opts(),
+            ),
+            Err(why) => {
+                refused += 1;
+                println!("  {}  ->  {call}: refused, {why}", d.render());
+            }
+        }
     }
+    assert_eq!(refused, 2, "the two seeded mistakes are caught");
 
-    println!("\nfront-end diagnostics:");
-    for issue in &issues {
-        println!("  {issue:?}");
-    }
-    assert_eq!(issues.len(), 2, "the two seeded mistakes are caught");
-
-    // The parser is also usable directly:
-    let d = parse_directive("#pragma acc mpi sendbuf(device, readonly) async(3)").unwrap();
-    println!(
-        "\nparsed clause by hand: device={} readonly={} queue={:?}",
-        d.send_opts().device,
-        d.send_opts().readonly,
-        d.send_opts().queue
-    );
+    // A malformed directive is a parse error at a byte offset.
+    let e = parse_directive("#pragma acc mpi sendbuf(writable)").unwrap_err();
+    println!("\nparse error: {e}");
 }
