@@ -335,4 +335,59 @@ mod tests {
         assert_eq!(d.waits, vec![3]);
         assert_eq!(d.asyncq, Some(Some(4)));
     }
+
+    #[test]
+    fn figure4c_kernels_share_the_mpi_queue() {
+        // Figure 4(c): the kernels and the `acc mpi` pair sit on queue 1.
+        let d = parse_acc_directive("#pragma acc kernels loop async(1)").unwrap();
+        assert_eq!((d.kind, d.has_loop), (AccKind::Kernels, true));
+        assert_eq!(d.asyncq, Some(Some(1)));
+        assert!(d.data.is_empty());
+        let m = crate::parse_directive("#pragma acc mpi sendbuf(device) async(1)").unwrap();
+        assert_eq!(m.asyncq, Some(Some(1)));
+    }
+
+    #[test]
+    fn update_and_wait_on_one_queue() {
+        let d = parse_acc_directive("#pragma acc update host(u) async(2)").unwrap();
+        assert_eq!(d.kind, AccKind::Update);
+        assert_eq!(vars(&d, "host"), vec!["u"]);
+        assert_eq!(d.asyncq, Some(Some(2)));
+        let d = parse_acc_directive("#pragma acc wait(2)").unwrap();
+        assert_eq!((d.kind, d.waits.as_slice()), (AccKind::Wait, &[2][..]));
+        let d = parse_acc_directive("#pragma acc update device(u)").unwrap();
+        assert_eq!(vars(&d, "device"), vec!["u"]);
+        assert_eq!(d.asyncq, None);
+    }
+
+    #[test]
+    fn enter_exit_data_pair() {
+        let d = parse_acc_directive("#pragma acc enter data create(u) copyin(v)").unwrap();
+        assert_eq!(d.kind, AccKind::EnterData);
+        assert_eq!(vars(&d, "create"), vec!["u"]);
+        assert_eq!(vars(&d, "copyin"), vec!["v"]);
+        let d = parse_acc_directive("#pragma acc exit data copyout(u) delete(v)").unwrap();
+        assert_eq!(d.kind, AccKind::ExitData);
+        assert_eq!(vars(&d, "copyout"), vec!["u"]);
+        assert_eq!(vars(&d, "delete"), vec!["v"]);
+    }
+
+    #[test]
+    fn tuning_clauses_are_all_read() {
+        let d = parse_acc_directive(
+            "#pragma acc parallel loop num_gangs(64) num_workers(4) vector_length(128) async(1)",
+        )
+        .unwrap();
+        assert_eq!(d.num_gangs, Some(64));
+        assert_eq!(d.num_workers, Some(4));
+        assert_eq!(d.vector_length, Some(128));
+        assert_eq!(d.asyncq, Some(Some(1)));
+    }
+
+    #[test]
+    fn each_entry_refuses_the_other_family() {
+        let e = parse_acc_directive("#pragma acc mpi sendbuf(device)").unwrap_err();
+        assert!(e.message.contains("use parse_directive"), "{}", e.message);
+        assert!(crate::parse_directive("#pragma acc kernels loop async(1)").is_err());
+    }
 }

@@ -522,4 +522,79 @@ mod tests {
             assert_eq!(d, d2, "{text}");
         }
     }
+
+    #[test]
+    fn scans_figure_4c_cleanly() {
+        // Figure 4(c): the two `acc mpi` lines and the calls they annotate.
+        let send = parse_directive("#pragma acc mpi sendbuf(device) async(1)").unwrap();
+        let recv = parse_directive("#pragma acc mpi recvbuf(device) async(1)").unwrap();
+        assert_eq!(send.check_call("MPI_Isend"), Ok(()));
+        assert_eq!(recv.check_call("MPI_Irecv"), Ok(()));
+        assert_eq!(send.send_opts().queue, Some(1));
+        assert!(send.send_opts().device);
+        assert!(recv.recv_opts().device);
+        assert_eq!(recv.recv_opts().queue, Some(1));
+    }
+
+    #[test]
+    fn figure7_readonly_pair() {
+        let send = parse_directive("#pragma acc mpi sendbuf(readonly)").unwrap();
+        let recv = parse_directive("#pragma acc mpi recvbuf(readonly)").unwrap();
+        assert_eq!(send.check_call("MPI_Send"), Ok(()));
+        assert_eq!(recv.check_call("MPI_Recv"), Ok(()));
+        assert!(send.send_opts().readonly && !send.send_opts().device);
+        assert!(recv.recv_opts().readonly && !recv.recv_opts().device);
+    }
+
+    #[test]
+    fn flags_missing_call() {
+        let d = parse_directive("#pragma acc mpi sendbuf(device)").unwrap();
+        let e = d.check_call("int").unwrap_err();
+        assert!(e.contains("must annotate an MPI call"), "{e}");
+    }
+
+    #[test]
+    fn flags_clause_call_mismatch() {
+        let d = parse_directive("#pragma acc mpi recvbuf(device)").unwrap();
+        assert_eq!(
+            d.check_call("MPI_Isend"),
+            Err("recvbuf clause on send call MPI_Isend".into())
+        );
+        let d = parse_directive("#pragma acc mpi sendbuf(device)").unwrap();
+        assert_eq!(
+            d.check_call("MPI_Irecv"),
+            Err("sendbuf clause on receive call MPI_Irecv".into())
+        );
+    }
+
+    #[test]
+    fn flags_async_on_blocking_call() {
+        let d = parse_directive("#pragma acc mpi sendbuf(device) async(1)").unwrap();
+        let e = d.check_call("MPI_Send").unwrap_err();
+        assert!(e.starts_with("async clause on MPI_Send"), "{e}");
+        assert_eq!(d.check_call("MPI_Isend"), Ok(()));
+    }
+
+    #[test]
+    fn parse_errors_carry_byte_offsets() {
+        let line = "  #pragma acc mpi sendbuf(writable)";
+        let e = parse_directive(line).unwrap_err();
+        assert!(e.message.contains("unknown attribute"), "{}", e.message);
+        assert_eq!(e.at, line.find("writable").unwrap());
+    }
+
+    #[test]
+    fn bcast_is_accepted_for_aliasing() {
+        let d = parse_directive("#pragma acc mpi sendbuf(readonly) recvbuf(readonly)").unwrap();
+        assert_eq!(d.check_call("MPI_Bcast"), Ok(()));
+        assert!(d.send_opts().readonly && d.recv_opts().readonly);
+    }
+
+    #[test]
+    fn other_pragmas_are_refused() {
+        let e = parse_directive("#pragma omp parallel").unwrap_err();
+        assert!(e.message.contains("expected 'acc'"), "{}", e.message);
+        let e = parse_directive("#pragma acc kernels").unwrap_err();
+        assert!(e.message.contains("'mpi'"), "{}", e.message);
+    }
 }
