@@ -50,6 +50,16 @@ if [[ -n "$fork" ]]; then
     exit 1
 fi
 
+echo "==> one kernel form: array and DSL kernels run a row at a time"
+# A stencil kernel is a RowFn writing one Row of new values (DESIGN.md
+# §5k); the per-cell closure form it replaced must not come back beside it.
+cellform=$(grep -rnE --include='*.rs' 'CellFn|struct Cell\b|Fn\(&Cell' crates || true)
+if [[ -n "$cellform" ]]; then
+    echo "$cellform"
+    echo "kernel form gate: FAIL — write array and DSL kernels against Row and RowFn"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -150,39 +150,288 @@ impl ResProbe {
     }
 }
 
-/// One cell's neighbourhood, handed to stencil closures.
-pub struct Cell<'a> {
-    pub(crate) src: &'a [f64],
-    pub(crate) idx: usize,
-    pub(crate) strides: &'a [isize],
-    pub(crate) g: &'a [isize],
+/// One row of a stencil sweep: a contiguous run of the innermost
+/// dimension, handed to [`RowFn`] kernels. Cell `k` of the row is `k`
+/// cells along the innermost dimension from the first.
+pub struct Row<'a> {
+    src: &'a [f64],
+    /// Linear index of the first cell.
+    start: usize,
+    len: usize,
+    /// Padded index of the first cell, per dim.
+    idx: &'a [usize],
+    padded: &'a [usize],
+    strides: &'a [isize],
+    /// Global coordinates of the first cell.
+    g: &'a [isize],
 }
 
-impl<'a> Cell<'a> {
-    /// The cell's own value.
-    pub fn center(&self) -> f64 {
-        self.src[self.idx]
+impl<'a> Row<'a> {
+    /// Cells in the row.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The value at relative offset `off` (per dimension). Offsets must
-    /// stay within the halo on mapped dims and the margin on unmapped
-    /// ones; violations panic on the out-of-bounds index.
-    pub fn at(&self, off: &[isize]) -> f64 {
-        let mut i = self.idx as isize;
-        for (d, o) in off.iter().enumerate() {
-            i += o * self.strides[d];
+    /// True for a row of no cells (a sweep never hands one out).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row's own values.
+    pub fn center(&self) -> &'a [f64] {
+        &self.src[self.start..self.start + self.len]
+    }
+
+    /// The values at relative offset `off` (per dimension) from every
+    /// cell of the row. Offsets must stay within the halo on mapped dims
+    /// and the margin on unmapped ones; one that reaches past the padded
+    /// tile panics.
+    pub fn at(&self, off: &[isize]) -> &'a [f64] {
+        let last = self.padded.len() - 1;
+        let mut start = self.start as isize;
+        for (d, &o) in off.iter().enumerate() {
+            let lo = self.idx[d] as isize + o;
+            let hi = lo + if d == last { self.len as isize } else { 1 };
+            assert!(
+                lo >= 0 && hi <= self.padded[d] as isize,
+                "row offset {off:?} reaches past the padded tile"
+            );
+            start += o * self.strides[d];
         }
-        self.src[i as usize]
+        &self.src[start as usize..start as usize + self.len]
     }
 
-    /// Global coordinate of the cell along dimension `d`.
+    /// Global coordinate of the row's first cell along dimension `d`.
     pub fn global(&self, d: usize) -> isize {
         self.g[d]
     }
 }
 
-/// Stencil closure: new value of a cell from its neighbourhood.
-pub type CellFn = Arc<dyn Fn(&Cell<'_>) -> f64 + Send + Sync>;
+/// Stencil kernel: writes one row of new values (`out.len() ==
+/// row.len()`) from the row's neighbourhood.
+pub type RowFn = Arc<dyn Fn(&Row<'_>, &mut [f64]) + Send + Sync>;
+
+/// `max |a[k] − b[k]|` over both slices, `0.0` when empty: the residual
+/// of one row. NaN differences are skipped, as `f64::max` skips them, and
+/// every candidate is non-negative, so eight independent select-max lanes
+/// give the sequential fold's bits in any order.
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let select = |m: f64, d: f64| if d > m { d } else { m };
+    let mut lanes = [0.0f64; 8];
+    let (ca, cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let (ta, tb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        for k in 0..8 {
+            lanes[k] = select(lanes[k], (x[k] - y[k]).abs());
+        }
+    }
+    for (x, y) in ta.iter().zip(tb) {
+        lanes[0] = select(lanes[0], (x - y).abs());
+    }
+    lanes.into_iter().fold(0.0, select)
+}
+
+/// The rows of one box `lo..hi` of a padded tile (padded coordinates),
+/// owned so a kernel can carry them: each row is the box's run along the
+/// innermost dimension.
+pub(crate) struct Rows {
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    padded: Vec<usize>,
+    /// Padded-index → global-coordinate map of the tile, per dim.
+    gmap: Arc<Vec<Vec<isize>>>,
+}
+
+impl Rows {
+    pub(crate) fn new(
+        lo: Vec<usize>,
+        hi: Vec<usize>,
+        padded: &[usize],
+        gmap: &Arc<Vec<Vec<isize>>>,
+    ) -> Rows {
+        Rows {
+            lo,
+            hi,
+            padded: padded.to_vec(),
+            gmap: gmap.clone(),
+        }
+    }
+
+    /// Cells per row.
+    pub(crate) fn len(&self) -> usize {
+        let last = self.lo.len() - 1;
+        self.hi[last].saturating_sub(self.lo[last])
+    }
+
+    /// Global coordinates of every row's cells along the innermost
+    /// dimension.
+    pub(crate) fn inner(&self) -> &[isize] {
+        let last = self.lo.len() - 1;
+        self.gmap[last]
+            .get(self.lo[last]..self.hi[last])
+            .unwrap_or(&[])
+    }
+
+    /// Visit the rows in row-major order. `body` gets the padded index and
+    /// global coordinates of each row's first cell, and its linear index.
+    /// An empty box visits nothing.
+    pub(crate) fn each(&self, mut body: impl FnMut(&[usize], &[isize], usize)) {
+        let (lo, hi) = (&self.lo, &self.hi);
+        let nd = lo.len();
+        if (0..nd).any(|d| hi[d] <= lo[d]) {
+            return;
+        }
+        let strides = strides_of(&self.padded);
+        let mut idx = lo.clone();
+        let mut g = vec![0isize; nd];
+        loop {
+            let mut lin = 0isize;
+            for d in 0..nd {
+                lin += idx[d] as isize * strides[d];
+                g[d] = self.gmap[d][idx[d]];
+            }
+            body(&idx, &g, lin as usize);
+            let mut d = nd - 1;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < hi[d] {
+                    break;
+                }
+                idx[d] = lo[d];
+            }
+        }
+    }
+
+    /// Rewrite every row of `vals` (laid out by the tile's padded
+    /// extents) with `f(g, inner, row)`: `g` holds the global coordinates
+    /// of the row's first cell, `inner` those of each of its cells along
+    /// the innermost dimension.
+    pub(crate) fn update(
+        &self,
+        vals: &mut [f64],
+        mut f: impl FnMut(&[isize], &[isize], &mut [f64]),
+    ) {
+        let (len, inner) = (self.len(), self.inner());
+        self.each(|_, g, lin| f(g, inner, &mut vals[lin..lin + len]));
+    }
+
+    /// The one stencil row loop, shared by [`DistArray::stencil`] and the
+    /// serial oracle: runs `f` over every row, reading `src` and writing
+    /// `dst`, and returns `max |new − old|` over updated cells. Uncolored
+    /// rows are written straight into `dst`. A colored row is computed
+    /// whole into a scratch row and only its on-colour cells (global
+    /// coordinate sum of parity `color`) are copied.
+    pub(crate) fn sweep(
+        &self,
+        src: &[f64],
+        dst: &mut [f64],
+        color: Option<usize>,
+        f: &RowFn,
+    ) -> f64 {
+        assert!(
+            color.is_none_or(|c| c < 2),
+            "a stencil color is a parity, 0 or 1"
+        );
+        let len = self.len();
+        let strides = strides_of(&self.padded);
+        let mut scratch = vec![0.0f64; if color.is_some() { len } else { 0 }];
+        let mut r = 0.0f64;
+        self.each(|idx, g, lin| {
+            let row = Row {
+                src,
+                start: lin,
+                len,
+                idx,
+                padded: &self.padded,
+                strides: &strides,
+                g,
+            };
+            let old = row.center();
+            let out = &mut dst[lin..lin + len];
+            match color {
+                None => {
+                    f(&row, out);
+                    r = r.max(max_abs_diff(out, old));
+                }
+                Some(c) => {
+                    f(&row, &mut scratch);
+                    let first = (c + g.iter().sum::<isize>().rem_euclid(2) as usize) % 2;
+                    for k in (first..len).step_by(2) {
+                        r = r.max((scratch[k] - old[k]).abs());
+                        out[k] = scratch[k];
+                    }
+                }
+            }
+        });
+        r
+    }
+
+    /// Copy the box's cells of `tile` (laid out by the tile's padded
+    /// extents) to their global row-major places in `full`.
+    pub(crate) fn scatter(&self, tile: &[f64], shape: &[usize], full: &mut [f64]) {
+        let len = self.len();
+        let last = shape.len() - 1;
+        let gstrides = strides_of(shape);
+        let inner = self.inner();
+        self.each(|_, g, lin| {
+            let base: isize = (0..last).map(|d| g[d] * gstrides[d]).sum();
+            for (v, &gi) in tile[lin..lin + len].iter().zip(inner) {
+                full[(base + gi) as usize] = *v;
+            }
+        });
+    }
+}
+
+/// Row-major strides of a padded box.
+pub(crate) fn strides_of(padded: &[usize]) -> Vec<isize> {
+    let nd = padded.len();
+    let mut s = vec![1isize; nd];
+    for d in (0..nd.saturating_sub(1)).rev() {
+        s[d] = s[d + 1] * padded[d + 1] as isize;
+    }
+    s
+}
+
+/// Lift a per-cell `f(global_coords, old) -> new` to a row function that
+/// rewrites one row in place from its first cell's coordinates and the
+/// innermost coordinates of its cells.
+pub(crate) fn per_cell(
+    f: impl Fn(&[isize], f64) -> f64,
+) -> impl FnMut(&[isize], &[isize], &mut [f64]) {
+    let mut g = Vec::new();
+    move |first, inner, vals| {
+        g.clear();
+        g.extend_from_slice(first);
+        let last = g.len() - 1;
+        for (v, &gi) in vals.iter_mut().zip(inner) {
+            g[last] = gi;
+            *v = f(&g, *v);
+        }
+    }
+}
+
+/// Fold `vals` into a running reduction, sequentially in order: the
+/// first value seeds an empty one.
+fn fold(acc: Option<f64>, op: ReduceOp, vals: &[f64]) -> Option<f64> {
+    let (mut a, rest) = match (acc, vals.split_first()) {
+        (Some(a), _) => (a, vals),
+        (None, Some((&v, rest))) => (v, rest),
+        (None, None) => return None,
+    };
+    match op {
+        ReduceOp::Sum => rest.iter().for_each(|v| a += v),
+        ReduceOp::Prod => rest.iter().for_each(|v| a *= v),
+        ReduceOp::Max => rest.iter().for_each(|&v| a = a.max(v)),
+        ReduceOp::Min => rest.iter().for_each(|&v| a = a.min(v)),
+    }
+    Some(a)
+}
 
 /// Per-sweep stencil configuration.
 #[derive(Clone, Debug)]
@@ -215,7 +464,7 @@ pub struct DistArray {
     /// Local padded extents.
     padded: Vec<usize>,
     /// Padded-index → global-coordinate map, per dim.
-    gmap: Vec<Vec<isize>>,
+    gmap: Arc<Vec<Vec<isize>>>,
     sched: Schedule,
     buf: HBuf,
 }
@@ -304,6 +553,32 @@ fn cyclic_global(p: usize, block: usize, coord: usize, l: usize) -> isize {
     (((l / block) * p + coord) * block + l % block) as isize
 }
 
+/// Index → global-coordinate map of `rank`'s tile, per dim, for a tile of
+/// `extents` cells whose first `pad` cells per dim are ghosts (`offsets`
+/// from [`tile_extents`]).
+fn global_map(
+    spec: &ArraySpec,
+    rank: usize,
+    offsets: &[usize],
+    extents: &[usize],
+    pad: &[usize],
+) -> Vec<Vec<isize>> {
+    let coords = spec.grid.coords(rank);
+    (0..spec.shape.len())
+        .map(|d| {
+            (0..extents[d])
+                .map(|li| match spec.layout {
+                    Layout::Block => offsets[d] as isize + li as isize - pad[d] as isize,
+                    Layout::BlockCyclic { block } if d < spec.grid.ndims() => {
+                        cyclic_global(spec.grid.dims[d], block, coords[d], li)
+                    }
+                    Layout::BlockCyclic { .. } => li as isize,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 impl DistArray {
     /// Materialize this task's tile: validates the declaration, infers
     /// the halo schedule, and allocates the padded local buffer on the
@@ -315,26 +590,7 @@ impl DistArray {
         let rank = tc.rank() as usize;
         let (counts, offsets) = tile_extents(spec, rank);
         let geom = tile_geom(spec, rank);
-        let coords = spec.grid.coords(rank);
-        let nd = spec.shape.len();
-        let mut gmap = Vec::with_capacity(nd);
-        for d in 0..nd {
-            let mut m = Vec::with_capacity(geom.padded[d]);
-            for li in 0..geom.padded[d] {
-                let v = match spec.layout {
-                    Layout::Block => offsets[d] as isize + li as isize - geom.pad[d] as isize,
-                    Layout::BlockCyclic { block } => {
-                        if d < spec.grid.ndims() {
-                            cyclic_global(spec.grid.dims[d], block, coords[d], li)
-                        } else {
-                            li as isize
-                        }
-                    }
-                };
-                m.push(v);
-            }
-            gmap.push(m);
-        }
+        let gmap = Arc::new(global_map(spec, rank, &offsets, &geom.padded, &geom.pad));
         let sched = match spec.layout {
             Layout::Block => infer(&spec.grid, rank, spec.halo, spec.corners, &|r| {
                 tile_geom(spec, r)
@@ -395,13 +651,10 @@ impl DistArray {
         self.padded.iter().product()
     }
 
-    fn strides(&self) -> Vec<isize> {
-        let nd = self.padded.len();
-        let mut s = vec![1isize; nd];
-        for d in (0..nd.saturating_sub(1)).rev() {
-            s[d] = s[d + 1] * self.padded[d + 1] as isize;
-        }
-        s
+    /// The rows of the owned region.
+    fn owned_rows(&self) -> Rows {
+        let region = self.owned_region();
+        Rows::new(region.lo, region.hi, &self.padded, &self.gmap)
     }
 
     /// The owned region in padded coordinates.
@@ -421,6 +674,14 @@ impl DistArray {
     /// coordinates (ghost coordinates fall outside `0..shape`, which is
     /// where boundary conditions live). Host-side; no simulated cost.
     pub fn fill(&self, tc: &Rank, f: impl Fn(&[isize]) -> f64) {
+        self.fill_rows(tc, per_cell(move |g, _| f(g)));
+    }
+
+    /// [`DistArray::fill`] a row at a time: `f(g, inner, out)` writes one
+    /// row of the padded tile, where `g` holds the global coordinates of
+    /// its first cell and `inner` those of each of its cells along the
+    /// innermost dimension.
+    pub fn fill_rows(&self, tc: &Rank, f: impl FnMut(&[isize], &[isize], &mut [f64])) {
         let hv = tc.host_view(&self.buf);
         if !math_ok(&hv) {
             return;
@@ -429,26 +690,13 @@ impl DistArray {
         if total == 0 {
             return;
         }
-        let nd = self.padded.len();
-        let mut idx = vec![0usize; nd];
-        let mut g = vec![0isize; nd];
-        hv.with_f64s_mut(0, total, |vals| {
-            for v in vals.iter_mut() {
-                for d in 0..nd {
-                    g[d] = self.gmap[d][idx[d]];
-                }
-                *v = f(&g);
-                let mut d = nd;
-                while d > 0 {
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < self.padded[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
-        });
+        let rows = Rows::new(
+            vec![0; self.padded.len()],
+            self.padded.clone(),
+            &self.padded,
+            &self.gmap,
+        );
+        hv.with_f64s_mut(0, total, |vals| rows.update(vals, f));
     }
 
     /// `#pragma acc enter data copyin` for the tile.
@@ -611,7 +859,7 @@ impl DistArray {
         tc: &Rank,
         out: &DistArray,
         spec: &StencilSpec,
-        f: CellFn,
+        f: RowFn,
     ) -> StencilRes {
         assert_eq!(
             self.spec.layout,
@@ -641,8 +889,7 @@ impl DistArray {
         let uv = tc.dev_view(&self.buf);
         let vv = tc.dev_view(&out.buf);
         let total = self.total_padded();
-        let strides = self.strides();
-        let gmap = self.gmap.clone();
+        let rows = Rows::new(plo, phi, &self.padded, &self.gmap);
         let color = spec.color;
         let fallback = spec.fallback;
         let res_out = res.clone();
@@ -651,52 +898,13 @@ impl DistArray {
                 *res_out.0.lock() = fallback;
                 return;
             }
-            if (0..nd).any(|d| phi[d] <= plo[d]) {
+            if cells == 0 {
                 return; // nothing to update: the residual stays 0
             }
             // A colored sweep passes `out == self`: the view primitive then
             // hands the kernel a pre-sweep copy as `src`.
-            *res_out.0.lock() = BufView::with_views_mut(&[&uv], &vv, |src, dst| {
-                let src = src[0];
-                let mut r = 0.0f64;
-                let mut idx = plo.clone();
-                let mut g = vec![0isize; nd];
-                'cells: loop {
-                    let mut lin = 0isize;
-                    for d in 0..nd {
-                        lin += idx[d] as isize * strides[d];
-                        g[d] = gmap[d][idx[d]];
-                    }
-                    let lin = lin as usize;
-                    let on_color = match color {
-                        Some(c) => g.iter().sum::<isize>().rem_euclid(2) as usize == c,
-                        None => true,
-                    };
-                    if on_color {
-                        let cell = Cell {
-                            src,
-                            idx: lin,
-                            strides: &strides,
-                            g: &g,
-                        };
-                        let next = f(&cell);
-                        r = r.max((next - src[lin]).abs());
-                        dst[lin] = next;
-                    }
-                    let mut d = nd;
-                    loop {
-                        if d == 0 {
-                            break 'cells r;
-                        }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < phi[d] {
-                            break;
-                        }
-                        idx[d] = plo[d];
-                    }
-                }
-            });
+            *res_out.0.lock() =
+                BufView::with_views_mut(&[&uv], &vv, |src, dst| rows.sweep(src[0], dst, color, &f));
         };
         // Cost convention from the hand-written apps: flops over the whole
         // owned tile, bytes over the padded tile (read + write).
@@ -726,46 +934,31 @@ impl DistArray {
         flops_per_cell: f64,
         f: impl Fn(&[isize], f64) -> f64 + Send + Sync + 'static,
     ) {
+        self.map_rows(tc, flops_per_cell, per_cell(f)).await;
+    }
+
+    /// [`DistArray::map`] a row at a time: `f(g, inner, vals)` rewrites
+    /// one owned row in place, where `g` holds the global coordinates of
+    /// its first cell and `inner` those of each of its cells along the
+    /// innermost dimension.
+    pub async fn map_rows(
+        &self,
+        tc: &Rank,
+        flops_per_cell: f64,
+        f: impl FnMut(&[isize], &[isize], &mut [f64]) + Send + 'static,
+    ) {
         if self.is_empty() {
             return;
         }
-        let nd = self.padded.len();
-        let region = self.owned_region();
-        let (plo, phi) = (region.lo, region.hi);
         let uv = tc.dev_view(&self.buf);
         let total = self.total_padded();
-        let strides = self.strides();
-        let gmap = self.gmap.clone();
+        let rows = self.owned_rows();
         let cells = self.owned_cells() as u64;
         let body = move || {
             if !math_ok(&uv) {
                 return;
             }
-            uv.with_f64s_mut(0, total, |vals| {
-                let mut idx = plo.clone();
-                let mut g = vec![0isize; nd];
-                'cells: loop {
-                    let mut lin = 0isize;
-                    for d in 0..nd {
-                        lin += idx[d] as isize * strides[d];
-                        g[d] = gmap[d][idx[d]];
-                    }
-                    let lin = lin as usize;
-                    vals[lin] = f(&g, vals[lin]);
-                    let mut d = nd;
-                    loop {
-                        if d == 0 {
-                            break 'cells;
-                        }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < phi[d] {
-                            break;
-                        }
-                        idx[d] = plo[d];
-                    }
-                }
-            });
+            uv.with_f64s_mut(0, total, |vals| rows.update(vals, f));
         };
         let cost = KernelCost::new(
             flops_per_cell * self.owned_cells().max(1) as f64,
@@ -791,58 +984,68 @@ impl DistArray {
         flops_per_cell: f64,
         f: impl Fn(&[isize], f64) -> f64 + Send + Sync + 'static,
     ) -> f64 {
+        let mut cell = per_cell(f);
+        self.reduce_rows(tc, &[], op, flops_per_cell, move |g, inner, rows, out| {
+            out.copy_from_slice(rows[0]);
+            cell(g, inner, out);
+        })
+        .await
+    }
+
+    /// [`DistArray::reduce`] a row at a time over `self` and the congruent
+    /// arrays `with`: `f(g, inner, rows, out)` writes one owned row's
+    /// contributions into `out` from the matching row of each array
+    /// (`rows[0]` is `self`'s, then `with`'s in order), where `g` holds
+    /// the global coordinates of the row's first cell and `inner` those of
+    /// each of its cells along the innermost dimension. Contributions fold
+    /// sequentially in cell order, then combine across ranks with `op`.
+    /// Collective: every rank must call it. Returns 0.0
+    /// (deterministically) when truncation disables math.
+    pub async fn reduce_rows(
+        &self,
+        tc: &Rank,
+        with: &[&DistArray],
+        op: ReduceOp,
+        flops_per_cell: f64,
+        mut f: impl FnMut(&[isize], &[isize], &[&[f64]], &mut [f64]) + Send + 'static,
+    ) -> f64 {
         let local: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
         let unified = tc.options().is_impacc() && tc.options().unified_queue;
         if !self.is_empty() {
-            let nd = self.padded.len();
-            let region = self.owned_region();
-            let (plo, phi) = (region.lo, region.hi);
-            let uv = tc.dev_view(&self.buf);
+            let views: Vec<BufView> = std::iter::once(self)
+                .chain(with.iter().copied())
+                .map(|a| {
+                    assert_eq!(a.padded, self.padded, "reduced arrays must be congruent");
+                    tc.dev_view(&a.buf)
+                })
+                .collect();
             let total = self.total_padded();
-            let strides = self.strides();
-            let gmap = self.gmap.clone();
+            let rows = self.owned_rows();
             let slot = local.clone();
+            let nviews = views.len();
             let body = move || {
-                if !math_ok(&uv) {
+                if views.iter().any(|v| !math_ok(v)) {
                     *slot.lock() = Some(0.0);
                     return;
                 }
-                *slot.lock() = uv.with_f64s(0, total, |vals| {
-                    let mut acc: Option<f64> = None;
-                    let mut idx = plo.clone();
-                    let mut g = vec![0isize; nd];
-                    'cells: loop {
-                        let mut lin = 0isize;
-                        for d in 0..nd {
-                            lin += idx[d] as isize * strides[d];
-                            g[d] = gmap[d][idx[d]];
-                        }
-                        let v = f(&g, vals[lin as usize]);
-                        acc = Some(match (acc, op) {
-                            (None, _) => v,
-                            (Some(a), ReduceOp::Sum) => a + v,
-                            (Some(a), ReduceOp::Max) => a.max(v),
-                            (Some(a), ReduceOp::Min) => a.min(v),
-                            (Some(a), ReduceOp::Prod) => a * v,
-                        });
-                        let mut d = nd;
-                        loop {
-                            if d == 0 {
-                                break 'cells acc;
-                            }
-                            d -= 1;
-                            idx[d] += 1;
-                            if idx[d] < phi[d] {
-                                break;
-                            }
-                            idx[d] = plo[d];
-                        }
-                    }
+                let views: Vec<&BufView> = views.iter().collect();
+                let (len, inner) = (rows.len(), rows.inner());
+                let mut out = vec![0.0f64; len];
+                *slot.lock() = BufView::with_views(&views, |data| {
+                    let mut acc = None;
+                    let mut row: Vec<&[f64]> = Vec::with_capacity(data.len());
+                    rows.each(|_, g, lin| {
+                        row.clear();
+                        row.extend(data.iter().map(|d| &d[lin..lin + len]));
+                        f(g, inner, &row, &mut out);
+                        acc = fold(acc, op, &out);
+                    });
+                    acc
                 });
             };
             let cost = KernelCost::new(
                 flops_per_cell * self.owned_cells().max(1) as f64,
-                total as f64 * 8.0,
+                nviews as f64 * total as f64 * 8.0,
             );
             let q = unified.then_some(1);
             tc.acc_kernel(q, cost, body).await;
@@ -986,33 +1189,9 @@ impl DistArray {
     /// Copy this rank's owned cells from its host tile into the global
     /// host buffer (no simulated cost — host view traffic).
     fn scatter_local_into(&self, hv: &BufView, fv: &BufView) {
-        let nd = self.padded.len();
-        let strides = self.strides();
-        let region = self.owned_region();
-        let (plo, phi) = (region.lo, region.hi);
+        let rows = self.owned_rows();
         BufView::with_views_mut(&[hv], fv, |tile, full| {
-            let mut idx = plo.clone();
-            'cells: loop {
-                let mut lin = 0isize;
-                let mut gidx = 0usize;
-                for d in 0..nd {
-                    lin += idx[d] as isize * strides[d];
-                    gidx = gidx * self.spec.shape[d] + self.gmap[d][idx[d]] as usize;
-                }
-                full[gidx] = tile[0][lin as usize];
-                let mut d = nd;
-                loop {
-                    if d == 0 {
-                        break 'cells;
-                    }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < phi[d] {
-                        break;
-                    }
-                    idx[d] = plo[d];
-                }
-            }
+            rows.scatter(tile[0], &self.spec.shape, full)
         });
     }
 
@@ -1051,36 +1230,86 @@ fn contiguous_global_offset(
 /// buffer.
 fn scatter_packed(spec: &ArraySpec, r: usize, sv: &BufView, fv: &BufView) {
     let (counts, offsets) = tile_extents(spec, r);
-    let cells: usize = counts.iter().product();
-    let nd = counts.len();
-    let coords = spec.grid.coords(r);
-    let mut idx = vec![0usize; nd];
+    let gmap = Arc::new(global_map(
+        spec,
+        r,
+        &offsets,
+        &counts,
+        &vec![0; counts.len()],
+    ));
+    let rows = Rows::new(vec![0; counts.len()], counts.clone(), &counts, &gmap);
     BufView::with_views_mut(&[sv], fv, |packed, full| {
-        for v in &packed[0][..cells] {
-            let mut gidx = 0usize;
-            for d in 0..nd {
-                let g = match spec.layout {
-                    Layout::Block => (offsets[d] + idx[d]) as isize,
-                    Layout::BlockCyclic { block } => {
-                        if d < spec.grid.ndims() {
-                            cyclic_global(spec.grid.dims[d], block, coords[d], idx[d])
-                        } else {
-                            idx[d] as isize
-                        }
-                    }
-                };
-                gidx = gidx * spec.shape[d] + g as usize;
-            }
-            full[gidx] = *v;
-            let mut d = nd;
-            while d > 0 {
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < counts[d] {
-                    break;
-                }
-                idx[d] = 0;
+        rows.scatter(packed[0], &spec.shape, full)
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::SerialField;
+
+    #[test]
+    fn max_abs_diff_is_the_sequential_max_fold_bit_for_bit() {
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            3.25,
+            1e300,
+            -1e-300,
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut pick = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            palette[(state >> 33) as usize % palette.len()]
+        };
+        for n in 0..=17 {
+            for _ in 0..200 {
+                let a: Vec<f64> = (0..n).map(|_| pick()).collect();
+                let b: Vec<f64> = (0..n).map(|_| pick()).collect();
+                let want = a
+                    .iter()
+                    .zip(&b)
+                    .fold(0.0f64, |r, (x, y)| r.max((x - y).abs()));
+                let got = max_abs_diff(&a, &b);
+                assert_eq!(got.to_bits(), want.to_bits(), "{a:?} vs {b:?}");
             }
         }
-    });
+    }
+
+    fn field() -> SerialField {
+        SerialField::new(&[6, 6], 1, 1, &|g: &[isize]| (g[0] * 6 + g[1]) as f64)
+    }
+
+    #[test]
+    fn row_reads_within_the_halo() {
+        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
+            out.copy_from_slice(r.at(&[-1, 0]));
+        });
+        field().step(&[(0, 0), (1, 1)], None, &f);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the padded tile")]
+    fn row_offset_past_the_halo_panics() {
+        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
+            out.copy_from_slice(r.at(&[-2, 0]));
+        });
+        field().step(&[(0, 0), (1, 1)], None, &f);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the padded tile")]
+    fn row_offset_past_the_margin_panics() {
+        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
+            out.copy_from_slice(r.at(&[0, 2]));
+        });
+        field().step(&[(0, 0), (1, 1)], None, &f);
+    }
 }

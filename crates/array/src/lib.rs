@@ -27,7 +27,7 @@ pub mod schedule;
 
 pub use decomp::{dims_create, max_halo, BlockPartition, CartGrid, Layout};
 pub use dist::{
-    check_decomposition, math_ok, tile_bytes, tile_extents, tile_geom, ArraySpec, Cell, CellFn,
-    DistArray, ResProbe, StencilRes, StencilSpec, GATHER_TAG,
+    check_decomposition, math_ok, max_abs_diff, tile_bytes, tile_extents, tile_geom, ArraySpec,
+    DistArray, ResProbe, Row, RowFn, StencilRes, StencilSpec, GATHER_TAG,
 };
 pub use schedule::{directions, infer, Entry, Pair, RegionBox, Schedule, TileGeom, HALO_TAG_BASE};

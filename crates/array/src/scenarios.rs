@@ -3,7 +3,7 @@
 //! Each scenario declares a global array, lets the library infer the
 //! halo exchange, and drives sweeps through [`DistArray::stencil`] —
 //! the whole point of the layer is that none of them hand-writes a
-//! single send. Verification replays the *same* cell closure on a
+//! single send. Verification replays the *same* row kernel on a
 //! serial [`SerialField`] and asserts bit-for-bit equality of both the
 //! gathered field and the reduced residual history: the distributed
 //! sweeps compute every cell from identically-valued neighbours, so
@@ -15,7 +15,7 @@ use impacc_core::Rank;
 use impacc_mpi::ReduceOp;
 
 use crate::decomp::CartGrid;
-use crate::dist::{ArraySpec, Cell, CellFn, DistArray, ResProbe, StencilSpec};
+use crate::dist::{per_cell, ArraySpec, DistArray, ResProbe, Row, RowFn, Rows, StencilSpec};
 
 /// Jacobi boundary conditions: the ghost row above the global top is
 /// held at 1, everything else starts at 0 (matching the hand-written
@@ -29,9 +29,12 @@ pub fn jacobi_bc(g: &[isize]) -> f64 {
 }
 
 /// The five-point Jacobi update, in the hand-written operand order.
-pub fn jacobi_cell() -> CellFn {
-    Arc::new(|c: &Cell<'_>| {
-        0.25 * (c.at(&[-1, 0]) + c.at(&[1, 0]) + c.at(&[0, -1]) + c.at(&[0, 1]))
+pub fn jacobi_cell() -> RowFn {
+    Arc::new(|r: &Row<'_>, out: &mut [f64]| {
+        let (n, s, w, e) = (r.at(&[-1, 0]), r.at(&[1, 0]), r.at(&[0, -1]), r.at(&[0, 1]));
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = 0.25 * (n[k] + s[k] + w[k] + e[k]);
+        }
     })
 }
 
@@ -128,15 +131,16 @@ fn stencil3d_bc(g: &[isize]) -> f64 {
     0.01 * ((g[0] * g[0] - g[1] + 2 * g[2]) as f64)
 }
 
-fn stencil3d_cell() -> CellFn {
-    Arc::new(|c: &Cell<'_>| {
-        let sum6 = c.at(&[-1, 0, 0])
-            + c.at(&[1, 0, 0])
-            + c.at(&[0, -1, 0])
-            + c.at(&[0, 1, 0])
-            + c.at(&[0, 0, -1])
-            + c.at(&[0, 0, 1]);
-        c.center() + 0.1 * (sum6 - 6.0 * c.center())
+fn stencil3d_cell() -> RowFn {
+    Arc::new(|r: &Row<'_>, out: &mut [f64]| {
+        let c = r.center();
+        let (a, b) = (r.at(&[-1, 0, 0]), r.at(&[1, 0, 0]));
+        let (n, s) = (r.at(&[0, -1, 0]), r.at(&[0, 1, 0]));
+        let (w, e) = (r.at(&[0, 0, -1]), r.at(&[0, 0, 1]));
+        for (k, o) in out.iter_mut().enumerate() {
+            let sum6 = a[k] + b[k] + n[k] + s[k] + w[k] + e[k];
+            *o = c[k] + 0.1 * (sum6 - 6.0 * c[k]);
+        }
     })
 }
 
@@ -210,13 +214,17 @@ pub struct Stencil2dParams {
     pub verify: bool,
 }
 
-fn stencil2d_cell(h: usize) -> CellFn {
-    Arc::new(move |c: &Cell<'_>| {
-        let mut acc = c.center();
+fn stencil2d_cell(h: usize) -> RowFn {
+    Arc::new(move |r: &Row<'_>, out: &mut [f64]| {
+        out.copy_from_slice(r.center());
         for k in 1..=h as isize {
-            acc += c.at(&[-k, 0]) + c.at(&[k, 0]) + c.at(&[0, -k]) + c.at(&[0, k]);
+            let (n, s, w, e) = (r.at(&[-k, 0]), r.at(&[k, 0]), r.at(&[0, -k]), r.at(&[0, k]));
+            for (i, o) in out.iter_mut().enumerate() {
+                *o += n[i] + s[i] + w[i] + e[i];
+            }
         }
-        acc / (4 * h + 1) as f64
+        let div = (4 * h + 1) as f64;
+        out.iter_mut().for_each(|o| *o /= div);
     })
 }
 
@@ -358,12 +366,14 @@ fn assert_bits_eq(got: &[f64], expect: &[f64], what: &str) {
 }
 
 /// Serial replay of a padded field: the verification oracle. Runs the
-/// *same* [`CellFn`] the distributed sweep ran, over the whole domain,
-/// with the same ghost-pad boundary semantics.
+/// *same* [`RowFn`] the distributed sweep ran through the same row loop,
+/// over the whole domain, with the same ghost-pad boundary semantics.
 pub struct SerialField {
     shape: Vec<usize>,
     pad: Vec<usize>,
     padded: Vec<usize>,
+    /// Padded-index → global-coordinate map, per dim.
+    gmap: Arc<Vec<Vec<isize>>>,
     vals: Vec<f64>,
 }
 
@@ -381,112 +391,52 @@ impl SerialField {
             *p = halo;
         }
         let padded: Vec<usize> = shape.iter().zip(&pad).map(|(s, p)| s + 2 * p).collect();
-        let total: usize = padded.iter().product();
-        let mut vals = vec![0.0f64; total];
-        let mut idx = vec![0usize; nd];
-        let mut g = vec![0isize; nd];
-        for v in vals.iter_mut() {
-            for d in 0..nd {
-                g[d] = idx[d] as isize - pad[d] as isize;
-            }
-            *v = f(&g);
-            let mut d = nd;
-            while d > 0 {
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < padded[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        let gmap = Arc::new(
+            (0..nd)
+                .map(|d| {
+                    (0..padded[d])
+                        .map(|i| i as isize - pad[d] as isize)
+                        .collect()
+                })
+                .collect(),
+        );
+        let mut vals = vec![0.0f64; padded.iter().product()];
+        Rows::new(vec![0; nd], padded.clone(), &padded, &gmap)
+            .update(&mut vals, per_cell(|g, _| f(g)));
         SerialField {
             shape: shape.to_vec(),
             pad,
             padded,
+            gmap,
             vals,
         }
     }
 
     /// One sweep; returns `max |new − old|` over updated cells.
-    pub fn step(&mut self, margin: &[(usize, usize)], color: Option<usize>, f: &CellFn) -> f64 {
+    pub fn step(&mut self, margin: &[(usize, usize)], color: Option<usize>, f: &RowFn) -> f64 {
         let nd = self.shape.len();
-        let mut strides = vec![1isize; nd];
-        for d in (0..nd.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * self.padded[d + 1] as isize;
-        }
-        let src = self.vals.clone();
-        let mut res = 0.0f64;
         let plo: Vec<usize> = (0..nd).map(|d| self.pad[d] + margin[d].0).collect();
         let phi: Vec<usize> = (0..nd)
             .map(|d| self.pad[d] + self.shape[d] - margin[d].1)
             .collect();
-        if (0..nd).any(|d| phi[d] <= plo[d]) {
-            return res;
-        }
-        let mut idx = plo.clone();
-        let mut g = vec![0isize; nd];
-        'cells: loop {
-            let mut lin = 0isize;
-            for d in 0..nd {
-                lin += idx[d] as isize * strides[d];
-                g[d] = idx[d] as isize - self.pad[d] as isize;
-            }
-            let lin = lin as usize;
-            let on_color = match color {
-                Some(c) => g.iter().sum::<isize>().rem_euclid(2) as usize == c,
-                None => true,
-            };
-            if on_color {
-                let cell = Cell {
-                    src: &src,
-                    idx: lin,
-                    strides: &strides,
-                    g: &g,
-                };
-                let next = f(&cell);
-                res = res.max((next - src[lin]).abs());
-                self.vals[lin] = next;
-            }
-            let mut d = nd;
-            loop {
-                if d == 0 {
-                    break 'cells;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < phi[d] {
-                    break;
-                }
-                idx[d] = plo[d];
-            }
-        }
-        res
+        let src = self.vals.clone();
+        Rows::new(plo, phi, &self.padded, &self.gmap).sweep(&src, &mut self.vals, color, f)
     }
 
     /// The un-padded field, row-major over the global shape.
     pub fn interior(&self) -> Vec<f64> {
-        let nd = self.shape.len();
-        let mut strides = vec![1usize; nd];
-        for d in (0..nd.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * self.padded[d + 1];
-        }
-        let total: usize = self.shape.iter().product();
-        let mut out = Vec::with_capacity(total);
-        let mut idx = vec![0usize; nd];
-        for _ in 0..total {
-            let lin: usize = (0..nd).map(|d| (idx[d] + self.pad[d]) * strides[d]).sum();
-            out.push(self.vals[lin]);
-            let mut d = nd;
-            while d > 0 {
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < self.shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        let hi = self
+            .pad
+            .iter()
+            .zip(&self.shape)
+            .map(|(p, s)| p + s)
+            .collect();
+        let mut out = vec![0.0f64; self.shape.iter().product()];
+        Rows::new(self.pad.clone(), hi, &self.padded, &self.gmap).scatter(
+            &self.vals,
+            &self.shape,
+            &mut out,
+        );
         out
     }
 }

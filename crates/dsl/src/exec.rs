@@ -10,21 +10,21 @@
 //! holds compiled `jacobi.acc` to that standard against
 //! `jacobi_array_task` in all three runtime modes.
 //!
-//! Reduction loops are hand-lowered (rather than calling
-//! [`DistArray::reduce`]) because their cell expressions may read
-//! several arrays (`sum += x[i] * y[i]`), but the lowering mirrors
-//! `reduce` operation for operation: device fold kernel on the unified
-//! queue, queue drain, identity for empty ranks, allreduce under an
-//! `array.redist` span.
+//! Every device expression — stencil cell, map cell, reduction term,
+//! `init(...)` — runs a row at a time: `RowEval` evaluates the lowered
+//! expression once per row into row-length buffers, each node's operator
+//! matched once per row and applied over the whole row. Reduction loops
+//! read several arrays (`sum += x[i] * y[i]`) through
+//! [`DistArray::reduce_rows`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use impacc_array::{math_ok, ArraySpec, CartGrid, Cell, CellFn, DistArray, ResProbe, StencilSpec};
-use impacc_core::{BufView, Rank};
-use impacc_machine::KernelCost;
+use impacc_array::{ArraySpec, CartGrid, DistArray, ResProbe, Row, RowFn, StencilSpec};
+use impacc_core::Rank;
 use parking_lot::Mutex;
 
+use crate::ast::{BinOp, UnOp};
 use crate::sema::{apply_bin, apply_call, ArrayInfo, Compiled, KExpr, Op, ReduceOp};
 
 /// Everything a finished run hands back to the host harness.
@@ -37,87 +37,207 @@ pub struct RunOut {
     pub fields: BTreeMap<String, Vec<f64>>,
 }
 
-/// Evaluate a lowered expression. The three handlers supply the leaves;
-/// contexts that cannot produce a leaf kind panic inside their handler
-/// (semantic analysis rules those programs out).
-fn eval(
-    e: &KExpr,
-    coord: &dyn Fn(usize) -> f64,
-    at: &dyn Fn(usize, &[isize]) -> f64,
-    scalar: &dyn Fn(&str) -> f64,
-) -> f64 {
+/// Evaluate a host expression over the scalar environment.
+pub(crate) fn eval_host(e: &KExpr, env: &BTreeMap<String, f64>) -> f64 {
+    let ev = |e| eval_host(e, env);
     match e {
         KExpr::Num(v) => *v,
-        KExpr::Coord(d) => coord(*d),
-        KExpr::Scalar(n) => scalar(n),
-        KExpr::At(s, offs) => at(*s, offs),
-        KExpr::Un(op, a) => {
-            let a = eval(a, coord, at, scalar);
-            match op {
-                crate::ast::UnOp::Neg => -a,
-                crate::ast::UnOp::Not => {
-                    if a == 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            }
+        KExpr::Scalar(n) => *env.get(n).expect("sema checked scalar visibility"),
+        KExpr::Coord(_) | KExpr::At(..) => {
+            unreachable!("host expressions read neither coordinates nor arrays")
         }
-        KExpr::Bin(op, a, b) => {
-            let a = eval(a, coord, at, scalar);
-            let b = eval(b, coord, at, scalar);
-            apply_bin(*op, a, b)
-        }
+        KExpr::Un(UnOp::Neg, a) => -ev(a),
+        KExpr::Un(UnOp::Not, a) => truth(ev(a) == 0.0),
+        KExpr::Bin(op, a, b) => apply_bin(*op, ev(a), ev(b)),
         KExpr::Ternary(c, a, b) => {
-            if eval(c, coord, at, scalar) != 0.0 {
-                eval(a, coord, at, scalar)
+            if ev(c) != 0.0 {
+                ev(a)
             } else {
-                eval(b, coord, at, scalar)
+                ev(b)
             }
         }
         KExpr::Call(f, args) => {
-            let vals: Vec<f64> = args.iter().map(|a| eval(a, coord, at, scalar)).collect();
+            let vals: Vec<f64> = args.iter().map(ev).collect();
             apply_call(f, &vals)
         }
     }
 }
 
-fn no_at(_: usize, _: &[isize]) -> f64 {
-    unreachable!("host expressions never read arrays")
+fn truth(t: bool) -> f64 {
+    if t {
+        1.0
+    } else {
+        0.0
+    }
 }
 
-fn no_scalar(_: &str) -> f64 {
-    unreachable!("device expressions never read host scalars")
+/// What the leaves of a device expression read for one row: the global
+/// coordinates of the row's first cell, and the row of values an array
+/// read yields.
+trait Leaves {
+    /// Global coordinate of the row's first cell along dimension `d`.
+    fn global(&self, d: usize) -> isize;
+    /// The row read by referenced array `slot` at per-dim offsets `offs`.
+    fn at(&self, slot: usize, offs: &[isize]) -> &[f64];
 }
 
-/// Evaluate a host expression over the scalar environment.
-pub(crate) fn eval_host(e: &KExpr, env: &BTreeMap<String, f64>) -> f64 {
-    eval(
-        e,
-        &|_| unreachable!("host expressions have no coordinates"),
-        &no_at,
-        &|n| *env.get(n).expect("sema checked scalar visibility"),
-    )
+/// A stencil row: slot 0 (the source array) read at any offset.
+impl Leaves for Row<'_> {
+    fn global(&self, d: usize) -> isize {
+        Row::global(self, d)
+    }
+
+    fn at(&self, _slot: usize, offs: &[isize]) -> &[f64] {
+        Row::at(self, offs)
+    }
 }
 
-/// Evaluate an `init(...)` expression at global coordinates `g`.
-pub(crate) fn eval_init(e: &KExpr, g: &[isize]) -> f64 {
-    eval(e, &|d| g[d] as f64, &no_at, &no_scalar)
+/// An element-wise row: every slot reads its array's row at the cell
+/// itself (map, reduction and `init` expressions have no offsets).
+struct Cells<'a> {
+    g: &'a [isize],
+    rows: &'a [&'a [f64]],
 }
 
-/// Build the stencil cell closure for a lowered cell expression
-/// (slot 0 is the source array).
-pub(crate) fn cell_fn(e: &KExpr) -> CellFn {
-    let e = e.clone();
-    Arc::new(move |c: &Cell<'_>| {
-        eval(
-            &e,
-            &|d| c.global(d) as f64,
-            &|_, offs| c.at(offs),
-            &no_scalar,
-        )
-    })
+impl Leaves for Cells<'_> {
+    fn global(&self, d: usize) -> isize {
+        self.g[d]
+    }
+
+    fn at(&self, slot: usize, _offs: &[isize]) -> &[f64] {
+        self.rows[slot]
+    }
+}
+
+/// A device expression evaluated a row at a time. Each inner node writes
+/// its row into the buffer its parent hands it and borrows row buffers
+/// from `tmp` for its other operands; [`depth`] buffers suffice. The
+/// buffers live as long as the evaluator — one kernel launch — and are
+/// sized on its first row.
+struct RowEval {
+    e: KExpr,
+    /// Index of the innermost dimension, along which a row runs.
+    last: usize,
+    tmp: Vec<Vec<f64>>,
+}
+
+impl RowEval {
+    fn new(e: &KExpr, ndims: usize) -> RowEval {
+        RowEval {
+            e: e.clone(),
+            last: ndims - 1,
+            tmp: vec![Vec::new(); depth(e)],
+        }
+    }
+
+    /// Write the expression's value at every cell of the row into `out`.
+    fn eval(&mut self, lv: &impl Leaves, out: &mut [f64]) {
+        for t in &mut self.tmp {
+            t.resize(out.len(), 0.0);
+        }
+        eval_row(&self.e, self.last, lv, out, &mut self.tmp);
+    }
+}
+
+/// Row buffers [`eval_row`] needs beside its output to evaluate `e`.
+fn depth(e: &KExpr) -> usize {
+    match e {
+        KExpr::Num(_) | KExpr::Coord(_) | KExpr::Scalar(_) | KExpr::At(..) => 0,
+        KExpr::Un(_, a) => depth(a),
+        KExpr::Bin(_, a, b) => depth(a).max(1 + depth(b)),
+        KExpr::Ternary(c, a, b) => depth(c).max(1 + depth(a)).max(2 + depth(b)),
+        KExpr::Call(_, args) => args
+            .iter()
+            .enumerate()
+            .map(|(i, a)| i + depth(a))
+            .max()
+            .unwrap_or(0),
+    }
+}
+
+/// `out[k] = f(out[k], b[k])` over the row.
+fn zip_row(out: &mut [f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (o, &y) in out.iter_mut().zip(b) {
+        *o = f(*o, y);
+    }
+}
+
+/// Evaluate `e` over one row into `out`, using `tmp` for operands.
+fn eval_row(e: &KExpr, last: usize, lv: &impl Leaves, out: &mut [f64], tmp: &mut [Vec<f64>]) {
+    match e {
+        KExpr::Num(v) => out.fill(*v),
+        KExpr::Coord(d) => {
+            let g0 = lv.global(*d);
+            if *d == last {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = (g0 + k as isize) as f64;
+                }
+            } else {
+                out.fill(g0 as f64);
+            }
+        }
+        KExpr::Scalar(_) => unreachable!("device expressions never read host scalars"),
+        KExpr::At(s, offs) => out.copy_from_slice(lv.at(*s, offs)),
+        KExpr::Un(op, a) => {
+            eval_row(a, last, lv, out, tmp);
+            match op {
+                UnOp::Neg => out.iter_mut().for_each(|x| *x = -*x),
+                UnOp::Not => out.iter_mut().for_each(|x| *x = truth(*x == 0.0)),
+            }
+        }
+        KExpr::Bin(op, a, b) => {
+            eval_row(a, last, lv, out, tmp);
+            let (t, rest) = tmp.split_first_mut().expect("depth() sized the buffers");
+            eval_row(b, last, lv, t, rest);
+            // One loop per operator: `apply_bin` with a constant operator
+            // inlines to the bare arithmetic or comparison.
+            macro_rules! per_op {
+                ($($v:ident),*) => {
+                    match op {
+                        $(BinOp::$v => zip_row(out, t, |x, y| apply_bin(BinOp::$v, x, y)),)*
+                    }
+                };
+            }
+            per_op!(Add, Sub, Mul, Div, Lt, Le, Gt, Ge, Eq, Ne, And, Or);
+        }
+        KExpr::Ternary(c, a, b) => {
+            // Both branches are evaluated (device expressions are pure and
+            // read in bounds); each cell selects one, never a blend.
+            eval_row(c, last, lv, out, tmp);
+            let (ta, rest) = tmp.split_first_mut().expect("depth() sized the buffers");
+            eval_row(a, last, lv, ta, rest);
+            let (tb, rest) = rest.split_first_mut().expect("depth() sized the buffers");
+            eval_row(b, last, lv, tb, rest);
+            for ((o, &x), &y) in out.iter_mut().zip(ta.iter()).zip(tb.iter()) {
+                *o = if *o != 0.0 { x } else { y };
+            }
+        }
+        KExpr::Call(f, args) => {
+            eval_row(&args[0], last, lv, out, tmp);
+            if let [_, b] = args.as_slice() {
+                let (t, rest) = tmp.split_first_mut().expect("depth() sized the buffers");
+                eval_row(b, last, lv, t, rest);
+                match f.as_str() {
+                    "min" => zip_row(out, t, f64::min),
+                    "max" => zip_row(out, t, f64::max),
+                    _ => unreachable!("the parser admits only min/max with two arguments"),
+                }
+            } else {
+                match f.as_str() {
+                    "abs" => out.iter_mut().for_each(|x| *x = x.abs()),
+                    "sqrt" => out.iter_mut().for_each(|x| *x = x.sqrt()),
+                    _ => unreachable!("the parser admits only abs/sqrt with one argument"),
+                }
+            }
+        }
+    }
+}
+
+/// Build the stencil row kernel for a lowered cell expression over
+/// `ndims`-d arrays (slot 0 is the source array).
+pub(crate) fn row_fn(e: &KExpr, ndims: usize) -> RowFn {
+    let ev = Mutex::new(RowEval::new(e, ndims));
+    Arc::new(move |r: &Row<'_>, out: &mut [f64]| ev.lock().eval(r, out))
 }
 
 fn build_grid(info: &ArrayInfo, size: usize) -> CartGrid {
@@ -223,8 +343,9 @@ impl Exec<'_> {
                     color: None,
                 };
                 self.sweeps[*site] += 1;
+                let f = row_fn(cell, self.c.arrays[*src].shape.len());
                 let res = self.arrays[*src]
-                    .stencil(tc, &self.arrays[*dst], &sspec, cell_fn(cell))
+                    .stencil(tc, &self.arrays[*dst], &sspec, f)
                     .await;
                 if let Some(var) = reduce {
                     if self.unified {
@@ -245,10 +366,13 @@ impl Exec<'_> {
                 }
             }
             Op::Map { arr, flops, cell } => {
-                let e = cell.clone();
+                let mut ev = RowEval::new(cell, self.c.arrays[*arr].shape.len());
+                let mut old = Vec::new();
                 self.arrays[*arr]
-                    .map(tc, *flops, move |g, old| {
-                        eval(&e, &|d| g[d] as f64, &|_, _| old, &no_scalar)
+                    .map_rows(tc, *flops, move |g, _, vals| {
+                        old.clear();
+                        old.extend_from_slice(vals);
+                        ev.eval(&Cells { g, rows: &[&old] }, vals);
                     })
                     .await;
             }
@@ -259,7 +383,14 @@ impl Exec<'_> {
                 flops,
                 cell,
             } => {
-                let v = self.run_reduce(arrays, *op, *flops, cell).await;
+                let (anchor, rest) = arrays.split_first().expect("a reduction reads an array");
+                let with: Vec<&DistArray> = rest.iter().map(|&i| &self.arrays[i]).collect();
+                let mut ev = RowEval::new(cell, self.c.arrays[*anchor].shape.len());
+                let v = self.arrays[*anchor]
+                    .reduce_rows(tc, &with, *op, *flops, move |g, _, rows, out| {
+                        ev.eval(&Cells { g, rows }, out)
+                    })
+                    .await;
                 self.env.insert(var.clone(), v);
             }
             Op::Swap { a, b } => {
@@ -269,99 +400,6 @@ impl Exec<'_> {
                 }
             }
         }
-    }
-
-    /// Multi-array fold + allreduce, operation-for-operation parallel to
-    /// [`DistArray::reduce`].
-    async fn run_reduce(&mut self, idxs: &[usize], op: ReduceOp, flops: f64, cell: &KExpr) -> f64 {
-        let tc = self.tc;
-        let anchor = &self.arrays[idxs[0]];
-        let local: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
-        if !anchor.is_empty() {
-            let views: Vec<BufView> = idxs
-                .iter()
-                .map(|&i| tc.dev_view(self.arrays[i].buf()))
-                .collect();
-            let nd = anchor.padded().len();
-            let region = anchor.owned_region();
-            let (plo, phi) = (region.lo, region.hi);
-            let total: usize = anchor.padded().iter().product();
-            let padded = anchor.padded().to_vec();
-            let mut strides = vec![1isize; nd];
-            for d in (0..nd.saturating_sub(1)).rev() {
-                strides[d] = strides[d + 1] * padded[d + 1] as isize;
-            }
-            let offsets = anchor.offsets().to_vec();
-            let info = &self.c.arrays[idxs[0]];
-            let mut pad = vec![0isize; nd];
-            for p in pad.iter_mut().take(info.grid_nd) {
-                *p = info.halo as isize;
-            }
-            let e = cell.clone();
-            let slot = local.clone();
-            let body = move || {
-                if views.iter().any(|v| !math_ok(v)) {
-                    *slot.lock() = Some(0.0);
-                    return;
-                }
-                let views: Vec<&BufView> = views.iter().collect();
-                *slot.lock() = BufView::with_views(&views, |data| {
-                    let mut acc: Option<f64> = None;
-                    let mut idx = plo.clone();
-                    let mut g = vec![0isize; nd];
-                    'cells: loop {
-                        let mut lin = 0isize;
-                        for d in 0..nd {
-                            lin += idx[d] as isize * strides[d];
-                            g[d] = offsets[d] as isize + idx[d] as isize - pad[d];
-                        }
-                        let lin = lin as usize;
-                        let v = eval(&e, &|d| g[d] as f64, &|s, _| data[s][lin], &no_scalar);
-                        acc = Some(match (acc, op) {
-                            (None, _) => v,
-                            (Some(a), ReduceOp::Sum) => a + v,
-                            (Some(a), ReduceOp::Max) => a.max(v),
-                            (Some(a), ReduceOp::Min) => a.min(v),
-                            (Some(a), ReduceOp::Prod) => a * v,
-                        });
-                        let mut d = nd;
-                        loop {
-                            if d == 0 {
-                                break 'cells acc;
-                            }
-                            d -= 1;
-                            idx[d] += 1;
-                            if idx[d] < phi[d] {
-                                break;
-                            }
-                            idx[d] = plo[d];
-                        }
-                    }
-                });
-            };
-            let cost = KernelCost::new(
-                flops * anchor.owned_cells().max(1) as f64,
-                idxs.len() as f64 * total as f64 * 8.0,
-            );
-            let q = self.unified.then_some(1);
-            tc.acc_kernel(q, cost, body).await;
-        }
-        if self.unified {
-            tc.acc_wait(1).await;
-        }
-        let mine = (*local.lock()).unwrap_or(match op {
-            ReduceOp::Sum => 0.0,
-            ReduceOp::Max => f64::MIN,
-            ReduceOp::Min => f64::MAX,
-            ReduceOp::Prod => 1.0,
-        });
-        let ctx = tc.ctx();
-        let t0 = ctx.now();
-        let out = tc.mpi_allreduce_f64(&[mine], op).await;
-        ctx.span("array.redist", t0, ctx.now(), || {
-            vec![("kind", "reduce".to_string())]
-        });
-        out[0]
     }
 }
 
@@ -385,10 +423,10 @@ pub async fn run_program(
     for (arr, info) in arrays.iter().zip(&c.arrays) {
         match &info.init {
             Some(e) => {
-                let e = e.clone();
-                arr.fill(tc, move |g| eval_init(&e, g));
+                let mut ev = RowEval::new(e, info.shape.len());
+                arr.fill_rows(tc, |g, _, out| ev.eval(&Cells { g, rows: &[] }, out));
             }
-            None => arr.fill(tc, |_| 0.0),
+            None => arr.fill_rows(tc, |_, _, out| out.fill(0.0)),
         }
     }
     for arr in &arrays {

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::exec::{eval_host, eval_init};
+use crate::exec::eval_host;
 use crate::lex::DslError;
 use crate::sema::{apply_bin, apply_call, ArrayInfo, Compiled, KExpr, Op, ReduceOp};
 
@@ -59,7 +59,9 @@ impl Field {
                 for d in 0..nd {
                     g[d] = idx[d] as isize - pad[d];
                 }
-                *v = eval_init(e, &g);
+                *v = eval_cell(e, &g, &|_, _| {
+                    unreachable!("init expressions read no arrays")
+                });
                 let mut d = nd;
                 while d > 0 {
                     d -= 1;
