@@ -30,57 +30,3 @@ where
     }
     l.run_async(app)
 }
-
-/// The verdict of `vals.iter().all(|&x| x == want)` — `==` semantics, so
-/// `-0.0` equals `0.0` and a NaN on either side never matches — taken
-/// eight values at a time: each chunk AND-folds its comparisons, so a
-/// check costs one branch per chunk rather than one per element.
-pub fn all_equal(vals: &[f64], want: f64) -> bool {
-    let mut chunks = vals.chunks_exact(8);
-    chunks.all(|c| c.iter().fold(true, |ok, &x| ok & (x == want)))
-        && chunks.remainder().iter().all(|&x| x == want)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::all_equal;
-
-    fn reference(vals: &[f64], want: f64) -> bool {
-        vals.iter().all(|&x| x == want)
-    }
-
-    #[test]
-    fn all_equal_agrees_with_iter_all() {
-        for n in 0..=17 {
-            for want in [1.5, 0.0, -0.0, f64::NAN, f64::INFINITY] {
-                let same = vec![want; n];
-                assert_eq!(
-                    all_equal(&same, want),
-                    reference(&same, want),
-                    "n={n} {want}"
-                );
-                for at in 0..n {
-                    for bad in [2.5, f64::NAN, -want, 0.0, -0.0] {
-                        let mut v = same.clone();
-                        v[at] = bad;
-                        assert_eq!(
-                            all_equal(&v, want),
-                            reference(&v, want),
-                            "n={n} want={want} v[{at}]={bad}"
-                        );
-                    }
-                }
-            }
-        }
-        // The named cases, spelled out.
-        let mut first = vec![3.0; 17];
-        first[2] = 4.0;
-        assert!(!all_equal(&first, 3.0), "mismatch in the first chunk");
-        let mut tail = vec![3.0; 17];
-        tail[16] = 4.0;
-        assert!(!all_equal(&tail, 3.0), "mismatch in the tail");
-        assert!(!all_equal(&[f64::NAN; 9], f64::NAN), "NaN never equals");
-        assert!(all_equal(&[-0.0; 9], 0.0), "-0.0 == 0.0");
-        assert!(all_equal(&[], f64::NAN), "empty is vacuously equal");
-    }
-}

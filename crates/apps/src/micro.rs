@@ -7,7 +7,7 @@ use impacc_core::{MpiOpts, Rank};
 use impacc_machine::KernelCost;
 use impacc_mpi::ReduceOp;
 
-use crate::common::{all_equal, math_ok};
+use crate::common::math_ok;
 
 /// `rounds` verified Sum-allreduces of `elems` f64s; `seed` shifts every
 /// contribution so distinct seeds produce distinct payloads while staying
@@ -22,7 +22,7 @@ pub async fn allreduce_rounds(tc: &Rank, elems: usize, rounds: u32, seed: u64) {
         tc.mpi_allreduce_in_place(&buf, ReduceOp::Sum).await;
         let expect = (0..size).map(|r| (r + round) as f64 + shift).sum::<f64>();
         assert!(
-            buf.with_f64s(|out| out.len() == elems && all_equal(out, expect)),
+            buf.with_f64s(|out| out.len() == elems && out.iter().all(|&x| x == expect)),
             "allreduce corrupted: want {expect}"
         );
     }
@@ -57,7 +57,7 @@ pub async fn exchange(tc: &Rank, n: usize, rounds: u32, seed: u64) {
                 if math_ok(&d) {
                     d.with_f64s(0, n, |got| {
                         assert!(
-                            all_equal(got, expect),
+                            got.iter().all(|&x| x == expect),
                             "round {round}: corrupted payload after recovery"
                         )
                     });

@@ -167,6 +167,28 @@ pub struct Row<'a> {
 }
 
 impl<'a> Row<'a> {
+    /// The one-cell row at linear index `lin` (padded index `idx`,
+    /// global coordinates `g`): how the serial oracle calls a kernel
+    /// without sharing the distributed row loop.
+    pub(crate) fn cell(
+        src: &'a [f64],
+        lin: usize,
+        idx: &'a [usize],
+        padded: &'a [usize],
+        strides: &'a [isize],
+        g: &'a [isize],
+    ) -> Row<'a> {
+        Row {
+            src,
+            start: lin,
+            len: 1,
+            idx,
+            padded,
+            strides,
+            g,
+        }
+    }
+
     /// Cells in the row.
     pub fn len(&self) -> usize {
         self.len
@@ -1283,33 +1305,54 @@ mod tests {
         }
     }
 
-    fn field() -> SerialField {
-        SerialField::new(&[6, 6], 1, 1, &|g: &[isize]| (g[0] * 6 + g[1]) as f64)
+    /// Kernel over the interior of a 6×6 field padded one deep on dim 0,
+    /// margin one on dim 1, through the oracle's one-cell rows.
+    fn oracle(f: RowFn) {
+        let init = |g: &[isize]| (g[0] * 6 + g[1]) as f64;
+        SerialField::new(&[6, 6], 1, 1, &init).step(&[(0, 0), (1, 1)], None, &f);
+    }
+
+    /// The same sweep through the row loop's four-cell rows.
+    fn row_loop(f: RowFn) {
+        let padded = [8usize, 6];
+        let gmap = Arc::new(vec![(-1..7).collect(), (0..6).collect()]);
+        let src: Vec<f64> = (0..48).map(|i| i as f64).collect();
+        let mut dst = src.clone();
+        Rows::new(vec![1, 1], vec![7, 5], &padded, &gmap).sweep(&src, &mut dst, None, &f);
+    }
+
+    fn read(off: [isize; 2]) -> RowFn {
+        Arc::new(move |r: &Row<'_>, out: &mut [f64]| out.copy_from_slice(r.at(&off)))
     }
 
     #[test]
     fn row_reads_within_the_halo() {
-        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
-            out.copy_from_slice(r.at(&[-1, 0]));
-        });
-        field().step(&[(0, 0), (1, 1)], None, &f);
+        oracle(read([-1, 0]));
+        row_loop(read([-1, 0]));
+        row_loop(read([0, 1]));
     }
 
     #[test]
     #[should_panic(expected = "reaches past the padded tile")]
     fn row_offset_past_the_halo_panics() {
-        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
-            out.copy_from_slice(r.at(&[-2, 0]));
-        });
-        field().step(&[(0, 0), (1, 1)], None, &f);
+        oracle(read([-2, 0]));
     }
 
     #[test]
     #[should_panic(expected = "reaches past the padded tile")]
     fn row_offset_past_the_margin_panics() {
-        let f: RowFn = Arc::new(|r: &Row<'_>, out: &mut [f64]| {
-            out.copy_from_slice(r.at(&[0, 2]));
-        });
-        field().step(&[(0, 0), (1, 1)], None, &f);
+        oracle(read([0, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the padded tile")]
+    fn row_offset_past_the_halo_panics_in_the_row_loop() {
+        row_loop(read([-2, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the padded tile")]
+    fn row_offset_past_the_margin_panics_in_the_row_loop() {
+        row_loop(read([0, 2]));
     }
 }

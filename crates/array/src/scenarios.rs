@@ -15,7 +15,7 @@ use impacc_core::Rank;
 use impacc_mpi::ReduceOp;
 
 use crate::decomp::CartGrid;
-use crate::dist::{per_cell, ArraySpec, DistArray, ResProbe, Row, RowFn, Rows, StencilSpec};
+use crate::dist::{ArraySpec, DistArray, ResProbe, Row, RowFn, StencilSpec};
 
 /// Jacobi boundary conditions: the ghost row above the global top is
 /// held at 1, everything else starts at 0 (matching the hand-written
@@ -366,14 +366,15 @@ fn assert_bits_eq(got: &[f64], expect: &[f64], what: &str) {
 }
 
 /// Serial replay of a padded field: the verification oracle. Runs the
-/// *same* [`RowFn`] the distributed sweep ran through the same row loop,
-/// over the whole domain, with the same ghost-pad boundary semantics.
+/// *same* [`RowFn`] the distributed sweep ran, over the whole domain,
+/// with the same ghost-pad boundary semantics, but through its own cell
+/// walk: every kernel call gets a one-cell row, the colour test is made
+/// per cell and the residual is a sequential `f64::max` fold, so a fault
+/// in the distributed row loop cannot hide in the reference.
 pub struct SerialField {
     shape: Vec<usize>,
     pad: Vec<usize>,
     padded: Vec<usize>,
-    /// Padded-index → global-coordinate map, per dim.
-    gmap: Arc<Vec<Vec<isize>>>,
     vals: Vec<f64>,
 }
 
@@ -391,23 +392,29 @@ impl SerialField {
             *p = halo;
         }
         let padded: Vec<usize> = shape.iter().zip(&pad).map(|(s, p)| s + 2 * p).collect();
-        let gmap = Arc::new(
-            (0..nd)
-                .map(|d| {
-                    (0..padded[d])
-                        .map(|i| i as isize - pad[d] as isize)
-                        .collect()
-                })
-                .collect(),
-        );
-        let mut vals = vec![0.0f64; padded.iter().product()];
-        Rows::new(vec![0; nd], padded.clone(), &padded, &gmap)
-            .update(&mut vals, per_cell(|g, _| f(g)));
+        let total: usize = padded.iter().product();
+        let mut vals = vec![0.0f64; total];
+        let mut idx = vec![0usize; nd];
+        let mut g = vec![0isize; nd];
+        for v in vals.iter_mut() {
+            for d in 0..nd {
+                g[d] = idx[d] as isize - pad[d] as isize;
+            }
+            *v = f(&g);
+            let mut d = nd;
+            while d > 0 {
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < padded[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
         SerialField {
             shape: shape.to_vec(),
             pad,
             padded,
-            gmap,
             vals,
         }
     }
@@ -415,28 +422,78 @@ impl SerialField {
     /// One sweep; returns `max |new − old|` over updated cells.
     pub fn step(&mut self, margin: &[(usize, usize)], color: Option<usize>, f: &RowFn) -> f64 {
         let nd = self.shape.len();
+        let mut strides = vec![1isize; nd];
+        for d in (0..nd.saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * self.padded[d + 1] as isize;
+        }
+        let src = self.vals.clone();
+        let mut res = 0.0f64;
         let plo: Vec<usize> = (0..nd).map(|d| self.pad[d] + margin[d].0).collect();
         let phi: Vec<usize> = (0..nd)
             .map(|d| self.pad[d] + self.shape[d] - margin[d].1)
             .collect();
-        let src = self.vals.clone();
-        Rows::new(plo, phi, &self.padded, &self.gmap).sweep(&src, &mut self.vals, color, f)
+        if (0..nd).any(|d| phi[d] <= plo[d]) {
+            return res;
+        }
+        let mut idx = plo.clone();
+        let mut g = vec![0isize; nd];
+        'cells: loop {
+            let mut lin = 0isize;
+            for d in 0..nd {
+                lin += idx[d] as isize * strides[d];
+                g[d] = idx[d] as isize - self.pad[d] as isize;
+            }
+            let lin = lin as usize;
+            let on_color = match color {
+                Some(c) => g.iter().sum::<isize>().rem_euclid(2) as usize == c,
+                None => true,
+            };
+            if on_color {
+                let cell = Row::cell(&src, lin, &idx, &self.padded, &strides, &g);
+                let mut next = [0.0f64];
+                f(&cell, &mut next);
+                res = res.max((next[0] - src[lin]).abs());
+                self.vals[lin] = next[0];
+            }
+            let mut d = nd;
+            loop {
+                if d == 0 {
+                    break 'cells;
+                }
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < phi[d] {
+                    break;
+                }
+                idx[d] = plo[d];
+            }
+        }
+        res
     }
 
     /// The un-padded field, row-major over the global shape.
     pub fn interior(&self) -> Vec<f64> {
-        let hi = self
-            .pad
-            .iter()
-            .zip(&self.shape)
-            .map(|(p, s)| p + s)
-            .collect();
-        let mut out = vec![0.0f64; self.shape.iter().product()];
-        Rows::new(self.pad.clone(), hi, &self.padded, &self.gmap).scatter(
-            &self.vals,
-            &self.shape,
-            &mut out,
-        );
+        let nd = self.shape.len();
+        let mut strides = vec![1usize; nd];
+        for d in (0..nd.saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * self.padded[d + 1];
+        }
+        let total: usize = self.shape.iter().product();
+        let mut out = Vec::with_capacity(total);
+        let mut idx = vec![0usize; nd];
+        for _ in 0..total {
+            let lin: usize = (0..nd).map(|d| (idx[d] + self.pad[d]) * strides[d]).sum();
+            out.push(self.vals[lin]);
+            let mut d = nd;
+            while d > 0 {
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < self.shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
         out
     }
 }

@@ -25,7 +25,9 @@ use impacc_core::Rank;
 use parking_lot::Mutex;
 
 use crate::ast::{BinOp, UnOp};
-use crate::sema::{apply_bin, apply_call, ArrayInfo, Compiled, KExpr, Op, ReduceOp};
+use crate::sema::{
+    apply_bin, apply_call, apply_un, builtin1, builtin2, ArrayInfo, Compiled, KExpr, Op, ReduceOp,
+};
 
 /// Everything a finished run hands back to the host harness.
 #[derive(Debug, Clone, Default)]
@@ -46,8 +48,7 @@ pub(crate) fn eval_host(e: &KExpr, env: &BTreeMap<String, f64>) -> f64 {
         KExpr::Coord(_) | KExpr::At(..) => {
             unreachable!("host expressions read neither coordinates nor arrays")
         }
-        KExpr::Un(UnOp::Neg, a) => -ev(a),
-        KExpr::Un(UnOp::Not, a) => truth(ev(a) == 0.0),
+        KExpr::Un(op, a) => apply_un(*op, ev(a)),
         KExpr::Bin(op, a, b) => apply_bin(*op, ev(a), ev(b)),
         KExpr::Ternary(c, a, b) => {
             if ev(c) != 0.0 {
@@ -60,14 +61,6 @@ pub(crate) fn eval_host(e: &KExpr, env: &BTreeMap<String, f64>) -> f64 {
             let vals: Vec<f64> = args.iter().map(ev).collect();
             apply_call(f, &vals)
         }
-    }
-}
-
-fn truth(t: bool) -> f64 {
-    if t {
-        1.0
-    } else {
-        0.0
     }
 }
 
@@ -180,9 +173,10 @@ fn eval_row(e: &KExpr, last: usize, lv: &impl Leaves, out: &mut [f64], tmp: &mut
         KExpr::At(s, offs) => out.copy_from_slice(lv.at(*s, offs)),
         KExpr::Un(op, a) => {
             eval_row(a, last, lv, out, tmp);
+            // One loop per operator, as for binary ones below.
             match op {
-                UnOp::Neg => out.iter_mut().for_each(|x| *x = -*x),
-                UnOp::Not => out.iter_mut().for_each(|x| *x = truth(*x == 0.0)),
+                UnOp::Neg => out.iter_mut().for_each(|x| *x = apply_un(UnOp::Neg, *x)),
+                UnOp::Not => out.iter_mut().for_each(|x| *x = apply_un(UnOp::Not, *x)),
             }
         }
         KExpr::Bin(op, a, b) => {
@@ -217,17 +211,10 @@ fn eval_row(e: &KExpr, last: usize, lv: &impl Leaves, out: &mut [f64], tmp: &mut
             if let [_, b] = args.as_slice() {
                 let (t, rest) = tmp.split_first_mut().expect("depth() sized the buffers");
                 eval_row(b, last, lv, t, rest);
-                match f.as_str() {
-                    "min" => zip_row(out, t, f64::min),
-                    "max" => zip_row(out, t, f64::max),
-                    _ => unreachable!("the parser admits only min/max with two arguments"),
-                }
+                zip_row(out, t, builtin2(f));
             } else {
-                match f.as_str() {
-                    "abs" => out.iter_mut().for_each(|x| *x = x.abs()),
-                    "sqrt" => out.iter_mut().for_each(|x| *x = x.sqrt()),
-                    _ => unreachable!("the parser admits only abs/sqrt with one argument"),
-                }
+                let g = builtin1(f);
+                out.iter_mut().for_each(|x| *x = g(*x));
             }
         }
     }

@@ -243,19 +243,7 @@ fn const_eval(e: &Expr, env: &BTreeMap<String, f64>) -> Result<f64, DslError> {
             .copied()
             .ok_or_else(|| err(format!("'{n}' is not a compile-time constant"))),
         Expr::Index(n, _) => Err(err(format!("array '{n}' used where a constant is needed"))),
-        Expr::Un(op, a) => {
-            let a = const_eval(a, env)?;
-            Ok(match op {
-                UnOp::Neg => -a,
-                UnOp::Not => {
-                    if a == 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            })
-        }
+        Expr::Un(op, a) => Ok(apply_un(*op, const_eval(a, env)?)),
         Expr::Bin(op, a, b) => {
             let (a, b) = (const_eval(a, env)?, const_eval(b, env)?);
             Ok(apply_bin(*op, a, b))
@@ -277,8 +265,22 @@ fn const_eval(e: &Expr, env: &BTreeMap<String, f64>) -> Result<f64, DslError> {
     }
 }
 
+fn truth(t: bool) -> f64 {
+    if t {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+pub(crate) fn apply_un(op: UnOp, a: f64) -> f64 {
+    match op {
+        UnOp::Neg => -a,
+        UnOp::Not => truth(a == 0.0),
+    }
+}
+
 pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
-    let truth = |t: bool| if t { 1.0 } else { 0.0 };
     match op {
         BinOp::Add => a + b,
         BinOp::Sub => a - b,
@@ -295,13 +297,29 @@ pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
     }
 }
 
-pub(crate) fn apply_call(f: &str, args: &[f64]) -> f64 {
+/// The one-argument builtin named `f`.
+pub(crate) fn builtin1(f: &str) -> fn(f64) -> f64 {
     match f {
-        "min" => args[0].min(args[1]),
-        "max" => args[0].max(args[1]),
-        "abs" => args[0].abs(),
-        "sqrt" => args[0].sqrt(),
-        _ => unreachable!("parser admits only known builtins"),
+        "abs" => f64::abs,
+        "sqrt" => f64::sqrt,
+        _ => unreachable!("parser admits only abs/sqrt with one argument"),
+    }
+}
+
+/// The two-argument builtin named `f`.
+pub(crate) fn builtin2(f: &str) -> fn(f64, f64) -> f64 {
+    match f {
+        "min" => f64::min,
+        "max" => f64::max,
+        _ => unreachable!("parser admits only min/max with two arguments"),
+    }
+}
+
+pub(crate) fn apply_call(f: &str, args: &[f64]) -> f64 {
+    match *args {
+        [a] => builtin1(f)(a),
+        [a, b] => builtin2(f)(a, b),
+        _ => unreachable!("parser admits builtins of one or two arguments"),
     }
 }
 
