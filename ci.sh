@@ -162,13 +162,14 @@ echo "==> serve daemon: poison requests fail alone"
 # Requests written straight into the spool, past the client-side parse of
 # `serve submit`, that no node can hold, beside one valid job: an
 # allreduce payload of 2^40 f64s per rank (8 TiB), and a 2^40-wide mesh
-# as a stencil2d job and as the DSL's stencil2d program. The daemon must
-# refuse each with a done/<name>.err sidecar, execute the valid job and
-# exit 0. An allocation the host cannot back used to abort the whole
+# as a jacobi job, a stencil2d job and the DSL's stencil2d program. The
+# daemon must refuse each with a done/<name>.err sidecar, execute the
+# valid job and exit 0. An allocation the host cannot back used to abort the whole
 # process here.
 rm -rf "$SPOOL"
 mkdir -p "$SPOOL/incoming"
 printf 'workload=allreduce\nelems=1099511627776\n' >"$SPOOL/incoming/poison.job"
+printf 'workload=jacobi\nn=1099511627776\n' >"$SPOOL/incoming/poison_jacobi.job"
 printf 'workload=stencil2d\nn=1099511627776\n' >"$SPOOL/incoming/poison_mesh.job"
 printf 'workload=dsl\nprogram=stencil2d\nparams=n:1099511627776\n' >"$SPOOL/incoming/poison_dsl.job"
 printf 'workload=allreduce\nelems=64\nseed=28\n' >"$SPOOL/incoming/valid.job"
@@ -177,8 +178,9 @@ poisoned=$("$serve_bin" daemon --spool "$SPOOL" --workers 1 --drain) || {
     exit 1
 }
 echo "$poisoned"
-if ! grep -q "executed 1, cache_hits 0, rejected 3, failed 0," <<<"$poisoned" \
+if ! grep -q "executed 1, cache_hits 0, rejected 4, failed 0," <<<"$poisoned" \
         || ! grep -q "8796093022208 bytes per rank" "$SPOOL/done/poison.job.err" \
+        || ! grep -q "bytes per rank" "$SPOOL/done/poison_jacobi.job.err" \
         || ! grep -q "bytes per rank" "$SPOOL/done/poison_mesh.job.err" \
         || ! grep -q "bytes per rank" "$SPOOL/done/poison_dsl.job.err"; then
     echo "poison request gate: FAIL — the valid job must run and each poison one be refused"

@@ -9,8 +9,8 @@
 //!   distribution (exercises heap aliasing, bcast, unified queues).
 //! * [`ep`] — NAS Parallel Benchmarks Embarrassingly Parallel kernel
 //!   (exercises pure compute + one allreduce).
-//! * [`jacobi`] — 2-D five-point stencil with 1-D partitioning
-//!   (exercises device-resident halos and direct DtoD fusion).
+//! * [`jacobi`] — 2-D five-point stencil with 1-D partitioning, run on
+//!   the `impacc-array` layer (device-resident halos, direct DtoD fusion).
 //! * [`lulesh`] — a LULESH-2.0-style 3-D proxy with 26-neighbour halo
 //!   exchange and host-resident communication buffers.
 //! * [`micro`] — the verified allreduce loop and the two-rank exchange the
@@ -32,6 +32,6 @@ pub mod micro;
 pub use common::{launch_app, math_ok, BlockPartition};
 pub use dgemm::{dgemm_task, run_dgemm, DgemmParams};
 pub use ep::{ep_kernel, ep_task, run_ep, EpClass, EpParams, EpStats, NpbRng};
-pub use jacobi::{jacobi_task, jacobi_task_probed, run_jacobi, serial_jacobi, JacobiParams};
+pub use jacobi::{jacobi_task, run_jacobi, serial_jacobi, JacobiParams};
 pub use lulesh::{lulesh_task, run_lulesh, Coord, LuleshParams};
 pub use micro::{allreduce_rounds, exchange};

@@ -10,9 +10,7 @@
 //! 3. **The IMPACC win survives the lowering** — the array jacobi runs
 //!    faster under IMPACC than under the host-staged baseline.
 
-use impacc_array::scenarios::{
-    jacobi_array_task, stencil2d_task, ArrayJacobiParams, Stencil2dParams,
-};
+use impacc_array::scenarios::{jacobi_task, stencil2d_task, JacobiParams, Stencil2dParams};
 use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_machine::presets;
 
@@ -69,7 +67,7 @@ fn deeper_halos_cost_bandwidth_not_messages_per_cell() {
 #[test]
 fn array_jacobi_keeps_the_impacc_win() {
     let run = |opts: RuntimeOptions| {
-        let p = ArrayJacobiParams {
+        let p = JacobiParams {
             n: 256,
             iters: 4,
             verify: false,
@@ -77,7 +75,7 @@ fn array_jacobi_keeps_the_impacc_win() {
         Launch::new(presets::test_cluster(2, 2), opts)
             .run_async(move |tc| {
                 let p = p.clone();
-                async move { jacobi_array_task(&tc, &p, None).await }
+                async move { jacobi_task(&tc, &p, None).await }
             })
             .expect("array jacobi run")
             .elapsed_secs()

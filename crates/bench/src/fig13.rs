@@ -211,7 +211,7 @@ fn trace_fig14(path: &str) -> String {
             .recorder(&rec)
             .run_async(move |tc| {
                 let p = p.clone();
-                async move { jacobi_task(&tc, &p).await }
+                async move { jacobi_task(&tc, &p, None).await }
             })
             .expect("jacobi run");
         rec.spans()
@@ -282,7 +282,7 @@ mod tests {
             .recorder(&rec)
             .run_async(move |tc| {
                 let p = p.clone();
-                async move { jacobi_task(&tc, &p).await }
+                async move { jacobi_task(&tc, &p, None).await }
             })
             .unwrap();
         rec.spans()
@@ -329,7 +329,7 @@ mod tests {
                     .recorder(&rec)
                     .run_async(move |tc| {
                         let p = p.clone();
-                        async move { jacobi_task(&tc, &p).await }
+                        async move { jacobi_task(&tc, &p, None).await }
                     })
                     .unwrap()
             };

@@ -112,7 +112,7 @@ pub fn record_fig14() -> Recorder {
         .recorder(&rec)
         .run_async(move |tc| {
             let p = p.clone();
-            async move { jacobi_task(&tc, &p).await }
+            async move { jacobi_task(&tc, &p, None).await }
         })
         .expect("jacobi run");
     rec

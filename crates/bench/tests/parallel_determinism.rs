@@ -83,7 +83,7 @@ fn jacobi_is_bit_identical_across_impacc_parallel() {
             .recorder(&rec)
             .run_async(move |tc| {
                 let p = p.clone();
-                async move { jacobi_task(&tc, &p).await }
+                async move { jacobi_task(&tc, &p, None).await }
             })
             .expect("jacobi run");
         assert_eq!(s.report.threads_spawned, 0, "ranks are handlers");
@@ -186,7 +186,7 @@ fn faulted_jacobi_is_bit_identical_across_parallelism() {
             .recorder(&rec)
             .run_async(move |tc| {
                 let p = p.clone();
-                async move { jacobi_task(&tc, &p).await }
+                async move { jacobi_task(&tc, &p, None).await }
             })
             .expect("faulted jacobi run");
         observe(s, &rec, "jacobi_faulted")

@@ -20,7 +20,7 @@ fn profile_jacobi(workers: usize) -> (impacc_prof::Report, f64) {
         .recorder(&rec)
         .run_async(move |tc| {
             let p = p.clone();
-            async move { jacobi_task(&tc, &p).await }
+            async move { jacobi_task(&tc, &p, None).await }
         })
         .expect("jacobi run");
     let report = impacc_prof::analyze(&rec.spans(), &rec.edges());

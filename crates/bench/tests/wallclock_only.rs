@@ -1,8 +1,9 @@
 //! The in-place data plane is a wall-clock optimization only: kernels and
 //! reduction folds that borrow `Backing` bytes instead of copying them out
 //! and back must leave every virtual-time observable where the copying
-//! kernels put it. The parity suites only hold the three Jacobis, the
-//! array scenarios and the six collective algorithms to *each other*; these
+//! kernels put it. The parity suites only hold the Jacobi and compiled
+//! `jacobi.acc`, the array scenarios and the six collective algorithms to
+//! *each other*; these
 //! tests hold them to constants captured before the conversion, so a bug
 //! that moves all of them together still shows.
 //!
@@ -13,7 +14,7 @@
 
 use std::sync::Arc;
 
-use impacc_apps::{jacobi_task_probed, JacobiParams};
+use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_array::scenarios::{redblack_task, stencil3d_task, RedBlackParams, Stencil3dParams};
 use impacc_array::ResProbe;
 use impacc_core::{CollAlgo, Launch, RunSummary, RuntimeOptions};
@@ -68,6 +69,33 @@ fn check(name: &str, want: &str, case: impl Fn(usize) -> String) {
     }
 }
 
+/// One Jacobi run with its residual history probed, pinned. The degree is
+/// set through the typed builder (immune to ambient `IMPACC_PARALLEL`).
+fn jacobi_pin(
+    spec: impacc_machine::MachineSpec,
+    opts: RuntimeOptions,
+    cap: Option<u64>,
+    p: JacobiParams,
+    degree: usize,
+) -> String {
+    let probe = ResProbe::new();
+    let inner = probe.clone();
+    let mut l = Launch::new(spec, opts).parallelism(degree);
+    if let Some(cap) = cap {
+        l = l.phys_cap(cap);
+    }
+    let s = l
+        .run_async(move |tc| {
+            let inner = inner.clone();
+            let p = p.clone();
+            async move { jacobi_task(&tc, &p, Some(&inner)).await }
+        })
+        .expect("jacobi run");
+    pin(&s, &probe.take())
+}
+
+/// Captured, like the configurations below, on the hand-written rank body
+/// the array scenario replaced.
 #[test]
 fn handwritten_jacobi_is_pinned_in_all_modes() {
     let want = [
@@ -75,26 +103,71 @@ fn handwritten_jacobi_is_pinned_in_all_modes() {
         "t=402.844us/1411/186db4923b29a540/ae853b00d19d8c63",
         "t=754.381us/2126/f6aeafad8f42e8bb/ae853b00d19d8c63",
     ];
+    let p = JacobiParams {
+        n: 64,
+        iters: 8,
+        verify: true,
+    };
     for ((mode, opts), want) in modes().into_iter().zip(want) {
         check(&format!("jacobi/{mode}"), want, |degree| {
-            // The degree is pinned through the typed builder (immune to
-            // ambient IMPACC_PARALLEL).
-            let probe = ResProbe::new();
-            let inner = probe.clone();
-            let p = JacobiParams {
-                n: 64,
-                iters: 8,
-                verify: true,
-            };
-            let s = Launch::new(presets::psg(), opts)
-                .parallelism(degree)
-                .run_async(move |tc| {
-                    let inner = inner.clone();
-                    let p = p.clone();
-                    async move { jacobi_task_probed(&tc, &p, Some(&inner)).await }
-                })
-                .expect("jacobi run");
-            pin(&s, &probe.take())
+            jacobi_pin(presets::psg(), opts, None, p.clone(), degree)
+        });
+    }
+}
+
+/// Pins of the hand-written rank body, captured before it was replaced by
+/// the array scenario: every configuration the hand-vs-array parity tests
+/// ran (2 × 2 cluster, n = 24, 6 verified sweeps, three modes; the capped
+/// n = 256 run), one rank in every mode (where split and baseline issue an
+/// empty waitall each sweep), and 64 capped Titan nodes.
+#[test]
+fn handwritten_jacobi_configurations_are_pinned() {
+    let verified = JacobiParams {
+        n: 24,
+        iters: 6,
+        verify: true,
+    };
+    let cluster = [
+        "t=415.095us/639/a0bac90767b8f382/323cd8a19bd570d1",
+        "t=342.587us/605/679fa00b9c647859/323cd8a19bd570d1",
+        "t=464.479us/715/e9e837571cc8c001/323cd8a19bd570d1",
+    ];
+    let single = [
+        "t=91.982us/48/abbd0ce34d71dd94/323cd8a19bd570d1",
+        "t=113.982us/38/abbd0ce34d71dd94/323cd8a19bd570d1",
+        "t=113.982us/36/abbd0ce34d71dd94/323cd8a19bd570d1",
+    ];
+    for (((mode, opts), c), s) in modes().into_iter().zip(cluster).zip(single) {
+        for (nodes, gpus, want) in [(2, 2, c), (1, 1, s)] {
+            let spec = presets::test_cluster(nodes, gpus);
+            check(&format!("jacobi/{nodes}x{gpus}/{mode}"), want, |degree| {
+                jacobi_pin(spec.clone(), opts, None, verified.clone(), degree)
+            });
+        }
+    }
+    // Four capped sweeps: the math is skipped, timing and traffic are not.
+    for (spec, n, name, want) in [
+        (
+            presets::test_cluster(2, 2),
+            256,
+            "jacobi/2x2/capped",
+            "t=329.482us/424/5b396366ab1f27d1/f825a63a12ad1a3e",
+        ),
+        (
+            presets::titan(64),
+            1024,
+            "jacobi/titan64/capped",
+            "t=272.407us/13669/d28306b55f3cf2c7/f825a63a12ad1a3e",
+        ),
+    ] {
+        let p = JacobiParams {
+            n,
+            iters: 4,
+            verify: false,
+        };
+        let opts = RuntimeOptions::impacc();
+        check(name, want, |degree| {
+            jacobi_pin(spec.clone(), opts, Some(4096), p.clone(), degree)
         });
     }
 }

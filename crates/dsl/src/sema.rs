@@ -46,6 +46,10 @@ pub struct ArrayInfo {
     pub grid_nd: usize,
     /// Inferred ghost depth on grid-mapped dimensions.
     pub halo: usize,
+    /// Exchange edge and corner ghosts too: a stencil reads this array,
+    /// or one congruent with it, at an offset that moves along two
+    /// grid-mapped dimensions at once (a diagonal read).
+    pub corners: bool,
     /// Initial value over global coordinates (ghosts included);
     /// `None` = all zeros.
     pub init: Option<KExpr>,
@@ -374,6 +378,7 @@ struct Analyzer {
     grid_explicit: Vec<Option<u32>>,
     init_exprs: Vec<Option<Expr>>,
     halo_need: Vec<usize>,
+    corners_need: Vec<bool>,
     group: Vec<usize>,
     scalars: BTreeSet<String>,
     stencil_sites: usize,
@@ -772,6 +777,8 @@ impl Analyzer {
                 let gnd = self.grid_nd_of(src);
                 let mut halo_req = 0usize;
                 for (_, offs) in &ats {
+                    let moved = offs.iter().take(gnd).filter(|&&o| o != 0).count();
+                    self.corners_need[src] |= moved >= 2;
                     for (dim, &o) in offs.iter().enumerate() {
                         let mag = o.unsigned_abs();
                         if dim < gnd {
@@ -895,6 +902,7 @@ pub fn analyze(
         grid_explicit: Vec::new(),
         init_exprs: Vec::new(),
         halo_need: Vec::new(),
+        corners_need: Vec::new(),
         group: Vec::new(),
         scalars: BTreeSet::new(),
         stencil_sites: 0,
@@ -949,6 +957,7 @@ pub fn analyze(
                 a.grid_explicit.push(*grid);
                 a.init_exprs.push(init.clone());
                 a.halo_need.push(0);
+                a.corners_need.push(false);
                 a.group.push(a.group.len());
             }
             Item::Stmt(s) => a.lower_stmt(s, &mut plan)?,
@@ -956,16 +965,19 @@ pub fn analyze(
     }
 
     // Finalize congruence groups: everything a stencil/swap/reduction
-    // ties together shares one grid and the max inferred halo.
+    // ties together shares one grid, the max inferred halo and the
+    // corner exchange.
     let n = a.array_names.len();
     let mut arrays = Vec::with_capacity(n);
     let roots: Vec<usize> = (0..n).map(|i| a.root(i)).collect();
     for i in 0..n {
         let mut halo = a.halo_need[i];
+        let mut corners = false;
         let mut grid: Option<u32> = a.grid_explicit[i];
         for j in 0..n {
             if roots[j] == roots[i] {
                 halo = halo.max(a.halo_need[j]);
+                corners |= a.corners_need[j];
                 match (grid, a.grid_explicit[j]) {
                     (Some(g1), Some(g2)) if g1 != g2 => {
                         return Err(err(format!(
@@ -988,6 +1000,7 @@ pub fn analyze(
             shape: a.shapes[i].clone(),
             grid_nd: grid.unwrap_or(1) as usize,
             halo,
+            corners,
             init,
         });
     }

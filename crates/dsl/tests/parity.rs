@@ -1,6 +1,6 @@
 //! The compiler's acceptance bar: a DSL program lowered to the same
-//! operations as a hand-written app is indistinguishable from it in the
-//! simulator — bit-identical residual history, byte-identical engine
+//! operations as an app written against the array API is
+//! indistinguishable from it in the simulator — bit-identical residual history, byte-identical engine
 //! metrics (the array layer's own counters stripped), the same virtual
 //! end time and the same dispatch count — in all three runtime modes
 //! and across conservative-engine parallelism degrees.
@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use impacc_apps::{jacobi_task_probed, launch_app, JacobiParams};
-use impacc_array::scenarios::{jacobi_array_task, ArrayJacobiParams};
+use impacc_apps::{jacobi_task, JacobiParams};
 use impacc_array::ResProbe;
 use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_dsl::{compile_with_overrides, example, interpret_serial, run_program, Compiled};
@@ -52,127 +51,80 @@ fn jacobi_compiled(n: usize, iters: usize) -> Arc<Compiled> {
     )
 }
 
-fn launch_dsl(
-    spec: impacc_machine::MachineSpec,
-    opts: RuntimeOptions,
-    parallelism: Option<usize>,
-    c: Arc<Compiled>,
-    probe: ResProbe,
-) -> RunSummary {
-    let mut l = Launch::new(spec, opts);
-    if let Some(p) = parallelism {
-        l = l.parallelism(p);
-    }
-    l.run_async(move |tc| {
-        let c = c.clone();
-        let probe = probe.clone();
-        async move {
-            run_program(&tc, &c, Some(&probe), false).await;
-        }
-    })
-    .expect("dsl run")
+/// One run of `c` on the 2 × 2 cluster, its residual history probed.
+fn launch_dsl(opts: RuntimeOptions, parallelism: usize, c: Arc<Compiled>) -> Run {
+    let probe = ResProbe::new();
+    let inner = probe.clone();
+    let s = Launch::new(presets::test_cluster(2, 2), opts)
+        .parallelism(parallelism)
+        .run_async(move |tc| {
+            let (c, inner) = (c.clone(), inner.clone());
+            async move {
+                run_program(&tc, &c, Some(&inner), false).await;
+            }
+        })
+        .expect("dsl run");
+    (s, probe.take())
 }
 
-/// Compiled `jacobi.acc` vs the hand-written MPI+OpenACC jacobi app:
-/// bit-and-tick identical in all three runtime modes.
+/// One run of the Jacobi the stack runs, [`jacobi_task`], on the 2 × 2
+/// cluster, its residual history probed.
+fn launch_jacobi(opts: RuntimeOptions, parallelism: usize, n: usize, iters: usize) -> Run {
+    let probe = ResProbe::new();
+    let inner = probe.clone();
+    let p = JacobiParams {
+        n,
+        iters,
+        verify: false,
+    };
+    let s = Launch::new(presets::test_cluster(2, 2), opts)
+        .parallelism(parallelism)
+        .run_async(move |tc| {
+            let (p, inner) = (p.clone(), inner.clone());
+            async move { jacobi_task(&tc, &p, Some(&inner)).await }
+        })
+        .expect("jacobi run");
+    (s, probe.take())
+}
+
+/// A run and its probed residual history.
+type Run = (RunSummary, Vec<f64>);
+
+/// Bit-and-tick identity: residual bits, stripped metrics, end time and
+/// dispatch count.
+fn assert_identical((a, ra): &Run, (b, rb): &Run, what: &str) {
+    assert!(!ra.is_empty(), "{what}: probe captured no residuals");
+    assert_eq!(bits(ra), bits(rb), "{what}: residual history bits");
+    assert_eq!(stripped(a), stripped(b), "{what}: engine metrics");
+    assert_eq!(
+        a.report.end_time, b.report.end_time,
+        "{what}: virtual end time"
+    );
+    assert_eq!(a.report.events, b.report.events, "{what}: dispatch count");
+}
+
+/// Compiled `jacobi.acc` vs `jacobi_task`: bit-and-tick identical in all
+/// three runtime modes.
 #[test]
-fn dsl_jacobi_matches_handwritten_in_all_modes() {
+fn dsl_jacobi_matches_jacobi_task_in_all_modes() {
     let c = jacobi_compiled(24, 6);
     for (name, opts) in modes() {
-        let hand_probe = ResProbe::new();
-        let probe_in = hand_probe.clone();
-        let params = JacobiParams {
-            n: 24,
-            iters: 6,
-            verify: false,
-        };
-        let hand = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
-            let params = params.clone();
-            let probe_in = probe_in.clone();
-            async move { jacobi_task_probed(&tc, &params, Some(&probe_in)).await }
-        })
-        .expect("hand-written jacobi");
-
-        let dsl_probe = ResProbe::new();
-        let dsl = launch_dsl(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            c.clone(),
-            dsl_probe.clone(),
-        );
-
-        let h = hand_probe.take();
-        let d = dsl_probe.take();
-        assert!(!h.is_empty(), "{name}: probe captured no residuals");
-        assert_eq!(bits(&h), bits(&d), "{name}: residual history bits");
-        assert_eq!(stripped(&hand), stripped(&dsl), "{name}: engine metrics");
-        assert_eq!(
-            hand.report.end_time, dsl.report.end_time,
-            "{name}: virtual end time"
-        );
-        assert_eq!(
-            hand.report.events, dsl.report.events,
-            "{name}: dispatch count"
-        );
+        let jac = launch_jacobi(opts, 1, 24, 6);
+        let dsl = launch_dsl(opts, 1, c.clone());
+        assert_identical(&jac, &dsl, name);
     }
 }
 
-/// Same bar against the array-API scenario (the layer the DSL lowers
-/// through), and bit-identical across `IMPACC_PARALLEL`-style engine
+/// The same bar, bit-identical across `IMPACC_PARALLEL`-style engine
 /// parallelism degrees 1 and 4, pinned via the typed builder.
 #[test]
-fn dsl_jacobi_matches_array_scenario_across_parallelism() {
+fn dsl_jacobi_matches_jacobi_task_across_parallelism() {
     let c = jacobi_compiled(32, 5);
     for degree in [1usize, 4] {
-        let arr_probe = ResProbe::new();
-        let probe_in = arr_probe.clone();
-        let arr = Launch::new(presets::test_cluster(2, 2), RuntimeOptions::impacc())
-            .parallelism(degree)
-            .run_async(move |tc| {
-                let probe_in = probe_in.clone();
-                async move {
-                    jacobi_array_task(
-                        &tc,
-                        &ArrayJacobiParams {
-                            n: 32,
-                            iters: 5,
-                            verify: false,
-                        },
-                        Some(&probe_in),
-                    )
-                    .await
-                }
-            })
-            .expect("array jacobi");
-
-        let dsl_probe = ResProbe::new();
-        let dsl = launch_dsl(
-            presets::test_cluster(2, 2),
-            RuntimeOptions::impacc(),
-            Some(degree),
-            c.clone(),
-            dsl_probe.clone(),
-        );
-
-        assert_eq!(
-            bits(&arr_probe.take()),
-            bits(&dsl_probe.take()),
-            "degree {degree}: residual bits"
-        );
-        assert_eq!(
-            stripped(&arr),
-            stripped(&dsl),
-            "degree {degree}: engine metrics"
-        );
-        assert_eq!(
-            arr.report.end_time, dsl.report.end_time,
-            "degree {degree}: virtual end time"
-        );
-        assert_eq!(
-            arr.report.events, dsl.report.events,
-            "degree {degree}: dispatch count"
-        );
+        let opts = RuntimeOptions::impacc();
+        let jac = launch_jacobi(opts, degree, 32, 5);
+        let dsl = launch_dsl(opts, degree, c.clone());
+        assert_identical(&jac, &dsl, &format!("degree {degree}"));
     }
 }
 

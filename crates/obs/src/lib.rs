@@ -103,11 +103,19 @@ pub enum EventKind {
     /// `rule` attr names the detector; `value`/`threshold` carry the
     /// measurement that tripped it.
     Anomaly,
+    /// A distributed-array halo exchange (`impacc-array`): every message
+    /// of one inferred schedule, in the active runtime mode.
+    ArrayHalo,
+    /// A distributed-array kernel (`impacc-array` stencil or map).
+    ArrayKernel,
+    /// A distributed-array redistribution (`impacc-array` gather or
+    /// reduction).
+    ArrayRedist,
 }
 
 impl EventKind {
     /// Every kind, in a fixed presentation order.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 21] = [
         EventKind::Kernel,
         EventKind::CopyHtoH,
         EventKind::CopyHtoD,
@@ -126,6 +134,9 @@ impl EventKind {
         EventKind::Retry,
         EventKind::Marker,
         EventKind::Anomaly,
+        EventKind::ArrayHalo,
+        EventKind::ArrayKernel,
+        EventKind::ArrayRedist,
     ];
 
     /// The wire label (also the accounting-tag spelling where one exists).
@@ -149,6 +160,9 @@ impl EventKind {
             EventKind::Retry => "retry",
             EventKind::Marker => "marker",
             EventKind::Anomaly => "anomaly",
+            EventKind::ArrayHalo => "array.halo",
+            EventKind::ArrayKernel => "array.kernel",
+            EventKind::ArrayRedist => "array.redist",
         }
     }
 
@@ -173,6 +187,9 @@ impl EventKind {
             "retry" => EventKind::Retry,
             "marker" => EventKind::Marker,
             "anomaly" => EventKind::Anomaly,
+            "array.halo" => EventKind::ArrayHalo,
+            "array.kernel" => EventKind::ArrayKernel,
+            "array.redist" => EventKind::ArrayRedist,
             _ => return None,
         })
     }

@@ -167,7 +167,7 @@ pub(crate) static WORKLOADS: [WorkloadRow; 7] = [
             };
             Ok(Box::new(move |tc| {
                 let p = p.clone();
-                Box::pin(async move { jacobi_task(&tc, &p).await })
+                Box::pin(async move { jacobi_task(&tc, &p, None).await })
             }))
         },
     },

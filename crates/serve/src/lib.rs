@@ -43,7 +43,9 @@ pub use workload::{run_job, JobOutcome};
 /// change) without moving the crate version or the artifact schema.
 /// 2: the one engine — a default build used to run a different
 /// deterministic schedule than one under `IMPACC_PARALLEL`.
-pub const RESULTS_EPOCH: u32 = 2;
+/// 3: `workload=jacobi` runs the array scenario, whose bodies add the
+/// array layer's `array_cells` and `array_halo_bytes` counters.
+pub const RESULTS_EPOCH: u32 = 3;
 
 /// The code-version component of every content address. Bumping the
 /// crate version, the artifact schema or [`RESULTS_EPOCH`] moves every

@@ -24,74 +24,74 @@ const PINNED: [(&str, &str, &str, &str); 10] = [
     (
         "allreduce",
         "workload=allreduce\nelems=64\nrounds=3\ngpus=2\nseed=7\nalgo=ring",
-        "dc01f44bebb1367d",
+        "627c02714faca850",
         "algo=ring chaos_rate=0 chaos_seed=0 elems=64 fail_device= gpus=2 nodes=2 rounds=3 seed=7 spec=test_cluster workload=allreduce",
     ),
     (
         "exchange",
         "workload=exchange\nnodes=2\ngpus=1\nrounds=3",
-        "1a9e6af4f1cb1deb",
+        "f2662f7672804c0d",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 nodes=2 rounds=3 seed=0 spec=test_cluster workload=exchange",
     ),
     (
         "jacobi",
         "workload=jacobi\nspec=psg\nnodes=1\ngpus=4\nn=32\niters=5",
-        "8590981fd8516ab0",
+        "6a14951f6efba1e7",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=4 iters=5 n=32 nodes=1 seed=0 spec=psg workload=jacobi",
     ),
     (
         "stencil3d",
         "workload=stencil3d\nnodes=2\ngpus=2\nn=8\niters=3",
-        "dcd6c3dd90b9504e",
+        "85522cb51d74abd4",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 iters=3 n=8 nodes=2 seed=0 spec=test_cluster workload=stencil3d",
     ),
     (
         "stencil2d",
         "workload=stencil2d\nnodes=1\ngpus=2\nn=16\niters=3\nhalo=2",
-        "66279c14a94f12ba",
+        "7568bc324e70e04e",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 halo=2 iters=3 n=16 nodes=1 seed=0 spec=test_cluster workload=stencil2d",
     ),
     (
         "redblack",
         "workload=redblack\nspec=titan\nnodes=2\nn=16\niters=3",
-        "d455513ad586c9b3",
+        "52e298e2e07a7317",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 iters=3 n=16 nodes=2 seed=0 spec=titan workload=redblack",
     ),
     (
         "faults",
         "workload=allreduce\nspec=psg\nnodes=1\ngpus=3\nfail_device=0:2,0:0\nchaos_rate=0.05\nchaos_seed=9",
-        "16da1f0a2fc40566",
+        "0eb6bb45b3d76eb8",
         "algo=auto chaos_rate=0.05 chaos_seed=9 elems=128 fail_device=0:0,0:2 gpus=3 nodes=1 rounds=2 seed=0 spec=psg workload=allreduce",
     ),
     (
         "dsl_named",
         "workload=dsl\nprogram=jacobi\ngpus=2",
-        "22516bd054860659",
+        "dc024cfe00c2e69b",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s64.0;\\nparam\\siters\\s=\\s4.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\s1.0;\\sj\\s<\\s(n\\s-\\s1.0);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.25\\s*\\s(((u[(i\\s-\\s1.0)][j]\\s+\\su[(i\\s+\\s1.0)][j])\\s+\\su[i][(j\\s-\\s1.0)])\\s+\\su[i][(j\\s+\\s1.0)]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n seed=0 spec=test_cluster src_hash=de934840992ea811 workload=dsl",
     ),
     (
         "dsl_spelled",
         "workload=dsl\nprogram=jacobi\ngpus=2\nparams=n:64,iters:4",
-        "22516bd054860659",
+        "dc024cfe00c2e69b",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s64.0;\\nparam\\siters\\s=\\s4.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\s1.0;\\sj\\s<\\s(n\\s-\\s1.0);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.25\\s*\\s(((u[(i\\s-\\s1.0)][j]\\s+\\su[(i\\s+\\s1.0)][j])\\s+\\su[i][(j\\s-\\s1.0)])\\s+\\su[i][(j\\s+\\s1.0)]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n seed=0 spec=test_cluster src_hash=de934840992ea811 workload=dsl",
     ),
     (
         "dsl_h3",
         "workload=dsl\nprogram=stencil2d\nnodes=2\ngpus=2\nparams=h:3",
-        "cdf8dc971479dece",
+        "4f826339c53c9154",
         "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=2 program=param\\sn\\s=\\s48.0;\\nparam\\siters\\s=\\s3.0;\\nparam\\sh\\s=\\s3.0;\\narray\\su[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\narray\\sunew[n][n]\\sinit(((i\\s<\\s0.0)\\s?\\s1.0\\s:\\s0.0));\\nvar\\sres\\s=\\s0.0;\\nfor\\s(it\\s=\\s0.0;\\sit\\s<\\siters;\\s++it)\\s{\\n\\s\\s\\hpragma\\sacc\\sparallel\\sloop\\scopy(u,\\sunew)\\sreduction(max:res)\\n\\s\\sfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\s\\s\\sfor\\s(j\\s=\\sh;\\sj\\s<\\s(n\\s-\\sh);\\s++j)\\s{\\n\\s\\s\\s\\s\\s\\sunew[i][j]\\s=\\s(0.2\\s*\\s((((u[(i\\s-\\sh)][j]\\s+\\su[(i\\s+\\sh)][j])\\s+\\su[i][(j\\s-\\sh)])\\s+\\su[i][(j\\s+\\sh)])\\s+\\su[i][j]));\\n\\s\\s\\s\\s}\\n\\s\\s}\\n\\s\\sswap(u,\\sunew);\\n}\\nassert((res\\s>=\\s0.0));\\n\\hpragma\\sacc\\sparallel\\sloop\\scopy(u)\\nfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\sfor\\s(j\\s=\\s0.0;\\sj\\s<\\sn;\\s++j)\\s{\\n\\s\\s\\s\\su[i][j]\\s=\\smax(u[i][j],\\s0.0);\\n\\s\\s}\\n}\\n seed=0 spec=test_cluster src_hash=e662d04954784840 workload=dsl",
     ),
 ];
 
 /// Key and canonical form of the dot example inlined with `params=n:1024`.
 const INLINE_DOT: (&str, &str) = (
-    "4325db5f54afbe8d",
+    "9813d0ce7bacd70f",
     "chaos_rate=0 chaos_seed=0 fail_device= gpus=2 nodes=1 program=param\\sn\\s=\\s1024.0;\\narray\\sx[n]\\sinit((0.5\\s+\\si));\\narray\\sy[n]\\sinit(2.0);\\ncomm_split_shared;\\nvar\\ssum\\s=\\s0.0;\\n\\hpragma\\sacc\\sparallel\\sloop\\scopyin(x,\\sy)\\sreduction(+:sum)\\nfor\\s(i\\s=\\s0.0;\\si\\s<\\sn;\\s++i)\\s{\\n\\s\\ssum\\s+=\\s(x[i]\\s*\\sy[i]);\\n}\\nassert((sum\\s==\\s(n\\s*\\sn)));\\n seed=0 spec=test_cluster src_hash=c06a438591272ff0 workload=dsl",
 );
 
 /// Key and canonical form of a DSL job whose program does not compile.
 const UNCOMPILABLE: (&str, &str) = (
-    "7cc705038d8b7d10",
+    "d7b17519ef3f54d5",
     "chaos_rate=0 chaos_seed=0 fail_device= gpus=1 nodes=2 program=<invalid:\\sdsl\\scompile\\sfailed:\\sline\\s2:\\sunknown\\sfunction\\s'frob'> seed=0 spec=test_cluster src_hash=0000000000000000 workload=dsl",
 );
 
@@ -269,8 +269,8 @@ proptest! {
         let (rate, chaos_seed, fail_device) = faults;
         let (algo, program, priority, prof) = knobs;
         // Steer most cases to jobs that validate (the wire round trip
-        // needs one): psg is one node, failed devices exist, and the
-        // hand-written Jacobi wants an even mesh.
+        // needs one): psg is one node, failed devices exist, and a
+        // jacobi job wants an even mesh.
         let nodes = if spec == 1 { 1 } else { nodes };
         let mut fail_device: Vec<(usize, usize)> =
             fail_device.iter().map(|(a, b)| (a % nodes, b % gpus)).collect();
