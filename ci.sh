@@ -60,6 +60,22 @@ if [[ -n "$cellform" ]]; then
     exit 1
 fi
 
+echo "==> no dead dependency edges"
+# Every impacc-* crate or parking_lot a crate's [dependencies] names must
+# be used by some file under its src/ or tests/: a dead edge only
+# lengthens the build graph and hides which layer a crate really sits on.
+dead=""
+for dir in . crates/*; do
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\(impacc-[a-z-]*\|parking_lot\)[ .=].*/\1/p' "$dir/Cargo.toml"); do
+        grep -rqw "${dep//-/_}" "$dir/src" "$dir/tests" 2>/dev/null || dead+="$dir -> $dep"$'\n'
+    done
+done
+if [[ -n "$dead" ]]; then
+    printf '%s' "$dead"
+    echo "dependency gate: FAIL — drop the edges above from their Cargo.toml"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

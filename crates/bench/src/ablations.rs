@@ -1,17 +1,15 @@
 //! Ablation studies: isolate the contribution of each IMPACC technique
 //! called out in DESIGN.md.
 
-use impacc_apps::{run_dgemm, run_lulesh, DgemmParams, LuleshParams};
 use impacc_core::{Launch, MpiOpts, Rank, RuntimeOptions};
-use impacc_machine::presets;
+use impacc_machine::MachineSpec;
 
+use crate::panel::App;
 use crate::specs::{beacon_tasks, psg_tasks};
 use crate::util::{fmt_bytes, quick, size_sweep, Table};
 
 /// How much of the small-matrix DGEMM win is node heap aliasing?
 pub fn aliasing() -> String {
-    let mut out = String::new();
-    out.push_str("Ablation: node heap aliasing (DGEMM on PSG, 8 tasks)\n\n");
     let mut t = Table::new(&["n", "IMPACC", "no-aliasing", "baseline", "aliasing share"]);
     let sizes = if quick() {
         vec![512]
@@ -19,23 +17,13 @@ pub fn aliasing() -> String {
         vec![512, 1024, 2048, 4096]
     };
     for n in sizes {
-        let p = DgemmParams { n, verify: false };
-        let full = run_dgemm(
-            psg_tasks(8),
-            RuntimeOptions::impacc(),
-            Some(4096),
-            p.clone(),
-        )
-        .unwrap()
-        .elapsed_secs();
-        let mut opts = RuntimeOptions::impacc();
-        opts.aliasing = false;
-        let noalias = run_dgemm(psg_tasks(8), opts, Some(4096), p.clone())
-            .unwrap()
-            .elapsed_secs();
-        let base = run_dgemm(psg_tasks(8), RuntimeOptions::baseline(), Some(4096), p)
-            .unwrap()
-            .elapsed_secs();
+        let secs = |opts| App::Dgemm(n).secs(psg_tasks(8), opts);
+        let full = secs(RuntimeOptions::impacc());
+        let noalias = secs(RuntimeOptions {
+            aliasing: false,
+            ..RuntimeOptions::impacc()
+        });
+        let base = secs(RuntimeOptions::baseline());
         let share = if base > full {
             (noalias - full) / (base - full)
         } else {
@@ -49,14 +37,12 @@ pub fn aliasing() -> String {
             format!("{:.0}%", share * 100.0),
         ]);
     }
-    out.push_str(&t.render());
-    out
+    let head = "Ablation: node heap aliasing (DGEMM on PSG, 8 tasks)";
+    format!("{head}\n\n{}", t.render())
 }
 
 /// What do the unified activity queues buy at high task counts?
 pub fn unified_queue() -> String {
-    let mut out = String::new();
-    out.push_str("Ablation: unified activity queue (DGEMM on Beacon)\n\n");
     let n = if quick() { 512 } else { 2048 };
     let mut t = Table::new(&["tasks", "IMPACC", "no-unified-queue", "gain"]);
     let counts = if quick() {
@@ -65,20 +51,12 @@ pub fn unified_queue() -> String {
         vec![16, 32, 64, 128]
     };
     for tasks in counts {
-        let p = DgemmParams { n, verify: false };
-        let full = run_dgemm(
-            beacon_tasks(tasks),
-            RuntimeOptions::impacc(),
-            Some(4096),
-            p.clone(),
-        )
-        .unwrap()
-        .elapsed_secs();
-        let mut opts = RuntimeOptions::impacc();
-        opts.unified_queue = false;
-        let sync = run_dgemm(beacon_tasks(tasks), opts, Some(4096), p)
-            .unwrap()
-            .elapsed_secs();
+        let secs = |opts| App::Dgemm(n).secs(beacon_tasks(tasks), opts);
+        let full = secs(RuntimeOptions::impacc());
+        let sync = secs(RuntimeOptions {
+            unified_queue: false,
+            ..RuntimeOptions::impacc()
+        });
         t.row(vec![
             tasks.to_string(),
             format!("{full:.5}s"),
@@ -86,39 +64,35 @@ pub fn unified_queue() -> String {
             format!("{:.2}x", sync / full),
         ]);
     }
-    out.push_str(&t.render());
-    out
+    let head = "Ablation: unified activity queue (DGEMM on Beacon)";
+    format!("{head}\n\n{}", t.render())
+}
+
+/// Eight PSG tasks with every GPU on socket 0: the default compact
+/// binding then strands half the tasks on the far socket.
+fn skewed_psg() -> MachineSpec {
+    let mut spec = psg_tasks(8);
+    for d in &mut spec.nodes[0].devices {
+        d.socket = 0;
+    }
+    spec
+}
+
+/// LULESH on [`skewed_psg`], pinned and unpinned, in seconds.
+fn pinned_unpinned(s: usize, iters: usize) -> (f64, f64) {
+    let secs = |numa_pinning| {
+        let opts = RuntimeOptions {
+            numa_pinning,
+            ..RuntimeOptions::impacc()
+        };
+        App::Lulesh(s, iters).secs(skewed_psg(), opts)
+    };
+    (secs(true), secs(false))
 }
 
 /// NUMA pinning inside a full application (LULESH on PSG).
 pub fn pinning() -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Ablation: NUMA-friendly task-CPU pinning\n\
-         (LULESH, 8 tasks on a skewed PSG node: all GPUs on socket 0)\n\n",
-    );
-    let p = LuleshParams {
-        s: if quick() { 16 } else { 48 },
-        iters: 4,
-        verify: false,
-    };
-    // Skew the topology so every GPU hangs off socket 0: the default
-    // compact binding then strands half the tasks on the far socket.
-    let skewed = || {
-        let mut spec = psg_tasks(8);
-        for d in &mut spec.nodes[0].devices {
-            d.socket = 0;
-        }
-        spec
-    };
-    let pinned = run_lulesh(skewed(), RuntimeOptions::impacc(), Some(4096), p.clone())
-        .unwrap()
-        .elapsed_secs();
-    let mut opts = RuntimeOptions::impacc();
-    opts.numa_pinning = false;
-    let unpinned = run_lulesh(skewed(), opts, Some(4096), p)
-        .unwrap()
-        .elapsed_secs();
+    let (pinned, unpinned) = pinned_unpinned(if quick() { 16 } else { 48 }, 4);
     let mut t = Table::new(&["config", "time", "vs pinned"]);
     t.row(vec![
         "pinned".into(),
@@ -130,8 +104,11 @@ pub fn pinning() -> String {
         format!("{unpinned:.5}s"),
         format!("{:.2}x", unpinned / pinned),
     ]);
-    out.push_str(&t.render());
-    out
+    format!(
+        "Ablation: NUMA-friendly task-CPU pinning\n\
+         (LULESH, 8 tasks on a skewed PSG node: all GPUs on socket 0)\n\n{}",
+        t.render()
+    )
 }
 
 /// Per-message handler overhead vs payload size: where fusion pays off.
@@ -158,9 +135,7 @@ pub fn handler_overhead() -> String {
                     }
                 }
             };
-            let mut spec = presets::psg();
-            spec.nodes[0].devices.truncate(2);
-            Launch::new(spec, opts)
+            Launch::new(psg_tasks(2), opts)
                 .phys_cap(4096)
                 .run_async(app)
                 .unwrap()
@@ -204,23 +179,14 @@ mod tests {
 
     #[test]
     fn disabling_aliasing_slows_dgemm() {
-        let p = DgemmParams {
-            n: 512,
-            verify: false,
+        let secs = |aliasing| {
+            let opts = RuntimeOptions {
+                aliasing,
+                ..RuntimeOptions::impacc()
+            };
+            App::Dgemm(512).secs(psg_tasks(8), opts)
         };
-        let full = run_dgemm(
-            psg_tasks(8),
-            RuntimeOptions::impacc(),
-            Some(4096),
-            p.clone(),
-        )
-        .unwrap()
-        .elapsed_secs();
-        let mut opts = RuntimeOptions::impacc();
-        opts.aliasing = false;
-        let noalias = run_dgemm(psg_tasks(8), opts, Some(4096), p)
-            .unwrap()
-            .elapsed_secs();
+        let (full, noalias) = (secs(true), secs(false));
         assert!(noalias > full, "aliasing must help: {noalias} vs {full}");
     }
 
@@ -228,26 +194,7 @@ mod tests {
     fn disabling_pinning_slows_lulesh() {
         // Boundary transfers must be large enough for the PCIe path to
         // outweigh scheduling noise (the paper's per-task problems are).
-        let p = LuleshParams {
-            s: 48,
-            iters: 3,
-            verify: false,
-        };
-        let skewed = || {
-            let mut spec = psg_tasks(8);
-            for d in &mut spec.nodes[0].devices {
-                d.socket = 0;
-            }
-            spec
-        };
-        let pinned = run_lulesh(skewed(), RuntimeOptions::impacc(), Some(4096), p.clone())
-            .unwrap()
-            .elapsed_secs();
-        let mut opts = RuntimeOptions::impacc();
-        opts.numa_pinning = false;
-        let unpinned = run_lulesh(skewed(), opts, Some(4096), p)
-            .unwrap()
-            .elapsed_secs();
+        let (pinned, unpinned) = pinned_unpinned(48, 3);
         assert!(unpinned > pinned, "{unpinned} vs {pinned}");
     }
 }

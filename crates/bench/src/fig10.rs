@@ -12,15 +12,11 @@
 //! aliasing + fused copies + the unified queue; on Titan both degrade
 //! past 1024 nodes with IMPACC up to ~1.6× ahead.
 
-use impacc_apps::{run_dgemm, DgemmParams};
-use impacc_core::{RunSummary, RuntimeOptions};
+use impacc_core::RuntimeOptions;
 
+use crate::panel::{figure, App, Form, Panel};
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
 use crate::util::{comm_secs, copy_secs, kernel_secs, quick, Table};
-
-fn dgemm(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, n: usize) -> RunSummary {
-    run_dgemm(spec, opts, Some(4096), DgemmParams { n, verify: false }).expect("dgemm run")
-}
 
 /// The PSG matrix sizes for panels (a)–(d).
 pub fn psg_sizes() -> Vec<usize> {
@@ -31,92 +27,64 @@ pub fn psg_sizes() -> Vec<usize> {
     }
 }
 
+/// Figure 10's panels, in print order.
+pub fn panels() -> Vec<Panel> {
+    let mut panels: Vec<Panel> = psg_sizes()
+        .into_iter()
+        .map(|n| {
+            let title = format!("PSG, {n}x{n}");
+            Panel::new(title, psg_tasks, vec![1, 2, 4, 8], App::Dgemm(n))
+        })
+        .collect();
+    let (n, counts) = if quick() {
+        (1024, vec![1, 4, 16])
+    } else {
+        (4096, vec![1, 2, 4, 8, 16, 32, 64, 128])
+    };
+    let title = format!("Beacon, {n}x{n}");
+    panels.push(Panel::new(title, beacon_tasks, counts, App::Dgemm(n)));
+    let (n, counts) = if quick() {
+        (4096, vec![128, 256])
+    } else {
+        (24576, vec![128, 256, 512, 1024, 2048, 4096, 8192])
+    };
+    let title = format!("Titan, {n}x{n} (normalized to 128-task MPI+X)");
+    panels.push(Panel {
+        form: Form::SpeedupRatio,
+        ..Panel::new(title, titan_tasks, counts, App::Dgemm(n))
+    });
+    panels
+}
+
 /// Run Figure 10; returns the rendered report.
 pub fn run() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 10: DGEMM strong scaling (speedup over MPI+OpenACC 1-task)\n\n");
-
-    // (a)-(d) PSG.
-    for n in psg_sizes() {
-        let base1 = dgemm(psg_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
-        let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-        for tasks in [1usize, 2, 4, 8] {
-            let i = dgemm(psg_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-            let b = dgemm(psg_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-            t.row(vec![
-                tasks.to_string(),
-                format!("{:.2}x", base1 / i),
-                format!("{:.2}x", base1 / b),
-            ]);
-        }
-        out.push_str(&format!("PSG, {0}x{0}:\n{1}\n", n, t.render()));
-    }
-
-    // (e) Beacon.
-    let n = if quick() { 1024 } else { 4096 };
-    let base1 = dgemm(beacon_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-    let beacon_counts: Vec<usize> = if quick() {
-        vec![1, 4, 16]
-    } else {
-        vec![1, 2, 4, 8, 16, 32, 64, 128]
-    };
-    for tasks in beacon_counts {
-        let i = dgemm(beacon_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-        let b = dgemm(beacon_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base1 / i),
-            format!("{:.2}x", base1 / b),
-        ]);
-    }
-    out.push_str(&format!("Beacon, {0}x{0}:\n{1}\n", n, t.render()));
-
-    // (f) Titan, 24K x 24K, normalized to the 128-task baseline.
-    let n = if quick() { 4096 } else { 24576 };
-    let titan_counts: Vec<usize> = if quick() {
-        vec![128, 256]
-    } else {
-        vec![128, 256, 512, 1024, 2048, 4096, 8192]
-    };
-    let base128 = dgemm(titan_tasks(titan_counts[0]), RuntimeOptions::baseline(), n).elapsed_secs();
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC", "IMPACC/MPI+X"]);
-    for tasks in titan_counts {
-        let i = dgemm(titan_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-        let b = dgemm(titan_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base128 / i),
-            format!("{:.2}x", base128 / b),
-            format!("{:.2}x", b / i),
-        ]);
-    }
-    out.push_str(&format!(
-        "Titan, {0}x{0} (normalized to 128-task MPI+X):\n{1}\n",
-        n,
-        t.render()
-    ));
-
-    out.push_str(
+    figure(
+        "Figure 10: DGEMM strong scaling (speedup over MPI+OpenACC 1-task)\n\n",
+        &panels(),
         "paper: baseline degrades on small PSG matrices while IMPACC scales;\n\
          IMPACC pulls ahead from 32 Beacon tasks; on Titan both degrade past\n\
          1024 nodes, IMPACC up to ~1.6x ahead at 1024.\n",
-    );
-    out
+    )
 }
 
 /// Run Figure 11 (execution-time breakdown on PSG).
 pub fn run_fig11() -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Figure 11: DGEMM execution-time breakdown on PSG\n\
-         (seconds of aggregate activity; normalized to the MPI+X 1-task total per size)\n\n",
-    );
+    let mut out = "Figure 11: DGEMM execution-time breakdown on PSG\n\
+         (seconds of aggregate activity; normalized to the MPI+X 1-task total per size)\n\n"
+        .to_string();
     for n in psg_sizes() {
-        let base_total = {
-            let s = dgemm(psg_tasks(1), RuntimeOptions::baseline(), n);
-            s.elapsed_secs()
-        };
+        let runs: Vec<_> = [1usize, 2, 4, 8]
+            .into_iter()
+            .flat_map(|tasks| {
+                [
+                    ("IMPACC", RuntimeOptions::impacc()),
+                    ("MPI+X", RuntimeOptions::baseline()),
+                ]
+                .map(|(label, opts)| (tasks, label, App::Dgemm(n).run(psg_tasks(tasks), opts)))
+            })
+            .collect();
+        // The 1-task MPI+X run is the second one launched.
+        let base_total = runs[1].2.elapsed_secs();
         let mut t = Table::new(&[
             "tasks",
             "runtime",
@@ -125,21 +93,15 @@ pub fn run_fig11() -> String {
             "comm",
             "total(norm)",
         ]);
-        for tasks in [1usize, 2, 4, 8] {
-            for (label, opts) in [
-                ("IMPACC", RuntimeOptions::impacc()),
-                ("MPI+X", RuntimeOptions::baseline()),
-            ] {
-                let s = dgemm(psg_tasks(tasks), opts, n);
-                t.row(vec![
-                    tasks.to_string(),
-                    label.into(),
-                    format!("{:.4}", kernel_secs(&s)),
-                    format!("{:.4}", copy_secs(&s)),
-                    format!("{:.4}", comm_secs(&s)),
-                    format!("{:.2}", s.elapsed_secs() / base_total),
-                ]);
-            }
+        for (tasks, label, s) in &runs {
+            t.row(vec![
+                tasks.to_string(),
+                label.to_string(),
+                format!("{:.4}", kernel_secs(s)),
+                format!("{:.4}", copy_secs(s)),
+                format!("{:.4}", comm_secs(s)),
+                format!("{:.2}", s.elapsed_secs() / base_total),
+            ]);
         }
         out.push_str(&format!("PSG, {0}x{0}:\n{1}\n", n, t.render()));
     }
@@ -156,10 +118,10 @@ mod tests {
 
     #[test]
     fn impacc_scales_where_baseline_stalls_small_psg() {
-        let n = 512;
-        let b1 = dgemm(psg_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
-        let b8 = dgemm(psg_tasks(8), RuntimeOptions::baseline(), n).elapsed_secs();
-        let i8 = dgemm(psg_tasks(8), RuntimeOptions::impacc(), n).elapsed_secs();
+        let dgemm = App::Dgemm(512);
+        let b1 = dgemm.secs(psg_tasks(1), RuntimeOptions::baseline());
+        let b8 = dgemm.secs(psg_tasks(8), RuntimeOptions::baseline());
+        let i8 = dgemm.secs(psg_tasks(8), RuntimeOptions::impacc());
         let impacc_speedup = b1 / i8;
         let baseline_speedup = b1 / b8;
         assert!(
@@ -173,8 +135,8 @@ mod tests {
         // Kernel time grows as n^3 while communication grows as n^2, so
         // the baseline's disadvantage must shrink with n (Figure 10/11).
         let ratio_at = |n: usize| {
-            let i = dgemm(psg_tasks(4), RuntimeOptions::impacc(), n).elapsed_secs();
-            let b = dgemm(psg_tasks(4), RuntimeOptions::baseline(), n).elapsed_secs();
+            let i = App::Dgemm(n).secs(psg_tasks(4), RuntimeOptions::impacc());
+            let b = App::Dgemm(n).secs(psg_tasks(4), RuntimeOptions::baseline());
             b / i
         };
         let small = ratio_at(512);

@@ -6,117 +6,75 @@
 //! is not modelled, but the fixed launch/reduce overheads produce the
 //! same flattening), and **no difference between IMPACC and MPI+OpenACC**.
 
-use impacc_apps::{run_ep, EpClass, EpParams};
-use impacc_core::RuntimeOptions;
+use impacc_apps::EpClass;
 
+use crate::panel::{figure, App, Panel};
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
-use crate::util::{quick, Table};
+use crate::util::quick;
 
-fn ep(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, class: EpClass) -> f64 {
-    let params = EpParams {
-        total_pairs: class.pairs(),
-        sample_pairs: 1 << 10,
-    };
-    run_ep(spec, opts, params).expect("ep run").elapsed_secs()
-}
-
-/// Run Figure 12; returns the rendered report.
-pub fn run() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 12: EP speedup (over MPI+OpenACC 1-task; Titan over 128-task)\n\n");
-
-    let classes: Vec<EpClass> = if quick() {
+/// Figure 12's panels, in print order.
+pub fn panels() -> Vec<Panel> {
+    let classes = if quick() {
         vec![EpClass::A, EpClass::C]
     } else {
         vec![EpClass::A, EpClass::B, EpClass::C, EpClass::D, EpClass::E]
     };
-    for class in classes {
-        let base1 = ep(psg_tasks(1), RuntimeOptions::baseline(), class);
-        let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-        for tasks in [1usize, 2, 4, 8] {
-            let i = ep(psg_tasks(tasks), RuntimeOptions::impacc(), class);
-            let b = ep(psg_tasks(tasks), RuntimeOptions::baseline(), class);
-            t.row(vec![
-                tasks.to_string(),
-                format!("{:.2}x", base1 / i),
-                format!("{:.2}x", base1 / b),
-            ]);
-        }
-        out.push_str(&format!("PSG, class {class:?}:\n{}\n", t.render()));
-    }
-
-    // (f) Beacon, class E.
-    let base1 = ep(beacon_tasks(1), RuntimeOptions::baseline(), EpClass::E);
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-    let counts: Vec<usize> = if quick() {
+    let mut panels: Vec<Panel> = classes
+        .into_iter()
+        .map(|c| {
+            let title = format!("PSG, class {c:?}");
+            Panel::new(title, psg_tasks, vec![1, 2, 4, 8], App::Ep(c))
+        })
+        .collect();
+    let counts = if quick() {
         vec![1, 8, 32]
     } else {
         vec![1, 2, 4, 8, 16, 32, 64, 128]
     };
-    for tasks in counts {
-        let i = ep(beacon_tasks(tasks), RuntimeOptions::impacc(), EpClass::E);
-        let b = ep(beacon_tasks(tasks), RuntimeOptions::baseline(), EpClass::E);
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base1 / i),
-            format!("{:.2}x", base1 / b),
-        ]);
-    }
-    out.push_str(&format!("Beacon, class E:\n{}\n", t.render()));
-
-    // (g) Titan, class 64xE, normalized to 128 tasks.
-    let counts: Vec<usize> = if quick() {
+    let title = "Beacon, class E".to_string();
+    panels.push(Panel::new(title, beacon_tasks, counts, App::Ep(EpClass::E)));
+    let counts = if quick() {
         vec![128, 256]
     } else {
         vec![128, 256, 512, 1024, 2048, 4096, 8192]
     };
-    let base = ep(
-        titan_tasks(counts[0]),
-        RuntimeOptions::baseline(),
-        EpClass::E64,
-    );
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-    for tasks in counts {
-        let i = ep(titan_tasks(tasks), RuntimeOptions::impacc(), EpClass::E64);
-        let b = ep(titan_tasks(tasks), RuntimeOptions::baseline(), EpClass::E64);
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base / i),
-            format!("{:.2}x", base / b),
-        ]);
-    }
-    out.push_str(&format!(
-        "Titan, class 64xE (normalized to 128-task MPI+X):\n{}\n",
-        t.render()
-    ));
+    let title = "Titan, class 64xE (normalized to 128-task MPI+X)".to_string();
+    let e64 = App::Ep(EpClass::E64);
+    panels.push(Panel::new(title, titan_tasks, counts, e64));
+    panels
+}
 
-    out.push_str(
+/// Run Figure 12; returns the rendered report.
+pub fn run() -> String {
+    figure(
+        "Figure 12: EP speedup (over MPI+OpenACC 1-task; Titan over 128-task)\n\n",
+        &panels(),
         "paper: near-linear for big classes, flat for small ones;\n\
          IMPACC == MPI+OpenACC throughout (nothing to optimize).\n",
-    );
-    out
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impacc_core::RuntimeOptions;
+
+    /// IMPACC's speedup from 1 to 8 PSG tasks.
+    fn speedup_1_to_8(class: EpClass) -> f64 {
+        let t = |tasks| App::Ep(class).secs(psg_tasks(tasks), RuntimeOptions::impacc());
+        t(1) / t(8)
+    }
 
     #[test]
     fn class_e_scales_nearly_linearly_on_psg() {
-        let t1 = ep(psg_tasks(1), RuntimeOptions::impacc(), EpClass::E);
-        let t8 = ep(psg_tasks(8), RuntimeOptions::impacc(), EpClass::E);
-        let speedup = t1 / t8;
+        let speedup = speedup_1_to_8(EpClass::E);
         assert!(speedup > 7.5, "class E should be ~linear: {speedup:.2}");
     }
 
     #[test]
     fn small_class_scales_poorly() {
-        let ta1 = ep(psg_tasks(1), RuntimeOptions::impacc(), EpClass::S);
-        let ta8 = ep(psg_tasks(8), RuntimeOptions::impacc(), EpClass::S);
-        let se = ta1 / ta8;
-        let te1 = ep(psg_tasks(1), RuntimeOptions::impacc(), EpClass::E);
-        let te8 = ep(psg_tasks(8), RuntimeOptions::impacc(), EpClass::E);
-        let le = te1 / te8;
+        let se = speedup_1_to_8(EpClass::S);
+        let le = speedup_1_to_8(EpClass::E);
         assert!(
             se < le,
             "class S speedup {se:.2} should trail class E {le:.2}"
@@ -125,8 +83,9 @@ mod tests {
 
     #[test]
     fn models_are_equivalent_for_ep() {
-        let i = ep(psg_tasks(8), RuntimeOptions::impacc(), EpClass::C);
-        let b = ep(psg_tasks(8), RuntimeOptions::baseline(), EpClass::C);
+        let ep = App::Ep(EpClass::C);
+        let i = ep.secs(psg_tasks(8), RuntimeOptions::impacc());
+        let b = ep.secs(psg_tasks(8), RuntimeOptions::baseline());
         let ratio = b / i;
         assert!((0.9..1.15).contains(&ratio), "ratio = {ratio:.3}");
     }

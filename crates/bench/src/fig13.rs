@@ -7,131 +7,79 @@
 //! Figure 14: total device-to-device communication time on PSG — IMPACC's
 //! single direct DtoD transfer vs the baseline's DtoH + HtoH + HtoD chain.
 
-use impacc_apps::{jacobi_task, run_jacobi, JacobiParams};
-use impacc_core::{Launch, RunSummary, RuntimeOptions};
-use impacc_obs::{breakdown, chrome, Recorder};
+use impacc_core::{RunSummary, RuntimeOptions};
+use impacc_obs::{breakdown, chrome, Recorder, Span};
 
+use crate::panel::{figure, App, Panel};
 use crate::specs::{beacon_tasks, psg_tasks, titan_tasks};
 use crate::util::{quick, Table};
 
 const ITERS: usize = 50;
 
-fn jacobi_iters(
-    spec: impacc_machine::MachineSpec,
-    opts: RuntimeOptions,
-    n: usize,
-    iters: usize,
-) -> RunSummary {
-    run_jacobi(
-        spec,
-        opts,
-        Some(4096),
-        JacobiParams {
-            n,
-            iters,
-            verify: false,
-        },
-    )
-    .expect("jacobi run")
+/// The copy-time metrics of `ITERS` sweeps alone on `tasks` PSG tasks:
+/// the same run with zero sweeps (setup `copyin`s only) is subtracted
+/// out. Returns the metric reader, in seconds.
+fn sweep_metrics(tasks: usize, opts: RuntimeOptions, n: usize) -> impl Fn(&str) -> f64 {
+    let run = |iters| App::Jacobi(n, iters).run(psg_tasks(tasks), opts);
+    let (with, setup) = (run(ITERS), run(0));
+    let ps = |s: &RunSummary, key: &str| s.report.metrics.get(key).copied().unwrap_or(0);
+    move |key| (ps(&with, key) - ps(&setup, key)) as f64 / 1e12
 }
 
-fn jacobi(spec: impacc_machine::MachineSpec, opts: RuntimeOptions, n: usize) -> RunSummary {
-    jacobi_iters(spec, opts, n, ITERS)
+/// The spans of one `iters`-sweep Jacobi on 4 PSG tasks.
+fn traced_spans(opts: RuntimeOptions, n: usize, iters: usize) -> Vec<Span> {
+    let rec = Recorder::new();
+    App::Jacobi(n, iters).run_with(psg_tasks(4), opts, Some(&rec));
+    rec.spans()
 }
 
-/// Copy-time metric attributable to the sweeps alone: the same run with
-/// zero sweeps (setup `copyin`s only) is subtracted out.
-fn sweep_metric(
-    spec_fn: impl Fn() -> impacc_machine::MachineSpec,
-    opts: RuntimeOptions,
-    n: usize,
-    key: &'static str,
-) -> f64 {
-    let with = jacobi_iters(spec_fn(), opts, n, ITERS);
-    let setup = jacobi_iters(spec_fn(), opts, n, 0);
-    let ps = with.report.metrics.get(key).copied().unwrap_or(0)
-        - setup.report.metrics.get(key).copied().unwrap_or(0);
-    ps as f64 / 1e12
+/// Per-copy-kind span totals of the sweep phase alone: the setup
+/// `copyin`s end at the Jacobi `phase=sweep` marker.
+fn sweep_copies(label: &str, spans: &[Span]) -> breakdown::CopyBreakdown {
+    breakdown::CopyBreakdown::from_spans(label, spans, breakdown::phase_entered(spans, "sweep"))
 }
 
-/// Mesh sizes for the PSG panels.
-pub fn psg_sizes() -> Vec<usize> {
-    if quick() {
+/// Figure 13's panels, in print order.
+pub fn panels() -> Vec<Panel> {
+    let jacobi = |n| App::Jacobi(n, ITERS);
+    let sizes = if quick() {
         vec![1024]
     } else {
         vec![1024, 2048, 4096, 8192]
-    }
+    };
+    let mut panels: Vec<Panel> = sizes
+        .into_iter()
+        .map(|n| {
+            let title = format!("PSG, {n}x{n} mesh");
+            Panel::new(title, psg_tasks, vec![1, 2, 4, 8], jacobi(n))
+        })
+        .collect();
+    let (n, counts) = if quick() {
+        (2048, vec![1, 8, 32])
+    } else {
+        (8192, vec![1, 2, 4, 8, 16, 32, 64, 128])
+    };
+    let title = format!("Beacon, {n}x{n} mesh");
+    panels.push(Panel::new(title, beacon_tasks, counts, jacobi(n)));
+    let (n, counts) = if quick() {
+        (4096, vec![128, 256])
+    } else {
+        (16384, vec![128, 256, 512, 1024])
+    };
+    let title = format!("Titan, {n}x{n} mesh (normalized to 128-task MPI+X)");
+    panels.push(Panel::new(title, titan_tasks, counts, jacobi(n)));
+    panels
 }
 
 /// Run Figure 13; returns the rendered report.
 pub fn run() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 13: Jacobi strong scaling (speedup over MPI+OpenACC 1-task)\n\n");
-
-    for n in psg_sizes() {
-        let base1 = jacobi(psg_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
-        let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-        for tasks in [1usize, 2, 4, 8] {
-            let i = jacobi(psg_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-            let b = jacobi(psg_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-            t.row(vec![
-                tasks.to_string(),
-                format!("{:.2}x", base1 / i),
-                format!("{:.2}x", base1 / b),
-            ]);
-        }
-        out.push_str(&format!("PSG, {0}x{0} mesh:\n{1}\n", n, t.render()));
-    }
-
-    // (e) Beacon.
-    let n = if quick() { 2048 } else { 8192 };
-    let base1 = jacobi(beacon_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-    let counts: Vec<usize> = if quick() {
-        vec![1, 8, 32]
-    } else {
-        vec![1, 2, 4, 8, 16, 32, 64, 128]
-    };
-    for tasks in counts {
-        let i = jacobi(beacon_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-        let b = jacobi(beacon_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base1 / i),
-            format!("{:.2}x", base1 / b),
-        ]);
-    }
-    out.push_str(&format!("Beacon, {0}x{0} mesh:\n{1}\n", n, t.render()));
-
-    // (f) Titan, normalized to 128 tasks.
-    let n = if quick() { 4096 } else { 16384 };
-    let counts: Vec<usize> = if quick() {
-        vec![128, 256]
-    } else {
-        vec![128, 256, 512, 1024]
-    };
-    let base = jacobi(titan_tasks(counts[0]), RuntimeOptions::baseline(), n).elapsed_secs();
-    let mut t = Table::new(&["tasks", "IMPACC", "MPI+OpenACC"]);
-    for tasks in counts {
-        let i = jacobi(titan_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-        let b = jacobi(titan_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
-        t.row(vec![
-            tasks.to_string(),
-            format!("{:.2}x", base / i),
-            format!("{:.2}x", base / b),
-        ]);
-    }
-    out.push_str(&format!(
-        "Titan, {0}x{0} mesh (normalized to 128-task MPI+X):\n{1}\n",
-        n,
-        t.render()
-    ));
-    out.push_str(
+    figure(
+        "Figure 13: Jacobi strong scaling (speedup over MPI+OpenACC 1-task)\n\n",
+        &panels(),
         "paper: IMPACC ahead on PSG via direct DtoD halos; on Beacon the gap\n\
          opens as communication dominates (16-64 tasks); communication-bound\n\
          at 128+ tasks everywhere.\n",
-    );
-    out
+    )
 }
 
 /// Run Figure 14 (DtoD communication-time breakdown on PSG).
@@ -144,8 +92,8 @@ pub fn run_fig14() -> String {
 /// appending a span-derived copy breakdown that reproduces the figure's
 /// stacks directly from the timeline.
 pub fn run_fig14_traced(trace: Option<&str>) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 14: Jacobi device-to-device communication time on PSG (ms aggregate)\n\n");
+    let mut out = "Figure 14: Jacobi device-to-device communication time on PSG (ms aggregate)\n\n"
+        .to_string();
     let sizes = if quick() {
         vec![1024]
     } else {
@@ -162,22 +110,13 @@ pub fn run_fig14_traced(trace: Option<&str>) -> String {
     ]);
     for &n in &sizes {
         for tasks in [2usize, 4, 8] {
-            let ms = |opts: RuntimeOptions, key: &'static str| {
-                sweep_metric(|| psg_tasks(tasks), opts, n, key) * 1e3
-            };
-            let i_dtod = ms(RuntimeOptions::impacc(), "t_DtoD");
-            let b_dtoh = ms(RuntimeOptions::baseline(), "t_DtoH");
-            let b_htoh = ms(RuntimeOptions::baseline(), "t_HtoH");
-            let b_htod = ms(RuntimeOptions::baseline(), "t_HtoD");
-            t.row(vec![
-                tasks.to_string(),
-                format!("{n}"),
-                format!("{i_dtod:.3}"),
-                format!("{b_dtoh:.3}"),
-                format!("{b_htoh:.3}"),
-                format!("{b_htod:.3}"),
-                format!("{:.3}", b_dtoh + b_htoh + b_htod),
-            ]);
+            let i = sweep_metrics(tasks, RuntimeOptions::impacc(), n);
+            let b = sweep_metrics(tasks, RuntimeOptions::baseline(), n);
+            let ms = [i("t_DtoD"), b("t_DtoH"), b("t_HtoH"), b("t_HtoD")].map(|s| s * 1e3);
+            let mut row = vec![tasks.to_string(), n.to_string()];
+            row.extend(ms.iter().map(|v| format!("{v:.3}")));
+            row.push(format!("{:.3}", ms[1] + ms[2] + ms[3]));
+            t.row(row);
         }
     }
     out.push_str(&t.render());
@@ -194,45 +133,16 @@ pub fn run_fig14_traced(trace: Option<&str>) -> String {
 
 /// Capture one IMPACC and one baseline Jacobi run with a span recorder,
 /// write the merged Chrome trace to `path`, and return the span-derived
-/// copy breakdown (sweep phase only — the setup `copyin`s are cut off at
-/// the jacobi `phase=sweep` marker).
+/// sweep copy breakdown.
 fn trace_fig14(path: &str) -> String {
     let n = if quick() { 1024 } else { 4096 };
-    let tasks = 4;
-    let traced = |opts: RuntimeOptions| {
-        let rec = Recorder::new();
-        let p = JacobiParams {
-            n,
-            iters: ITERS,
-            verify: false,
-        };
-        Launch::new(psg_tasks(tasks), opts)
-            .phys_cap(4096)
-            .recorder(&rec)
-            .run_async(move |tc| {
-                let p = p.clone();
-                async move { jacobi_task(&tc, &p, None).await }
-            })
-            .expect("jacobi run");
-        rec.spans()
-    };
-    let i_spans = traced(RuntimeOptions::impacc());
-    let b_spans = traced(RuntimeOptions::baseline());
-
-    let mut out = format!(
-        "Span-derived sweep copy breakdown ({tasks} tasks, {n}x{n} mesh; baseline = 1.0):\n"
-    );
-    let rows = vec![
-        breakdown::CopyBreakdown::from_spans(
-            "MPI+OpenACC",
-            &b_spans,
-            breakdown::phase_entered(&b_spans, "sweep"),
-        ),
-        breakdown::CopyBreakdown::from_spans(
-            "IMPACC",
-            &i_spans,
-            breakdown::phase_entered(&i_spans, "sweep"),
-        ),
+    let i_spans = traced_spans(RuntimeOptions::impacc(), n, ITERS);
+    let b_spans = traced_spans(RuntimeOptions::baseline(), n, ITERS);
+    let mut out =
+        format!("Span-derived sweep copy breakdown (4 tasks, {n}x{n} mesh; baseline = 1.0):\n");
+    let rows = [
+        sweep_copies("MPI+OpenACC", &b_spans),
+        sweep_copies("IMPACC", &i_spans),
     ];
     out.push_str(&breakdown::copy_table(&rows));
 
@@ -259,33 +169,14 @@ mod tests {
         // Large enough rows that the transfers are bandwidth- (not
         // latency-) bound, as in the paper's mesh sizes.
         let n = 4096;
-        let i_dtod = sweep_metric(|| psg_tasks(4), RuntimeOptions::impacc(), n, "t_DtoD");
-        let b_chain = sweep_metric(|| psg_tasks(4), RuntimeOptions::baseline(), n, "t_DtoH")
-            + sweep_metric(|| psg_tasks(4), RuntimeOptions::baseline(), n, "t_HtoH")
-            + sweep_metric(|| psg_tasks(4), RuntimeOptions::baseline(), n, "t_HtoD");
+        let i_dtod = sweep_metrics(4, RuntimeOptions::impacc(), n)("t_DtoD");
+        let baseline = sweep_metrics(4, RuntimeOptions::baseline(), n);
+        let b_chain = baseline("t_DtoH") + baseline("t_HtoH") + baseline("t_HtoD");
         assert!(i_dtod > 0.0);
         assert!(
             b_chain > 2.0 * i_dtod,
             "baseline chain {b_chain} vs IMPACC DtoD {i_dtod}"
         );
-    }
-
-    fn traced_spans(opts: RuntimeOptions, n: usize) -> Vec<impacc_obs::Span> {
-        let rec = Recorder::new();
-        let p = JacobiParams {
-            n,
-            iters: 10,
-            verify: false,
-        };
-        Launch::new(psg_tasks(4), opts)
-            .phys_cap(4096)
-            .recorder(&rec)
-            .run_async(move |tc| {
-                let p = p.clone();
-                async move { jacobi_task(&tc, &p, None).await }
-            })
-            .unwrap();
-        rec.spans()
     }
 
     #[test]
@@ -295,12 +186,9 @@ mod tests {
         // baseline's DtoH + HtoH + HtoD chain. Needs a bandwidth-bound
         // mesh: at 1024 the per-row transfers are latency-dominated and
         // the chain advantage shrinks below the asserted 2x.
-        let i = traced_spans(RuntimeOptions::impacc(), 2048);
-        let b = traced_spans(RuntimeOptions::baseline(), 2048);
-        let ib =
-            breakdown::CopyBreakdown::from_spans("i", &i, breakdown::phase_entered(&i, "sweep"));
-        let bb =
-            breakdown::CopyBreakdown::from_spans("b", &b, breakdown::phase_entered(&b, "sweep"));
+        let i = traced_spans(RuntimeOptions::impacc(), 2048, 10);
+        let b = traced_spans(RuntimeOptions::baseline(), 2048, 10);
+        let (ib, bb) = (sweep_copies("i", &i), sweep_copies("b", &b));
         let chain = bb.secs[0] + bb.secs[1] + bb.secs[2]; // HtoH + HtoD + DtoH
         assert!(ib.secs[3] > 0.0, "IMPACC sweep must run on DtoD spans");
         assert!(
@@ -314,25 +202,11 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_virtual_time() {
-        let p = JacobiParams {
-            n: 512,
-            iters: 5,
-            verify: false,
-        };
+        let jacobi = App::Jacobi(512, 5);
         for opts in [RuntimeOptions::impacc(), RuntimeOptions::baseline()] {
-            let plain = run_jacobi(psg_tasks(2), opts, Some(4096), p.clone()).unwrap();
+            let plain = jacobi.run(psg_tasks(2), opts);
             let rec = Recorder::new();
-            let traced = {
-                let p = p.clone();
-                Launch::new(psg_tasks(2), opts)
-                    .phys_cap(4096)
-                    .recorder(&rec)
-                    .run_async(move |tc| {
-                        let p = p.clone();
-                        async move { jacobi_task(&tc, &p, None).await }
-                    })
-                    .unwrap()
-            };
+            let traced = jacobi.run_with(psg_tasks(2), opts, Some(&rec));
             assert!(rec.span_count() > 0);
             assert_eq!(
                 plain.elapsed_secs().to_bits(),
@@ -345,11 +219,11 @@ mod tests {
 
     #[test]
     fn impacc_leads_across_psg_task_counts() {
-        let n = 2048;
-        let base1 = jacobi(psg_tasks(1), RuntimeOptions::baseline(), n).elapsed_secs();
+        let jacobi = App::Jacobi(2048, ITERS);
+        let base1 = jacobi.secs(psg_tasks(1), RuntimeOptions::baseline());
         for tasks in [2usize, 8] {
-            let i = jacobi(psg_tasks(tasks), RuntimeOptions::impacc(), n).elapsed_secs();
-            let b = jacobi(psg_tasks(tasks), RuntimeOptions::baseline(), n).elapsed_secs();
+            let i = jacobi.secs(psg_tasks(tasks), RuntimeOptions::impacc());
+            let b = jacobi.secs(psg_tasks(tasks), RuntimeOptions::baseline());
             assert!(
                 base1 / i > base1 / b,
                 "{tasks} tasks: IMPACC {:.2}x vs baseline {:.2}x",

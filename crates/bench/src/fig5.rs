@@ -13,9 +13,10 @@
 
 use impacc_apps::math_ok;
 use impacc_core::{Launch, MpiOpts, Rank, RunSummary, RuntimeOptions};
-use impacc_machine::{presets, KernelCost, MachineSpec};
+use impacc_machine::KernelCost;
 use impacc_obs::{chrome, Recorder};
 
+use crate::specs::psg_tasks;
 use crate::util::Table;
 
 /// Which of Figure 4's three listings to run.
@@ -106,12 +107,6 @@ pub async fn exchange(tc: &Rank, style: Style) {
     }
 }
 
-fn spec() -> MachineSpec {
-    let mut s = presets::psg();
-    s.nodes[0].devices.truncate(2);
-    s
-}
-
 /// The figure's launch for one style: the baseline runtime for (a) and
 /// (b), IMPACC for (c). Run [`exchange`] on it, after attaching a
 /// recorder if the timeline is wanted.
@@ -120,7 +115,7 @@ pub fn launch(style: Style) -> Launch {
         Style::UnifiedQueue => RuntimeOptions::impacc(),
         _ => RuntimeOptions::baseline(),
     };
-    Launch::new(spec(), opts).phys_cap(4096)
+    Launch::new(psg_tasks(2), opts).phys_cap(4096)
 }
 
 /// Run one style; returns the summary.
@@ -249,7 +244,7 @@ mod tests {
                 Style::UnifiedQueue => RuntimeOptions::impacc(),
                 _ => RuntimeOptions::baseline(),
             };
-            Launch::new(spec(), opts)
+            Launch::new(psg_tasks(2), opts)
                 .run_async(move |tc| async move { exchange(&tc, style).await })
                 .unwrap();
         }

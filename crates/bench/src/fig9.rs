@@ -9,8 +9,9 @@
 //! Titan internode via GPUDirect RDMA.
 
 use impacc_core::{MpiOpts, Rank, RuntimeOptions};
-use impacc_machine::{presets, MachineSpec};
+use impacc_machine::MachineSpec;
 
+use crate::specs::{beacon_tasks, psg_tasks, titan_tasks, Machine};
 use crate::util::{fmt_bytes, gbps, probe, quick, size_sweep, Table};
 
 /// Transfer endpoint kinds for one panel.
@@ -89,63 +90,29 @@ pub fn measure(spec: MachineSpec, options: RuntimeOptions, kind: Kind, bytes: u6
     v.expect("probe filled")
 }
 
-fn two_device_node(mut spec: MachineSpec) -> MachineSpec {
-    for n in spec.nodes.iter_mut() {
-        n.devices.truncate(2);
-    }
-    spec
-}
-
-/// One Fig 9 panel: label, machine under test, and transfer direction.
-type Panel = (&'static str, fn() -> MachineSpec, Kind);
-
 /// Run the Figure 9 sweep; returns the rendered report.
 pub fn run() -> String {
     let max = if quick() { 1 << 22 } else { 1 << 28 };
     let sizes = size_sweep(1024, max, 4);
     let mut out = String::new();
     out.push_str("Figure 9: point-to-point communication bandwidth (GB/s)\n\n");
-    let panels: Vec<Panel> = vec![
-        (
-            "(a) PSG intra-node HtoH",
-            || two_device_node(presets::psg()),
-            Kind::HtoH,
-        ),
-        (
-            "(b) PSG intra-node HtoD",
-            || two_device_node(presets::psg()),
-            Kind::HtoD,
-        ),
-        (
-            "(c) PSG intra-node DtoD",
-            || two_device_node(presets::psg()),
-            Kind::DtoD,
-        ),
-        (
-            "(d) Beacon intra-node HtoH",
-            || two_device_node(presets::beacon(1)),
-            Kind::HtoH,
-        ),
-        (
-            "(e) Beacon intra-node HtoD",
-            || two_device_node(presets::beacon(1)),
-            Kind::HtoD,
-        ),
-        (
-            "(f) Beacon intra-node DtoD",
-            || two_device_node(presets::beacon(1)),
-            Kind::DtoD,
-        ),
-        ("(g) Titan internode HtoH", || presets::titan(2), Kind::HtoH),
-        ("(h) Titan internode HtoD", || presets::titan(2), Kind::HtoD),
-        ("(i) Titan internode DtoD", || presets::titan(2), Kind::DtoD),
+    // Panels (a)-(i): each system, two tasks, then each transfer kind.
+    let systems: [(&str, Machine); 3] = [
+        ("PSG intra-node", psg_tasks),
+        ("Beacon intra-node", beacon_tasks),
+        ("Titan internode", titan_tasks),
     ];
-    for (name, spec_fn, kind) in panels {
+    let kinds = [Kind::HtoH, Kind::HtoD, Kind::DtoD];
+    let panels = systems
+        .iter()
+        .flat_map(|s| kinds.iter().map(move |k| (s, *k)));
+    for (letter, (&(system, machine), kind)) in ('a'..).zip(panels) {
+        let name = format!("({letter}) {system} {kind:?}");
         let mut t = Table::new(&["size", "IMPACC GB/s", "MPI+X GB/s", "speedup"]);
         let mut peak: f64 = 0.0;
         for &s in &sizes {
-            let i = measure(spec_fn(), RuntimeOptions::impacc(), kind, s);
-            let b = measure(spec_fn(), RuntimeOptions::baseline(), kind, s);
+            let i = measure(machine(2), RuntimeOptions::impacc(), kind, s);
+            let b = measure(machine(2), RuntimeOptions::baseline(), kind, s);
             let speedup = b / i;
             peak = peak.max(speedup);
             t.row(vec![
@@ -171,7 +138,7 @@ mod tests {
 
     #[test]
     fn psg_dtod_advantage_is_large() {
-        let spec = || two_device_node(presets::psg());
+        let spec = || psg_tasks(2);
         let i = measure(spec(), RuntimeOptions::impacc(), Kind::DtoD, 1 << 26);
         let b = measure(spec(), RuntimeOptions::baseline(), Kind::DtoD, 1 << 26);
         let speedup = b / i;
@@ -183,7 +150,7 @@ mod tests {
 
     #[test]
     fn intra_node_htoh_advantage_is_about_2x() {
-        let spec = || two_device_node(presets::psg());
+        let spec = || psg_tasks(2);
         let i = measure(spec(), RuntimeOptions::impacc(), Kind::HtoH, 1 << 26);
         let b = measure(spec(), RuntimeOptions::baseline(), Kind::HtoH, 1 << 26);
         let speedup = b / i;
@@ -196,13 +163,13 @@ mod tests {
     #[test]
     fn titan_dtod_uses_rdma() {
         let i = measure(
-            presets::titan(2),
+            titan_tasks(2),
             RuntimeOptions::impacc(),
             Kind::DtoD,
             1 << 26,
         );
         let b = measure(
-            presets::titan(2),
+            titan_tasks(2),
             RuntimeOptions::baseline(),
             Kind::DtoD,
             1 << 26,

@@ -2,6 +2,8 @@
 //!
 //! One module per table/figure of §4; each exposes a `run()` that returns
 //! the rendered report, and a thin binary under `src/bin/` prints it.
+//! Figures 10, 12, 13 and 15 are lists of [`panel::Panel`]s, and every
+//! DGEMM, EP, Jacobi or LULESH launch goes through [`panel::App`].
 //! `cargo run -p impacc-bench --release --bin all_figures` regenerates
 //! everything (EXPERIMENTS.md records the output; `golden/` holds the
 //! quick-mode reports the `golden` test byte-diffs). The one binary that
@@ -26,6 +28,7 @@ pub mod fig15;
 pub mod fig5;
 pub mod fig8;
 pub mod fig9;
+pub mod panel;
 pub mod prof;
 pub mod specs;
 pub mod sweep;

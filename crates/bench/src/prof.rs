@@ -9,12 +9,13 @@
 
 use std::path::PathBuf;
 
-use impacc_apps::{ep_task, jacobi_task, EpClass, EpParams, JacobiParams};
-use impacc_core::{Launch, RuntimeOptions};
+use impacc_apps::EpClass;
+use impacc_core::RuntimeOptions;
 use impacc_obs::{chrome, Recorder};
 use impacc_prof::Report;
 
 use crate::fig5;
+use crate::panel::App;
 use crate::specs::psg_tasks;
 use crate::util::quick;
 
@@ -65,57 +66,36 @@ pub fn report_and_persist(name: &str, rec: &Recorder, trace: Option<&str>) -> (S
     (out, report)
 }
 
-/// Record one unified-queue fig 5 exchange and return its recorder.
-pub fn record_fig5() -> Recorder {
+/// Record the named figure workload's representative run: fig 5's
+/// unified-queue exchange, fig 12's EP (class A on 4 PSG tasks: pure
+/// compute plus a single allreduce) or fig 14's Jacobi (IMPACC on 4 PSG
+/// tasks: the DtoD-heavy workload the what-if projections are most
+/// interesting on). An unknown name is a readable error.
+pub fn record(name: &str) -> Result<Recorder, String> {
     let rec = Recorder::new();
-    let style = fig5::Style::UnifiedQueue;
-    fig5::launch(style)
-        .recorder(&rec)
-        .run_async(move |tc| async move { fig5::exchange(&tc, style).await })
-        .expect("figure 5 run");
-    rec
-}
-
-/// Record one fig 12 EP run (class A, 4 PSG tasks — pure compute plus a
-/// single allreduce) and return its recorder.
-pub fn record_fig12() -> Recorder {
-    let rec = Recorder::new();
-    let p = EpParams {
-        total_pairs: EpClass::A.pairs(),
-        sample_pairs: 1 << 10,
-    };
-    Launch::new(psg_tasks(4), RuntimeOptions::impacc())
-        .recorder(&rec)
-        .run_async(move |tc| {
-            let p = p.clone();
-            async move {
-                ep_task(&tc, &p).await;
-            }
-        })
-        .expect("ep run");
-    rec
-}
-
-/// Record one fig 14 Jacobi run (IMPACC, 4 PSG tasks) and return its
-/// recorder. This is the DtoD-heavy workload the what-if projections are
-/// most interesting on.
-pub fn record_fig14() -> Recorder {
-    let rec = Recorder::new();
-    let n = if quick() { 512 } else { 2048 };
-    let p = JacobiParams {
-        n,
-        iters: 10,
-        verify: false,
-    };
-    Launch::new(psg_tasks(4), RuntimeOptions::impacc())
-        .phys_cap(4096)
-        .recorder(&rec)
-        .run_async(move |tc| {
-            let p = p.clone();
-            async move { jacobi_task(&tc, &p, None).await }
-        })
-        .expect("jacobi run");
-    rec
+    let impacc = RuntimeOptions::impacc();
+    match name {
+        "fig5" => {
+            let style = fig5::Style::UnifiedQueue;
+            fig5::launch(style)
+                .recorder(&rec)
+                .run_async(move |tc| async move { fig5::exchange(&tc, style).await })
+                .expect("figure 5 run");
+        }
+        "fig12" => {
+            App::Ep(EpClass::A).run_with(psg_tasks(4), impacc, Some(&rec));
+        }
+        "fig14" => {
+            let n = if quick() { 512 } else { 2048 };
+            App::Jacobi(n, 10).run_with(psg_tasks(4), impacc, Some(&rec));
+        }
+        other => {
+            return Err(format!(
+                "unknown profile workload {other:?}; available: fig5, fig12, fig14"
+            ))
+        }
+    }
+    Ok(rec)
 }
 
 /// Render the ranked slack view of a report (the `prof --slack` output):
@@ -150,16 +130,7 @@ pub fn render_slack(name: &str, r: &Report) -> String {
 /// `slack` selects the ranked off-path slack view instead of the full
 /// blame report.
 pub fn profile_figure(name: &str, trace: Option<&str>, slack: bool) -> Result<String, String> {
-    let rec = match name {
-        "fig5" => record_fig5(),
-        "fig12" => record_fig12(),
-        "fig14" => record_fig14(),
-        other => {
-            return Err(format!(
-                "unknown profile workload {other:?}; available: fig5, fig12, fig14"
-            ))
-        }
-    };
+    let rec = record(name)?;
     let (out, report) = report_and_persist(name, &rec, trace);
     Ok(if slack {
         render_slack(name, &report)
@@ -175,7 +146,7 @@ mod tests {
 
     #[test]
     fn fig14_profile_blames_dtod_and_projects_improvement() {
-        let rec = record_fig14();
+        let rec = record("fig14").unwrap();
         let r = impacc_prof::analyze(&rec.spans(), &rec.edges());
         assert!(r.end_ps > 0);
         assert_eq!(r.blame_total(), r.end_ps, "blame tiles the run");
@@ -199,7 +170,7 @@ mod tests {
         // MPI+OpenACC ("nothing to optimize"). The single-trace what-if
         // must agree in direction: removing DtoD copies from the critical
         // path projects (essentially) no speedup.
-        let rec = record_fig12();
+        let rec = record("fig12").unwrap();
         let r = impacc_prof::analyze(&rec.spans(), &rec.edges());
         assert!(r.end_ps > 0);
         assert_eq!(r.blame_total(), r.end_ps);
@@ -224,7 +195,7 @@ mod tests {
 
     #[test]
     fn fig5_profile_covers_the_exchange() {
-        let rec = record_fig5();
+        let rec = record("fig5").unwrap();
         let r = impacc_prof::analyze(&rec.spans(), &rec.edges());
         assert_eq!(r.blame_total(), r.end_ps);
         assert!(r.end_ps > 0);

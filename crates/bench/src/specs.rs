@@ -2,6 +2,9 @@
 
 use impacc_machine::{presets, MachineSpec};
 
+/// Builds a machine hosting exactly the given number of tasks.
+pub type Machine = fn(usize) -> MachineSpec;
+
 /// PSG sized for `t ≤ 8` tasks (one node, `t` GPUs).
 pub fn psg_tasks(t: usize) -> MachineSpec {
     assert!((1..=8).contains(&t));
@@ -28,7 +31,7 @@ pub fn titan_tasks(t: usize) -> MachineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impacc_core::{Launch, RuntimeOptions};
+    use impacc_core::Launch;
     use impacc_machine::DeviceTypeMask;
 
     fn task_count(spec: MachineSpec) -> usize {
@@ -43,6 +46,5 @@ mod tests {
         assert_eq!(task_count(beacon_tasks(6)), 6);
         assert_eq!(task_count(beacon_tasks(128)), 128);
         assert_eq!(task_count(titan_tasks(27)), 27);
-        let _ = RuntimeOptions::impacc();
     }
 }

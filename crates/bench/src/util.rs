@@ -63,16 +63,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.header
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Render with aligned columns. While a [`BenchReport::capture`] is
     /// active on this thread, rendering also snapshots the table into the
     /// report, so figure code needs no changes to feed the JSON dump.
@@ -169,44 +159,27 @@ impl BenchReport {
     /// Serialize as JSON: `{"schema_version", "name", "text",
     /// "tables": [{"header", "rows"}]}`.
     pub fn to_json(&self) -> String {
-        use impacc_obs::json;
-        let mut out = format!(
-            "{{\"schema_version\":{},\"name\":",
-            impacc_obs::SCHEMA_VERSION
-        );
-        out.push_str(&json::string(&self.name));
-        out.push_str(",\"text\":");
-        out.push_str(&json::string(&self.text));
-        out.push_str(",\"tables\":[");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"header\":[");
-            for (j, h) in t.header.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json::string(h));
-            }
-            out.push_str("],\"rows\":[");
-            for (j, row) in t.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, cell) in row.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json::string(cell));
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        use impacc_obs::json::string;
+        let list = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| string(c)).collect();
+            format!("[{}]", cells.join(","))
+        };
+        let tables: Vec<String> = self
+            .tables
+            .iter()
+            .map(|t| {
+                let rows: Vec<String> = t.rows.iter().map(|r| list(r)).collect();
+                let header = list(&t.header);
+                format!("{{\"header\":{header},\"rows\":[{}]}}", rows.join(","))
+            })
+            .collect();
+        format!(
+            "{{\"schema_version\":{},\"name\":{},\"text\":{},\"tables\":[{}]}}",
+            impacc_obs::SCHEMA_VERSION,
+            string(&self.name),
+            string(&self.text),
+            tables.join(",")
+        )
     }
 
     /// Where the report is written: `$IMPACC_BENCH_DIR` when set, else the

@@ -260,12 +260,24 @@ struct Exec<'a> {
     arrays: Vec<DistArray>,
     env: BTreeMap<String, f64>,
     probe: Option<&'a ResProbe>,
-    /// Per stencil site, its completed sweeps (for the `1/(sweeps+1)`
-    /// truncation-fallback convention) and its local residual slot. A
-    /// site's queued kernel writes only its own slot, so a reducing site
-    /// never reads a residual another site's kernel left behind.
-    sites: Vec<(usize, StencilRes)>,
+    sites: Vec<Site>,
     unified: bool,
+}
+
+/// One stencil site's state across a run.
+#[derive(Default)]
+struct Site {
+    /// Completed sweeps, for the `1/(sweeps+1)` truncation-fallback
+    /// convention.
+    sweeps: usize,
+    /// The local residual slot. A site's queued kernel writes only its own
+    /// slot, so a reducing site never reads a residual another site's
+    /// kernel left behind.
+    res: StencilRes,
+    /// The sweep's spec and row kernel, built on the site's first sweep; a
+    /// later sweep sets only `fallback`. Device expressions read no host
+    /// scalar, so one kernel serves every sweep.
+    kernel: Option<(StencilSpec, RowFn)>,
 }
 
 impl Exec<'_> {
@@ -327,23 +339,27 @@ impl Exec<'_> {
                 cell,
                 reduce,
             } => {
-                let (sweeps, res) = &mut self.sites[*site];
-                let sspec = StencilSpec {
-                    margin: margin.clone(),
-                    flops_per_cell: *flops,
-                    fallback: 1.0 / (*sweeps + 1) as f64,
-                    color: None,
-                };
-                *sweeps += 1;
-                let f = row_fn(cell, self.c.arrays[*src].shape.len());
+                let ndims = self.c.arrays[*src].shape.len();
+                let st = &mut self.sites[*site];
+                let (sspec, f) = st.kernel.get_or_insert_with(|| {
+                    let sspec = StencilSpec {
+                        margin: margin.clone(),
+                        flops_per_cell: *flops,
+                        fallback: 0.0,
+                        color: None,
+                    };
+                    (sspec, row_fn(cell, ndims))
+                });
+                sspec.fallback = 1.0 / (st.sweeps + 1) as f64;
+                st.sweeps += 1;
                 self.arrays[*src]
-                    .stencil(tc, &self.arrays[*dst], &sspec, f, res)
+                    .stencil(tc, &self.arrays[*dst], sspec, f.clone(), &st.res)
                     .await;
                 if let Some(var) = reduce {
                     if self.unified {
                         tc.acc_wait(1).await;
                     }
-                    let mine = self.sites[*site].1.get();
+                    let mine = self.sites[*site].res.get();
                     let residual = tc.mpi_allreduce_f64(&[mine], ReduceOp::Max).await;
                     assert!(
                         residual[0].is_finite() && residual[0] >= mine,
@@ -444,9 +460,7 @@ pub async fn run_program(
         arrays,
         env: params,
         probe,
-        sites: (0..c.stencil_sites)
-            .map(|_| (0, StencilRes::default()))
-            .collect(),
+        sites: (0..c.stencil_sites).map(|_| Site::default()).collect(),
         unified,
     };
     ex.run_ops(&c.plan).await;

@@ -479,11 +479,6 @@ impl SysMpi {
         self.node_of[global as usize]
     }
 
-    /// Total ranks in the job.
-    pub fn job_size(&self) -> u32 {
-        self.node_of.len() as u32
-    }
-
     /// Charge the software cost of one MPI call, serializing per node when
     /// the library is not thread-safe.
     async fn charge_call(&self, ctx: &Ctx, node: usize) {
@@ -872,15 +867,6 @@ impl SysMpi {
                     len: s.len,
                 })
         })
-    }
-
-    /// Unmatched posted receives + unexpected sends (diagnostics).
-    pub fn pending_counts(&self) -> (usize, usize) {
-        let st = self.state.lock();
-        (
-            st.posted.values().map(|q| q.len()).sum(),
-            st.unexpected.values().map(|q| q.len()).sum(),
-        )
     }
 }
 

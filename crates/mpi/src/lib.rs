@@ -4,7 +4,7 @@
 //! tag/source matching with wildcards and FIFO non-overtaking,
 //! blocking/non-blocking point-to-point with eager completion semantics,
 //! requests, communicators (world + split), and collectives (barrier,
-//! bcast, reduce, allreduce, gather, scatter, allgather) derived over the
+//! bcast, reduce, allreduce, allgather) derived over the
 //! [`PointToPoint`] trait so the IMPACC runtime can reuse and selectively
 //! override them.
 //!
