@@ -60,6 +60,21 @@ if [[ -n "$cellform" ]]; then
     exit 1
 fi
 
+echo "==> one counter registry, one watchdog pass"
+# Counters live in the engine's Metrics, and serve tallies the Status
+# fields it reports; impacc-obs keeps spans only. The watchdog's run rules
+# run once per launch (crates/core/src/launch.rs), which hands the
+# findings on in RunSummary::anomalies; only the flight crate and tests
+# may call them beside it.
+registry=$(grep -rnE --include='*.rs' 'counter_add|counter_inc|gauge_set|MetricsSnapshot' crates || true)
+passes=$(grep -rnE --include='*.rs' 'check_counters\(|check_engine\(' crates \
+    | grep -vE '^crates/(flight/src/|core/src/launch\.rs:|[^/]+/tests/)' || true)
+if [[ -n "$registry$passes" ]]; then
+    printf '%s\n' "$registry" "$passes" | sed '/^$/d'
+    echo "one registry gate: FAIL — count in Metrics or a typed tally, read findings from RunSummary::anomalies"
+    exit 1
+fi
+
 echo "==> no dead dependency edges"
 # Every impacc-* crate or parking_lot a crate's [dependencies] names must
 # be used by some file under its src/ or tests/: a dead edge only

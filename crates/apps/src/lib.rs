@@ -33,5 +33,5 @@ pub use common::{launch_app, math_ok, BlockPartition};
 pub use dgemm::{dgemm_task, run_dgemm, DgemmParams};
 pub use ep::{ep_kernel, ep_task, run_ep, EpClass, EpParams, EpStats, NpbRng};
 pub use jacobi::{jacobi_task, run_jacobi, serial_jacobi, JacobiParams};
-pub use lulesh::{lulesh_task, run_lulesh, Coord, LuleshParams};
+pub use lulesh::{lulesh_task, run_lulesh, LuleshParams};
 pub use micro::{allreduce_rounds, exchange};

@@ -16,6 +16,7 @@
 //! proxy field, with device kernels between them, and a periodic
 //! allreduce standing in for the `dtcourant`/`dthydro` reduction.
 
+use impacc_array::{directions, CartGrid};
 use impacc_core::{MpiOpts, Rank, RunSummary, RuntimeOptions};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_mpi::{ReduceOp, Request};
@@ -34,69 +35,20 @@ pub struct LuleshParams {
     pub verify: bool,
 }
 
-/// 3-D task grid coordinates for a cubic decomposition.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Coord {
-    /// Grid extent per dimension (tasks = q³).
-    pub q: usize,
-    /// Position.
-    pub x: usize,
-    /// Position.
-    pub y: usize,
-    /// Position.
-    pub z: usize,
-}
+/// A task's neighbour directions, `directions(3, 3, true)`: every
+/// `[dz, dy, dx]` in `{-1,0,1}³` but zero, lexicographic, so direction
+/// `di`'s mirror is `NEIGHBORS - 1 - di`.
+const NEIGHBORS: usize = 26;
 
-impl Coord {
-    /// Coordinates of `rank` in a `q³` grid (x fastest).
-    pub fn of(rank: usize, q: usize) -> Coord {
-        Coord {
-            q,
-            x: rank % q,
-            y: (rank / q) % q,
-            z: rank / (q * q),
-        }
-    }
-
-    /// Rank of these coordinates.
-    pub fn rank(&self) -> usize {
-        self.x + self.q * (self.y + self.q * self.z)
-    }
-
-    /// The neighbour displaced by `(dx,dy,dz)`, if inside the grid.
-    pub fn neighbor(&self, d: (i32, i32, i32)) -> Option<Coord> {
-        let shift = |v: usize, dv: i32| -> Option<usize> {
-            let nv = v as i32 + dv;
-            (nv >= 0 && nv < self.q as i32).then_some(nv as usize)
-        };
-        Some(Coord {
-            q: self.q,
-            x: shift(self.x, d.0)?,
-            y: shift(self.y, d.1)?,
-            z: shift(self.z, d.2)?,
-        })
-    }
-}
-
-/// All 26 neighbour displacement vectors, in deterministic order.
-pub fn directions() -> Vec<(i32, i32, i32)> {
-    let mut v = Vec::with_capacity(26);
-    for dz in -1..=1 {
-        for dy in -1..=1 {
-            for dx in -1..=1 {
-                if (dx, dy, dz) != (0, 0, 0) {
-                    v.push((dx, dy, dz));
-                }
-            }
-        }
-    }
-    v
+/// Steps a displacement takes (1 face, 2 edge, 3 corner).
+fn reach(d: &[isize]) -> isize {
+    d.iter().map(|x| x.abs()).sum()
 }
 
 /// Surface-patch element count for a displacement on an `s`-cube:
 /// faces are s², edges s, corners 1.
-pub fn patch_elems(d: (i32, i32, i32), s: usize) -> usize {
-    match d.0.abs() + d.1.abs() + d.2.abs() {
+pub fn patch_elems(d: &[isize], s: usize) -> usize {
+    match reach(d) {
         1 => s * s,
         2 => s,
         3 => 1,
@@ -114,19 +66,25 @@ pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
     let size = tc.size() as usize;
     let q = (size as f64).cbrt().round() as usize;
     assert_eq!(q * q * q, size, "LULESH requires a cubic task count");
-    let me = Coord::of(tc.rank() as usize, q);
+    // z slowest, x fastest: rank = x + q·(y + q·z).
+    let grid = CartGrid {
+        dims: vec![q, q, q],
+    };
+    let me = tc.rank() as usize;
     let s = p.s;
-    let dirs = directions();
+    let dirs = directions(3, 3, true);
+    debug_assert_eq!(dirs.len(), NEIGHBORS);
+    let peers: Vec<Option<usize>> = dirs.iter().map(|d| grid.step(me, d)).collect();
 
     // One send and one receive buffer per direction (host heap; LULESH's
     // comm buffers are plain mallocs).
     let mut send_bufs = Vec::with_capacity(dirs.len());
     for d in &dirs {
-        send_bufs.push(tc.malloc_f64(patch_elems(*d, s)).await);
+        send_bufs.push(tc.malloc_f64(patch_elems(d, s)).await);
     }
     let mut recv_bufs = Vec::with_capacity(dirs.len());
     for d in &dirs {
-        recv_bufs.push(tc.malloc_f64(patch_elems(*d, s)).await);
+        recv_bufs.push(tc.malloc_f64(patch_elems(d, s)).await);
     }
     // The element field lives on the device.
     let field = tc.malloc_f64(s * s * s).await;
@@ -160,32 +118,29 @@ pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
         // ---- phase 1: node-centred exchange over all 26 neighbours -----
         tc.acc_update_host(&field, 0, boundary_bytes, None).await;
         let mut reqs: Vec<Request> = Vec::new();
-        for (di, d) in dirs.iter().enumerate() {
-            let Some(nb) = me.neighbor(*d) else { continue };
+        for (di, nb) in peers.iter().enumerate() {
+            let Some(nb) = *nb else { continue };
             let sb = &send_bufs[di];
             {
                 let v = tc.host_view(sb);
                 if math_ok(&v) {
-                    let val = payload(me.rank(), di, iter);
+                    let val = payload(me, di, iter);
                     v.with_f64s_mut(0, sb.elems(), |out| out.fill(val));
                 }
             }
             let tag = di as i32;
             reqs.push(
-                tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host())
+                tc.mpi_isend(sb, 0, sb.len, nb as u32, tag, MpiOpts::host())
                     .await,
             );
             // The matching receive uses the opposite direction's tag.
-            let opp = dirs
-                .iter()
-                .position(|o| *o == (-d.0, -d.1, -d.2))
-                .expect("directions are symmetric");
+            let opp = NEIGHBORS - 1 - di;
             reqs.push(
                 tc.mpi_irecv(
                     &recv_bufs[di],
                     0,
                     recv_bufs[di].len,
-                    nb.rank() as u32,
+                    nb as u32,
                     opp as i32,
                     MpiOpts::host(),
                 )
@@ -196,17 +151,13 @@ pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
         tc.acc_update_device(&field, 0, boundary_bytes, None).await;
 
         if p.verify {
-            for (di, d) in dirs.iter().enumerate() {
-                let Some(nb) = me.neighbor(*d) else { continue };
+            for (di, nb) in peers.iter().enumerate() {
+                let Some(nb) = *nb else { continue };
                 let v = tc.host_view(&recv_bufs[di]);
                 if math_ok(&v) {
-                    let opp = dirs
-                        .iter()
-                        .position(|o| *o == (-d.0, -d.1, -d.2))
-                        .expect("symmetric");
-                    let expect = payload(nb.rank(), opp, iter);
+                    let expect = payload(nb, NEIGHBORS - 1 - di, iter);
                     let got = v.read_f64s(0, 1)[0];
-                    assert_eq!(got, expect, "halo from {:?} dir {d:?}", nb);
+                    assert_eq!(got, expect, "halo from {nb} dir {:?}", dirs[di]);
                 }
             }
         }
@@ -215,27 +166,24 @@ pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
 
         // ---- phase 2: element-centred exchange over the 6 faces --------
         let mut reqs: Vec<Request> = Vec::new();
-        for (di, d) in dirs.iter().enumerate() {
-            if d.0.abs() + d.1.abs() + d.2.abs() != 1 {
+        for (di, nb) in peers.iter().enumerate() {
+            if reach(&dirs[di]) != 1 {
                 continue;
             }
-            let Some(nb) = me.neighbor(*d) else { continue };
+            let Some(nb) = *nb else { continue };
             let tag = 100 + di as i32;
             let sb = &send_bufs[di];
             reqs.push(
-                tc.mpi_isend(sb, 0, sb.len, nb.rank() as u32, tag, MpiOpts::host())
+                tc.mpi_isend(sb, 0, sb.len, nb as u32, tag, MpiOpts::host())
                     .await,
             );
-            let opp = dirs
-                .iter()
-                .position(|o| *o == (-d.0, -d.1, -d.2))
-                .expect("symmetric");
+            let opp = NEIGHBORS - 1 - di;
             reqs.push(
                 tc.mpi_irecv(
                     &recv_bufs[di],
                     0,
                     recv_bufs[di].len,
-                    nb.rank() as u32,
+                    nb as u32,
                     100 + opp as i32,
                     MpiOpts::host(),
                 )
@@ -253,8 +201,8 @@ pub async fn lulesh_task(tc: &Rank, p: &LuleshParams) {
         // decreasing sequence.
         let mut boundary_max = 0.0f64;
         let mut have_data = false;
-        for (di, d) in dirs.iter().enumerate() {
-            if me.neighbor(*d).is_none() {
+        for (di, nb) in peers.iter().enumerate() {
+            if nb.is_none() {
                 continue;
             }
             let v = tc.host_view(&recv_bufs[di]);
@@ -304,47 +252,42 @@ mod tests {
     use super::*;
     use impacc_machine::presets;
 
+    /// LULESH's cube on the array grid: rank = x + q·(y + q·z), and the
+    /// directions run `[dz, dy, dx]`, x fastest. The mirror at `25 - di`
+    /// is `impacc_array`'s `every_direction_is_mirrored_by_its_negation`.
     #[test]
-    fn coordinates_round_trip() {
-        for q in [1usize, 2, 3] {
-            for r in 0..q * q * q {
-                assert_eq!(Coord::of(r, q).rank(), r);
-            }
+    fn the_cube_runs_x_fastest_in_rank_and_direction() {
+        let grid = CartGrid {
+            dims: vec![3, 3, 3],
+        };
+        for r in 0..27 {
+            let c = |d| grid.coord(r, d);
+            assert_eq!(c(2) + 3 * (c(1) + 3 * c(0)), r);
         }
-    }
-
-    #[test]
-    fn directions_are_26_and_symmetric() {
-        let dirs = directions();
-        assert_eq!(dirs.len(), 26);
-        for d in &dirs {
-            assert!(dirs.contains(&(-d.0, -d.1, -d.2)));
-        }
-    }
-
-    #[test]
-    fn patch_sizes_follow_geometry() {
-        assert_eq!(patch_elems((1, 0, 0), 8), 64);
-        assert_eq!(patch_elems((1, 1, 0), 8), 8);
-        assert_eq!(patch_elems((1, 1, 1), 8), 1);
+        let dirs = directions(3, 3, true);
+        assert_eq!(dirs.len(), NEIGHBORS);
+        assert_eq!(
+            (&dirs[12][..], &dirs[13][..]),
+            (&[0, 0, -1][..], &[0, 0, 1][..])
+        );
     }
 
     #[test]
     fn interior_task_has_26_neighbors() {
-        let c = Coord::of(13, 3); // centre of a 3x3x3 grid
-        assert_eq!((c.x, c.y, c.z), (1, 1, 1));
-        let n = directions()
-            .iter()
-            .filter(|d| c.neighbor(**d).is_some())
-            .count();
-        assert_eq!(n, 26);
-        // A corner task has 7.
-        let corner = Coord::of(0, 3);
-        let n = directions()
-            .iter()
-            .filter(|d| corner.neighbor(**d).is_some())
-            .count();
-        assert_eq!(n, 7);
+        let grid = CartGrid {
+            dims: vec![3, 3, 3],
+        };
+        let dirs = directions(3, 3, true);
+        // Rank 13 is the centre of the cube; a corner task has 7.
+        let count = |r| dirs.iter().filter(|d| grid.step(r, d).is_some()).count();
+        assert_eq!((count(13), count(0)), (26, 7));
+    }
+
+    #[test]
+    fn patch_sizes_follow_geometry() {
+        assert_eq!(patch_elems(&[0, 0, 1], 8), 64);
+        assert_eq!(patch_elems(&[0, 1, 1], 8), 8);
+        assert_eq!(patch_elems(&[1, 1, 1], 8), 1);
     }
 
     #[test]

@@ -122,11 +122,10 @@ pub fn args_or_exit(bin: &str, accepts: &[&str]) -> Args {
 /// Shared entry point for the figure binaries: print the figure and write
 /// `BENCH_<name>.json`. A figure that accepts `--critical-path` appends a
 /// critical-path profile of one representative run (and writes
-/// `PROF_<name>.json`) when the flag or `IMPACC_PROF=1` asks for it.
+/// `PROF_<name>.json`) when the flag asks for it.
 pub fn figure_bin(name: &str, accepts: &[&str], run: impl FnOnce(&Args) -> String) {
     let args = args_or_exit(name, accepts);
-    let profile = accepts.contains(&"--critical-path")
-        && (args.critical_path || impacc_core::config::prof_requested());
+    let profile = accepts.contains(&"--critical-path") && args.critical_path;
     util::bench_main(name, || {
         let mut out = run(&args);
         if profile {

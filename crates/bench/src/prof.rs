@@ -2,8 +2,8 @@
 //! standalone `prof` bin.
 //!
 //! Any of `fig5`, `fig12`, `fig14` re-run one representative configuration
-//! with a span/edge recorder attached when `--critical-path` is passed (or
-//! `IMPACC_PROF=1` is set), feed the trace to [`impacc_prof::analyze`],
+//! with a span/edge recorder attached when `--critical-path` is passed,
+//! feed the trace to [`impacc_prof::analyze`],
 //! print the text report, and persist a deterministic `PROF_<name>.json`
 //! next to the `BENCH_*.json` artifacts.
 

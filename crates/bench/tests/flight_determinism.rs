@@ -160,7 +160,7 @@ fn faulted_dump(label: &str, spec: MachineSpec, plan: FaultPlan, rounds: u32) ->
         .run_async(move |tc| async move { exchange(&tc, 1 << 14, rounds, 0).await })
         .expect("faulted run");
     let pairs: Vec<(&str, u64)> = s.report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
-    let findings = Watchdog::new().check_counters(&pairs);
+    let findings = Watchdog::check_counters(pairs.iter().copied());
     fr.dump_run(label, pairs.iter().copied(), &findings)
         .to_json()
 }

@@ -8,7 +8,6 @@
 //! | variable | accessor | meaning |
 //! |---|---|---|
 //! | `IMPACC_TRACE` | [`trace_path`] | auto-record a Chrome trace to this path |
-//! | `IMPACC_PROF` | [`prof_requested`] | `1` ⇒ append a critical-path profile |
 //! | `IMPACC_BENCH_DIR` | [`bench_dir`] | where `BENCH_*`/`PROF_*` artifacts go |
 //! | `IMPACC_BENCH_QUICK` | [`bench_quick`] | `1` ⇒ trim sweeps for CI |
 //! | `IMPACC_SERVE_WORKERS` | [`serve_workers`] | worker-pool size override for `impacc-serve` |
@@ -32,12 +31,6 @@ pub fn trace_path() -> Option<PathBuf> {
         Ok(p) if !p.is_empty() => Some(PathBuf::from(p)),
         _ => None,
     }
-}
-
-/// `IMPACC_PROF=1`: figure binaries append a critical-path profile and
-/// persist `PROF_<name>.json`.
-pub fn prof_requested() -> bool {
-    flag("IMPACC_PROF")
 }
 
 /// `IMPACC_BENCH_DIR=<dir>`: where bench/prof/serve artifacts are
@@ -123,12 +116,6 @@ mod tests {
         std::env::set_var("IMPACC_SERVE_WORKERS", "0");
         assert_eq!(serve_workers(), None, "zero workers is not a pool");
         std::env::remove_var("IMPACC_SERVE_WORKERS");
-
-        std::env::remove_var("IMPACC_PROF");
-        assert!(!prof_requested());
-        std::env::set_var("IMPACC_PROF", "1");
-        assert!(prof_requested());
-        std::env::remove_var("IMPACC_PROF");
 
         std::env::remove_var("IMPACC_PARALLEL");
         assert_eq!(parallelism(), 1);

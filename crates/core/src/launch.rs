@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use impacc_acc::Device;
 use impacc_coll::{CollAlgo, NodeColl};
-use impacc_flight::{FlightRecorder, Trigger, Watchdog};
+use impacc_flight::{Anomaly, FlightRecorder, Trigger, Watchdog};
 use impacc_machine::{
     Chaos, ClusterResources, DeviceKind, DeviceSpec, DeviceTypeMask, FaultPlan, MachineSpec,
 };
@@ -54,6 +54,10 @@ pub struct RunSummary {
     pub report: SimReport,
     /// The task-device mapping that was used.
     pub tasks: Vec<TaskInfo>,
+    /// The watchdog's findings over the run's final counters and engine
+    /// statistics, in rule order. Only the `deterministic` ones are the
+    /// same at every `IMPACC_PARALLEL` value.
+    pub anomalies: Vec<Anomaly>,
 }
 
 impl RunSummary {
@@ -113,13 +117,12 @@ pub struct Launch {
     mask: DeviceTypeMask,
     phys_cap: Option<u64>,
     stack_size: usize,
-    max_events: u64,
     chaos: Chaos,
     coll_algo: Option<CollAlgo>,
     parallelism: Option<usize>,
     /// The launch's one span store, when the caller named it.
     store: Option<FlightRecorder>,
-    /// Watchdog pass, anomaly spans and dumps: `None` asks `IMPACC_FLIGHT`.
+    /// Anomaly spans and dumps: `None` asks `IMPACC_FLIGHT`.
     flight: Option<bool>,
     flight_label: String,
 }
@@ -134,7 +137,6 @@ impl Launch {
             mask: DeviceTypeMask::DEFAULT,
             phys_cap: None,
             stack_size: 384 * 1024,
-            max_events: u64::MAX,
             chaos: Chaos::disabled(),
             coll_algo: None,
             parallelism: None,
@@ -164,7 +166,8 @@ impl Launch {
     }
 
     /// No flight recording for this run: no auto-created window store, no
-    /// watchdog pass, no dumps. Virtual-time results never depend on
+    /// anomaly spans, no dumps (the watchdog still reports on
+    /// [`RunSummary::anomalies`]). Virtual-time results never depend on
     /// recording; this exists for overhead A/B measurements and the
     /// golden-invariance tests that prove it.
     pub fn flight_off(mut self) -> Launch {
@@ -215,12 +218,6 @@ impl Launch {
     /// Cap the physical backing of every allocation (huge-scale runs).
     pub fn phys_cap(mut self, cap: u64) -> Launch {
         self.phys_cap = Some(cap);
-        self
-    }
-
-    /// Limit scheduler dispatches (test hygiene).
-    pub fn max_events(mut self, n: u64) -> Launch {
-        self.max_events = n;
         self
     }
 
@@ -420,10 +417,10 @@ impl Launch {
         // latency).
         let mut sim = Sim::with_config(SimConfig {
             stack_size: self.stack_size,
-            max_events: self.max_events,
             sink,
             parallelism: self.parallelism.unwrap_or_else(crate::config::parallelism),
             lookahead: res.min_cross_node_latency(),
+            ..SimConfig::default()
         });
         // Registers each node's delivery handler on that node's partition.
         let sysmpi = SysMpi::new(&mut sim, res.clone(), node_of.as_ref().clone());
@@ -556,17 +553,16 @@ impl Launch {
             // recorded artifacts are byte-identical for every worker count.
             s.canonicalize();
         }
-        // Watchdog pass over the run's final counters. Findings become
-        // structured `anomaly` spans (recorded into the store at the
-        // run's end instant), and — when a dump directory is configured —
+        // The run's one watchdog pass. With flight on, its findings become
+        // structured `anomaly` spans (recorded into the store at the run's
+        // end instant), and — when a dump directory is configured —
         // trigger a `FLIGHT_*.json` dump.
+        let mut anomalies = Watchdog::check_counters(report.metrics.iter().map(|(k, v)| (*k, *v)));
+        anomalies.extend(Watchdog::check_engine(
+            report.horizon_stalls,
+            report.parallel_advances,
+        ));
         if let Some(fr) = flight {
-            let wd = Watchdog::new();
-            let pairs: Vec<(&str, u64)> = report.metrics.iter().map(|(k, v)| (*k, *v)).collect();
-            let mut anomalies = wd.check_counters(&pairs);
-            if let Some(a) = wd.check_engine(report.horizon_stalls, report.parallel_advances) {
-                anomalies.push(a);
-            }
             for a in &anomalies {
                 fr.record_span(a.to_span(report.end_time));
             }
@@ -590,7 +586,11 @@ impl Launch {
                 eprintln!("IMPACC_TRACE: failed to write {}: {e}", path.display());
             }
         }
-        Ok(RunSummary { report, tasks })
+        Ok(RunSummary {
+            report,
+            tasks,
+            anomalies,
+        })
     }
 }
 

@@ -281,6 +281,16 @@ struct Site {
 }
 
 impl Exec<'_> {
+    /// Set host scalar `name`, updating its slot in place once it exists.
+    fn set(&mut self, name: &str, v: f64) {
+        match self.env.get_mut(name) {
+            Some(slot) => *slot = v,
+            None => {
+                self.env.insert(name.to_string(), v);
+            }
+        }
+    }
+
     async fn run_ops(&mut self, ops: &[Op]) {
         for op in ops {
             self.run_op(op).await;
@@ -309,7 +319,7 @@ impl Exec<'_> {
             }
             Op::SetScalar { name, value } => {
                 let v = eval_host(value, &self.env);
-                self.env.insert(name.clone(), v);
+                self.set(name, v);
             }
             Op::Assert { value, text } => {
                 assert!(
@@ -323,11 +333,14 @@ impl Exec<'_> {
                 count,
                 body,
             } => {
-                for k in 0..*count {
-                    self.env.insert(var.clone(), (*lo + k as i64) as f64);
-                    // A loop nests the plan: its body's future is boxed.
-                    Box::pin(self.run_ops(body)).await;
-                }
+                // A loop nests the plan: its future is boxed, once.
+                Box::pin(async {
+                    for k in 0..*count {
+                        self.set(var, (*lo + k as i64) as f64);
+                        self.run_ops(body).await;
+                    }
+                })
+                .await;
             }
             Op::Exchange { arr } => self.arrays[*arr].exchange(tc).await,
             Op::Stencil {
@@ -370,7 +383,7 @@ impl Exec<'_> {
                             pr.push(residual[0]);
                         }
                     }
-                    self.env.insert(var.clone(), residual[0]);
+                    self.set(var, residual[0]);
                 }
             }
             Op::Map { arr, flops, cell } => {
@@ -399,7 +412,7 @@ impl Exec<'_> {
                         ev.eval(&Cells { g, rows }, out)
                     })
                     .await;
-                self.env.insert(var.clone(), v);
+                self.set(var, v);
             }
             Op::Swap { a, b } => {
                 if a != b {

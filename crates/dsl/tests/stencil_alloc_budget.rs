@@ -2,9 +2,14 @@
 //! on PSG's 8 GPUs (n = 64, unified queue), counted as allocations(110
 //! sweeps) − allocations(10 sweeps). A site's stencil spec and row kernel
 //! are built once per run, not once per sweep: rebuilding them every
-//! sweep took 49,716 allocations per 100 sweeps, building them once takes
-//! 36,116. The array Jacobi the program compiles to
-//! (`apps/tests/jacobi_alloc_budget.rs`) takes 33,740.
+//! sweep took 49,716 allocations per 100 sweeps, building them once took
+//! 36,116. The host loop allocates nothing per iteration either: cloning
+//! the loop variable's name into the scalar table on every iteration (and
+//! on every reduced residual) and boxing the body future once per
+//! iteration took those 36,116; updating the scalar in place and boxing
+//! each loop once takes 33,716. The array Jacobi the program compiles to
+//! (`apps/tests/jacobi_alloc_budget.rs`) takes 33,740, which is the
+//! bound: a compiled sweep allocates no more than the hand-written one.
 //!
 //! The counting allocator is process-wide, so this test is alone in its
 //! binary, and the launch is pinned to one worker so it counts alike
@@ -76,5 +81,5 @@ fn a_compiled_stencil_sweep_reuses_its_kernel() {
     let (short, long) = (dsl_jacobi_allocs(10), dsl_jacobi_allocs(110));
     let per_100 = long - short;
     println!("ALLOCS per 100 jacobi.acc sweeps (8 ranks): {per_100}");
-    assert!(per_100 <= 36116, "{per_100} allocations per 100 sweeps");
+    assert!(per_100 <= 33740, "{per_100} allocations per 100 sweeps");
 }

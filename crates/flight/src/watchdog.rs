@@ -17,9 +17,9 @@ use impacc_obs::json;
 use impacc_obs::{EventKind, Span};
 use impacc_vtime::SimTime;
 
-/// Default `retries` threshold for the retry-storm rule.
+/// `retries` at or above this fires `retry_storm`.
 pub const RETRY_STORM_THRESHOLD: u64 = 32;
-/// Default fired-fault threshold for the fault-burst rule (also the
+/// Total chaos fault fires at or above this fire `fault_burst` (also the
 /// flight-dump trigger threshold).
 pub const FAULT_BURST_THRESHOLD: u64 = 8;
 /// Consecutive strictly-increasing queue-depth observations before the
@@ -86,75 +86,46 @@ impl Anomaly {
     }
 }
 
-/// The rule engine. Stateless rules live in [`Watchdog::check_counters`]
-/// and [`Watchdog::check_engine`]; the queue-backlog rule keeps a short
-/// depth history in the struct.
-#[derive(Clone, Debug)]
+/// The rule engine. The run rules, [`Watchdog::check_counters`] and
+/// [`Watchdog::check_engine`], are stateless and run once per launch
+/// (`impacc_core::Launch`); the struct holds the queue-backlog rule's
+/// short depth history.
+#[derive(Clone, Debug, Default)]
 pub struct Watchdog {
-    /// `retries` at or above this fires `retry_storm`.
-    pub retry_storm: u64,
-    /// Total chaos fault fires at or above this fires `fault_burst`.
-    pub fault_burst: u64,
-    /// Consecutive strictly-increasing depth observations that fire
-    /// `queue_backlog_growth`.
-    pub backlog_run: usize,
     depths: Vec<u64>,
 }
 
-impl Default for Watchdog {
-    fn default() -> Watchdog {
-        Watchdog::new()
-    }
-}
-
 impl Watchdog {
-    /// A watchdog with the default thresholds.
-    pub fn new() -> Watchdog {
-        Watchdog {
-            retry_storm: RETRY_STORM_THRESHOLD,
-            fault_burst: FAULT_BURST_THRESHOLD,
-            backlog_run: BACKLOG_RUN,
-            depths: Vec::new(),
+    /// Deterministic rules over a run's final counters, one pass over any
+    /// `(key, value)` stream. Findings come back in a fixed rule order.
+    pub fn check_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Vec<Anomaly> {
+        let (mut faults, mut retries, mut remaps) = (0u64, 0u64, 0u64);
+        for (k, v) in counters {
+            match k {
+                "retries" => retries += v,
+                "device_remaps" => remaps += v,
+                k if k.starts_with("chaos_") => faults += v,
+                _ => {}
+            }
         }
-    }
-
-    /// Deterministic rules over a run's final counter snapshot. Accepts
-    /// any `(key, value)` pair slice so both the engine's
-    /// `BTreeMap<&'static str, u64>` and serve's string-keyed snapshots
-    /// feed it without conversion ceremony. Findings come back in a fixed
-    /// rule order.
-    pub fn check_counters(&self, counters: &[(&str, u64)]) -> Vec<Anomaly> {
-        let get = |key: &str| {
-            counters
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map_or(0, |(_, v)| *v)
-        };
-        let faults: u64 = counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("chaos_"))
-            .map(|(_, v)| *v)
-            .sum();
-        let retries = get("retries");
-        let remaps = get("device_remaps");
 
         let mut out = Vec::new();
-        if retries >= self.retry_storm {
+        if retries >= RETRY_STORM_THRESHOLD {
             out.push(Anomaly {
                 rule: "retry_storm",
                 severity: "warn",
                 value: retries,
-                threshold: self.retry_storm,
+                threshold: RETRY_STORM_THRESHOLD,
                 detail: format!("{retries} recovery retries in one run"),
                 deterministic: true,
             });
         }
-        if faults >= self.fault_burst {
+        if faults >= FAULT_BURST_THRESHOLD {
             out.push(Anomaly {
                 rule: "fault_burst",
                 severity: "warn",
                 value: faults,
-                threshold: self.fault_burst,
+                threshold: FAULT_BURST_THRESHOLD,
                 detail: format!("{faults} chaos faults fired across all sites"),
                 deterministic: true,
             });
@@ -190,7 +161,7 @@ impl Watchdog {
     /// Non-deterministic rule over the parallel engine's horizon protocol:
     /// a run spending 4+ closed-window stalls per productive window
     /// advance is scheduling, not simulating.
-    pub fn check_engine(&self, horizon_stalls: u64, parallel_advances: u64) -> Option<Anomaly> {
+    pub fn check_engine(horizon_stalls: u64, parallel_advances: u64) -> Option<Anomaly> {
         if parallel_advances > 0 && horizon_stalls >= 4 * parallel_advances && horizon_stalls >= 16
         {
             return Some(Anomaly {
@@ -208,7 +179,7 @@ impl Watchdog {
     }
 
     /// Non-deterministic live rule: feed the current total queue depth on
-    /// every heartbeat; fires after [`Watchdog::backlog_run`] consecutive
+    /// every heartbeat; fires after [`BACKLOG_RUN`] consecutive
     /// strictly-increasing observations (history resets on a fire or any
     /// non-increase).
     pub fn observe_queue_depth(&mut self, depth: u64) -> Option<Anomaly> {
@@ -218,7 +189,7 @@ impl Watchdog {
             }
         }
         self.depths.push(depth);
-        if self.depths.len() > self.backlog_run {
+        if self.depths.len() > BACKLOG_RUN {
             let first = self.depths[0];
             self.depths.clear();
             self.depths.push(depth);
@@ -228,8 +199,7 @@ impl Watchdog {
                 value: depth,
                 threshold: first,
                 detail: format!(
-                    "queue depth grew monotonically {first} → {depth} over {} heartbeats",
-                    self.backlog_run
+                    "queue depth grew monotonically {first} → {depth} over {BACKLOG_RUN} heartbeats"
                 ),
                 deterministic: false,
             });
@@ -244,35 +214,33 @@ mod tests {
 
     #[test]
     fn retry_storm_and_fault_burst_fire_at_threshold() {
-        let wd = Watchdog::new();
-        assert!(wd.check_counters(&[("retries", 31)]).is_empty());
-        let found = wd.check_counters(&[("retries", 32)]);
+        assert!(Watchdog::check_counters([("retries", 31)]).is_empty());
+        let found = Watchdog::check_counters([("retries", 32)]);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "retry_storm");
         assert!(found[0].deterministic);
 
-        let found = wd.check_counters(&[("chaos_link_drop", 5), ("chaos_nic_brownout", 3)]);
+        let found = Watchdog::check_counters([("chaos_link_drop", 5), ("chaos_nic_brownout", 3)]);
         assert_eq!(found[0].rule, "fault_burst");
         assert_eq!(found[0].value, 8);
     }
 
     #[test]
     fn goodput_collapse_needs_fault_dominated_retries() {
-        let wd = Watchdog::new();
         // 2 faults, 8 retries: 4x ratio and ≥ 8 absolute → fires.
-        let found = wd.check_counters(&[("chaos_link_drop", 2), ("retries", 8)]);
+        let found = Watchdog::check_counters([("chaos_link_drop", 2), ("retries", 8)]);
         assert!(found.iter().any(|a| a.rule == "goodput_collapse"));
         // Same retries, more faults: healthy absorption, no collapse.
-        let found = wd.check_counters(&[("chaos_link_drop", 4), ("retries", 8)]);
+        let found = Watchdog::check_counters([("chaos_link_drop", 4), ("retries", 8)]);
         assert!(!found.iter().any(|a| a.rule == "goodput_collapse"));
         // No faults at all: retries alone never collapse goodput.
-        let found = wd.check_counters(&[("retries", 8)]);
+        let found = Watchdog::check_counters([("retries", 8)]);
         assert!(!found.iter().any(|a| a.rule == "goodput_collapse"));
     }
 
     #[test]
     fn device_loss_is_critical_and_deterministic() {
-        let found = Watchdog::new().check_counters(&[("device_remaps", 2)]);
+        let found = Watchdog::check_counters([("device_remaps", 2)]);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "device_loss");
         assert_eq!(found[0].severity, "critical");
@@ -281,17 +249,16 @@ mod tests {
 
     #[test]
     fn horizon_rule_is_ratio_gated_and_nondeterministic() {
-        let wd = Watchdog::new();
-        assert!(wd.check_engine(15, 1).is_none()); // below absolute floor
-        assert!(wd.check_engine(16, 5).is_none()); // below ratio
-        let a = wd.check_engine(20, 5).unwrap();
+        assert!(Watchdog::check_engine(15, 1).is_none()); // below absolute floor
+        assert!(Watchdog::check_engine(16, 5).is_none()); // below ratio
+        let a = Watchdog::check_engine(20, 5).unwrap();
         assert_eq!(a.rule, "horizon_stall_ratio");
         assert!(!a.deterministic);
     }
 
     #[test]
     fn backlog_rule_needs_a_sustained_run() {
-        let mut wd = Watchdog::new();
+        let mut wd = Watchdog::default();
         for d in [1u64, 2, 3, 4, 5] {
             assert!(wd.observe_queue_depth(d).is_none());
         }

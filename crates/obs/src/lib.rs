@@ -6,9 +6,8 @@
 //! This crate is the substrate for those attributions:
 //!
 //! * [`Span`] / [`EventKind`] — typed time spans;
-//! * [`Recorder`] — the stack's one span store plus a counter/gauge
-//!   registry with deterministic (sorted) snapshots. The store is one
-//!   bounded ring per actor: the engine registers each actor once
+//! * [`Recorder`] — the stack's one span store, one bounded ring per
+//!   actor: the engine registers each actor once
 //!   (`impacc_vtime::SpanSink::lane`) and every span goes straight into
 //!   that actor's ring, so reads come back actors sorted, per-actor
 //!   emission order under any schedule. Retention is fixed before the run:
@@ -23,10 +22,11 @@
 //!   reproducing the Fig 11/14 normalized stacks directly from spans.
 //!
 //! Recording is zero-cost when disabled: a [`Recorder`] built with
-//! capacity 0 reports `enabled() == false`, so its actors get no lane,
-//! `Ctx::span` callers never evaluate their attribute closures and
-//! counters are no-ops. Virtual times are bit-identical with recording on
-//! or off — the recorder only observes, it never advances the clock.
+//! capacity 0 reports `enabled() == false`, so its actors get no lane and
+//! `Ctx::span` callers never evaluate their attribute closures. Virtual
+//! times are bit-identical with recording on or off — the recorder only
+//! observes, it never advances the clock. The crate keeps spans, not
+//! counters: the engine's `Metrics` is the stack's one counter registry.
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,7 @@ pub mod chrome;
 pub mod json;
 mod recorder;
 
-pub use recorder::{MetricsSnapshot, Recorder, Window};
+pub use recorder::{Recorder, Window};
 
 pub use impacc_vtime::{SpanLane, SpanSink};
 

@@ -1,5 +1,4 @@
-//! The span store — one bounded ring per actor — and the counter/gauge
-//! registry.
+//! The span store: one bounded ring per actor, plus the causal edges.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -119,15 +118,6 @@ impl SpanLane for Lane {
     }
 }
 
-/// Deterministic (sorted) snapshot of every counter and gauge.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters, sorted by key.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges, sorted by key.
-    pub gauges: BTreeMap<String, i64>,
-}
-
 /// The flight view of a store ([`Recorder::window`]).
 #[derive(Clone, Debug, Default)]
 pub struct Window {
@@ -150,11 +140,9 @@ struct Inner {
     lanes: Mutex<BTreeMap<String, Arc<Lane>>>,
     edges: Mutex<VecDeque<Edge>>,
     edges_dropped: AtomicU64,
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, i64>>,
 }
 
-/// A shared handle to the span store and a metrics registry.
+/// A shared handle to the span store.
 ///
 /// Cloning is cheap (one `Arc`); all clones observe the same state. The
 /// recorder implements [`SpanSink`], so attach it to a run with
@@ -166,8 +154,8 @@ struct Inner {
 ///
 /// A recorder built with capacity 0 ([`Recorder::disabled`]) is inert:
 /// `enabled()` is false, spans are discarded before attribute closures are
-/// evaluated, and counter updates are no-ops — calibration numbers are
-/// unchanged by a disabled recorder in the loop.
+/// evaluated — calibration numbers are unchanged by a disabled recorder
+/// in the loop.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Arc<Inner>,
@@ -193,8 +181,6 @@ impl Recorder {
                 lanes: Mutex::new(BTreeMap::new()),
                 edges: Mutex::new(VecDeque::new()),
                 edges_dropped: AtomicU64::new(0),
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -296,33 +282,6 @@ impl Recorder {
         });
     }
 
-    /// Add `v` to counter `key`.
-    pub fn counter_add(&self, key: &str, v: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut c = self.inner.counters.lock();
-        match c.get_mut(key) {
-            Some(slot) => *slot += v,
-            None => {
-                c.insert(key.to_string(), v);
-            }
-        }
-    }
-
-    /// Increment counter `key` by one.
-    pub fn counter_inc(&self, key: &str) {
-        self.counter_add(key, 1);
-    }
-
-    /// Set gauge `key` to `v` (last write wins).
-    pub fn gauge_set(&self, key: &str, v: i64) {
-        if !self.enabled() {
-            return;
-        }
-        self.inner.gauges.lock().insert(key.to_string(), v);
-    }
-
     /// Record a causal edge directly. A window store keeps none.
     pub fn record_edge(&self, edge: Edge) {
         if !self.keeps_edges() {
@@ -404,6 +363,11 @@ impl Recorder {
         self.fold_rings(0, |n, _, ring| n + ring.dropped)
     }
 
+    /// Edges overwritten because the edge buffer was full.
+    pub fn edges_dropped(&self) -> u64 {
+        self.inner.edges_dropped.load(Ordering::Relaxed)
+    }
+
     /// Highest span end recorded so far (0 before any span).
     pub fn last_vtime(&self) -> SimTime {
         self.fold_rings(SimTime::ZERO, |t, _, ring| t.max(ring.last_t1))
@@ -412,33 +376,6 @@ impl Recorder {
     /// Fault-kind spans recorded — the chaos burst-trigger input.
     pub fn fault_fires(&self) -> u64 {
         self.fold_rings(0, |n, _, ring| n + ring.faults)
-    }
-
-    /// Deterministic snapshot of all counters and gauges, key-sorted.
-    ///
-    /// Buffer overflow is part of the snapshot: when a span ring or the
-    /// edge buffer has dropped entries, a synthetic `spans_dropped` /
-    /// `edges_dropped` counter carries the tally so exported metrics never
-    /// silently hide truncation. The keys are absent on runs that fit —
-    /// artifacts from non-overflowing runs are byte-identical to those
-    /// produced before the counters existed.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut counters = self.inner.counters.lock().clone();
-        for (key, dropped) in [
-            ("spans_dropped", self.dropped()),
-            (
-                "edges_dropped",
-                self.inner.edges_dropped.load(Ordering::Relaxed),
-            ),
-        ] {
-            if dropped > 0 {
-                counters.insert(key.to_string(), dropped);
-            }
-        }
-        MetricsSnapshot {
-            counters,
-            gauges: self.inner.gauges.lock().clone(),
-        }
     }
 
     /// Sort the retained edges by content. Actors on different partitions
@@ -555,10 +492,9 @@ mod tests {
         r.retain_all(); // capacity 0: cannot be enabled
         assert!(!r.enabled());
         r.record(span("a", EventKind::Kernel, 0, 1));
-        r.counter_inc("x");
         assert_eq!(r.span_count(), 0);
         assert_eq!(r.actor_count(), 0);
-        assert_eq!(r.metrics(), MetricsSnapshot::default());
+        assert_eq!((r.dropped(), r.edges_dropped()), (0, 0));
     }
 
     #[test]
@@ -687,35 +623,19 @@ mod tests {
     #[test]
     fn overflow_surfaces_dropped_counters_one_tally_per_buffer() {
         let r = Recorder::with_capacity(2);
-        // No overflow yet: the synthetic counters must be absent so
-        // pre-existing golden artifacts stay byte-identical.
         r.record(span("a", EventKind::Kernel, 0, 1));
         r.record(span("a", EventKind::Kernel, 1, 2));
-        assert!(!r.metrics().counters.contains_key("spans_dropped"));
-        // Overflow: the tally appears and matches `dropped()`.
+        assert_eq!(r.dropped(), 0);
+        // Overflow: the span tally counts every overwritten span.
         r.record(span("a", EventKind::Kernel, 2, 3));
         r.record(span("a", EventKind::Kernel, 3, 4));
-        assert_eq!(r.metrics().counters["spans_dropped"], 2);
         assert_eq!(r.dropped(), 2);
         // Edge overflow has its own tally and leaves the span one alone.
-        assert!(!r.metrics().counters.contains_key("edges_dropped"));
+        assert_eq!(r.edges_dropped(), 0);
         for i in 0..3 {
             r.edge("wake", "a", SimTime(i), "b", SimTime(i), &mut Vec::new);
         }
-        assert_eq!(r.metrics().counters["edges_dropped"], 1);
-        assert_eq!(r.metrics().counters["spans_dropped"], 2);
+        assert_eq!(r.edges_dropped(), 1);
         assert_eq!(r.dropped(), 2);
-    }
-
-    #[test]
-    fn metrics_snapshot_is_sorted() {
-        let r = Recorder::new();
-        r.counter_add("zeta", 2);
-        r.counter_inc("alpha");
-        r.gauge_set("depth", -3);
-        let m = r.metrics();
-        let keys: Vec<&str> = m.counters.keys().map(|s| s.as_str()).collect();
-        assert_eq!(keys, vec!["alpha", "zeta"]);
-        assert_eq!(m.gauges["depth"], -3);
     }
 }

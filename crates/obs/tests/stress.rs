@@ -1,6 +1,6 @@
 //! Multi-thread stress: many OS threads hammer one shared recorder — the
 //! DES runs one actor per thread, so the recorder must take concurrent
-//! spans and counter updates without losing consistency.
+//! spans without losing consistency.
 
 use std::sync::Arc;
 use std::thread;
@@ -30,7 +30,6 @@ fn concurrent_producers_never_corrupt_the_recorder() {
             thread::spawn(move || {
                 for i in 0..PER_THREAD {
                     rec.record(span(format!("t{t}"), i));
-                    rec.counter_inc("ops");
                 }
             })
         })
@@ -42,7 +41,6 @@ fn concurrent_producers_never_corrupt_the_recorder() {
     let total = u64::from(THREADS) * PER_THREAD;
     assert_eq!(rec.span_count() as u64, total);
     assert_eq!(rec.dropped(), 0);
-    assert_eq!(rec.metrics().counters["ops"], total);
 }
 
 #[test]

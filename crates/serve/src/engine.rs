@@ -19,21 +19,24 @@
 //! the job: the worker, the flight label, the profile name and the result
 //! body all use that one string.
 //!
-//! Every decision increments an [`impacc_obs::Recorder`] counter
-//! (`serve_admitted`, `serve_rejected`, `serve_cache_hit`,
-//! `serve_cache_miss`, `serve_coalesced`, `serve_jobs_done`,
-//! `serve_jobs_failed`) and the gauges `serve_queue_depth` /
-//! `serve_workers_busy` track live occupancy, so a daemon's health is
-//! observable through the same metrics surface as the simulator itself.
+//! Every decision bumps one typed atomic tally, one per [`Status`]
+//! counter (a cache hit is one relaxed add, no lock); `admitted` and
+//! `rejected` are the sums of their parts. Queue depth and busy workers
+//! are read from the queue state itself. A job is degraded when the
+//! watchdog pass its launch ran found something deterministic
+//! ([`workload::JobOutcome::anomalies`]); serve runs no rule over a job's
+//! counters itself, only the live queue-backlog rule in
+//! [`Serve::status`].
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use impacc_flight::{Anomaly, FlightRecorder, Trigger, Watchdog};
-use impacc_obs::{json, Recorder};
+use impacc_obs::json;
 use parking_lot::{Condvar, Mutex};
 
 use crate::cache::{write_atomic, ResultCache};
@@ -198,7 +201,8 @@ pub struct Status {
     pub rejected_shutdown: u64,
     /// Submissions answered from cache without execution.
     pub cache_hits: u64,
-    /// Submissions that required (or joined) an execution.
+    /// Submissions that queued an execution (a coalesced one joins an
+    /// execution already counted here).
     pub cache_misses: u64,
     /// Submissions that piggybacked on an in-flight identical job.
     pub coalesced: u64,
@@ -403,11 +407,32 @@ impl State {
     }
 }
 
+/// The engine's counters, one per [`Status`] counter that is not a sum.
+#[derive(Default)]
+struct Tally {
+    rejected_queue_full: AtomicU64,
+    rejected_invalid: AtomicU64,
+    rejected_shutdown: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    coalesced: AtomicU64,
+    jobs_done: AtomicU64,
+    jobs_failed: AtomicU64,
+    jobs_degraded: AtomicU64,
+    retries: AtomicU64,
+    chaos_faults: AtomicU64,
+}
+
+/// Add `v` to a tally. Relaxed: each is a statistic read on its own.
+fn bump(c: &AtomicU64, v: u64) {
+    c.fetch_add(v, Ordering::Relaxed);
+}
+
 struct Shared {
     state: Mutex<State>,
     wake: Condvar,
     cache: ResultCache,
-    rec: Recorder,
+    tally: Tally,
     cfg: ServeConfig,
     /// Backlog-growth detector state (fed by [`Serve::status`] calls).
     wd: Mutex<Watchdog>,
@@ -416,19 +441,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn gauges(&self, st: &State) {
-        self.rec.gauge_set("serve_queue_depth", st.depth() as i64);
-        self.rec.gauge_set("serve_workers_busy", st.busy as i64);
-    }
-
-    /// Record watchdog findings: bump counters and append readable lines
-    /// to the bounded anomaly ring the heartbeat surfaces.
+    /// Append watchdog findings as readable lines to the bounded anomaly
+    /// ring the heartbeat surfaces.
     fn note_anomalies(&self, who: &str, anomalies: &[Anomaly]) {
-        if anomalies.is_empty() {
-            return;
-        }
-        self.rec
-            .counter_add("serve_anomalies", anomalies.len() as u64);
         let mut log = self.anomaly_log.lock();
         for a in anomalies {
             if log.len() >= ANOMALY_LOG_CAP {
@@ -504,11 +519,6 @@ pub struct Serve {
 impl Serve {
     /// Spin up the worker pool.
     pub fn start(cfg: ServeConfig) -> Serve {
-        Serve::with_recorder(cfg, Recorder::new())
-    }
-
-    /// Spin up the worker pool with a caller-owned metrics recorder.
-    pub fn with_recorder(cfg: ServeConfig, rec: Recorder) -> Serve {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -519,9 +529,9 @@ impl Serve {
             }),
             wake: Condvar::new(),
             cache: ResultCache::new(cfg.cache_dir.clone()),
-            rec,
+            tally: Tally::default(),
             cfg: cfg.clone(),
-            wd: Mutex::new(Watchdog::new()),
+            wd: Mutex::new(Watchdog::default()),
             anomaly_log: Mutex::new(VecDeque::new()),
         });
         let handles = (0..cfg.workers.max(1))
@@ -536,21 +546,15 @@ impl Serve {
         Serve { shared, handles }
     }
 
-    /// The engine's metrics recorder (counters/gauges listed in the
-    /// module docs).
-    pub fn recorder(&self) -> &Recorder {
-        &self.shared.rec
-    }
-
     /// Submit one job. Returns a [`Ticket`] on admission — already
     /// resolved when the cache had the answer — or a [`Reject`] telling
     /// the caller exactly why not.
     pub fn submit(&self, job: JobSpec) -> Result<Ticket, Reject> {
+        let tally = &self.shared.tally;
         let key = match job.admit() {
             Ok(key) => key,
             Err(why) => {
-                self.shared.rec.counter_inc("serve_rejected");
-                self.shared.rec.counter_inc("serve_rejected_invalid");
+                bump(&tally.rejected_invalid, 1);
                 return Err(Reject::Invalid(why));
             }
         };
@@ -558,8 +562,7 @@ impl Serve {
         // Cache probe before taking a queue slot: a hit consumes no
         // capacity and is a ticket that already holds its result.
         if let Some(result) = self.shared.cache.get(&key) {
-            self.shared.rec.counter_inc("serve_admitted");
-            self.shared.rec.counter_inc("serve_cache_hit");
+            bump(&tally.cache_hits, 1);
             self.shared.write_artifacts(&key, &result, None);
             return Ok(Ticket {
                 key: key.clone(),
@@ -579,21 +582,18 @@ impl Serve {
         };
         let mut st = self.shared.state.lock();
         if st.stopping {
-            self.shared.rec.counter_inc("serve_rejected");
-            self.shared.rec.counter_inc("serve_rejected_shutdown");
+            bump(&tally.rejected_shutdown, 1);
             return Err(Reject::ShuttingDown);
         }
         if let Some(ws) = st.waiters.get_mut(&key) {
             // Identical job already queued or running: ride along.
             ws.push(tx);
-            self.shared.rec.counter_inc("serve_admitted");
-            self.shared.rec.counter_inc("serve_coalesced");
+            bump(&tally.coalesced, 1);
             return Ok(ticket);
         }
         let depth = st.depth();
         if depth >= self.shared.cfg.queue_cap {
-            self.shared.rec.counter_inc("serve_rejected");
-            self.shared.rec.counter_inc("serve_rejected_queue_full");
+            bump(&tally.rejected_queue_full, 1);
             return Err(Reject::QueueFull {
                 depth,
                 cap: self.shared.cfg.queue_cap,
@@ -601,9 +601,7 @@ impl Serve {
         }
         st.waiters.insert(key.clone(), vec![tx]);
         st.lanes[job.priority.lane()].push_back((job, key));
-        self.shared.rec.counter_inc("serve_admitted");
-        self.shared.rec.counter_inc("serve_cache_miss");
-        self.shared.gauges(&st);
+        bump(&tally.cache_misses, 1);
         drop(st);
         self.shared.wake.notify_one();
         Ok(ticket)
@@ -652,27 +650,34 @@ impl Serve {
         if let Some(a) = self.shared.wd.lock().observe_queue_depth(depth as u64) {
             self.shared.note_anomalies("queue", &[a]);
         }
-        let m = self.shared.rec.metrics();
-        let c = |k: &str| m.counters.get(k).copied().unwrap_or(0);
+        let t = &self.shared.tally;
+        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (cache_hits, cache_misses, coalesced) =
+            (c(&t.cache_hits), c(&t.cache_misses), c(&t.coalesced));
+        let (rejected_queue_full, rejected_invalid, rejected_shutdown) = (
+            c(&t.rejected_queue_full),
+            c(&t.rejected_invalid),
+            c(&t.rejected_shutdown),
+        );
         Status {
             queue_depth: depth,
             lanes,
             workers: self.shared.cfg.workers.max(1),
             workers_busy: busy,
-            admitted: c("serve_admitted"),
-            rejected: c("serve_rejected"),
-            rejected_queue_full: c("serve_rejected_queue_full"),
-            rejected_invalid: c("serve_rejected_invalid"),
-            rejected_shutdown: c("serve_rejected_shutdown"),
-            cache_hits: c("serve_cache_hit"),
-            cache_misses: c("serve_cache_miss"),
-            coalesced: c("serve_coalesced"),
+            admitted: cache_hits + cache_misses + coalesced,
+            rejected: rejected_queue_full + rejected_invalid + rejected_shutdown,
+            rejected_queue_full,
+            rejected_invalid,
+            rejected_shutdown,
+            cache_hits,
+            cache_misses,
+            coalesced,
             front: front_stats(),
-            jobs_done: c("serve_jobs_done"),
-            jobs_failed: c("serve_jobs_failed"),
-            jobs_degraded: c("serve_jobs_degraded"),
-            retries: c("serve_job_retries"),
-            chaos_faults: c("serve_chaos_faults"),
+            jobs_done: c(&t.jobs_done),
+            jobs_failed: c(&t.jobs_failed),
+            jobs_degraded: c(&t.jobs_degraded),
+            retries: c(&t.retries),
+            chaos_faults: c(&t.chaos_faults),
             inflight,
             anomalies: self.shared.anomaly_log.lock().iter().cloned().collect(),
         }
@@ -704,7 +709,6 @@ fn worker_loop(sh: &Shared) {
             loop {
                 if let Some(admitted) = st.pop() {
                     st.busy += 1;
-                    sh.gauges(&st);
                     break admitted;
                 }
                 if st.stopping {
@@ -741,35 +745,28 @@ fn worker_loop(sh: &Shared) {
                 let result = Arc::new(out.result);
                 sh.cache.put(&key, result.clone());
                 sh.write_artifacts(&key, &result, out.prof.as_deref());
-                sh.rec.counter_inc("serve_jobs_done");
-                let retries = out.metrics.get("retries").copied().unwrap_or(0);
-                let faults: u64 = out
-                    .metrics
-                    .iter()
-                    .filter(|(k, _)| k.starts_with("chaos_"))
-                    .map(|(_, v)| *v)
-                    .sum();
-                if retries > 0 {
-                    sh.rec.counter_add("serve_job_retries", retries);
+                let t = &sh.tally;
+                bump(&t.jobs_done, 1);
+                for (k, v) in &out.metrics {
+                    if k == "retries" {
+                        bump(&t.retries, *v);
+                    } else if k.starts_with("chaos_") {
+                        bump(&t.chaos_faults, *v);
+                    }
                 }
-                if faults > 0 {
-                    sh.rec.counter_add("serve_chaos_faults", faults);
-                }
-                let pairs: Vec<(&str, u64)> =
-                    out.metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-                let anomalies = Watchdog::new().check_counters(&pairs);
+                let anomalies = &out.anomalies;
                 if !anomalies.is_empty() {
                     // Degraded: the job completed, but its counters say
                     // something went wrong enough to keep the evidence.
-                    sh.rec.counter_inc("serve_jobs_degraded");
-                    sh.note_anomalies(&format!("job_{key}"), &anomalies);
+                    bump(&t.jobs_degraded, 1);
+                    sh.note_anomalies(&format!("job_{key}"), anomalies);
                     sh.write_flight_dump(
                         &key,
                         &campaign,
                         &flight,
                         Trigger::Anomaly(anomalies[0].rule.to_string()),
                         &out.metrics,
-                        &anomalies,
+                        anomalies,
                     );
                 }
                 JobDone {
@@ -780,7 +777,7 @@ fn worker_loop(sh: &Shared) {
                 }
             }
             Ok(Err(why)) => {
-                sh.rec.counter_inc("serve_jobs_failed");
+                bump(&sh.tally.jobs_failed, 1);
                 sh.write_flight_dump(
                     &key,
                     &campaign,
@@ -797,7 +794,7 @@ fn worker_loop(sh: &Shared) {
                 }
             }
             Err(panic) => {
-                sh.rec.counter_inc("serve_jobs_failed");
+                bump(&sh.tally.jobs_failed, 1);
                 let why = panic
                     .downcast_ref::<String>()
                     .cloned()
@@ -823,9 +820,7 @@ fn worker_loop(sh: &Shared) {
             let mut st = sh.state.lock();
             st.busy -= 1;
             st.running.remove(&key);
-            let ws = st.waiters.remove(&key).unwrap_or_default();
-            sh.gauges(&st);
-            ws
+            st.waiters.remove(&key).unwrap_or_default()
         };
         for tx in waiters {
             let _ = tx.send(done.clone());
@@ -1111,6 +1106,75 @@ mod tests {
             assert!(dump.contains("device_loss"), "{label}: {dump}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `Status` counter after one submission of each kind: a miss, a
+    /// coalesced duplicate, each reject, a failing job, a degraded chaos
+    /// job and a hit.
+    #[test]
+    fn every_status_counter_tallies_its_submissions() {
+        let mut serve = Serve::start(ServeConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..ServeConfig::default()
+        });
+        // A slow job holds the one worker while the next three arrive.
+        let slow = JobSpec::parse("workload=jacobi\nn=512\niters=80").unwrap();
+        let held = serve.submit(slow.clone()).unwrap();
+        while serve.status().workers_busy == 0 {
+            std::thread::yield_now();
+        }
+        let queued = serve.submit(quick_job(31)).unwrap();
+        let joined = serve.submit(quick_job(31)).unwrap();
+        assert!(matches!(
+            serve.submit(quick_job(32)),
+            Err(Reject::QueueFull { depth: 1, cap: 1 })
+        ));
+        let mut invalid = quick_job(33);
+        invalid.spec = "psg".into();
+        invalid.gpus = 99;
+        assert!(matches!(serve.submit(invalid), Err(Reject::Invalid(_))));
+        for t in [held, queued, joined] {
+            assert!(t.wait().is_ok());
+        }
+        let mut failing = quick_job(34);
+        failing.spec = "not_a_machine".into();
+        assert!(!serve.submit(failing).unwrap().wait().is_ok());
+        let chaos = JobSpec::parse(
+            "workload=allreduce\nspec=psg\nnodes=1\ngpus=2\nelems=64\nrounds=2\nchaos_rate=0.3\nchaos_seed=1\nfail_device=0:1",
+        )
+        .unwrap();
+        assert!(serve.submit(chaos).unwrap().wait().is_ok());
+        assert!(serve.submit(slow).unwrap().wait().cache_hit);
+        serve.shutdown();
+        assert!(matches!(
+            serve.submit(quick_job(35)),
+            Err(Reject::ShuttingDown)
+        ));
+
+        let st = serve.status();
+        let counters = [
+            st.admitted,
+            st.rejected,
+            st.rejected_queue_full,
+            st.rejected_invalid,
+            st.rejected_shutdown,
+            st.cache_hits,
+            st.cache_misses,
+            st.coalesced,
+            st.jobs_done,
+            st.jobs_failed,
+            st.jobs_degraded,
+            st.retries,
+            st.chaos_faults,
+        ];
+        println!("STATUS {counters:?}");
+        assert_eq!(counters, [6, 3, 1, 1, 1, 1, 4, 1, 3, 1, 1, 2, 2]);
+        assert_eq!(st.admitted, st.cache_hits + st.cache_misses + st.coalesced);
+        assert_eq!(
+            st.rejected,
+            st.rejected_queue_full + st.rejected_invalid + st.rejected_shutdown
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use impacc_core::{Launch, RunSummary, RuntimeOptions};
-use impacc_flight::FlightRecorder;
+use impacc_flight::{Anomaly, FlightRecorder};
 use impacc_machine::{FaultPlan, MachineSpec};
 use impacc_obs::{json, Recorder};
 
@@ -26,9 +26,12 @@ pub struct JobOutcome {
     pub prof: Option<String>,
     /// Virtual end time in picoseconds: the body's `end_ps`.
     pub end_ps: u64,
-    /// The run's engine counters — watchdog input and serve aggregate
-    /// feed. Not part of the cached bytes (already embedded in `result`).
+    /// The run's engine counters — serve's aggregate feed and its dumps.
+    /// Not part of the cached bytes (already embedded in `result`).
     pub metrics: BTreeMap<String, u64>,
+    /// The deterministic watchdog findings of the run (`Launch`'s pass);
+    /// a non-empty list marks the job degraded.
+    pub anomalies: Vec<Anomaly>,
 }
 
 /// Build the job's machine from its preset fields.
@@ -141,6 +144,11 @@ pub(crate) fn run_job_keyed(
         prof,
         end_ps: summary.report.end_time.0,
         metrics,
+        anomalies: summary
+            .anomalies
+            .into_iter()
+            .filter(|a| a.deterministic)
+            .collect(),
     })
 }
 
