@@ -252,20 +252,30 @@ mod tests {
     use super::*;
     use impacc_machine::presets;
 
-    /// LULESH's cube on the array grid: rank = x + q·(y + q·z), and the
-    /// directions run `[dz, dy, dx]`, x fastest. The mirror at `25 - di`
-    /// is `impacc_array`'s `every_direction_is_mirrored_by_its_negation`.
+    /// LULESH's cube on the array grid: rank = x + q·(y + q·z).
     #[test]
-    fn the_cube_runs_x_fastest_in_rank_and_direction() {
-        let grid = CartGrid {
-            dims: vec![3, 3, 3],
-        };
-        for r in 0..27 {
-            let c = |d| grid.coord(r, d);
-            assert_eq!(c(2) + 3 * (c(1) + 3 * c(0)), r);
+    fn coordinates_round_trip() {
+        for q in [1usize, 2, 3] {
+            let grid = CartGrid {
+                dims: vec![q, q, q],
+            };
+            for r in 0..q * q * q {
+                let c = |d| grid.coord(r, d);
+                assert_eq!(c(2) + q * (c(1) + q * c(0)), r);
+            }
         }
+    }
+
+    /// The directions run `[dz, dy, dx]`, x fastest, and the exchange
+    /// pairs direction `di` with its mirror at `NEIGHBORS - 1 - di`.
+    #[test]
+    fn directions_are_26_and_symmetric() {
         let dirs = directions(3, 3, true);
         assert_eq!(dirs.len(), NEIGHBORS);
+        for (di, d) in dirs.iter().enumerate() {
+            let neg: Vec<isize> = d.iter().map(|x| -x).collect();
+            assert_eq!(dirs[NEIGHBORS - 1 - di], neg);
+        }
         assert_eq!(
             (&dirs[12][..], &dirs[13][..]),
             (&[0, 0, -1][..], &[0, 0, 1][..])
