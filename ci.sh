@@ -50,6 +50,22 @@ if [[ -n "$fork" ]]; then
     exit 1
 fi
 
+echo "==> one actor form: the engine starts and parks no thread"
+# Every actor is a handler that the thread calling Sim::run activates; a
+# blocking body runs on a stack of its own (crates/vtime/src/stack.rs, the
+# crate's one module of unsafe code), never on an OS thread. Outside its
+# tests the engine may only ask whether the thread is unwinding.
+vtime_src=$(for f in crates/vtime/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
+    done)
+threads=$(grep -P 'std::thread(?!::panicking\(\))|thread::Builder|thread::park|unpark' <<<"$vtime_src" || true)
+unsafe_code=$(grep -E '\bunsafe\b' <<<"$vtime_src" | grep -v '^crates/vtime/src/stack\.rs:' || true)
+if [[ -n "$threads$unsafe_code" ]]; then
+    printf '%s\n' "$threads" "$unsafe_code" | sed '/^$/d'
+    echo "actor form gate: FAIL — run blocking actors on their stacks (stack.rs), not on threads"
+    exit 1
+fi
+
 echo "==> one kernel form: array and DSL kernels run a row at a time"
 # A stencil kernel is a RowFn writing one Row of new values (DESIGN.md
 # §5k); the per-cell closure form it replaced must not come back beside it.

@@ -447,14 +447,20 @@ mod tests {
 
     #[test]
     fn a_queue_spawns_no_thread() {
+        use std::collections::HashSet;
+        let ran_on = Arc::new(Mutex::new(HashSet::new()));
+        let noted = ran_on.clone();
         let mut sim = Sim::new();
-        sim.spawn("host", |ctx| {
+        sim.spawn("host", move |ctx| {
             let queues: Vec<_> = (0..4)
                 .map(|i| ActivityQueue::spawn(ctx, format!("q{i}")))
                 .collect();
             for q in &queues {
+                let noted = noted.clone();
                 q.submit(ctx, "op", |qctx| async move {
+                    noted.lock().insert(std::thread::current().id());
                     qctx.sleep(SimDur::from_us(2), "w").await;
+                    noted.lock().insert(std::thread::current().id());
                 });
             }
             for q in &queues {
@@ -463,7 +469,9 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(2));
         });
         let report = sim.run().unwrap();
-        assert_eq!(report.threads_spawned, 1, "the host's thread only");
+        // Every op ran on the thread that called `run`.
+        let only: HashSet<_> = [std::thread::current().id()].into();
+        assert_eq!(*ran_on.lock(), only);
         assert_eq!(report.actor("q3").unwrap().tag("w"), SimDur::from_us(2));
     }
 

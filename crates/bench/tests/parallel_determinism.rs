@@ -86,7 +86,6 @@ fn jacobi_is_bit_identical_across_impacc_parallel() {
                 async move { jacobi_task(&tc, &p, None).await }
             })
             .expect("jacobi run");
-        assert_eq!(s.report.threads_spawned, 0, "ranks are handlers");
         observe(s, &rec, "jacobi")
     };
     let shapes = [

@@ -110,13 +110,16 @@ impl RunSummary {
     }
 }
 
+/// Stack mapped for each rank of a synchronous [`Launch::run`] (a
+/// [`SimConfig::stack_size`]; the handler ranks of `run_async` take none).
+const RANK_STACK_BYTES: usize = 384 * 1024;
+
 /// Job launcher. Configure, then [`Launch::run_async`].
 pub struct Launch {
     spec: MachineSpec,
     options: RuntimeOptions,
     mask: DeviceTypeMask,
     phys_cap: Option<u64>,
-    stack_size: usize,
     chaos: Chaos,
     coll_algo: Option<CollAlgo>,
     parallelism: Option<usize>,
@@ -136,7 +139,6 @@ impl Launch {
             options,
             mask: DeviceTypeMask::DEFAULT,
             phys_cap: None,
-            stack_size: 384 * 1024,
             chaos: Chaos::disabled(),
             coll_algo: None,
             parallelism: None,
@@ -315,9 +317,12 @@ impl Launch {
         })
     }
 
-    /// Run the synchronous `app` once per task, each on an OS thread of its
-    /// own behind the [`TaskCtx`] facade, and collect the report. The
-    /// schedule is [`Launch::run_async`]'s.
+    /// Run the synchronous `app` once per task behind the [`TaskCtx`]
+    /// facade, and collect the report. Each rank is a blocking actor: its
+    /// body runs on a stack of its own (`RANK_STACK_BYTES`), which the
+    /// engine switches into on the thread that called `run` at each of the
+    /// rank's grants — the launch starts no OS thread either. The schedule
+    /// is [`Launch::run_async`]'s.
     pub fn run<F>(self, app: F) -> Result<RunSummary, SimError>
     where
         F: Fn(&TaskCtx) + Send + Sync + 'static,
@@ -416,7 +421,7 @@ impl Launch {
         // machine's minimum cross-node event distance (internode wire
         // latency).
         let mut sim = Sim::with_config(SimConfig {
-            stack_size: self.stack_size,
+            stack_size: RANK_STACK_BYTES,
             sink,
             parallelism: self.parallelism.unwrap_or_else(crate::config::parallelism),
             lookahead: res.min_cross_node_latency(),

@@ -3,8 +3,8 @@
 //! The IMPACC runtime's task threads push message commands onto two such
 //! queues per node — the *intra-node message queue* and the *pending
 //! internode message queue* — and the node's single message handler
-//! consumes them (an engine handler: its activations may run on different
-//! OS threads, one at a time, ordered by the scheduler lock). This is a Vyukov-style intrusive MPSC queue: producers
+//! consumes them (an engine handler: its activations run one at a time,
+//! ordered by the scheduler lock). This is a Vyukov-style intrusive MPSC queue: producers
 //! serialize only on one atomic swap, the consumer walks the linked list
 //! without any atomics beyond a per-node `next` load.
 //!

@@ -16,8 +16,9 @@
 //!
 //! A rank body is a future the engine polls as a handler on its node's
 //! partition ([`crate::Launch::run_async`]). [`TaskCtx`] is the synchronous
-//! facade of a rank that owns an OS thread ([`crate::Launch::run`]): a
-//! handful of the same operations, each blocking on the rank's future.
+//! facade of a rank whose body blocks, on a stack of its own
+//! ([`crate::Launch::run`]): a handful of the same operations, each
+//! blocking on the rank's future.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1322,8 +1323,8 @@ impl PointToPoint for Rank {
     }
 }
 
-/// The synchronous facade of a rank that owns an OS thread
-/// ([`crate::Launch::run`]): a handful of [`Rank`]'s operations, each a
+/// The synchronous facade of a rank whose body blocks on a stack of its
+/// own ([`crate::Launch::run`]): a handful of [`Rank`]'s operations, each a
 /// forward or a block on the rank's own future. Everything else is
 /// written against [`Rank`] and launched with
 /// [`crate::Launch::run_async`].

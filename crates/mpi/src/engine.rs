@@ -181,7 +181,7 @@ impl Request {
     }
 
     /// `MPI_Wait`: resolves when the operation completes, with the status
-    /// for receives. A thread actor blocks on it with `Ctx::block_on`.
+    /// for receives. A blocking actor blocks on it with `Ctx::block_on`.
     pub async fn completion(&self, ctx: &Ctx) -> Option<Status> {
         let cause = self.inner.cause;
         self.inner

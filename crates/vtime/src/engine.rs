@@ -51,39 +51,54 @@
 //! # Grants
 //!
 //! Whoever releases a grant picks the next ones under the scheduler lock
-//! but only *records* them there; the lock guard ([`SchedGuard`]) acts on
-//! them after unlocking, so a resumed thread never collides with a lock its
-//! waker still holds. A thread actor sleeps on one atomic word (`Park`)
-//! plus its thread's park token, and on resuming consults the lock-free
-//! `poisoned` flag instead of re-taking the scheduler lock.
+//! but only *records* them there, as activations; the lock guard
+//! ([`SchedGuard`]) runs them after unlocking, one after another, so a
+//! resumed actor never collides with a lock its granter still holds and
+//! activations never nest. The first pump, in [`Sim::run`], is the one
+//! whose guard runs the whole run: every actor is activated on the thread
+//! that called `run`, and the run is over when that loop runs dry.
 //!
 //! # Handlers
 //!
-//! A handler is an actor that owns no thread: a daemon
-//! ([`Sim::spawn_handler_on`], [`Ctx::spawn_handler`]) or an actor that
+//! Every actor is a handler: a body the engine polls at each of its grants,
+//! inline on the granting thread, outside the scheduler lock, with the
+//! actor's partition marked active. An actor that owns nothing else — a
+//! daemon ([`Sim::spawn_handler_on`], [`Ctx::spawn_handler`]) or one that
 //! keeps the run alive until its body completes ([`Sim::spawn_async_on`],
-//! how `impacc_core::Launch` starts every rank). Its body is a `Future`
-//! built from its own [`Ctx`] and polled by whichever thread issues its
-//! grant: inline, outside
-//! the scheduler lock, with the handler's partition marked active exactly
-//! as for a thread actor. The body may advance and wait anywhere, through
-//! the awaitable forms of those calls — [`Ctx::sleep`], [`Ctx::sleep_until`]
-//! and [`Ctx::suspend`] (with [`Notify::notified`](crate::Notify::notified)
-//! and [`Latch::opened`](crate::Latch::opened) on top). Each takes the
-//! decision the blocking call takes: an advance inside the window elides
-//! and returns at once, anything else records the one entry the thread
-//! would queue and returns `Pending`. A pending body therefore means "the
-//! one sleep this actor just recorded"; the granting thread queues it,
-//! releases the grant, and the grant that ends the sleep polls the body on
-//! from there. One activation is one dispatched event, as one grant of a
-//! thread actor is.
+//! how `impacc_core::Launch` starts every rank) — has a `Future` for a
+//! body, built from its own [`Ctx`]. It may advance and wait anywhere,
+//! through the awaitable forms of those calls — [`Ctx::sleep`],
+//! [`Ctx::sleep_until`] and [`Ctx::suspend`] (with
+//! [`Notify::notified`](crate::Notify::notified) and
+//! [`Latch::opened`](crate::Latch::opened) on top). Each takes the decision
+//! every advance and wait takes: an advance inside the window elides and
+//! returns at once, anything else records the one suspension (a `Sleep`)
+//! and returns `Pending`. A pending body therefore means "the one sleep
+//! this actor just recorded"; the activation queues it, releases the
+//! grant, and the grant that ends the sleep polls the body on from there.
+//! One activation is one dispatched event.
 //!
-//! A thread actor runs the same future with [`Ctx::block_on`]: on a thread
-//! every engine call blocks in place, so one poll finishes it. One
-//! definition of an operation thus serves a handler that awaits it and a
-//! thread that blocks on it. A blocking call made from a handler is a bug
-//! the run reports as a panic naming the handler and the call site, even
-//! where the call would not have suspended.
+//! A blocking actor ([`Sim::spawn`], [`Ctx::spawn`] and their daemon and
+//! partition forms) runs its closure on a stack of its own, mapped at
+//! spawn ([`SimConfig::stack_size`], above a guard page). Its body is the
+//! future that switches onto that stack: a blocking call
+//! ([`Ctx::advance_until`], the `wait*` calls, [`Ctx::block_on`] on a
+//! pending future) records the same `Sleep` a handler's leaf future
+//! records and switches back, so the activation acts on it exactly as on a
+//! handler's, and the grant that ends it switches onto the stack again. A
+//! switch saves and restores a few registers (no system call, no lock);
+//! [`Ctx::block_on`] thus runs the future a handler would await, and one
+//! definition of an operation serves both. A blocking call made from a
+//! handler is a bug the run reports as a panic naming the handler and the
+//! call site, even where the call would not have suspended.
+//!
+//! A poisoned run stops granting. Once it has, every body left is dropped
+//! on the thread that called `run`: a handler's future as it lies, and a
+//! blocking actor's stack by resuming it with [`WakeReason::Shutdown`] —
+//! its engine call panics and its frames unwind into the catch at the
+//! stack's base — or, never started, by dropping its closure unrun. No
+//! stack is switched out while its thread unwinds: a blocking call made
+//! from a destructor during unwinding is a panic, which aborts.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -91,13 +106,13 @@ use std::future::Future;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::thread::{JoinHandle, Thread};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
+use crate::stack::{Fiber, Resumed, Yielder};
 use crate::time::{SimDur, SimTime};
 
 /// Identifies an actor within one engine run.
@@ -142,66 +157,7 @@ enum ActorState {
     Finished,
 }
 
-/// Where an actor thread sleeps between grants: one word saying why it may
-/// resume, and the thread to unpark. `wake` is only ever called with the
-/// scheduler lock released (see [`SchedGuard`]).
-struct Park {
-    /// `PARK_EMPTY`, `PARK_SIGNALED` or `PARK_SHUTDOWN`. `wake` stores with
-    /// `Release` and `wait` takes with `Acquire`, so everything the waker
-    /// wrote under the scheduler lock (clocks, the poison flag) is visible
-    /// to the resumed actor without it taking that lock.
-    word: AtomicU32,
-    /// The actor's OS thread, taken from its `JoinHandle` in `spawn_inner`
-    /// before the actor's slot is visible to any waker.
-    thread: OnceLock<Thread>,
-}
-
-const PARK_EMPTY: u32 = 0;
-const PARK_SIGNALED: u32 = 1;
-const PARK_SHUTDOWN: u32 = 2;
-
-impl Park {
-    fn new() -> Arc<Park> {
-        Arc::new(Park {
-            word: AtomicU32::new(PARK_EMPTY),
-            thread: OnceLock::new(),
-        })
-    }
-
-    fn wake(&self, reason: WakeReason) {
-        match reason {
-            // A pending `Shutdown` is sticky: wakes are issued after the
-            // scheduler lock is released, so a poisoning can overtake a
-            // grant recorded before it and must not be downgraded.
-            WakeReason::Signaled => {
-                let _ = self.word.compare_exchange(
-                    PARK_EMPTY,
-                    PARK_SIGNALED,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                );
-            }
-            WakeReason::Shutdown => self.word.store(PARK_SHUTDOWN, Ordering::Release),
-        }
-        if let Some(thread) = self.thread.get() {
-            thread.unpark();
-        }
-    }
-
-    /// Sleep until woken. Must be called on the actor's own thread.
-    fn wait(&self) -> WakeReason {
-        loop {
-            match self.word.swap(PARK_EMPTY, Ordering::Acquire) {
-                PARK_SIGNALED => return WakeReason::Signaled,
-                PARK_SHUTDOWN => return WakeReason::Shutdown,
-                // Not yet woken, or a stale unpark token: sleep (again).
-                _ => std::thread::park(),
-            }
-        }
-    }
-}
-
-/// Lock-free per-actor state shared between the actor thread (fast path)
+/// Lock-free per-actor state shared between the running actor (fast path)
 /// and the scheduler (grants).
 struct ActorClock {
     /// Where this actor's spans go (`None`: no sink is recording). The
@@ -222,7 +178,10 @@ struct ActorSlot {
     name: Arc<str>,
     daemon: bool,
     state: ActorState,
-    runner: Runner,
+    /// The actor's body while it sleeps. `None` while an activation polls
+    /// it (the granting thread takes it out and puts it back), once it has
+    /// finished, and, for a moment at spawn, before a handler's is built.
+    body: Option<Box<Handler>>,
     /// Incremented every time the actor suspends; guards against stale wakes.
     wait_gen: u64,
     blocked_since: SimTime,
@@ -268,23 +227,17 @@ struct ActorSlot {
     queued_by_wake: Option<QueuedWake>,
 }
 
-/// How an actor's code runs between grants, as its slot keeps it.
-enum Runner {
-    /// On an OS thread of its own, asleep in this `Park`.
-    Thread(Arc<Park>),
-    /// A handler's body, while it sleeps. `None` while an activation polls
-    /// it (the granting thread takes it out and puts it back) and, for a
-    /// moment at spawn, before it is built.
-    Handler(Option<Box<Handler>>),
-}
-
-/// The body of a handler: its future, built from its own [`Ctx`].
+/// The body of a handler: its future, built from its own [`Ctx`], or the
+/// [`OnStack`] that switches onto a blocking actor's stack.
 type Body = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// What a handler keeps between activations instead of a thread.
+/// What an actor keeps between activations.
 struct Handler {
     step: Arc<Mutex<Step>>,
     body: Body,
+    /// The body runs on a stack of its own, which holds frames to unwind
+    /// when a poisoned run ends.
+    stackful: bool,
 }
 
 /// One granted handler activation, recorded under the scheduler lock and
@@ -303,9 +256,9 @@ struct Step {
     woke: WakeReason,
 }
 
-/// A suspension a handler's body recorded instead of blocking: exactly
-/// what a thread actor's `advance_until` or `wait*` does under the
-/// scheduler lock, left for `Engine::activate` to do after the poll.
+/// A suspension an actor recorded before it stopped — a handler's leaf
+/// future, or a blocking call before it switches off its stack — left for
+/// `Engine::activate` to act on under the scheduler lock after the poll.
 enum Sleep {
     /// An advance that did not elide: queue at `t`, pushed from clock
     /// `from`.
@@ -319,11 +272,14 @@ enum Sleep {
     },
 }
 
-/// How an actor's [`Ctx`] reaches its runner.
+/// How an actor's [`Ctx`] reaches the activation running it: the step it
+/// records its suspension in, and for a blocking actor the stack it then
+/// switches off.
 #[derive(Clone)]
-enum Host {
-    Thread(Arc<Park>),
-    Handler(Arc<Mutex<Step>>),
+struct Host {
+    step: Arc<Mutex<Step>>,
+    /// `None` on a handler, which awaits instead of blocking.
+    stack: Option<Yielder>,
 }
 
 /// A wake delivered between `prepare_wait` and the
@@ -435,10 +391,7 @@ struct Sched {
     shutdown: bool,
     poison: Option<String>,
     events_dispatched: u64,
-    /// Thread wakes recorded under the lock by `grant_one` and `poison`;
-    /// [`SchedGuard`] issues them after unlocking.
-    wakes: Deferred<(Arc<Park>, WakeReason)>,
-    /// Handler activations `grant_one` granted; [`SchedGuard`] runs them
+    /// Activations `grant_one` granted; [`SchedGuard`] runs them
     /// after unlocking.
     activations: Deferred<Activation>,
     /// Partition table, fixed once the run starts (mid-run spawns inherit
@@ -499,10 +452,9 @@ impl<T> Deferred<T> {
 }
 
 /// The scheduler lock. Releasing it is the one place grants take effect:
-/// the guard first unlocks, then issues the thread wakes and runs the
-/// handler activations recorded while it was held — so a woken actor never
-/// runs into a lock its waker still holds, and a panic that unwinds through
-/// the guard still delivers the wakes.
+/// the guard first unlocks, then runs the activations recorded while it
+/// was held — so a resumed actor never runs into a lock its granter still
+/// holds.
 struct SchedGuard<'a> {
     shared: &'a Arc<EngineShared>,
     guard: Option<MutexGuard<'a, Sched>>,
@@ -524,18 +476,13 @@ impl DerefMut for SchedGuard<'_> {
 impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
         // The mutex guard lives and dies inside the closure.
-        let deferred = self.guard.take().map(|mut sched| {
-            (
-                std::mem::take(&mut sched.wakes),
-                std::mem::take(&mut sched.activations),
-            )
-        });
-        let Some((mut wakes, mut runs)) = deferred else {
+        let deferred = self
+            .guard
+            .take()
+            .map(|mut sched| std::mem::take(&mut sched.activations));
+        let Some(mut runs) = deferred else {
             return;
         };
-        while let Some((park, reason)) = wakes.pop() {
-            park.wake(reason);
-        }
         // A loop, not recursion: what an activation's own release grants
         // joins `runs` instead of running from a nested guard's drop.
         while let Some(act) = runs.pop() {
@@ -544,17 +491,11 @@ impl Drop for SchedGuard<'_> {
     }
 }
 
-struct RunGate {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
 pub(crate) struct EngineShared {
     /// Only ever locked through [`EngineShared::lock_sched`].
     sched: Mutex<Sched>,
-    gate: RunGate,
-    handles: Mutex<Vec<JoinHandle<()>>>,
     metrics: Metrics,
+    /// [`SimConfig::stack_size`]: the mapping each blocking actor runs on.
     stack_size: usize,
     sink: Option<Arc<dyn SpanSink>>,
     /// Number of partitions allowed to hold a grant at once (≥ 1).
@@ -574,8 +515,6 @@ pub(crate) struct EngineShared {
     /// [`SimConfig::max_events`], readable without the scheduler lock (the
     /// fast path checks it too).
     max_events: u64,
-    /// OS threads started for actors ([`SimReport::threads_spawned`]).
-    threads: AtomicU64,
 }
 
 impl EngineShared {
@@ -722,8 +661,13 @@ impl Metrics {
 /// Configuration for a simulation run.
 #[derive(Clone)]
 pub struct SimConfig {
-    /// Stack size for actor threads. Large runs (thousands of actors) should
-    /// keep this small; application state lives on the heap.
+    /// Bytes of stack mapped for each blocking actor ([`Sim::spawn`],
+    /// [`Ctx::spawn`] and their daemon and partition forms), above a guard
+    /// page: its body runs there, and an overflow faults on the guard page.
+    /// Pages are committed as touched, so a large run (thousands of actors)
+    /// pays for the depth its actors reach; application state lives on the
+    /// heap. Handlers run on the stack of the thread that called
+    /// [`Sim::run`] and take none.
     pub stack_size: usize,
     /// Abort the run (with an error) after this many scheduler dispatches.
     /// Guards against runaway actor loops in tests.
@@ -793,11 +737,12 @@ pub enum SimError {
         /// The configured limit that was exceeded.
         limit: u64,
     },
-    /// The OS refused to start an actor's thread (thread limit reached, or
-    /// a [`SimConfig::stack_size`] that cannot be mapped). Every thread
-    /// spawned before it has been woken and joined.
+    /// The OS refused to map a blocking actor's stack (a
+    /// [`SimConfig::stack_size`] that cannot be mapped, or the map limit
+    /// reached). Every actor spawned before it has been dropped or
+    /// unwound.
     Spawn {
-        /// Name of the actor whose thread could not be started.
+        /// Name of the actor whose stack could not be mapped.
         actor: String,
         /// The OS error.
         message: String,
@@ -815,7 +760,7 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded the event limit of {limit}")
             }
             SimError::Spawn { actor, message } => {
-                write!(f, "could not start a thread for actor '{actor}': {message}")
+                write!(f, "could not map a stack for actor '{actor}': {message}")
             }
         }
     }
@@ -863,8 +808,9 @@ pub struct SimReport {
     /// is bookkeeping; the total depends only on virtual state.
     pub events: u64,
     /// How many of those events were advances that skipped the scheduler
-    /// (and the park/unpark round-trip) because the target lay inside the
-    /// window and ahead of nothing else queued on the actor's partition.
+    /// (and the switch off the actor's stack) because the target lay
+    /// inside the window and ahead of nothing else queued on the actor's
+    /// partition.
     pub handoffs_elided: u64,
     /// Scheduler grants issued in windows that released two or more
     /// partitions — events that actually ran concurrently with another
@@ -876,10 +822,6 @@ pub struct SimReport {
     /// relative to `events` mean the lookahead is too small for the
     /// workload's event spacing. Zero for a single-partition run.
     pub horizon_stalls: u64,
-    /// OS threads the engine started: one per thread actor, none for a
-    /// handler. A fact about the host process, not about the simulated
-    /// run.
-    pub threads_spawned: u64,
 }
 
 impl SimReport {
@@ -897,7 +839,7 @@ impl SimReport {
 /// Handle through which actor code interacts with the engine.
 ///
 /// Each actor receives a `Ctx` bound to its own identity. `Ctx` is `Clone`
-/// but must only be used from the actor thread it was issued to.
+/// but must only be used by the actor it was issued to.
 #[derive(Clone)]
 pub struct Ctx {
     engine: Arc<EngineShared>,
@@ -916,8 +858,8 @@ pub struct Ctx {
     acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>>,
     /// This partition's queue-front mirror.
     part_front: Arc<AtomicU64>,
-    /// Where this actor's thread sleeps between grants, or where its
-    /// handler body records the one suspension it stopped at.
+    /// Where this actor records the one suspension it stops at, and the
+    /// stack a blocking actor switches off.
     host: Host,
 }
 
@@ -1044,26 +986,21 @@ impl Ctx {
     /// an entry at or before `t`. Dispatch order, event count and
     /// accounting are identical on both paths.
     ///
-    /// Blocking: a handler awaits [`Ctx::sleep_until`] instead, and calling
-    /// this from one panics, naming the call site, even where the advance
-    /// would have elided.
+    /// Blocking: an advance that queues records it and switches off the
+    /// actor's stack until the grant that ends it. A handler awaits
+    /// [`Ctx::sleep_until`] instead, and calling this from one panics,
+    /// naming the call site, even where the advance would have elided.
     #[track_caller]
     pub fn advance_until(&self, target: SimTime, tag: &'static str) {
-        let park = self.park();
-        let Some((t, from)) = self.try_elide(target, tag) else {
-            return;
-        };
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            Engine::queue_advance(&mut sched, self.me, t, from);
-            Engine::release_grant(&self.engine, &mut sched, self.part);
+        let stack = self.stack();
+        if let Some((t, from)) = self.try_elide(target, tag) {
+            self.record(Sleep::Advance { t, from });
+            self.switch_out(stack);
         }
-        self.park_until_granted(park);
     }
 
     /// The awaitable [`Ctx::advance`]: what a handler's body awaits where a
-    /// thread actor would call `advance`.
+    /// blocking actor would call `advance`.
     pub fn sleep(&self, dur: SimDur, tag: &'static str) -> Advance<'_> {
         self.sleep_until(self.now() + dur, tag)
     }
@@ -1078,7 +1015,7 @@ impl Ctx {
         }
     }
 
-    /// The decision every advance takes, on a thread or in a handler:
+    /// The decision every advance takes, blocking or awaited:
     /// charge the span under `tag`, then take the fast path if it applies
     /// (see [`Ctx::advance_until`]). `None` when it did; otherwise the
     /// instant to queue at and the clock the entry is pushed from.
@@ -1161,52 +1098,34 @@ impl Ctx {
         Suspend::new(self, Some(token), tag)
     }
 
-    /// A thread actor's wait: suspend under the scheduler lock unless the
-    /// engine is shutting down, then sleep until granted.
-    fn wait_inner(
-        &self,
-        token: WaitToken,
-        tag: &'static str,
-        cause: Option<String>,
-        deadline: Option<SimTime>,
-    ) -> WakeReason {
-        assert_eq!(token.actor, self.me, "wait() with a foreign token");
-        let park = self.park();
-        {
-            let mut sched = self.engine.lock_sched();
-            self.check_poison(&sched);
-            if !Engine::begin_wait(&mut sched, token, tag, cause, deadline) {
-                return WakeReason::Shutdown;
-            }
-            Engine::release_grant(&self.engine, &mut sched, self.part);
-        }
-        self.park_until_granted(park)
-    }
-
     /// Run `fut` to completion on this actor and return its output: how a
-    /// thread actor performs an operation a handler would await. On a
-    /// thread every engine call inside blocks in place, so one poll
-    /// finishes it.
+    /// blocking actor performs an operation a handler would await. Each
+    /// time `fut` is pending on an engine suspension (the one its leaf
+    /// future recorded), the actor switches off its stack; the grant that
+    /// ends the suspension switches back and polls `fut` on.
     ///
     /// # Panics
     ///
     /// On a handler, always — a handler awaits instead, and a blocking
     /// call it makes is a bug whether or not this one would have
-    /// suspended — and on a thread, if `fut` waits for something other
-    /// than the engine. Either panic names the caller's location.
+    /// suspended — and on a blocking actor, if `fut` waits for something
+    /// other than the engine. Either panic names the caller's location.
     #[track_caller]
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-        if let Host::Handler(_) = self.host {
-            self.blocking_in_handler();
-        }
+        let stack = self.stack();
         let mut fut = std::pin::pin!(fut);
-        match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-            Poll::Ready(out) => out,
-            Poll::Pending => panic!(
-                "actor '{}' blocked on a future that is not an engine suspension at {}",
-                self.name,
-                std::panic::Location::caller()
-            ),
+        loop {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+                return out;
+            }
+            if self.host.step.lock().sleep.is_none() {
+                panic!(
+                    "actor '{}' blocked on a future that is not an engine suspension at {}",
+                    self.name,
+                    std::panic::Location::caller()
+                );
+            }
+            self.switch_out(stack);
         }
     }
 
@@ -1407,7 +1326,7 @@ impl Ctx {
             name,
             false,
             self.spawn_origin(),
-            Start::<F, NoBody>::Thread(f),
+            Start::<F, NoBody>::Stack(f),
         )
         .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
@@ -1426,15 +1345,16 @@ impl Ctx {
             name,
             true,
             self.spawn_origin(),
-            Start::<F, NoBody>::Thread(f),
+            Start::<F, NoBody>::Stack(f),
         )
         .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
 
     /// Spawn a handler daemon (see the module docs, "Handlers"): `body`
     /// builds its future from the handler's own context, here and now, and
-    /// the future runs on whatever thread grants it — the handler owns
-    /// none. Partition, first instant and spawn edge as in [`Ctx::spawn`].
+    /// the future is polled on the run's thread — the handler has no stack
+    /// of its own. Partition, first instant and spawn edge as in
+    /// [`Ctx::spawn`].
     pub fn spawn_handler<B, F>(&self, name: impl Into<String>, body: B) -> ActorId
     where
         B: FnOnce(Ctx) -> F,
@@ -1447,7 +1367,7 @@ impl Ctx {
             name,
             true,
             self.spawn_origin(),
-            Start::<NoThread, _>::Handler(|ctx| Box::pin(body(ctx)) as Body),
+            Start::<NoStack, _>::Handler(|ctx| Box::pin(body(ctx)) as Body),
         )
         .unwrap_or_else(|msg| panic!("simulation poisoned: {msg}"))
     }
@@ -1514,14 +1434,14 @@ impl Ctx {
         }
     }
 
-    /// The thread a blocking call sleeps on. A handler has none: it awaits
-    /// the call's future form, and blocking is a bug reported by name and
-    /// call site.
+    /// The stack a blocking call switches off. A handler has none: it
+    /// awaits the call's future form, and blocking is a bug reported by
+    /// name and call site.
     #[track_caller]
-    fn park(&self) -> &Arc<Park> {
-        match &self.host {
-            Host::Thread(park) => park,
-            Host::Handler(_) => self.blocking_in_handler(),
+    fn stack(&self) -> &Yielder {
+        match &self.host.stack {
+            Some(stack) => stack,
+            None => self.blocking_in_handler(),
         }
     }
 
@@ -1534,9 +1454,9 @@ impl Ctx {
         )
     }
 
-    /// Leave `sleep` for the activation polling this handler's body.
-    fn record(&self, step: &Mutex<Step>, sleep: Sleep) {
-        let mut step = step.lock();
+    /// Leave `sleep` for the activation running this actor.
+    fn record(&self, sleep: Sleep) {
+        let mut step = self.host.step.lock();
         assert!(
             step.sleep.is_none(),
             "handler '{}' stopped at two suspensions in one poll",
@@ -1545,25 +1465,37 @@ impl Ctx {
         step.sleep = Some(sleep);
     }
 
-    /// Second half of every release: sleep until the scheduler grants this
-    /// actor again (the caller has just released the scheduler lock, which
-    /// issued the wake it recorded), then resume without touching the lock.
-    fn park_until_granted(&self, park: &Park) -> WakeReason {
-        let reason = park.wait();
+    /// Second half of a blocking call, after it recorded its suspension:
+    /// switch off this actor's stack, back to the activation that ran it,
+    /// until the grant that ends the suspension switches back. A poisoned
+    /// run resumes the actor only so that this panics and its frames
+    /// unwind.
+    ///
+    /// Refused while the thread unwinds: the panic count is the thread's,
+    /// and every actor's activations run on that one thread.
+    #[track_caller]
+    fn switch_out(&self, stack: &Yielder) {
+        if std::thread::panicking() {
+            panic!(
+                "actor '{}' made a blocking engine call while unwinding at {}",
+                self.name,
+                std::panic::Location::caller()
+            );
+        }
+        stack.suspend();
         self.check_poison_flag();
-        reason
     }
 }
 
 /// The future of [`Ctx::sleep`] / [`Ctx::sleep_until`]: an advance a
-/// handler awaits. On a thread actor it is the blocking advance.
+/// handler awaits (a blocking actor awaits it through [`Ctx::block_on`]).
 #[must_use = "an advance does nothing unless awaited"]
 pub struct Advance<'a> {
     ctx: &'a Ctx,
     target: SimTime,
     tag: &'static str,
-    /// A handler queued its entry and returned `Pending`; the next poll is
-    /// the grant that ends the advance.
+    /// The advance recorded its entry and returned `Pending`; the next
+    /// poll is the grant that ends it.
     queued: bool,
 }
 
@@ -1573,16 +1505,12 @@ impl Future for Advance<'_> {
     fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         let ctx = this.ctx;
-        match &ctx.host {
-            Host::Thread(_) => ctx.advance_until(this.target, this.tag),
-            Host::Handler(_) if this.queued => ctx.check_poison_flag(),
-            Host::Handler(step) => {
-                if let Some((t, from)) = ctx.try_elide(this.target, this.tag) {
-                    ctx.record(step, Sleep::Advance { t, from });
-                    this.queued = true;
-                    return Poll::Pending;
-                }
-            }
+        if this.queued {
+            ctx.check_poison_flag();
+        } else if let Some((t, from)) = ctx.try_elide(this.target, this.tag) {
+            ctx.record(Sleep::Advance { t, from });
+            this.queued = true;
+            return Poll::Pending;
         }
         Poll::Ready(())
     }
@@ -1590,7 +1518,8 @@ impl Future for Advance<'_> {
 
 /// The future of [`Ctx::suspend`] (and of [`Notify::notified`] /
 /// [`Latch::opened`]): a wait a handler awaits, resolving to why the actor
-/// resumed. On a thread actor it is the blocking wait.
+/// resumed. The blocking `wait*` calls are this future run by
+/// [`Ctx::block_on`].
 ///
 /// [`Notify::notified`]: crate::Notify::notified
 /// [`Latch::opened`]: crate::Latch::opened
@@ -1602,8 +1531,8 @@ pub struct Suspend<'a> {
     tag: &'static str,
     deadline: Option<SimTime>,
     cause: Option<String>,
-    /// A handler recorded the wait and returned `Pending`; the next poll is
-    /// the grant that ends it.
+    /// The wait is recorded and returned `Pending`; the next poll is the
+    /// grant that ends it.
     parked: bool,
 }
 
@@ -1652,45 +1581,34 @@ impl Future for Suspend<'_> {
         let Some(token) = this.token else {
             return Poll::Ready(WakeReason::Signaled);
         };
-        let cause = this.cause.take();
-        match &ctx.host {
-            Host::Thread(_) => Poll::Ready(ctx.wait_inner(token, this.tag, cause, this.deadline)),
-            Host::Handler(step) if this.parked => {
-                ctx.check_poison_flag();
-                Poll::Ready(step.lock().woke)
-            }
-            Host::Handler(step) => {
-                let sleep = Sleep::Wait {
-                    token,
-                    tag: this.tag,
-                    cause,
-                    deadline: this.deadline,
-                };
-                ctx.record(step, sleep);
-                this.parked = true;
-                Poll::Pending
-            }
+        if this.parked {
+            ctx.check_poison_flag();
+            return Poll::Ready(ctx.host.step.lock().woke);
         }
+        ctx.record(Sleep::Wait {
+            token,
+            tag: this.tag,
+            cause: this.cause.take(),
+            deadline: this.deadline,
+        });
+        this.parked = true;
+        Poll::Pending
     }
 }
 
 impl Sched {
-    /// Record that actor `idx` resumes, for the unlocking thread to act
-    /// on: a handler's activation to run, or a thread to wake.
+    /// Record that actor `idx` resumes: an activation for the unlocking
+    /// thread to run.
     fn resume_later(&mut self, idx: usize, reason: WakeReason) {
-        match &mut self.actors[idx].runner {
-            Runner::Thread(park) => self.wakes.push((park.clone(), reason)),
-            // No body: a poisoning overtook the spawn that is building it.
-            Runner::Handler(body) => {
-                if let Some(handler) = body.take() {
-                    self.activations.push(Activation {
-                        id: ActorId(idx as u32),
-                        reason,
-                        handler,
-                    });
-                }
-            }
-        }
+        let handler = self.actors[idx]
+            .body
+            .take()
+            .expect("a queued actor's body is in its slot");
+        self.activations.push(Activation {
+            id: ActorId(idx as u32),
+            reason,
+            handler,
+        });
     }
 
     /// The furthest any actor's clock got. Exact whenever nobody holds a
@@ -1716,10 +1634,10 @@ struct SpawnOrigin {
     seq: u64,
 }
 
-/// How an actor runs: on a thread of its own, or as a handler whose body
-/// `H` builds from the handler's context.
+/// How an actor runs: a blocking body `F` on a stack of its own, or a
+/// handler whose body `H` builds from the handler's context.
 enum Start<F, H> {
-    Thread(F),
+    Stack(F),
     Handler(H),
 }
 
@@ -1727,7 +1645,7 @@ enum Start<F, H> {
 type BodyFn = Box<dyn FnOnce(Ctx) -> Body + Send + 'static>;
 
 /// The `Start` parameters a spawn of the other kind leaves unused.
-type NoThread = fn(&Ctx);
+type NoStack = fn(&Ctx);
 type NoBody = fn(Ctx) -> Body;
 
 /// A queued actor awaiting launch: name, daemon flag, explicit partition
@@ -1779,13 +1697,15 @@ impl Sim {
 
     /// Register an actor to start at time zero. The actor gets a fresh
     /// partition of its own; use [`Sim::spawn_on`] to co-locate actors that
-    /// share mutable state.
+    /// share mutable state. Its body blocks in the engine's calls: it runs
+    /// on a stack of its own ([`SimConfig::stack_size`]), which the thread
+    /// that calls [`Sim::run`] switches into at each of its grants.
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> &mut Sim
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), false, None, Start::Thread(Box::new(f))));
+            .push((name.into(), false, None, Start::Stack(Box::new(f))));
         self
     }
 
@@ -1796,7 +1716,7 @@ impl Sim {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), true, None, Start::Thread(Box::new(f))));
+            .push((name.into(), true, None, Start::Stack(Box::new(f))));
         self
     }
 
@@ -1809,7 +1729,7 @@ impl Sim {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), false, Some(part), Start::Thread(Box::new(f))));
+            .push((name.into(), false, Some(part), Start::Stack(Box::new(f))));
         self
     }
 
@@ -1819,14 +1739,14 @@ impl Sim {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.initial
-            .push((name.into(), true, Some(part), Start::Thread(Box::new(f))));
+            .push((name.into(), true, Some(part), Start::Stack(Box::new(f))));
         self
     }
 
     /// Register a handler daemon on partition `part` (see the module docs,
-    /// "Handlers"): it owns no thread; `body` builds its future from the
-    /// handler's context when the run starts, and its first activation is
-    /// at time zero.
+    /// "Handlers"): it has no stack of its own; `body` builds its future
+    /// from the handler's context when the run starts, and its first
+    /// activation is at time zero.
     pub fn spawn_handler_on<B, F>(
         &mut self,
         part: u32,
@@ -1844,8 +1764,8 @@ impl Sim {
     }
 
     /// [`Sim::spawn_handler_on`] for an actor that keeps the simulation
-    /// alive until its body completes, as [`Sim::spawn_on`] registers one
-    /// on a thread: the same schedule, no thread.
+    /// alive until its body completes, as [`Sim::spawn_on`] registers a
+    /// blocking one: the same schedule, no stack of its own.
     pub fn spawn_async_on<B, F>(&mut self, part: u32, name: impl Into<String>, body: B) -> &mut Sim
     where
         B: FnOnce(Ctx) -> F + Send + 'static,
@@ -1925,7 +1845,6 @@ impl Engine {
                 shutdown: false,
                 poison: None,
                 events_dispatched: 0,
-                wakes: Deferred::default(),
                 activations: Deferred::default(),
                 parts: (0..n_parts).map(|_| Part::new()).collect(),
                 ready: Vec::new(),
@@ -1938,11 +1857,6 @@ impl Engine {
                 parallel_advances: 0,
                 horizon_stalls: 0,
             }),
-            gate: RunGate {
-                done: Mutex::new(false),
-                cv: Condvar::new(),
-            },
-            handles: Mutex::new(Vec::new()),
             metrics: sim.metrics.clone(),
             stack_size: sim.config.stack_size,
             sink: sim.config.sink.clone(),
@@ -1952,10 +1866,8 @@ impl Engine {
             poisoned: AtomicBool::new(false),
             fast_events: AtomicU64::new(0),
             max_events: sim.config.max_events,
-            threads: AtomicU64::new(0),
         });
 
-        let had_initial = !sim.initial.is_empty();
         for (i, (name, daemon, _p, start)) in sim.initial.into_iter().enumerate() {
             let origin = SpawnOrigin {
                 part: placements[i],
@@ -1965,28 +1877,19 @@ impl Engine {
                 seq: i as u64,
             };
             if Engine::spawn_inner(&shared, name, daemon, origin, start).is_err() {
-                // Poisoned, and what was spawned is already being woken.
+                // Poisoned: what was spawned is dropped below.
                 break;
             }
         }
 
-        if had_initial {
-            {
-                let mut sched = shared.lock_sched();
-                Engine::pump(&shared, &mut sched);
-            }
-            let mut done = shared.gate.done.lock();
-            while !*done {
-                shared.gate.cv.wait(&mut done);
-            }
-            drop(done);
+        // The whole run happens inside this guard's drop: it runs what the
+        // pump granted, each activation's release grants the next, and the
+        // loop ends when the run has (every actor finished) or is poisoned.
+        {
+            let mut sched = shared.lock_sched();
+            Engine::pump(&shared, &mut sched);
         }
-
-        // Join every actor thread before reading the final state.
-        let handles = std::mem::take(&mut *shared.handles.lock());
-        for h in handles {
-            let _ = h.join();
-        }
+        Engine::drop_bodies(&shared);
 
         let sched = shared.lock_sched();
         let fast: u64 = sched
@@ -2018,7 +1921,6 @@ impl Engine {
             handoffs_elided: fast,
             parallel_advances: sched.parallel_advances,
             horizon_stalls: sched.horizon_stalls,
-            threads_spawned: shared.threads.load(Ordering::Relaxed),
         })
     }
 
@@ -2051,14 +1953,11 @@ impl Engine {
         }
     }
 
-    /// Register an actor and start it: a thread actor's thread, parked
-    /// until its first grant, or a handler's body. The thread is spawned
-    /// under the scheduler lock, before the slot exists: whoever can see the
-    /// slot can already unpark the thread, and a spawn the OS refuses leaves
-    /// nothing half-registered. On that failure the run is poisoned
-    /// (`spawn:<actor>:<os error>`, returned as `Err`) and every actor
-    /// spawned so far is woken to unwind. A handler's body is built after
-    /// the lock is released — `body` may run any code — and installed
+    /// Register an actor and queue its first grant. A blocking body gets
+    /// its stack mapped first, before the scheduler lock is taken; a map the
+    /// OS refuses poisons the run (`spawn:<actor>:<os error>`, returned as
+    /// `Err`) and leaves nothing half-registered. A handler's body is built
+    /// after the lock is released — `body` may run any code — and installed
     /// before its first grant: a mid-run spawner holds the grant of the
     /// partition the handler joins, and initial spawns precede the run.
     fn spawn_inner<F, H>(
@@ -2072,13 +1971,25 @@ impl Engine {
         F: FnOnce(&Ctx) + Send + 'static,
         H: FnOnce(Ctx) -> Body,
     {
+        let fiber = match &start {
+            Start::Stack(_) => match Fiber::new(shared.stack_size) {
+                Ok(fiber) => Some(fiber),
+                Err(e) => {
+                    let msg = format!("spawn:{name}:{e}");
+                    Engine::poison(shared, &mut shared.lock_sched(), msg.clone());
+                    return Err(msg);
+                }
+            },
+            Start::Handler(_) => None,
+        };
         let metrics = shared.metrics.new_shard();
-        let host = match start {
-            Start::Thread(_) => Host::Thread(Park::new()),
-            Start::Handler(_) => Host::Handler(Arc::new(Mutex::new(Step {
-                sleep: None,
-                woke: WakeReason::Signaled,
-            }))),
+        let step = Arc::new(Mutex::new(Step {
+            sleep: None,
+            woke: WakeReason::Signaled,
+        }));
+        let host = Host {
+            step: step.clone(),
+            stack: fiber.as_ref().map(Fiber::yielder),
         };
         let acct: Arc<Mutex<BTreeMap<&'static str, SimDur>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
@@ -2090,7 +2001,7 @@ impl Engine {
 
         let mut sched = shared.lock_sched();
         if let Some(msg) = &sched.poison {
-            // Spawning after poison would park a thread forever.
+            // Nothing would ever grant it.
             panic!("simulation poisoned: {msg}");
         }
         let id = ActorId(sched.actors.len() as u32);
@@ -2113,52 +2024,28 @@ impl Engine {
             part_front: sched.parts[part as usize].front.clone(),
             host,
         };
-        let (runner, build) = match (start, &ctx.host) {
-            (Start::Handler(body), Host::Handler(step)) => {
-                let step = step.clone();
-                (Runner::Handler(None), Some((ctx, step, body)))
-            }
-            (Start::Thread(f), Host::Thread(park)) => {
-                let park = park.clone();
-                let shared2 = shared.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(name)
-                    .stack_size(shared.stack_size)
-                    .spawn(move || {
-                        // Wait for the first grant. `Shutdown` instead means
-                        // the run was poisoned before this actor ever ran:
-                        // its body must not start.
-                        let result = match ctx.park().wait() {
-                            WakeReason::Signaled => {
-                                panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
-                            }
-                            WakeReason::Shutdown => Ok(()),
-                        };
-                        let mut sched = shared2.lock_sched();
-                        Engine::finish(&shared2, &mut sched, id, result.err());
-                    });
-                let handle = match spawned {
-                    Ok(handle) => handle,
-                    Err(e) => {
-                        let msg = format!("spawn:{actor_name}:{e}");
-                        Engine::poison(shared, &mut sched, msg.clone());
-                        return Err(msg);
-                    }
+        let (body, build) = match (start, fiber) {
+            (Start::Stack(f), Some(mut fiber)) => {
+                fiber.set_entry(Box::new(move || f(&ctx)));
+                let body = Box::pin(OnStack {
+                    fiber,
+                    engine: shared.clone(),
+                });
+                let handler = Handler {
+                    step,
+                    body,
+                    stackful: true,
                 };
-                park.thread
-                    .set(handle.thread().clone())
-                    .expect("a fresh park has no thread yet");
-                shared.handles.lock().push(handle);
-                shared.threads.fetch_add(1, Ordering::Relaxed);
-                (Runner::Thread(park), None)
+                (Some(Box::new(handler)), None)
             }
-            _ => unreachable!("the host was chosen by the start"),
+            (Start::Handler(body), None) => (None, Some((ctx, step, body))),
+            _ => unreachable!("a stack is mapped for a blocking body only"),
         };
         sched.actors.push(ActorSlot {
             name: actor_name,
             daemon,
             state: ActorState::Queued,
-            runner,
+            body,
             wait_gen: 0,
             blocked_since: SimTime::ZERO,
             blocked_tag: "",
@@ -2200,22 +2087,18 @@ impl Engine {
             let handler = Box::new(Handler {
                 step,
                 body: build(ctx),
+                stackful: false,
             });
-            let mut sched = shared.lock_sched();
-            // After a poisoning nothing runs it; left in its slot it would
-            // keep the engine alive through its own context.
-            if sched.poison.is_none() {
-                sched.actors[id.0 as usize].runner = Runner::Handler(Some(handler));
-            }
+            shared.lock_sched().actors[id.0 as usize].body = Some(handler);
         }
         Ok(id)
     }
 
-    /// Run one granted handler activation on the calling thread, unlocked:
-    /// poll the body with the reason it resumed for, then do under the lock
-    /// what the body's pending call asked — what a thread actor's blocking
-    /// call does — put the body back and release the partition's grant.
-    /// Whatever that release grants to handlers joins `runs` (the caller's
+    /// Run one granted activation on the calling thread, unlocked: poll the
+    /// body with the reason it resumed for (a blocking actor's body
+    /// switches onto its stack), then do under the lock what the body's
+    /// pending call asked, put the body back and release the partition's
+    /// grant. Whatever that release grants joins `runs` (the caller's
     /// loop), so activations never nest.
     fn activate(shared: &Arc<EngineShared>, act: Activation, runs: &mut Deferred<Activation>) {
         let Activation {
@@ -2231,6 +2114,7 @@ impl Engine {
                 handler.body.as_mut().poll(&mut cx)
             }));
             let sleep = handler.step.lock().sleep.take();
+            let pending = matches!(polled, Ok(Poll::Pending));
             let mut sched = shared.lock_sched();
             // A panic here would unwind through the guard that called us, so
             // a body's misuse is reported like a panic in the body.
@@ -2241,12 +2125,20 @@ impl Engine {
                 (Ok(Poll::Pending), None) => {
                     misuse("a handler's body is pending on something other than the engine")
                 }
-                // Poisoned meanwhile: it would panic at its next call.
-                (Ok(Poll::Pending), Some(_)) if sched.poison.is_some() => None,
+                // Poisoned meanwhile: it would panic at its next call. A
+                // stack is resumed so that it does, and its frames unwind.
+                (Ok(Poll::Pending), Some(_)) if sched.poison.is_some() => {
+                    if handler.stackful {
+                        drop(sched);
+                        reason = WakeReason::Shutdown;
+                        continue;
+                    }
+                    None
+                }
                 (Ok(Poll::Pending), Some(Sleep::Wait { token, .. }))
                     if token.actor != id || token.gen != sched.actors[idx].wait_gen =>
                 {
-                    misuse("a handler waits on the token of its last prepare_wait")
+                    misuse("an actor waits on the token of its last prepare_wait")
                 }
                 (Ok(Poll::Pending), Some(sleep)) => {
                     match sleep {
@@ -2260,8 +2152,7 @@ impl Engine {
                             deadline,
                         } => {
                             if !Engine::begin_wait(&mut sched, token, tag, cause, deadline) {
-                                // Shutting down: the wait returns at once,
-                                // as a thread's does.
+                                // Shutting down: the wait returns at once.
                                 drop(sched);
                                 reason = WakeReason::Shutdown;
                                 continue;
@@ -2269,13 +2160,25 @@ impl Engine {
                         }
                     }
                     let part = sched.actors[idx].part;
-                    sched.actors[idx].runner = Runner::Handler(Some(handler));
+                    sched.actors[idx].body = Some(handler);
                     Engine::release_grant(shared, &mut sched, part);
                     break sched;
                 }
             };
-            Engine::finish(shared, &mut sched, id, failed);
-            break sched;
+            match failed {
+                // A misuse found while the actor's stack holds frames: report
+                // it, then resume the stack so that they unwind (above).
+                Some(payload) if pending && handler.stackful => {
+                    let cause = Engine::panic_cause(&sched, id, payload.as_ref());
+                    Engine::poison(shared, &mut sched, cause);
+                    drop(sched);
+                    reason = WakeReason::Shutdown;
+                }
+                failed => {
+                    Engine::finish(shared, &mut sched, id, failed);
+                    break sched;
+                }
+            }
         };
         while let Some(next) = sched.activations.pop() {
             runs.push(next);
@@ -2324,7 +2227,7 @@ impl Engine {
     }
 
     /// Suspend the running actor `token` belongs to (both `wait` and
-    /// `wait_deadline`, on a thread or in a handler); the caller releases the
+    /// `wait_deadline`, blocking or awaited); the caller releases the
     /// grant. A deadline is one timer entry in the partition queue, keyed
     /// by the wait generation so a wake that lands first retires it. A
     /// waker may have fired between `prepare_wait` and this call — its wake
@@ -2415,16 +2318,10 @@ impl Engine {
             sched.live_nondaemon -= 1;
         }
         if let Some(payload) = panic_payload {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic>".to_string());
             // A secondary panic raised by `check_poison` finds the original
             // cause already recorded: `poison` keeps the first.
-            let name = &sched.actors[id.0 as usize].name;
-            let msg = format!("panic:{name}:{msg}");
-            Engine::poison(shared, sched, msg);
+            let cause = Engine::panic_cause(sched, id, payload.as_ref());
+            Engine::poison(shared, sched, cause);
         }
         if sched.poison.is_some() {
             // Poisoned by this actor, while it ran, or before it ever
@@ -2435,34 +2332,67 @@ impl Engine {
         Engine::release_grant(shared, sched, part);
     }
 
+    /// How a panic in actor `id` poisons the run: `panic:<actor>:<message>`.
+    fn panic_cause(sched: &Sched, id: ActorId, payload: &(dyn std::any::Any + Send)) -> String {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic>".to_string());
+        format!("panic:{}:{msg}", sched.actors[id.0 as usize].name)
+    }
+
     /// The one place a run is poisoned. The first cause wins and does all
     /// the work: record it, raise the lock-free flag resumed actors test,
-    /// wake every parked actor so it unwinds, and let `Engine::run` proceed
-    /// to the joins. Once is enough — every path that parks an actor (or
-    /// registers a new one) checks `Sched::poison` under the lock first, so
-    /// nobody parks after this.
+    /// and stop the run. Actors holding grants never release them after
+    /// poisoning (they panic at their next engine call), and the pump is
+    /// never re-entered — parking the queues is enough. What the pump had
+    /// granted need not run any more: those bodies go back to their slots,
+    /// where [`Engine::drop_bodies`] finds them with every other sleeping
+    /// one once the run stops. Recording them is all this does — it may
+    /// run on an actor's stack, with the actor about to unwind.
     fn poison(shared: &EngineShared, sched: &mut Sched, msg: String) {
         if sched.poison.is_some() {
             return;
         }
         sched.poison = Some(msg);
         shared.poisoned.store(true, Ordering::Release);
-        for idx in 0..sched.actors.len() {
-            if matches!(
-                sched.actors[idx].state,
-                ActorState::Queued | ActorState::Blocked
-            ) {
-                sched.resume_later(idx, WakeReason::Shutdown);
+        while let Some(act) = sched.activations.pop() {
+            sched.actors[act.id.0 as usize].body = Some(act.handler);
+        }
+        sched.ready.clear();
+    }
+
+    /// The end of a run: drop every body still in its slot. Only a poisoned
+    /// run leaves any. A handler's future is dropped as it lies; a blocking
+    /// actor's stack holds frames, so it is resumed with `Shutdown` — its
+    /// engine call panics, the frames unwind into the catch at the stack's
+    /// base, and the stack is unmapped — or, never started, its closure is
+    /// dropped unrun. This runs on the thread that called [`Sim::run`],
+    /// outside every activation, so no stack is switched out while the
+    /// thread unwinds.
+    #[cold]
+    #[inline(never)]
+    fn drop_bodies(shared: &Arc<EngineShared>) {
+        let left: Vec<(usize, Box<Handler>)> = {
+            let mut sched = shared.lock_sched();
+            let slots = sched.actors.iter_mut().enumerate();
+            slots
+                .filter_map(|(i, s)| Some((i, s.body.take()?)))
+                .collect()
+        };
+        let mut runs = Deferred::default();
+        for (idx, handler) in left {
+            if handler.stackful {
+                let act = Activation {
+                    id: ActorId(idx as u32),
+                    reason: WakeReason::Shutdown,
+                    handler,
+                };
+                Engine::activate(shared, act, &mut runs);
             }
         }
-        // A sleeping handler has nothing to unwind, and what the pump had
-        // granted need not run any more.
-        sched.activations = Deferred::default();
-        // Actors holding grants never release them after poisoning (they
-        // panic at their next engine call), and the pump is never
-        // re-entered — parking the queues is enough.
-        sched.ready.clear();
-        Engine::open_gate(shared);
+        debug_assert!(runs.pop().is_none(), "a poisoned run grants nothing");
     }
 
     /// Insert an entry and refresh the partition's front
@@ -2666,14 +2596,14 @@ impl Engine {
         }
     }
 
-    /// Termination: every queue is empty and no grant is outstanding. Opens the gate (run complete or deadlock) and returns
-    /// `true`, or sweeps blocked daemons with shutdown wakes and returns
+    /// Termination: every queue is empty and no grant is outstanding.
+    /// Returns `true` when the run is over (complete, or poisoned by a
+    /// deadlock), or sweeps blocked daemons with shutdown wakes and returns
     /// `false` so the pump grants them.
     #[cold]
     #[inline(never)]
     fn quiesce(shared: &Arc<EngineShared>, sched: &mut Sched) -> bool {
         if sched.live_total == 0 {
-            Engine::open_gate(shared);
             return true;
         }
         if sched.live_nondaemon == 0 {
@@ -2719,15 +2649,10 @@ impl Engine {
                 );
                 Engine::push_entry(sched, part, entry);
             }
-            if swept {
-                return false;
-            }
-            if sched.live_total == 0 {
-                Engine::open_gate(shared);
-            }
-            // Daemons are mid-finish on their own threads; the last one
-            // re-enters the pump and hits live_total == 0.
-            return true;
+            // Every live daemon was blocked: a queued one has an entry, and
+            // a running one a grant.
+            debug_assert!(swept, "live daemons, none of them blocked");
+            return !swept;
         }
         // Live non-daemon actors exist but nothing is runnable: deadlock.
         let mut detail = String::new();
@@ -2742,53 +2667,39 @@ impl Engine {
         Engine::poison(shared, sched, format!("deadlock:{detail}"));
         true
     }
+}
 
-    fn open_gate(shared: &EngineShared) {
-        let mut done = shared.gate.done.lock();
-        *done = true;
-        shared.gate.cv.notify_all();
+/// A blocking actor's body as a handler's: each poll switches onto its
+/// stack and runs it until its next blocking call has recorded a
+/// suspension (`Pending`) or it ends. A panic on the stack is caught at its
+/// base and resumed here, in the activation, which reports it as a
+/// handler's.
+struct OnStack {
+    fiber: Fiber,
+    engine: Arc<EngineShared>,
+}
+
+impl Future for OnStack {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        if !this.fiber.started() && this.engine.poisoned.load(Ordering::Acquire) {
+            // Poisoned before its first grant: its closure must not start,
+            // and is dropped unrun with the fiber.
+            return Poll::Ready(());
+        }
+        match this.fiber.resume() {
+            Resumed::Suspended => Poll::Pending,
+            Resumed::Finished(Ok(())) => Poll::Ready(()),
+            Resumed::Finished(Err(payload)) => panic::resume_unwind(payload),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn park_shutdown_wins_over_a_deferred_signaled() {
-        let park = Park::new();
-        park.thread.set(std::thread::current()).unwrap();
-        // `Engine::poison` overtakes a grant recorded before it (wakes
-        // are issued after the scheduler lock is released).
-        park.wake(WakeReason::Shutdown);
-        park.wake(WakeReason::Signaled);
-        assert_eq!(park.wait(), WakeReason::Shutdown);
-        // Taken, not latched: the next grant is delivered as itself.
-        park.wake(WakeReason::Signaled);
-        assert_eq!(park.wait(), WakeReason::Signaled);
-        // The other arrival order ends in `Shutdown` too.
-        park.wake(WakeReason::Signaled);
-        park.wake(WakeReason::Shutdown);
-        assert_eq!(park.wait(), WakeReason::Shutdown);
-    }
-
-    #[test]
-    fn park_wake_before_wait_is_not_lost() {
-        // The first-grant race: the waker runs before the new thread has
-        // parked (or even started). The word and the unpark token both
-        // persist, so the late `wait` returns at once.
-        let park = Park::new();
-        let p2 = park.clone();
-        let (go, gone) = std::sync::mpsc::channel::<()>();
-        let actor = std::thread::spawn(move || {
-            gone.recv().unwrap();
-            p2.wait()
-        });
-        park.thread.set(actor.thread().clone()).unwrap();
-        park.wake(WakeReason::Signaled);
-        go.send(()).unwrap();
-        assert_eq!(actor.join().unwrap(), WakeReason::Signaled);
-    }
 
     #[test]
     fn empty_sim_completes() {
@@ -3357,7 +3268,7 @@ mod tests {
         }
     }
 
-    /// The ticker as a handler (`inline`) or as a thread daemon.
+    /// The ticker as a handler (`inline`) or as a blocking daemon.
     fn ticker(inline: bool) -> (SimReport, Vec<SimTime>) {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let log = seen.clone();
@@ -3386,13 +3297,12 @@ mod tests {
             report.actor("tick").unwrap().tag("idle"),
             SimDur::from_us(100)
         );
-        // Exactly what the thread daemon of the same body reports.
-        let (threaded, seen_threaded) = ticker(false);
-        assert_eq!(seen, seen_threaded);
-        assert_eq!(report.events, threaded.events);
-        assert_eq!(report.end_time, threaded.end_time);
-        assert_eq!(report.actors, threaded.actors);
-        assert_eq!((report.threads_spawned, threaded.threads_spawned), (1, 2));
+        // Exactly what the blocking daemon of the same body reports.
+        let (blocking, seen_blocking) = ticker(false);
+        assert_eq!(seen, seen_blocking);
+        assert_eq!(report.events, blocking.events);
+        assert_eq!(report.end_time, blocking.end_time);
+        assert_eq!(report.actors, blocking.actors);
     }
 
     /// A body that advances and waits mid-way: two advances, a wait on a
@@ -3414,8 +3324,8 @@ mod tests {
         ctx.sleep(SimDur::ZERO, "compute").await;
     }
 
-    /// `midway` on a handler (`inline`) or on a thread, beside a thread
-    /// that advances in step with it and wakes it.
+    /// `midway` on a handler (`inline`) or a blocking actor, beside a
+    /// blocking actor that advances in step with it and wakes it.
     fn run_midway(inline: bool, lookahead: SimDur) -> (SimReport, Vec<Seen>) {
         let seen = Arc::new(Collect::default());
         let cell = Arc::new(std::sync::Mutex::new(None));
@@ -3441,7 +3351,7 @@ mod tests {
     }
 
     #[test]
-    fn a_handler_advances_and_waits_midway_exactly_as_a_thread_does() {
+    fn a_handler_advances_and_waits_midway_exactly_as_a_blocking_actor_does() {
         for lookahead in [SimDur::ZERO, SimDur::from_us(1)] {
             let (h, h_seen) = run_midway(true, lookahead);
             let (t, t_seen) = run_midway(false, lookahead);
@@ -3458,7 +3368,6 @@ mod tests {
             let stalls: Vec<_> = h_seen.iter().filter(|s| s.2 == "stall").collect();
             assert_eq!(stalls.len(), 2, "{stalls:?}");
             assert!(stalls[0].3.contains(&("cause", "the poker".to_string())));
-            assert_eq!((h.threads_spawned, t.threads_spawned), (1, 2));
         }
     }
 
@@ -3585,28 +3494,62 @@ mod tests {
     fn handlers_spawn_no_threads() {
         use std::collections::HashSet;
         use std::sync::Mutex as StdMutex;
-        let ran_on = Arc::new(StdMutex::new(HashSet::new()));
-        let count = Arc::new(AtomicU64::new(0));
-        let mut sim = Sim::new();
-        for i in 0..512u32 {
-            let (ran_on, count) = (ran_on.clone(), count.clone());
-            sim.spawn_handler_on(0, format!("h{i:03}"), |ctx| async move {
-                // Every step ties with 511 others: each one suspends.
-                for _ in 0..4 {
-                    ran_on.lock().unwrap().insert(std::thread::current().id());
-                    count.fetch_add(1, Ordering::Relaxed);
-                    ctx.sleep(SimDur::from_us(3), "w").await;
+        type RanOn = Arc<StdMutex<HashSet<std::thread::ThreadId>>>;
+        let note = |ran_on: &RanOn| {
+            ran_on.lock().unwrap().insert(std::thread::current().id());
+        };
+        for parallelism in [1, 4] {
+            let ran_on: RanOn = Arc::default();
+            let count = Arc::new(AtomicU64::new(0));
+            let mut sim = Sim::with_config(windowed(parallelism, SimDur::from_us(1)));
+            for i in 0..512u32 {
+                let (ran_on, count) = (ran_on.clone(), count.clone());
+                sim.spawn_handler_on(0, format!("h{i:03}"), move |ctx| async move {
+                    // Every step ties with 511 others: each one suspends.
+                    for _ in 0..4 {
+                        note(&ran_on);
+                        count.fetch_add(1, Ordering::Relaxed);
+                        ctx.sleep(SimDur::from_us(3), "w").await;
+                    }
+                });
+            }
+            // Blocking actors on partitions of their own — initial, daemon,
+            // and children spawned mid-run — suspend and resume on the
+            // same thread.
+            for i in 0..4u32 {
+                let ran_on = ran_on.clone();
+                sim.spawn(format!("b{i}"), move |ctx| {
+                    for _ in 0..3 {
+                        note(&ran_on);
+                        ctx.advance(SimDur::from_us(4), "w");
+                    }
+                    let child_ran_on = ran_on.clone();
+                    ctx.spawn(format!("b{i}.child"), move |ctx| {
+                        note(&child_ran_on);
+                        ctx.advance(SimDur::from_us(1), "w");
+                        note(&child_ran_on);
+                    });
+                    note(&ran_on);
+                });
+            }
+            let daemon_ran_on = ran_on.clone();
+            sim.spawn_daemon("d", move |ctx| loop {
+                note(&daemon_ran_on);
+                if ctx.wait(ctx.prepare_wait(), "idle") == WakeReason::Shutdown {
+                    return;
                 }
             });
+            let report = sim.run().unwrap();
+            assert_eq!(count.load(Ordering::Relaxed), 512 * 4);
+            assert_eq!(report.end_time, us(13), "parallelism {parallelism}");
+            // Handlers: a first grant and four ties each. Each `b`: a first
+            // grant and three advances past the horizon, its child a first
+            // grant and one; the daemon a first grant and the sweep.
+            assert_eq!(report.events, 512 * 5 + 4 * (4 + 2) + 2);
+            // Every activation ran on the thread that called `run`: no
+            // thread was started.
+            let only: HashSet<_> = [std::thread::current().id()].into();
+            assert_eq!(*ran_on.lock().unwrap(), only, "parallelism {parallelism}");
         }
-        let report = sim.run().unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 512 * 4);
-        assert_eq!(report.end_time, us(12));
-        assert_eq!(report.events, 512 * 5);
-        // No thread was started: every activation ran on the one that
-        // called `run`.
-        assert_eq!(report.threads_spawned, 0);
-        let only: HashSet<_> = [std::thread::current().id()].into();
-        assert_eq!(*ran_on.lock().unwrap(), only);
     }
 }

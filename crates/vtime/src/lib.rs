@@ -11,11 +11,12 @@
 //!
 //! * [`Sim`] / [`Ctx`] — build and run a simulation; actors advance the
 //!   clock with [`Ctx::advance`] and suspend/resume via wait tokens.
-//!   Most actors are handlers — daemons ([`Ctx::spawn_handler`]) and the
-//!   stack's ranks ([`Sim::spawn_async_on`]): futures that own no thread,
-//!   polled by whichever thread grants them, that `.await` the same calls
-//!   ([`Ctx::sleep`], [`Ctx::suspend`]). Only a raw [`Sim::spawn`] actor
-//!   (and so a rank of `impacc-core`'s synchronous facade) is an OS thread.
+//!   Every actor is polled on the thread that calls [`Sim::run`]. Most
+//!   are handlers — daemons ([`Ctx::spawn_handler`]) and the stack's ranks
+//!   ([`Sim::spawn_async_on`]): futures that `.await` the same calls
+//!   ([`Ctx::sleep`], [`Ctx::suspend`]). A raw [`Sim::spawn`] actor (and so
+//!   a rank of `impacc-core`'s synchronous facade) blocks in those calls
+//!   instead, on a stack of its own that the run switches into and out of.
 //! * [`Notify`] / [`Latch`] — condition-variable and one-shot-gate
 //!   primitives for building runtimes on top.
 //! * [`SerialResource`] — FIFO-contended hardware (PCIe directions, NICs).
@@ -48,6 +49,7 @@
 
 mod engine;
 mod resource;
+mod stack;
 mod sync;
 mod time;
 
